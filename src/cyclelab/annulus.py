@@ -98,10 +98,9 @@ def _orientation(points: np.ndarray) -> int:
 def _arc(Z, section, xi_from, tol, n_samples):
     p0 = section.point_at(xi_from)
     sign = crossing_sign(Z, section)
-    t_ret, p_ret = flow.next_section_crossing(
+    t_ret, p_ret, orbit = flow._crossing_orbit(
         Z, p0, section, sign, t_max=400.0, tol=tol, t_offset=1e-6
     )
-    orbit = flow.integrate(Z, p0, t_ret, tol=tol)
     ts = np.linspace(0.0, t_ret, n_samples)
     pts = orbit.eval(ts)
     pts[-1] = p_ret
@@ -161,7 +160,7 @@ def build_trapping_annulus(
             Z = X if lam == 0.0 else rotate_family(X, lam, 1.0)
             try:
                 arc, xi_z = _arc(Z, section, xi_from, tol, n_samples)
-            except (flow.NoCrossing, flow.Divergence, flow.StepUnderflow) as exc:
+            except flow.OrbitFailure as exc:
                 last = f"{type(exc).__name__}: {exc}"
                 continue
             last = f"xi_Z={xi_z}"
@@ -305,7 +304,7 @@ def verify_annulus(
             total += 1
             try:
                 orbit = flow.integrate(Y, seed, horizon, tol=max(tol, 1e-9))
-            except (flow.Divergence, flow.StepUnderflow):
+            except flow.OrbitFailure:
                 notes.append(f"orbit from {seed} escaped")
                 continue
             pts = orbit.states[1:]

@@ -203,26 +203,24 @@ class LimitCycle:
         for xi in xis:
             try:
                 d = displacement(X, self.section, xi)
-            except flow.NoCrossing:
+            except flow.OrbitFailure:
                 continue
             lines.append(f"{float(xi)!r},{float(d)!r}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
 
-def _integrate_cycle_orbit(X, section, xi_star, tol=DEFAULT_CYCLE_TOL, n_samples=1024):
-    t_ret, _ = _return(X, section, xi_star, tol=tol)
-    orbit = flow.integrate(X, section.point_at(xi_star), t_ret, tol=tol)
-    ts = np.linspace(0.0, t_ret, n_samples)
-    pts = orbit.eval(ts)
-    return t_ret, ts, pts, orbit
-
-
 def build_cycle(X, section, xi_star, tol=DEFAULT_CYCLE_TOL, n_samples=1024) -> LimitCycle:
-    period, ts, pts, orbit = _integrate_cycle_orbit(X, section, xi_star, tol, n_samples)
+    period, _ = _return(X, section, xi_star, tol=tol)
+    # integrated again so the last step ends at the period: sampling the
+    # closing arc from the return search's longer last step moves the numeric
+    # surrogate by ~1e-10, which flips the rounding-level tie between the
+    # degree-1 and degree-2 entries of the surrogate split's Whitney log
+    orbit = flow.integrate(X, section.point_at(xi_star), period, tol=tol)
+    ts = np.linspace(0.0, period, n_samples)
     cyc = LimitCycle(
-        section=section, xi_star=float(xi_star), period=float(period),
-        times=ts, points=pts, exponent=0.0, _orbit=orbit,
+        section=section, xi_star=float(xi_star), period=period,
+        times=ts, points=orbit.eval(ts), exponent=0.0, _orbit=orbit,
     )
     cyc.exponent = characteristic_exponent(X, cyc)
     return cyc
@@ -288,8 +286,7 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25, tol=DEFAULT_CYCLE_TOL,
     for xi in seeds:
         try:
             vals.append(displacement(X, section, xi, t_max, tol, neighborhood_radius))
-        except (flow.NoCrossing, flow.LeftNeighborhood, flow.Divergence,
-                flow.StepUnderflow):
+        except flow.OrbitFailure:
             vals.append(None)
     roots = []
     for a in range(n_seeds - 1):
@@ -305,8 +302,7 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25, tol=DEFAULT_CYCLE_TOL,
                 xm = 0.5 * (xlo + xhi)
                 try:
                     dm = displacement(X, section, xm, t_max, tol, neighborhood_radius)
-                except (flow.NoCrossing, flow.LeftNeighborhood, flow.Divergence,
-                        flow.StepUnderflow):
+                except flow.OrbitFailure:
                     break
                 if dm == 0.0:
                     xlo = xhi = xm
@@ -363,8 +359,7 @@ def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0
         nodes = xi0 + h_cur * np.cos(np.pi * np.arange(n_nodes) / (n_nodes - 1))
         try:
             d_vals = np.array([displacement(X, section, xi, tol=tol) for xi in nodes])
-        except (flow.NoCrossing, flow.LeftNeighborhood, flow.Divergence,
-                flow.StepUnderflow) as exc:
+        except flow.OrbitFailure as exc:
             last_exc = exc
             h_cur *= 0.5
             continue

@@ -266,8 +266,7 @@ def displacement_samples(X, section, d: int, window: float, center: float = 0.0,
     for xi in nodes:
         try:
             out.append((xi, _cycles.displacement(X, section, xi, tol=tol)))
-        except (_flow.NoCrossing, _flow.LeftNeighborhood, _flow.Divergence,
-                _flow.StepUnderflow):
+        except _flow.OrbitFailure:
             if not skip_failures:
                 raise
     return out
@@ -353,8 +352,7 @@ def q2_search(X, section, d: int, radius: float, n_samples: int, seed: int,
             scale = max(1.0, float(np.max(np.abs(fit.full_coeffs()))))
             boundary = abs(val) < boundary_tol * scale
             census = real_root_census(fit)
-        except (_flow.NoCrossing, _flow.LeftNeighborhood, _flow.Divergence,
-                _flow.StepUnderflow, LeadingCoefficientVanishes) as exc:
+        except (_flow.OrbitFailure, LeadingCoefficientVanishes) as exc:
             samples.append(Q2Sample(i, None, None, False, error=type(exc).__name__))
             continue
         samples.append(Q2Sample(i, val, census, boundary))

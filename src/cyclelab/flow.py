@@ -1,11 +1,15 @@
 """Numerical integration of planar polynomial fields with dense output.
 
-Wraps the adaptive Dormand-Prince 5(4) stepper (explicit embedded pair with a
-free 4th-order dense interpolant) in a loop that records every accepted step
-and its local interpolant, watches a safety box, and localizes transversal
-section crossings on the dense output by bisection. Stiff integrators are not
-needed here: polynomial fields near attracting cycles at our perturbation
-sizes are non-stiff.
+One private generator drives SciPy's adaptive Dormand-Prince 5(4) stepper
+(explicit embedded pair with a free 4th-order dense interpolant) and yields
+every accepted step; it alone watches the step status, the step budget and
+the safety box. ``integrate`` collects the steps into an Orbit.
+``next_section_crossing`` solves each step for its section crossings
+exactly: the dense output on a step is a quartic in time, so its normal
+coordinate against the section line is a quartic whose real roots in the
+step are the crossings. Every way an orbit can fail derives from
+OrbitFailure. Stiff integrators are not needed here: polynomial fields near
+attracting cycles at our perturbation sizes are non-stiff.
 """
 from __future__ import annotations
 
@@ -15,17 +19,19 @@ import numpy as np
 from scipy.integrate import RK45
 
 DEFAULT_TOL = 1e-10
-DEFAULT_SAFETY_BOX = 1e3
+_SAFETY_BOX = 1e3
 _MAX_STEPS = 2_000_000
-_CROSSING_RESIDUAL = 1e-12
-_BISECT_MAX_ITER = 60
 
 
-class StepUnderflow(Exception):
+class OrbitFailure(Exception):
+    """The orbit could not be followed to the requested time or crossing."""
+
+
+class StepUnderflow(OrbitFailure):
     """The adaptive stepper failed (stiffness or blow-up)."""
 
 
-class Divergence(Exception):
+class Divergence(OrbitFailure):
     """Trajectory left the safety box |x|, |y| <= box."""
 
     def __init__(self, t, point, box):
@@ -34,11 +40,11 @@ class Divergence(Exception):
         self.point = point
 
 
-class NoCrossing(Exception):
+class NoCrossing(OrbitFailure):
     """No section crossing found within t_max."""
 
 
-class LeftNeighborhood(Exception):
+class LeftNeighborhood(OrbitFailure):
     """Orbit exited the configured neighborhood before returning."""
 
 
@@ -90,26 +96,40 @@ class Orbit:
             fh.write("\n".join(lines) + "\n")
 
 
-def _make_solver(X, x0, t_end, rtol, atol, max_step):
-    return RK45(
-        X.rhs(),
-        0.0,
-        np.asarray(x0, dtype=float),
-        t_bound=float(t_end),
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
+def _steps(X, x0, t_bound, tol):
+    """Accepted steps from x0 over [0, t_bound], as (dense segment, end state).
+
+    Ends when t_bound is reached; raises StepUnderflow when the stepper fails
+    or the step budget runs out and Divergence when a step ends outside the
+    safety box.
+    """
+    solver = RK45(X.rhs(), 0.0, np.asarray(x0, dtype=float), t_bound=float(t_bound),
+                  rtol=tol, atol=tol)
+    for _ in range(_MAX_STEPS):
+        if solver.status == "finished":
+            return
+        msg = solver.step()
+        if solver.status == "failed":
+            raise StepUnderflow(msg or "step size underflow")
+        if np.max(np.abs(solver.y)) > _SAFETY_BOX:
+            raise Divergence(solver.t, solver.y.copy(), _SAFETY_BOX)
+        yield solver.dense_output(), solver.y.copy()
+    raise StepUnderflow("step budget exhausted")
+
+
+def _orbit(X, x0, tol, steps) -> Orbit:
+    x0 = np.asarray(x0, dtype=float)
+    return Orbit(
+        field_ref=X,
+        x0=tuple(x0),
+        times=np.array([0.0] + [seg.t_max for seg, _ in steps]),
+        states=np.array([x0] + [y for _, y in steps]),
+        tol=(tol, tol),
+        _segments=[seg for seg, _ in steps],
     )
 
 
-def integrate(
-    X,
-    x0,
-    t_end: float,
-    tol: float = DEFAULT_TOL,
-    safety_box: float = DEFAULT_SAFETY_BOX,
-    max_step: float = np.inf,
-) -> Orbit:
+def integrate(X, x0, t_end: float, tol: float = DEFAULT_TOL) -> Orbit:
     """Flow of X from x0 over [0, t_end].
 
     Raises Divergence when the orbit leaves the safety box and StepUnderflow
@@ -119,52 +139,46 @@ def integrate(
         raise ValueError("t_end must be > 0")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    solver = _make_solver(X, x0, t_end, tol, tol, max_step)
-    times = [0.0]
-    states = [np.asarray(x0, dtype=float)]
-    segments = []
-    for _ in range(_MAX_STEPS):
-        if solver.status == "finished":
-            break
-        msg = solver.step()
-        if solver.status == "failed":
-            raise StepUnderflow(msg or "step size underflow")
-        segments.append(solver.dense_output())
-        times.append(solver.t)
-        states.append(solver.y.copy())
-        if np.max(np.abs(solver.y)) > safety_box:
-            raise Divergence(solver.t, solver.y.copy(), safety_box)
-    else:
-        raise StepUnderflow("step budget exhausted")
-    return Orbit(
-        field_ref=X,
-        x0=tuple(np.asarray(x0, dtype=float)),
-        times=np.array(times),
-        states=np.array(states),
-        tol=(tol, tol),
-        _segments=segments,
-    )
+    return _orbit(X, x0, tol, list(_steps(X, x0, t_end, tol)))
 
 
-def _refine_crossing(seg, t_lo, t_hi, g):
-    """Bisection on the dense interpolant until the residual beats 1e-12."""
-    g_lo = g(seg(t_lo))
-    t_best = None
-    for _ in range(_BISECT_MAX_ITER):
-        t_mid = 0.5 * (t_lo + t_hi)
-        g_mid = g(seg(t_mid))
-        if abs(g_mid) < _CROSSING_RESIDUAL:
-            t_best = t_mid
-            break
-        if np.sign(g_mid) == np.sign(g_lo):
-            t_lo, g_lo = t_mid, g_mid
-        else:
-            t_hi = t_mid
-        if t_hi - t_lo <= np.finfo(float).eps * max(1.0, abs(t_hi)):
-            break
-    if t_best is None:
-        t_best = 0.5 * (t_lo + t_hi)
-    return t_best, seg(t_best)
+def _line_roots(seg, base, nrm):
+    """Ascending s in [0, 1] where the step's interpolant meets the section line.
+
+    With s = (t - t_old) / h the interpolant is y_old + h Q [s, s^2, s^3, s^4],
+    so its normal coordinate is the quartic g0 + h (nrm . Q) [s, ..., s^4].
+    A touch whose double root comes out as a complex pair is not a crossing.
+    """
+    g0 = float(np.dot(seg.y_old - base, nrm))
+    c = seg.h * (nrm @ seg.Q)
+    if abs(g0) > np.sum(np.abs(c)):
+        return ()  # |g - g0| <= sum |c| on [0, 1], so g has no root here
+    roots = np.roots(np.append(c[::-1], g0))
+    s = roots.real[roots.imag == 0]
+    return np.sort(s[(s >= 0.0) & (s <= 1.0)])
+
+
+def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset,
+                    neighborhood_radius=None):
+    """next_section_crossing's (t_star, point), plus the orbit up to the crossing step."""
+    base = np.asarray(section.base, dtype=float)
+    nrm = np.asarray(section.normal, dtype=float)
+    tang = np.asarray(section.direction, dtype=float)
+    half = float(section.half_length)
+    steps = []
+    for seg, y in _steps(X, x0, t_max, tol):
+        steps.append((seg, y))
+        if neighborhood_radius is not None and np.linalg.norm(y - base) > neighborhood_radius:
+            raise LeftNeighborhood(
+                f"orbit left the radius-{neighborhood_radius:g} neighborhood at t={seg.t_max:.6g}"
+            )
+        for s in _line_roots(seg, base, nrm):
+            t_star = seg.t_old + s * seg.h
+            p = seg(t_star)
+            if (t_star > t_offset and abs(np.dot(p - base, tang)) <= half
+                    and np.sign(np.dot(X.rhs()(t_star, p), nrm)) == np.sign(direction_sign)):
+                return float(t_star), p, _orbit(X, x0, tol, steps)
+    raise NoCrossing(f"no crossing in (0, {t_max}]")
 
 
 def next_section_crossing(
@@ -175,7 +189,6 @@ def next_section_crossing(
     t_max: float = 200.0,
     tol: float = DEFAULT_TOL,
     t_offset: float = 0.0,
-    safety_box: float = DEFAULT_SAFETY_BOX,
     neighborhood_radius: float | None = None,
 ):
     """First crossing of the section segment with the requested sign.
@@ -184,53 +197,11 @@ def next_section_crossing(
     the segment), half_length and normal (unit normal). A crossing counts
     when the orbit meets the segment with sign(velocity . normal) equal to
     direction_sign, at a time strictly greater than t_offset. The hit time is
-    refined on the dense output to |normal residual| < 1e-12.
+    the exact root of the step's dense interpolant on the section line.
 
-    Returns (t_star, point). Raises NoCrossing, Divergence or StepUnderflow.
+    Returns (t_star, point). Raises an OrbitFailure: NoCrossing, Divergence,
+    StepUnderflow or LeftNeighborhood.
     """
-    base = np.asarray(section.base, dtype=float)
-    nrm = np.asarray(section.normal, dtype=float)
-    tang = np.asarray(section.direction, dtype=float)
-    half = float(section.half_length)
-
-    def g(p):
-        return float(np.dot(p - base, nrm))
-
-    def within_segment(p):
-        return abs(np.dot(p - base, tang)) <= half
-
-    solver = _make_solver(X, x0, t_max, tol, tol, np.inf)
-    for _ in range(_MAX_STEPS):
-        if solver.status == "finished":
-            raise NoCrossing(f"no crossing in (0, {t_max}]")
-        msg = solver.step()
-        if solver.status == "failed":
-            raise StepUnderflow(msg or "step size underflow")
-        if np.max(np.abs(solver.y)) > safety_box:
-            raise Divergence(solver.t, solver.y.copy(), safety_box)
-        if neighborhood_radius is not None:
-            if np.linalg.norm(solver.y - base) > neighborhood_radius:
-                raise LeftNeighborhood(
-                    f"orbit left the radius-{neighborhood_radius:g} neighborhood "
-                    f"at t={solver.t:.6g}"
-                )
-        seg = solver.dense_output()
-        # probe the step interior; transversal crossings cannot hide between
-        # probes at the step sizes an order-5 method takes here
-        ts = np.linspace(seg.t_min, seg.t_max, 6)
-        gs = [g(seg(t)) for t in ts]
-        for a in range(5):
-            if ts[a + 1] <= t_offset:
-                continue
-            if gs[a] == 0.0 and gs[a + 1] == 0.0:
-                continue
-            if np.sign(gs[a]) * np.sign(gs[a + 1]) < 0 or (
-                gs[a] != 0.0 and gs[a + 1] == 0.0
-            ):
-                t_star, p = _refine_crossing(seg, ts[a], ts[a + 1], g)
-                if t_star <= t_offset or not within_segment(p):
-                    continue
-                vel = X.rhs()(t_star, p)
-                if np.sign(np.dot(vel, nrm)) == np.sign(direction_sign):
-                    return float(t_star), np.asarray(p)
-    raise StepUnderflow("step budget exhausted")
+    t_star, p, _ = _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset,
+                                   neighborhood_radius)
+    return t_star, p

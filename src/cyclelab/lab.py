@@ -231,40 +231,6 @@ def _collapse_term_grids(Rvals: dict, lam: float):
     }
 
 
-def whitney_distance_to_limit(R: Poly2, F: SampledField, lam: float, box,
-                              r: int = 1, grid_density: int = 41,
-                              against_zero: bool = False) -> float:
-    """Sampled C^r distance between the polynomial family X0 + lam*R*grad R
-    and the limit family X0 + lam*F*grad F (same base field X0, so only the
-    perturbation jets differ; no polynomial products are formed).
-
-    With against_zero=True the F side is dropped, giving the distance of the
-    polynomial family member to the unperturbed X0 instead.
-    """
-    if r > 1:
-        raise ValueError("logging supports r <= 1")
-    ax, bx, ay, by = box
-    xs = np.linspace(ax, bx, grid_density)
-    ys = np.linspace(ay, by, grid_density)
-    GX, GY = np.meshgrid(xs, ys, indexing="ij")
-    jet_keys = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    Rvals = {
-        k: derivative(derivative(R, "x", k[0]), "y", k[1])(GX, GY) for k in jet_keys
-    }
-    poly_side = _collapse_term_grids(Rvals, lam)
-    if against_zero:
-        zero = np.zeros_like(GX)
-        limit_side = {k: (zero, zero) for k in poly_side}
-    else:
-        Fvals = {k: np.asarray(F.derivative(*k, GX, GY), dtype=float) for k in jet_keys}
-        limit_side = _collapse_term_grids(Fvals, lam)
-    worst = 0.0
-    for k, (pa, qa) in poly_side.items():
-        pb, qb = limit_side[k]
-        worst = max(worst, float(np.max(np.hypot(pa - pb, qa - qb))))
-    return worst
-
-
 # ------------------------------------------------------------------ config
 _PIPELINES = ("find", "split-theorem1", "rotate-theorem2", "bernstein-study",
               "annulus", "q2-search")
@@ -524,8 +490,7 @@ def _split_reference(config, X, section, cycle):
 
 def _run_split(config, X, out_dir):
     section = _section_for(config, X)
-    seed_cycle = cy.build_cycle(X, section, _nearest_fixed_point(config, X, section),
-                                tol=config.integrator_tol)
+    seed_cycle = _nearest_cycle(config, X, section)
     seed_cycle.multiplicity = cy.multiplicity(X, seed_cycle, tol=config.integrator_tol)
 
     payload: dict = {}
@@ -769,13 +734,13 @@ def _run_q2(config, X, out_dir):
 
 
 # ------------------------------------------------------------------ helpers
-def _nearest_fixed_point(config, X, section) -> float:
-    """xi* of the cycle nearest xi = 0 (registry systems sit at xi = 0)."""
+def _nearest_cycle(config, X, section) -> cy.LimitCycle:
+    """The census cycle nearest xi = 0 (registry systems sit at xi = 0)."""
     census = cy.find_cycles(X, section, config.xi_range, config.n_seeds,
                             tol=config.integrator_tol)
     if not census:
         raise ValueError("no cycle found in the configured xi range")
-    return min(census, key=lambda c: abs(c.xi_star)).xi_star
+    return min(census, key=lambda c: abs(c.xi_star))
 
 
 def _census_csv_writer(census):

@@ -60,7 +60,7 @@ def render_phase_portrait(field=None, cycles=(), section=None, annulus=None,
         for seed in _sample_orbit_seeds(cycles, section):
             try:
                 orb = flow.integrate(field, seed, orbit_time, tol=1e-8)
-            except (flow.Divergence, flow.StepUnderflow):
+            except flow.OrbitFailure:
                 continue
             ts = np.linspace(0.0, orb.t_end, 240)
             orbits.append(orb.eval(ts))

@@ -27,6 +27,7 @@ def test_divergence_error():
     with pytest.raises(flow.Divergence) as exc:
         flow.integrate(X, (1.0, 0.0), 20.0)
     assert exc.value.t == pytest.approx(np.log(1e3), abs=0.5)
+    assert isinstance(exc.value, flow.OrbitFailure)
 
 
 def test_times_strictly_increasing():
@@ -80,8 +81,9 @@ def test_ck1_inward_monotonicity(ck):
 
 
 def test_equilibrium_no_crossing(ck):
-    with pytest.raises(flow.NoCrossing):
+    with pytest.raises(flow.NoCrossing) as exc:
         flow.next_section_crossing(ck[2], (0.0, 0.0), SEC, +1, t_max=15.0)
+    assert isinstance(exc.value, flow.OrbitFailure)
 
 
 def test_crossings_never_skipped(ck):
@@ -112,11 +114,22 @@ def test_crossing_residual_refinement(ck):
     assert abs(np.dot(p - SEC.base, SEC.normal)) < 1e-12
 
 
+def test_double_crossing_within_one_step():
+    # y = 12.49 - 5t + t^2/2 dips 0.01 below the section and comes back
+    # inside one accepted step, which a probe scan of the step misses
+    X = PolyVectorField(parse_poly("1"), parse_poly("x"))
+    sec = Section(base=(0.0, 0.0), direction=(1.0, 0.0), half_length=5.0)
+    t, p = flow.next_section_crossing(X, (-5.0, 12.49), sec, +1, t_max=15.0)
+    assert t == pytest.approx(5.0 + np.sqrt(0.02), abs=1e-9)
+    assert abs(np.dot(p - sec.base, sec.normal)) < 1e-12
+
+
 def test_left_neighborhood():
     X = PolyVectorField(parse_poly("x - y"), parse_poly("x + y"))  # unstable focus
-    with pytest.raises(flow.LeftNeighborhood):
+    with pytest.raises(flow.LeftNeighborhood) as exc:
         flow.next_section_crossing(X, (1.05, 0.0), SEC, +1, t_max=50.0,
                                    neighborhood_radius=1.0)
+    assert isinstance(exc.value, flow.OrbitFailure)
 
 
 def test_orbit_csv(tmp_path):

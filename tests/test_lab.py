@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,9 +173,15 @@ def test_portrait_deterministic(ck, ck_cycles, section):
     assert a == b
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _run_cli(args, cwd):
+    # the child runs in cwd, so a relative PYTHONPATH would not find the package
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "cyclelab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def test_cli_find_and_determinism(tmp_path):
