@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .poly2 import Poly2, add, derivative, mul, parse_poly, scale
+from .poly2 import Poly2, _eval_scalar, add, derivative, mul, parse_poly, scale
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ class PolyVectorField:
             return f
 
         def f(t, z):
-            return np.array([P(z[0], z[1]), Q(z[0], z[1])])
+            x, y = float(z[0]), float(z[1])
+            return np.array([_eval_scalar(P, x, y), _eval_scalar(Q, x, y)])
 
         return f
 

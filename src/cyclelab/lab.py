@@ -68,7 +68,9 @@ class _SplineCurve:
 
     def nearest_parameter(self, q: np.ndarray) -> np.ndarray:
         """Newton-refined arg-min of |q - gamma(t)| for query points (M, 2)."""
-        d2 = ((q[:, None, :] - self.dense_pts[None, :, :]) ** 2).sum(axis=2)
+        ox = q[:, 0, None] - self.dense_pts[None, :, 0]
+        oy = q[:, 1, None] - self.dense_pts[None, :, 1]
+        d2 = ox * ox + oy * oy
         t = self.dense_t[np.argmin(d2, axis=1)]
         for _ in range(6):
             gx, gy = self.sx(t), self.sy(t)

@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.signal import convolve
 
 MONOMIAL_CONVERSION_CAP = 30
 
@@ -49,23 +48,25 @@ def _check_box(box) -> tuple[float, float, float, float]:
 
 
 def _basis_row_scalar(m: int, u: float) -> np.ndarray:
-    """Scalar fast path of the basis recurrence (plain floats beat numpy here)."""
-    out = [0.0] * (m + 1)
+    """Scalar fast path of the basis recurrence.
+
+    The running product b^m * f_0 * f_1 * ... is one sequential cumprod over
+    [b^m, f_0, ..., f_{m-1}], so every entry is rounded exactly as in the
+    one-at-a-time recurrence.
+    """
     v = 1.0 - u
     flip = abs(u) > abs(v)
     a, b = (v, u) if flip else (u, v)
     if b == 0.0:
+        out = np.zeros(m + 1)
         out[0] = 1.0
     else:
-        acc = b**m
-        ratio = a / b
-        out[0] = acc
-        for i in range(m):
-            acc *= ratio * (m - i) / (i + 1.0)
-            out[i + 1] = acc
-    if flip:
-        out.reverse()
-    return np.array(out)
+        i = np.arange(m, dtype=float)
+        out = np.empty(m + 1)
+        out[0] = b**m
+        out[1:] = (a / b) * (m - i) / (i + 1.0)
+        np.multiply.accumulate(out, out=out)
+    return out[::-1].copy() if flip else out
 
 
 def bernstein_basis_row(m: int, u) -> np.ndarray:
@@ -198,6 +199,11 @@ class Poly2:
         C.setflags(write=False)
         return C
 
+    @cached_property
+    def _horner_columns(self) -> list[list[float]]:
+        """Columns of _dense as float lists, highest powers of x and y first."""
+        return [[float(c) for c in col[::-1]] for col in self._dense.T[::-1]]
+
     def is_zero(self, tol: float = 0.0) -> bool:
         if self.basis == "monomial":
             if tol == 0.0:
@@ -244,6 +250,25 @@ def eval_poly(p: Poly2, x, y):
     if shape == ():
         return float(vals[0])
     return vals.reshape(shape)
+
+
+def _eval_scalar(p: Poly2, x: float, y: float) -> float:
+    """Monomial-form p at one point (x, y), in plain floats.
+
+    Runs polyval2d's Horner scheme (each column in x, then the column values
+    in y) operation for operation, so the value is bit-identical to
+    eval_poly's, without its per-call array overhead. Bernstein forms go to
+    eval_poly.
+    """
+    if p.basis != "monomial":
+        return eval_poly(p, x, y)
+    acc = None
+    for col in p._horner_columns:
+        h = col[0]
+        for c in col[1:]:
+            h = c + h * x
+        acc = h if acc is None else h + acc * y
+    return acc
 
 
 def derivative(p: Poly2, axis: str, order: int = 1) -> Poly2:
@@ -316,6 +341,15 @@ def _elevate_to(p: Poly2, m: int, n: int) -> Poly2:
     return Poly2.bernstein(g, p.box)
 
 
+def _convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full 2-d convolution as a sum of row-by-row 1-d direct convolutions."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+    for i, row in enumerate(a):
+        for k, other in enumerate(b):
+            out[i + k] += np.convolve(row, other)
+    return out
+
+
 def _product_bernstein(p: Poly2, q: Poly2) -> Poly2:
     """Exact Bernstein-basis product via binomially weighted direct convolution.
 
@@ -333,7 +367,7 @@ def _product_bernstein(p: Poly2, q: Poly2) -> Poly2:
         wlogs[d] = _binom_log(d)
     wa = np.exp(wlogs[m1][:, None] + wlogs[n1][None, :])
     wb = np.exp(wlogs[m2][:, None] + wlogs[n2][None, :])
-    cw = convolve(p.grid * wa, q.grid * wb, method="direct")
+    cw = _convolve_direct(p.grid * wa, q.grid * wb)
     wc = np.exp(wlogs[m1 + m2][:, None] + wlogs[n1 + n2][None, :])
     return Poly2.bernstein(cw / wc, p.box)
 
