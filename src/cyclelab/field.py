@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .poly2 import Poly2, _eval_scalar, add, derivative, mul, parse_poly, scale
+from .poly2 import Poly2, add, derivative, mul, parse_poly, scale
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class PolyVectorField:
 
         def f(t, z):
             x, y = float(z[0]), float(z[1])
-            return np.array([_eval_scalar(P, x, y), _eval_scalar(Q, x, y)])
+            return np.array([P(x, y), Q(x, y)])
 
         return f
 

@@ -158,16 +158,13 @@ def _line_roots(seg, base, nrm):
     return np.sort(s[(s >= 0.0) & (s <= 1.0)])
 
 
-def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset,
-                    neighborhood_radius=None):
-    """next_section_crossing's (t_star, point), plus the orbit up to the crossing step."""
+def _first_crossing(X, steps, section, direction_sign, t_max, t_offset, neighborhood_radius):
+    """next_section_crossing's (t_star, point), searched over the given steps."""
     base = np.asarray(section.base, dtype=float)
     nrm = np.asarray(section.normal, dtype=float)
     tang = np.asarray(section.direction, dtype=float)
     half = float(section.half_length)
-    steps = []
-    for seg, y in _steps(X, x0, t_max, tol):
-        steps.append((seg, y))
+    for seg, y in steps:
         if neighborhood_radius is not None and np.linalg.norm(y - base) > neighborhood_radius:
             raise LeftNeighborhood(
                 f"orbit left the radius-{neighborhood_radius:g} neighborhood at t={seg.t_max:.6g}"
@@ -177,8 +174,23 @@ def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset,
             p = seg(t_star)
             if (t_star > t_offset and abs(np.dot(p - base, tang)) <= half
                     and np.sign(np.dot(X.rhs()(t_star, p), nrm)) == np.sign(direction_sign)):
-                return float(t_star), p, _orbit(X, x0, tol, steps)
+                return float(t_star), p
     raise NoCrossing(f"no crossing in (0, {t_max}]")
+
+
+def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset,
+                    neighborhood_radius=None):
+    """next_section_crossing's (t_star, point), plus the orbit up to the crossing step."""
+    kept = []
+
+    def kept_steps():
+        for step in _steps(X, x0, t_max, tol):
+            kept.append(step)
+            yield step
+
+    t_star, p = _first_crossing(X, kept_steps(), section, direction_sign, t_max, t_offset,
+                                neighborhood_radius)
+    return t_star, p, _orbit(X, x0, tol, kept)
 
 
 def next_section_crossing(
@@ -202,6 +214,5 @@ def next_section_crossing(
     Returns (t_star, point). Raises an OrbitFailure: NoCrossing, Divergence,
     StepUnderflow or LeftNeighborhood.
     """
-    t_star, p, _ = _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset,
-                                   neighborhood_radius)
-    return t_star, p
+    return _first_crossing(X, _steps(X, x0, t_max, tol), section, direction_sign, t_max,
+                           t_offset, neighborhood_radius)

@@ -234,9 +234,23 @@ class Poly2:
 
 
 def eval_poly(p: Poly2, x, y):
-    """Evaluate p at (x, y); accepts scalars or broadcasting arrays."""
+    """Evaluate p at (x, y); accepts scalars or broadcasting arrays.
+
+    Monomial forms run polyval2d's Horner scheme (each column in x, then the
+    column values in y) operation for operation, so values are bit-identical
+    to it; float inputs stay plain floats, which is what keeps a vector
+    field's right-hand side cheap.
+    """
     if p.basis == "monomial":
-        return np.polynomial.polynomial.polyval2d(x, y, p._dense)
+        if not (isinstance(x, float) and isinstance(y, float)):
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        acc = None
+        for col in p._horner_columns:
+            h = col[0] + x * 0  # polyval's start: takes x's shape, keeps its nan/inf
+            for c in col[1:]:
+                h = c + h * x
+            acc = h + y * 0 if acc is None else h + acc * y
+        return acc
     ax, bx, ay, by = p.box
     u = (np.asarray(x, dtype=float) - ax) / (bx - ax)
     v = (np.asarray(y, dtype=float) - ay) / (by - ay)
@@ -250,25 +264,6 @@ def eval_poly(p: Poly2, x, y):
     if shape == ():
         return float(vals[0])
     return vals.reshape(shape)
-
-
-def _eval_scalar(p: Poly2, x: float, y: float) -> float:
-    """Monomial-form p at one point (x, y), in plain floats.
-
-    Runs polyval2d's Horner scheme (each column in x, then the column values
-    in y) operation for operation, so the value is bit-identical to
-    eval_poly's, without its per-call array overhead. Bernstein forms go to
-    eval_poly.
-    """
-    if p.basis != "monomial":
-        return eval_poly(p, x, y)
-    acc = None
-    for col in p._horner_columns:
-        h = col[0]
-        for c in col[1:]:
-            h = c + h * x
-        acc = h if acc is None else h + acc * y
-    return acc
 
 
 def derivative(p: Poly2, axis: str, order: int = 1) -> Poly2:
