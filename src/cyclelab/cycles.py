@@ -211,12 +211,10 @@ class LimitCycle:
 
 
 def build_cycle(X, section, xi_star, tol=DEFAULT_CYCLE_TOL, n_samples=1024) -> LimitCycle:
-    period, _ = _return(X, section, xi_star, tol=tol)
-    # integrated again so the last step ends at the period: sampling the
-    # closing arc from the return search's longer last step moves the numeric
-    # surrogate by ~1e-10, which flips the rounding-level tie between the
-    # degree-1 and degree-2 entries of the surrogate split's Whitney log
-    orbit = flow.integrate(X, section.point_at(xi_star), period, tol=tol)
+    period, _, orbit = flow._crossing_orbit(
+        X, section.point_at(xi_star), section, crossing_sign(X, section),
+        t_max=DEFAULT_T_MAX, tol=tol, t_offset=1e-6,
+    )
     ts = np.linspace(0.0, period, n_samples)
     cyc = LimitCycle(
         section=section, xi_star=float(xi_star), period=period,

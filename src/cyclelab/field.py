@@ -20,13 +20,16 @@ Euclidean norm on vector values.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .poly2 import Poly2, add, derivative, mul, parse_poly, scale
+from .poly2 import (Poly2, _basis_row_scalar, _horner_source, add, derivative, mul,
+                    parse_poly, scale)
 
 
 @dataclass(frozen=True)
@@ -42,21 +45,32 @@ class PolyVectorField:
         return self.P(x, y), self.Q(x, y)
 
     def rhs(self):
-        """Right-hand side f(t, [x, y]) for ODE integrators."""
-        P, Q = self.P, self.Q
-        if (P.basis == "bernstein" and Q.basis == "bernstein" and P.box == Q.box):
-            # share the basis rows between the two components
-            from .poly2 import _basis_row_scalar
+        """The field as one function (x, y) -> (P(x, y), Q(x, y)) on floats.
 
+        Built once per field. Monomial fields get generated straight-line
+        code whose values are bit-identical to eval_poly's; Bernstein fields
+        on one box share their basis rows between the two components.
+        """
+        return self._evaluator
+
+    @cached_property
+    def _evaluator(self):
+        P, Q = self.P, self.Q
+        if P.basis == Q.basis == "monomial":
+            body = _horner_source(P, "p") + _horner_source(Q, "q") + ["return p, q"]
+            namespace = {"inf": math.inf, "nan": math.nan}
+            exec("def rhs(x, y):\n" + "".join(f"    {line}\n" for line in body), namespace)
+            return namespace["rhs"]
+        if P.basis == Q.basis == "bernstein" and P.box == Q.box:
             ax, bx, ay, by = P.box
             wx, wy = bx - ax, by - ay
             gp, gq = P.grid, Q.grid
             mx, nx = gp.shape[0] - 1, gp.shape[1] - 1
             mq, nq = gq.shape[0] - 1, gq.shape[1] - 1
 
-            def f(t, z):
-                u = (z[0] - ax) / wx
-                v = (z[1] - ay) / wy
+            def rhs(x, y):
+                u = (x - ax) / wx
+                v = (y - ay) / wy
                 bu = _basis_row_scalar(mx, u)
                 bv = _basis_row_scalar(nx, v)
                 if (mq, nq) == (mx, nx):
@@ -64,15 +78,10 @@ class PolyVectorField:
                 else:
                     bu2 = _basis_row_scalar(mq, u)
                     bv2 = _basis_row_scalar(nq, v)
-                return np.array([bu @ gp @ bv, bu2 @ gq @ bv2])
+                return float(bu @ gp @ bv), float(bu2 @ gq @ bv2)
 
-            return f
-
-        def f(t, z):
-            x, y = float(z[0]), float(z[1])
-            return np.array([P(x, y), Q(x, y)])
-
-        return f
+            return rhs
+        return lambda x, y: (P(x, y), Q(x, y))
 
     def jacobian(self) -> tuple[Poly2, Poly2, Poly2, Poly2]:
         return (

@@ -266,6 +266,39 @@ def eval_poly(p: Poly2, x, y):
     return vals.reshape(shape)
 
 
+def _horner_lines(terms, acc: str, var: str) -> list[str]:
+    """Horner over terms (highest power first, None for a zero) as statements
+    that leave the value in acc; empty when every term is zero."""
+    lines = []
+    for c in terms:
+        if c is not None:
+            lines.append(f"{acc} = {c} + {acc}*{var}" if lines else f"{acc} = {c}")
+        elif lines:
+            lines.append(f"{acc} = {acc}*{var}")
+    if lines and terms[-1] is None:
+        lines.append(f"{acc} = {acc} + 0.0")
+    return lines
+
+
+def _horner_source(p: Poly2, out: str) -> list[str]:
+    """Python statements that leave eval_poly(p, x, y) in the variable out,
+    for a monomial p and float x, y.
+
+    They unroll eval_poly's Horner loops operation for operation, leaving out
+    only what is exact on finite inputs: polyval's ``+ x*0`` start and the
+    additions of zero coefficients. c + h*x with c = 0 differs from h*x at
+    most in the sign of a zero, which the next nonzero coefficient absorbs;
+    where none follows, a final ``+ 0.0`` restores it. So the value is
+    bit-identical to eval_poly's at every finite point.
+    """
+    lines, cols = [], []
+    for k, col in enumerate(p._horner_columns):
+        col_lines = _horner_lines([repr(c) if c else None for c in col], f"{out}{k}", "x")
+        lines += col_lines
+        cols.append(f"{out}{k}" if col_lines else None)
+    return lines + (_horner_lines(cols, out, "y") or [f"{out} = 0.0"])
+
+
 def derivative(p: Poly2, axis: str, order: int = 1) -> Poly2:
     """Exact partial derivative along 'x' or 'y'.
 

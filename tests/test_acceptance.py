@@ -92,8 +92,13 @@ def test_criterion_4_theorem1_surrogate_split():
     for r, target in zip(radii, SPLIT_RADII):
         assert r == pytest.approx(target, abs=1e-2)
     # the logged Whitney distance to the limit family (the quantity the
-    # approximation theorem controls) decreases monotonically in degree
-    seq = [e["to_limit_family"] for e in rep.payload["whitney_log"]]
+    # approximation theorem controls) decreases monotonically in degree, from
+    # the first fit that is nonzero on the ring: a fit that vanishes there is
+    # exactly as far from the limit family as the limit term is large, and the
+    # next fit can tie with it in exact arithmetic
+    log = rep.payload["whitney_log"]
+    first = next((i for i, e in enumerate(log) if e["to_unperturbed"] > 0), len(log))
+    seq = [e["to_limit_family"] for e in log[first:]]
     assert all(b < a for a, b in zip(seq, seq[1:]))
     assert rep.checks["split_succeeded"]
     _ok(4, f"degree {rep.payload['degree']}, lambda {rep.payload['lambda_used']:.4f}, "

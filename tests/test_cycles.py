@@ -229,3 +229,14 @@ def test_displacement_csv(tmp_path, ck, ck_cycles):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "xi,displacement"
     assert len(lines) == 6
+
+
+def test_build_cycle_integrates_the_cycle_once(ck, section, monkeypatch):
+    # the cycle is sampled from the orbit of the return search itself
+    def no_second_orbit(*args, **kwargs):
+        raise AssertionError("build_cycle integrated the cycle a second time")
+
+    monkeypatch.setattr(flow, "integrate", no_second_orbit)
+    cyc = cy.build_cycle(ck[1], section, 0.0)
+    assert cyc.closure_error() < 1e-8
+    assert cyc.period == pytest.approx(2 * np.pi, abs=1e-8)

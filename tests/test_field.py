@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from cyclelab import field as fd
@@ -158,3 +159,28 @@ def test_ck_polar_reduction_against_oracle(ck):
         radial = (x * p + y * q) / r
         law = oracles.ck_radial(k)
         assert np.max(np.abs(radial - np.array([law(v) for v in r]))) < 1e-13
+
+
+# monomial exponent maps of total degree <= 12: sparse (a few terms) or dense
+# (every exponent of a degree-d triangle), coefficients of mixed magnitude
+_coeff = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_sparse = st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12))
+                          .filter(lambda ij: ij[0] + ij[1] <= 12), _coeff, max_size=6)
+_dense = st.integers(0, 12).flatmap(lambda d: st.fixed_dictionaries(
+    {(i, j): _coeff for i in range(d + 1) for j in range(d + 1 - i)}))
+_monomial = st.one_of(_sparse, _dense).map(Poly2.monomial)
+_collapse = st.floats(-0.5, 0.5, allow_nan=False).map(
+    lambda lam: fd.gradient_collapse_family(fd.ck_system(3), parse_poly("1 - x^2 - y^2"), lam))
+_fields = st.one_of(st.builds(fd.PolyVectorField, _monomial, _monomial),
+                    st.just(fd.PolyVectorField(Poly2.zero(), Poly2.zero())), _collapse)
+_point = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fields, st.lists(st.tuples(_point, _point), min_size=1, max_size=5))
+def test_compiled_rhs_is_eval_poly_bit_for_bit(X, points):
+    rhs = X.rhs()
+    assert X.rhs() is rhs  # compiled once per field
+    for x, y in points:
+        # float.hex tells -0.0 from 0.0
+        assert [v.hex() for v in rhs(x, y)] == [X.P(x, y).hex(), X.Q(x, y).hex()]

@@ -3,7 +3,7 @@ import pytest
 
 from cyclelab import flow
 from cyclelab.cycles import Section
-from cyclelab.field import PolyVectorField
+from cyclelab.field import PolyVectorField, vanderpol
 from cyclelab.poly2 import parse_poly
 
 ROT = PolyVectorField(parse_poly("-y"), parse_poly("x"))
@@ -148,3 +148,70 @@ def test_bad_arguments():
         flow.integrate(ROT, (1, 0), -1.0)
     with pytest.raises(ValueError):
         flow.integrate(ROT, (1, 0), 1.0, tol=0.0)
+
+
+def test_crossing_rejects_zero_tol(ck, section):
+    # tol = 0 once ran the orbit into the 2,000,000-step budget
+    with pytest.raises(ValueError):
+        flow.next_section_crossing(ck[1], section.point_at(0.1), section, +1, tol=0.0)
+
+
+def test_crossing_rejects_zero_t_max(ck, section):
+    with pytest.raises(ValueError):
+        flow.next_section_crossing(ck[1], section.point_at(0.1), section, +1, t_max=0.0)
+
+
+def test_crossing_rejects_negative_t_max(ck, section):
+    # a negative t_max once integrated backward in time
+    with pytest.raises(ValueError):
+        flow.next_section_crossing(ck[1], section.point_at(0.1), section, +1, t_max=-1.0)
+
+
+class _CountedField:
+    """A field stand-in whose RHS counts its calls."""
+
+    def __init__(self, X):
+        self.f, self.calls = X.rhs(), 0
+
+    def rhs(self):
+        return self
+
+    def __call__(self, x, y):
+        self.calls += 1
+        return self.f(x, y)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("name", ["ROT", "CK(1)", "vanderpol(1)"])
+def test_stepper_matches_scipy_reference(ck, name, tol):
+    """The float stepper against SciPy's Dormand-Prince solver on the same RHS.
+
+    SciPy's error estimate is a BLAS dot product of seven nearly equal stage
+    derivatives, which cancels down to about 1e-6 of tol, so its rounding
+    moves each proposed step by up to a relative 1e-5 in a way plain floats
+    cannot repeat. Hence: the same accepted and rejected steps (the same RHS
+    calls), the first step exactly, later step ends within 1e-4 relative, and
+    the two solutions, compared at the same times, within 1e-12.
+    """
+    from scipy.integrate import RK45
+    from scipy.integrate._ivp.common import OdeSolution
+
+    X = {"ROT": ROT, "CK(1)": ck[1], "vanderpol(1)": vanderpol(1.0)}[name]
+    f = X.rhs()
+    ref = RK45(lambda t, z: np.array(f(z[0], z[1])), 0.0, np.array([0.5, 0.2]), 10.0,
+               rtol=tol, atol=tol)
+    times, dense = [0.0], []
+    while ref.status == "running":
+        ref.step()
+        times.append(ref.t)
+        dense.append(ref.dense_output())
+    ref_sol = OdeSolution(times, dense)
+    counted = _CountedField(X)
+    orb = flow.integrate(counted, (0.5, 0.2), 10.0, tol=tol)
+    assert counted.calls == ref.nfev
+    assert len(orb.times) == len(times)
+    assert orb.times[1] == times[1]
+    assert np.allclose(orb.times, times, rtol=1e-4, atol=0.0)
+    assert np.max(np.abs(ref_sol(orb.times).T - orb.states)) < 1e-12
+    mid = 0.5 * (orb.times[1:] + orb.times[:-1])
+    assert np.max(np.abs(ref_sol(mid).T - orb.eval(mid))) < 1e-12
