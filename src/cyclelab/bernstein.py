@@ -118,9 +118,34 @@ def bernstein_fit(f: SampledField, m: int, n: int, box=None) -> Poly2:
     return Poly2.bernstein(grid, box)
 
 
-def _grid(box, density):
+def mesh(box, density: int):
+    """The density x density sampling grid of a box, as 'ij'-indexed (X, Y)."""
     ax, bx, ay, by = box
-    return np.linspace(ax, bx, density), np.linspace(ay, by, density)
+    return np.meshgrid(np.linspace(ax, bx, density), np.linspace(ay, by, density),
+                       indexing="ij")
+
+
+def jets(f, r: int, X, Y) -> dict[tuple[int, int], np.ndarray]:
+    """Every partial derivative d^(i+j) f / dx^i dy^j with i + j <= r at (X, Y).
+
+    Keys run by total order, then by i: (0, 0), (0, 1), (1, 0), (0, 2), ...
+    A Poly2 takes each derivative once, from the one before it (x first,
+    then y), which gives the same polynomials as nested ``derivative`` calls;
+    a SampledField answers through its own ``derivative(i, j, X, Y)``.
+    """
+    keys = [(i, t - i) for t in range(r + 1) for i in range(t + 1)]
+    if not isinstance(f, Poly2):
+        return {(i, j): np.asarray(f.derivative(i, j, X, Y), dtype=float) for i, j in keys}
+    polys = {(0, 0): f}
+    for i, j in keys[1:]:
+        polys[(i, j)] = (derivative(polys[(i, j - 1)], "y") if j
+                         else derivative(polys[(i - 1, 0)], "x"))
+    return {k: p(X, Y) for k, p in polys.items()}
+
+
+def _jet_errors(b: Poly2, r: int, X, Y, target) -> dict[tuple[int, int], float]:
+    """max |d^k b - target[k]| over the grid for every |k| <= r."""
+    return {k: float(np.max(np.abs(v - target[k]))) for k, v in jets(b, r, X, Y).items()}
 
 
 def cr_error(
@@ -139,18 +164,8 @@ def cr_error(
         raise ValueError("grid_density must be >= 50")
     if f.r_max < r:
         raise InsufficientDerivatives(f"field provides r_max={f.r_max} < r={r}")
-    box = tuple(box) if box is not None else tuple(f.box)
-    xs, ys = _grid(box, grid_density)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    out = {}
-    for total in range(r + 1):
-        for i in range(total + 1):
-            j = total - i
-            bd = derivative(derivative(b, "x", i), "y", j)
-            approx = bd(X, Y)
-            exact = f.derivative(i, j, X, Y)
-            out[(i, j)] = float(np.max(np.abs(approx - exact)))
-    return out
+    X, Y = mesh(tuple(box) if box is not None else tuple(f.box), grid_density)
+    return _jet_errors(b, r, X, Y, jets(f, r, X, Y))
 
 
 def min_degree_for_tolerance(
@@ -177,24 +192,17 @@ def min_degree_for_tolerance(
         raise InsufficientDerivatives(f"field provides r_max={f.r_max} < r={r}")
     boxes = list(error_boxes) if error_boxes is not None else [tuple(box)]
 
-    # the field's derivative grids do not change across probed degrees;
-    # sample them once per error box
-    multi = [(i, t - i) for t in range(r + 1) for i in range(t + 1)]
-    cached = []
-    for sub in boxes:
-        xs, ys = _grid(sub, grid_density)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        cached.append((X, Y, {k: np.asarray(f.derivative(*k, X, Y), dtype=float)
-                              for k in multi}))
+    # the field's jets do not change across probed degrees; sample them once
+    # per error box
+    cached = [(X, Y, jets(f, r, X, Y))
+              for X, Y in (mesh(sub, grid_density) for sub in boxes)]
 
     def probe(m):
         b = bernstein_fit(f, m, m, box)
         errs: dict[tuple[int, int], float] = {}
-        for X, Y, exact in cached:
-            for (i, j), target in exact.items():
-                bd = derivative(derivative(b, "x", i), "y", j)
-                v = float(np.max(np.abs(bd(X, Y) - target)))
-                errs[(i, j)] = max(errs.get((i, j), 0.0), v)
+        for X, Y, target in cached:
+            for k, v in _jet_errors(b, r, X, Y, target).items():
+                errs[k] = max(errs.get(k, 0.0), v)
         if trace is not None:
             trace.append((m, errs))
         return errs

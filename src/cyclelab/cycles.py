@@ -261,10 +261,9 @@ def divergence_integral_terms(X: PolyVectorField, R: Poly2, lam: float,
     all along the given (perturbed-family) cycle. Their sum equals the
     characteristic exponent of the perturbed field on that cycle.
     """
-    div = divergence(X)
     Rx, Ry = derivative(R, "x"), derivative(R, "y")
     Rxx, Ryy = derivative(Rx, "x"), derivative(Ry, "y")
-    i_base = _quad_over_cycle(cycle, lambda x, y: div(x, y))
+    i_base = characteristic_exponent(X, cycle)
     i_grad = lam * _quad_over_cycle(cycle, lambda x, y: Rx(x, y) ** 2 + Ry(x, y) ** 2)
     i_lap = lam * _quad_over_cycle(cycle, lambda x, y: R(x, y) * (Rxx(x, y) + Ryy(x, y)))
     return i_base, i_grad, i_lap
@@ -324,6 +323,19 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25, tol=DEFAULT_CYCLE_TOL,
     return [build_cycle(X, section, r, tol) for r in merged]
 
 
+def _scaled_fit(u, values, degree: int):
+    """Least-squares coefficients of values ~ sum_k c_k u^k, k <= degree, and
+    the RMS residual of that fit."""
+    V = np.vander(u, degree + 1, increasing=True)
+    scaled, *_ = np.linalg.lstsq(V, values, rcond=None)
+    return scaled, float(np.sqrt(np.mean((V @ scaled - values) ** 2)))
+
+
+def _reversed(X: PolyVectorField) -> PolyVectorField:
+    """The field with time reversed: (-P, -Q)."""
+    return PolyVectorField(scale(X.P, -1.0), scale(X.Q, -1.0))
+
+
 def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0.05,
                  tol=flow.DEFAULT_TOL, _allow_reversal: bool = True) -> MultiplicityEstimate:
     """Order of the first significant displacement derivative at the cycle.
@@ -364,9 +376,7 @@ def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0
         if np.max(np.abs(d_vals)) > 2.0 * h_cur:
             h_cur *= 0.5
             continue
-        V = np.vander((nodes - xi0) / h_cur, d_max + 1, increasing=True)
-        scaled, *_ = np.linalg.lstsq(V, d_vals, rcond=None)
-        residual = float(np.sqrt(np.mean((V @ scaled - d_vals) ** 2)))
+        scaled, residual = _scaled_fit((nodes - xi0) / h_cur, d_vals, d_max)
         coefficients = scaled / h_cur ** np.arange(d_max + 1)
         thr = max(floor_abs, resid_factor * residual)
         est = MultiplicityEstimate(
@@ -388,8 +398,7 @@ def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0
             table=est.table(),
         )
     if _allow_reversal:
-        X_rev = PolyVectorField(scale(X.P, -1.0), scale(X.Q, -1.0))
-        return multiplicity(X_rev, section, xi0, d_max, h, tol, _allow_reversal=False)
+        return multiplicity(_reversed(X), section, xi0, d_max, h, tol, _allow_reversal=False)
     raise Inconclusive(
         f"displacement sampling never settled down to h={h_cur:.3g} ({last_exc})",
         table=last_est.table() if last_est else None,
@@ -506,7 +515,7 @@ def theorem1_splitting(
     X_work, cycle_work = X, cycle
     if est.scaled_coefficients[est.d] > 0:
         # unstable cycle: reverse time so the construction sees a stable one
-        X_work = PolyVectorField(scale(X.P, -1.0), scale(X.Q, -1.0))
+        X_work = _reversed(X)
         cycle_work = build_cycle(X_work, cycle.section, cycle.xi_star, tol)
         time_reversed = True
         messages.append("time reversed: input cycle was unstable")

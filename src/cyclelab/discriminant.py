@@ -188,6 +188,26 @@ def root_count_congruence(d: int, delta_sign: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _guarded_fit(samples, degree: int, fit_degree: int | None):
+    """Scaled least-squares fit of displacement samples (xi, d(xi)) in xi/h,
+    h = max |xi|, of degree fit_degree (default degree + 3, at least degree,
+    at most one less than the sample count): (coefficients, residual, h)."""
+    pts = np.asarray(list(samples), dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("samples must be (xi, value) pairs")
+    if pts.shape[0] < 4 * degree + 1:
+        raise ValueError(f"need at least {4 * degree + 1} samples for degree {degree}")
+    if fit_degree is None:
+        fit_degree = degree + 3
+    fit_degree = min(max(fit_degree, degree), pts.shape[0] - 1)
+    xi, dv = pts[:, 0], pts[:, 1]
+    h = float(np.max(np.abs(xi)))
+    if h == 0:
+        raise ValueError("degenerate sample window")
+    scaled, residual = _cycles._scaled_fit(xi / h, dv, fit_degree)
+    return scaled, residual, h
+
+
 def fit_displacement_poly(samples, degree: int, fit_degree: int | None = None) -> MonicPoly:
     """Monic degree-d polynomial extracted from displacement samples (xi, d(xi)).
 
@@ -202,21 +222,7 @@ def fit_displacement_poly(samples, degree: int, fit_degree: int | None = None) -
     residual, else LeadingCoefficientVanishes (window too small, or the
     assumed degree is wrong and the multiplicity estimate should be redone).
     """
-    pts = np.asarray(list(samples), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("samples must be (xi, value) pairs")
-    if pts.shape[0] < 4 * degree + 1:
-        raise ValueError(f"need at least {4 * degree + 1} samples for degree {degree}")
-    if fit_degree is None:
-        fit_degree = degree + 3
-    fit_degree = min(max(fit_degree, degree), pts.shape[0] - 1)
-    xi, dv = pts[:, 0], pts[:, 1]
-    h = float(np.max(np.abs(xi)))
-    if h == 0:
-        raise ValueError("degenerate sample window")
-    V = np.vander(xi / h, fit_degree + 1, increasing=True)
-    scaled, *_ = np.linalg.lstsq(V, dv, rcond=None)
-    residual = float(np.sqrt(np.mean((V @ scaled - dv) ** 2)))
+    scaled, residual, h = _guarded_fit(samples, degree, fit_degree)
     lead_scaled = scaled[degree]
     if abs(lead_scaled) <= 1e3 * residual or lead_scaled == 0.0:
         raise LeadingCoefficientVanishes(
@@ -236,14 +242,7 @@ def fit_roots(samples, degree: int, fit_degree: int | None = None) -> np.ndarray
     zeros of the full guarded fit do not, so cycle locations are read off
     here (and cross-checked against the census).
     """
-    pts = np.asarray(list(samples), dtype=float)
-    if fit_degree is None:
-        fit_degree = degree + 3
-    fit_degree = min(max(fit_degree, degree), pts.shape[0] - 1)
-    xi, dv = pts[:, 0], pts[:, 1]
-    h = float(np.max(np.abs(xi)))
-    V = np.vander(xi / h, fit_degree + 1, increasing=True)
-    scaled, *_ = np.linalg.lstsq(V, dv, rcond=None)
+    scaled, _, h = _guarded_fit(samples, degree, fit_degree)
     roots = np.roots(scaled[::-1])
     real = roots[np.abs(roots.imag) < 1e-8].real * h
     return np.sort(real[np.abs(real) <= h])

@@ -24,10 +24,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
+from .bernstein import jets, mesh
 from .poly2 import (Poly2, _basis_row_scalar, _horner_source, add, derivative, mul,
                     parse_poly, scale)
 
@@ -126,10 +126,6 @@ def gradient_collapse_family(X: PolyVectorField, R: Poly2, lam: float) -> PolyVe
     )
 
 
-def _deriv_values(p: Poly2, i: int, j: int, X, Y):
-    return derivative(derivative(p, "x", i), "y", j)(X, Y)
-
-
 def cr_distance(
     X: PolyVectorField,
     Y: PolyVectorField,
@@ -143,18 +139,9 @@ def cr_distance(
     of (d^k P_X - d^k P_Y, d^k Q_X - d^k Q_Y). A pseudometric on sampled
     grids: symmetric, triangle inequality holds pointwise.
     """
-    ax, bx, ay, by = box
-    xs = np.linspace(ax, bx, grid_density)
-    ys = np.linspace(ay, by, grid_density)
-    GX, GY = np.meshgrid(xs, ys, indexing="ij")
-    worst = 0.0
-    for total in range(r + 1):
-        for i in range(total + 1):
-            j = total - i
-            dp = _deriv_values(X.P, i, j, GX, GY) - _deriv_values(Y.P, i, j, GX, GY)
-            dq = _deriv_values(X.Q, i, j, GX, GY) - _deriv_values(Y.Q, i, j, GX, GY)
-            worst = max(worst, float(np.max(np.hypot(dp, dq))))
-    return worst
+    GX, GY = mesh(box, grid_density)
+    px, qx, py, qy = (jets(p, r, GX, GY) for p in (X.P, X.Q, Y.P, Y.Q))
+    return max(0.0, *(float(np.max(np.hypot(px[k] - py[k], qx[k] - qy[k]))) for k in px))
 
 
 # ------------------------------------------------------------------ literals
@@ -207,7 +194,3 @@ def parse_field(spec) -> PolyVectorField:
     if isinstance(spec, dict) and set(spec) >= {"p", "q"}:
         return PolyVectorField(parse_poly(spec["p"]), parse_poly(spec["q"]))
     raise ValueError(f"cannot parse field spec {spec!r}")
-
-
-def registry_names() -> Iterable[str]:
-    return ("CK(1)", "CK(2)", "CK(3)", "vanderpol(1.0)")

@@ -88,11 +88,8 @@ class Orbit:
     [t0, t_end] with the local error the integrator tolerances imply.
     """
 
-    field_ref: object
-    x0: tuple[float, float]
     times: np.ndarray
     states: np.ndarray  # (n, 2)
-    tol: tuple[float, float]  # (rtol, atol)
     _segments: list = field(default_factory=list, repr=False)
 
     @property
@@ -247,14 +244,10 @@ def _rms(u, v):
     return math.sqrt(u * u + v * v) / 2 ** 0.5
 
 
-def _orbit(X, x0, tol, steps) -> Orbit:
-    x0 = (float(x0[0]), float(x0[1]))
+def _orbit(x0, steps) -> Orbit:
     return Orbit(
-        field_ref=X,
-        x0=x0,
         times=np.array([0.0] + [step.t for step in steps]),
-        states=np.array([x0] + [step.y for step in steps]),
-        tol=(tol, tol),
+        states=np.array([(float(x0[0]), float(x0[1]))] + [step.y for step in steps]),
         _segments=steps,
     )
 
@@ -265,7 +258,7 @@ def integrate(X, x0, t_end: float, tol: float = DEFAULT_TOL) -> Orbit:
     Raises ValueError unless t_end > 0 and tol > 0, Divergence when the orbit
     leaves the safety box and StepUnderflow when the stepper gives up.
     """
-    return _orbit(X, x0, tol, list(_steps(X, x0, t_end, tol)))
+    return _orbit(x0, list(_steps(X, x0, t_end, tol)))
 
 
 def _line_roots(step, bx, by, nx, ny):
@@ -332,7 +325,7 @@ def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset,
 
     t_star, p = _first_crossing(X, kept_steps(), section, direction_sign, t_max, t_offset,
                                 neighborhood_radius)
-    return t_star, p, _orbit(X, x0, tol, kept)
+    return t_star, p, _orbit(x0, kept)
 
 
 def next_section_crossing(

@@ -35,9 +35,9 @@ from .discriminant import (
     real_root_census,
     root_count_congruence,
 )
-from .bernstein import SampledField, bernstein_fit, cr_error, error_table_csv
+from .bernstein import SampledField, bernstein_fit, cr_error, error_table_csv, jets, mesh
 from .field import PolyVectorField, gradient_collapse_family, parse_field, rotate_family
-from .poly2 import Poly2, derivative
+from .poly2 import Poly2
 from .registry import default_section_base, exact_vanishing_poly, canonical_function
 
 
@@ -180,12 +180,8 @@ def gradient_square_integral(F, cycle: cy.LimitCycle, n: int = 512) -> float:
     """Time integral of |grad F|^2 along the cycle (trapezoid on the polyline)."""
     ts = np.linspace(0.0, cycle.period, n, endpoint=False)
     pts = cycle._orbit.eval(ts) if cycle._orbit is not None else cycle.points[:n]
-    if isinstance(F, Poly2):
-        Fx, Fy = derivative(F, "x"), derivative(F, "y")
-        gx, gy = Fx(pts[:, 0], pts[:, 1]), Fy(pts[:, 0], pts[:, 1])
-    else:
-        gx = F.derivative(1, 0, pts[:, 0], pts[:, 1])
-        gy = F.derivative(0, 1, pts[:, 0], pts[:, 1])
+    jet = jets(F, 1, pts[:, 0], pts[:, 1])
+    gx, gy = jet[(1, 0)], jet[(0, 1)]
     return float(np.mean(gx * gx + gy * gy) * cycle.period)
 
 
@@ -299,7 +295,6 @@ class ExperimentConfig:
             key = aliases.get(k, k.replace("-", "_"))
             if key not in known:
                 raise ValueError(f"unknown config key {k!r}")
-            default = ExperimentConfig.__dataclass_fields__[key].default
             if isinstance(v, list):
                 v = tuple(v)
             kwargs[key] = v
@@ -520,23 +515,14 @@ def _run_split(config, X, out_dir):
         # distance diagnostics along the probed degrees, ascending; measured
         # on the ring where the dynamics lives (elsewhere the window junk
         # dominates every fit equally). F jets are sampled once per box.
-        jet_keys = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-        log_grids = []
-        for sub in boxes[::4]:
-            xs = np.linspace(sub[0], sub[1], 31)
-            ys = np.linspace(sub[2], sub[3], 31)
-            GX, GY = np.meshgrid(xs, ys, indexing="ij")
-            fj = {k: np.asarray(F_hat.derivative(*k, GX, GY), dtype=float)
-                  for k in jet_keys}
-            log_grids.append((GX, GY, _collapse_term_grids(fj, lam_used)))
+        log_grids = [(GX, GY, _collapse_term_grids(jets(F_hat, 2, GX, GY), lam_used))
+                     for GX, GY in (mesh(sub, 31) for sub in boxes[::4])]
         distance_log = []
         for m in sorted({d for d, _ in report.degree_trace}):
             Rm = bernstein_fit(F_hat, m, m, F_hat.box)
             d_limit = d_base = 0.0
             for GX, GY, limit_side in log_grids:
-                rj = {k: derivative(derivative(Rm, "x", k[0]), "y", k[1])(GX, GY)
-                      for k in jet_keys}
-                poly_side = _collapse_term_grids(rj, lam_used)
+                poly_side = _collapse_term_grids(jets(Rm, 2, GX, GY), lam_used)
                 for k, (pa, qa) in poly_side.items():
                     pb, qb = limit_side[k]
                     d_limit = max(d_limit, float(np.max(np.hypot(pa - pb, qa - qb))))

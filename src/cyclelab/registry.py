@@ -10,17 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .bernstein import SampledField
-from .field import PolyVectorField, parse_field
 from .poly2 import Poly2, parse_poly
 
 __all__ = [
-    "get_system", "exact_vanishing_poly", "default_section_base",
+    "exact_vanishing_poly", "default_section_base",
     "canonical_function", "CANONICAL_FUNCTIONS",
 ]
-
-
-def get_system(name) -> PolyVectorField:
-    return parse_field(name)
 
 
 def exact_vanishing_poly(name: str) -> Poly2 | None:

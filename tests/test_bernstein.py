@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclelab import bernstein as bn
-from cyclelab.registry import canonical_function
+from cyclelab.poly2 import Poly2, derivative
+from cyclelab.registry import CANONICAL_FUNCTIONS, canonical_function
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +154,42 @@ def test_error_table_csv(tmp_path, paraboloid):
     assert lines[0] == "m,n,k_i,k_j,max_error"
     assert len(lines) == 1 + len(errs)
     assert lines[1].startswith("10,10,0,0,")
+
+
+# the documented jet order: by total order, then by the x-order i
+JET_KEYS = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1), (3, 0)]
+
+_coef = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _polys(draw):
+    """Monomial or Bernstein polynomials of degree up to 5 in each variable."""
+    if draw(st.booleans()):
+        return Poly2.monomial(draw(st.dictionaries(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)), _coef, max_size=12)))
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    grid = draw(st.lists(_coef, min_size=(m + 1) * (n + 1), max_size=(m + 1) * (n + 1)))
+    ax, ay = draw(st.floats(-2, 1)), draw(st.floats(-2, 1))
+    wx, wy = draw(st.floats(0.25, 3)), draw(st.floats(0.25, 3))
+    return Poly2.bernstein(np.reshape(grid, (m + 1, n + 1)), (ax, ax + wx, ay, ay + wy))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(), st.integers(0, 3))
+def test_jets_match_nested_derivatives_bit_for_bit(p, r):
+    X, Y = bn.mesh((-1.5, 1.0, -0.5, 2.0), 9)
+    got = bn.jets(p, r, X, Y)
+    assert list(got) == JET_KEYS[: (r + 1) * (r + 2) // 2]
+    for (i, j), values in got.items():
+        assert np.array_equal(values, derivative(derivative(p, "x", i), "y", j)(X, Y))
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_FUNCTIONS))
+def test_jets_of_sampled_field_are_its_derivatives(name):
+    f = canonical_function(name, (-2, 2, -2, 2))
+    X, Y = bn.mesh(f.box, 11)
+    got = bn.jets(f, 2, X, Y)
+    assert list(got) == JET_KEYS[:6]
+    for (i, j), values in got.items():
+        assert np.array_equal(values, f.derivative(i, j, X, Y))
