@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from . import flow
 from .bernstein import CapExceeded, bernstein_fit, min_degree_for_tolerance
@@ -180,6 +181,7 @@ class LimitCycle:
     points: np.ndarray
     exponent: float
     multiplicity: MultiplicityEstimate | None = None
+    root_d_calls: int | None = None    # census d(xi) calls inside the root's bracket
     _orbit: flow.Orbit | None = field(default=None, repr=False)
 
     @property
@@ -272,10 +274,13 @@ def divergence_integral_terms(X: PolyVectorField, R: Poly2, lam: float,
 def find_cycles(X, section, xi_range, n_seeds: int = 25, tol=DEFAULT_CYCLE_TOL,
                 dedup: float = 1e-8, t_max=DEFAULT_T_MAX,
                 neighborhood_radius=None) -> list[LimitCycle]:
-    """Census of section fixed points: bracket sign changes of d, bisect, dedup.
+    """Census of section fixed points: bracket sign changes of d, root each
+    bracket by Brent's method to 1e-12, dedup.
 
-    Seeds where the return map is undefined are skipped; an empty census is a
-    valid result.
+    Seeds where the return map is undefined are skipped, and so is a bracket
+    whose root solve meets an orbit failure; an empty census is a valid
+    result. Each cycle records in root_d_calls how many d(xi) calls its root
+    solve took beyond the bracket ends (None for a root that is a seed).
     """
     lo, hi = float(xi_range[0]), float(xi_range[1])
     seeds = np.linspace(lo, hi, n_seeds)
@@ -287,40 +292,38 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25, tol=DEFAULT_CYCLE_TOL,
             vals.append(None)
     roots = []
     for a in range(n_seeds - 1):
-        da, db = vals[a], vals[a + 1]
+        xa, xb, da, db = seeds[a], seeds[a + 1], vals[a], vals[a + 1]
         if da is None or db is None:
             continue
         if da == 0.0:
-            roots.append(seeds[a])
+            roots.append((xa, None))
             continue
         if np.sign(da) * np.sign(db) < 0:
-            xlo, xhi, dlo = seeds[a], seeds[a + 1], da
-            while xhi - xlo > 1e-12:
-                xm = 0.5 * (xlo + xhi)
-                try:
-                    dm = displacement(X, section, xm, t_max, tol, neighborhood_radius)
-                except flow.OrbitFailure:
-                    break
-                if dm == 0.0:
-                    xlo = xhi = xm
-                    break
-                if np.sign(dm) == np.sign(dlo):
-                    xlo, dlo = xm, dm
-                else:
-                    xhi = xm
-            else:
-                roots.append(0.5 * (xlo + xhi))
+            def d(xi):
+                # brentq evaluates both bracket ends again; d is deterministic
+                if xi == xa:
+                    return da
+                if xi == xb:
+                    return db
+                return displacement(X, section, xi, t_max, tol, neighborhood_radius)
+            try:
+                root, info = brentq(d, xa, xb, xtol=1e-12, full_output=True)
+            except flow.OrbitFailure:
                 continue
-            if xlo == xhi:
-                roots.append(xlo)
+            roots.append((root, info.function_calls - 2))
     if vals[-1] == 0.0:
-        roots.append(seeds[-1])
-    roots.sort()
+        roots.append((seeds[-1], None))
+    roots.sort(key=lambda r: r[0])
     merged = []
     for r in roots:
-        if not merged or r - merged[-1] > dedup:
+        if not merged or r[0] - merged[-1][0] > dedup:
             merged.append(r)
-    return [build_cycle(X, section, r, tol) for r in merged]
+    census = []
+    for xi, calls in merged:
+        cyc = build_cycle(X, section, xi, tol)
+        cyc.root_d_calls = calls
+        census.append(cyc)
+    return census
 
 
 def _scaled_fit(u, values, degree: int):

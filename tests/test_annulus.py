@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclelab import annulus as an
 from cyclelab import cycles as cy
@@ -113,6 +114,52 @@ def test_region_membership(ck3_annulus):
                     [1.6, 0.0], [0.0, -1.6]])                # outside S2
     member = an.in_region(pts, ck3_annulus)
     assert member.tolist() == [True, True, True, False, False, False, False]
+    # the grid of verify_annulus's singularity probe, against the dense test
+    g = np.linspace(-1.6, 1.6, 81)
+    grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    want = (_dense_points_in_polygon(grid, ck3_annulus.s2)
+            & ~_dense_points_in_polygon(grid, ck3_annulus.s1))
+    assert np.array_equal(an.in_region(grid, ck3_annulus), want)
+
+
+def _dense_points_in_polygon(pts, poly):
+    """Reference even-odd test: every point against every edge."""
+    x, y = pts[:, 0], pts[:, 1]
+    x0, y0 = poly[:-1, 0], poly[:-1, 1]
+    x1, y1 = poly[1:, 0], poly[1:, 1]
+    cond = (y0[None, :] <= y[:, None]) != (y1[None, :] <= y[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_int = x0 + (y[:, None] - y0) * (x1 - x0) / np.where(y1 == y0, 1.0, y1 - y0)
+    hits = cond & (x[:, None] < x_int)
+    return (hits.sum(axis=1) % 2).astype(bool)
+
+
+# one-decimal coordinates make horizontal edges and point/vertex height ties common
+_coord = st.one_of(st.integers(-20, 20).map(lambda k: k / 10.0),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _polygons(draw):
+    if draw(st.booleans()):
+        # star-shaped about the origin: vertices in angle order
+        radii = np.array(draw(st.lists(st.integers(1, 20), min_size=3, max_size=24))) / 10.0
+        t = np.linspace(0.0, 2.0 * np.pi, len(radii), endpoint=False)
+        verts = np.round(np.stack([radii * np.cos(t), radii * np.sin(t)], axis=1), 1)
+    else:
+        # vertices in arbitrary order: usually self-intersecting
+        verts = np.array(draw(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=24)))
+    return np.vstack([verts, verts[:1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polygons(), st.lists(st.tuples(_coord, _coord), max_size=60))
+def test_points_in_polygon_matches_dense_test(poly, pts):
+    pts = np.array(pts, dtype=float).reshape(-1, 2)
+    for query in (pts, np.vstack([pts, poly, [[np.nan, 0.0], [0.0, np.nan]]])):
+        assert np.array_equal(an.points_in_polygon(query, poly),
+                              _dense_points_in_polygon(query, poly))
+    assert an.points_in_polygon(np.empty((0, 2)), poly).shape == (0,)
 
 
 def test_bad_xi_arguments(ck, ck_cycles):

@@ -69,6 +69,51 @@ def test_find_cycles_split_ck3(ck, section):
     assert [c.stability for c in cens] == ["stable", "unstable", "stable"]
 
 
+def _counting_displacement(monkeypatch, fail_inside=None):
+    """Record every d(xi) argument; raise NoCrossing strictly inside fail_inside."""
+    calls = []
+    real = cy.displacement
+
+    def d(X, section, xi, *args, **kwargs):
+        calls.append(xi)
+        if fail_inside is not None and fail_inside[0] < xi < fail_inside[1]:
+            raise flow.NoCrossing("injected")
+        return real(X, section, xi, *args, **kwargs)
+
+    monkeypatch.setattr(cy, "displacement", d)
+    return calls
+
+
+def test_find_cycles_brent_calls_per_root(ck, section, monkeypatch):
+    lam = 0.02
+    fam = gradient_collapse_family(ck[3], S, lam)
+    calls = _counting_displacement(monkeypatch)
+    cens = cy.find_cycles(fam, section, (-0.3, 0.3), 25)
+    seeds = np.linspace(-0.3, 0.3, 25)
+    assert np.array_equal(calls[:25], seeds)
+    solves = np.array(calls[25:])
+    assert len(cens) == 3
+    for c, t in zip(cens, oracles.collapse_ck3_radii(lam)):
+        assert abs(c.mean_radius - t) < 1e-8
+        k = np.searchsorted(seeds, c.xi_star) - 1
+        in_bracket = int(np.sum((seeds[k] < solves) & (solves < seeds[k + 1])))
+        assert in_bracket == c.root_d_calls <= 10
+    assert len(solves) == sum(c.root_d_calls for c in cens)
+
+
+def test_find_cycles_drops_a_root_whose_solve_fails(ck, section, monkeypatch):
+    lam = 0.02
+    fam = gradient_collapse_family(ck[3], S, lam)
+    r_in = oracles.collapse_ck3_radii(lam)[0]
+    seeds = np.linspace(-0.3, 0.3, 25)
+    k = np.searchsorted(seeds, section.xi_of((r_in, 0.0))) - 1
+    _counting_displacement(monkeypatch, fail_inside=(seeds[k], seeds[k + 1]))
+    cens = cy.find_cycles(fam, section, (-0.3, 0.3), 25)
+    assert len(cens) == 2
+    for c, t in zip(cens, oracles.collapse_ck3_radii(lam)[1:]):
+        assert abs(c.mean_radius - t) < 1e-8
+
+
 def test_find_cycles_empty_for_contracted_rotation(ck, section):
     fam = rotate_family(ck[2], -0.1, 0.1)  # lam*eps = -0.01: r' > 0 everywhere
     cens = cy.find_cycles(fam, section, (-0.3, 0.3), 15)
