@@ -7,8 +7,8 @@ its first section return, closed by the short section sub-segment between
 the two endpoints. Because X wedge Z = lambda0 |X|^2 never vanishes off the
 singular set, X is automatically transversal to the arc; the sign of lambda0
 decides which side X points to, so the inner curve and outer curve need
-opposite signs (fixed here from the cycle's orientation, with one automatic
-sign flip if the caller's choice fails).
+opposite signs. Both signs are fixed here from the cycle's orientation; only
+|lambda0| comes from the caller.
 
 Verification is sampling-based, not certified: inward flux at curve samples,
 a singularity probe on a grid filling the region, and forward-orbit
@@ -144,12 +144,12 @@ def build_trapping_annulus(
     xi1 < 0 < xi2 pick the section anchors; for each side the rotated field
     X + lambda0_i * Xperp is integrated from the anchor to its first section
     return, which must land strictly between the anchor and the cycle
-    (xi1 < xi_Z < 0, resp. 0 < xi_Z < xi2). The sign of lambda0 on each side
-    is chosen so the unrotated field crosses the arc toward the annulus
-    (counterclockwise cycles need + inside, - outside); if the attempt with
-    the caller's sign is inadmissible it is flipped once. lambda0 = 0 is the
-    degenerate fallback using the plain return orbit, validated by the
-    stable-cycle return inequality alone.
+    (xi1 < xi_Z < 0, resp. 0 < xi_Z < xi2). Each side makes one attempt
+    with lambda0_i = +/-|lambda0|, the sign chosen so the unrotated field
+    crosses the arc toward the annulus (counterclockwise cycles need +
+    inside, - outside); the sign of the caller's lambda0 is ignored.
+    lambda0 = 0 is the degenerate fallback using the plain return orbit,
+    validated by the stable-cycle return inequality alone.
     """
     if not (xi1 < 0.0 < xi2):
         raise ValueError("need xi1 < 0 < xi2")
@@ -160,23 +160,15 @@ def build_trapping_annulus(
 
     def build_side(xi_from, inner: bool):
         # inward transversality requires sign(lambda0) = orient for the inner
-        # curve and -orient for the outer one
+        # curve and -orient for the outer one; lambda0 = 0 stays +0.0
         want = orient if inner else -orient
-        if lambda0 == 0.0:
-            signs = [0.0]
+        lam = want * abs(lambda0) if lambda0 != 0.0 else 0.0
+        Z = X if lam == 0.0 else rotate_family(X, lam, 1.0)
+        try:
+            arc, xi_z = _arc(Z, section, xi_from, tol, n_samples)
+        except flow.OrbitFailure as exc:
+            last = f"{type(exc).__name__}: {exc}"
         else:
-            first = np.sign(lambda0) * abs(lambda0)
-            signs = [first, -first]
-        last = None
-        for lam in signs:
-            if lam != 0.0 and np.sign(lam) != want:
-                continue  # this sign points outward; the flip handles it
-            Z = X if lam == 0.0 else rotate_family(X, lam, 1.0)
-            try:
-                arc, xi_z = _arc(Z, section, xi_from, tol, n_samples)
-            except flow.OrbitFailure as exc:
-                last = f"{type(exc).__name__}: {exc}"
-                continue
             last = f"xi_Z={xi_z}"
             if inner and xi1 < xi_z < 0.0:
                 return arc, xi_z, lam

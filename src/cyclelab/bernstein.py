@@ -184,7 +184,8 @@ def min_degree_for_tolerance(
     passing degree. ``error_boxes`` optionally restricts where errors are
     measured (a list of sub-boxes; the max over all of them is used), which
     the splitting pipeline uses to focus on the dynamically relevant ring.
-    ``trace`` collects (m, errors) pairs for every probed degree.
+    ``trace`` collects (m, errors, fit) for every probed degree, in probe
+    order; each degree is probed once, so its fit can be reused.
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
@@ -204,7 +205,7 @@ def min_degree_for_tolerance(
             for k, v in _jet_errors(b, r, X, Y, target).items():
                 errs[k] = max(errs.get(k, 0.0), v)
         if trace is not None:
-            trace.append((m, errs))
+            trace.append((m, errs, b))
         return errs
 
     def ok(errs):

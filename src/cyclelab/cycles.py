@@ -22,7 +22,6 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import flow
-from .bernstein import CapExceeded, bernstein_fit, min_degree_for_tolerance
 from .field import PolyVectorField, divergence, gradient_collapse_family, scale
 from .poly2 import Poly2, derivative
 
@@ -38,14 +37,6 @@ class Inconclusive(Exception):
     def __init__(self, message, table=None):
         super().__init__(message)
         self.table = table
-
-
-class CycleLost(Exception):
-    """Continuation of a cycle under perturbation failed."""
-
-
-class DegreeCapExceeded(Exception):
-    """The Bernstein degree search hit its cap inside the splitting pipeline."""
 
 
 @dataclass(frozen=True)
@@ -130,27 +121,18 @@ def crossing_sign(X: PolyVectorField, section: Section) -> int:
     return 1 if s > 0 else -1
 
 
-def _return(X, section, xi, t_max=DEFAULT_T_MAX, tol=DEFAULT_CYCLE_TOL,
-            neighborhood_radius=None):
-    q0 = section.point_at(xi)
-    sign = crossing_sign(X, section)
-    t, p = flow.next_section_crossing(
-        X, q0, section, sign, t_max=t_max, tol=tol, t_offset=1e-6,
-        neighborhood_radius=neighborhood_radius,
-    )
-    return t, section.xi_of(p)
-
-
-def return_map(X, section, xi, t_max=DEFAULT_T_MAX, tol=DEFAULT_CYCLE_TOL,
-               neighborhood_radius=None) -> float:
+def return_map(X, section, xi, tol=DEFAULT_CYCLE_TOL) -> float:
     """First-return coordinate pi(xi) on the section."""
-    return _return(X, section, xi, t_max, tol, neighborhood_radius)[1]
+    _, p = flow.next_section_crossing(
+        X, section.point_at(xi), section, crossing_sign(X, section),
+        t_max=DEFAULT_T_MAX, tol=tol, t_offset=1e-6,
+    )
+    return section.xi_of(p)
 
 
-def displacement(X, section, xi, t_max=DEFAULT_T_MAX, tol=DEFAULT_CYCLE_TOL,
-                 neighborhood_radius=None) -> float:
+def displacement(X, section, xi, tol=DEFAULT_CYCLE_TOL) -> float:
     """d(xi) = pi(xi) - xi; zeros are periodic orbits."""
-    return return_map(X, section, xi, t_max, tol, neighborhood_radius) - xi
+    return return_map(X, section, xi, tol) - xi
 
 
 @dataclass
@@ -271,11 +253,10 @@ def divergence_integral_terms(X: PolyVectorField, R: Poly2, lam: float,
     return i_base, i_grad, i_lap
 
 
-def find_cycles(X, section, xi_range, n_seeds: int = 25, tol=DEFAULT_CYCLE_TOL,
-                dedup: float = 1e-8, t_max=DEFAULT_T_MAX,
-                neighborhood_radius=None) -> list[LimitCycle]:
+def find_cycles(X, section, xi_range, n_seeds: int = 25,
+                tol=DEFAULT_CYCLE_TOL) -> list[LimitCycle]:
     """Census of section fixed points: bracket sign changes of d, root each
-    bracket by Brent's method to 1e-12, dedup.
+    bracket by Brent's method to 1e-12, merge roots within 1e-8.
 
     Seeds where the return map is undefined are skipped, and so is a bracket
     whose root solve meets an orbit failure; an empty census is a valid
@@ -287,7 +268,7 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25, tol=DEFAULT_CYCLE_TOL,
     vals = []
     for xi in seeds:
         try:
-            vals.append(displacement(X, section, xi, t_max, tol, neighborhood_radius))
+            vals.append(displacement(X, section, xi, tol))
         except flow.OrbitFailure:
             vals.append(None)
     roots = []
@@ -305,7 +286,7 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25, tol=DEFAULT_CYCLE_TOL,
                     return da
                 if xi == xb:
                     return db
-                return displacement(X, section, xi, t_max, tol, neighborhood_radius)
+                return displacement(X, section, xi, tol)
             try:
                 root, info = brentq(d, xa, xb, xtol=1e-12, full_output=True)
             except flow.OrbitFailure:
@@ -316,7 +297,7 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25, tol=DEFAULT_CYCLE_TOL,
     roots.sort(key=lambda r: r[0])
     merged = []
     for r in roots:
-        if not merged or r[0] - merged[-1][0] > dedup:
+        if not merged or r[0] - merged[-1][0] > 1e-8:
             merged.append(r)
     census = []
     for xi, calls in merged:
@@ -461,10 +442,6 @@ def perko_derivative(X: PolyVectorField, dX_dlam: PolyVectorField,
 @dataclass
 class SplittingReport:
     lam: float
-    r: int
-    eps_target: float | None
-    degree: tuple[int, int] | None
-    degree_trace: list
     census: list[LimitCycle]
     middle_index: int | None
     middle_exponent: float | None
@@ -473,8 +450,7 @@ class SplittingReport:
     success: bool
     time_reversed: bool
     messages: list[str]
-    surrogate: Poly2 | None = None
-    perturbed: PolyVectorField | None = None
+    perturbed: PolyVectorField
 
 
 def _alternating(census: Sequence[LimitCycle]) -> bool:
@@ -487,27 +463,23 @@ def _alternating(census: Sequence[LimitCycle]) -> bool:
 def theorem1_splitting(
     X: PolyVectorField,
     cycle: LimitCycle,
-    F,
+    R: Poly2,
     lam: float,
-    r: int = 1,
-    eps_target: float | None = None,
-    box=None,
-    degree_cap: int = 256,
-    error_boxes=None,
-    search_grid_density: int = 51,
     xi_range=(-0.3, 0.3),
     n_seeds: int = 25,
     tol=flow.DEFAULT_TOL,
 ) -> SplittingReport:
     """Split an odd-degree non-hyperbolic cycle with a gradient-collapse family.
 
-    F is either an exact polynomial vanishing on the cycle (used directly) or
-    a SampledField, in which case a Bernstein fit of diagonal degree chosen by
-    the tolerance search at derivative order r+1 stands in for it. The
-    perturbed field's cycle census over xi_range is reported; success means
-    at least three cycles with alternating stability, with the continued
-    middle cycle turned hyperbolic unstable (positive exponent).
+    R is a polynomial vanishing on the cycle, exactly or approximately (a
+    Bernstein fit of a sampled vanishing function serves as well). The
+    perturbed field X + lam * R grad R has its cycle census over xi_range
+    reported; success means at least three cycles with alternating
+    stability, with the continued middle cycle turned hyperbolic unstable
+    (positive exponent).
     """
+    if not isinstance(R, Poly2):
+        raise TypeError(f"R must be a Poly2, got {type(R).__name__}")
     messages: list[str] = []
     est = cycle.multiplicity or multiplicity(X, cycle)
     if est.d < 3 or est.d % 2 == 0:
@@ -522,27 +494,6 @@ def theorem1_splitting(
         cycle_work = build_cycle(X_work, cycle.section, cycle.xi_star, tol)
         time_reversed = True
         messages.append("time reversed: input cycle was unstable")
-
-    degree = None
-    trace: list = []
-    if isinstance(F, Poly2):
-        R = F
-    else:
-        if box is None:
-            rad = float(np.max(np.hypot(cycle.points[:, 0], cycle.points[:, 1])))
-            half = 1.5 * rad
-            box = (-half, half, -half, half)
-        if eps_target is None:
-            raise ValueError("eps_target is required for a sampled F")
-        try:
-            degree = min_degree_for_tolerance(
-                F, box, r + 1, eps_target, cap=degree_cap,
-                grid_density=search_grid_density,
-                error_boxes=error_boxes, trace=trace,
-            )
-        except CapExceeded as exc:
-            raise DegreeCapExceeded(str(exc)) from exc
-        R = bernstein_fit(F, degree[0], degree[1], box)
 
     X_pert = gradient_collapse_family(X_work, R, lam)
     census = find_cycles(X_pert, cycle_work.section, xi_range, n_seeds, tol)
@@ -567,9 +518,8 @@ def theorem1_splitting(
     alternating = _alternating(census)
     success = len(census) >= 3 and alternating and positivity_ok
     return SplittingReport(
-        lam=lam, r=r, eps_target=eps_target, degree=degree, degree_trace=trace,
-        census=census, middle_index=middle_index, middle_exponent=middle_exponent,
-        positivity_ok=positivity_ok, alternating=alternating, success=success,
-        time_reversed=time_reversed, messages=messages, surrogate=R,
-        perturbed=X_pert,
+        lam=lam, census=census, middle_index=middle_index,
+        middle_exponent=middle_exponent, positivity_ok=positivity_ok,
+        alternating=alternating, success=success, time_reversed=time_reversed,
+        messages=messages, perturbed=X_pert,
     )

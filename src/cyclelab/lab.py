@@ -35,9 +35,11 @@ from .discriminant import (
     real_root_census,
     root_count_congruence,
 )
-from .bernstein import SampledField, bernstein_fit, cr_error, error_table_csv, jets, mesh
+from .bernstein import (
+    SampledField, bernstein_fit, cr_error, error_table_csv, jets, mesh,
+    min_degree_for_tolerance,
+)
 from .field import PolyVectorField, gradient_collapse_family, parse_field, rotate_family
-from .poly2 import Poly2
 from .registry import default_section_base, exact_vanishing_poly, canonical_function
 
 
@@ -179,7 +181,7 @@ def build_numeric_F(cycle: cy.LimitCycle, window_width: float) -> SampledField:
 def gradient_square_integral(F, cycle: cy.LimitCycle, n: int = 512) -> float:
     """Time integral of |grad F|^2 along the cycle (trapezoid on the polyline)."""
     ts = np.linspace(0.0, cycle.period, n, endpoint=False)
-    pts = cycle._orbit.eval(ts) if cycle._orbit is not None else cycle.points[:n]
+    pts = cycle._orbit.eval(ts)
     jet = jets(F, 1, pts[:, 0], pts[:, 1])
     gx, gy = jet[(1, 0)], jet[(0, 1)]
     return float(np.mean(gx * gx + gy * gy) * cycle.period)
@@ -474,17 +476,6 @@ def _run_find(config, X, out_dir):
     return payload, checks, artifacts
 
 
-def _split_reference(config, X, section, cycle):
-    """Exact-polynomial splitting branch for registry systems."""
-    F = exact_vanishing_poly(config.system)
-    if F is None:
-        raise ValueError("no exact vanishing polynomial known; use surrogate: true")
-    return cy.theorem1_splitting(
-        X, cycle, F, config.lam, config.r, xi_range=config.xi_range,
-        n_seeds=config.n_seeds, tol=config.integrator_tol,
-    ), F, config.lam
-
-
 def _run_split(config, X, out_dir):
     section = _section_for(config, X)
     seed_cycle = _nearest_cycle(config, X, section)
@@ -492,37 +483,41 @@ def _run_split(config, X, out_dir):
 
     payload: dict = {}
     checks: dict = {}
+    F_ref = exact_vanishing_poly(config.system)
+    lam_used = config.lam
+    degree = None
+    distance_log = []
     if not config.surrogate:
-        report, F_used, lam_used = _split_reference(config, X, section, seed_cycle)
+        if F_ref is None:
+            raise ValueError("no exact vanishing polynomial known; use surrogate: true")
+        R = F_ref
         payload["mode"] = "exact"
-        distance_log = []
     else:
         F_hat = build_numeric_F(seed_cycle, config.window_width)
-        lam_used = config.lam
-        F_ref = exact_vanishing_poly(config.system)
         if config.strength_calibration and F_ref is not None:
             lam_used = surrogate_lambda(config.lam, F_ref, F_hat, seed_cycle)
             payload["lambda_calibration_ratio"] = lam_used / config.lam
+        # R is the lowest-degree Bernstein fit whose order-(r+1) errors on
+        # the ring around the cycle are below eps_target
         boxes = ring_boxes(seed_cycle)
-        report = cy.theorem1_splitting(
-            X, seed_cycle, F_hat, lam_used, config.r,
-            eps_target=config.eps_target, degree_cap=config.degree_cap,
-            error_boxes=boxes, xi_range=config.xi_range,
-            n_seeds=config.n_seeds, tol=config.integrator_tol,
+        trace: list = []
+        degree = min_degree_for_tolerance(
+            F_hat, F_hat.box, config.r + 1, config.eps_target, cap=config.degree_cap,
+            grid_density=51, error_boxes=boxes, trace=trace,
         )
+        fits = {m: fit for m, _, fit in trace}
+        R = fits[degree[0]]
         payload["mode"] = "surrogate"
-        F_used = F_hat
-        # distance diagnostics along the probed degrees, ascending; measured
-        # on the ring where the dynamics lives (elsewhere the window junk
-        # dominates every fit equally). F jets are sampled once per box.
+        # distance diagnostics along the probed degrees, ascending, reusing
+        # the search's fits; measured on the ring where the dynamics lives
+        # (elsewhere the window junk dominates every fit equally). F jets are
+        # sampled once per box.
         log_grids = [(GX, GY, _collapse_term_grids(jets(F_hat, 2, GX, GY), lam_used))
                      for GX, GY in (mesh(sub, 31) for sub in boxes[::4])]
-        distance_log = []
-        for m in sorted({d for d, _ in report.degree_trace}):
-            Rm = bernstein_fit(F_hat, m, m, F_hat.box)
+        for m in sorted(fits):
             d_limit = d_base = 0.0
             for GX, GY, limit_side in log_grids:
-                poly_side = _collapse_term_grids(jets(Rm, 2, GX, GY), lam_used)
+                poly_side = _collapse_term_grids(jets(fits[m], 2, GX, GY), lam_used)
                 for k, (pa, qa) in poly_side.items():
                     pb, qb = limit_side[k]
                     d_limit = max(d_limit, float(np.max(np.hypot(pa - pb, qa - qb))))
@@ -531,16 +526,18 @@ def _run_split(config, X, out_dir):
                                  "to_unperturbed": d_base})
         payload["whitney_log"] = distance_log
 
+    report = cy.theorem1_splitting(X, seed_cycle, R, lam_used, config.xi_range,
+                                   config.n_seeds, config.integrator_tol)
     payload["lambda_used"] = lam_used
-    payload["degree"] = list(report.degree) if report.degree else None
+    payload["degree"] = list(degree) if degree else None
     payload["census"] = _census_payload(report.census, config.integrator_tol)
     payload["middle_exponent"] = report.middle_exponent
     payload["time_reversed"] = report.time_reversed
     payload["messages"] = report.messages
 
-    if report.middle_index is not None and isinstance(F_used, Poly2):
+    if report.middle_index is not None and not config.surrogate:
         mid = report.census[report.middle_index]
-        ib, ig, il = cy.divergence_integral_terms(X, F_used, lam_used, mid)
+        ib, ig, il = cy.divergence_integral_terms(X, R, lam_used, mid)
         payload["divergence_terms"] = {
             "base": ib, "gradient_square": ig, "laplacian": il,
             "sum": ib + ig + il,
@@ -584,7 +581,7 @@ def _run_split(config, X, out_dir):
 
     artifacts = {
         "portrait.svg": _portrait_writer(
-            report.perturbed or X, report.census, section, annulus_obj
+            report.perturbed, report.census, section, annulus_obj
         ),
         "census.csv": _census_csv_writer(report.census),
     }

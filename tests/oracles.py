@@ -38,15 +38,28 @@ def rotated_ck_angular(k, mu):
     return lambda r: 1.0 + mu * (1 - r * r) ** k
 
 
+def collapse_radial(k, lam):
+    """Radial law of CK(k) + lam * s grad s: r' = r s (s^(k-1) - 2 lam)."""
+    return lambda r: r * (1 - r * r) * ((1 - r * r) ** (k - 1) - 2 * lam)
+
+
+def collapse_radii(k, lam):
+    """Cycle radii r = sqrt(1 - s) of the perturbed family, ascending (k >= 2).
+
+    s^(k-1) = 2 lam has the two real roots +/-(2 lam)^(1/(k-1)) for odd k and
+    only the positive one for even k; s = 0 is the continued unit circle.
+    """
+    s = (2 * lam) ** (1.0 / (k - 1))
+    return tuple(np.sqrt(1 - t) for t in ((s, 0.0, -s) if k % 2 else (s, 0.0)))
+
+
 def collapse_ck3_radial(lam):
-    """Radial law of CK(3) + lam * s grad s: r' = r s (s^2 - 2 lam)."""
-    return lambda r: r * (1 - r * r) * ((1 - r * r) ** 2 - 2 * lam)
+    return collapse_radial(3, lam)
 
 
 def collapse_ck3_radii(lam):
-    """The three cycle radii of the perturbed family: s in {0, +/-sqrt(2 lam)}."""
-    s = np.sqrt(2 * lam)
-    return np.sqrt(1 - s), 1.0, np.sqrt(1 + s)
+    """The three cycle radii of the perturbed CK(3): s in {0, +/-sqrt(2 lam)}."""
+    return collapse_radii(3, lam)
 
 
 def rotated_ck2_radii(mu):

@@ -51,9 +51,20 @@ def test_build_hyperbolic_ck1(ck, ck_cycles):
     assert ann.xi1 < ann.xi_z1 < 0.0 < ann.xi_z2 < ann.xi2
 
 
+def test_lambda0_sign_is_ignored(ck, ck_cycles, ck3_annulus):
+    # each side's rotation sign comes from the cycle's orientation alone
+    flipped = an.build_trapping_annulus(ck[3], ck_cycles[3], -0.1, -0.35, 0.35)
+    for name in ("s1", "s2"):
+        assert np.array_equal(getattr(flipped, name), getattr(ck3_annulus, name))
+    for name in ("xi_z1", "xi_z2", "lambda0_s1", "lambda0_s2"):
+        assert getattr(flipped, name) == getattr(ck3_annulus, name)
+
+
 def test_lambda0_zero_fallback(ck, ck_cycles):
     ann = an.build_trapping_annulus(ck[1], ck_cycles[1], 0.0, -0.35, 0.35)
     assert ann.lambda0_s1 == 0.0 and ann.lambda0_s2 == 0.0
+    # no -0.0 on the outer side, where the sign would be negative
+    assert not np.signbit(ann.lambda0_s2)
     # xi_Z equals the plain return-map image
     assert ann.xi_z1 == pytest.approx(cy.return_map(ck[1], ck_cycles[1].section, -0.35),
                                       abs=1e-9)

@@ -102,6 +102,19 @@ def test_min_degree_matches_analytic_threshold(paraboloid):
     assert bn.cr_error(paraboloid, b33, r=0)[(0, 0)] < 0.25
 
 
+def test_min_degree_trace_keeps_each_fit(paraboloid):
+    box = (-2, 2, -2, 2)
+    trace = []
+    m, _ = bn.min_degree_for_tolerance(paraboloid, box, 1, 0.25, cap=64, grid_density=51,
+                                       trace=trace)
+    degrees = [d for d, _, _ in trace]
+    assert len(set(degrees)) == len(degrees) and m in degrees
+    for d, errs, fit in trace:
+        fresh = bn.bernstein_fit(paraboloid, d, d, box)
+        assert fit.box == fresh.box and np.array_equal(fit.grid, fresh.grid)
+        assert set(errs) == {(0, 0), (0, 1), (1, 0)}
+
+
 def test_min_degree_cap_exceeded(paraboloid):
     with pytest.raises(bn.CapExceeded) as exc:
         bn.min_degree_for_tolerance(paraboloid, (-2, 2, -2, 2), 0, 1e-4, cap=16)

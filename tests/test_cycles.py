@@ -4,7 +4,10 @@ import pytest
 import oracles
 from cyclelab import cycles as cy
 from cyclelab import flow
-from cyclelab.field import PolyVectorField, gradient_collapse_family, perp, rotate_family
+from cyclelab.bernstein import SampledField
+from cyclelab.field import (
+    PolyVectorField, ck_system, gradient_collapse_family, perp, rotate_family,
+)
 from cyclelab.poly2 import parse_poly, scale
 
 S = parse_poly("1 - x^2 - y^2")
@@ -260,6 +263,42 @@ def test_theorem1_splitting_time_reversal(ck, section):
     cyc = cy.build_cycle(rev, sec, 0.0)
     rep = cy.theorem1_splitting(rev, cyc, S, 0.02)
     assert rep.time_reversed and rep.success
+
+
+def test_theorem1_splitting_takes_a_polynomial(ck_cycles):
+    F = SampledField(value=lambda x, y: 1 - x * x - y * y, box=(-2, 2, -2, 2))
+    with pytest.raises(TypeError):
+        cy.theorem1_splitting(ck_system(3), ck_cycles[3], F, 0.02)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_collapse_oracle_matches_its_radial_law(k):
+    # the closed form against brute bracketing of the same radial law
+    got = oracles.radial_cycle_radii(oracles.collapse_radial(k, 0.02))
+    assert np.allclose(got, oracles.collapse_radii(k, 0.02), atol=1e-12)
+
+
+def test_theorem1_splitting_ck5(section):
+    # the theorem covers every odd degree, not only k = 3
+    lam = 0.02
+    X = ck_system(5)
+    rep = cy.theorem1_splitting(X, cy.build_cycle(X, section, 0.0), S, lam)
+    assert rep.success and not rep.time_reversed
+    assert len(rep.census) == 3
+    for c, t in zip(rep.census, oracles.collapse_radii(5, lam)):
+        assert abs(c.mean_radius - t) < 1e-6
+    assert rep.middle_exponent == pytest.approx(8 * np.pi * lam, rel=0.01)
+
+
+def test_collapse_census_ck4(section):
+    # even degree: s^3 = 2 lam has one real root, so only one companion
+    lam = 0.02
+    cens = cy.find_cycles(gradient_collapse_family(ck_system(4), S, lam), section,
+                          (-0.3, 0.3), 25)
+    assert len(cens) == 2
+    for c, t in zip(cens, oracles.collapse_radii(4, lam)):
+        assert abs(c.mean_radius - t) < 1e-6
+    assert [c.stability for c in cens] == ["stable", "unstable"]
 
 
 def test_stability_alternation_in_splitting(ck, section):
