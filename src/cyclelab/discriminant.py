@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyroots
 
 from . import cycles as _cycles
 from . import flow as _flow
@@ -157,7 +158,7 @@ def has_repeated_root(p: MonicPoly, tol: float = 1e-10) -> bool:
     root splits into simple roots ~ sqrt(eps) apart, which still registers
     here: |p(c)| ~ separation^2).
     """
-    crit = np.roots(p.derivative_coeffs()[::-1])
+    crit = polyroots(p.derivative_coeffs())
     crit = crit[np.abs(crit.imag) < 1e-8].real
     if crit.size == 0:
         return False
@@ -243,7 +244,7 @@ def fit_roots(samples, degree: int, fit_degree: int | None = None) -> np.ndarray
     here (and cross-checked against the census).
     """
     scaled, _, h = _guarded_fit(samples, degree, fit_degree)
-    roots = np.roots(scaled[::-1])
+    roots = polyroots(scaled)
     real = roots[np.abs(roots.imag) < 1e-8].real * h
     return np.sort(real[np.abs(real) <= h])
 

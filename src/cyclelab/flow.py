@@ -1,17 +1,17 @@
 """Numerical integration of planar polynomial fields with dense output.
 
-The integrator is the adaptive Dormand-Prince 5(4) pair (Dormand & Prince
-1980) with Shampine's quartic dense output (Hairer-Norsett-Wanner, Solving
-ODEs I, II.6), stepped on plain floats with the step control of SciPy's
-Dormand-Prince solver and fed by the field's compiled evaluator; no SciPy
-stepper runs here. One private generator takes every step; it alone
-watches the step budget and the safety box. ``integrate`` collects the
-steps into an Orbit. ``next_section_crossing`` solves each step for its
-section crossings exactly: the dense output on a step is a quartic in time,
-so its normal coordinate against the section line is a quartic whose real
-roots in the step are the crossings. Every way an orbit can fail derives
-from OrbitFailure. Stiff integrators are not needed here: polynomial fields
-near attracting cycles at our perturbation sizes are non-stiff.
+The integrator is the adaptive Dormand-Prince 8(5,3) method with its
+degree-7 dense output (Hairer-Norsett-Wanner, Solving ODEs I, II.10), stepped
+on plain floats with the step control of SciPy's DOP853 solver and fed by
+the field's compiled evaluator; no SciPy stepper runs here. One private
+generator takes every step; it alone watches the step budget and the safety
+box. ``integrate`` collects the steps into an Orbit. ``next_section_crossing``
+solves each step for its section crossings exactly: the dense output on a
+step is a degree-7 polynomial in time, so its normal coordinate against the
+section line is one too, and its sign changes in the step, bracketed from
+its Bernstein coefficients, are the crossings. Every way an orbit can fail
+derives from OrbitFailure. Stiff integrators are not needed here: polynomial
+fields near attracting cycles at our perturbation sizes are non-stiff.
 """
 from __future__ import annotations
 
@@ -24,35 +24,75 @@ DEFAULT_TOL = 1e-10
 _SAFETY_BOX = 1e3
 _MAX_STEPS = 2_000_000
 
-# the Dormand-Prince 5(4) tableau and Shampine's dense-output matrix P, as in
-# SciPy's Dormand-Prince solver: stage i of a step is
-# f(y + h * sum_j _A[i-2][j] k_j), the step ends at y + h * sum_i _B[i] k_i
-# and h * sum_i _E[i] k_i estimates its error, k_7 being f at the step's end;
-# the interpolant at s = (t - t_old) / h is
-# y_old + h * sum_i k_i * sum_j _P[i][j] s^(j+1)
-_A = ((1/5,),
-      (3/40, 9/40),
-      (44/45, -56/15, 32/9),
-      (19372/6561, -25360/2187, 64448/6561, -212/729),
-      (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
-_B = (35/384, 0, 500/1113, 125/192, -2187/6784, 11/84)
-_E = (-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
-_P = ((1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
-      (0, 0, 0, 0),
-      (0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
-      (0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
-      (0, 127303824393/49829197408, -318862633887/49829197408,
-       701980252875/199316789632),
-      (0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
-      (0, 40617522/29380423, -110615467/29380423, 69997945/29380423))
+# The Dormand-Prince 8(5,3) tableau as in SciPy's DOP853 solver
+# (scipy/integrate/_ivp/dop853_coefficients.py), nonzero entries only, in
+# column order; the code below names them after their stage and column.
+# Stage i of a step is f(y + h * sum_j a_ij k_j); the step ends at
+# y + h * sum_j b_j k_j and k_13 is f there; _E5 and _E3 (e_j and g_j below)
+# weigh the stages for the fifth- and third-order error estimates.
+_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.08876275643042054),
+    (0.2413651341592667, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023),
+    (0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+)
+_B = (0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+      0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_E5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+       -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
+_E3 = (-0.18980075407240762, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+       -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082)
+# the three extra stages k_14..k_16 of the dense output and the rows of D,
+# which give its coefficients F_3..F_6 = h * sum_j d_ij k_j
+_A_DENSE = (
+    (0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+     0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325),
+    (-0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+)
+_D = (
+    (-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
-# max over s in [0, 1] of |sum_j _P[i][j] s^(j+1)|, the weight of k_i in the
-# interpolant, on a grid fine enough that the 0.1% margin covers its spacing
-_P_MAX = tuple(
-    1.001 * float(np.max(np.abs(np.polynomial.polynomial.polyval(np.linspace(0, 1, 10001),
-                                                                  (0,) + row))))
-    for row in _P)
+# The dense output's basis: F_i multiplies s^a (1 - s)^b, (a, b) = _DENSE_POWERS[i].
+# _TO_BERNSTEIN[j - 1][i] is the j-th degree-7 Bernstein coefficient on [0, 1]
+# of that product, for the interior j = 1..6.
+_DENSE_POWERS = ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3))
+_TO_BERNSTEIN = tuple(
+    tuple(math.comb(7 - a - b, j - a) / math.comb(7, j) if 0 <= j - a <= 7 - a - b else 0.0
+          for a, b in _DENSE_POWERS)
+    for j in range(1, 7))
+# a dip below the section whose two crossings lie closer than this in s
+# counts as a touch, not as two crossings
+_ROOT_RESOLUTION = 2.0 ** -24
 
 
 class OrbitFailure(Exception):
@@ -127,54 +167,116 @@ class Orbit:
 
 
 class _Step:
-    """One accepted step from (t_old, y_old) to (t, y) with its seven stage
-    derivatives K = (k1x, k1y, ..., k7x, k7y). The dense output's 2x4 matrix
-    Q = K^T P is built on first use."""
+    """One accepted step from (t_old, y_old) to (t, y).
 
-    __slots__ = ("t_old", "t", "h", "y_old", "y", "K", "_Q")
+    K holds the stage derivatives the dense output needs, (k1x, k1y,
+    k6x, k6y, ..., k13x, k13y), and f the right-hand side. The dense
+    output's coefficients F = ((F0x, ..., F6x), (F0y, ..., F6y)) cost three
+    more RHS calls and are built on first use.
+    """
 
-    def __init__(self, t_old, t, y_old, y, K):
+    __slots__ = ("t_old", "t", "h", "y_old", "y", "K", "f", "_F")
+
+    def __init__(self, t_old, t, y_old, y, K, f):
         self.t_old, self.t, self.h = t_old, t, t - t_old
-        self.y_old, self.y, self.K = y_old, y, K
-        self._Q = None
+        self.y_old, self.y, self.K, self.f = y_old, y, K, f
+        self._F = None
 
     @property
-    def Q(self):
-        if self._Q is None:
-            kx, ky = self.K[0::2], self.K[1::2]
-            self._Q = tuple(tuple(sum(k * p for k, p in zip(ks, col)) for col in zip(*_P))
-                            for ks in (kx, ky))
-        return self._Q
+    def F(self):
+        if self._F is None:
+            self._F = self._dense()
+        return self._F
+
+    def _dense(self):
+        """SciPy's DOP853 dense output, operation for operation."""
+        (a14_1, a14_7, a14_8, a14_9, a14_10, a14_11, a14_12, a14_13), \
+            (a15_1, a15_6, a15_7, a15_8, a15_11, a15_12, a15_13, a15_14), \
+            (a16_1, a16_6, a16_7, a16_8, a16_9, a16_13, a16_14, a16_15) = _A_DENSE
+        (d3_1, d3_6, d3_7, d3_8, d3_9, d3_10, d3_11, d3_12, d3_13, d3_14, d3_15, d3_16), \
+            (d4_1, d4_6, d4_7, d4_8, d4_9, d4_10, d4_11, d4_12, d4_13, d4_14, d4_15, d4_16), \
+            (d5_1, d5_6, d5_7, d5_8, d5_9, d5_10, d5_11, d5_12, d5_13, d5_14, d5_15, d5_16), \
+            (d6_1, d6_6, d6_7, d6_8, d6_9, d6_10, d6_11, d6_12, d6_13, d6_14, d6_15, d6_16) = _D
+        (k1x, k1y, k6x, k6y, k7x, k7y, k8x, k8y, k9x, k9y, k10x, k10y, k11x, k11y,
+         k12x, k12y, k13x, k13y) = self.K
+        f, h, (x, y), (x_new, y_new) = self.f, self.h, self.y_old, self.y
+        k14x, k14y = f(x + (a14_1 * k1x + a14_7 * k7x + a14_8 * k8x + a14_9 * k9x
+                            + a14_10 * k10x + a14_11 * k11x + a14_12 * k12x + a14_13 * k13x) * h,
+                       y + (a14_1 * k1y + a14_7 * k7y + a14_8 * k8y + a14_9 * k9y
+                            + a14_10 * k10y + a14_11 * k11y + a14_12 * k12y + a14_13 * k13y) * h)
+        k15x, k15y = f(x + (a15_1 * k1x + a15_6 * k6x + a15_7 * k7x + a15_8 * k8x
+                            + a15_11 * k11x + a15_12 * k12x + a15_13 * k13x + a15_14 * k14x) * h,
+                       y + (a15_1 * k1y + a15_6 * k6y + a15_7 * k7y + a15_8 * k8y
+                            + a15_11 * k11y + a15_12 * k12y + a15_13 * k13y + a15_14 * k14y) * h)
+        k16x, k16y = f(x + (a16_1 * k1x + a16_6 * k6x + a16_7 * k7x + a16_8 * k8x + a16_9 * k9x
+                            + a16_13 * k13x + a16_14 * k14x + a16_15 * k15x) * h,
+                       y + (a16_1 * k1y + a16_6 * k6y + a16_7 * k7y + a16_8 * k8y + a16_9 * k9y
+                            + a16_13 * k13y + a16_14 * k14y + a16_15 * k15y) * h)
+        f3x = h * (d3_1 * k1x + d3_6 * k6x + d3_7 * k7x + d3_8 * k8x + d3_9 * k9x + d3_10 * k10x
+                   + d3_11 * k11x + d3_12 * k12x + d3_13 * k13x + d3_14 * k14x + d3_15 * k15x
+                   + d3_16 * k16x)
+        f3y = h * (d3_1 * k1y + d3_6 * k6y + d3_7 * k7y + d3_8 * k8y + d3_9 * k9y + d3_10 * k10y
+                   + d3_11 * k11y + d3_12 * k12y + d3_13 * k13y + d3_14 * k14y + d3_15 * k15y
+                   + d3_16 * k16y)
+        f4x = h * (d4_1 * k1x + d4_6 * k6x + d4_7 * k7x + d4_8 * k8x + d4_9 * k9x + d4_10 * k10x
+                   + d4_11 * k11x + d4_12 * k12x + d4_13 * k13x + d4_14 * k14x + d4_15 * k15x
+                   + d4_16 * k16x)
+        f4y = h * (d4_1 * k1y + d4_6 * k6y + d4_7 * k7y + d4_8 * k8y + d4_9 * k9y + d4_10 * k10y
+                   + d4_11 * k11y + d4_12 * k12y + d4_13 * k13y + d4_14 * k14y + d4_15 * k15y
+                   + d4_16 * k16y)
+        f5x = h * (d5_1 * k1x + d5_6 * k6x + d5_7 * k7x + d5_8 * k8x + d5_9 * k9x + d5_10 * k10x
+                   + d5_11 * k11x + d5_12 * k12x + d5_13 * k13x + d5_14 * k14x + d5_15 * k15x
+                   + d5_16 * k16x)
+        f5y = h * (d5_1 * k1y + d5_6 * k6y + d5_7 * k7y + d5_8 * k8y + d5_9 * k9y + d5_10 * k10y
+                   + d5_11 * k11y + d5_12 * k12y + d5_13 * k13y + d5_14 * k14y + d5_15 * k15y
+                   + d5_16 * k16y)
+        f6x = h * (d6_1 * k1x + d6_6 * k6x + d6_7 * k7x + d6_8 * k8x + d6_9 * k9x + d6_10 * k10x
+                   + d6_11 * k11x + d6_12 * k12x + d6_13 * k13x + d6_14 * k14x + d6_15 * k15x
+                   + d6_16 * k16x)
+        f6y = h * (d6_1 * k1y + d6_6 * k6y + d6_7 * k7y + d6_8 * k8y + d6_9 * k9y + d6_10 * k10y
+                   + d6_11 * k11y + d6_12 * k12y + d6_13 * k13y + d6_14 * k14y + d6_15 * k15y
+                   + d6_16 * k16y)
+        dx, dy = x_new - x, y_new - y
+        return ((dx, h * k1x - dx, 2 * dx - h * (k13x + k1x), f3x, f4x, f5x, f6x),
+                (dy, h * k1y - dy, 2 * dy - h * (k13y + k1y), f3y, f4y, f5y, f6y))
 
     def at(self, s):
-        """The interpolant at s = (t - t_old) / h, as (x, y)."""
-        (qx, qy), (x, y), h = self.Q, self.y_old, self.h
-        s2 = s * s
-        s3 = s2 * s
-        s4 = s3 * s
-        return (x + h * (qx[0] * s + qx[1] * s2 + qx[2] * s3 + qx[3] * s4),
-                y + h * (qy[0] * s + qy[1] * s2 + qy[2] * s3 + qy[3] * s4))
+        """The interpolant at s = (t - t_old) / h, as (x, y):
+        y_old + s (F0 + (1 - s) (F1 + s (F2 + (1 - s) (F3 + ...))))."""
+        (f0x, f1x, f2x, f3x, f4x, f5x, f6x), (f0y, f1y, f2y, f3y, f4y, f5y, f6y) = self.F
+        x, y = self.y_old
+        r = 1 - s
+        return ((((((((f6x * s + f5x) * r + f4x) * s + f3x) * r + f2x) * s + f1x) * r + f0x) * s
+                 + x),
+                (((((((f6y * s + f5y) * r + f4y) * s + f3y) * r + f2y) * s + f1y) * r + f0y) * s
+                 + y))
 
 
 def _steps(X, x0, t_bound, tol):
-    """Accepted Dormand-Prince 5(4) steps from x0 over [0, t_bound], as _Steps.
+    """Accepted Dormand-Prince 8(5,3) steps from x0 over [0, t_bound], as _Steps.
 
-    The step control is SciPy's Dormand-Prince solver's, operation for
-    operation: its initial step, the factor 0.9 * err^(-1/5) clamped to
-    [0.2, 10], no growth right after a rejection, a floor of 10 ulp of t and
-    the RMS norm of the error scaled by tol * (1 + max |y|) componentwise.
-    Ends when t_bound is reached; raises StepUnderflow when the step falls
-    below that floor or the step budget runs out and Divergence when a step
-    ends outside the safety box.
+    The step control is SciPy's DOP853 solver's, operation for operation:
+    its initial step for error order 7, the factor 0.9 * err^(-1/8) clamped
+    to [0.2, 10], no growth right after a rejection, a floor of 10 ulp of t
+    and the combined error norm |h| |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)),
+    e5 and e3 being the fifth- and third-order error estimates scaled by
+    tol * (1 + max |y|) componentwise. Ends when t_bound is reached; raises
+    StepUnderflow when the step falls below that floor or the step budget
+    runs out and Divergence when a step ends outside the safety box.
     """
     if not t_bound > 0:
         raise ValueError("the time bound must be > 0")
     if not tol > 0:
         raise ValueError("tol must be > 0")
     f = X.rhs()
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
-    b1, _, b3, b4, b5, b6 = _B
-    e1, _, e3, e4, e5, e6, e7 = _E
+    (a2_1,), (a3_1, a3_2), (a4_1, a4_3), (a5_1, a5_3, a5_4), (a6_1, a6_4, a6_5), \
+        (a7_1, a7_4, a7_5, a7_6), (a8_1, a8_4, a8_5, a8_6, a8_7), \
+        (a9_1, a9_4, a9_5, a9_6, a9_7, a9_8), (a10_1, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9), \
+        (a11_1, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10), \
+        (a12_1, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11) = _A
+    b1, b6, b7, b8, b9, b10, b11, b12 = _B
+    e1, e6, e7, e8, e9, e10, e11, e12 = _E5
+    g1, g6, g7, g8, g9, g10, g11, g12 = _E3
     t = 0.0
     x, y = float(x0[0]), float(x0[1])
     k1x, k1y = f(x, y)
@@ -191,33 +293,68 @@ def _steps(X, x0, t_bound, tol):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            k2x, k2y = f(x + (a21 * k1x) * h, y + (a21 * k1y) * h)
-            k3x, k3y = f(x + (a31 * k1x + a32 * k2x) * h, y + (a31 * k1y + a32 * k2y) * h)
-            k4x, k4y = f(x + (a41 * k1x + a42 * k2x + a43 * k3x) * h,
-                         y + (a41 * k1y + a42 * k2y + a43 * k3y) * h)
-            k5x, k5y = f(x + (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x) * h,
-                         y + (a51 * k1y + a52 * k2y + a53 * k3y + a54 * k4y) * h)
-            k6x, k6y = f(x + (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x) * h,
-                         y + (a61 * k1y + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h)
-            x_new = x + h * (b1 * k1x + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x)
-            y_new = y + h * (b1 * k1y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y)
-            k7x, k7y = f(x_new, y_new)
-            ex = ((e1 * k1x + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x) * h
-                  / (tol + max(abs(x), abs(x_new)) * tol))
-            ey = ((e1 * k1y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y) * h
-                  / (tol + max(abs(y), abs(y_new)) * tol))
-            err = _rms(ex, ey)
+            k2x, k2y = f(x + (a2_1 * k1x) * h,
+                         y + (a2_1 * k1y) * h)
+            k3x, k3y = f(x + (a3_1 * k1x + a3_2 * k2x) * h,
+                         y + (a3_1 * k1y + a3_2 * k2y) * h)
+            k4x, k4y = f(x + (a4_1 * k1x + a4_3 * k3x) * h,
+                         y + (a4_1 * k1y + a4_3 * k3y) * h)
+            k5x, k5y = f(x + (a5_1 * k1x + a5_3 * k3x + a5_4 * k4x) * h,
+                         y + (a5_1 * k1y + a5_3 * k3y + a5_4 * k4y) * h)
+            k6x, k6y = f(x + (a6_1 * k1x + a6_4 * k4x + a6_5 * k5x) * h,
+                         y + (a6_1 * k1y + a6_4 * k4y + a6_5 * k5y) * h)
+            k7x, k7y = f(x + (a7_1 * k1x + a7_4 * k4x + a7_5 * k5x + a7_6 * k6x) * h,
+                         y + (a7_1 * k1y + a7_4 * k4y + a7_5 * k5y + a7_6 * k6y) * h)
+            k8x, k8y = f(x + (a8_1 * k1x + a8_4 * k4x + a8_5 * k5x + a8_6 * k6x + a8_7 * k7x) * h,
+                         y + (a8_1 * k1y + a8_4 * k4y + a8_5 * k5y + a8_6 * k6y + a8_7 * k7y) * h)
+            k9x, k9y = f(x + (a9_1 * k1x + a9_4 * k4x + a9_5 * k5x + a9_6 * k6x + a9_7 * k7x
+                              + a9_8 * k8x) * h,
+                         y + (a9_1 * k1y + a9_4 * k4y + a9_5 * k5y + a9_6 * k6y + a9_7 * k7y
+                              + a9_8 * k8y) * h)
+            k10x, k10y = f(x + (a10_1 * k1x + a10_4 * k4x + a10_5 * k5x + a10_6 * k6x
+                                + a10_7 * k7x + a10_8 * k8x + a10_9 * k9x) * h,
+                           y + (a10_1 * k1y + a10_4 * k4y + a10_5 * k5y + a10_6 * k6y
+                                + a10_7 * k7y + a10_8 * k8y + a10_9 * k9y) * h)
+            k11x, k11y = f(x + (a11_1 * k1x + a11_4 * k4x + a11_5 * k5x + a11_6 * k6x
+                                + a11_7 * k7x + a11_8 * k8x + a11_9 * k9x + a11_10 * k10x) * h,
+                           y + (a11_1 * k1y + a11_4 * k4y + a11_5 * k5y + a11_6 * k6y
+                                + a11_7 * k7y + a11_8 * k8y + a11_9 * k9y + a11_10 * k10y) * h)
+            k12x, k12y = f(x + (a12_1 * k1x + a12_4 * k4x + a12_5 * k5x + a12_6 * k6x
+                                + a12_7 * k7x + a12_8 * k8x + a12_9 * k9x + a12_10 * k10x
+                                + a12_11 * k11x) * h,
+                           y + (a12_1 * k1y + a12_4 * k4y + a12_5 * k5y + a12_6 * k6y
+                                + a12_7 * k7y + a12_8 * k8y + a12_9 * k9y + a12_10 * k10y
+                                + a12_11 * k11y) * h)
+            x_new = x + h * (b1 * k1x + b6 * k6x + b7 * k7x + b8 * k8x + b9 * k9x + b10 * k10x
+                             + b11 * k11x + b12 * k12x)
+            y_new = y + h * (b1 * k1y + b6 * k6y + b7 * k7y + b8 * k8y + b9 * k9y + b10 * k10y
+                             + b11 * k11y + b12 * k12y)
+            k13x, k13y = f(x_new, y_new)
+            sx = tol + max(abs(x), abs(x_new)) * tol
+            sy = tol + max(abs(y), abs(y_new)) * tol
+            e5x = (e1 * k1x + e6 * k6x + e7 * k7x + e8 * k8x + e9 * k9x + e10 * k10x + e11 * k11x
+                   + e12 * k12x) / sx
+            e5y = (e1 * k1y + e6 * k6y + e7 * k7y + e8 * k8y + e9 * k9y + e10 * k10y + e11 * k11y
+                   + e12 * k12y) / sy
+            e3x = (g1 * k1x + g6 * k6x + g7 * k7x + g8 * k8x + g9 * k9x + g10 * k10x + g11 * k11x
+                   + g12 * k12x) / sx
+            e3y = (g1 * k1y + g6 * k6y + g7 * k7y + g8 * k8y + g9 * k9y + g10 * k10y + g11 * k11y
+                   + g12 * k12y) / sy
+            n5 = math.sqrt(e5x * e5x + e5y * e5y) ** 2
+            n3 = math.sqrt(e3x * e3x + e3y * e3y) ** 2
+            err = 0.0 if n5 == 0 and n3 == 0 else h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * 2)
             if err < 1:
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** -0.125)
                 if rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -0.125)
             rejected = True
         step = _Step(t, t_new, (x, y), (x_new, y_new),
-                     (k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y))
-        t, x, y, k1x, k1y = t_new, x_new, y_new, k7x, k7y
+                     (k1x, k1y, k6x, k6y, k7x, k7y, k8x, k8y, k9x, k9y, k10x, k10y, k11x, k11y,
+                      k12x, k12y, k13x, k13y), f)
+        t, x, y, k1x, k1y = t_new, x_new, y_new, k13x, k13y
         if abs(x) > _SAFETY_BOX or abs(y) > _SAFETY_BOX:
             raise Divergence(t, np.array([x, y]), _SAFETY_BOX)
         yield step
@@ -225,7 +362,7 @@ def _steps(X, x0, t_bound, tol):
 
 
 def _initial_step(f, x, y, fx, fy, t_bound, tol):
-    """SciPy's select_initial_step (Hairer-Norsett-Wanner II.4) for order 4."""
+    """SciPy's select_initial_step (Hairer-Norsett-Wanner II.4) for error order 7."""
     sx, sy = tol + abs(x) * tol, tol + abs(y) * tol
     d0 = _rms(x / sx, y / sy)
     d1 = _rms(fx / sx, fy / sy)
@@ -236,7 +373,7 @@ def _initial_step(f, x, y, fx, fy, t_bound, tol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, t_bound)
 
 
@@ -262,32 +399,120 @@ def integrate(X, x0, t_end: float, tol: float = DEFAULT_TOL) -> Orbit:
 
 
 def _line_roots(step, bx, by, nx, ny):
-    """Ascending s in [0, 1] where the step's interpolant meets the section line.
+    """Ascending s in [0, 1] where the step's interpolant crosses the section line.
 
-    With s = (t - t_old) / h the interpolant is y_old + h Q [s, s^2, s^3, s^4],
-    so its normal coordinate is the quartic g0 + h (n . Q) [s, ..., s^4].
-    |g - g0| <= h sum_i |n . k_i| _P_MAX[i] on [0, 1] rules most steps out
-    before Q is built; of the rest, a quartic whose Bernstein coefficients on
-    [0, 1] share one strict sign has no root there, since it is a convex
-    combination of them. A touch whose double root comes out as a complex
-    pair is not a crossing.
+    With s = (t - t_old) / h the normal coordinate of the interpolant is
+    g(s) = g0 + sum_i c_i s^a (1 - s)^b, c_i = n . F_i, a degree-7 polynomial.
+    Each basis product lies in [0, 1], so |g0| > sum_i |c_i| rules a step out
+    when both ends lie on one side. Otherwise the roots come from g's
+    Bernstein coefficients on [0, 1] (see _bernstein_roots). The end values
+    g0 and g1 are taken from the step's end points themselves, so a step and
+    the next one agree on the sign where they meet.
     """
     x, y = step.y_old
     g0 = (x - bx) * nx + (y - by) * ny
-    k1x, k1y, _, _, k3x, k3y, k4x, k4y, k5x, k5y, k6x, k6y, k7x, k7y = step.K
-    w1, _, w3, w4, w5, w6, w7 = _P_MAX
-    if abs(g0) > step.h * (w1 * abs(k1x * nx + k1y * ny) + w3 * abs(k3x * nx + k3y * ny)
-                           + w4 * abs(k4x * nx + k4y * ny) + w5 * abs(k5x * nx + k5y * ny)
-                           + w6 * abs(k6x * nx + k6y * ny) + w7 * abs(k7x * nx + k7y * ny)):
-        return ()
-    c1, c2, c3, c4 = (step.h * (nx * a + ny * b) for a, b in zip(*step.Q))
-    bern = (g0 + c1 / 4, g0 + c1 / 2 + c2 / 6, g0 + 3 * c1 / 4 + c2 / 2 + c3 / 4,
-            g0 + c1 + c2 + c3 + c4)
-    if (g0 > 0 and min(bern) > 0) or (g0 < 0 and max(bern) < 0):
-        return ()
-    roots = np.roots([c4, c3, c2, c1, g0])
-    s = roots.real[roots.imag == 0]
-    return np.sort(s[(s >= 0.0) & (s <= 1.0)]).tolist()
+    x, y = step.y
+    g1 = (x - bx) * nx + (y - by) * ny
+    c = [nx * u + ny * v for u, v in zip(*step.F)]
+    if (g0 > 0 < g1 or g0 < 0 > g1) and abs(g0) > sum(map(abs, c)):
+        return []
+    return _bernstein_roots([g0] + [g0 + sum(ci * m for ci, m in zip(c, row))
+                                    for row in _TO_BERNSTEIN] + [g1])
+
+
+def _bernstein_roots(b):
+    """Ascending s in [0, 1] where the polynomial with Bernstein coefficients b
+    on [0, 1] changes sign, plus exact zeros at s = 0 and s = 1.
+
+    A polynomial has at most as many roots in (0, 1) as its Bernstein
+    coefficients have sign changes, and the same number modulo 2. So where
+    they share one strict sign there is no root, and where they change sign
+    once there is exactly one, solved by _single_root. Anything else is
+    halved (de Casteljau) until it is one of these or narrower than
+    _ROOT_RESOLUTION; there an odd count is one crossing and an even count a
+    touch, which is no crossing.
+    """
+    roots = [0.0] if b[0] == 0 else []
+    if b[-1] == 0:
+        roots.append(1.0)
+    pieces = [(0.0, 1.0, b)]
+    while pieces:
+        lo, hi, piece = pieces.pop()
+        changes = _sign_changes(piece)
+        if changes == 0:
+            continue
+        if changes == 1 or hi - lo < _ROOT_RESOLUTION:
+            if changes % 2:
+                roots.append(lo + (hi - lo) * _single_root(piece))
+            continue
+        left, right = _halves(piece)
+        mid = 0.5 * (lo + hi)
+        if left[-1] == 0:
+            roots.append(mid)
+        pieces += [(lo, mid, left), (mid, hi, right)]
+    return sorted(roots)
+
+
+def _sign_changes(b):
+    """Sign changes along b, zeros skipped."""
+    count, last = 0, 0.0
+    for v in b:
+        if v != 0:
+            if last != 0 and (v < 0) != (last < 0):
+                count += 1
+            last = v
+    return count
+
+
+def _halves(b):
+    """Bernstein coefficients of the same polynomial on [0, 1/2] and [1/2, 1]."""
+    left, right, w = [b[0]], [b[-1]], b
+    while len(w) > 1:
+        w = [0.5 * (p + q) for p, q in zip(w, w[1:])]
+        left.append(w[0])
+        right.append(w[-1])
+    right.reverse()
+    return left, right
+
+
+def _value_slope(b, u):
+    """The polynomial with Bernstein coefficients b on [0, 1] and its
+    derivative at u, by de Casteljau's algorithm."""
+    v, w = 1 - u, b
+    while len(w) > 2:
+        w = [p * v + q * u for p, q in zip(w, w[1:])]
+    p, q = w
+    return p * v + q * u, (len(b) - 1) * (q - p)
+
+
+def _single_root(b):
+    """The root in (0, 1) of the polynomial with Bernstein coefficients b,
+    whose first and last nonzero coefficients differ in sign: Newton's
+    method kept inside a shrinking bracket, bisecting whenever Newton would
+    leave it, started where the coefficients' control polygon crosses zero.
+    """
+    negative_at_lo = next(v for v in b if v != 0) < 0
+    n = len(b) - 1
+    u = next(((i + p / (p - q)) / n for i, (p, q) in enumerate(zip(b, b[1:])) if p * q < 0),
+             0.5)
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        g, slope = _value_slope(b, u)
+        if g == 0:
+            return u
+        if (g < 0) == negative_at_lo:
+            lo = u
+        else:
+            hi = u
+        u_next = u - g / slope if slope != 0 else lo
+        if abs(u_next - u) <= 2.0 ** -53:
+            return min(max(u_next, lo), hi)
+        if not lo < u_next < hi:
+            u_next = 0.5 * (lo + hi)
+        if hi - lo <= 2.0 ** -52:
+            return u_next
+        u = u_next
+    return u
 
 
 def _first_crossing(X, steps, section, direction_sign, t_max, t_offset, neighborhood_radius):

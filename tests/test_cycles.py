@@ -301,6 +301,28 @@ def test_collapse_census_ck4(section):
     assert [c.stability for c in cens] == ["stable", "unstable"]
 
 
+_SAME_SEED_INTERVAL = (
+    "two of the three cycles share one seed interval of the 25-seed census, so they give no "
+    "sign change and are lost; seed refinement where |d| has an interior minimum (ROADMAP "
+    "item 5) is the fix"
+)
+
+
+@pytest.mark.parametrize("lam", [
+    2e-2, 2e-3,
+    pytest.param(2e-4, marks=pytest.mark.xfail(strict=True, reason=_SAME_SEED_INTERVAL)),
+    pytest.param(2e-5, marks=pytest.mark.xfail(strict=True, reason=_SAME_SEED_INTERVAL)),
+])
+def test_collapse_census_lambda_ladder(section, lam):
+    # the theorem holds for arbitrarily small perturbations: all three cycles
+    # of CK(3) + lam * S grad S, at radii sqrt(1 -/+ sqrt(2 lam)) and 1
+    cens = cy.find_cycles(gradient_collapse_family(ck_system(3), S, lam), section,
+                          (-0.3, 0.3), 25)
+    assert len(cens) == 3
+    for c, t in zip(cens, oracles.collapse_radii(3, lam)):
+        assert abs(c.mean_radius - t) < 1e-6
+
+
 def test_stability_alternation_in_splitting(ck, section):
     rep = cy.theorem1_splitting(ck[3], cy.build_cycle(ck[3], section, 0.0), S, 0.01)
     signs = [np.sign(c.exponent) for c in rep.census]

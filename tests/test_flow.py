@@ -1,5 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
+from hypothesis import example, given, settings, strategies as st
 
 from cyclelab import flow
 from cyclelab.cycles import Section
@@ -184,34 +188,111 @@ class _CountedField:
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("name", ["ROT", "CK(1)", "vanderpol(1)"])
 def test_stepper_matches_scipy_reference(ck, name, tol):
-    """The float stepper against SciPy's Dormand-Prince solver on the same RHS.
+    """The float stepper against SciPy's DOP853 solver on the same RHS.
 
-    SciPy's error estimate is a BLAS dot product of seven nearly equal stage
-    derivatives, which cancels down to about 1e-6 of tol, so its rounding
-    moves each proposed step by up to a relative 1e-5 in a way plain floats
-    cannot repeat. Hence: the same accepted and rejected steps (the same RHS
-    calls), the first step exactly, later step ends within 1e-4 relative, and
-    the two solutions, compared at the same times, within 1e-12.
+    SciPy's error estimates are BLAS dot products of nearly equal stage
+    derivatives, which cancel, so their rounding moves each proposed step by
+    a relative amount that plain floats cannot repeat. Hence: the same
+    accepted and rejected steps (the same RHS calls), the first step exactly,
+    later step ends within 1e-4 relative, and the two solutions, compared at
+    the same times, within 1e-12. SciPy's dense output costs 3 RHS calls per
+    step, and so does the float stepper's once every step is interpolated.
     """
-    from scipy.integrate import RK45
+    from scipy.integrate import DOP853
     from scipy.integrate._ivp.common import OdeSolution
 
     X = {"ROT": ROT, "CK(1)": ck[1], "vanderpol(1)": vanderpol(1.0)}[name]
     f = X.rhs()
-    ref = RK45(lambda t, z: np.array(f(z[0], z[1])), 0.0, np.array([0.5, 0.2]), 10.0,
-               rtol=tol, atol=tol)
+    ref = DOP853(lambda t, z: np.array(f(z[0], z[1])), 0.0, np.array([0.5, 0.2]), 10.0,
+                 rtol=tol, atol=tol)
     times, dense = [0.0], []
     while ref.status == "running":
         ref.step()
         times.append(ref.t)
+        stepping_calls = ref.nfev - 3 * len(dense)
         dense.append(ref.dense_output())
     ref_sol = OdeSolution(times, dense)
     counted = _CountedField(X)
     orb = flow.integrate(counted, (0.5, 0.2), 10.0, tol=tol)
-    assert counted.calls == ref.nfev
+    assert counted.calls == stepping_calls
     assert len(orb.times) == len(times)
     assert orb.times[1] == times[1]
     assert np.allclose(orb.times, times, rtol=1e-4, atol=0.0)
     assert np.max(np.abs(ref_sol(orb.times).T - orb.states)) < 1e-12
     mid = 0.5 * (orb.times[1:] + orb.times[:-1])
     assert np.max(np.abs(ref_sol(mid).T - orb.eval(mid))) < 1e-12
+    assert counted.calls == ref.nfev
+
+
+def _bernstein_product(p, q):
+    """Bernstein coefficients on [0, 1] of the product of two polynomials given
+    by theirs; an end coefficient is the product of the factors' end values."""
+    m, n = len(p) - 1, len(q) - 1
+    out = [0.0] * (m + n + 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += comb(m, i) * comb(n, j) / comb(m + n, i + j) * a * b
+    return out
+
+
+def _factors(simple, touch, pair, far):
+    """(Bernstein coefficients, power coefficients) of the degree-7 product of
+    (s - r) over the simple roots, (s - touch)^2, complex-pair factors
+    (s - a)^2 + b^2 with a moving on by 0.75 each, and (s - far), far
+    outside [0, 1], when one degree is left."""
+    linear = list(simple) + ([touch, touch] if touch is not None else [])
+    a, b = pair
+    bern, power = [1.0], np.array([1.0])
+    for r in linear:
+        bern, power = _bernstein_product(bern, [-r, 1.0 - r]), P.polymul(power, [-r, 1.0])
+    while len(bern) < 7:
+        c0 = a * a + b * b
+        bern = _bernstein_product(bern, [c0, c0 - a, (1 - a) ** 2 + b * b])
+        power = P.polymul(power, [c0, -2 * a, 1.0])
+        a += 0.75
+    if len(bern) == 7:
+        bern, power = _bernstein_product(bern, [-far, 1.0 - far]), P.polymul(power, [-far, 1.0])
+    return bern, power
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 19), unique=True, max_size=4),
+    st.floats(0.0, 0.9),
+    st.sampled_from([(), (0.0,), (1.0,), (0.0, 1.0)]),
+    st.booleans(),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.25, 1.0)),
+    st.sampled_from([-2.5, -1.0, 2.0, 3.5]),
+    st.floats(1e-6, 1e3),
+    st.sampled_from([-1.0, 1.0]),
+)
+@example([4, 12], 0.0, (), False, (0.5, 0.3), 3.5, 1.0, 1.0)      # two roots in one step
+@example([10], 0.5, (), True, (0.5, 0.3), 3.5, 1.0, -1.0)         # a touch alone
+@example([4, 10, 16], 0.3, (0.0, 1.0), True, (0.5, 0.3), 3.5, 1.0, 1.0)
+def test_bernstein_roots_match_np_roots(interior, jitter, ends, touch, pair, far, size, sign):
+    """Sign changes of degree-7 polynomials on [0, 1] against np.roots.
+
+    The interior roots lie at least 0.04 apart. With ``touch`` the first of
+    them is a double root moved about 1e-10 away from zero, so that rounding
+    cannot push it across: a touch with no sign change, which is no
+    crossing. Roots at s = 0 and s = 1 are exact zeros of the end
+    coefficients, as when a step starts or ends on the section line.
+    """
+    points = [(5 * i + jitter) / 100 for i in interior]
+    touch_at = points.pop(0) if touch and points else None
+    bern, power = _factors(list(ends) + points, touch_at, pair, far)
+    if touch_at is not None:
+        # + lift * s (1 - s), which keeps any roots at s = 0 and s = 1
+        lift = 1e-10 * np.sign(P.polyval(touch_at + 0.004, power))
+        bern = [v + lift * j * (7 - j) / 42 for j, v in enumerate(bern)]
+        power = power + lift * np.array([0.0, 1.0, -1.0, 0, 0, 0, 0, 0])
+    got = flow._bernstein_roots([sign * size * v for v in bern])
+
+    ref = np.roots(sign * size * power[::-1])
+    ref = np.sort(ref.real[(np.abs(ref.imag) < 1e-7) & (ref.real > -1e-9) & (ref.real < 1 + 1e-9)])
+    if touch_at is not None:
+        assert all(abs(s - touch_at) > 1e-5 for s in got)
+    assert len(got) == len(ref) == len(ends) + len(points)
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
+    assert got == sorted(got)
+    assert all(0.0 <= s <= 1.0 for s in got)
