@@ -13,13 +13,13 @@ high-order differences would amplify it beyond usability at order >= 3.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import flow
 from .field import PolyVectorField, divergence, gradient_collapse_family, scale
@@ -253,10 +253,67 @@ def divergence_integral_terms(X: PolyVectorField, R: Poly2, lam: float,
     return i_base, i_grad, i_lap
 
 
+def _brentq(f, xa, xb, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), and the
+    number of f calls it took.
+
+    A port of SciPy's C brentq, operation for operation, so root and call
+    count equal those of scipy.optimize.brentq(..., full_output=True) bit for
+    bit. Raises ValueError when f(xa) and f(xb) have the same sign or f
+    returns NaN, and RuntimeError after maxiter iterations.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:.6g} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    calls = 2
+    if fpre == 0:
+        return xpre, calls
+    if fcur == 0:
+        return xcur, calls
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, calls
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+        calls += 1
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def find_cycles(X, section, xi_range, n_seeds: int = 25,
                 tol=DEFAULT_CYCLE_TOL) -> list[LimitCycle]:
     """Census of section fixed points: bracket sign changes of d, root each
-    bracket by Brent's method to 1e-12, merge roots within 1e-8.
+    bracket by Brent's method to 1e-12, merge roots within 1e-8. The root
+    solve is _brentq, a port of SciPy's brentq (Brent 1973).
 
     Seeds where the return map is undefined are skipped, and so is a bracket
     whose root solve meets an orbit failure; an empty census is a valid
@@ -281,17 +338,17 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25,
             continue
         if np.sign(da) * np.sign(db) < 0:
             def d(xi):
-                # brentq evaluates both bracket ends again; d is deterministic
+                # _brentq evaluates both bracket ends again; d is deterministic
                 if xi == xa:
                     return da
                 if xi == xb:
                     return db
                 return displacement(X, section, xi, tol)
             try:
-                root, info = brentq(d, xa, xb, xtol=1e-12, full_output=True)
+                root, calls = _brentq(d, xa, xb, xtol=1e-12)
             except flow.OrbitFailure:
                 continue
-            roots.append((root, info.function_calls - 2))
+            roots.append((root, calls - 2))
     if vals[-1] == 0.0:
         roots.append((seeds[-1], None))
     roots.sort(key=lambda r: r[0])
@@ -398,6 +455,8 @@ def return_map_derivative(X: PolyVectorField, cycle: LimitCycle, tol: float = 1e
     Numerically independent of the divergence quadrature, so the multiplier
     identity exp(exponent) = pi'(xi*) is a genuine cross-check.
     """
+    from scipy.integrate import solve_ivp
+
     Px, Py, Qx, Qy = X.jacobian()
 
     def rhs(t, z):
@@ -424,6 +483,8 @@ def perko_derivative(X: PolyVectorField, dX_dlam: PolyVectorField,
     gamma(t); the overall nonzero constant of the underlying identity is
     taken as 1, so only signs and ratios of this quantity are meaningful.
     """
+    from scipy.integrate import solve_ivp
+
     div = divergence(X)
 
     def rhs(t, z):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from cyclelab import cycles as cy
@@ -102,6 +105,59 @@ def test_find_cycles_brent_calls_per_root(ck, section, monkeypatch):
         in_bracket = int(np.sum((seeds[k] < solves) & (solves < seeds[k + 1])))
         assert in_bracket == c.root_d_calls <= 10
     assert len(solves) == sum(c.root_d_calls for c in cens)
+
+
+def _scipy_brentq(f, a, b, **kwargs):
+    from scipy.optimize import brentq
+
+    root, info = brentq(f, a, b, xtol=1e-12, full_output=True, **kwargs)
+    return root.hex(), info.function_calls
+
+
+def _port_brentq(f, a, b, **kwargs):
+    root, calls = cy._brentq(f, a, b, xtol=1e-12, **kwargs)
+    return root.hex(), calls
+
+
+_BRENT_CASES = {
+    "flat_triple_root": (lambda x: 1e-9 * (x - 0.3) ** 3 + 1e-17, -0.2, 0.9),
+    "zero_at_left_end": (lambda x: x * (x + 2.0), 0.0, 1.0),
+    "zero_at_right_end": (lambda x: (x - 0.5) ** 3, -1.0, 0.5),
+    "steep_tanh": (lambda x: math.tanh(400.0 * (x - 0.1234)), -1.0, 1.0),
+    "kink": (lambda x: math.copysign(abs(x - 0.7) ** 0.25, x - 0.7), 0.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BRENT_CASES))
+def test_brentq_port_matches_scipy(case):
+    f, a, b = _BRENT_CASES[case]
+    assert _port_brentq(f, a, b) == _scipy_brentq(f, a, b)
+    assert _port_brentq(f, b, a) == _scipy_brentq(f, b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.sampled_from(range(4)))
+def test_brentq_port_matches_scipy_on_random_brackets(a, b, k):
+    f = [lambda x: 1e-9 * (x - 0.3) ** 3 + 1e-17,
+         lambda x: math.tanh(50.0 * (x - 0.1)),
+         lambda x: math.cos(x) - x,
+         lambda x: (x - 0.2) * (x + 0.7) * (x - 1.3) + 1e-3 * math.sin(40.0 * x)][k]
+    try:
+        ref = _scipy_brentq(f, a, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _port_brentq(f, a, b)
+        return
+    assert _port_brentq(f, a, b) == ref
+
+
+def test_brentq_port_errors_match_scipy():
+    same_sign = lambda x: x * x + 1.0  # noqa: E731
+    for solve in (_scipy_brentq, _port_brentq):
+        with pytest.raises(ValueError):
+            solve(same_sign, -1.0, 1.0)
+        with pytest.raises(RuntimeError):
+            solve(_BRENT_CASES["steep_tanh"][0], -1.0, 1.0, maxiter=3)
 
 
 def test_find_cycles_drops_a_root_whose_solve_fails(ck, section, monkeypatch):

@@ -131,6 +131,23 @@ def test_bernstein_pipeline(tmp_path):
     assert (tmp_path / "errors.csv").read_text().startswith("m,n,k_i,k_j")
 
 
+def test_bernstein_default_config_passes():
+    # paraboloid: the (1,1) error is zero in exact arithmetic, so only
+    # rounding is left there, and rounding grows with the degree
+    rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({"pipeline": "bernstein-study"}))
+    assert rep.checks["all_orders_shrink"]
+    assert rep.payload["rounding_floor_orders"] == ["11"]
+    assert rep.all_passed
+
+
+def test_bernstein_rounding_floor_exempts_only_floor_orders():
+    rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({
+        "pipeline": "bernstein-study", "bern_degrees": [40, 10],
+    }))
+    assert rep.payload["rounding_floor_orders"] == ["11"]
+    assert not rep.checks["all_orders_shrink"]  # every other order grows
+
+
 def test_annulus_pipeline(tmp_path):
     cfg = lab.ExperimentConfig.from_dict({
         "pipeline": "annulus", "system": "CK(3)", "lambda0": 0.1,
@@ -216,3 +233,29 @@ def test_cli_q2(tmp_path):
                   "--seed", "9"], tmp_path)
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "o" / "q2_census.csv").exists()
+
+
+_NO_SCIPY = """
+import sys
+import cyclelab, cyclelab.cli
+from cyclelab import cycles, lab
+from cyclelab.field import ck_system, gradient_collapse_family
+from cyclelab.poly2 import parse_poly
+X = gradient_collapse_family(ck_system(3), parse_poly("1 - x^2 - y^2"), 0.02)
+section = cycles.section_for_field(ck_system(1), (1.0, 0.0))
+assert len(cycles.find_cycles(X, section, (-0.3, 0.3), 25)) == 3
+cfg = lab.ExperimentConfig.from_dict({"pipeline": "split-theorem1", "system": "CK(3)"})
+assert lab.run_pipeline(cfg).all_passed
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_census_and_split_pipeline_load_no_scipy(tmp_path):
+    # SciPy costs most of an interpreter's start-up; only return_map_derivative,
+    # perko_derivative and the surrogate spline may import it, inside the call
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True,
+                       text=True, cwd=tmp_path, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
