@@ -253,39 +253,39 @@ def divergence_integral_terms(X: PolyVectorField, R: Poly2, lam: float,
     return i_base, i_grad, i_lap
 
 
-def _brentq(f, xa, xb, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
-    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), and the
-    number of f calls it took.
+_BRENT_XTOL = 1e-12
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa, xb, fa, fb):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), given
+    fa = f(xa) and fb = f(xb), and the number of f calls it made.
 
     A port of SciPy's C brentq, operation for operation, so root and call
-    count equal those of scipy.optimize.brentq(..., full_output=True) bit for
-    bit. Raises ValueError when f(xa) and f(xb) have the same sign or f
-    returns NaN, and RuntimeError after maxiter iterations.
+    count equal those of scipy.optimize.brentq(f, xa, xb, xtol=1e-12,
+    full_output=True) bit for bit, less the two calls SciPy spends on the
+    bracket ends. Raises ValueError when fa and fb have the same sign or f
+    returns NaN, and RuntimeError after _BRENT_MAXITER iterations.
     """
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x:.6g} is NaN")
-        return fx
-
     xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(fa), float(fb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    calls = 2
+    calls = 0
     if fpre == 0:
         return xpre, calls
     if fcur == 0:
         return xcur, calls
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur, calls
@@ -304,9 +304,11 @@ def _brentq(f, xa, xb, xtol, rtol=4 * sys.float_info.epsilon, maxiter=100):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        fcur = float(f(xcur))
         calls += 1
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur:.6g} is NaN")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
 def find_cycles(X, section, xi_range, n_seeds: int = 25,
@@ -337,18 +339,11 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25,
             roots.append((xa, None))
             continue
         if np.sign(da) * np.sign(db) < 0:
-            def d(xi):
-                # _brentq evaluates both bracket ends again; d is deterministic
-                if xi == xa:
-                    return da
-                if xi == xb:
-                    return db
-                return displacement(X, section, xi, tol)
             try:
-                root, calls = _brentq(d, xa, xb, xtol=1e-12)
+                roots.append(_brentq(lambda xi: displacement(X, section, xi, tol),
+                                     xa, xb, da, db))
             except flow.OrbitFailure:
                 continue
-            roots.append((root, calls - 2))
     if vals[-1] == 0.0:
         roots.append((seeds[-1], None))
     roots.sort(key=lambda r: r[0])

@@ -35,8 +35,8 @@ from .discriminant import (
     root_count_congruence,
 )
 from .bernstein import (
-    SampledField, bernstein_fit, cr_error, error_table_csv, jets, mesh,
-    min_degree_for_tolerance,
+    DEFAULT_GRID_DENSITY, SampledField, bernstein_fit, cr_error, error_table_csv,
+    jets, mesh, min_degree_for_tolerance,
 )
 from .field import PolyVectorField, gradient_collapse_family, parse_field, rotate_family
 from .registry import default_section_base, exact_vanishing_poly, canonical_function
@@ -643,18 +643,17 @@ def _run_bernstein(config, X, out_dir):
         table.append({"m": m, "n": m,
                       "errors": {f"{i}{j}": v for (i, j), v in sorted(errs.items())}})
     first, last = rows[0][2], rows[-1][2]
-    # an order whose exact error is zero keeps only rounding, which a
-    # |k|-th derivative of a degree-m fit amplifies by about (2m)^|k|; such
-    # orders cannot shrink and are exempt from the strict test
-    scale = max(max(errs.values()) for _, _, errs in rows)
+    # an order whose exact error is zero keeps only rounding: eps times the
+    # size of f, which a |k|-th derivative of a degree-m fit amplifies by
+    # about (2m)^|k|; such orders cannot shrink and are exempt from the
+    # strict test
+    size = float(np.max(np.abs(f.value(*mesh(config.bern_box, DEFAULT_GRID_DENSITY)))))
     m_max = max(m for m, _, _ in rows)
-    at_floor = sorted(
-        k for k in first
-        if max(first[k], last[k]) <= np.finfo(float).eps * (2 * m_max) ** sum(k) * scale
-    )
+    floor = {k: np.finfo(float).eps * (2 * m_max) ** sum(k) * size for k in first}
+    at_floor = sorted(k for k in first if max(first[k], last[k]) <= floor[k])
     payload = {"function": config.bern_function, "box": list(config.bern_box),
                "table": table,
-               "rounding_floor_orders": [f"{i}{j}" for i, j in at_floor]}
+               "rounding_floor_orders": {f"{i}{j}": floor[i, j] for i, j in at_floor}}
     checks = {
         "all_orders_shrink": all(last[k] < first[k] for k in first if k not in at_floor),
     }

@@ -114,9 +114,10 @@ def _scipy_brentq(f, a, b, **kwargs):
     return root.hex(), info.function_calls
 
 
-def _port_brentq(f, a, b, **kwargs):
-    root, calls = cy._brentq(f, a, b, xtol=1e-12, **kwargs)
-    return root.hex(), calls
+def _port_brentq(f, a, b):
+    # the port takes the end values; SciPy counts the two calls they cost
+    root, calls = cy._brentq(f, a, b, f(a), f(b))
+    return root.hex(), calls + 2
 
 
 _BRENT_CASES = {
@@ -151,13 +152,17 @@ def test_brentq_port_matches_scipy_on_random_brackets(a, b, k):
     assert _port_brentq(f, a, b) == ref
 
 
-def test_brentq_port_errors_match_scipy():
+def test_brentq_port_errors_match_scipy(monkeypatch):
     same_sign = lambda x: x * x + 1.0  # noqa: E731
+    steep = _BRENT_CASES["steep_tanh"][0]
     for solve in (_scipy_brentq, _port_brentq):
         with pytest.raises(ValueError):
             solve(same_sign, -1.0, 1.0)
-        with pytest.raises(RuntimeError):
-            solve(_BRENT_CASES["steep_tanh"][0], -1.0, 1.0, maxiter=3)
+    with pytest.raises(RuntimeError):
+        _scipy_brentq(steep, -1.0, 1.0, maxiter=3)
+    monkeypatch.setattr(cy, "_BRENT_MAXITER", 3)
+    with pytest.raises(RuntimeError):
+        _port_brentq(steep, -1.0, 1.0)
 
 
 def test_find_cycles_drops_a_root_whose_solve_fails(ck, section, monkeypatch):

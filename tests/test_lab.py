@@ -136,7 +136,12 @@ def test_bernstein_default_config_passes():
     # rounding is left there, and rounding grows with the degree
     rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({"pipeline": "bernstein-study"}))
     assert rep.checks["all_orders_shrink"]
-    assert rep.payload["rounding_floor_orders"] == ["11"]
+    floors = rep.payload["rounding_floor_orders"]
+    assert list(floors) == ["11"]
+    # eps * (2 * 160)^2 * max|f|, with max|f| = 7 on the default box
+    assert floors["11"] == pytest.approx(np.finfo(float).eps * 320 ** 2 * 7.0, rel=1e-12)
+    # the (1,1) errors sit at least 100 times below their floor
+    assert max(row["errors"]["11"] for row in rep.payload["table"]) * 100 < floors["11"]
     assert rep.all_passed
 
 
@@ -144,7 +149,7 @@ def test_bernstein_rounding_floor_exempts_only_floor_orders():
     rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({
         "pipeline": "bernstein-study", "bern_degrees": [40, 10],
     }))
-    assert rep.payload["rounding_floor_orders"] == ["11"]
+    assert list(rep.payload["rounding_floor_orders"]) == ["11"]
     assert not rep.checks["all_orders_shrink"]  # every other order grows
 
 
