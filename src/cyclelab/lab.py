@@ -51,7 +51,9 @@ class _SplineCurve:
     """Periodic cubic spline through a closed cycle polyline."""
 
     def __init__(self, times, points):
-        from scipy.interpolate import CubicSpline  # only the surrogate split needs SciPy
+        # only the surrogate split needs SciPy
+        from scipy.interpolate import CubicSpline
+        from scipy.spatial import cKDTree
 
         pts = np.array(points, dtype=float)
         t = np.array(times, dtype=float)
@@ -64,17 +66,12 @@ class _SplineCurve:
         dense = np.linspace(0.0, self.T, 1024, endpoint=False)
         self.dense_t = dense
         self.dense_pts = np.stack([self.sx(dense), self.sy(dense)], axis=1)
-
-    def gamma(self, t):
-        t = np.mod(t, self.T)
-        return np.stack([self.sx(t), self.sy(t)], axis=-1)
+        self.tree = cKDTree(self.dense_pts)
 
     def nearest_parameter(self, q: np.ndarray) -> np.ndarray:
-        """Newton-refined arg-min of |q - gamma(t)| for query points (M, 2)."""
-        ox = q[:, 0, None] - self.dense_pts[None, :, 0]
-        oy = q[:, 1, None] - self.dense_pts[None, :, 1]
-        d2 = ox * ox + oy * oy
-        t = self.dense_t[np.argmin(d2, axis=1)]
+        """Parameters of the nearest curve points to query points (M, 2):
+        Newton on the foot-point condition, started at the nearest dense point."""
+        t = self.dense_t[self.tree.query(q)[1]]
         for _ in range(6):
             gx, gy = self.sx(t), self.sy(t)
             dx, dy = self.dsx(t), self.dsy(t)
@@ -153,20 +150,16 @@ def build_numeric_F(cycle: cy.LimitCycle, window_width: float) -> SampledField:
         shape = np.broadcast_shapes(x.shape, y.shape)
         q = np.stack([np.broadcast_to(x, shape).ravel(),
                       np.broadcast_to(y, shape).ravel()], axis=1)
-        out = np.empty(len(q))
-        for lo in range(0, len(q), 4096):
-            sl = slice(lo, lo + 4096)
-            qs = q[sl]
-            t = curve.nearest_parameter(qs)
-            gx, gy = curve.sx(t), curve.sy(t)
-            dx, dy = curve.dsx(t), curve.dsy(t)
-            rx, ry = qs[:, 0] - gx, qs[:, 1] - gy
-            dist = np.hypot(rx, ry)
-            wedge = dx * ry - dy * rx  # >0 means left of the tangent
-            sign = -np.sign(orient * wedge)
-            sign = np.where(sign == 0.0, 1.0, sign)
-            w = 1.0 - _smoothstep5((dist - half) / half)
-            out[sl] = sign * dist * w
+        t = curve.nearest_parameter(q)
+        gx, gy = curve.sx(t), curve.sy(t)
+        dx, dy = curve.dsx(t), curve.dsy(t)
+        rx, ry = q[:, 0] - gx, q[:, 1] - gy
+        dist = np.hypot(rx, ry)
+        wedge = dx * ry - dy * rx  # >0 means left of the tangent
+        sign = -np.sign(orient * wedge)
+        sign = np.where(sign == 0.0, 1.0, sign)
+        w = 1.0 - _smoothstep5((dist - half) / half)
+        out = sign * dist * w
         if shape == ():
             return float(out[0])
         return out.reshape(shape)

@@ -50,6 +50,34 @@ def test_numeric_f_derivative_consistency(ck3_numeric_F):
     assert ck3_numeric_F.check_consistency(n_points=10) < 1e-4
 
 
+def _argmin_nearest_parameter(curve, q):
+    """Foot-point search started from a brute-force arg-min over the dense
+    points, the reference for the k-d tree start."""
+    ox = q[:, 0, None] - curve.dense_pts[None, :, 0]
+    oy = q[:, 1, None] - curve.dense_pts[None, :, 1]
+    t = curve.dense_t[np.argmin(ox * ox + oy * oy, axis=1)]
+    for _ in range(6):
+        dx, dy = curve.dsx(t), curve.dsy(t)
+        rx, ry = q[:, 0] - curve.sx(t), q[:, 1] - curve.sy(t)
+        g = rx * dx + ry * dy
+        gp = -(dx * dx + dy * dy) + rx * curve.d2sx(t) + ry * curve.d2sy(t)
+        t = np.mod(t - np.where(np.abs(gp) > 1e-14, g / gp, 0.0), curve.T)
+    return t
+
+
+def test_numeric_f_tree_start_matches_argmin(ck3_numeric_F, monkeypatch):
+    # 70^2 = 4,900 points over the approximation box, which holds the whole
+    # window band around the cycle; the 2-jet comes from 15 value calls per point
+    F = ck3_numeric_F
+    X, Y = lab.mesh(F.box, 70)
+    got = lab.jets(F, 2, X, Y)
+    monkeypatch.setattr(lab._SplineCurve, "nearest_parameter", _argmin_nearest_parameter)
+    want = lab.jets(F, 2, X, Y)
+    assert np.count_nonzero(want[(0, 0)]) > 1000
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+
+
 def test_surrogate_lambda_calibration(ck_cycles, ck3_numeric_F):
     F_ref = exact_vanishing_poly("CK(3)")
     lam = lab.surrogate_lambda(0.02, F_ref, ck3_numeric_F, ck_cycles[3])
