@@ -47,25 +47,39 @@ def _check_box(box) -> tuple[float, float, float, float]:
     return ax, bx, ay, by
 
 
+def _power(b, m: int):
+    """b**m by repeated squaring, for a float or elementwise for an array.
+
+    Both take the same multiplications, so a float and an array entry round
+    alike; NumPy's vectorised power and Python's ** can differ in the last
+    bit.
+    """
+    out = 1.0
+    while m:
+        if m & 1:
+            out = out * b
+        m >>= 1
+        if m:
+            b = b * b
+    return out
+
+
 def _basis_row_scalar(m: int, u: float) -> np.ndarray:
-    """Scalar fast path of the basis recurrence.
+    """Scalar fast path of bernstein_basis_row, for one float u.
 
     The running product b^m * f_0 * f_1 * ... is one sequential cumprod over
     [b^m, f_0, ..., f_{m-1}], so every entry is rounded exactly as in the
-    one-at-a-time recurrence.
+    one-at-a-time recurrence. b is the larger of u and 1-u in magnitude, so it
+    is at least 1/2 for finite u and never zero.
     """
     v = 1.0 - u
     flip = abs(u) > abs(v)
     a, b = (v, u) if flip else (u, v)
-    if b == 0.0:
-        out = np.zeros(m + 1)
-        out[0] = 1.0
-    else:
-        i = np.arange(m, dtype=float)
-        out = np.empty(m + 1)
-        out[0] = b**m
-        out[1:] = (a / b) * (m - i) / (i + 1.0)
-        np.multiply.accumulate(out, out=out)
+    i = np.arange(m, dtype=float)
+    out = np.empty(m + 1)
+    out[0] = _power(b, m)
+    out[1:] = (m - i) / (i + 1.0) * (a / b)
+    np.multiply.accumulate(out, out=out)
     return out[::-1].copy() if flip else out
 
 
@@ -75,41 +89,22 @@ def bernstein_basis_row(m: int, u) -> np.ndarray:
     Computed by the direction-switched multiplicative recurrence
     b_{i+1} = b_i * ((m-i)/(i+1)) * (u/(1-u)); every value is a product of
     exact ratios, so there is no cancellation and the relative error stays
-    at O(m * eps) for any real u (including outside [0, 1]).
+    at O(m * eps) for any real u (including outside [0, 1]). Each row has
+    the bits of _basis_row_scalar at its point, which serves a single point.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    n_pts = u.size
-    if n_pts == 1:
+    if u.size == 1:
         return _basis_row_scalar(m, float(u[0]))[None, :]
-    B = np.empty((n_pts, m + 1))
-    if m == 0:
-        B[:] = 1.0
-        return B
     v = 1.0 - u
-    # forward sweep where |1-u| dominates, backward sweep otherwise
-    fwd = np.abs(v) >= np.abs(u)
-    for mask, flip in ((fwd, False), (~fwd, True)):
-        if not mask.any():
-            continue
-        uu = u[mask] if not flip else v[mask]
-        vv = v[mask] if not flip else u[mask]
-        rows = np.empty((uu.size, m + 1))
-        rows[:, 0] = vv**m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(vv != 0.0, uu / np.where(vv == 0.0, 1.0, vv), 0.0)
-        acc = rows[:, 0].copy()
-        for i in range(m):
-            acc = acc * ratio * ((m - i) / (i + 1.0))
-            rows[:, i + 1] = acc
-        # vv == 0 means all mass on the last basis function
-        deg = np.nonzero(vv == 0.0)[0]
-        if deg.size:
-            rows[deg] = 0.0
-            rows[deg, m] = 1.0
-        if flip:
-            rows = rows[:, ::-1]
-        B[mask] = rows
-    return B
+    flip = np.abs(u) > np.abs(v)
+    a, b = np.where(flip, v, u), np.where(flip, u, v)
+    i = np.arange(m, dtype=float)
+    # one column per point: the running products walk contiguous rows
+    C = np.empty((m + 1, u.size))
+    C[0] = _power(b, m)
+    np.multiply(((m - i) / (i + 1.0))[:, None], a / b, out=C[1:])
+    np.multiply.accumulate(C, axis=0, out=C)
+    return np.where(flip, C[::-1], C).T
 
 
 def _binom_log(n: int) -> np.ndarray:

@@ -90,6 +90,16 @@ def test_bernstein_partition_of_unity():
         assert np.max(np.abs(B.sum(axis=1) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 170, 340])
+def test_basis_rows_match_scalar_recurrence(m):
+    # the array path is the scalar recurrence row by row, to the last bit
+    rng = np.random.default_rng(m)
+    u = np.concatenate([rng.uniform(0.0, 1.0, 300), rng.uniform(-1.0, 2.0, 300),
+                        [0.0, 0.5, 1.0, 1e-300]])
+    rows = np.array([p2._basis_row_scalar(m, x) for x in u.tolist()])
+    assert np.array_equal(p2.bernstein_basis_row(m, u), rows)
+
+
 def test_two_forms_agree_on_box():
     rng = np.random.default_rng(11)
     box = (-2.0, 2.0, -2.0, 2.0)
