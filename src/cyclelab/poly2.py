@@ -379,10 +379,8 @@ def _product_bernstein(p: Poly2, q: Poly2) -> Poly2:
     Each output coefficient is a convex combination of input products
     (Vandermonde identity), so the per-entry relative error is O(m^2 eps);
     FFT convolution is avoided because the weight dynamic range would mix
-    scales across entries.
+    scales across entries. p and q share one box.
     """
-    if p.box != q.box:
-        q = reparametrize_box(q, p.box)
     m1, n1 = p.bernstein_degrees
     m2, n2 = q.bernstein_degrees
     wlogs = {}
@@ -469,43 +467,28 @@ def to_monomial(p: Poly2) -> Poly2:
     return Poly2.monomial(coeffs)
 
 
-def arith(p: Poly2, q: Poly2, op: str, c: float | None = None) -> Poly2:
-    """Polynomial arithmetic: op in {'add', 'mul', 'scale'}.
+def _in_one_bernstein_box(p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
+    """p and q in the Bernstein basis over one box (p's, where p has one).
 
-    Mixed-basis operands are unified in the Bernstein basis (the stable
-    conversion direction), keeping high-degree Bernstein operands usable.
+    Mixed-basis operands meet in the Bernstein basis, the stable conversion
+    direction, which keeps high-degree Bernstein operands usable.
     """
-    if op == "scale":
-        if c is None:
-            raise ValueError("scale needs the scalar c")
-        if p.basis == "monomial":
-            return Poly2.monomial({k: v * c for k, v in p.coeffs.items()})
-        return Poly2.bernstein(p.grid * c, p.box)
-    if op not in ("add", "mul"):
-        raise ValueError(f"unknown op {op!r}")
-
-    if p.basis == "monomial" and q.basis == "monomial":
-        if op == "add":
-            out = dict(p.coeffs)
-            for k, v in q.coeffs.items():
-                out[k] = out.get(k, 0.0) + v
-            return Poly2.monomial(out)
-        out = {}
-        for (i1, j1), c1 in p.coeffs.items():
-            for (i2, j2), c2 in q.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0.0) + c1 * c2
-        return Poly2.monomial(out)
-
-    # unify in bernstein form
     if p.basis == "monomial":
         p = to_bernstein(p, q.box)
     if q.basis == "monomial":
         q = to_bernstein(q, p.box)
     if p.box != q.box:
         q = reparametrize_box(q, p.box)
-    if op == "mul":
-        return _product_bernstein(p, q)
+    return p, q
+
+
+def add(p: Poly2, q: Poly2) -> Poly2:
+    if p.basis == q.basis == "monomial":
+        out = dict(p.coeffs)
+        for k, v in q.coeffs.items():
+            out[k] = out.get(k, 0.0) + v
+        return Poly2.monomial(out)
+    p, q = _in_one_bernstein_box(p, q)
     m = max(p.bernstein_degrees[0], q.bernstein_degrees[0])
     n = max(p.bernstein_degrees[1], q.bernstein_degrees[1])
     return Poly2.bernstein(
@@ -513,16 +496,21 @@ def arith(p: Poly2, q: Poly2, op: str, c: float | None = None) -> Poly2:
     )
 
 
-def add(p: Poly2, q: Poly2) -> Poly2:
-    return arith(p, q, "add")
-
-
 def mul(p: Poly2, q: Poly2) -> Poly2:
-    return arith(p, q, "mul")
+    if p.basis == q.basis == "monomial":
+        out = {}
+        for (i1, j1), c1 in p.coeffs.items():
+            for (i2, j2), c2 in q.coeffs.items():
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0.0) + c1 * c2
+        return Poly2.monomial(out)
+    return _product_bernstein(*_in_one_bernstein_box(p, q))
 
 
 def scale(p: Poly2, c: float) -> Poly2:
-    return arith(p, p, "scale", c)
+    if p.basis == "monomial":
+        return Poly2.monomial({k: v * c for k, v in p.coeffs.items()})
+    return Poly2.bernstein(p.grid * c, p.box)
 
 
 def _decasteljau_split(c: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
