@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow
-from .cycles import LimitCycle, Section, crossing_sign
+from .cycles import DEFAULT_T_MAX, LimitCycle, Section, crossing_sign
 from .field import PolyVectorField, rotate_family
 
 
@@ -113,7 +113,7 @@ def _arc(Z, section, xi_from, tol, n_samples):
     p0 = section.point_at(xi_from)
     sign = crossing_sign(Z, section)
     t_ret, p_ret, orbit = flow._crossing_orbit(
-        Z, p0, section, sign, t_max=400.0, tol=tol, t_offset=1e-6
+        Z, p0, section, sign, t_max=DEFAULT_T_MAX, tol=tol, t_offset=1e-6
     )
     ts = np.linspace(0.0, t_ret, n_samples)
     pts = orbit.eval(ts)

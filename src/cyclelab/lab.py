@@ -126,6 +126,9 @@ def build_numeric_F(cycle: cy.LimitCycle, window_width: float) -> SampledField:
     negative on the interior component (matching the section coordinate).
     A C^2 polynomial window equals 1 within window_width/2 of the cycle and 0
     beyond window_width, standing in for a smooth extension to the plane.
+    The distance is measured to the foot point on a periodic cubic spline
+    through the cycle: Newton's method started from the nearest of 1,024
+    spline points, found with a k-d tree, for all query points in one batch.
     Derivatives come from central differences.
 
     Raises WindowTooWide when the window reaches the cycle's cut locus
