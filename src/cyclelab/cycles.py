@@ -114,7 +114,7 @@ def orientation_sign(X: PolyVectorField, point) -> int:
 
 
 def crossing_sign(X: PolyVectorField, section: Section) -> int:
-    p, q = X(section.base[0], section.base[1])
+    p, q = X.rhs()(float(section.base[0]), float(section.base[1]))
     s = np.dot([p, q], section.normal)
     if s == 0:
         raise ValueError("flow tangent to the section at its base")
@@ -219,9 +219,11 @@ def _quad_over_cycle(cycle: LimitCycle, integrand: Callable, tol: float = 1e-10,
     while panels <= max_panels:
         total = 0.0
         edges = np.linspace(0.0, T, panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            ts = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            pts = orbit.eval(ts)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        level = orbit.eval(0.5 * (hi - lo) * nodes + 0.5 * (lo + hi))
+        # one integrand call per panel: a Bernstein polynomial's values
+        # depend in their last bits on how many points it is evaluated at
+        for a, b, pts in zip(edges[:-1], edges[1:], level):
             total += 0.5 * (b - a) * float(np.sum(wts * integrand(pts[:, 0], pts[:, 1])))
         if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
             return total

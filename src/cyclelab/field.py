@@ -47,9 +47,11 @@ class PolyVectorField:
     def rhs(self):
         """The field as one function (x, y) -> (P(x, y), Q(x, y)) on floats.
 
-        Built once per field. Monomial fields get generated straight-line
-        code whose values are bit-identical to eval_poly's; Bernstein fields
-        on one box share their basis rows between the two components.
+        Built once per field. A monomial field compiles each component
+        into one Horner expression (poly2._horner_source), cut into
+        statements only every 64 nesting levels, whose values are
+        bit-identical to eval_poly's; Bernstein fields on one box share
+        their basis rows between the two components.
         """
         return self._evaluator
 

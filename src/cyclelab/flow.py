@@ -82,14 +82,6 @@ _D = (
 )
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
-# The dense output's basis: F_i multiplies s^a (1 - s)^b, (a, b) = _DENSE_POWERS[i].
-# _TO_BERNSTEIN[j - 1][i] is the j-th degree-7 Bernstein coefficient on [0, 1]
-# of that product, for the interior j = 1..6.
-_DENSE_POWERS = ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3))
-_TO_BERNSTEIN = tuple(
-    tuple(math.comb(7 - a - b, j - a) / math.comb(7, j) if 0 <= j - a <= 7 - a - b else 0.0
-          for a, b in _DENSE_POWERS)
-    for j in range(1, 7))
 # a dip below the section whose two crossings lie closer than this in s
 # counts as a touch, not as two crossings
 _ROOT_RESOLUTION = 2.0 ** -24
@@ -137,17 +129,29 @@ class Orbit:
         return float(self.times[-1])
 
     def eval(self, t):
-        """Dense-output evaluation at scalar or array t."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t_arr.size, 2))
-        idx = np.clip(np.searchsorted(self.times[1:], t_arr, side="left"), 0,
+        """Dense-output evaluation at scalar or array t, shaped t's shape + (2,).
+
+        One NumPy Horner over all times, with the operations of _Step.at in
+        its order, so every value has _Step.at's bits. Each time falls in
+        the step that ends at or after it (clamped to the first and the
+        last), and only those steps build their dense output.
+        """
+        t = np.asarray(t, dtype=float)
+        ts = t.ravel()
+        idx = np.clip(np.searchsorted(self.times[1:], ts, side="left"), 0,
                       len(self._segments) - 1)
-        for k, (i, tk) in enumerate(zip(idx.tolist(), t_arr.tolist())):
-            step = self._segments[i]
-            out[k] = step.at((tk - step.t_old) / step.h)
-        if np.isscalar(t) or np.asarray(t).shape == ():
-            return out[0]
-        return out.reshape(np.shape(t) + (2,))
+        used, where = np.unique(idx, return_inverse=True)
+        steps = [self._segments[i] for i in used.tolist()]
+        # one row per time: t_old, h, x_old, y_old, F0x..F6x, F0y..F6y
+        rows = np.array([(step.t_old, step.h, *step.y_old, *step.F[0], *step.F[1])
+                         for step in steps], dtype=float).reshape(-1, 18)[where]
+        s = (ts - rows[:, 0]) / rows[:, 1]
+        r = 1 - s
+        out = np.empty((ts.size, 2))
+        for k, f in enumerate((rows[:, 4:11].T, rows[:, 11:18].T)):
+            out[:, k] = ((((((((f[6] * s + f[5]) * r + f[4]) * s + f[3]) * r + f[2]) * s + f[1])
+                           * r + f[0]) * s) + rows[:, 2 + k])
+        return out.reshape(t.shape + (2,))
 
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         ts = np.linspace(self.times[0], self.t_end, n)
@@ -402,22 +406,43 @@ def _line_roots(step, bx, by, nx, ny):
     """Ascending s in [0, 1] where the step's interpolant crosses the section line.
 
     With s = (t - t_old) / h the normal coordinate of the interpolant is
-    g(s) = g0 + sum_i c_i s^a (1 - s)^b, c_i = n . F_i, a degree-7 polynomial.
-    Each basis product lies in [0, 1], so |g0| > sum_i |c_i| rules a step out
-    when both ends lie on one side. Otherwise the roots come from g's
-    Bernstein coefficients on [0, 1] (see _bernstein_roots). The end values
-    g0 and g1 are taken from the step's end points themselves, so a step and
-    the next one agree on the sign where they meet.
+    g(s) = g0 + sum_i c_i s^a (1 - s)^b, c_i = n . F_i, a degree-7 polynomial;
+    F_i multiplies s^a (1 - s)^b with (a, b) = (1, 0), (1, 1), (2, 1),
+    (2, 2), (3, 2), (3, 3), (4, 3) for i = 0..6. Each product lies in
+    [0, 1], so |g0| > sum_i |c_i| rules a step out when both ends lie on one
+    side. Otherwise the roots come from g's Bernstein coefficients on [0, 1]
+    (see _bernstein_roots): the j-th is g0 + sum_i c_i C(7-a-b, j-a) / C(7, j),
+    summed in the order of i, where the products with a nonzero weight,
+    a <= j <= 7 - b, are the ones written out below. The end values g0 and
+    g1 are taken from the step's end points themselves, so a step and the
+    next one agree on the sign where they meet.
     """
     x, y = step.y_old
     g0 = (x - bx) * nx + (y - by) * ny
     x, y = step.y
     g1 = (x - bx) * nx + (y - by) * ny
-    c = [nx * u + ny * v for u, v in zip(*step.F)]
-    if (g0 > 0 < g1 or g0 < 0 > g1) and abs(g0) > sum(map(abs, c)):
+    (f0x, f1x, f2x, f3x, f4x, f5x, f6x), (f0y, f1y, f2y, f3y, f4y, f5y, f6y) = step.F
+    c0 = nx * f0x + ny * f0y
+    c1 = nx * f1x + ny * f1y
+    c2 = nx * f2x + ny * f2y
+    c3 = nx * f3x + ny * f3y
+    c4 = nx * f4x + ny * f4y
+    c5 = nx * f5x + ny * f5y
+    c6 = nx * f6x + ny * f6y
+    if ((g0 > 0 < g1 or g0 < 0 > g1)
+            and abs(g0) > abs(c0) + abs(c1) + abs(c2) + abs(c3) + abs(c4) + abs(c5) + abs(c6)):
         return []
-    return _bernstein_roots([g0] + [g0 + sum(ci * m for ci, m in zip(c, row))
-                                    for row in _TO_BERNSTEIN] + [g1])
+    return _bernstein_roots((
+        g0,
+        g0 + (c0 * (1 / 7) + c1 * (1 / 7)),
+        g0 + (c0 * (2 / 7) + c1 * (5 / 21) + c2 * (1 / 21) + c3 * (1 / 21)),
+        g0 + (c0 * (3 / 7) + c1 * (2 / 7) + c2 * (4 / 35) + c3 * (3 / 35) + c4 * (1 / 35)
+              + c5 * (1 / 35)),
+        g0 + (c0 * (4 / 7) + c1 * (2 / 7) + c2 * (6 / 35) + c3 * (3 / 35) + c4 * (2 / 35)
+              + c5 * (1 / 35) + c6 * (1 / 35)),
+        g0 + (c0 * (5 / 7) + c1 * (5 / 21) + c2 * (4 / 21) + c3 * (1 / 21) + c4 * (1 / 21)),
+        g0 + (c0 * (6 / 7) + c1 * (1 / 7) + c2 * (1 / 7)),
+        g1))
 
 
 def _bernstein_roots(b):

@@ -261,37 +261,53 @@ def eval_poly(p: Poly2, x, y):
     return vals.reshape(shape)
 
 
-def _horner_lines(terms, acc: str, var: str) -> list[str]:
-    """Horner over terms (highest power first, None for a zero) as statements
-    that leave the value in acc; empty when every term is zero."""
-    lines = []
-    for c in terms:
-        if c is not None:
-            lines.append(f"{acc} = {c} + {acc}*{var}" if lines else f"{acc} = {c}")
-        elif lines:
-            lines.append(f"{acc} = {acc}*{var}")
-    if lines and terms[-1] is None:
-        lines.append(f"{acc} = {acc} + 0.0")
-    return lines
+# Python rejects an expression nested more than 200 parentheses deep, so a
+# Horner expression is cut into statements at this depth
+_MAX_NESTING = 64
 
 
 def _horner_source(p: Poly2, out: str) -> list[str]:
     """Python statements that leave eval_poly(p, x, y) in the variable out,
     for a monomial p and float x, y.
 
-    They unroll eval_poly's Horner loops operation for operation, leaving out
-    only what is exact on finite inputs: polyval's ``+ x*0`` start and the
-    additions of zero coefficients. c + h*x with c = 0 differs from h*x at
-    most in the sign of a zero, which the next nonzero coefficient absorbs;
-    where none follows, a final ``+ 0.0`` restores it. So the value is
-    bit-identical to eval_poly's at every finite point.
+    eval_poly's Horner loops become one expression, operation for operation:
+    each column's loop in x nests inside the loop in y over the columns. An
+    expression _MAX_NESTING parentheses deep is assigned to a variable and
+    continued from there, so only a polynomial of degree above 64 takes
+    more than one statement. Left out is only what is exact on finite
+    inputs: polyval's ``+ x*0`` start and the additions of zero
+    coefficients. c + h*x with c = 0 differs from h*x at most in the sign
+    of a zero, which the next nonzero coefficient absorbs; where none
+    follows, a final ``+ 0.0`` restores it. So the value is bit-identical
+    to eval_poly's at every finite point.
     """
-    lines, cols = [], []
-    for k, col in enumerate(p._horner_columns):
-        col_lines = _horner_lines([repr(c) if c else None for c in col], f"{out}{k}", "x")
-        lines += col_lines
-        cols.append(f"{out}{k}" if col_lines else None)
-    return lines + (_horner_lines(cols, out, "y") or [f"{out} = 0.0"])
+    lines = []
+
+    def horner(terms, var, name):
+        # Horner over terms (highest power first; each an (expression,
+        # nesting depth) pair, None for a zero) as (expression, depth), or
+        # None when every term is zero
+        expr = None
+        for term in terms:
+            if expr is None:
+                if term is not None:
+                    expr, depth = term
+                continue
+            if depth >= _MAX_NESTING:
+                lines.append(f"{name} = {expr}")
+                expr, depth = name, 0
+            if term is None:
+                expr, depth = f"({expr})*{var}", depth + 1
+            else:
+                expr, depth = f"{term[0]} + ({expr})*{var}", max(term[1], depth + 1)
+        if expr is not None and terms[-1] is None:
+            expr += " + 0.0"
+        return None if expr is None else (expr, depth)
+
+    cols = [horner([(repr(c), 0) if c else None for c in col], "x", f"{out}{k}")
+            for k, col in enumerate(p._horner_columns)]
+    value = horner(cols, "y", out)
+    return lines + [f"{out} = {value[0] if value else 0.0}"]
 
 
 def derivative(p: Poly2, axis: str, order: int = 1) -> Poly2:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from cyclelab import field as fd
@@ -176,8 +176,20 @@ _fields = st.one_of(st.builds(fd.PolyVectorField, _monomial, _monomial),
 _point = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
+# every exponent of total degree <= 30, with coefficients of both signs
+_DENSE_30 = fd.PolyVectorField(
+    Poly2.monomial({(i, j): (-1.0) ** (i * j) * (i + 2 * j + 1) / (j + 1) ** 2
+                    for i in range(31) for j in range(31 - i)}),
+    Poly2.monomial({(i, j): (0.37 * (i + 1) - j) / (i + j + 1)
+                    for i in range(31) for j in range(31 - i)}))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_fields, st.lists(st.tuples(_point, _point), min_size=1, max_size=5))
+@example(_DENSE_30, [(0.7, -0.4), (-1.2, 0.9), (1e-3, -1.5), (0.0, 0.0)])
+# degree 241: its Horner expression nests deeper than the 200 parentheses
+# Python's parser accepts, so it only compiles as several statements
+@example(fd.ck_system(120), [(0.6, 0.3), (-0.9, 0.5), (1.05, -0.2), (0.0, 1.0)])
 def test_compiled_rhs_is_eval_poly_bit_for_bit(X, points):
     rhs = X.rhs()
     assert X.rhs() is rhs  # compiled once per field

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -224,6 +225,105 @@ def test_stepper_matches_scipy_reference(ck, name, tol):
     assert counted.calls == ref.nfev
 
 
+def _eval_by_steps(orbit, t):
+    """Orbit.eval's reference: each time through its own step's _Step.at."""
+    ts = np.asarray(t, dtype=float).ravel()
+    idx = np.clip(np.searchsorted(orbit.times[1:], ts, side="left"), 0,
+                  len(orbit._segments) - 1)
+    out = np.empty((ts.size, 2))
+    for k, (i, tk) in enumerate(zip(idx.tolist(), ts.tolist())):
+        step = orbit._segments[i]
+        out[k] = step.at((tk - step.t_old) / step.h)
+    return out.reshape(np.shape(t) + (2,))
+
+
+@pytest.mark.parametrize("name", ["CK(3)", "vanderpol(1)"])
+def test_orbit_eval_matches_step_loop(ck, name):
+    X = {"CK(3)": ck[3], "vanderpol(1)": vanderpol(1.0)}[name]
+    orb = flow.integrate(X, (0.8, 0.1), 12.0)
+    rng = np.random.default_rng(7)
+    ts = np.concatenate([rng.uniform(0.0, orb.t_end, 300), orb.times,
+                         [0.0, orb.t_end, -0.5, -1e-9, orb.t_end + 1e-9, orb.t_end + 0.7]])
+    for t in (ts, ts[:60].reshape(6, 10), ts[:0], orb.t_end, 0.3, -0.5, np.float64(2.0),
+              np.array(7.5)):
+        got = orb.eval(t)
+        assert got.shape == np.shape(t) + (2,)
+        assert np.array_equal(got, _eval_by_steps(orb, t))
+
+
+def test_orbit_eval_builds_only_the_steps_it_needs(ck):
+    orb = flow.integrate(ck[3], (0.8, 0.1), 12.0)
+    i = len(orb._segments) // 2
+    step = orb._segments[i]
+    orb.eval(step.t_old + step.h * np.array([0.1, 0.5, 1.0]))
+    # the dense output costs 3 RHS calls per step it is built for
+    assert [k for k, s in enumerate(orb._segments) if s._F is not None] == [i]
+
+
+# The generic form of flow._line_roots: F_i multiplies s^a (1 - s)^b,
+# (a, b) = _DENSE_POWERS[i], and _TO_BERNSTEIN[j - 1][i] is the j-th
+# degree-7 Bernstein coefficient on [0, 1] of that product.
+_DENSE_POWERS = ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3))
+_TO_BERNSTEIN = tuple(
+    tuple(comb(7 - a - b, j - a) / comb(7, j) if 0 <= j - a <= 7 - a - b else 0.0
+          for a, b in _DENSE_POWERS)
+    for j in range(1, 7))
+
+
+def _sum(terms):
+    """sum() as Python 3.11 adds floats, left to right; from 3.12 on sum()
+    compensates the rounding."""
+    total = 0
+    for v in terms:
+        total = total + v
+    return total
+
+
+def _line_roots_generic(step, bx, by, nx, ny):
+    """(ruled out, roots) by lists and sums over _TO_BERNSTEIN."""
+    x, y = step.y_old
+    g0 = (x - bx) * nx + (y - by) * ny
+    x, y = step.y
+    g1 = (x - bx) * nx + (y - by) * ny
+    c = [nx * u + ny * v for u, v in zip(*step.F)]
+    if (g0 > 0 < g1 or g0 < 0 > g1) and abs(g0) > _sum(map(abs, c)):
+        return True, []
+    return False, flow._bernstein_roots([g0] + [g0 + _sum(ci * m for ci, m in zip(c, row))
+                                                for row in _TO_BERNSTEIN] + [g1])
+
+
+def test_line_roots_match_generic_formula(ck):
+    """The written-out crossing screen against its generic form, on CK(3)
+    and q2-perturbed orbits cut by random lines, lines tangent to the orbit
+    shifted slightly inward (two crossings in one step), and the one-step dip
+    of test_double_crossing_within_one_step."""
+    from cyclelab.discriminant import _perturb_coeffs
+
+    rng = np.random.default_rng(11)
+    cases = []
+    for X in [ck[3]] + [_perturb_coeffs(ck[3], rng, 1e-3) for _ in range(2)]:
+        orb = flow.integrate(X, (0.9, 0.0), 13.0)
+        for t in rng.uniform(0.0, orb.t_end, 40):
+            px, py = orb.eval(t)
+            angle = rng.uniform(0.0, 2 * np.pi)
+            cases.append((orb, px, py, np.cos(angle), np.sin(angle)))
+            # the orbit turns toward the origin: its tangent line moved 1e-4
+            # toward it is cut twice within about 0.03 in time
+            u, v = X.rhs()(px, py)
+            speed = np.hypot(u, v)
+            cases.append((orb, px - 1e-4 * px, py - 1e-4 * py, -v / speed, u / speed))
+    dip = PolyVectorField(parse_poly("1"), parse_poly("x"))
+    cases.append((flow.integrate(dip, (-5.0, 12.49), 15.0), 0.0, 0.0, 0.0, 1.0))
+    seen = {"ruled out": 0, 0: 0, 1: 0, 2: 0}
+    for orb, bx, by, nx, ny in cases:
+        bx, by, nx, ny = float(bx), float(by), float(nx), float(ny)
+        for step in orb._segments:
+            ruled_out, ref = _line_roots_generic(step, bx, by, nx, ny)
+            assert flow._line_roots(step, bx, by, nx, ny) == ref
+            seen["ruled out" if ruled_out else len(ref)] += 1
+    assert min(seen.values()) > 0, seen
+
+
 def _bernstein_product(p, q):
     """Bernstein coefficients on [0, 1] of the product of two polynomials given
     by theirs; an end coefficient is the product of the factors' end values."""
@@ -253,6 +353,20 @@ def _factors(simple, touch, pair, far):
     if len(bern) == 7:
         bern, power = _bernstein_product(bern, [-far, 1.0 - far]), P.polymul(power, [-far, 1.0])
     return bern, power
+
+
+def _polished_root(r, power):
+    """A real root of the power form, by Newton's method from r with every
+    value and slope computed exactly. np.roots' companion eigenvalues can be
+    2e-9 off where three roots 0.05 apart flank a lifted touch."""
+    c = [Fraction(v) for v in power]
+    for _ in range(4):
+        s = Fraction(r)
+        slope = sum(i * v * s ** (i - 1) for i, v in enumerate(c) if i)
+        if slope == 0:
+            break
+        r = float(s - sum(v * s ** i for i, v in enumerate(c)) / slope)
+    return r
 
 
 @settings(max_examples=300, deadline=None)
@@ -289,7 +403,8 @@ def test_bernstein_roots_match_np_roots(interior, jitter, ends, touch, pair, far
     got = flow._bernstein_roots([sign * size * v for v in bern])
 
     ref = np.roots(sign * size * power[::-1])
-    ref = np.sort(ref.real[(np.abs(ref.imag) < 1e-7) & (ref.real > -1e-9) & (ref.real < 1 + 1e-9)])
+    ref = [_polished_root(r, power) for r in ref.real[np.abs(ref.imag) < 1e-7]]
+    ref = sorted(r for r in ref if -1e-9 < r < 1 + 1e-9)
     if touch_at is not None:
         assert all(abs(s - touch_at) > 1e-5 for s in got)
     assert len(got) == len(ref) == len(ends) + len(points)
