@@ -1,7 +1,8 @@
 """Splitting through the full numeric surrogate path (takes a few minutes).
 
 When no exact polynomial vanishing on the cycle is available, the pipeline
-builds one: the windowed signed distance to the cycle polyline is sampled,
+builds one: the windowed signed distance to the cycle (measured on the
+cycle's own orbit, with exact derivatives from the field) is sampled,
 a tensor Bernstein fit of diagonal degree chosen by a derivative-controlled
 tolerance search stands in for it, and the gradient-collapse family built
 from that polynomial splits the cycle. On CK(3) the surrogate run can be

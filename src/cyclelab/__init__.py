@@ -23,7 +23,7 @@ from .flow import Orbit, integrate, next_section_crossing               # noqa: 
 from .cycles import (                                                   # noqa: F401,E402
     Section, LimitCycle, section_for_field, return_map, displacement,
     find_cycles, multiplicity, characteristic_exponent,
-    divergence_integral_terms, perko_derivative, return_map_derivative,
+    divergence_integral_terms, perko_derivative,
     theorem1_splitting, build_cycle,
 )
 from .annulus import Annulus, build_trapping_annulus, verify_annulus    # noqa: F401,E402

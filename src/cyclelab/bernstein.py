@@ -17,6 +17,8 @@ from .poly2 import Poly2, derivative
 
 # grid density is odd by default so symmetric boxes sample their center exactly
 DEFAULT_GRID_DENSITY = 101
+# central-difference step of first derivatives; second derivatives use 2e-4
+_FD_STEP = 1e-5
 
 
 class InsufficientDerivatives(Exception):
@@ -46,7 +48,6 @@ class SampledField:
     box: tuple[float, float, float, float]
     r_max: int = 2
     derivs: dict[tuple[int, int], Callable] = field(default_factory=dict)
-    fd_step: float = 1e-5
 
     def derivative(self, i: int, j: int, x, y):
         if i + j > self.r_max:
@@ -61,7 +62,7 @@ class SampledField:
 
     def _fd(self, i, j, x, y):
         # second-order stencils; step balanced against roundoff per order
-        h = self.fd_step if i + j == 1 else max(self.fd_step, 2e-4)
+        h = _FD_STEP if i + j == 1 else 2e-4
         if i > 0:
             base = (lambda xx, yy: self._fd(i - 1, j, xx, yy)) if i + j > 1 else self.value
             if i + j == 2 and (i, j) == (2, 0):

@@ -29,6 +29,8 @@ DEFAULT_T_MAX = 400.0
 # cycle location works one decade below the flow default so located fixed
 # points satisfy the 1e-10 displacement-residual contract
 DEFAULT_CYCLE_TOL = 1e-11
+# LimitCycle.points: samples of the cycle's orbit at equal time steps
+_CYCLE_SAMPLES = 1024
 
 
 class Inconclusive(Exception):
@@ -194,12 +196,12 @@ class LimitCycle:
             fh.write("\n".join(lines) + "\n")
 
 
-def build_cycle(X, section, xi_star, tol=DEFAULT_CYCLE_TOL, n_samples=1024) -> LimitCycle:
+def build_cycle(X, section, xi_star, tol=DEFAULT_CYCLE_TOL) -> LimitCycle:
     period, _, orbit = flow._crossing_orbit(
         X, section.point_at(xi_star), section, crossing_sign(X, section),
         t_max=DEFAULT_T_MAX, tol=tol, t_offset=1e-6,
     )
-    ts = np.linspace(0.0, period, n_samples)
+    ts = np.linspace(0.0, period, _CYCLE_SAMPLES)
     cyc = LimitCycle(
         section=section, xi_star=float(xi_star), period=period,
         times=ts, points=orbit.eval(ts), exponent=0.0, _orbit=orbit,
@@ -443,58 +445,42 @@ def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0
     )
 
 
-def return_map_derivative(X: PolyVectorField, cycle: LimitCycle, tol: float = 1e-12) -> float:
-    """pi'(xi*) through the variational flow along the cycle.
-
-    Integrates the linearized equation delta' = DX(gamma(t)) delta over one
-    period and projects along the flow direction:
-    pi'(0) = [X(p) ^ Phi(T) u] / [X(p) ^ u] with u the section direction.
-    Numerically independent of the divergence quadrature, so the multiplier
-    identity exp(exponent) = pi'(xi*) is a genuine cross-check.
-    """
-    from scipy.integrate import solve_ivp
-
-    Px, Py, Qx, Qy = X.jacobian()
-
-    def rhs(t, z):
-        x, y, dx, dy = z
-        p, q = X(x, y)
-        return [p, q, Px(x, y) * dx + Py(x, y) * dy, Qx(x, y) * dx + Qy(x, y) * dy]
-
-    p0 = cycle.section.point_at(cycle.xi_star)
-    u = cycle.section.direction
-    sol = solve_ivp(rhs, [0.0, cycle.period], [p0[0], p0[1], u[0], u[1]],
-                    method="DOP853", rtol=tol, atol=tol)
-    x, y, dx, dy = sol.y[:, -1]
-    p, q = X(p0[0], p0[1])
-    wedge_num = p * dy - q * dx
-    wedge_den = p * u[1] - q * u[0]
-    return float(wedge_num / wedge_den)
-
-
 def perko_derivative(X: PolyVectorField, dX_dlam: PolyVectorField,
                      cycle: LimitCycle, tol: float = 1e-12) -> float:
     """Displacement-map lambda-derivative integral along the cycle.
 
-    integral over [0, T] of exp(-integral_0^t div X) * (X ^ dX/dlam) at
-    gamma(t); the overall nonzero constant of the underlying identity is
-    taken as 1, so only signs and ratios of this quantity are meaningful.
+    integral over [0, T] of exp(-A(t)) * (X ^ dX/dlam) at gamma(t), with
+    A(t) = integral_0^t div X (Perko, Differential Equations and Dynamical
+    Systems, 3rd ed., 4.5); the overall nonzero constant of the underlying
+    identity is taken as 1, so only signs and ratios of this quantity are
+    meaningful. Panelwise Gauss-Legendre on the cycle's orbit, doubling the
+    panels as _quad_over_cycle does until two levels agree to tol. A at a
+    node is the earlier panels' integrals plus a Gauss rule from the panel
+    start to the node.
     """
-    from scipy.integrate import solve_ivp
-
     div = divergence(X)
-
-    def rhs(t, z):
-        x, y, a, acc = z
-        p, q = X(x, y)
-        dp, dq = dX_dlam(x, y)
-        wedge = p * dq - q * dp
-        return [p, q, div(x, y), np.exp(-a) * wedge]
-
-    p0 = cycle.section.point_at(cycle.xi_star)
-    sol = solve_ivp(rhs, [0.0, cycle.period], [p0[0], p0[1], 0.0, 0.0],
-                    method="DOP853", rtol=tol, atol=tol)
-    return float(sol.y[3, -1])
+    nodes, wts = leggauss(10)
+    unit = 0.5 * (1.0 + nodes)  # the Gauss nodes on [0, 1]
+    prev = None
+    panels = 8
+    while panels <= 512:
+        edges = np.linspace(0.0, cycle.period, panels + 1)
+        lo, width = edges[:-1, None], np.diff(edges)
+        t = lo + width[:, None] * unit                   # (panels, 10)
+        sub = lo[..., None] + (t - lo)[..., None] * unit  # (panels, 10, 10) on [lo, t]
+        pts = cycle._orbit.eval(np.concatenate([t.ravel(), sub.ravel()]))
+        (x, y), (xs, ys) = pts[:t.size].T, pts[t.size:].T
+        panel_div = 0.5 * width * (div(x, y).reshape(t.shape) @ wts)
+        A = ((np.cumsum(panel_div) - panel_div)[:, None]
+             + 0.5 * (t - lo) * (div(xs, ys).reshape(sub.shape) @ wts))
+        (p, q), (dp, dq) = X(x, y), dX_dlam(x, y)
+        wedge = (p * dq - q * dp).reshape(t.shape)
+        total = float(np.sum(0.5 * width * ((np.exp(-A) * wedge) @ wts)))
+        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
+            return total
+        prev = total
+        panels *= 2
+    return prev
 
 
 @dataclass

@@ -47,49 +47,44 @@ class WindowTooWide(Exception):
 
 
 # ------------------------------------------------------------------ numeric F
-class _SplineCurve:
-    """Periodic cubic spline through a closed cycle polyline."""
+class _OrbitCurve:
+    """A cycle as its own orbit: gamma(t) is the orbit's dense output,
+    gamma' = X(gamma) and gamma'' = DX(gamma) X(gamma)."""
 
-    def __init__(self, times, points):
+    def __init__(self, X: PolyVectorField, cycle: cy.LimitCycle):
         # only the surrogate split needs SciPy
-        from scipy.interpolate import CubicSpline
         from scipy.spatial import cKDTree
 
-        pts = np.array(points, dtype=float)
-        t = np.array(times, dtype=float)
-        pts[-1] = pts[0]  # exact closure for the periodic boundary condition
-        self.T = float(t[-1])
-        self.sx = CubicSpline(t, pts[:, 0], bc_type="periodic")
-        self.sy = CubicSpline(t, pts[:, 1], bc_type="periodic")
-        self.dsx, self.dsy = self.sx.derivative(), self.sy.derivative()
-        self.d2sx, self.d2sy = self.dsx.derivative(), self.dsy.derivative()
-        dense = np.linspace(0.0, self.T, 1024, endpoint=False)
-        self.dense_t = dense
-        self.dense_pts = np.stack([self.sx(dense), self.sy(dense)], axis=1)
+        self.X, self.DX = X, X.jacobian()
+        self.orbit, self.T = cycle._orbit, cycle.period
+        self.dense_t = np.linspace(0.0, self.T, 1024, endpoint=False)
+        self.dense_pts = self.orbit.eval(self.dense_t)
         self.tree = cKDTree(self.dense_pts)
+
+    def jet(self, t):
+        """gamma, gamma' and gamma'' at times t, as (x, y, x', y', x'', y'')."""
+        x, y = self.orbit.eval(t).T
+        p, q = self.X(x, y)
+        Px, Py, Qx, Qy = (d(x, y) for d in self.DX)
+        return x, y, p, q, Px * p + Py * q, Qx * p + Qy * q
 
     def nearest_parameter(self, q: np.ndarray) -> np.ndarray:
         """Parameters of the nearest curve points to query points (M, 2):
         Newton on the foot-point condition, started at the nearest dense point."""
         t = self.dense_t[self.tree.query(q)[1]]
         for _ in range(6):
-            gx, gy = self.sx(t), self.sy(t)
-            dx, dy = self.dsx(t), self.dsy(t)
-            d2x, d2y = self.d2sx(t), self.d2sy(t)
+            gx, gy, dx, dy, d2x, d2y = self.jet(t)
             rx, ry = q[:, 0] - gx, q[:, 1] - gy
             g = rx * dx + ry * dy
             gp = -(dx * dx + dy * dy) + rx * d2x + ry * d2y
-            step = np.where(np.abs(gp) > 1e-14, g / gp, 0.0)
+            # gp = 0 where every curve point is a foot point (a circle's centre)
+            step = np.divide(g, gp, out=np.zeros_like(g), where=np.abs(gp) > 1e-14)
             t = np.mod(t - step, self.T)
         return t
 
     def max_curvature(self) -> float:
-        t = self.dense_t
-        dx, dy = self.dsx(t), self.dsy(t)
-        d2x, d2y = self.d2sx(t), self.d2sy(t)
-        speed = np.hypot(dx, dy)
-        kappa = np.abs(dx * d2y - dy * d2x) / np.maximum(speed**3, 1e-300)
-        return float(np.max(kappa))
+        _, _, dx, dy, d2x, d2y = self.jet(self.dense_t)
+        return float(np.max(np.abs(dx * d2y - dy * d2x) / np.hypot(dx, dy) ** 3))
 
     def ambiguous_at(self, width: float) -> bool:
         """Nearest-point ambiguity probe at the given offset distance.
@@ -100,10 +95,9 @@ class _SplineCurve:
         longer smooth there.
         """
         t = self.dense_t[::16]
-        dx, dy = self.dsx(t), self.dsy(t)
-        speed = np.maximum(np.hypot(dx, dy), 1e-300)
+        gx, gy, dx, dy, _, _ = self.jet(t)
+        speed = np.hypot(dx, dy)
         nx, ny = -dy / speed, dx / speed
-        gx, gy = self.sx(t), self.sy(t)
         for sgn in (+1.0, -1.0):
             q = np.stack([gx + sgn * width * nx, gy + sgn * width * ny], axis=1)
             t_back = self.nearest_parameter(q)
@@ -115,29 +109,31 @@ class _SplineCurve:
 
 
 def _smoothstep5(t):
+    """The quintic smoothstep and its first two derivatives, clamped to [0, 1]."""
     t = np.clip(t, 0.0, 1.0)
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    return (t * t * t * (10.0 + t * (-15.0 + 6.0 * t)),
+            30.0 * t * t * (1.0 - t) ** 2, 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t))
 
 
-def build_numeric_F(cycle: cy.LimitCycle, window_width: float) -> SampledField:
-    """Windowed signed distance to the cycle as a sampled scalar field.
+def build_numeric_F(X: PolyVectorField, cycle: cy.LimitCycle,
+                    window_width: float) -> SampledField:
+    """Windowed signed distance to the cycle of X as a sampled scalar field.
 
-    F vanishes on the cycle with unit-magnitude gradient there; the sign is
-    negative on the interior component (matching the section coordinate).
-    A C^2 polynomial window equals 1 within window_width/2 of the cycle and 0
-    beyond window_width, standing in for a smooth extension to the plane.
-    The distance is measured to the foot point on a periodic cubic spline
-    through the cycle: Newton's method started from the nearest of 1,024
-    spline points, found with a k-d tree, for all query points in one batch.
-    Derivatives come from central differences.
+    F = phi(d) = d w(|d|) vanishes on the cycle with unit-magnitude gradient
+    there; the signed distance d is negative on the interior component
+    (matching the section coordinate). The C^2 polynomial window w equals 1
+    within window_width/2 of the cycle and 0 beyond window_width, standing in
+    for a smooth extension to the plane. The foot point is found by Newton's
+    method on the cycle's orbit, started from the nearest of 1,024 orbit
+    points (a k-d tree). With N and t the unit normal and tangent there and
+    c = orient * kappa, the derivatives are exact: grad F = phi' N and
+    Hess F = phi' c/(1 + c d) t t^T + phi'' N N^T (Gilbarg & Trudinger 14.6).
 
     Raises WindowTooWide when the window reaches the cycle's cut locus
-    (radius of curvature, or half the self-approach gap of the polyline),
+    (radius of curvature, or half the self-approach gap of the cycle),
     where the nearest point stops being unique.
     """
-    if len(cycle.points) < 512:
-        raise ValueError("cycle polyline too coarse; need >= 512 points")
-    curve = _SplineCurve(cycle.times, cycle.points)
+    curve = _OrbitCurve(X, cycle)
     focal = 1.0 / curve.max_curvature()
     if window_width >= focal or curve.ambiguous_at(min(window_width, 0.999 * focal)):
         raise WindowTooWide(
@@ -146,37 +142,52 @@ def build_numeric_F(cycle: cy.LimitCycle, window_width: float) -> SampledField:
         )
     orient = an._orientation(cycle.points)
     half = window_width / 2.0
+    # bernstein.jets asks for each derivative at the same points in turn;
+    # one foot-point solve serves them all
+    last = [None, None]  # the last query points and their foot parameters
 
-    def value(x, y):
+    def jet(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(x.shape, y.shape)
         q = np.stack([np.broadcast_to(x, shape).ravel(),
                       np.broadcast_to(y, shape).ravel()], axis=1)
-        t = curve.nearest_parameter(q)
-        gx, gy = curve.sx(t), curve.sy(t)
-        dx, dy = curve.dsx(t), curve.dsy(t)
+        if not np.array_equal(last[0], q):
+            last[:] = [q, curve.nearest_parameter(q)]
+        gx, gy, dx, dy, d2x, d2y = curve.jet(last[1])
+        speed = np.hypot(dx, dy)
+        tx, ty = dx / speed, dy / speed
+        nx, ny = orient * ty, -orient * tx
         rx, ry = q[:, 0] - gx, q[:, 1] - gy
         dist = np.hypot(rx, ry)
-        wedge = dx * ry - dy * rx  # >0 means left of the tangent
-        sign = -np.sign(orient * wedge)
-        sign = np.where(sign == 0.0, 1.0, sign)
-        w = 1.0 - _smoothstep5((dist - half) / half)
-        out = sign * dist * w
-        if shape == ():
-            return float(out[0])
-        return out.reshape(shape)
+        sign = np.where(nx * rx + ny * ry < 0.0, -1.0, 1.0)
+        c = orient * (dx * d2y - dy * d2x) / speed**3
+        s, s1, s2 = _smoothstep5((dist - half) / half)
+        w = 1.0 - s
+        phi1 = w - dist * s1 / half
+        phi2 = -sign * (2.0 * s1 / half + dist * s2 / half**2)
+        bend = phi1 * c / (1.0 + c * sign * dist)
+        out = {
+            (0, 0): sign * dist * w,
+            (1, 0): phi1 * nx,
+            (0, 1): phi1 * ny,
+            (2, 0): bend * tx * tx + phi2 * nx * nx,
+            (1, 1): bend * tx * ty + phi2 * nx * ny,
+            (0, 2): bend * ty * ty + phi2 * ny * ny,
+        }
+        return {k: float(v[0]) if shape == () else v.reshape(shape) for k, v in out.items()}
 
     # the approximation box only needs to contain the cycle comfortably;
     # oversizing it slows Bernstein convergence quadratically
     rad = np.hypot(cycle.points[:, 0], cycle.points[:, 1])
     box_half = 1.5 * rad.max()
     box = (-box_half, box_half, -box_half, box_half)
-    return SampledField(value=value, box=box, r_max=2)
+    derivs = {k: (lambda x, y, k=k: jet(x, y)[k]) for k in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+    return SampledField(value=lambda x, y: jet(x, y)[(0, 0)], box=box, r_max=2, derivs=derivs)
 
 
 def gradient_square_integral(F, cycle: cy.LimitCycle, n: int = 512) -> float:
-    """Time integral of |grad F|^2 along the cycle (trapezoid on the polyline)."""
+    """Time integral of |grad F|^2 along the cycle (trapezoid rule on its orbit)."""
     ts = np.linspace(0.0, cycle.period, n, endpoint=False)
     pts = cycle._orbit.eval(ts)
     jet = jets(F, 1, pts[:, 0], pts[:, 1])
@@ -490,7 +501,7 @@ def _run_split(config, X, out_dir):
         R = F_ref
         payload["mode"] = "exact"
     else:
-        F_hat = build_numeric_F(seed_cycle, config.window_width)
+        F_hat = build_numeric_F(X, seed_cycle, config.window_width)
         if config.strength_calibration and F_ref is not None:
             lam_used = surrogate_lambda(config.lam, F_ref, F_hat, seed_cycle)
             payload["lambda_calibration_ratio"] = lam_used / config.lam

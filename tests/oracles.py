@@ -4,7 +4,10 @@ Every CK-family perturbation used in the tests has a radial law r' = g(r)
 with theta' = h(r) decoupled (by rotational symmetry), so return maps and
 cycle radii reduce to one-dimensional integrations and root finds. The
 library under test never sees these reductions: it integrates the planar
-Cartesian fields.
+Cartesian fields. Two references of another kind sit alongside: the
+variational return-map derivative, integrated by SciPy rather than by the
+library's stepper, and the closed-form jets of the windowed signed distance
+to the unit circle (the CK cycle).
 """
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -79,3 +82,64 @@ def radial_cycle_radii(radial, r_window=(0.5, 1.5), n=4001):
         elif vals[i] * vals[i + 1] < 0:
             roots.append(brentq(radial, rs[i], rs[i + 1], xtol=1e-14))
     return np.array(roots)
+
+
+def return_map_derivative(X, cycle, tol=1e-12):
+    """pi'(xi*) through the variational flow along the cycle.
+
+    Integrates the linearized equation delta' = DX(gamma(t)) delta over one
+    period with SciPy's DOP853 and projects along the flow direction:
+    pi'(0) = [X(p) ^ Phi(T) u] / [X(p) ^ u] with u the section direction.
+    Numerically independent of the divergence quadrature, so the multiplier
+    identity exp(exponent) = pi'(xi*) (Liouville's formula) is a genuine
+    cross-check.
+    """
+    Px, Py, Qx, Qy = X.jacobian()
+
+    def rhs(t, z):
+        x, y, dx, dy = z
+        p, q = X(x, y)
+        return [p, q, Px(x, y) * dx + Py(x, y) * dy, Qx(x, y) * dx + Qy(x, y) * dy]
+
+    p0 = cycle.section.point_at(cycle.xi_star)
+    u = cycle.section.direction
+    sol = solve_ivp(rhs, [0.0, cycle.period], [p0[0], p0[1], u[0], u[1]],
+                    method="DOP853", rtol=tol, atol=tol)
+    x, y, dx, dy = sol.y[:, -1]
+    p, q = X(p0[0], p0[1])
+    return float((p * dy - q * dx) / (p * u[1] - q * u[0]))
+
+
+def _window(u, width):
+    """w(u) = 1 - S((u - h)/h), h = width/2, S the quintic smoothstep, and
+    its first two derivatives in u."""
+    h = width / 2.0
+    s = np.clip((u - h) / h, 0.0, 1.0)
+    w = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+    return w, -30.0 * s**2 * (1.0 - s) ** 2 / h, -60.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / h**2
+
+
+def windowed_circle_distance(x, y, width):
+    """Jets of F = phi(d), phi(d) = d w(|d|), d = r - 1: the windowed signed
+    distance to the unit circle, keyed (i, j) for d^(i+j) F / dx^i dy^j.
+
+    grad F = phi' r_hat and Hess F = (phi'/r) t_hat t_hat^T + phi'' r_hat r_hat^T,
+    since Hess r = t_hat t_hat^T / r.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    r = np.hypot(x, y)
+    d = r - 1.0
+    u = np.abs(d)
+    w, w1, w2 = _window(u, width)
+    phi1 = w + u * w1
+    phi2 = np.sign(d) * (2.0 * w1 + u * w2)
+    nx, ny = x / r, y / r
+    tx, ty = -ny, nx
+    return {
+        (0, 0): d * w,
+        (1, 0): phi1 * nx,
+        (0, 1): phi1 * ny,
+        (2, 0): phi1 / r * tx * tx + phi2 * nx * nx,
+        (1, 1): phi1 / r * tx * ty + phi2 * nx * ny,
+        (0, 2): phi1 / r * ty * ty + phi2 * ny * ny,
+    }

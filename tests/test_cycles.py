@@ -267,6 +267,10 @@ def test_perko_derivative_closed_form(ck, section):
         cyc = cy.build_cycle(ck[k], section, 0.0)
         val = cy.perko_derivative(ck[k], eps_perp(ck[k], eps), cyc)
         assert val == pytest.approx(2 * np.pi * eps, abs=1e-8)
+    # CK(1): div X = -2 and X ^ eps*perp(X) = eps on the unit circle, so
+    # A(t) = -2t and the integral is eps (e^(4 pi) - 1) / 2
+    val = cy.perko_derivative(ck[1], eps_perp(ck[1], eps), cy.build_cycle(ck[1], section, 0.0))
+    assert val == pytest.approx(eps * np.expm1(4 * np.pi) / 2, rel=1e-8)
 
 
 def test_perko_self_wedge_vanishes(ck, ck_cycles):
@@ -290,13 +294,13 @@ def test_perko_ratio_constant_over_lambda(ck, section):
 def test_multiplier_identity(ck, section):
     # exp(exponent) equals the variational return-map derivative
     c1 = cy.build_cycle(ck[1], section, 0.0)
-    mult = cy.return_map_derivative(ck[1], c1)
+    mult = oracles.return_map_derivative(ck[1], c1)
     assert mult == pytest.approx(np.exp(-4 * np.pi), rel=1e-8)
     assert np.exp(c1.exponent) == pytest.approx(mult, rel=1e-6)
     # and on every hyperbolic cycle produced by the splitting
     fam = gradient_collapse_family(ck[3], S, 0.02)
     for c in cy.find_cycles(fam, section, (-0.3, 0.3), 25):
-        mult = cy.return_map_derivative(fam, c)
+        mult = oracles.return_map_derivative(fam, c)
         assert np.exp(c.exponent) == pytest.approx(mult, rel=1e-6)
 
 

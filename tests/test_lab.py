@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from cyclelab import cycles as cy
 from cyclelab import lab
 from cyclelab.field import ck_system
@@ -16,7 +17,7 @@ from cyclelab.registry import exact_vanishing_poly
 
 @pytest.fixture(scope="module")
 def ck3_numeric_F(ck, ck_cycles):
-    return lab.build_numeric_F(ck_cycles[3], 0.95)
+    return lab.build_numeric_F(ck[3], ck_cycles[3], 0.95)
 
 
 def test_numeric_f_values(ck3_numeric_F):
@@ -41,38 +42,56 @@ def test_numeric_f_window_vanishes_far(ck3_numeric_F):
     assert ck3_numeric_F.value(1.49, 1.49) == 0.0
 
 
-def test_numeric_f_window_too_wide(ck_cycles):
+def test_numeric_f_window_too_wide(ck, ck_cycles):
     with pytest.raises(lab.WindowTooWide):
-        lab.build_numeric_F(ck_cycles[3], 1.2)
+        lab.build_numeric_F(ck[3], ck_cycles[3], 1.2)
 
 
 def test_numeric_f_derivative_consistency(ck3_numeric_F):
     assert ck3_numeric_F.check_consistency(n_points=10) < 1e-4
 
 
+def test_numeric_f_jets_match_closed_form(ck3_numeric_F):
+    # CK(3)'s cycle is the unit circle; its windowed signed distance has a
+    # closed-form 2-jet (oracles.windowed_circle_distance). Compared inside
+    # the window on a 101^2 mesh of the approximation box
+    F = ck3_numeric_F
+    X, Y = lab.mesh(F.box, 101)
+    inside = np.abs(np.hypot(X, Y) - 1.0) < 0.95
+    got = lab.jets(F, 2, X[inside], Y[inside])
+    want = oracles.windowed_circle_distance(X[inside], Y[inside], 0.95)
+    assert np.count_nonzero(want[(2, 0)]) > 1000
+    for k, tol in (((0, 0), 1e-9), ((1, 0), 1e-8), ((0, 1), 1e-8),
+                   ((2, 0), 1e-7), ((1, 1), 1e-7), ((0, 2), 1e-7)):
+        assert np.max(np.abs(got[k] - want[k])) < tol, k
+
+
 def _argmin_nearest_parameter(curve, q):
-    """Foot-point search started from a brute-force arg-min over the dense
-    points, the reference for the k-d tree start."""
+    """Foot-point search started from a brute-force arg-min over the orbit
+    curve's dense points, the reference for the k-d tree start."""
     ox = q[:, 0, None] - curve.dense_pts[None, :, 0]
     oy = q[:, 1, None] - curve.dense_pts[None, :, 1]
     t = curve.dense_t[np.argmin(ox * ox + oy * oy, axis=1)]
     for _ in range(6):
-        dx, dy = curve.dsx(t), curve.dsy(t)
-        rx, ry = q[:, 0] - curve.sx(t), q[:, 1] - curve.sy(t)
+        gx, gy, dx, dy, d2x, d2y = curve.jet(t)
+        rx, ry = q[:, 0] - gx, q[:, 1] - gy
         g = rx * dx + ry * dy
-        gp = -(dx * dx + dy * dy) + rx * curve.d2sx(t) + ry * curve.d2sy(t)
-        t = np.mod(t - np.where(np.abs(gp) > 1e-14, g / gp, 0.0), curve.T)
+        gp = -(dx * dx + dy * dy) + rx * d2x + ry * d2y
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = np.mod(t - np.where(np.abs(gp) > 1e-14, g / gp, 0.0), curve.T)
     return t
 
 
-def test_numeric_f_tree_start_matches_argmin(ck3_numeric_F, monkeypatch):
+def test_numeric_f_tree_start_matches_argmin(ck, ck_cycles, ck3_numeric_F, monkeypatch):
     # 70^2 = 4,900 points over the approximation box, which holds the whole
-    # window band around the cycle; the 2-jet comes from 15 value calls per point
+    # window band around the cycle; one foot-point solve serves the 2-jet.
+    # The reference is a surrogate built afresh with the arg-min start, so
+    # it shares no foot points with the fixture
     F = ck3_numeric_F
     X, Y = lab.mesh(F.box, 70)
     got = lab.jets(F, 2, X, Y)
-    monkeypatch.setattr(lab._SplineCurve, "nearest_parameter", _argmin_nearest_parameter)
-    want = lab.jets(F, 2, X, Y)
+    monkeypatch.setattr(lab._OrbitCurve, "nearest_parameter", _argmin_nearest_parameter)
+    want = lab.jets(lab.build_numeric_F(ck[3], ck_cycles[3], 0.95), 2, X, Y)
     assert np.count_nonzero(want[(0, 0)]) > 1000
     for k in want:
         assert np.array_equal(got[k], want[k]), k
@@ -269,14 +288,19 @@ def test_cli_q2(tmp_path):
 
 
 _NO_SCIPY = """
-import sys
+import math, sys
 import cyclelab, cyclelab.cli
 from cyclelab import cycles, lab
-from cyclelab.field import ck_system, gradient_collapse_family
-from cyclelab.poly2 import parse_poly
+from cyclelab.field import PolyVectorField, ck_system, gradient_collapse_family, perp
+from cyclelab.poly2 import parse_poly, scale
 X = gradient_collapse_family(ck_system(3), parse_poly("1 - x^2 - y^2"), 0.02)
 section = cycles.section_for_field(ck_system(1), (1.0, 0.0))
 assert len(cycles.find_cycles(X, section, (-0.3, 0.3), 25)) == 3
+ck2 = ck_system(2)
+pp = perp(ck2)
+eps_perp = PolyVectorField(scale(pp.P, 0.1), scale(pp.Q, 0.1))
+perko = cycles.perko_derivative(ck2, eps_perp, cycles.build_cycle(ck2, section, 0.0))
+assert abs(perko - 2 * math.pi * 0.1) < 1e-8
 cfg = lab.ExperimentConfig.from_dict({"pipeline": "split-theorem1", "system": "CK(3)"})
 assert lab.run_pipeline(cfg).all_passed
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -284,8 +308,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_census_and_split_pipeline_load_no_scipy(tmp_path):
-    # SciPy costs most of an interpreter's start-up; only return_map_derivative,
-    # perko_derivative and the surrogate spline may import it, inside the call
+    # SciPy costs most of an interpreter's start-up; only the surrogate's k-d
+    # tree of foot-point starts (cKDTree) may import it, inside the call
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True,
