@@ -29,6 +29,8 @@ DEFAULT_T_MAX = 400.0
 # cycle location works one decade below the flow default so located fixed
 # points satisfy the 1e-10 displacement-residual contract
 DEFAULT_CYCLE_TOL = 1e-11
+# a return to the section counts only after this time
+_T_OFFSET = 1e-6
 # LimitCycle.points: samples of the cycle's orbit at equal time steps
 _CYCLE_SAMPLES = 1024
 
@@ -127,7 +129,7 @@ def return_map(X, section, xi, tol=DEFAULT_CYCLE_TOL) -> float:
     """First-return coordinate pi(xi) on the section."""
     _, p = flow.next_section_crossing(
         X, section.point_at(xi), section, crossing_sign(X, section),
-        t_max=DEFAULT_T_MAX, tol=tol, t_offset=1e-6,
+        t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET,
     )
     return section.xi_of(p)
 
@@ -135,6 +137,21 @@ def return_map(X, section, xi, tol=DEFAULT_CYCLE_TOL) -> float:
 def displacement(X, section, xi, tol=DEFAULT_CYCLE_TOL) -> float:
     """d(xi) = pi(xi) - xi; zeros are periodic orbits."""
     return return_map(X, section, xi, tol) - xi
+
+
+def displacements(fields, section, xis, tol=DEFAULT_CYCLE_TOL) -> list[list]:
+    """d(xi) of every field at the xis, one row per field, as a loop calling
+    displacement(X, section, xi, tol) collects them, bit for bit, until its
+    first OrbitFailure; a row that meets one ends with it. All orbits run at
+    once, in lockstep (flow.next_section_crossings)."""
+    rows = []
+    for X in fields:
+        sign = crossing_sign(X, section)
+        rows.append([(X, section.point_at(xi), sign) for xi in xis])
+    crossings = flow.next_section_crossings(rows, section, t_max=DEFAULT_T_MAX, tol=tol,
+                                            t_offset=_T_OFFSET)
+    return [[hit if isinstance(hit, flow.OrbitFailure) else section.xi_of(hit[1]) - xi
+             for xi, hit in zip(xis, row)] for row in crossings]
 
 
 @dataclass

@@ -249,6 +249,15 @@ def fit_roots(samples, degree: int, fit_degree: int | None = None) -> np.ndarray
     return np.sort(real[np.abs(real) <= h])
 
 
+def _nodes(d: int, window: float, center: float = 0.0, n: int | None = None,
+           skip_failures: bool = False) -> np.ndarray:
+    """displacement_samples' Chebyshev nodes."""
+    n = n or (4 * d + 1)
+    if skip_failures:
+        n = max(n, 6 * d + 3)
+    return center + window * np.cos(np.pi * np.arange(n) / (n - 1))
+
+
 def displacement_samples(X, section, d: int, window: float, center: float = 0.0,
                          n: int | None = None, tol=_flow.DEFAULT_TOL,
                          skip_failures: bool = False):
@@ -258,12 +267,8 @@ def displacement_samples(X, section, d: int, window: float, center: float = 0.0,
     dropped (families that remove the cycle blow up on one side); the fit
     machinery downstream checks it still has enough points.
     """
-    n = n or (4 * d + 1)
-    if skip_failures:
-        n = max(n, 6 * d + 3)
-    nodes = center + window * np.cos(np.pi * np.arange(n) / (n - 1))
     out = []
-    for xi in nodes:
+    for xi in _nodes(d, window, center, n, skip_failures):
         try:
             out.append((xi, _cycles.displacement(X, section, xi, tol=tol)))
         except _flow.OrbitFailure:
@@ -299,11 +304,12 @@ class Q2Report:
     histogram: dict[int, int]
 
     def to_csv(self, path):
-        lines = ["seed_index,phi,n_real_roots,radius"]
+        """One row per sample; error is the failure's class name, empty on success."""
+        lines = ["seed_index,phi,n_real_roots,radius,error"]
         for s in self.samples:
             phi_s = "" if s.phi is None else repr(s.phi)
             nroots = "" if s.n_real_roots is None else str(s.n_real_roots)
-            lines.append(f"{s.index},{phi_s},{nroots},{self.radius!r}")
+            lines.append(f"{s.index},{phi_s},{nroots},{self.radius!r},{s.error or ''}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -323,6 +329,20 @@ def _perturb_coeffs(X, rng, radius):
     return PolyVectorField(jitter(X.P), jitter(X.Q))
 
 
+def _q2_sample(index, nodes, row, d, boundary_tol) -> Q2Sample:
+    """One q2_search sample from its row of cycles.displacements, which ends
+    with the failure displacement_samples would raise, if any."""
+    if row and isinstance(row[-1], _flow.OrbitFailure):
+        return Q2Sample(index, None, None, False, error=type(row[-1]).__name__)
+    try:
+        fit = fit_displacement_poly(list(zip(nodes, row)), d)
+    except LeadingCoefficientVanishes as exc:
+        return Q2Sample(index, None, None, False, error=type(exc).__name__)
+    val = discriminant(fit)
+    scale = max(1.0, float(np.max(np.abs(fit.full_coeffs()))))
+    return Q2Sample(index, val, real_root_census(fit), abs(val) < boundary_tol * scale)
+
+
 def q2_search(X, section, d: int, radius: float, n_samples: int, seed: int,
               window: float = 0.025, boundary_tol: float = 1e-9,
               tol=_flow.DEFAULT_TOL) -> Q2Report:
@@ -332,33 +352,25 @@ def q2_search(X, section, d: int, radius: float, n_samples: int, seed: int,
     Draws n_samples fields whose monomial coefficients (all exponent pairs up
     to the component degree, both components) are jittered uniformly within
     the given radius -- closeness in the coefficients topology -- computes the
-    degree-d fit discriminant for each, and reports the minimum together with
-    the histogram of distinct-real-root counts. Deterministic under seed;
+    degree-d fit discriminant for each (the displacement orbits of all fields
+    run together, see cycles.displacements), and reports the minimum together
+    with the histogram of distinct-real-root counts. Deterministic under seed;
     per-sample failures are recorded and skipped. |Delta| below boundary_tol
     (relative to coefficient scale) is flagged as the boundary stratum.
     """
-    rng = np.random.default_rng(seed)
-    samples: list[Q2Sample] = []
+    fields = [_perturb_coeffs(X, np.random.default_rng([seed, i]), radius)
+              for i in range(n_samples)]
+    nodes = _nodes(d, window)
+    samples = [_q2_sample(i, nodes, row, d, boundary_tol)
+               for i, row in enumerate(_cycles.displacements(fields, section, nodes, tol=tol))]
     histogram: dict[int, int] = {}
     best_index, best_phi = None, None
-    for i in range(n_samples):
-        sub = np.random.default_rng([seed, i])
-        Y = _perturb_coeffs(X, sub, radius)
-        try:
-            fit = fit_displacement_poly(
-                displacement_samples(Y, section, d, window, tol=tol), d
-            )
-            val = discriminant(fit)
-            scale = max(1.0, float(np.max(np.abs(fit.full_coeffs()))))
-            boundary = abs(val) < boundary_tol * scale
-            census = real_root_census(fit)
-        except (_flow.OrbitFailure, LeadingCoefficientVanishes) as exc:
-            samples.append(Q2Sample(i, None, None, False, error=type(exc).__name__))
+    for s in samples:
+        if s.error:
             continue
-        samples.append(Q2Sample(i, val, census, boundary))
-        histogram[census] = histogram.get(census, 0) + 1
-        if best_phi is None or val < best_phi:
-            best_index, best_phi = i, val
+        histogram[s.n_real_roots] = histogram.get(s.n_real_roots, 0) + 1
+        if best_phi is None or s.phi < best_phi:
+            best_index, best_phi = s.index, s.phi
     return Q2Report(
         radius=radius, n_samples=n_samples, seed=seed, samples=samples,
         best_index=best_index, best_phi=best_phi, histogram=histogram,

@@ -94,6 +94,42 @@ class PolyVectorField:
         )
 
 
+def lane_evaluators(fields) -> list[tuple[list[int], object]]:
+    """The fields in groups that can be evaluated together: (members, select)
+    pairs, members indexing fields.
+
+    Fields whose components are nonzero monomial polynomials with the same
+    nonzero monomials form one group. Its select(lanes) is the right-hand
+    side (x, y) -> (P, Q) on arrays whose k-th entries belong to the field
+    members[lanes[k]]. The group compiles one body, rhs()'s with
+    coefficient names for the literals (poly2._horner_source), so each
+    entry has the bits of that field's rhs(). The other fields form one
+    group whose select is None.
+    """
+    groups: dict = {}
+    for i, X in enumerate(fields):
+        P, Q = X.P, X.Q
+        key = ((tuple(sorted(P.coeffs)), tuple(sorted(Q.coeffs)))
+               if P.basis == Q.basis == "monomial" and P.coeffs and Q.coeffs else None)
+        groups.setdefault(key, []).append(i)
+    out = []
+    for key, members in groups.items():
+        if key is None:
+            out.append((members, None))
+            continue
+        first = fields[members[0]]
+        names = [f"cp{i}_{j}" for i, j in key[0]] + [f"cq{i}_{j}" for i, j in key[1]]
+        body = (_horner_source(first.P, "p", "cp") + _horner_source(first.Q, "q", "cq")
+                + ["return p, q"])
+        namespace: dict = {}
+        exec(f"def lanes({', '.join(names)}):\n    def rhs(x, y):\n"
+             + "".join(f"        {line}\n" for line in body) + "    return rhs\n", namespace)
+        coeffs = np.array([[fields[m].P.coeffs[e] for e in key[0]]
+                           + [fields[m].Q.coeffs[e] for e in key[1]] for m in members]).T
+        out.append((members, lambda lanes, c=coeffs, make=namespace["lanes"]: make(*c[:, lanes])))
+    return out
+
+
 def divergence(X: PolyVectorField) -> Poly2:
     """dP/dx + dQ/dy, exact."""
     return add(derivative(X.P, "x"), derivative(X.Q, "y"))

@@ -1,17 +1,30 @@
 """Numerical integration of planar polynomial fields with dense output.
 
 The integrator is the adaptive Dormand-Prince 8(5,3) method with its
-degree-7 dense output (Hairer-Norsett-Wanner, Solving ODEs I, II.10), stepped
-on plain floats with the step control of SciPy's DOP853 solver and fed by
-the field's compiled evaluator; no SciPy stepper runs here. One private
-generator takes every step; it alone watches the step budget and the safety
-box. ``integrate`` collects the steps into an Orbit. ``next_section_crossing``
-solves each step for its section crossings exactly: the dense output on a
-step is a degree-7 polynomial in time, so its normal coordinate against the
-section line is one too, and its sign changes in the step, bracketed from
-its Bernstein coefficients, are the crossings. Every way an orbit can fail
-derives from OrbitFailure. Stiff integrators are not needed here: polynomial
-fields near attracting cycles at our perturbation sizes are non-stiff.
+degree-7 dense output (Hairer-Norsett-Wanner, Solving ODEs I, II.10), with
+the step control of SciPy's DOP853 solver and fed by the field's compiled
+evaluator; no SciPy stepper runs here. Two drivers run one tableau code: the
+stages and error estimates of an attempt (_attempt), the dense output
+(_dense) and the crossing screen (_line_screen, _line_bernstein) are written
+once and run on plain floats in the scalar driver (_resume) and entry by
+entry on NumPy lane arrays in the lockstep driver (next_section_crossings,
+one lane per orbit). The step-size control (_control) holds the stepper's
+only powers, which NumPy can round differently from Python, so both drivers
+run it on floats, the lockstep driver once per lane. Every lane thus has the
+scalar driver's bits. The scalar driver alone raises the stepper's failures
+(the step budget, the step floor and the safety box): a lane about to fail
+continues from its state on it. A lockstep attempt costs about 2.3 ms at up
+to 96 lanes, a scalar attempt about 50 us, so the lockstep driver pays from
+about 48 lanes and hands fewer to the scalar driver.
+
+``integrate`` collects the scalar driver's steps into an Orbit.
+``next_section_crossing`` solves each step for its section crossings
+exactly: the dense output on a step is a degree-7 polynomial in time, so
+its normal coordinate against the section line is one too, and its sign
+changes in the step, bracketed from its Bernstein coefficients, are the
+crossings. Every way an orbit can fail derives from OrbitFailure. Stiff
+integrators are not needed here: polynomial fields near attracting cycles at
+our perturbation sizes are non-stiff.
 """
 from __future__ import annotations
 
@@ -20,9 +33,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .field import lane_evaluators
+
 DEFAULT_TOL = 1e-10
 _SAFETY_BOX = 1e3
 _MAX_STEPS = 2_000_000
+# below this many lanes a lockstep step costs more per lane than a scalar
+# step, so next_section_crossings hands the rest to the scalar driver
+_LOCKSTEP_MIN_LANES = 48
+# a return to the section takes 19-56 attempts on q2-search's fields, an
+# orbit that never returns runs to t_max in about 10^3-10^4; the lanes still
+# running after this many continue on the scalar driver, which stops each
+# row at its first failure instead of running all its lanes to t_max
+_LOCKSTEP_MAX_ATTEMPTS = 128
 
 # The Dormand-Prince 8(5,3) tableau as in SciPy's DOP853 solver
 # (scipy/integrate/_ivp/dop853_coefficients.py), nonzero entries only, in
@@ -176,73 +199,21 @@ class _Step:
     K holds the stage derivatives the dense output needs, (k1x, k1y,
     k6x, k6y, ..., k13x, k13y), and f the right-hand side. The dense
     output's coefficients F = ((F0x, ..., F6x), (F0y, ..., F6y)) cost three
-    more RHS calls and are built on first use.
+    more RHS calls and are built on first use unless given.
     """
 
     __slots__ = ("t_old", "t", "h", "y_old", "y", "K", "f", "_F")
 
-    def __init__(self, t_old, t, y_old, y, K, f):
+    def __init__(self, t_old, t, y_old, y, K, f, F=None):
         self.t_old, self.t, self.h = t_old, t, t - t_old
         self.y_old, self.y, self.K, self.f = y_old, y, K, f
-        self._F = None
+        self._F = F
 
     @property
     def F(self):
         if self._F is None:
-            self._F = self._dense()
+            self._F = _dense(self.f, self.h, self.y_old, self.y, self.K)
         return self._F
-
-    def _dense(self):
-        """SciPy's DOP853 dense output, operation for operation."""
-        (a14_1, a14_7, a14_8, a14_9, a14_10, a14_11, a14_12, a14_13), \
-            (a15_1, a15_6, a15_7, a15_8, a15_11, a15_12, a15_13, a15_14), \
-            (a16_1, a16_6, a16_7, a16_8, a16_9, a16_13, a16_14, a16_15) = _A_DENSE
-        (d3_1, d3_6, d3_7, d3_8, d3_9, d3_10, d3_11, d3_12, d3_13, d3_14, d3_15, d3_16), \
-            (d4_1, d4_6, d4_7, d4_8, d4_9, d4_10, d4_11, d4_12, d4_13, d4_14, d4_15, d4_16), \
-            (d5_1, d5_6, d5_7, d5_8, d5_9, d5_10, d5_11, d5_12, d5_13, d5_14, d5_15, d5_16), \
-            (d6_1, d6_6, d6_7, d6_8, d6_9, d6_10, d6_11, d6_12, d6_13, d6_14, d6_15, d6_16) = _D
-        (k1x, k1y, k6x, k6y, k7x, k7y, k8x, k8y, k9x, k9y, k10x, k10y, k11x, k11y,
-         k12x, k12y, k13x, k13y) = self.K
-        f, h, (x, y), (x_new, y_new) = self.f, self.h, self.y_old, self.y
-        k14x, k14y = f(x + (a14_1 * k1x + a14_7 * k7x + a14_8 * k8x + a14_9 * k9x
-                            + a14_10 * k10x + a14_11 * k11x + a14_12 * k12x + a14_13 * k13x) * h,
-                       y + (a14_1 * k1y + a14_7 * k7y + a14_8 * k8y + a14_9 * k9y
-                            + a14_10 * k10y + a14_11 * k11y + a14_12 * k12y + a14_13 * k13y) * h)
-        k15x, k15y = f(x + (a15_1 * k1x + a15_6 * k6x + a15_7 * k7x + a15_8 * k8x
-                            + a15_11 * k11x + a15_12 * k12x + a15_13 * k13x + a15_14 * k14x) * h,
-                       y + (a15_1 * k1y + a15_6 * k6y + a15_7 * k7y + a15_8 * k8y
-                            + a15_11 * k11y + a15_12 * k12y + a15_13 * k13y + a15_14 * k14y) * h)
-        k16x, k16y = f(x + (a16_1 * k1x + a16_6 * k6x + a16_7 * k7x + a16_8 * k8x + a16_9 * k9x
-                            + a16_13 * k13x + a16_14 * k14x + a16_15 * k15x) * h,
-                       y + (a16_1 * k1y + a16_6 * k6y + a16_7 * k7y + a16_8 * k8y + a16_9 * k9y
-                            + a16_13 * k13y + a16_14 * k14y + a16_15 * k15y) * h)
-        f3x = h * (d3_1 * k1x + d3_6 * k6x + d3_7 * k7x + d3_8 * k8x + d3_9 * k9x + d3_10 * k10x
-                   + d3_11 * k11x + d3_12 * k12x + d3_13 * k13x + d3_14 * k14x + d3_15 * k15x
-                   + d3_16 * k16x)
-        f3y = h * (d3_1 * k1y + d3_6 * k6y + d3_7 * k7y + d3_8 * k8y + d3_9 * k9y + d3_10 * k10y
-                   + d3_11 * k11y + d3_12 * k12y + d3_13 * k13y + d3_14 * k14y + d3_15 * k15y
-                   + d3_16 * k16y)
-        f4x = h * (d4_1 * k1x + d4_6 * k6x + d4_7 * k7x + d4_8 * k8x + d4_9 * k9x + d4_10 * k10x
-                   + d4_11 * k11x + d4_12 * k12x + d4_13 * k13x + d4_14 * k14x + d4_15 * k15x
-                   + d4_16 * k16x)
-        f4y = h * (d4_1 * k1y + d4_6 * k6y + d4_7 * k7y + d4_8 * k8y + d4_9 * k9y + d4_10 * k10y
-                   + d4_11 * k11y + d4_12 * k12y + d4_13 * k13y + d4_14 * k14y + d4_15 * k15y
-                   + d4_16 * k16y)
-        f5x = h * (d5_1 * k1x + d5_6 * k6x + d5_7 * k7x + d5_8 * k8x + d5_9 * k9x + d5_10 * k10x
-                   + d5_11 * k11x + d5_12 * k12x + d5_13 * k13x + d5_14 * k14x + d5_15 * k15x
-                   + d5_16 * k16x)
-        f5y = h * (d5_1 * k1y + d5_6 * k6y + d5_7 * k7y + d5_8 * k8y + d5_9 * k9y + d5_10 * k10y
-                   + d5_11 * k11y + d5_12 * k12y + d5_13 * k13y + d5_14 * k14y + d5_15 * k15y
-                   + d5_16 * k16y)
-        f6x = h * (d6_1 * k1x + d6_6 * k6x + d6_7 * k7x + d6_8 * k8x + d6_9 * k9x + d6_10 * k10x
-                   + d6_11 * k11x + d6_12 * k12x + d6_13 * k13x + d6_14 * k14x + d6_15 * k15x
-                   + d6_16 * k16x)
-        f6y = h * (d6_1 * k1y + d6_6 * k6y + d6_7 * k7y + d6_8 * k8y + d6_9 * k9y + d6_10 * k10y
-                   + d6_11 * k11y + d6_12 * k12y + d6_13 * k13y + d6_14 * k14y + d6_15 * k15y
-                   + d6_16 * k16y)
-        dx, dy = x_new - x, y_new - y
-        return ((dx, h * k1x - dx, 2 * dx - h * (k13x + k1x), f3x, f4x, f5x, f6x),
-                (dy, h * k1y - dy, 2 * dy - h * (k13y + k1y), f3y, f4y, f5y, f6y))
 
     def at(self, s):
         """The interpolant at s = (t - t_old) / h, as (x, y):
@@ -256,8 +227,160 @@ class _Step:
                  + y))
 
 
-def _steps(X, x0, t_bound, tol):
-    """Accepted Dormand-Prince 8(5,3) steps from x0 over [0, t_bound], as _Steps.
+def _dense(f, h, y_old, y_new, K):
+    """SciPy's DOP853 dense output, operation for operation: _Step.F of the
+    step of size h from y_old to y_new with stage derivatives K. The same
+    operations run on floats and, entry by entry, on lane arrays."""
+    (a14_1, a14_7, a14_8, a14_9, a14_10, a14_11, a14_12, a14_13), \
+        (a15_1, a15_6, a15_7, a15_8, a15_11, a15_12, a15_13, a15_14), \
+        (a16_1, a16_6, a16_7, a16_8, a16_9, a16_13, a16_14, a16_15) = _A_DENSE
+    (d3_1, d3_6, d3_7, d3_8, d3_9, d3_10, d3_11, d3_12, d3_13, d3_14, d3_15, d3_16), \
+        (d4_1, d4_6, d4_7, d4_8, d4_9, d4_10, d4_11, d4_12, d4_13, d4_14, d4_15, d4_16), \
+        (d5_1, d5_6, d5_7, d5_8, d5_9, d5_10, d5_11, d5_12, d5_13, d5_14, d5_15, d5_16), \
+        (d6_1, d6_6, d6_7, d6_8, d6_9, d6_10, d6_11, d6_12, d6_13, d6_14, d6_15, d6_16) = _D
+    (k1x, k1y, k6x, k6y, k7x, k7y, k8x, k8y, k9x, k9y, k10x, k10y, k11x, k11y,
+     k12x, k12y, k13x, k13y) = K
+    (x, y), (x_new, y_new) = y_old, y_new
+    k14x, k14y = f(x + (a14_1 * k1x + a14_7 * k7x + a14_8 * k8x + a14_9 * k9x
+                        + a14_10 * k10x + a14_11 * k11x + a14_12 * k12x + a14_13 * k13x) * h,
+                   y + (a14_1 * k1y + a14_7 * k7y + a14_8 * k8y + a14_9 * k9y
+                        + a14_10 * k10y + a14_11 * k11y + a14_12 * k12y + a14_13 * k13y) * h)
+    k15x, k15y = f(x + (a15_1 * k1x + a15_6 * k6x + a15_7 * k7x + a15_8 * k8x
+                        + a15_11 * k11x + a15_12 * k12x + a15_13 * k13x + a15_14 * k14x) * h,
+                   y + (a15_1 * k1y + a15_6 * k6y + a15_7 * k7y + a15_8 * k8y
+                        + a15_11 * k11y + a15_12 * k12y + a15_13 * k13y + a15_14 * k14y) * h)
+    k16x, k16y = f(x + (a16_1 * k1x + a16_6 * k6x + a16_7 * k7x + a16_8 * k8x + a16_9 * k9x
+                        + a16_13 * k13x + a16_14 * k14x + a16_15 * k15x) * h,
+                   y + (a16_1 * k1y + a16_6 * k6y + a16_7 * k7y + a16_8 * k8y + a16_9 * k9y
+                        + a16_13 * k13y + a16_14 * k14y + a16_15 * k15y) * h)
+    f3x = h * (d3_1 * k1x + d3_6 * k6x + d3_7 * k7x + d3_8 * k8x + d3_9 * k9x + d3_10 * k10x
+               + d3_11 * k11x + d3_12 * k12x + d3_13 * k13x + d3_14 * k14x + d3_15 * k15x
+               + d3_16 * k16x)
+    f3y = h * (d3_1 * k1y + d3_6 * k6y + d3_7 * k7y + d3_8 * k8y + d3_9 * k9y + d3_10 * k10y
+               + d3_11 * k11y + d3_12 * k12y + d3_13 * k13y + d3_14 * k14y + d3_15 * k15y
+               + d3_16 * k16y)
+    f4x = h * (d4_1 * k1x + d4_6 * k6x + d4_7 * k7x + d4_8 * k8x + d4_9 * k9x + d4_10 * k10x
+               + d4_11 * k11x + d4_12 * k12x + d4_13 * k13x + d4_14 * k14x + d4_15 * k15x
+               + d4_16 * k16x)
+    f4y = h * (d4_1 * k1y + d4_6 * k6y + d4_7 * k7y + d4_8 * k8y + d4_9 * k9y + d4_10 * k10y
+               + d4_11 * k11y + d4_12 * k12y + d4_13 * k13y + d4_14 * k14y + d4_15 * k15y
+               + d4_16 * k16y)
+    f5x = h * (d5_1 * k1x + d5_6 * k6x + d5_7 * k7x + d5_8 * k8x + d5_9 * k9x + d5_10 * k10x
+               + d5_11 * k11x + d5_12 * k12x + d5_13 * k13x + d5_14 * k14x + d5_15 * k15x
+               + d5_16 * k16x)
+    f5y = h * (d5_1 * k1y + d5_6 * k6y + d5_7 * k7y + d5_8 * k8y + d5_9 * k9y + d5_10 * k10y
+               + d5_11 * k11y + d5_12 * k12y + d5_13 * k13y + d5_14 * k14y + d5_15 * k15y
+               + d5_16 * k16y)
+    f6x = h * (d6_1 * k1x + d6_6 * k6x + d6_7 * k7x + d6_8 * k8x + d6_9 * k9x + d6_10 * k10x
+               + d6_11 * k11x + d6_12 * k12x + d6_13 * k13x + d6_14 * k14x + d6_15 * k15x
+               + d6_16 * k16x)
+    f6y = h * (d6_1 * k1y + d6_6 * k6y + d6_7 * k7y + d6_8 * k8y + d6_9 * k9y + d6_10 * k10y
+               + d6_11 * k11y + d6_12 * k12y + d6_13 * k13y + d6_14 * k14y + d6_15 * k15y
+               + d6_16 * k16y)
+    dx, dy = x_new - x, y_new - y
+    return ((dx, h * k1x - dx, 2 * dx - h * (k13x + k1x), f3x, f4x, f5x, f6x),
+            (dy, h * k1y - dy, 2 * dy - h * (k13y + k1y), f3y, f4y, f5y, f6y))
+
+
+def _attempt(f, x, y, k1x, k1y, h):
+    """One Dormand-Prince 8(5,3) step of size h from (x, y), k1 = f(x, y):
+    (x_new, y_new, K, e5x, e5y, e3x, e3y), with K the stage derivatives
+    _Step keeps and e5, e3 the fifth- and third-order error estimates before
+    scaling. The same operations run on floats and, entry by entry, on lane
+    arrays."""
+    (a2_1,), (a3_1, a3_2), (a4_1, a4_3), (a5_1, a5_3, a5_4), (a6_1, a6_4, a6_5), \
+        (a7_1, a7_4, a7_5, a7_6), (a8_1, a8_4, a8_5, a8_6, a8_7), \
+        (a9_1, a9_4, a9_5, a9_6, a9_7, a9_8), (a10_1, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9), \
+        (a11_1, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10), \
+        (a12_1, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11) = _A
+    b1, b6, b7, b8, b9, b10, b11, b12 = _B
+    e1, e6, e7, e8, e9, e10, e11, e12 = _E5
+    g1, g6, g7, g8, g9, g10, g11, g12 = _E3
+    k2x, k2y = f(x + (a2_1 * k1x) * h,
+                 y + (a2_1 * k1y) * h)
+    k3x, k3y = f(x + (a3_1 * k1x + a3_2 * k2x) * h,
+                 y + (a3_1 * k1y + a3_2 * k2y) * h)
+    k4x, k4y = f(x + (a4_1 * k1x + a4_3 * k3x) * h,
+                 y + (a4_1 * k1y + a4_3 * k3y) * h)
+    k5x, k5y = f(x + (a5_1 * k1x + a5_3 * k3x + a5_4 * k4x) * h,
+                 y + (a5_1 * k1y + a5_3 * k3y + a5_4 * k4y) * h)
+    k6x, k6y = f(x + (a6_1 * k1x + a6_4 * k4x + a6_5 * k5x) * h,
+                 y + (a6_1 * k1y + a6_4 * k4y + a6_5 * k5y) * h)
+    k7x, k7y = f(x + (a7_1 * k1x + a7_4 * k4x + a7_5 * k5x + a7_6 * k6x) * h,
+                 y + (a7_1 * k1y + a7_4 * k4y + a7_5 * k5y + a7_6 * k6y) * h)
+    k8x, k8y = f(x + (a8_1 * k1x + a8_4 * k4x + a8_5 * k5x + a8_6 * k6x + a8_7 * k7x) * h,
+                 y + (a8_1 * k1y + a8_4 * k4y + a8_5 * k5y + a8_6 * k6y + a8_7 * k7y) * h)
+    k9x, k9y = f(x + (a9_1 * k1x + a9_4 * k4x + a9_5 * k5x + a9_6 * k6x + a9_7 * k7x
+                      + a9_8 * k8x) * h,
+                 y + (a9_1 * k1y + a9_4 * k4y + a9_5 * k5y + a9_6 * k6y + a9_7 * k7y
+                      + a9_8 * k8y) * h)
+    k10x, k10y = f(x + (a10_1 * k1x + a10_4 * k4x + a10_5 * k5x + a10_6 * k6x
+                        + a10_7 * k7x + a10_8 * k8x + a10_9 * k9x) * h,
+                   y + (a10_1 * k1y + a10_4 * k4y + a10_5 * k5y + a10_6 * k6y
+                        + a10_7 * k7y + a10_8 * k8y + a10_9 * k9y) * h)
+    k11x, k11y = f(x + (a11_1 * k1x + a11_4 * k4x + a11_5 * k5x + a11_6 * k6x
+                        + a11_7 * k7x + a11_8 * k8x + a11_9 * k9x + a11_10 * k10x) * h,
+                   y + (a11_1 * k1y + a11_4 * k4y + a11_5 * k5y + a11_6 * k6y
+                        + a11_7 * k7y + a11_8 * k8y + a11_9 * k9y + a11_10 * k10y) * h)
+    k12x, k12y = f(x + (a12_1 * k1x + a12_4 * k4x + a12_5 * k5x + a12_6 * k6x
+                        + a12_7 * k7x + a12_8 * k8x + a12_9 * k9x + a12_10 * k10x
+                        + a12_11 * k11x) * h,
+                   y + (a12_1 * k1y + a12_4 * k4y + a12_5 * k5y + a12_6 * k6y
+                        + a12_7 * k7y + a12_8 * k8y + a12_9 * k9y + a12_10 * k10y
+                        + a12_11 * k11y) * h)
+    x_new = x + h * (b1 * k1x + b6 * k6x + b7 * k7x + b8 * k8x + b9 * k9x + b10 * k10x
+                     + b11 * k11x + b12 * k12x)
+    y_new = y + h * (b1 * k1y + b6 * k6y + b7 * k7y + b8 * k8y + b9 * k9y + b10 * k10y
+                     + b11 * k11y + b12 * k12y)
+    k13x, k13y = f(x_new, y_new)
+    return (x_new, y_new,
+            (k1x, k1y, k6x, k6y, k7x, k7y, k8x, k8y, k9x, k9y, k10x, k10y, k11x, k11y,
+             k12x, k12y, k13x, k13y),
+            e1 * k1x + e6 * k6x + e7 * k7x + e8 * k8x + e9 * k9x + e10 * k10x + e11 * k11x
+            + e12 * k12x,
+            e1 * k1y + e6 * k6y + e7 * k7y + e8 * k8y + e9 * k9y + e10 * k10y + e11 * k11y
+            + e12 * k12y,
+            g1 * k1x + g6 * k6x + g7 * k7x + g8 * k8x + g9 * k9x + g10 * k10x + g11 * k11x
+            + g12 * k12x,
+            g1 * k1y + g6 * k6y + g7 * k7y + g8 * k8y + g9 * k9y + g10 * k10y + g11 * k11y
+            + g12 * k12y)
+
+
+def _control(h_abs, e5x, e5y, e3x, e3y, rejected):
+    """SciPy's DOP853 step-size control on floats: (accepted, next |h|) after
+    an attempt of size h_abs with the scaled error estimates e5 and e3.
+
+    The only powers of the stepper are here. The lockstep driver calls this
+    once per lane, as NumPy's power can round differently from Python's.
+    """
+    n5 = math.sqrt(e5x * e5x + e5y * e5y) ** 2
+    n3 = math.sqrt(e3x * e3x + e3y * e3y) ** 2
+    err = 0.0 if n5 == 0 and n3 == 0 else h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * 2)
+    if err < 1:
+        factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** -0.125)
+        if rejected:
+            factor = min(1, factor)
+        return True, h_abs * factor
+    return False, h_abs * max(_MIN_FACTOR, _SAFETY * err ** -0.125)
+
+
+def _start(f, x0, t_bound, tol):
+    """The stepper's state at t = 0 from x0:
+    (t, x, y, k1x, k1y, h_abs, rejected, taken)."""
+    if not t_bound > 0:
+        raise ValueError("the time bound must be > 0")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    x, y = float(x0[0]), float(x0[1])
+    k1x, k1y = f(x, y)
+    return 0.0, x, y, k1x, k1y, _initial_step(f, x, y, k1x, k1y, t_bound, tol), False, 0
+
+
+def _resume(f, t, x, y, k1x, k1y, h_abs, rejected, taken, t_bound, tol):
+    """Accepted Dormand-Prince 8(5,3) steps on to t_bound from a stepper state
+    (see _start), as _Steps; k1 = f(x, y), h_abs is the next step size to
+    try, rejected says whether the step from t was rejected before, and
+    taken counts the accepted steps so far.
 
     The step control is SciPy's DOP853 solver's, operation for operation:
     its initial step for error order 7, the factor 0.9 * err^(-1/8) clamped
@@ -268,101 +391,37 @@ def _steps(X, x0, t_bound, tol):
     StepUnderflow when the step falls below that floor or the step budget
     runs out and Divergence when a step ends outside the safety box.
     """
-    if not t_bound > 0:
-        raise ValueError("the time bound must be > 0")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    f = X.rhs()
-    (a2_1,), (a3_1, a3_2), (a4_1, a4_3), (a5_1, a5_3, a5_4), (a6_1, a6_4, a6_5), \
-        (a7_1, a7_4, a7_5, a7_6), (a8_1, a8_4, a8_5, a8_6, a8_7), \
-        (a9_1, a9_4, a9_5, a9_6, a9_7, a9_8), (a10_1, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9), \
-        (a11_1, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10), \
-        (a12_1, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11) = _A
-    b1, b6, b7, b8, b9, b10, b11, b12 = _B
-    e1, e6, e7, e8, e9, e10, e11, e12 = _E5
-    g1, g6, g7, g8, g9, g10, g11, g12 = _E3
-    t = 0.0
-    x, y = float(x0[0]), float(x0[1])
-    k1x, k1y = f(x, y)
-    h_abs = _initial_step(f, x, y, k1x, k1y, t_bound, tol)
-    for _ in range(_MAX_STEPS):
-        if t >= t_bound:
-            return
+    while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise StepUnderflow(f"step size fell below 10 ulp at t={t:.6g}")
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = abs(h)
-            k2x, k2y = f(x + (a2_1 * k1x) * h,
-                         y + (a2_1 * k1y) * h)
-            k3x, k3y = f(x + (a3_1 * k1x + a3_2 * k2x) * h,
-                         y + (a3_1 * k1y + a3_2 * k2y) * h)
-            k4x, k4y = f(x + (a4_1 * k1x + a4_3 * k3x) * h,
-                         y + (a4_1 * k1y + a4_3 * k3y) * h)
-            k5x, k5y = f(x + (a5_1 * k1x + a5_3 * k3x + a5_4 * k4x) * h,
-                         y + (a5_1 * k1y + a5_3 * k3y + a5_4 * k4y) * h)
-            k6x, k6y = f(x + (a6_1 * k1x + a6_4 * k4x + a6_5 * k5x) * h,
-                         y + (a6_1 * k1y + a6_4 * k4y + a6_5 * k5y) * h)
-            k7x, k7y = f(x + (a7_1 * k1x + a7_4 * k4x + a7_5 * k5x + a7_6 * k6x) * h,
-                         y + (a7_1 * k1y + a7_4 * k4y + a7_5 * k5y + a7_6 * k6y) * h)
-            k8x, k8y = f(x + (a8_1 * k1x + a8_4 * k4x + a8_5 * k5x + a8_6 * k6x + a8_7 * k7x) * h,
-                         y + (a8_1 * k1y + a8_4 * k4y + a8_5 * k5y + a8_6 * k6y + a8_7 * k7y) * h)
-            k9x, k9y = f(x + (a9_1 * k1x + a9_4 * k4x + a9_5 * k5x + a9_6 * k6x + a9_7 * k7x
-                              + a9_8 * k8x) * h,
-                         y + (a9_1 * k1y + a9_4 * k4y + a9_5 * k5y + a9_6 * k6y + a9_7 * k7y
-                              + a9_8 * k8y) * h)
-            k10x, k10y = f(x + (a10_1 * k1x + a10_4 * k4x + a10_5 * k5x + a10_6 * k6x
-                                + a10_7 * k7x + a10_8 * k8x + a10_9 * k9x) * h,
-                           y + (a10_1 * k1y + a10_4 * k4y + a10_5 * k5y + a10_6 * k6y
-                                + a10_7 * k7y + a10_8 * k8y + a10_9 * k9y) * h)
-            k11x, k11y = f(x + (a11_1 * k1x + a11_4 * k4x + a11_5 * k5x + a11_6 * k6x
-                                + a11_7 * k7x + a11_8 * k8x + a11_9 * k9x + a11_10 * k10x) * h,
-                           y + (a11_1 * k1y + a11_4 * k4y + a11_5 * k5y + a11_6 * k6y
-                                + a11_7 * k7y + a11_8 * k8y + a11_9 * k9y + a11_10 * k10y) * h)
-            k12x, k12y = f(x + (a12_1 * k1x + a12_4 * k4x + a12_5 * k5x + a12_6 * k6x
-                                + a12_7 * k7x + a12_8 * k8x + a12_9 * k9x + a12_10 * k10x
-                                + a12_11 * k11x) * h,
-                           y + (a12_1 * k1y + a12_4 * k4y + a12_5 * k5y + a12_6 * k6y
-                                + a12_7 * k7y + a12_8 * k8y + a12_9 * k9y + a12_10 * k10y
-                                + a12_11 * k11y) * h)
-            x_new = x + h * (b1 * k1x + b6 * k6x + b7 * k7x + b8 * k8x + b9 * k9x + b10 * k10x
-                             + b11 * k11x + b12 * k12x)
-            y_new = y + h * (b1 * k1y + b6 * k6y + b7 * k7y + b8 * k8y + b9 * k9y + b10 * k10y
-                             + b11 * k11y + b12 * k12y)
-            k13x, k13y = f(x_new, y_new)
-            sx = tol + max(abs(x), abs(x_new)) * tol
-            sy = tol + max(abs(y), abs(y_new)) * tol
-            e5x = (e1 * k1x + e6 * k6x + e7 * k7x + e8 * k8x + e9 * k9x + e10 * k10x + e11 * k11x
-                   + e12 * k12x) / sx
-            e5y = (e1 * k1y + e6 * k6y + e7 * k7y + e8 * k8y + e9 * k9y + e10 * k10y + e11 * k11y
-                   + e12 * k12y) / sy
-            e3x = (g1 * k1x + g6 * k6x + g7 * k7x + g8 * k8x + g9 * k9x + g10 * k10x + g11 * k11x
-                   + g12 * k12x) / sx
-            e3y = (g1 * k1y + g6 * k6y + g7 * k7y + g8 * k8y + g9 * k9y + g10 * k10y + g11 * k11y
-                   + g12 * k12y) / sy
-            n5 = math.sqrt(e5x * e5x + e5y * e5y) ** 2
-            n3 = math.sqrt(e3x * e3x + e3y * e3y) ** 2
-            err = 0.0 if n5 == 0 and n3 == 0 else h_abs * n5 / math.sqrt((n5 + 0.01 * n3) * 2)
-            if err < 1:
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err ** -0.125)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -0.125)
-            rejected = True
-        step = _Step(t, t_new, (x, y), (x_new, y_new),
-                     (k1x, k1y, k6x, k6y, k7x, k7y, k8x, k8y, k9x, k9y, k10x, k10y, k11x, k11y,
-                      k12x, k12y, k13x, k13y), f)
-        t, x, y, k1x, k1y = t_new, x_new, y_new, k13x, k13y
+        if not rejected:
+            if taken == _MAX_STEPS:
+                raise StepUnderflow("step budget exhausted")
+            if t >= t_bound:
+                return
+            h_abs = max(h_abs, min_step)
+        if h_abs < min_step:
+            raise StepUnderflow(f"step size fell below 10 ulp at t={t:.6g}")
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+        x_new, y_new, K, e5x, e5y, e3x, e3y = _attempt(f, x, y, k1x, k1y, h)
+        sx = tol + max(abs(x), abs(x_new)) * tol
+        sy = tol + max(abs(y), abs(y_new)) * tol
+        accepted, h_abs = _control(abs(h), e5x / sx, e5y / sy, e3x / sx, e3y / sy, rejected)
+        rejected = not accepted
+        if rejected:
+            continue
+        step = _Step(t, t_new, (x, y), (x_new, y_new), K, f)
+        t, x, y, k1x, k1y = t_new, x_new, y_new, K[-2], K[-1]
+        taken += 1
         if abs(x) > _SAFETY_BOX or abs(y) > _SAFETY_BOX:
             raise Divergence(t, np.array([x, y]), _SAFETY_BOX)
         yield step
-    raise StepUnderflow("step budget exhausted")
+
+
+def _steps(X, x0, t_bound, tol):
+    """Accepted steps from x0 over [0, t_bound], as _Steps (see _resume)."""
+    f = X.rhs()
+    yield from _resume(f, *_start(f, x0, t_bound, tol), t_bound, tol)
 
 
 def _initial_step(f, x, y, fx, fy, t_bound, tol):
@@ -402,6 +461,28 @@ def integrate(X, x0, t_end: float, tol: float = DEFAULT_TOL) -> Orbit:
     return _orbit(x0, list(_steps(X, x0, t_end, tol)))
 
 
+def _line_screen(y_old, y_new, F, bx, by, nx, ny):
+    """(g0, g1, (c0, ..., c6), ruled_out) of a step from y_old to y_new with
+    dense output coefficients F against the line through (bx, by) with
+    normal (nx, ny); see _line_roots. The same operations run on floats and,
+    entry by entry, on lane arrays, where ruled_out is a mask."""
+    x, y = y_old
+    g0 = (x - bx) * nx + (y - by) * ny
+    x, y = y_new
+    g1 = (x - bx) * nx + (y - by) * ny
+    (f0x, f1x, f2x, f3x, f4x, f5x, f6x), (f0y, f1y, f2y, f3y, f4y, f5y, f6y) = F
+    c0 = nx * f0x + ny * f0y
+    c1 = nx * f1x + ny * f1y
+    c2 = nx * f2x + ny * f2y
+    c3 = nx * f3x + ny * f3y
+    c4 = nx * f4x + ny * f4y
+    c5 = nx * f5x + ny * f5y
+    c6 = nx * f6x + ny * f6y
+    ruled_out = ((((g0 > 0) & (g1 > 0)) | ((g0 < 0) & (g1 < 0)))
+                 & (abs(g0) > abs(c0) + abs(c1) + abs(c2) + abs(c3) + abs(c4) + abs(c5) + abs(c6)))
+    return g0, g1, (c0, c1, c2, c3, c4, c5, c6), ruled_out
+
+
 def _line_roots(step, bx, by, nx, ny):
     """Ascending s in [0, 1] where the step's interpolant crosses the section line.
 
@@ -417,22 +498,15 @@ def _line_roots(step, bx, by, nx, ny):
     g1 are taken from the step's end points themselves, so a step and the
     next one agree on the sign where they meet.
     """
-    x, y = step.y_old
-    g0 = (x - bx) * nx + (y - by) * ny
-    x, y = step.y
-    g1 = (x - bx) * nx + (y - by) * ny
-    (f0x, f1x, f2x, f3x, f4x, f5x, f6x), (f0y, f1y, f2y, f3y, f4y, f5y, f6y) = step.F
-    c0 = nx * f0x + ny * f0y
-    c1 = nx * f1x + ny * f1y
-    c2 = nx * f2x + ny * f2y
-    c3 = nx * f3x + ny * f3y
-    c4 = nx * f4x + ny * f4y
-    c5 = nx * f5x + ny * f5y
-    c6 = nx * f6x + ny * f6y
-    if ((g0 > 0 < g1 or g0 < 0 > g1)
-            and abs(g0) > abs(c0) + abs(c1) + abs(c2) + abs(c3) + abs(c4) + abs(c5) + abs(c6)):
-        return []
-    return _bernstein_roots((
+    g0, g1, c, ruled_out = _line_screen(step.y_old, step.y, step.F, bx, by, nx, ny)
+    return [] if ruled_out else _bernstein_roots(_line_bernstein(g0, g1, c))
+
+
+def _line_bernstein(g0, g1, c):
+    """The Bernstein coefficients of g on [0, 1] (see _line_roots); on floats
+    and, entry by entry, on lane arrays."""
+    c0, c1, c2, c3, c4, c5, c6 = c
+    return (
         g0,
         g0 + (c0 * (1 / 7) + c1 * (1 / 7)),
         g0 + (c0 * (2 / 7) + c1 * (5 / 21) + c2 * (1 / 21) + c3 * (1 / 21)),
@@ -442,7 +516,7 @@ def _line_roots(step, bx, by, nx, ny):
               + c5 * (1 / 35) + c6 * (1 / 35)),
         g0 + (c0 * (5 / 7) + c1 * (5 / 21) + c2 * (4 / 21) + c3 * (1 / 21) + c4 * (1 / 21)),
         g0 + (c0 * (6 / 7) + c1 * (1 / 7) + c2 * (1 / 7)),
-        g1))
+        g1)
 
 
 def _bernstein_roots(b):
@@ -540,12 +614,30 @@ def _single_root(b):
     return u
 
 
+def _geometry(section):
+    """The section as floats: (bx, by, nx, ny, tx, ty, half_length)."""
+    return (*(float(v) for v in section.base), *(float(v) for v in section.normal),
+            *(float(v) for v in section.direction), float(section.half_length))
+
+
+def _step_crossing(step, f, geometry, direction_sign, t_offset):
+    """The step's first crossing that next_section_crossing counts, as
+    (t_star, point), or None."""
+    bx, by, nx, ny, tx, ty, half = geometry
+    for s in _line_roots(step, bx, by, nx, ny):
+        t_star = step.t_old + s * step.h
+        px, py = step.at(s)
+        if t_star > t_offset and abs((px - bx) * tx + (py - by) * ty) <= half:
+            u, v = f(px, py)
+            if np.sign(u * nx + v * ny) == np.sign(direction_sign):
+                return t_star, np.array([px, py])
+    return None
+
+
 def _first_crossing(X, steps, section, direction_sign, t_max, t_offset, neighborhood_radius):
     """next_section_crossing's (t_star, point), searched over the given steps."""
-    bx, by = (float(v) for v in section.base)
-    nx, ny = (float(v) for v in section.normal)
-    tx, ty = (float(v) for v in section.direction)
-    half = float(section.half_length)
+    geometry = _geometry(section)
+    bx, by = geometry[:2]
     f = X.rhs()
     for step in steps:
         if (neighborhood_radius is not None
@@ -553,13 +645,9 @@ def _first_crossing(X, steps, section, direction_sign, t_max, t_offset, neighbor
             raise LeftNeighborhood(
                 f"orbit left the radius-{neighborhood_radius:g} neighborhood at t={step.t:.6g}"
             )
-        for s in _line_roots(step, bx, by, nx, ny):
-            t_star = step.t_old + s * step.h
-            px, py = step.at(s)
-            if t_star > t_offset and abs((px - bx) * tx + (py - by) * ty) <= half:
-                u, v = f(px, py)
-                if np.sign(u * nx + v * ny) == np.sign(direction_sign):
-                    return t_star, np.array([px, py])
+        hit = _step_crossing(step, f, geometry, direction_sign, t_offset)
+        if hit is not None:
+            return hit
     raise NoCrossing(f"no crossing in (0, {t_max}]")
 
 
@@ -602,3 +690,124 @@ def next_section_crossing(
     """
     return _first_crossing(X, _steps(X, x0, t_max, tol), section, direction_sign, t_max,
                            t_offset, neighborhood_radius)
+
+
+def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEFAULT_TOL,
+                           t_offset: float = 0.0) -> list[list]:
+    """next_section_crossing along rows of lanes (X, x0, direction_sign), all at once.
+
+    Returns per row what a loop over its lanes would collect until the first
+    OrbitFailure: each lane's (t_star, point) in order, ending with that
+    failure if one occurs, all bit for bit as next_section_crossing gives
+    them. Lanes whose fields share their monomials (field.lane_evaluators)
+    step in lockstep as NumPy arrays with one entry per lane, through the
+    kernels the scalar driver runs on floats (_attempt, _dense,
+    _line_screen, and _control once per lane). Each lane keeps its own
+    time, step size, rejection flag and step count, and leaves the arrays at
+    its crossing, or when it is about to fail: the scalar driver then
+    continues from its state and raises the failure, and the later lanes of
+    its row are dropped. Once fewer than _LOCKSTEP_MIN_LANES lanes run, or after
+    _LOCKSTEP_MAX_ATTEMPTS attempts, the lanes left continue on the scalar
+    driver, row by row. Raises ValueError unless t_max > 0 and tol > 0.
+    """
+    # lane i is row r's k-th: (r, k, X, x0, direction_sign)
+    lanes = [(r, k, *lane) for r, row in enumerate(rows) for k, lane in enumerate(row)]
+    found: dict = {}  # (r, k) -> (t_star, point) or the failure
+    cut = [len(row) for row in rows]  # the first failing position of each row so far
+
+    def finish(i, state):
+        r, k, X, _, sign = lanes[i]
+        try:
+            found[r, k] = _first_crossing(X, _resume(X.rhs(), *state, t_max, tol), section,
+                                          sign, t_max, t_offset, None)
+        except OrbitFailure as exc:
+            found[r, k] = exc
+            cut[r] = min(cut[r], k)
+
+    for members, select in lane_evaluators([lane[2] for lane in lanes]):
+        running = [(i, _start(lanes[i][2].rhs(), lanes[i][3], t_max, tol)) for i in members]
+        if select is not None and len(running) >= _LOCKSTEP_MIN_LANES:
+            running = _lockstep(select, lanes, running, _geometry(section), t_max, t_offset,
+                                tol, found, cut, finish)
+        for i, state in sorted(running):
+            r, k = lanes[i][:2]
+            if k < cut[r]:
+                finish(i, state)
+    return [[found[r, k] for k in range(min(cut[r] + 1, len(row)))]
+            for r, row in enumerate(rows)]
+
+
+def _lockstep(select, lanes, running, geometry, t_max, t_offset, tol, found, cut, finish):
+    """Steps one group of next_section_crossings' lanes together.
+
+    running lists (lane index, stepper state) in lane order and select gives
+    the group's RHS on lane arrays. Crossings go into found by (row,
+    position), and a lane about to fail goes to finish with its state.
+    Returns the lanes left running, with their states.
+    """
+    bx, by, nx, ny = geometry[:4]
+    ids = np.array([i for i, _ in running])
+    row, col = (np.array([lanes[i][k] for i in ids]) for k in (0, 1))
+    pos = np.arange(ids.size)
+    t, x, y, k1x, k1y, h_abs, rejected, taken = map(np.array, zip(*(s for _, s in running)))
+    f = select(pos)
+
+    def state(j):
+        return (int(ids[j]), (float(t[j]), float(x[j]), float(y[j]), float(k1x[j]), float(k1y[j]),
+                              float(h_abs[j]), bool(rejected[j]), int(taken[j])))
+
+    # overflow in an attempt that will be rejected stays silent, as on floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_LOCKSTEP_MAX_ATTEMPTS):
+            if pos.size < _LOCKSTEP_MIN_LANES:
+                break
+            fresh = ~rejected
+            min_step = 10 * (np.nextafter(t, np.inf) - t)
+            h_try = np.where(fresh & (min_step > h_abs), min_step, h_abs)
+            ending = (fresh & ((taken == _MAX_STEPS) | (t >= t_max))) | (h_try < min_step)
+            t_new = np.minimum(t + h_try, t_max)
+            h = t_new - t
+            x_new, y_new, K, e5x, e5y, e3x, e3y = _attempt(f, x, y, k1x, k1y, h)
+            # Python's max(a, b) is a unless b > a; a = |x| is never nan
+            sx = tol + np.fmax(abs(x), abs(x_new)) * tol
+            sy = tol + np.fmax(abs(y), abs(y_new)) * tol
+            accepted, h_next = (np.array(v) for v in zip(*map(
+                _control, abs(h).tolist(), (e5x / sx).tolist(), (e5y / sy).tolist(),
+                (e3x / sx).tolist(), (e3y / sy).tolist(), rejected.tolist())))
+            # a step out of the safety box is taken again by the scalar driver
+            ending |= accepted & ((abs(x_new) > _SAFETY_BOX) | (abs(y_new) > _SAFETY_BOX))
+            stepped = accepted & ~ending
+            done = ending.copy()
+            if stepped.any():
+                F = _dense(f, h, (x, y), (x_new, y_new), K)
+                g0, g1, c, ruled_out = _line_screen((x, y), (x_new, y_new), F, bx, by, nx, ny)
+                # _bernstein_roots finds no root where no coefficient is 0 or
+                # has the other sign
+                b = np.array(_line_bernstein(g0, g1, c))
+                rootless = (b[0] != 0) & (b[-1] != 0) & ((b > 0).all(0) | (b < 0).all(0))
+                searched = np.flatnonzero(stepped & ~ruled_out & ~rootless)
+                for j, Fj in zip(searched.tolist(),
+                                 np.array(F)[:, :, searched].transpose(2, 0, 1).tolist()):
+                    r, k, X, _, sign = lanes[ids[j]]
+                    step = _Step(float(t[j]), float(t_new[j]), (float(x[j]), float(y[j])),
+                                 (float(x_new[j]), float(y_new[j])), None, None, Fj)
+                    crossing = _step_crossing(step, X.rhs(), geometry, sign, t_offset)
+                    if crossing is not None:
+                        found[r, k] = crossing
+                        done[j] = True
+            for j in np.flatnonzero(ending).tolist():
+                finish(*state(j))
+            if ending.any():
+                # a row ends at its first failure
+                done |= col > np.array(cut)[row]
+            t, x, y = (np.where(stepped, t_new, t), np.where(stepped, x_new, x),
+                       np.where(stepped, y_new, y))
+            k1x, k1y = np.where(stepped, K[-2], k1x), np.where(stepped, K[-1], k1y)
+            h_abs, rejected, taken = h_next, ~accepted, taken + stepped
+            if done.any():
+                keep = ~done
+                t, x, y, k1x, k1y, h_abs, rejected, taken, ids, row, col, pos = (
+                    v[keep] for v in (t, x, y, k1x, k1y, h_abs, rejected, taken, ids, row, col,
+                                      pos))
+                f = select(pos)
+    return [state(j) for j in range(pos.size)]

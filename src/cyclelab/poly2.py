@@ -266,9 +266,12 @@ def eval_poly(p: Poly2, x, y):
 _MAX_NESTING = 64
 
 
-def _horner_source(p: Poly2, out: str) -> list[str]:
+def _horner_source(p: Poly2, out: str, names: str | None = None) -> list[str]:
     """Python statements that leave eval_poly(p, x, y) in the variable out,
-    for a monomial p and float x, y.
+    for a monomial p and float x, y. With a prefix ``names`` the nonzero
+    coefficient of x^i y^j is the variable {names}{i}_{j} instead of its
+    value, so one body serves every polynomial with p's nonzero monomials,
+    float by float or entry by entry on arrays.
 
     eval_poly's Horner loops become one expression, operation for operation:
     each column's loop in x nests inside the loop in y over the columns. An
@@ -304,7 +307,12 @@ def _horner_source(p: Poly2, out: str) -> list[str]:
             expr += " + 0.0"
         return None if expr is None else (expr, depth)
 
-    cols = [horner([(repr(c), 0) if c else None for c in col], "x", f"{out}{k}")
+    dx, dy = (n - 1 for n in p._dense.shape)
+
+    def coefficient(c, i, j):
+        return None if not c else (repr(c) if names is None else f"{names}{i}_{j}", 0)
+
+    cols = [horner([coefficient(c, dx - m, dy - k) for m, c in enumerate(col)], "x", f"{out}{k}")
             for k, col in enumerate(p._horner_columns)]
     value = horner(cols, "y", out)
     return lines + [f"{out} = {value[0] if value else 0.0}"]

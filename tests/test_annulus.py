@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclelab import annulus as an
 from cyclelab import cycles as cy
@@ -139,7 +139,8 @@ def _dense_points_in_polygon(pts, poly):
     x0, y0 = poly[:-1, 0], poly[:-1, 1]
     x1, y1 = poly[1:, 0], poly[1:, 1]
     cond = (y0[None, :] <= y[:, None]) != (y1[None, :] <= y[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal edge height can overflow the quotient; its inf compares right
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x_int = x0 + (y[:, None] - y0) * (x1 - x0) / np.where(y1 == y0, 1.0, y1 - y0)
     hits = cond & (x[:, None] < x_int)
     return (hits.sum(axis=1) % 2).astype(bool)
@@ -165,6 +166,7 @@ def _polygons(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_polygons(), st.lists(st.tuples(_coord, _coord), max_size=60))
+@example(np.array([[0.0, 0.0], [0.0, 0.3], [1.4, 2.22507386e-309], [0.0, 0.0]]), [])
 def test_points_in_polygon_matches_dense_test(poly, pts):
     pts = np.array(pts, dtype=float).reshape(-1, 2)
     for query in (pts, np.vstack([pts, poly, [[np.nan, 0.0], [0.0, np.nan]]])):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import cyclelab.discriminant as dc
+from cyclelab import flow
 from cyclelab.field import gradient_collapse_family, rotate_family
 from cyclelab.poly2 import parse_poly
 
@@ -170,5 +171,40 @@ def test_q2_csv(tmp_path, ck, section):
     path = tmp_path / "q2.csv"
     rep.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "seed_index,phi,n_real_roots,radius"
+    assert lines[0] == "seed_index,phi,n_real_roots,radius,error"
     assert len(lines) == 4
+    assert all(line.endswith(",") for line in lines[1:])  # no sample failed
+
+
+def _q2_scalar(X, section, d, radius, n_samples, seed, window):
+    """q2_search's samples one field at a time, each through
+    displacement_samples on the scalar driver."""
+    out = []
+    for i in range(n_samples):
+        Y = dc._perturb_coeffs(X, np.random.default_rng([seed, i]), radius)
+        try:
+            fit = dc.fit_displacement_poly(dc.displacement_samples(Y, section, d, window), d)
+        except (flow.OrbitFailure, dc.LeadingCoefficientVanishes) as exc:
+            out.append((i, None, None, False, type(exc).__name__))
+            continue
+        val = dc.discriminant(fit)
+        scale = max(1.0, float(np.max(np.abs(fit.full_coeffs()))))
+        out.append((i, val, dc.real_root_census(fit), abs(val) < 1e-9 * scale, None))
+    return out
+
+
+@pytest.mark.parametrize("radius, n_samples, seed", [(0.3, 8, 3), (1e-3, 5, 1)])
+def test_q2_batched_matches_per_field_scalar_path(tmp_path, ck, section, radius, n_samples,
+                                                  seed):
+    """Sample for sample: the discriminant's bits, the root census and the
+    failure's name. At radius 0.3 five fields never return to the section
+    and two fits lose their leading coefficient."""
+    rep = dc.q2_search(ck[3], section, 3, radius, n_samples, seed=seed, window=0.025)
+    got = [(s.index, s.phi, s.n_real_roots, s.boundary, s.error) for s in rep.samples]
+    assert got == _q2_scalar(ck[3], section, 3, radius, n_samples, seed, 0.025)
+    if radius == 0.3:
+        errors = [s.error for s in rep.samples if s.error]
+        assert sorted(errors) == ["LeadingCoefficientVanishes"] * 2 + ["NoCrossing"] * 5
+        rep.to_csv(tmp_path / "q2.csv")
+        rows = (tmp_path / "q2.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == [s.error or "" for s in rep.samples]

@@ -411,3 +411,100 @@ def test_bernstein_roots_match_np_roots(interior, jitter, ends, touch, pair, far
     assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
     assert got == sorted(got)
     assert all(0.0 <= s <= 1.0 for s in got)
+
+
+def _lockstep_fields(ck):
+    """Fields for the lockstep tests: five monomial supports and a Bernstein
+    field, with orbits that cross, never cross (NoCrossing), leave the
+    safety box (Divergence) and blow up in finite time (StepUnderflow, with
+    overflow inside the lane arrays)."""
+    from cyclelab.discriminant import _perturb_coeffs
+    from cyclelab.poly2 import to_bernstein
+
+    rng = np.random.default_rng(3)
+    repelling3 = PolyVectorField(parse_poly("-y - x + x^3 + x*y^2"),
+                                 parse_poly("x - y + x^2*y + y^3"))
+    repelling7 = PolyVectorField(parse_poly("-y + x^7 + 3*x^5*y^2 + 3*x^3*y^4 + x*y^6"),
+                                 parse_poly("x + x^6*y + 3*x^4*y^3 + 3*x^2*y^5 + y^7"))
+    box = (-2.0, 2.0, -2.0, 2.0)
+    return [repelling3, repelling7, ck[1], ck[3],
+            _perturb_coeffs(ck[1], rng, 0.05), _perturb_coeffs(ck[1], rng, 0.3),
+            _perturb_coeffs(ck[3], rng, 1e-3), _perturb_coeffs(ck[3], rng, 0.3),
+            PolyVectorField(to_bernstein(ck[1].P, box), to_bernstein(ck[1].Q, box))]
+
+
+def _crossing_or_failure(X, x0, sign, **kw):
+    try:
+        return flow.next_section_crossing(X, x0, SEC, sign, **kw)
+    except flow.OrbitFailure as exc:
+        return exc
+
+
+def _same(got, ref):
+    if isinstance(ref, flow.OrbitFailure):
+        return type(got) is type(ref) and str(got) == str(ref)
+    return got[0] == ref[0] and np.array_equal(got[1], ref[1])
+
+
+_LOCKSTEP_KW = dict(t_max=30.0, tol=1e-10, t_offset=1e-6)
+
+
+@pytest.fixture(scope="module")
+def scalar_lanes(ck):
+    """Lanes (X, x0, direction_sign) and next_section_crossing's result for each."""
+    lanes = [(X, SEC.point_at(xi), sign) for X in _lockstep_fields(ck)
+             for xi, sign in ((-0.5, 1), (-0.2, 1), (0.0, 1), (0.3, 1), (0.55, 1), (0.0, -1))]
+    return lanes, [_crossing_or_failure(*lane, **_LOCKSTEP_KW) for lane in lanes]
+
+
+@pytest.mark.parametrize("min_lanes, max_attempts", [
+    # every lane in lockstep to its end
+    (1, 10 ** 6),
+    # every lane continues on the scalar driver after 13 attempts, three of
+    # them right after a rejected attempt
+    (1, 13),
+    (flow._LOCKSTEP_MIN_LANES, flow._LOCKSTEP_MAX_ATTEMPTS),
+])
+def test_lockstep_matches_next_section_crossing(scalar_lanes, monkeypatch, min_lanes,
+                                                max_attempts):
+    """Lane for lane, the lockstep driver gives next_section_crossing's
+    (t_star, point) bits, or a failure of the same type and message. The
+    suite turns RuntimeWarnings into errors, so overflow in a lane array
+    must stay silent, as it is on floats."""
+    monkeypatch.setattr(flow, "_LOCKSTEP_MIN_LANES", min_lanes)
+    monkeypatch.setattr(flow, "_LOCKSTEP_MAX_ATTEMPTS", max_attempts)
+    lanes, refs = scalar_lanes
+    got = flow.next_section_crossings([[lane] for lane in lanes], SEC, **_LOCKSTEP_KW)
+    assert [len(row) for row in got] == [1] * len(lanes)
+    for (hit,), ref in zip(got, refs):
+        assert _same(hit, ref), (hit, ref)
+    kinds = {type(ref).__name__ for ref in refs}
+    assert kinds == {"tuple", "NoCrossing", "Divergence", "StepUnderflow"}, kinds
+
+
+@pytest.mark.parametrize("min_lanes", [1, flow._LOCKSTEP_MIN_LANES])
+def test_lockstep_rows_end_at_their_first_failure(ck, monkeypatch, min_lanes):
+    """A row collects what a loop over its lanes collects before its first
+    failure, which ends it."""
+    monkeypatch.setattr(flow, "_LOCKSTEP_MIN_LANES", min_lanes)
+    xis = (-0.5, 0.0, 0.3, -0.2, 0.55)
+    rows = [[(X, SEC.point_at(xi), +1) for xi in xis] for X in _lockstep_fields(ck)]
+    got = flow.next_section_crossings(rows, SEC, **_LOCKSTEP_KW)
+    for row, hits in zip(rows, got):
+        ref = []
+        for lane in row:
+            ref.append(_crossing_or_failure(*lane, **_LOCKSTEP_KW))
+            if isinstance(ref[-1], flow.OrbitFailure):
+                break
+        assert len(hits) == len(ref)
+        assert all(_same(hit, r) for hit, r in zip(hits, ref))
+    assert 0 < sum(len(hits) < len(xis) for hits in got) < len(rows)
+
+
+def test_lockstep_rejects_bad_arguments(ck):
+    rows = [[(ck[1], SEC.point_at(0.1), +1)]]
+    for kw in (dict(t_max=0.0), dict(t_max=-1.0), dict(tol=0.0)):
+        with pytest.raises(ValueError):
+            flow.next_section_crossings(rows, SEC, **kw)
+    assert flow.next_section_crossings([], SEC) == []
+    assert flow.next_section_crossings([[]], SEC) == [[]]
