@@ -22,7 +22,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import flow
-from .field import PolyVectorField, divergence, gradient_collapse_family, scale
+from .field import (PolyVectorField, divergence, gradient_collapse_family, lane_evaluators,
+                    scale)
 from .poly2 import Poly2, derivative
 
 DEFAULT_T_MAX = 400.0
@@ -117,8 +118,10 @@ def orientation_sign(X: PolyVectorField, point) -> int:
     return 1 if w >= 0 else -1
 
 
-def crossing_sign(X: PolyVectorField, section: Section) -> int:
-    p, q = X.rhs()(float(section.base[0]), float(section.base[1]))
+def crossing_sign(X: PolyVectorField, section: Section, rhs=None) -> int:
+    """The sign of the flow across the section at its base, from X.rhs() or
+    the given evaluator of X."""
+    p, q = (X.rhs() if rhs is None else rhs)(float(section.base[0]), float(section.base[1]))
     s = np.dot([p, q], section.normal)
     if s == 0:
         raise ValueError("flow tangent to the section at its base")
@@ -143,11 +146,14 @@ def displacements(fields, section, xis, tol=DEFAULT_CYCLE_TOL) -> list[list]:
     """d(xi) of every field at the xis, one row per field, as a loop calling
     displacement(X, section, xi, tol) collects them, bit for bit, until its
     first OrbitFailure; a row that meets one ends with it. All orbits run at
-    once, in lockstep (flow.next_section_crossings)."""
-    rows = []
-    for X in fields:
-        sign = crossing_sign(X, section)
-        rows.append([(X, section.point_at(xi), sign) for xi in xis])
+    once, in lockstep (flow.next_section_crossings), and no field compiles
+    its own rhs(): each is evaluated through its group's body
+    (field.lane_evaluators)."""
+    signs = [0] * len(fields)
+    for members, select in lane_evaluators(fields):
+        for k, m in enumerate(members):
+            signs[m] = crossing_sign(fields[m], section, None if select is None else select(k))
+    rows = [[(X, section.point_at(xi), sign) for xi in xis] for X, sign in zip(fields, signs)]
     crossings = flow.next_section_crossings(rows, section, t_max=DEFAULT_T_MAX, tol=tol,
                                             t_offset=_T_OFFSET)
     return [[hit if isinstance(hit, flow.OrbitFailure) else section.xi_of(hit[1]) - xi

@@ -321,9 +321,10 @@ def _perturb_coeffs(X, rng, radius):
     def jitter(p):
         deg = int(max(p.degree, 0))
         out = dict(p.coeffs)
-        for i in range(deg + 1):
-            for j in range(deg + 1 - i):
-                out[(i, j)] = out.get((i, j), 0.0) + rng.uniform(-radius, radius)
+        monomials = [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
+        # one draw of n values gives what n draws of one value give, in order
+        for e, v in zip(monomials, rng.uniform(-radius, radius, size=len(monomials)).tolist()):
+            out[e] = out.get(e, 0.0) + v
         return Poly2.monomial(out)
 
     return PolyVectorField(jitter(X.P), jitter(X.Q))

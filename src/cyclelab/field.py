@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,11 +47,14 @@ class PolyVectorField:
     def rhs(self):
         """The field as one function (x, y) -> (P(x, y), Q(x, y)) on floats.
 
-        Built once per field. A monomial field compiles each component
-        into one Horner expression (poly2._horner_source), cut into
+        Built on the first call and kept with the field. A monomial field
+        compiles each component into one Horner expression
+        (poly2._horner_source) with its coefficients as literals, cut into
         statements only every 64 nesting levels, whose values are
         bit-identical to eval_poly's; Bernstein fields on one box share
-        their basis rows between the two components.
+        their basis rows between the two components. The lockstep driver
+        builds none of these: it evaluates each field through its group's
+        body (lane_evaluators), which is compiled once per set of monomials.
         """
         return self._evaluator
 
@@ -99,12 +102,14 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
     pairs, members indexing fields.
 
     Fields whose components are nonzero monomial polynomials with the same
-    nonzero monomials form one group. Its select(lanes) is the right-hand
-    side (x, y) -> (P, Q) on arrays whose k-th entries belong to the field
-    members[lanes[k]]. The group compiles one body, rhs()'s with
-    coefficient names for the literals (poly2._horner_source), so each
-    entry has the bits of that field's rhs(). The other fields form one
-    group whose select is None.
+    nonzero monomials form one group. Its select(lanes), lanes an index
+    array, is the right-hand side (x, y) -> (P, Q) on arrays whose k-th
+    entries belong to the field members[lanes[k]]; select(k), k an int, is
+    the right-hand side of the field members[k] on floats. Both run one body
+    per set of monomials, rhs()'s with coefficient names for the literals
+    (poly2._horner_source), compiled once per process, so every value has
+    the bits of that field's rhs(). The other fields form one group whose
+    select is None.
     """
     groups: dict = {}
     for i, X in enumerate(fields):
@@ -117,17 +122,30 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
         if key is None:
             out.append((members, None))
             continue
-        first = fields[members[0]]
-        names = [f"cp{i}_{j}" for i, j in key[0]] + [f"cq{i}_{j}" for i, j in key[1]]
-        body = (_horner_source(first.P, "p", "cp") + _horner_source(first.Q, "q", "cq")
-                + ["return p, q"])
-        namespace: dict = {}
-        exec(f"def lanes({', '.join(names)}):\n    def rhs(x, y):\n"
-             + "".join(f"        {line}\n" for line in body) + "    return rhs\n", namespace)
         coeffs = np.array([[fields[m].P.coeffs[e] for e in key[0]]
                            + [fields[m].Q.coeffs[e] for e in key[1]] for m in members]).T
-        out.append((members, lambda lanes, c=coeffs, make=namespace["lanes"]: make(*c[:, lanes])))
+
+        def select(lanes, c=coeffs, make=_lane_body(key)):
+            return make(*(c[:, lanes].tolist() if isinstance(lanes, int) else c[:, lanes]))
+
+        out.append((members, select))
     return out
+
+
+@lru_cache(maxsize=64)
+def _lane_body(key):
+    """The compiled factory (coefficients) -> rhs of the monomial fields with
+    the nonzero monomials key = (P's, Q's); see lane_evaluators."""
+    P, Q = (Poly2.monomial(dict.fromkeys(k, 1.0)) for k in key)
+    names = [f"cp{i}_{j}" for i, j in key[0]] + [f"cq{i}_{j}" for i, j in key[1]]
+    body = _horner_source(P, "p", "cp") + _horner_source(Q, "q", "cq") + ["return p, q"]
+    namespace: dict = {}
+    # coefficients bound as defaults are read as locals: a call costs about 5%
+    # more than with rhs()'s literals, where closure cells would cost 14%
+    exec(f"def lanes({', '.join(names)}):\n"
+         f"    def rhs(x, y, {', '.join(f'{n}={n}' for n in names)}):\n"
+         + "".join(f"        {line}\n" for line in body) + "    return rhs\n", namespace)
+    return namespace["lanes"]
 
 
 def divergence(X: PolyVectorField) -> Poly2:

@@ -5,17 +5,21 @@ degree-7 dense output (Hairer-Norsett-Wanner, Solving ODEs I, II.10), with
 the step control of SciPy's DOP853 solver and fed by the field's compiled
 evaluator; no SciPy stepper runs here. Two drivers run one tableau code: the
 stages and error estimates of an attempt (_attempt), the dense output
-(_dense) and the crossing screen (_line_screen, _line_bernstein) are written
-once and run on plain floats in the scalar driver (_resume) and entry by
-entry on NumPy lane arrays in the lockstep driver (next_section_crossings,
-one lane per orbit). The step-size control (_control) holds the stepper's
-only powers, which NumPy can round differently from Python, so both drivers
-run it on floats, the lockstep driver once per lane. Every lane thus has the
-scalar driver's bits. The scalar driver alone raises the stepper's failures
-(the step budget, the step floor and the safety box): a lane about to fail
-continues from its state on it. A lockstep attempt costs about 2.3 ms at up
-to 96 lanes, a scalar attempt about 50 us, so the lockstep driver pays from
-about 48 lanes and hands fewer to the scalar driver.
+(_dense), the crossing screen (_line_screen, _line_bernstein) and the
+de Casteljau step of the root search (_value_slope) are written once and run
+on plain floats in the scalar driver (_resume) and entry by entry on NumPy
+lane arrays in the lockstep driver (next_section_crossings, one lane per
+orbit), which also solves its steps for their crossings on the lane arrays
+(_lane_roots, _single_roots, _interpolant) with the scalar search's
+operations and tests in their order. The step-size control (_control) holds
+the stepper's only powers, which NumPy can round differently from Python, so
+both drivers run it on floats, the lockstep driver once per lane. Every lane
+thus has the scalar driver's bits. The scalar driver alone raises the
+stepper's failures (the step budget, the step floor and the safety box): a
+lane about to fail continues from its state on it. A lockstep attempt,
+crossing search included, costs about 1.8 ms at 16 to 96 lanes and 2.8 ms at
+312, a scalar attempt about 45 us (2-vCPU Xeon VM), so the lockstep driver
+pays from about 48 lanes and hands fewer to the scalar driver.
 
 ``integrate`` collects the scalar driver's steps into an Orbit.
 ``next_section_crossing`` solves each step for its section crossings
@@ -38,8 +42,10 @@ from .field import lane_evaluators
 DEFAULT_TOL = 1e-10
 _SAFETY_BOX = 1e3
 _MAX_STEPS = 2_000_000
-# below this many lanes a lockstep step costs more per lane than a scalar
-# step, so next_section_crossings hands the rest to the scalar driver
+# below this many lanes the lockstep driver is slower than the scalar one: a
+# q2 return takes about 25 lockstep attempts of about 1.8 ms up to 96 lanes,
+# or about 20 scalar attempts of about 45 us per lane, which break even at
+# about 48 lanes; next_section_crossings hands fewer to the scalar driver
 _LOCKSTEP_MIN_LANES = 48
 # a return to the section takes 19-56 attempts on q2-search's fields, an
 # orbit that never returns runs to t_max in about 10^3-10^4; the lanes still
@@ -169,11 +175,8 @@ class Orbit:
         rows = np.array([(step.t_old, step.h, *step.y_old, *step.F[0], *step.F[1])
                          for step in steps], dtype=float).reshape(-1, 18)[where]
         s = (ts - rows[:, 0]) / rows[:, 1]
-        r = 1 - s
-        out = np.empty((ts.size, 2))
-        for k, f in enumerate((rows[:, 4:11].T, rows[:, 11:18].T)):
-            out[:, k] = ((((((((f[6] * s + f[5]) * r + f[4]) * s + f[3]) * r + f[2]) * s + f[1])
-                           * r + f[0]) * s) + rows[:, 2 + k])
+        out = np.stack(_interpolant((rows[:, 4:11].T, rows[:, 11:18].T), rows[:, 2], rows[:, 3], s),
+                       axis=-1)
         return out.reshape(t.shape + (2,))
 
     def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,15 +202,15 @@ class _Step:
     K holds the stage derivatives the dense output needs, (k1x, k1y,
     k6x, k6y, ..., k13x, k13y), and f the right-hand side. The dense
     output's coefficients F = ((F0x, ..., F6x), (F0y, ..., F6y)) cost three
-    more RHS calls and are built on first use unless given.
+    more RHS calls and are built on first use.
     """
 
     __slots__ = ("t_old", "t", "h", "y_old", "y", "K", "f", "_F")
 
-    def __init__(self, t_old, t, y_old, y, K, f, F=None):
+    def __init__(self, t_old, t, y_old, y, K, f):
         self.t_old, self.t, self.h = t_old, t, t - t_old
         self.y_old, self.y, self.K, self.f = y_old, y, K, f
-        self._F = F
+        self._F = None
 
     @property
     def F(self):
@@ -225,6 +228,14 @@ class _Step:
                  + x),
                 (((((((f6y * s + f5y) * r + f4y) * s + f3y) * r + f2y) * s + f1y) * r + f0y) * s
                  + y))
+
+
+def _interpolant(F, x, y, s):
+    """_Step.at on lane arrays: the interpolant with dense output
+    coefficients F from (x, y) at s, one entry per lane, as (x, y)."""
+    r = 1 - s
+    return tuple(((((((((f6 * s + f5) * r + f4) * s + f3) * r + f2) * s + f1) * r + f0) * s) + v)
+                 for (f0, f1, f2, f3, f4, f5, f6), v in zip(F, (x, y)))
 
 
 def _dense(f, h, y_old, y_new, K):
@@ -576,7 +587,8 @@ def _halves(b):
 
 def _value_slope(b, u):
     """The polynomial with Bernstein coefficients b on [0, 1] and its
-    derivative at u, by de Casteljau's algorithm."""
+    derivative at u, by de Casteljau's algorithm; on floats and, with b's
+    rows and u lane arrays, entry by entry."""
     v, w = 1 - u, b
     while len(w) > 2:
         w = [p * v + q * u for p, q in zip(w, w[1:])]
@@ -614,6 +626,79 @@ def _single_root(b):
     return u
 
 
+def _single_roots(b):
+    """_single_root of every column of b, an (n + 1, lanes) array whose
+    columns change sign once: Newton's method in a shrinking bracket with
+    _single_root's operations and tests in its order, on lane arrays."""
+    lanes = np.arange(b.shape[1])
+    negative_at_lo = b[(b != 0).argmax(0), lanes] < 0
+    p, q = b[:-1], b[1:]
+    crossing = p * q < 0
+    i = crossing.argmax(0)
+    p, q = p[i, lanes], q[i, lanes]
+    out = np.empty(lanes.size)
+    # the unused sides of each np.where below may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = np.where(crossing.any(0), (i + p / (p - q)) / (len(b) - 1), 0.5)
+        lo, hi = np.zeros(lanes.size), np.ones(lanes.size)
+        for _ in range(100):
+            if not lanes.size:
+                break
+            g, slope = _value_slope(b, u)
+            lower = (g < 0) == negative_at_lo
+            lo, hi = np.where(lower, u, lo), np.where(lower, hi, u)
+            u_next = np.where(slope != 0, u - g / slope, lo)
+            # min(max(u_next, lo), hi) as Python takes it
+            clamped = np.where(lo > u_next, lo, u_next)
+            clamped = np.where(hi < clamped, hi, clamped)
+            converged = abs(u_next - u) <= 2.0 ** -53
+            u_next = np.where((lo < u_next) & (u_next < hi), u_next, 0.5 * (lo + hi))
+            zero = g == 0
+            ended = zero | converged | (hi - lo <= 2.0 ** -52)
+            out[lanes[ended]] = np.where(zero, u, np.where(converged, clamped, u_next))[ended]
+            running = ~ended
+            b, u, lo, hi, negative_at_lo, lanes = (
+                b[:, running], u_next[running], lo[running], hi[running],
+                negative_at_lo[running], lanes[running])
+        out[lanes] = u
+    return out
+
+
+def _lane_roots(b):
+    """_bernstein_roots of every column of b, an (n + 1, lanes) array, as a
+    list whose k-th entry (columns, s) holds the k-th root of each column
+    that has one.
+
+    A column without a sign change has its roots at the exact zeros s = 0
+    and s = 1, one with a sign change these and _single_roots' root between
+    them. Columns with more sign changes go through _bernstein_roots one by
+    one.
+    """
+    nonzero, negative = b != 0, b < 0
+    # _sign_changes of every column: zeros skipped, NaN counted as positive
+    changes = np.zeros(b.shape[1], dtype=int)
+    seen, last = nonzero[0], negative[0]
+    for nz, neg in zip(nonzero[1:], negative[1:]):
+        changes += nz & seen & (neg != last)
+        seen, last = seen | nz, np.where(nz, neg, last)
+    at_lo = ~nonzero[0] & (changes < 2)
+    at_hi = np.flatnonzero(~nonzero[-1] & (changes < 2))
+    one = np.flatnonzero(changes == 1)
+    cols = [np.flatnonzero(at_lo), one, at_hi]
+    # _bernstein_roots takes lo + (hi - lo) * u = 0.0 + 1.0 * u on [0, 1],
+    # which is u, as _single_root never returns -0.0
+    s = [np.zeros(cols[0].size), _single_roots(b[:, one]), np.ones(at_hi.size)]
+    rank = [np.zeros(cols[0].size, dtype=int), at_lo[one].astype(int),
+            at_lo[at_hi].astype(int) + (changes[at_hi] == 1)]
+    for j in np.flatnonzero(changes > 1).tolist():
+        roots = _bernstein_roots(b[:, j].tolist())
+        cols.append(np.full(len(roots), j))
+        s.append(np.array(roots, dtype=float))
+        rank.append(np.arange(len(roots)))
+    cols, s, rank = (np.concatenate(v) for v in (cols, s, rank))
+    return [(cols[rank == k], s[rank == k]) for k in range(rank.max(initial=-1) + 1)]
+
+
 def _geometry(section):
     """The section as floats: (bx, by, nx, ny, tx, ty, half_length)."""
     return (*(float(v) for v in section.base), *(float(v) for v in section.normal),
@@ -634,11 +719,11 @@ def _step_crossing(step, f, geometry, direction_sign, t_offset):
     return None
 
 
-def _first_crossing(X, steps, section, direction_sign, t_max, t_offset, neighborhood_radius):
-    """next_section_crossing's (t_star, point), searched over the given steps."""
+def _first_crossing(f, steps, section, direction_sign, t_max, t_offset, neighborhood_radius):
+    """next_section_crossing's (t_star, point), searched over the given steps
+    of an orbit of the field whose RHS is f."""
     geometry = _geometry(section)
     bx, by = geometry[:2]
-    f = X.rhs()
     for step in steps:
         if (neighborhood_radius is not None
                 and math.hypot(step.y[0] - bx, step.y[1] - by) > neighborhood_radius):
@@ -661,7 +746,7 @@ def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset,
             kept.append(step)
             yield step
 
-    t_star, p = _first_crossing(X, kept_steps(), section, direction_sign, t_max, t_offset,
+    t_star, p = _first_crossing(X.rhs(), kept_steps(), section, direction_sign, t_max, t_offset,
                                 neighborhood_radius)
     return t_star, p, _orbit(x0, kept)
 
@@ -688,7 +773,7 @@ def next_section_crossing(
     and an OrbitFailure: NoCrossing, Divergence, StepUnderflow or
     LeftNeighborhood.
     """
-    return _first_crossing(X, _steps(X, x0, t_max, tol), section, direction_sign, t_max,
+    return _first_crossing(X.rhs(), _steps(X, x0, t_max, tol), section, direction_sign, t_max,
                            t_offset, neighborhood_radius)
 
 
@@ -702,33 +787,48 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     them. Lanes whose fields share their monomials (field.lane_evaluators)
     step in lockstep as NumPy arrays with one entry per lane, through the
     kernels the scalar driver runs on floats (_attempt, _dense,
-    _line_screen, and _control once per lane). Each lane keeps its own
-    time, step size, rejection flag and step count, and leaves the arrays at
-    its crossing, or when it is about to fail: the scalar driver then
-    continues from its state and raises the failure, and the later lanes of
-    its row are dropped. Once fewer than _LOCKSTEP_MIN_LANES lanes run, or after
+    _line_screen, _line_bernstein and _value_slope, and _control once per
+    lane); _lane_roots and _interpolant solve the steps for their crossings
+    on the arrays too. Each lane keeps its own time, step size, rejection
+    flag and step count, and leaves the arrays at its crossing, or when it
+    is about to fail: the scalar driver then continues from its state and
+    raises the failure, and the later lanes of its row are dropped. Once
+    fewer than _LOCKSTEP_MIN_LANES lanes run, or after
     _LOCKSTEP_MAX_ATTEMPTS attempts, the lanes left continue on the scalar
-    driver, row by row. Raises ValueError unless t_max > 0 and tol > 0.
+    driver, row by row. Every lane's scalar work runs on its field's
+    evaluator from lane_evaluators, so no field compiles its own rhs().
+    Raises ValueError unless t_max > 0 and tol > 0.
     """
-    # lane i is row r's k-th: (r, k, X, x0, direction_sign)
+    # lane i is row r's k-th: (r, k, X, x0, direction_sign), X being fields[field_of[i]]
     lanes = [(r, k, *lane) for r, row in enumerate(rows) for k, lane in enumerate(row)]
+    index: dict = {}
+    field_of = [index.setdefault(id(lane[2]), len(index)) for lane in lanes]
+    fields = list({id(lane[2]): lane[2] for lane in lanes}.values())
+    groups = lane_evaluators(fields)
+    rhs = [None] * len(fields)
+    for members, select in groups:
+        for k, m in enumerate(members):
+            rhs[m] = fields[m].rhs() if select is None else select(k)
     found: dict = {}  # (r, k) -> (t_star, point) or the failure
     cut = [len(row) for row in rows]  # the first failing position of each row so far
 
     def finish(i, state):
-        r, k, X, _, sign = lanes[i]
+        r, k, _, _, sign = lanes[i]
+        f = rhs[field_of[i]]
         try:
-            found[r, k] = _first_crossing(X, _resume(X.rhs(), *state, t_max, tol), section,
-                                          sign, t_max, t_offset, None)
+            found[r, k] = _first_crossing(f, _resume(f, *state, t_max, tol), section, sign,
+                                          t_max, t_offset, None)
         except OrbitFailure as exc:
             found[r, k] = exc
             cut[r] = min(cut[r], k)
 
-    for members, select in lane_evaluators([lane[2] for lane in lanes]):
-        running = [(i, _start(lanes[i][2].rhs(), lanes[i][3], t_max, tol)) for i in members]
+    for members, select in groups:
+        member = dict(zip(members, range(len(members))))
+        group = [i for i, m in enumerate(field_of) if m in member]
+        running = [(i, _start(rhs[field_of[i]], lanes[i][3], t_max, tol)) for i in group]
         if select is not None and len(running) >= _LOCKSTEP_MIN_LANES:
-            running = _lockstep(select, lanes, running, _geometry(section), t_max, t_offset,
-                                tol, found, cut, finish)
+            running = _lockstep(select, [member[field_of[i]] for i in group], lanes, running,
+                                _geometry(section), t_max, t_offset, tol, found, cut, finish)
         for i, state in sorted(running):
             r, k = lanes[i][:2]
             if k < cut[r]:
@@ -737,20 +837,23 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
             for r, row in enumerate(rows)]
 
 
-def _lockstep(select, lanes, running, geometry, t_max, t_offset, tol, found, cut, finish):
+def _lockstep(select, member, lanes, running, geometry, t_max, t_offset, tol, found, cut,
+              finish):
     """Steps one group of next_section_crossings' lanes together.
 
-    running lists (lane index, stepper state) in lane order and select gives
-    the group's RHS on lane arrays. Crossings go into found by (row,
-    position), and a lane about to fail goes to finish with its state.
-    Returns the lanes left running, with their states.
+    running lists (lane index, stepper state) in lane order, member each
+    lane's position in the group and select gives the group's RHS on lane
+    arrays. Crossings go into found by (row, position), and a lane about to
+    fail goes to finish with its state. Returns the lanes left running,
+    with their states.
     """
-    bx, by, nx, ny = geometry[:4]
+    bx, by, nx, ny, tx, ty, half = geometry
     ids = np.array([i for i, _ in running])
     row, col = (np.array([lanes[i][k] for i in ids]) for k in (0, 1))
-    pos = np.arange(ids.size)
+    direction = np.array([np.sign(lanes[i][4]) for i in ids], dtype=float)
+    member = np.array(member)
     t, x, y, k1x, k1y, h_abs, rejected, taken = map(np.array, zip(*(s for _, s in running)))
-    f = select(pos)
+    f = select(member)
 
     def state(j):
         return (int(ids[j]), (float(t[j]), float(x[j]), float(y[j]), float(k1x[j]), float(k1y[j]),
@@ -759,7 +862,7 @@ def _lockstep(select, lanes, running, geometry, t_max, t_offset, tol, found, cut
     # overflow in an attempt that will be rejected stays silent, as on floats
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_LOCKSTEP_MAX_ATTEMPTS):
-            if pos.size < _LOCKSTEP_MIN_LANES:
+            if ids.size < _LOCKSTEP_MIN_LANES:
                 break
             fresh = ~rejected
             min_step = 10 * (np.nextafter(t, np.inf) - t)
@@ -781,20 +884,26 @@ def _lockstep(select, lanes, running, geometry, t_max, t_offset, tol, found, cut
             if stepped.any():
                 F = _dense(f, h, (x, y), (x_new, y_new), K)
                 g0, g1, c, ruled_out = _line_screen((x, y), (x_new, y_new), F, bx, by, nx, ny)
-                # _bernstein_roots finds no root where no coefficient is 0 or
-                # has the other sign
-                b = np.array(_line_bernstein(g0, g1, c))
-                rootless = (b[0] != 0) & (b[-1] != 0) & ((b > 0).all(0) | (b < 0).all(0))
-                searched = np.flatnonzero(stepped & ~ruled_out & ~rootless)
-                for j, Fj in zip(searched.tolist(),
-                                 np.array(F)[:, :, searched].transpose(2, 0, 1).tolist()):
-                    r, k, X, _, sign = lanes[ids[j]]
-                    step = _Step(float(t[j]), float(t_new[j]), (float(x[j]), float(y[j])),
-                                 (float(x_new[j]), float(y_new[j])), None, None, Fj)
-                    crossing = _step_crossing(step, X.rhs(), geometry, sign, t_offset)
-                    if crossing is not None:
-                        found[r, k] = crossing
-                        done[j] = True
+                # _step_crossing on every lane that might cross: its roots in
+                # ascending order until one lies on the segment after
+                # t_offset with the requested direction
+                searched = np.flatnonzero(stepped & ~ruled_out)
+                b = np.array(_line_bernstein(g0[searched], g1[searched],
+                                             [ci[searched] for ci in c]))
+                for cols, s in _lane_roots(b):
+                    lane = searched[cols]
+                    unhit = ~done[lane]
+                    lane, s = lane[unhit], s[unhit]
+                    t_star = t[lane] + s * h[lane]
+                    px, py = _interpolant([[v[lane] for v in Fk] for Fk in F], x[lane], y[lane], s)
+                    near = (t_star > t_offset) & (abs((px - bx) * tx + (py - by) * ty) <= half)
+                    lane, t_star, px, py = lane[near], t_star[near], px[near], py[near]
+                    u, v = select(member[lane])(px, py)
+                    hit = np.sign(u * nx + v * ny) == direction[lane]
+                    for j, t_hit, p_x, p_y in zip(lane[hit].tolist(), t_star[hit].tolist(),
+                                                  px[hit].tolist(), py[hit].tolist()):
+                        found[tuple(lanes[ids[j]][:2])] = (t_hit, np.array([p_x, p_y]))
+                    done[lane[hit]] = True
             for j in np.flatnonzero(ending).tolist():
                 finish(*state(j))
             if ending.any():
@@ -806,8 +915,8 @@ def _lockstep(select, lanes, running, geometry, t_max, t_offset, tol, found, cut
             h_abs, rejected, taken = h_next, ~accepted, taken + stepped
             if done.any():
                 keep = ~done
-                t, x, y, k1x, k1y, h_abs, rejected, taken, ids, row, col, pos = (
+                t, x, y, k1x, k1y, h_abs, rejected, taken, ids, row, col, direction, member = (
                     v[keep] for v in (t, x, y, k1x, k1y, h_abs, rejected, taken, ids, row, col,
-                                      pos))
-                f = select(pos)
-    return [state(j) for j in range(pos.size)]
+                                      direction, member))
+                f = select(member)
+    return [state(j) for j in range(ids.size)]

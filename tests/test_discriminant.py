@@ -208,3 +208,35 @@ def test_q2_batched_matches_per_field_scalar_path(tmp_path, ck, section, radius,
         rep.to_csv(tmp_path / "q2.csv")
         rows = (tmp_path / "q2.csv").read_text().splitlines()[1:]
         assert [row.rsplit(",", 1)[1] for row in rows] == [s.error or "" for s in rep.samples]
+
+
+@pytest.mark.parametrize("seed", [[3, 5], [1, 0]])
+def test_perturb_coeffs_draws_one_jitter_per_monomial(ck, seed):
+    """The jitters drawn at once are those of one draw per monomial, in the
+    order of the monomials."""
+    rng = np.random.default_rng(seed)
+    Y = dc._perturb_coeffs(ck[3], np.random.default_rng(seed), 0.3)
+    for p, q in ((ck[3].P, Y.P), (ck[3].Q, Y.Q)):
+        ref = dict(p.coeffs)
+        for i in range(8):
+            for j in range(8 - i):
+                ref[(i, j)] = ref.get((i, j), 0.0) + rng.uniform(-0.3, 0.3)
+        assert q.coeffs == ref
+
+
+@pytest.mark.parametrize("max_attempts", [flow._LOCKSTEP_MAX_ATTEMPTS, 4])
+def test_lockstep_displacements_build_no_field_rhs(ck, section, monkeypatch, max_attempts):
+    """A lockstep displacements call evaluates each field through its group's
+    body, also where its lanes continue on the scalar driver (after 4
+    attempts), so no field builds its own rhs(); next_section_crossing
+    still does."""
+    from cyclelab import cycles as cy
+
+    monkeypatch.setattr(flow, "_LOCKSTEP_MAX_ATTEMPTS", max_attempts)
+    fields = [dc._perturb_coeffs(ck[3], np.random.default_rng([7, i]), 1e-3) for i in range(4)]
+    nodes = dc._nodes(3, 0.025)
+    assert len(fields) * len(nodes) >= flow._LOCKSTEP_MIN_LANES
+    rows = cy.displacements(fields, section, nodes)
+    assert not any("_evaluator" in X.__dict__ for X in fields)
+    assert rows == [[cy.displacement(X, section, xi) for xi in nodes] for X in fields]
+    assert all("_evaluator" in X.__dict__ for X in fields)

@@ -191,8 +191,19 @@ _DENSE_30 = fd.PolyVectorField(
 # Python's parser accepts, so it only compiles as several statements
 @example(fd.ck_system(120), [(0.6, 0.3), (-0.9, 0.5), (1.05, -0.2), (0.0, 1.0)])
 def test_compiled_rhs_is_eval_poly_bit_for_bit(X, points):
+    """rhs() and, for fields with two nonzero monomial components, the
+    evaluators of lane_evaluators on floats and on lane arrays."""
     rhs = X.rhs()
     assert X.rhs() is rhs  # compiled once per field
-    for x, y in points:
+    ((members, select),) = fd.lane_evaluators([X])
+    assert members == [0]
+    if select is not None:
+        xs, ys = (np.array(v) for v in zip(*points))
+        lanes = select(np.zeros(len(points), dtype=int))(xs, ys)
+    for k, (x, y) in enumerate(points):
         # float.hex tells -0.0 from 0.0
-        assert [v.hex() for v in rhs(x, y)] == [X.P(x, y).hex(), X.Q(x, y).hex()]
+        ref = [X.P(x, y).hex(), X.Q(x, y).hex()]
+        assert [v.hex() for v in rhs(x, y)] == ref
+        if select is not None:
+            assert [v.hex() for v in select(0)(x, y)] == ref
+            assert [float(v[k]).hex() for v in lanes] == ref

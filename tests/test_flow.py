@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -413,11 +414,58 @@ def test_bernstein_roots_match_np_roots(interior, jitter, ends, touch, pair, far
     assert all(0.0 <= s <= 1.0 for s in got)
 
 
+def _bernstein_row(split, magnitudes, sign, flips):
+    """A degree-7 Bernstein row of the given magnitudes, of one sign before
+    position split and of the other from there, with the signs at flips
+    turned."""
+    return [m * sign * (1 if i < split else -1) * (-1 if i in flips else 1)
+            for i, m in enumerate(magnitudes)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(
+    _bernstein_row,
+    st.integers(0, 8),
+    st.lists(st.one_of(st.just(0.0), st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)),
+             min_size=8, max_size=8),
+    st.sampled_from([-1.0, 1.0]),
+    st.one_of(st.just(frozenset()), st.frozensets(st.integers(0, 7), max_size=2))),
+    min_size=1, max_size=16))
+@example([
+    [1.0, 1.0, 0.5, -0.2, -1.0, -1.0, -1.0, -2.0],      # one sign change
+    [1.0, 1.0, 1.0, 0.0, -1.0, -1.0, -1.0, -1.0],       # Newton from 0.5
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0],          # a root at 0.5 exactly
+    # Newton from 0.5 leaves the bracket and bisects
+    [1e7, 6e9, 9e6, 0.0, -1e11, 0.0, -1e5, -0.1],
+    [0.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0],           # a root at s = 0
+    [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -0.0],          # a root at s = 1
+    [0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0],           # both
+    [0.0, -1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 4.0],          # s = 0 and one inside
+    [1.0, 1e-300, -1e-300, -1.0, 1.0, 1.0, 1.0, 1.0],   # two sign changes
+])
+def test_lane_roots_match_bernstein_roots(rows):
+    """Column for column, the root search on lane arrays gives
+    _bernstein_roots' roots in its order, and _single_roots gives
+    _single_root's, bit for bit."""
+    b = np.array(rows).T
+    got = [[] for _ in rows]
+    for cols, s in flow._lane_roots(b):
+        for j, v in zip(cols.tolist(), s.tolist()):
+            got[j].append(v.hex())
+    assert got == [[v.hex() for v in flow._bernstein_roots(row)] for row in rows]
+    one = [j for j, row in enumerate(rows) if flow._sign_changes(row) == 1]
+    assert ([v.hex() for v in flow._single_roots(b[:, one]).tolist()]
+            == [flow._single_root(rows[j]).hex() for j in one])
+
+
 def _lockstep_fields(ck):
-    """Fields for the lockstep tests: five monomial supports and a Bernstein
+    """Fields for the lockstep tests: six monomial supports and a Bernstein
     field, with orbits that cross, never cross (NoCrossing), leave the
     safety box (Divergence) and blow up in finite time (StepUnderflow, with
-    overflow inside the lane arrays)."""
+    overflow inside the lane arrays). The orbits of the seventh field are the
+    graphs y = (x - 0.5)(x - 1.1)(x - 1.3)(x - 1.5) + const, so a step can
+    meet the section line three times, which leaves as many sign changes
+    among its Bernstein coefficients, and cross it upward twice."""
     from cyclelab.discriminant import _perturb_coeffs
     from cyclelab.poly2 import to_bernstein
 
@@ -429,6 +477,7 @@ def _lockstep_fields(ck):
     box = (-2.0, 2.0, -2.0, 2.0)
     return [repelling3, repelling7, ck[1], ck[3],
             _perturb_coeffs(ck[1], rng, 0.05), _perturb_coeffs(ck[1], rng, 0.3),
+            PolyVectorField(parse_poly("1"), parse_poly("4*x^3 - 13.2*x^2 + 13.96*x - 4.66")),
             _perturb_coeffs(ck[3], rng, 1e-3), _perturb_coeffs(ck[3], rng, 0.3),
             PolyVectorField(to_bernstein(ck[1].P, box), to_bernstein(ck[1].Q, box))]
 
@@ -473,6 +522,15 @@ def test_lockstep_matches_next_section_crossing(scalar_lanes, monkeypatch, min_l
     must stay silent, as it is on floats."""
     monkeypatch.setattr(flow, "_LOCKSTEP_MIN_LANES", min_lanes)
     monkeypatch.setattr(flow, "_LOCKSTEP_MAX_ATTEMPTS", max_attempts)
+    searched_one_by_one = []
+    bernstein_roots = flow._bernstein_roots
+
+    def counted(b):
+        if sys._getframe(1).f_code.co_name == "_lane_roots":
+            searched_one_by_one.append(flow._sign_changes(b))
+        return bernstein_roots(b)
+
+    monkeypatch.setattr(flow, "_bernstein_roots", counted)
     lanes, refs = scalar_lanes
     got = flow.next_section_crossings([[lane] for lane in lanes], SEC, **_LOCKSTEP_KW)
     assert [len(row) for row in got] == [1] * len(lanes)
@@ -480,6 +538,9 @@ def test_lockstep_matches_next_section_crossing(scalar_lanes, monkeypatch, min_l
         assert _same(hit, ref), (hit, ref)
     kinds = {type(ref).__name__ for ref in refs}
     assert kinds == {"tuple", "NoCrossing", "Divergence", "StepUnderflow"}, kinds
+    # the graph field's six lanes are too few to step in lockstep by default
+    assert min(searched_one_by_one, default=2) >= 2
+    assert searched_one_by_one or min_lanes > 6
 
 
 @pytest.mark.parametrize("min_lanes", [1, flow._LOCKSTEP_MIN_LANES])
