@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +35,22 @@ DEFAULT_CYCLE_TOL = 1e-11
 _T_OFFSET = 1e-6
 # LimitCycle.points: samples of the cycle's orbit at equal time steps
 _CYCLE_SAMPLES = 1024
+# a cycle quadrature doubles its panels up to this many
+_MAX_PANELS = 512
+
+
+class QuadratureNotConverged(Exception):
+    """No two successive panel levels of a cycle quadrature agreed to tol.
+
+    levels holds the last two level values, panels the panel count of the
+    last one.
+    """
+
+    def __init__(self, levels, panels):
+        super().__init__(f"quadrature levels never agreed to tol by {panels} panels: "
+                         f"last two levels {levels}")
+        self.levels = levels
+        self.panels = panels
 
 
 class Inconclusive(Exception):
@@ -233,28 +250,56 @@ def build_cycle(X, section, xi_star, tol=DEFAULT_CYCLE_TOL) -> LimitCycle:
     return cyc
 
 
-def _quad_over_cycle(cycle: LimitCycle, integrand: Callable, tol: float = 1e-10,
-                     max_panels: int = 512) -> float:
-    """Adaptive panelwise Gauss-Legendre of integrand(x, y) along the orbit."""
-    orbit = cycle._orbit
-    T = cycle.period
+@cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 10-point Gauss-Legendre nodes and weights on [-1, 1] of every cycle
+    quadrature. Computed on first use: its eigen-solve at import would add
+    about 1 MB to the resident memory of runs that never integrate over a
+    cycle. Read-only, as every caller shares them."""
     nodes, wts = leggauss(10)
-    prev = None
+    nodes.setflags(write=False)
+    wts.setflags(write=False)
+    return nodes, wts
+
+
+def _until_levels_agree(level: Callable[[int], float], tol: float) -> float:
+    """level(panels) at 8, 16, 32, ... panels, until two successive levels
+    agree to tol (relative, for values above 1); that last level is the
+    result. QuadratureNotConverged when none have by _MAX_PANELS."""
+    levels = []
     panels = 8
-    while panels <= max_panels:
-        total = 0.0
-        edges = np.linspace(0.0, T, panels + 1)
-        lo, hi = edges[:-1, None], edges[1:, None]
-        level = orbit.eval(0.5 * (hi - lo) * nodes + 0.5 * (lo + hi))
-        # one integrand call per panel: a Bernstein polynomial's values
-        # depend in their last bits on how many points it is evaluated at
-        for a, b, pts in zip(edges[:-1], edges[1:], level):
-            total += 0.5 * (b - a) * float(np.sum(wts * integrand(pts[:, 0], pts[:, 1])))
-        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
-            return total
-        prev = total
+    while panels <= _MAX_PANELS:
+        levels.append(level(panels))
+        if len(levels) > 1 and abs(levels[-1] - levels[-2]) < tol * max(1.0, abs(levels[-1])):
+            return levels[-1]
         panels *= 2
-    return prev
+    raise QuadratureNotConverged(tuple(levels[-2:]), panels // 2)
+
+
+def _quad_over_cycle(cycle: LimitCycle, integrand: Callable, tol: float = 1e-10) -> float:
+    """Panelwise 10-point Gauss-Legendre of integrand(x, y) along the cycle's
+    orbit, doubling the panels until two levels agree to tol.
+
+    integrand is called once per level, on the (panels, 10) node arrays, and
+    each panel's weighted row sum is added up in panel order. That gives the
+    bits of one call per panel: tests/test_cycles.py keeps that form as the
+    reference and checks both bit for bit, on monomial and on Bernstein
+    integrands. QuadratureNotConverged when no two levels agree by 512
+    panels.
+    """
+    nodes, wts = _gauss_rule()
+
+    def level(panels):
+        edges = np.linspace(0.0, cycle.period, panels + 1)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        pts = cycle._orbit.eval(0.5 * (hi - lo) * nodes + 0.5 * (lo + hi))
+        rows = np.sum(wts * integrand(pts[..., 0], pts[..., 1]), axis=1)
+        total = 0.0
+        for term in 0.5 * (edges[1:] - edges[:-1]) * rows:
+            total += term
+        return total
+
+    return _until_levels_agree(level, tol)
 
 
 def characteristic_exponent(X: PolyVectorField, cycle: LimitCycle, tol: float = 1e-10) -> float:
@@ -477,16 +522,15 @@ def perko_derivative(X: PolyVectorField, dX_dlam: PolyVectorField,
     Systems, 3rd ed., 4.5); the overall nonzero constant of the underlying
     identity is taken as 1, so only signs and ratios of this quantity are
     meaningful. Panelwise Gauss-Legendre on the cycle's orbit, doubling the
-    panels as _quad_over_cycle does until two levels agree to tol. A at a
-    node is the earlier panels' integrals plus a Gauss rule from the panel
-    start to the node.
+    panels as _quad_over_cycle does until two levels agree to tol (else
+    QuadratureNotConverged). A at a node is the earlier panels' integrals
+    plus a Gauss rule from the panel start to the node.
     """
     div = divergence(X)
-    nodes, wts = leggauss(10)
+    nodes, wts = _gauss_rule()
     unit = 0.5 * (1.0 + nodes)  # the Gauss nodes on [0, 1]
-    prev = None
-    panels = 8
-    while panels <= 512:
+
+    def level(panels):
         edges = np.linspace(0.0, cycle.period, panels + 1)
         lo, width = edges[:-1, None], np.diff(edges)
         t = lo + width[:, None] * unit                   # (panels, 10)
@@ -498,12 +542,9 @@ def perko_derivative(X: PolyVectorField, dX_dlam: PolyVectorField,
              + 0.5 * (t - lo) * (div(xs, ys).reshape(sub.shape) @ wts))
         (p, q), (dp, dq) = X(x, y), dX_dlam(x, y)
         wedge = (p * dq - q * dp).reshape(t.shape)
-        total = float(np.sum(0.5 * width * ((np.exp(-A) * wedge) @ wts)))
-        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
-            return total
-        prev = total
-        panels *= 2
-    return prev
+        return float(np.sum(0.5 * width * ((np.exp(-A) * wedge) @ wts)))
+
+    return _until_levels_agree(level, tol)
 
 
 @dataclass

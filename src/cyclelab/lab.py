@@ -346,10 +346,14 @@ def _serialize(obj, indent=0) -> list[str]:
 
 
 def _scalar(v) -> str:
+    # a NumPy scalar prints as the Python value it holds, so a check reads
+    # the same whether or not a NumPy value reached it
     if isinstance(v, (np.floating,)):
         v = float(v)
     if isinstance(v, (np.integer,)):
         v = int(v)
+    if isinstance(v, np.bool_):
+        v = bool(v)
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, bool):

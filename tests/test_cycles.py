@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 
 import oracles
 from cyclelab import cycles as cy
 from cyclelab import flow
-from cyclelab.bernstein import SampledField
+from cyclelab.bernstein import SampledField, bernstein_fit
 from cyclelab.field import (
     PolyVectorField, ck_system, gradient_collapse_family, perp, rotate_family,
 )
@@ -411,3 +412,84 @@ def test_build_cycle_integrates_the_cycle_once(ck, section, monkeypatch):
     cyc = cy.build_cycle(ck[1], section, 0.0)
     assert cyc.closure_error() < 1e-8
     assert cyc.period == pytest.approx(2 * np.pi, abs=1e-8)
+
+
+def test_quadrature_that_never_converges_is_named(ck, ck_cycles):
+    # sign(x - 0.3) jumps where the unit circle meets x = 0.3, off every panel
+    # edge, so each doubling only halves the error and no two levels agree
+    with pytest.raises(cy.QuadratureNotConverged) as info:
+        cy._quad_over_cycle(ck_cycles[1], lambda x, y: np.sign(x - 0.3))
+    previous, last = info.value.levels
+    assert info.value.panels == 512
+    assert 0.0 < abs(last - previous) < 0.1
+    # the exact value is the arc length with x > 0.3 less the rest
+    assert last == pytest.approx(4 * math.acos(0.3) - 2 * math.pi, abs=0.02)
+    with pytest.raises(cy.QuadratureNotConverged):
+        cy.perko_derivative(ck[1], eps_perp(ck[1], 0.1), ck_cycles[1], tol=0.0)
+
+
+def _per_panel_quad(cycle, integrand, tol=1e-10, log=None):
+    """The cycle quadrature with one integrand call per panel: the reference
+    for _quad_over_cycle, whose levels must have these bits. log collects
+    each level's panel count."""
+    nodes, wts = leggauss(10)
+    prev, panels = None, 8
+    while panels <= 512:
+        if log is not None:
+            log.append(panels)
+        total = 0.0
+        edges = np.linspace(0.0, cycle.period, panels + 1)
+        lo, hi = edges[:-1, None], edges[1:, None]
+        level = cycle._orbit.eval(0.5 * (hi - lo) * nodes + 0.5 * (lo + hi))
+        for a, b, pts in zip(edges[:-1], edges[1:], level):
+            total += 0.5 * (b - a) * float(np.sum(wts * integrand(pts[:, 0], pts[:, 1])))
+        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
+            return total
+        prev = total
+        panels *= 2
+    raise AssertionError("the reference quadrature did not converge")
+
+
+@pytest.fixture(scope="module")
+def bernstein_collapse_cycle():
+    # a degree-24 Bernstein fit of S, so the family, its divergence and the
+    # I_grad, I_lap integrands all stay in the Bernstein basis
+    R = bernstein_fit(SampledField(value=lambda x, y: 1 - x * x - y * y,
+                                   box=(-1.5, 1.5, -1.5, 1.5)), 24, 24)
+    fam = gradient_collapse_family(ck_system(3), R, 0.02)
+    assert fam.P.basis == "bernstein"
+    section = cy.section_for_field(ck_system(1), (1.0, 0.0))
+    (cyc,) = cy.find_cycles(fam, section, (-0.3, 0.3), 7)
+    return R, fam, cyc
+
+
+@pytest.mark.parametrize("basis", ["monomial", "bernstein"])
+def test_quadrature_levels_match_the_per_panel_form(basis, ck, ck_cycles,
+                                                    bernstein_collapse_cycle, monkeypatch):
+    if basis == "monomial":
+        R, F, cyc = S, ck[3], ck_cycles[3]
+    else:
+        R, F, cyc = bernstein_collapse_cycle
+
+    def quantities():
+        return [float(v).hex() for v in (cy.characteristic_exponent(F, cyc),
+                                         *cy.divergence_integral_terms(ck[3], R, 0.02, cyc))]
+
+    batched = cy._quad_over_cycle
+    shapes, panels = [], []
+
+    def counted(cycle, integrand, tol=1e-10):
+        def f(x, y):
+            shapes.append(np.shape(x))
+            return integrand(x, y)
+        return batched(cycle, f, tol)
+
+    monkeypatch.setattr(cy, "_quad_over_cycle", counted)
+    got = quantities()
+    monkeypatch.setattr(cy, "_quad_over_cycle",
+                        lambda cycle, integrand, tol=1e-10: _per_panel_quad(cycle, integrand,
+                                                                            tol, panels))
+    assert got == quantities()
+    # one integrand call per level, on all of its nodes
+    assert shapes == [(n, 10) for n in panels]
+    assert len(shapes) >= 4 * 2  # four quadratures of two levels or more

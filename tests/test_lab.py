@@ -229,6 +229,17 @@ def test_split_pipeline_exact(tmp_path):
     assert len(lines) == 4
 
 
+def test_split_payload_spells_numpy_bools_as_bools():
+    # the split checks compare NumPy floats, so they are np.bool_ values
+    rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({"pipeline": "split-theorem1"}))
+    assert isinstance(rep.checks["middle_exponent_positive"], np.bool_)
+    lines = rep.payload_text().splitlines()
+    assert "  middle_exponent_positive: true" in lines
+    assert "  split_succeeded: true" in lines
+    assert not [line for line in lines if line.endswith((": True", ": False"))]
+    assert lab._scalar(np.bool_(False)) == "false"
+
+
 def test_portrait_empty_census(section):
     svg = render_phase_portrait(field=ck_system(1), cycles=[], section=section)
     assert svg.count('class="cycle"') == 0
