@@ -10,8 +10,9 @@ decides which side X points to, so the inner curve and outer curve need
 opposite signs. Both signs are fixed here from the cycle's orientation; only
 |lambda0| comes from the caller.
 
-Verification is sampling-based, not certified: inward flux at curve samples,
-a singularity probe on a grid filling the region, and forward-orbit
+Verification is sampling-based, not certified: inward flux at curve samples
+(the normals' side from the curve's orientation, as the rotation signs), a
+singularity probe on a grid filling the region, and forward-orbit
 containment from boundary seeds. Region membership is the even-odd
 ray-crossing test against both curves, run as a sweep: the points are sorted
 by y once, each edge takes the contiguous run of points whose height it
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flow
-from .cycles import DEFAULT_T_MAX, LimitCycle, Section, crossing_sign
+from .cycles import _T_OFFSET, DEFAULT_T_MAX, LimitCycle, Section, crossing_sign
 from .field import PolyVectorField, rotate_family
 
 
@@ -113,7 +114,7 @@ def _arc(Z, section, xi_from, tol, n_samples):
     p0 = section.point_at(xi_from)
     sign = crossing_sign(Z, section)
     t_ret, p_ret, orbit = flow._crossing_orbit(
-        Z, p0, section, sign, t_max=DEFAULT_T_MAX, tol=tol, t_offset=1e-6
+        Z, p0, section, sign, t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET
     )
     ts = np.linspace(0.0, t_ret, n_samples)
     pts = orbit.eval(ts)
@@ -153,7 +154,7 @@ def build_trapping_annulus(
     """
     if not (xi1 < 0.0 < xi2):
         raise ValueError("need xi1 < 0 < xi2")
-    if cycle.exponent > 1e-9 and (cycle.multiplicity is None or cycle.multiplicity.d == 1):
+    if cycle.stability == "unstable" and (cycle.multiplicity is None or cycle.multiplicity.d == 1):
         raise NotStable(f"cycle exponent {cycle.exponent:.3g} > 0")
     section = cycle.section
     orient = _orientation(cycle.points)
@@ -217,20 +218,12 @@ def _resample_closed(poly: np.ndarray, n: int) -> np.ndarray:
     return poly[idx] + frac[:, None] * seg[idx]
 
 
-def _inward_normals(poly: np.ndarray, n_pts: np.ndarray, outer: bool) -> np.ndarray:
-    """Unit normals at sample points oriented toward the annular region."""
-    # tangent by central differences on the resampled loop
-    nxt = np.roll(n_pts, -1, axis=0)
-    prv = np.roll(n_pts, +1, axis=0)
-    tang = nxt - prv
+def _inward_normals(n_pts: np.ndarray, side: int) -> np.ndarray:
+    """side * (t_y, -t_x) at the points of a resampled closed curve, t the
+    unit tangent by central differences; see verify_annulus for side."""
+    tang = np.roll(n_pts, -1, axis=0) - np.roll(n_pts, +1, axis=0)
     tang /= np.maximum(np.linalg.norm(tang, axis=1, keepdims=True), 1e-300)
-    cand = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    probe = n_pts + 1e-5 * cand
-    inside = points_in_polygon(probe, poly)
-    # outer curve: region is inside the polygon; inner: region is outside
-    flip = inside != outer
-    cand[flip] *= -1.0
-    return cand
+    return side * np.stack([tang[:, 1], -tang[:, 0]], axis=1)
 
 
 def verify_annulus(
@@ -240,42 +233,43 @@ def verify_annulus(
     invariance_orbits: int = 32,
     horizon_periods: float = 20.0,
     tol=flow.DEFAULT_TOL,
-    run_invariance: bool = True,
 ) -> VerificationReport:
     """Check the three trapping clauses for the field Y on the annulus.
 
     (i) normalized inward flux Y.n/|Y| > 0 at curve samples, corners checked
     against both adjacent segment normals; (ii) no singularity on a grid
     filling the region; (iii) forward orbits seeded on both curves stay in
-    the region for horizon_periods periods. All clauses are reported; none
-    raises.
+    the region for horizon_periods periods (none for invariance_orbits=0).
+    All clauses are reported; none raises.
+
+    The normals come from each curve's orientation: (t_y, -t_x) points out
+    of a counterclockwise curve, and the region lies outside s1 and inside
+    s2, so the inward normal is (t_y, -t_x) times the orientation of s1 and
+    times minus that of s2.
     """
     notes: list[str] = []
     min_margin = np.inf
-    for poly, outer in ((annulus.s1, False), (annulus.s2, True)):
+    for poly, corners, sign in ((annulus.s1, annulus.corners_s1, 1),
+                                (annulus.s2, annulus.corners_s2, -1)):
+        side = sign * _orientation(poly)
         pts = _resample_closed(poly, n_samples)
-        normals = _inward_normals(poly, pts, outer)
+        normals = _inward_normals(pts, side)
         p, q = Y(pts[:, 0], pts[:, 1])
         vel = np.stack([p, q], axis=1)
         speed = np.linalg.norm(vel, axis=1)
         margin = np.einsum("ij,ij->i", vel, normals) / np.maximum(speed, 1e-300)
         min_margin = min(min_margin, float(margin.min()))
-        # corner vertices: both adjacent segment normals must pass; orient
-        # each normal by probing from the segment midpoint, where membership
-        # is unambiguous
-        for corner in (annulus.corners_s1 if poly is annulus.s1 else annulus.corners_s2):
+        # corner vertices: both adjacent segment normals must pass
+        for corner in corners:
             cpt = poly[corner]
-            for nb in (poly[corner - 1] if corner > 0 else poly[-2], poly[corner + 1]):
-                t = nb - cpt
+            # each segment's tangent along the curve
+            for t in (cpt - (poly[corner - 1] if corner > 0 else poly[-2]),
+                      poly[corner + 1] - cpt):
                 nrm = np.linalg.norm(t)
                 if nrm == 0:
                     continue
                 t = t / nrm
-                cand = np.array([t[1], -t[0]])
-                mid = 0.5 * (cpt + nb)
-                probe = mid + 1e-6 * cand
-                if bool(points_in_polygon(probe[None, :], poly)[0]) != outer:
-                    cand = -cand
+                cand = side * np.array([t[1], -t[0]])
                 pv, qv = Y(cpt[0], cpt[1])
                 sp = float(np.hypot(pv, qv))
                 min_margin = min(min_margin, float((pv * cand[0] + qv * cand[1]) / max(sp, 1e-300)))
@@ -298,35 +292,31 @@ def verify_annulus(
     singularity_free = min_mag > 1e-8
 
     contained = 0
-    total = 0
-    if run_invariance:
-        horizon = horizon_periods * annulus.period
-        half = invariance_orbits // 2
-        seeds = np.vstack([
-            _resample_closed(annulus.s1, half),
-            _resample_closed(annulus.s2, invariance_orbits - half),
-        ])
-        for seed in seeds:
-            total += 1
-            try:
-                orbit = flow.integrate(Y, seed, horizon, tol=max(tol, 1e-9))
-            except flow.OrbitFailure:
-                notes.append(f"orbit from {seed} escaped")
-                continue
-            pts = orbit.states[1:]
-            if bool(np.all(in_region(pts, annulus))):
-                contained += 1
-            else:
-                notes.append(f"orbit from {seed} left the region")
-    invariance_ok = (contained == total) if run_invariance else True
+    horizon = horizon_periods * annulus.period
+    half = invariance_orbits // 2
+    seeds = np.vstack([
+        _resample_closed(annulus.s1, half),
+        _resample_closed(annulus.s2, invariance_orbits - half),
+    ])
+    for seed in seeds:
+        try:
+            orbit = flow.integrate(Y, seed, horizon, tol=max(tol, 1e-9))
+        except flow.OrbitFailure:
+            notes.append(f"orbit from {seed} escaped")
+            continue
+        pts = orbit.states[1:]
+        if bool(np.all(in_region(pts, annulus))):
+            contained += 1
+        else:
+            notes.append(f"orbit from {seed} left the region")
 
     return VerificationReport(
         inward_ok=inward_ok,
         min_flux_margin=float(min_margin),
         singularity_free=singularity_free,
         min_field_magnitude=min_mag,
-        invariance_ok=invariance_ok,
-        orbits_total=total,
+        invariance_ok=contained == len(seeds),
+        orbits_total=len(seeds),
         orbits_contained=contained,
         n_samples=n_samples,
         notes=notes,

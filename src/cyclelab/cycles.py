@@ -23,13 +23,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import flow
+from .bernstein import jets
 from .field import (PolyVectorField, divergence, gradient_collapse_family, lane_evaluators,
                     scale)
 from .poly2 import Poly2, derivative
 
 DEFAULT_T_MAX = 400.0
-# cycle location works one decade below the flow default so located fixed
-# points satisfy the 1e-10 displacement-residual contract
+# the tolerance of direct calls that give none, one decade below the flow
+# default; every pipeline passes its integrator_tol (1e-10) instead
 DEFAULT_CYCLE_TOL = 1e-11
 # a return to the section counts only after this time
 _T_OFFSET = 1e-6
@@ -239,7 +240,7 @@ class LimitCycle:
 def build_cycle(X, section, xi_star, tol=DEFAULT_CYCLE_TOL) -> LimitCycle:
     period, _, orbit = flow._crossing_orbit(
         X, section.point_at(xi_star), section, crossing_sign(X, section),
-        t_max=DEFAULT_T_MAX, tol=tol, t_offset=1e-6,
+        t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET,
     )
     ts = np.linspace(0.0, period, _CYCLE_SAMPLES)
     cyc = LimitCycle(
@@ -308,6 +309,17 @@ def characteristic_exponent(X: PolyVectorField, cycle: LimitCycle, tol: float = 
     return _quad_over_cycle(cycle, lambda x, y: div(x, y), tol)
 
 
+def gradient_square_integral(F, cycle: LimitCycle) -> float:
+    """integral over one period of |grad F|^2 along the cycle, F a Poly2 or
+    a bernstein.SampledField."""
+    def integrand(x, y):
+        jet = jets(F, 1, x, y)
+        gx, gy = jet[(1, 0)], jet[(0, 1)]
+        return gx * gx + gy * gy
+
+    return _quad_over_cycle(cycle, integrand)
+
+
 def divergence_integral_terms(X: PolyVectorField, R: Poly2, lam: float,
                               cycle: LimitCycle) -> tuple[float, float, float]:
     """The three divergence integrals of the gradient-collapse family.
@@ -317,10 +329,9 @@ def divergence_integral_terms(X: PolyVectorField, R: Poly2, lam: float,
     all along the given (perturbed-family) cycle. Their sum equals the
     characteristic exponent of the perturbed field on that cycle.
     """
-    Rx, Ry = derivative(R, "x"), derivative(R, "y")
-    Rxx, Ryy = derivative(Rx, "x"), derivative(Ry, "y")
+    Rxx, Ryy = derivative(R, "x", 2), derivative(R, "y", 2)
     i_base = characteristic_exponent(X, cycle)
-    i_grad = lam * _quad_over_cycle(cycle, lambda x, y: Rx(x, y) ** 2 + Ry(x, y) ** 2)
+    i_grad = lam * gradient_square_integral(R, cycle)
     i_lap = lam * _quad_over_cycle(cycle, lambda x, y: R(x, y) * (Rxx(x, y) + Ryy(x, y)))
     return i_base, i_grad, i_lap
 

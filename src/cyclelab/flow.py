@@ -383,6 +383,8 @@ def _start(f, x0, t_bound, tol):
     if not tol > 0:
         raise ValueError("tol must be > 0")
     x, y = float(x0[0]), float(x0[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"the start point ({x}, {y}) must be finite")
     k1x, k1y = f(x, y)
     return 0.0, x, y, k1x, k1y, _initial_step(f, x, y, k1x, k1y, t_bound, tol), False, 0
 
@@ -399,8 +401,8 @@ def _resume(f, t, x, y, k1x, k1y, h_abs, rejected, taken, t_bound, tol):
     and the combined error norm |h| |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)),
     e5 and e3 being the fifth- and third-order error estimates scaled by
     tol * (1 + max |y|) componentwise. Ends when t_bound is reached; raises
-    StepUnderflow when the step falls below that floor or the step budget
-    runs out and Divergence when a step ends outside the safety box.
+    StepUnderflow when the step falls below that floor or is NaN or the step
+    budget runs out and Divergence when a step ends outside the safety box.
     """
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -410,7 +412,7 @@ def _resume(f, t, x, y, k1x, k1y, h_abs, rejected, taken, t_bound, tol):
             if t >= t_bound:
                 return
             h_abs = max(h_abs, min_step)
-        if h_abs < min_step:
+        if not h_abs >= min_step:  # a NaN step fails too
             raise StepUnderflow(f"step size fell below 10 ulp at t={t:.6g}")
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
@@ -466,8 +468,9 @@ def _orbit(x0, steps) -> Orbit:
 def integrate(X, x0, t_end: float, tol: float = DEFAULT_TOL) -> Orbit:
     """Flow of X from x0 over [0, t_end].
 
-    Raises ValueError unless t_end > 0 and tol > 0, Divergence when the orbit
-    leaves the safety box and StepUnderflow when the stepper gives up.
+    Raises ValueError unless t_end > 0, tol > 0 and x0 is finite, Divergence
+    when the orbit leaves the safety box and StepUnderflow when the stepper
+    gives up.
     """
     return _orbit(x0, list(_steps(X, x0, t_end, tol)))
 
@@ -769,8 +772,8 @@ def next_section_crossing(
     direction_sign, at a time strictly greater than t_offset. The hit time is
     the exact root of the step's dense interpolant on the section line.
 
-    Returns (t_star, point). Raises ValueError unless t_max > 0 and tol > 0,
-    and an OrbitFailure: NoCrossing, Divergence, StepUnderflow or
+    Returns (t_star, point). Raises ValueError unless t_max > 0, tol > 0 and
+    x0 is finite, and an OrbitFailure: NoCrossing, Divergence, StepUnderflow or
     LeftNeighborhood.
     """
     return _first_crossing(X.rhs(), _steps(X, x0, t_max, tol), section, direction_sign, t_max,
@@ -797,7 +800,7 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     _LOCKSTEP_MAX_ATTEMPTS attempts, the lanes left continue on the scalar
     driver, row by row. Every lane's scalar work runs on its field's
     evaluator from lane_evaluators, so no field compiles its own rhs().
-    Raises ValueError unless t_max > 0 and tol > 0.
+    Raises ValueError unless t_max > 0, tol > 0 and every x0 is finite.
     """
     # lane i is row r's k-th: (r, k, X, x0, direction_sign), X being fields[field_of[i]]
     lanes = [(r, k, *lane) for r, row in enumerate(rows) for k, lane in enumerate(row)]
@@ -867,7 +870,7 @@ def _lockstep(select, member, lanes, running, geometry, t_max, t_offset, tol, fo
             fresh = ~rejected
             min_step = 10 * (np.nextafter(t, np.inf) - t)
             h_try = np.where(fresh & (min_step > h_abs), min_step, h_abs)
-            ending = (fresh & ((taken == _MAX_STEPS) | (t >= t_max))) | (h_try < min_step)
+            ending = (fresh & ((taken == _MAX_STEPS) | (t >= t_max))) | ~(h_try >= min_step)
             t_new = np.minimum(t + h_try, t_max)
             h = t_new - t
             x_new, y_new, K, e5x, e5y, e3x, e3y = _attempt(f, x, y, k1x, k1y, h)

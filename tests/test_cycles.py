@@ -262,6 +262,15 @@ def test_divergence_terms_sum_identity_random_lambda(ck, section, rng):
     assert ib + ig + il == pytest.approx(cy.characteristic_exponent(fam, mid), abs=1e-8)
 
 
+def test_gradient_square_integral_is_i_grad_over_lambda(ck, ck_cycles):
+    lam = 0.02
+    got = cy.gradient_square_integral(S, ck_cycles[3])
+    assert float(got * lam).hex() == float(
+        cy.divergence_integral_terms(ck[3], S, lam, ck_cycles[3])[1]).hex()
+    # |grad S|^2 = 4 on the unit circle, over one period 2 pi
+    assert got == pytest.approx(8 * np.pi, abs=1e-9)
+
+
 def test_perko_derivative_closed_form(ck, section):
     eps = 0.1
     for k in (2, 3):

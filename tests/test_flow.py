@@ -1,4 +1,6 @@
+import signal
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclelab import flow
 from cyclelab.cycles import Section
-from cyclelab.field import PolyVectorField, vanderpol
+from cyclelab.field import PolyVectorField, ck_system, vanderpol
 from cyclelab.poly2 import parse_poly
 
 ROT = PolyVectorField(parse_poly("-y"), parse_poly("x"))
@@ -154,6 +156,47 @@ def test_bad_arguments():
         flow.integrate(ROT, (1, 0), -1.0)
     with pytest.raises(ValueError):
         flow.integrate(ROT, (1, 0), 1.0, tol=0.0)
+
+
+@contextmanager
+def _within(seconds):
+    """Fail, rather than hang, when the block runs longer than seconds."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("x0", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)])
+def test_non_finite_start_is_rejected(x0):
+    # a NaN start once made every attempt a rejected NaN step, forever
+    with _within(1.0), pytest.raises(ValueError, match="finite"):
+        flow.integrate(ck_system(3), x0, 1.0)
+
+
+def test_nan_step_underflows():
+    # finite start, but the RHS overflows to NaN: the NaN step size fails
+    # the step floor instead of being retried forever
+    with _within(1.0), pytest.raises(flow.StepUnderflow):
+        flow.integrate(ck_system(3), (1e200, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("min_lanes", [1, flow._LOCKSTEP_MIN_LANES])
+def test_lockstep_nan_step_underflows(monkeypatch, min_lanes):
+    monkeypatch.setattr(flow, "_LOCKSTEP_MIN_LANES", min_lanes)
+    X = ck_system(3)
+    rows = [[(X, SEC.point_at(0.1), +1)], [(X, (1e200, 0.0), +1), (X, SEC.point_at(0.1), +1)]]
+    with _within(1.0):
+        got = flow.next_section_crossings(rows, SEC, **_LOCKSTEP_KW)
+        refs = [_crossing_or_failure(*row[0], **_LOCKSTEP_KW) for row in rows]
+    assert len(got[1]) == 1 and isinstance(got[1][0], flow.StepUnderflow)
+    assert all(_same(row[0], ref) for row, ref in zip(got, refs))
 
 
 def test_crossing_rejects_zero_tol(ck, section):

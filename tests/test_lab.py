@@ -122,6 +122,14 @@ def test_config_validation():
     assert cfg.lam == 0.05
 
 
+@pytest.mark.parametrize("key", ["q2_degree", "fit_degree"])
+def test_config_rejects_degrees_below_two(key):
+    for degree in (-1, 0, 1):
+        with pytest.raises(ValueError, match=key):
+            lab.ExperimentConfig.from_dict({"pipeline": "q2-search", key: degree})
+    assert getattr(lab.ExperimentConfig.from_dict({"pipeline": "q2-search", key: 2}), key) == 2
+
+
 def test_find_pipeline_and_idempotence(tmp_path):
     cfg = lab.ExperimentConfig.from_dict({
         "pipeline": "find", "system": "CK(1)", "xi_range": [-0.5, 0.5],
@@ -256,12 +264,12 @@ def test_portrait_deterministic(ck, ck_cycles, section):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, timeout=None):
     # the child runs in cwd, so a relative PYTHONPATH would not find the package
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "cyclelab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout)
 
 
 def test_cli_find_and_determinism(tmp_path):
@@ -287,6 +295,17 @@ def test_cli_hard_error_exit_code(tmp_path):
     r = _run_cli(["split", "--config", str(cfg)], tmp_path)
     assert r.returncode == 1
     assert "error" in r.stderr
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_cli_q2_degree_below_two_fails_at_parse_time(tmp_path, degree):
+    # degree 0 once hung the stepper on a NaN node, degree 1 integrated
+    # every orbit before failing
+    cfg = tmp_path / "q2.json"
+    cfg.write_text(json.dumps({"q2_degree": degree}))
+    r = _run_cli(["q2", "--config", str(cfg)], tmp_path, timeout=60)
+    assert r.returncode == 1
+    assert "q2_degree" in r.stderr
 
 
 def test_cli_q2(tmp_path):
