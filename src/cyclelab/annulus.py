@@ -13,12 +13,16 @@ opposite signs. Both signs are fixed here from the cycle's orientation; only
 Verification is sampling-based, not certified: inward flux at curve samples
 (the normals' side from the curve's orientation, as the rotation signs), a
 singularity probe on a grid filling the region, and forward-orbit
-containment from boundary seeds. Region membership is the even-odd
-ray-crossing test against both curves, run as a sweep: the points are sorted
-by y once, each edge takes the contiguous run of points whose height it
-straddles, and only those (edge, point) pairs are tested: O((points + edges)
-log points) plus one test per pair, about two per point on a simple curve,
-rather than points x edges.
+containment from boundary seeds. verify_annulus runs all three clauses;
+flux_margin runs the first alone, with no orbit and no grid, for a caller
+that reports only the flux (the split pipeline).
+
+Region membership is the even-odd ray-crossing test against both curves,
+run as a sweep: the points are sorted by y once, each edge takes the
+contiguous run of points whose height it straddles, and only those
+(edge, point) pairs are tested: O((points + edges) log points) plus one
+test per pair, about two per point on a simple curve, rather than
+points x edges.
 """
 from __future__ import annotations
 
@@ -90,11 +94,6 @@ def _even_odd(points, poly: np.ndarray) -> np.ndarray:
     ex0, ey0 = x0[edge], y0[edge]
     x_int = ex0 + (y[pt] - ey0) * (x1[edge] - ex0) / (y1[edge] - ey0)
     return np.bincount(pt[x[pt] < x_int], minlength=len(x)) % 2 == 1
-
-
-def points_in_polygon(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd ray-crossing membership test; poly closed (first == last)."""
-    return _even_odd(_by_y(pts), poly)
 
 
 def in_region(pts: np.ndarray, annulus: Annulus) -> np.ndarray:
@@ -220,34 +219,23 @@ def _resample_closed(poly: np.ndarray, n: int) -> np.ndarray:
 
 def _inward_normals(n_pts: np.ndarray, side: int) -> np.ndarray:
     """side * (t_y, -t_x) at the points of a resampled closed curve, t the
-    unit tangent by central differences; see verify_annulus for side."""
+    unit tangent by central differences; see flux_margin for side."""
     tang = np.roll(n_pts, -1, axis=0) - np.roll(n_pts, +1, axis=0)
     tang /= np.maximum(np.linalg.norm(tang, axis=1, keepdims=True), 1e-300)
     return side * np.stack([tang[:, 1], -tang[:, 0]], axis=1)
 
 
-def verify_annulus(
-    Y: PolyVectorField,
-    annulus: Annulus,
-    n_samples: int = 256,
-    invariance_orbits: int = 32,
-    horizon_periods: float = 20.0,
-    tol=flow.DEFAULT_TOL,
-) -> VerificationReport:
-    """Check the three trapping clauses for the field Y on the annulus.
+def flux_margin(Y: PolyVectorField, annulus: Annulus, n_samples: int = 256) -> float:
+    """The smallest normalized inward flux Y.n/|Y| on the annulus's curves:
+    clause (i) of verify_annulus, alone.
 
-    (i) normalized inward flux Y.n/|Y| > 0 at curve samples, corners checked
-    against both adjacent segment normals; (ii) no singularity on a grid
-    filling the region; (iii) forward orbits seeded on both curves stay in
-    the region for horizon_periods periods (none for invariance_orbits=0).
-    All clauses are reported; none raises.
-
-    The normals come from each curve's orientation: (t_y, -t_x) points out
-    of a counterclockwise curve, and the region lies outside s1 and inside
-    s2, so the inward normal is (t_y, -t_x) times the orientation of s1 and
-    times minus that of s2.
+    Each curve is resampled at n_samples points, and each corner is checked
+    against both adjacent segment normals. The normals come from each
+    curve's orientation: (t_y, -t_x) points out of a counterclockwise curve,
+    and the region lies outside s1 and inside s2, so the inward normal is
+    (t_y, -t_x) times the orientation of s1 and times minus that of s2. The
+    flux is inward on every sample when the margin is positive.
     """
-    notes: list[str] = []
     min_margin = np.inf
     for poly, corners, sign in ((annulus.s1, annulus.corners_s1, 1),
                                 (annulus.s2, annulus.corners_s2, -1)):
@@ -273,6 +261,28 @@ def verify_annulus(
                 pv, qv = Y(cpt[0], cpt[1])
                 sp = float(np.hypot(pv, qv))
                 min_margin = min(min_margin, float((pv * cand[0] + qv * cand[1]) / max(sp, 1e-300)))
+    return float(min_margin)
+
+
+def verify_annulus(
+    Y: PolyVectorField,
+    annulus: Annulus,
+    n_samples: int = 256,
+    invariance_orbits: int = 32,
+    horizon_periods: float = 20.0,
+    tol=flow.DEFAULT_TOL,
+) -> VerificationReport:
+    """Check the three trapping clauses for the field Y on the annulus.
+
+    (i) normalized inward flux Y.n/|Y| > 0 at curve samples, corners checked
+    against both adjacent segment normals (flux_margin); (ii) no singularity
+    on an 80 x 80 grid filling the region; (iii) forward orbits seeded on
+    both curves stay in the region for horizon_periods periods (none for
+    invariance_orbits=0). All clauses are reported; none raises. A caller
+    that reads only clause (i) calls flux_margin, which integrates nothing.
+    """
+    notes: list[str] = []
+    min_margin = flux_margin(Y, annulus, n_samples)
     inward_ok = min_margin > 0.0
 
     # singularity probe on a grid covering the region
@@ -312,7 +322,7 @@ def verify_annulus(
 
     return VerificationReport(
         inward_ok=inward_ok,
-        min_flux_margin=float(min_margin),
+        min_flux_margin=min_margin,
         singularity_free=singularity_free,
         min_field_magnitude=min_mag,
         invariance_ok=contained == len(seeds),

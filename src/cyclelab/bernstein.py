@@ -75,30 +75,6 @@ class SampledField:
         base = (lambda xx, yy: self._fd(i, j - 1, xx, yy)) if i + j > 1 else self.value
         return (base(x, y + h) - base(x, y - h)) / (2 * h)
 
-    def check_consistency(self, rng=None, n_points: int = 20, tol: float = 1e-4) -> float:
-        """Cross-check supplied derivatives against central differences.
-
-        Returns the worst discrepancy over first-order derivatives at random
-        interior points; raises if it exceeds tol.
-        """
-        rng = rng or np.random.default_rng(0)
-        ax, bx, ay, by = self.box
-        pad_x, pad_y = 0.05 * (bx - ax), 0.05 * (by - ay)
-        x = rng.uniform(ax + pad_x, bx - pad_x, n_points)
-        y = rng.uniform(ay + pad_y, by - pad_y, n_points)
-        worst = 0.0
-        for (i, j) in [(1, 0), (0, 1)]:
-            if (i, j) not in self.derivs:
-                continue
-            a = np.asarray(self.derivs[(i, j)](x, y), dtype=float)
-            b = np.asarray(self._fd(i, j, x, y), dtype=float)
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        if worst > tol:
-            raise InsufficientDerivatives(
-                f"supplied derivatives disagree with finite differences by {worst:.2e}"
-            )
-        return worst
-
 
 def bernstein_fit(f: SampledField, m: int, n: int, box=None) -> Poly2:
     """Bernstein polynomial of degree (m, n) for f on box.

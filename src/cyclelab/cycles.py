@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import flow
-from .bernstein import jets
 from .field import (PolyVectorField, divergence, gradient_collapse_family, lane_evaluators,
                     scale)
 from .poly2 import Poly2, derivative
@@ -206,7 +205,9 @@ class LimitCycle:
     points: np.ndarray
     exponent: float
     multiplicity: MultiplicityEstimate | None = None
-    root_d_calls: int | None = None    # census d(xi) calls inside the root's bracket
+    # census d(xi) calls inside the root's bracket; 0 when the root solve
+    # returned a bracket end, None for a seed where d is exactly 0
+    root_d_calls: int | None = None
     _orbit: flow.Orbit | None = field(default=None, repr=False)
 
     @property
@@ -311,10 +312,15 @@ def characteristic_exponent(X: PolyVectorField, cycle: LimitCycle, tol: float = 
 
 def gradient_square_integral(F, cycle: LimitCycle) -> float:
     """integral over one period of |grad F|^2 along the cycle, F a Poly2 or
-    a bernstein.SampledField."""
+    a bernstein.SampledField. Only the two first derivatives are evaluated,
+    never F itself."""
+    if isinstance(F, Poly2):
+        Fx, Fy = derivative(F, "x"), derivative(F, "y")
+    else:
+        Fx, Fy = partial(F.derivative, 1, 0), partial(F.derivative, 0, 1)
+
     def integrand(x, y):
-        jet = jets(F, 1, x, y)
-        gx, gy = jet[(1, 0)], jet[(0, 1)]
+        gx, gy = Fx(x, y), Fy(x, y)
         return gx * gx + gy * gy
 
     return _quad_over_cycle(cycle, integrand)
@@ -341,15 +347,18 @@ _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-def _brentq(f, xa, xb, fa, fb):
+def _brentq(f, xa, xb, fa, fb, ftol=0.0):
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), given
     fa = f(xa) and fb = f(xb), and the number of f calls it made.
 
     A port of SciPy's C brentq, operation for operation, so root and call
     count equal those of scipy.optimize.brentq(f, xa, xb, xtol=1e-12,
     full_output=True) bit for bit, less the two calls SciPy spends on the
-    bracket ends. Raises ValueError when fa and fb have the same sign or f
-    returns NaN, and RuntimeError after _BRENT_MAXITER iterations.
+    bracket ends. With ftol > 0 it also stops once the bracket end it would
+    return (the one with the smaller |f|) has |f| < ftol: that is the first
+    point, ends first, whose |f| is below ftol. ftol = 0 never stops early,
+    so the bits stay SciPy's. Raises ValueError when fa and fb have the same
+    sign or f returns NaN, and RuntimeError after _BRENT_MAXITER iterations.
     """
     xpre, xcur = float(xa), float(xb)
     fpre, fcur = float(fa), float(fb)
@@ -370,7 +379,7 @@ def _brentq(f, xa, xb, fa, fb):
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
+        if fcur == 0 or abs(sbis) < delta or abs(fcur) < ftol:
             return xcur, calls
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
@@ -397,8 +406,13 @@ def _brentq(f, xa, xb, fa, fb):
 def find_cycles(X, section, xi_range, n_seeds: int = 25,
                 tol=DEFAULT_CYCLE_TOL) -> list[LimitCycle]:
     """Census of section fixed points: bracket sign changes of d, root each
-    bracket by Brent's method to 1e-12, merge roots within 1e-8. The root
-    solve is _brentq, a port of SciPy's brentq (Brent 1973).
+    bracket by Brent's method, merge roots within 1e-8. The root solve is
+    _brentq, a port of SciPy's brentq (Brent 1973), with ftol = tol: it stops
+    at 1e-12 in xi or at the first point whose |d| is below the integrator
+    tolerance, whichever comes first. Below tol the sign of d is integrator
+    error, so a simple root moves by at most tol / |d'(xi*)|, and the solve
+    of a multiple root, where d is flat, stops inside that noise band instead
+    of pinning noise to 1e-12.
 
     Seeds where the return map is undefined are skipped, and so is a bracket
     whose root solve meets an orbit failure; an empty census is a valid
@@ -424,7 +438,7 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25,
         if np.sign(da) * np.sign(db) < 0:
             try:
                 roots.append(_brentq(lambda xi: displacement(X, section, xi, tol),
-                                     xa, xb, da, db))
+                                     xa, xb, da, db, ftol=tol))
             except flow.OrbitFailure:
                 continue
     if vals[-1] == 0.0:

@@ -235,20 +235,6 @@ def fit_displacement_poly(samples, degree: int, fit_degree: int | None = None) -
     return MonicPoly(tuple(monic[:degree]))
 
 
-def fit_roots(samples, degree: int, fit_degree: int | None = None) -> np.ndarray:
-    """Real zeros of the guarded displacement fit inside the sample window.
-
-    The monic factor from fit_displacement_poly has faithful root structure
-    but its root positions absorb the unit's variation over the window; the
-    zeros of the full guarded fit do not, so cycle locations are read off
-    here (and cross-checked against the census).
-    """
-    scaled, _, h = _guarded_fit(samples, degree, fit_degree)
-    roots = polyroots(scaled)
-    real = roots[np.abs(roots.imag) < 1e-8].real * h
-    return np.sort(real[np.abs(real) <= h])
-
-
 def _nodes(d: int, window: float, center: float = 0.0, n: int | None = None,
            skip_failures: bool = False) -> np.ndarray:
     """displacement_samples' Chebyshev nodes."""

@@ -549,21 +549,20 @@ def _run_split(config, X, out_dir):
             "sum": ib + ig + il,
         }
 
-    ann_rep = None
+    # the split report reads only the flux clause of the annulus check, so
+    # only that clause runs: no invariance orbits, no singularity grid
+    inward_ok = None
     annulus_obj = None
     try:
         annulus_obj = an.build_trapping_annulus(
             X, seed_cycle, config.lambda0, config.annulus_xi[0],
             config.annulus_xi[1], tol=config.integrator_tol,
         )
-        ann_rep = an.verify_annulus(
-            report.perturbed, annulus_obj, config.verify_samples,
-            invariance_orbits=8, horizon_periods=5.0,
-        )
+        margin = an.flux_margin(report.perturbed, annulus_obj, config.verify_samples)
+        inward_ok = margin > 0.0
         payload["annulus"] = {
             "xi_z1": annulus_obj.xi_z1, "xi_z2": annulus_obj.xi_z2,
-            "perturbed_inward_ok": ann_rep.inward_ok,
-            "min_flux_margin": ann_rep.min_flux_margin,
+            "perturbed_inward_ok": inward_ok, "min_flux_margin": margin,
         }
     except (an.ReturnFailed, an.NotStable) as exc:
         payload["annulus"] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -572,8 +571,8 @@ def _run_split(config, X, out_dir):
     checks["at_least_three_cycles"] = len(report.census) >= 3
     checks["alternating_stability"] = report.alternating
     checks["middle_exponent_positive"] = report.positivity_ok
-    if ann_rep is not None:
-        checks["annulus_inward_perturbed"] = ann_rep.inward_ok
+    if inward_ok is not None:
+        checks["annulus_inward_perturbed"] = inward_ok
     if distance_log:
         # strict from the first fit that is nonzero on the ring: a fit that
         # vanishes there is exactly as far from the limit family as the limit

@@ -6,9 +6,9 @@ is a dense (m+1, n+1) coefficient grid over an axis-aligned box; evaluation
 uses the numerically stable one-dimensional basis recurrence (multiplicative,
 no cancellation), so it remains valid slightly outside the box as well.
 
-Conversion from Bernstein to monomial is exponentially ill-conditioned and is
-capped at total degree 30; above the cap every consumer works basis-natively
-(evaluation, differentiation, sums and products stay in the Bernstein basis).
+Conversion from Bernstein to monomial is exponentially ill-conditioned, so
+the library has none: every consumer works basis-natively (evaluation,
+differentiation, sums and products stay in the Bernstein basis).
 """
 from __future__ import annotations
 
@@ -19,13 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-MONOMIAL_CONVERSION_CAP = 30
-
 NEG_INF = float("-inf")
-
-
-class ConversionOverflow(Exception):
-    """Bernstein-to-monomial conversion requested above the degree cap."""
 
 
 class DegenerateBox(Exception):
@@ -452,42 +446,6 @@ def _comb(n, k):
     from math import comb
 
     return float(comb(n, k))
-
-
-def to_monomial(p: Poly2) -> Poly2:
-    """Convert to monomial form; capped at total degree 30 for Bernstein input."""
-    if p.basis == "monomial":
-        return p
-    m, n = p.bernstein_degrees
-    if m + n > MONOMIAL_CONVERSION_CAP:
-        raise ConversionOverflow(
-            f"bernstein ({m},{n}) exceeds the total-degree cap "
-            f"{MONOMIAL_CONVERSION_CAP} for monomial conversion"
-        )
-    ax, bx, ay, by = p.box
-
-    def axis_matrix(d, a, w):
-        # bernstein -> power in u, then u = (x - a)/w -> power in x
-        U = np.zeros((d + 1, d + 1))
-        for i in range(d + 1):
-            for k in range(i, d + 1):
-                U[k, i] = (-1.0) ** (k - i) * _comb(d, k) * _comb(k, i)
-        T = np.zeros((d + 1, d + 1))
-        for k in range(d + 1):
-            for j in range(k + 1):
-                T[j, k] = _comb(k, j) * (-a) ** (k - j) / w**k
-        return T @ U
-
-    Mx = axis_matrix(m, ax, bx - ax)
-    My = axis_matrix(n, ay, by - ay)
-    C = Mx @ p.grid @ My.T
-    coeffs = {
-        (i, j): C[i, j]
-        for i in range(C.shape[0])
-        for j in range(C.shape[1])
-        if C[i, j] != 0.0
-    }
-    return Poly2.monomial(coeffs)
 
 
 def _in_one_bernstein_box(p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:

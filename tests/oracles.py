@@ -4,14 +4,25 @@ Every CK-family perturbation used in the tests has a radial law r' = g(r)
 with theta' = h(r) decoupled (by rotational symmetry), so return maps and
 cycle radii reduce to one-dimensional integrations and root finds. The
 library under test never sees these reductions: it integrates the planar
-Cartesian fields. Two references of another kind sit alongside: the
-variational return-map derivative, integrated by SciPy rather than by the
-library's stepper, and the closed-form jets of the windowed signed distance
-to the unit circle (the CK cycle).
+Cartesian fields. References of another kind sit alongside: the variational
+return-map derivative, integrated by SciPy rather than by the library's
+stepper; the closed-form jets of the windowed signed distance to the unit
+circle (the CK cycle); and four helpers the library itself does not need,
+kept as references for tests (the even-odd membership test of one polygon,
+the real zeros of the guarded displacement fit, the Bernstein-to-monomial
+conversion and the finite-difference check of supplied derivatives).
 """
+import math
+
 import numpy as np
+from numpy.polynomial.polynomial import polyroots
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+from cyclelab import annulus as an
+from cyclelab import discriminant as dc
+from cyclelab.bernstein import InsufficientDerivatives
+from cyclelab.poly2 import Poly2
 
 
 def polar_return(radial, angular=None, r0=1.0, span=2 * np.pi, tol=1e-13):
@@ -54,6 +65,16 @@ def collapse_radii(k, lam):
     """
     s = (2 * lam) ** (1.0 / (k - 1))
     return tuple(np.sqrt(1 - t) for t in ((s, 0.0, -s) if k % 2 else (s, 0.0)))
+
+
+def noise_band(k, tol):
+    """Half-width of the xi band around CK(k)'s cycle where |d| < tol.
+
+    From r' = r(1 - r^2)^k, near the cycle d(xi) ~ 2 pi (-2 xi)^k, so
+    |d| < tol for |xi| < (tol / (2 pi 2^k))^(1/k). Inside the band the sign
+    of d is integrator error, so a census root there is as good as any.
+    """
+    return (tol / (2 * math.pi * 2**k)) ** (1.0 / k)
 
 
 def collapse_ck3_radial(lam):
@@ -143,3 +164,86 @@ def windowed_circle_distance(x, y, width):
         (1, 1): phi1 / r * tx * ty + phi2 * nx * ny,
         (0, 2): phi1 / r * ty * ty + phi2 * ny * ny,
     }
+
+
+def points_in_polygon(pts, poly):
+    """Even-odd ray-crossing membership in one closed polygon (first ==
+    last): the library's sweep, as in_region runs it on each curve."""
+    return an._even_odd(an._by_y(pts), poly)
+
+
+def fit_roots(samples, degree, fit_degree=None):
+    """Real zeros of the guarded displacement fit inside the sample window.
+
+    The monic factor from fit_displacement_poly has faithful root structure
+    but its root positions absorb the unit's variation over the window; the
+    zeros of the full guarded fit do not, so cycle locations read off here
+    can be checked against the census.
+    """
+    scaled, _, h = dc._guarded_fit(samples, degree, fit_degree)
+    roots = polyroots(scaled)
+    real = roots[np.abs(roots.imag) < 1e-8].real * h
+    return np.sort(real[np.abs(real) <= h])
+
+
+MONOMIAL_CONVERSION_CAP = 30
+
+
+class ConversionOverflow(Exception):
+    """Bernstein-to-monomial conversion requested above the degree cap."""
+
+
+def to_monomial(p):
+    """p in monomial form; capped at total degree 30 for Bernstein input,
+    as the conversion is exponentially ill-conditioned."""
+    if p.basis == "monomial":
+        return p
+    m, n = p.bernstein_degrees
+    if m + n > MONOMIAL_CONVERSION_CAP:
+        raise ConversionOverflow(
+            f"bernstein ({m},{n}) exceeds the total-degree cap "
+            f"{MONOMIAL_CONVERSION_CAP} for monomial conversion"
+        )
+    ax, bx, ay, by = p.box
+
+    def axis_matrix(d, a, w):
+        # bernstein -> power in u, then u = (x - a)/w -> power in x
+        U = np.zeros((d + 1, d + 1))
+        for i in range(d + 1):
+            for k in range(i, d + 1):
+                U[k, i] = (-1.0) ** (k - i) * math.comb(d, k) * math.comb(k, i)
+        T = np.zeros((d + 1, d + 1))
+        for k in range(d + 1):
+            for j in range(k + 1):
+                T[j, k] = math.comb(k, j) * (-a) ** (k - j) / w**k
+        return T @ U
+
+    C = axis_matrix(m, ax, bx - ax) @ p.grid @ axis_matrix(n, ay, by - ay).T
+    return Poly2.monomial({(i, j): C[i, j] for i in range(C.shape[0])
+                           for j in range(C.shape[1]) if C[i, j] != 0.0})
+
+
+def check_consistency(f, rng=None, n_points=20, tol=1e-4):
+    """Cross-check a SampledField's supplied first derivatives against its
+    central differences.
+
+    Returns the worst discrepancy at random interior points; raises
+    InsufficientDerivatives if it exceeds tol.
+    """
+    rng = rng or np.random.default_rng(0)
+    ax, bx, ay, by = f.box
+    pad_x, pad_y = 0.05 * (bx - ax), 0.05 * (by - ay)
+    x = rng.uniform(ax + pad_x, bx - pad_x, n_points)
+    y = rng.uniform(ay + pad_y, by - pad_y, n_points)
+    worst = 0.0
+    for (i, j) in [(1, 0), (0, 1)]:
+        if (i, j) not in f.derivs:
+            continue
+        a = np.asarray(f.derivs[(i, j)](x, y), dtype=float)
+        b = np.asarray(f._fd(i, j, x, y), dtype=float)
+        worst = max(worst, float(np.max(np.abs(a - b))))
+    if worst > tol:
+        raise InsufficientDerivatives(
+            f"supplied derivatives disagree with finite differences by {worst:.2e}"
+        )
+    return worst

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from cyclelab import annulus as an
 from cyclelab import cycles as cy
 from cyclelab.field import PolyVectorField, gradient_collapse_family, rotate_family
@@ -155,7 +156,7 @@ def _probe_min_flux_margin(Y, annulus, n_samples):
         tang = np.roll(pts, -1, axis=0) - np.roll(pts, +1, axis=0)
         tang /= np.maximum(np.linalg.norm(tang, axis=1, keepdims=True), 1e-300)
         normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-        normals[an.points_in_polygon(pts + 1e-5 * normals, poly) != outer] *= -1.0
+        normals[oracles.points_in_polygon(pts + 1e-5 * normals, poly) != outer] *= -1.0
         p, q = Y(pts[:, 0], pts[:, 1])
         vel = np.stack([p, q], axis=1)
         margin = (np.einsum("ij,ij->i", vel, normals)
@@ -170,7 +171,7 @@ def _probe_min_flux_margin(Y, annulus, n_samples):
                 t = t / np.linalg.norm(t)
                 cand = np.array([t[1], -t[0]])
                 probe = 0.5 * (cpt + nb) + 1e-6 * cand
-                if bool(an.points_in_polygon(probe[None, :], poly)[0]) != outer:
+                if bool(oracles.points_in_polygon(probe[None, :], poly)[0]) != outer:
                     cand = -cand
                 pv, qv = Y(cpt[0], cpt[1])
                 sp = float(np.hypot(pv, qv))
@@ -190,6 +191,15 @@ def test_flux_normals_from_orientation_match_the_probe_rule(request, ck, name):
             got = an.verify_annulus(Y, ann, n_samples=n_samples, invariance_orbits=0)
             assert (got.min_flux_margin.hex()
                     == _probe_min_flux_margin(Y, ann, n_samples).hex())
+
+
+@pytest.mark.parametrize("name", ["ck3_annulus", "clockwise_annulus"])
+def test_flux_margin_is_verify_annulus_clause_one(request, ck, name):
+    ann = request.getfixturevalue(name)
+    for Y in (ck[3], gradient_collapse_family(ck[3], S, 0.02), CLOCKWISE):
+        got = an.flux_margin(Y, ann, 256)
+        assert type(got) is float
+        assert got.hex() == an.verify_annulus(Y, ann, 256, invariance_orbits=0).min_flux_margin.hex()
 
 
 def test_region_membership(ck3_annulus):
@@ -243,9 +253,9 @@ def _polygons(draw):
 def test_points_in_polygon_matches_dense_test(poly, pts):
     pts = np.array(pts, dtype=float).reshape(-1, 2)
     for query in (pts, np.vstack([pts, poly, [[np.nan, 0.0], [0.0, np.nan]]])):
-        assert np.array_equal(an.points_in_polygon(query, poly),
+        assert np.array_equal(oracles.points_in_polygon(query, poly),
                               _dense_points_in_polygon(query, poly))
-    assert an.points_in_polygon(np.empty((0, 2)), poly).shape == (0,)
+    assert oracles.points_in_polygon(np.empty((0, 2)), poly).shape == (0,)
 
 
 def test_bad_xi_arguments(ck, ck_cycles):

@@ -166,6 +166,50 @@ def test_brentq_port_errors_match_scipy(monkeypatch):
         _port_brentq(steep, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("ftol", [1e-12, 1e-14, 1e-16])
+@pytest.mark.parametrize("a,b", [(-0.2, 0.9), (0.9, -0.2), (0.297, 0.3)])
+def test_brentq_ftol_stops_at_the_first_point_below_it(a, b, ftol):
+    """With ftol > 0 the root is the first point, the smaller-|f| bracket end
+    first, whose |f| is below ftol, and no call follows it."""
+    f = _BRENT_CASES["flat_triple_root"][0]
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return f(x)
+
+    root, calls = cy._brentq(counted, a, b, f(a), f(b), ftol=ftol)
+    near_end = min((a, b), key=lambda x: abs(f(x)))
+    assert root == next(x for x in [near_end] + seen if abs(f(x)) < ftol)
+    assert calls == len(seen)
+    _, full_calls = cy._brentq(f, a, b, f(a), f(b))
+    assert calls < full_calls
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-11])
+@pytest.mark.parametrize("k", [3, 5])
+def test_find_cycles_multiple_root_stops_in_the_noise_band(section, k, tol):
+    """On a window whose seeds miss the exact cycle at xi = 0, the root of a
+    flat odd-degree d lands within twice the closed-form band where |d| is
+    below the integrator tolerance."""
+    X = ck_system(k)
+    cens = cy.find_cycles(X, section, (-0.29, 0.31), 25, tol=tol)
+    assert len(cens) == 1
+    assert abs(cens[0].xi_star) <= 2 * oracles.noise_band(k, tol)
+    assert abs(cy.displacement(X, section, cens[0].xi_star, tol)) < tol
+
+
+def test_find_cycles_ck3_root_is_the_seed_at_zero(ck, section):
+    """|d| at the seed xi = 0 is below tol, so Brent returns that bracket end
+    without a call, and the cycle is the exact, non-hyperbolic one."""
+    assert np.linspace(-0.3, 0.3, 25)[12] == 0.0
+    cens = cy.find_cycles(ck[3], section, (-0.3, 0.3), 25, tol=1e-10)
+    assert len(cens) == 1
+    assert cens[0].xi_star == 0.0
+    assert cens[0].root_d_calls == 0
+    assert cens[0].stability == "non-hyperbolic"
+
+
 def test_find_cycles_drops_a_root_whose_solve_fails(ck, section, monkeypatch):
     lam = 0.02
     fam = gradient_collapse_family(ck[3], S, lam)

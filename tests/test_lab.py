@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from cyclelab import cycles as cy
-from cyclelab import lab
+from cyclelab import flow, lab
 from cyclelab.field import ck_system
 from cyclelab.portrait import render_phase_portrait
 from cyclelab.registry import exact_vanishing_poly
@@ -48,7 +48,7 @@ def test_numeric_f_window_too_wide(ck, ck_cycles):
 
 
 def test_numeric_f_derivative_consistency(ck3_numeric_F):
-    assert ck3_numeric_F.check_consistency(n_points=10) < 1e-4
+    assert oracles.check_consistency(ck3_numeric_F, n_points=10) < 1e-4
 
 
 def test_numeric_f_jets_match_closed_form(ck3_numeric_F):
@@ -235,6 +235,23 @@ def test_split_pipeline_exact(tmp_path):
     lines = (tmp_path / "census.csv").read_text().strip().splitlines()
     assert lines[0] == "xi_star,radius,period,exponent,stability"
     assert len(lines) == 4
+
+
+def test_split_pipeline_integrates_no_annulus_orbit(monkeypatch):
+    """The split report reads only the annulus's flux clause, so no
+    invariance orbit is integrated for it."""
+    def integrate(*args, **kwargs):
+        raise RuntimeError("flow.integrate called")
+
+    monkeypatch.setattr(flow, "integrate", integrate)
+    rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({
+        "pipeline": "split-theorem1", "system": "CK(3)",
+    }))
+    assert rep.all_passed
+    assert rep.checks["annulus_inward_perturbed"] is True
+    block = rep.payload["annulus"]
+    assert sorted(block) == ["min_flux_margin", "perturbed_inward_ok", "xi_z1", "xi_z2"]
+    assert block["perturbed_inward_ok"] == (block["min_flux_margin"] > 0.0)
 
 
 def test_split_payload_spells_numpy_bools_as_bools():
