@@ -17,8 +17,6 @@ from .poly2 import Poly2, derivative
 
 # grid density is odd by default so symmetric boxes sample their center exactly
 DEFAULT_GRID_DENSITY = 101
-# central-difference step of first derivatives; second derivatives use 2e-4
-_FD_STEP = 1e-5
 
 
 class InsufficientDerivatives(Exception):
@@ -36,44 +34,31 @@ class CapExceeded(Exception):
 
 @dataclass
 class SampledField:
-    """Scalar function of two variables with partial derivatives up to r_max.
+    """Scalar function of two variables with the partial derivatives it supplies.
 
-    ``value`` must accept numpy arrays. Analytic derivative callables can be
-    supplied in ``derivs`` keyed by (i, j); anything missing is filled by
-    central finite differences of ``value`` (step 1e-5 for first order, a
-    larger balanced step for second order).
+    ``value`` must accept numpy arrays. Derivative callables are supplied in
+    ``derivs`` keyed by (i, j); asking for one that is not supplied raises
+    InsufficientDerivatives. Nothing is differenced numerically.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     box: tuple[float, float, float, float]
-    r_max: int = 2
     derivs: dict[tuple[int, int], Callable] = field(default_factory=dict)
 
+    @property
+    def r_max(self) -> int:
+        """The highest order r up to which every derivative is supplied."""
+        r = 0
+        while all((i, r + 1 - i) in self.derivs for i in range(r + 2)):
+            r += 1
+        return r
+
     def derivative(self, i: int, j: int, x, y):
-        if i + j > self.r_max:
-            raise InsufficientDerivatives(
-                f"derivative order {(i, j)} exceeds r_max={self.r_max}"
-            )
         if (i, j) in self.derivs:
             return self.derivs[(i, j)](x, y)
         if i + j == 0:
             return self.value(x, y)
-        return self._fd(i, j, x, y)
-
-    def _fd(self, i, j, x, y):
-        # second-order stencils; step balanced against roundoff per order
-        h = _FD_STEP if i + j == 1 else 2e-4
-        if i > 0:
-            base = (lambda xx, yy: self._fd(i - 1, j, xx, yy)) if i + j > 1 else self.value
-            if i + j == 2 and (i, j) == (2, 0):
-                f0 = self.value(x, y)
-                return (self.value(x + h, y) - 2 * f0 + self.value(x - h, y)) / h**2
-            return (base(x + h, y) - base(x - h, y)) / (2 * h)
-        if i + j == 2 and (i, j) == (0, 2):
-            f0 = self.value(x, y)
-            return (self.value(x, y + h) - 2 * f0 + self.value(x, y - h)) / h**2
-        base = (lambda xx, yy: self._fd(i, j - 1, xx, yy)) if i + j > 1 else self.value
-        return (base(x, y + h) - base(x, y - h)) / (2 * h)
+        raise InsufficientDerivatives(f"derivative {(i, j)} is not supplied")
 
 
 def bernstein_fit(f: SampledField, m: int, n: int, box=None) -> Poly2:

@@ -201,7 +201,6 @@ class LimitCycle:
     section: Section
     xi_star: float
     period: float
-    times: np.ndarray
     points: np.ndarray
     exponent: float
     multiplicity: MultiplicityEstimate | None = None
@@ -243,10 +242,9 @@ def build_cycle(X, section, xi_star, tol=DEFAULT_CYCLE_TOL) -> LimitCycle:
         X, section.point_at(xi_star), section, crossing_sign(X, section),
         t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET,
     )
-    ts = np.linspace(0.0, period, _CYCLE_SAMPLES)
     cyc = LimitCycle(
         section=section, xi_star=float(xi_star), period=period,
-        times=ts, points=orbit.eval(ts), exponent=0.0, _orbit=orbit,
+        points=orbit.eval(np.linspace(0.0, period, _CYCLE_SAMPLES)), exponent=0.0, _orbit=orbit,
     )
     cyc.exponent = characteristic_exponent(X, cyc)
     return cyc
@@ -469,6 +467,12 @@ def _reversed(X: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(scale(X.P, -1.0), scale(X.Q, -1.0))
 
 
+def _chebyshev_nodes(center: float, half_width: float, n: int) -> np.ndarray:
+    """The n Chebyshev-Lobatto points center + half_width * cos(pi k / (n - 1)),
+    k = 0..n-1, of the multiplicity and discriminant fits."""
+    return center + half_width * np.cos(np.pi * np.arange(n) / (n - 1))
+
+
 def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0.05,
                  tol=flow.DEFAULT_TOL, _allow_reversal: bool = True) -> MultiplicityEstimate:
     """Order of the first significant displacement derivative at the cycle.
@@ -499,7 +503,7 @@ def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0
     last_est = None
     last_exc = None
     for _ in range(10):
-        nodes = xi0 + h_cur * np.cos(np.pi * np.arange(n_nodes) / (n_nodes - 1))
+        nodes = _chebyshev_nodes(xi0, h_cur, n_nodes)
         try:
             d_vals = np.array([displacement(X, section, xi, tol=tol) for xi in nodes])
         except flow.OrbitFailure as exc:

@@ -241,7 +241,7 @@ def _nodes(d: int, window: float, center: float = 0.0, n: int | None = None,
     n = n or (4 * d + 1)
     if skip_failures:
         n = max(n, 6 * d + 3)
-    return center + window * np.cos(np.pi * np.arange(n) / (n - 1))
+    return _cycles._chebyshev_nodes(center, window, n)
 
 
 def displacement_samples(X, section, d: int, window: float, center: float = 0.0,
@@ -275,7 +275,6 @@ class Q2Sample:
     index: int
     phi: float | None
     n_real_roots: int | None
-    boundary: bool
     error: str | None = None
 
 
@@ -316,23 +315,20 @@ def _perturb_coeffs(X, rng, radius):
     return PolyVectorField(jitter(X.P), jitter(X.Q))
 
 
-def _q2_sample(index, nodes, row, d, boundary_tol) -> Q2Sample:
+def _q2_sample(index, nodes, row, d) -> Q2Sample:
     """One q2_search sample from its row of cycles.displacements, which ends
     with the failure displacement_samples would raise, if any."""
     if row and isinstance(row[-1], _flow.OrbitFailure):
-        return Q2Sample(index, None, None, False, error=type(row[-1]).__name__)
+        return Q2Sample(index, None, None, error=type(row[-1]).__name__)
     try:
         fit = fit_displacement_poly(list(zip(nodes, row)), d)
     except LeadingCoefficientVanishes as exc:
-        return Q2Sample(index, None, None, False, error=type(exc).__name__)
-    val = discriminant(fit)
-    scale = max(1.0, float(np.max(np.abs(fit.full_coeffs()))))
-    return Q2Sample(index, val, real_root_census(fit), abs(val) < boundary_tol * scale)
+        return Q2Sample(index, None, None, error=type(exc).__name__)
+    return Q2Sample(index, discriminant(fit), real_root_census(fit))
 
 
 def q2_search(X, section, d: int, radius: float, n_samples: int, seed: int,
-              window: float = 0.025, boundary_tol: float = 1e-9,
-              tol=_flow.DEFAULT_TOL) -> Q2Report:
+              window: float = 0.025, tol=_flow.DEFAULT_TOL) -> Q2Report:
     """Randomized search for a perturbation with negative displacement-fit
     discriminant.
 
@@ -342,13 +338,12 @@ def q2_search(X, section, d: int, radius: float, n_samples: int, seed: int,
     degree-d fit discriminant for each (the displacement orbits of all fields
     run together, see cycles.displacements), and reports the minimum together
     with the histogram of distinct-real-root counts. Deterministic under seed;
-    per-sample failures are recorded and skipped. |Delta| below boundary_tol
-    (relative to coefficient scale) is flagged as the boundary stratum.
+    per-sample failures are recorded by their class name and skipped.
     """
     fields = [_perturb_coeffs(X, np.random.default_rng([seed, i]), radius)
               for i in range(n_samples)]
     nodes = _nodes(d, window)
-    samples = [_q2_sample(i, nodes, row, d, boundary_tol)
+    samples = [_q2_sample(i, nodes, row, d)
                for i, row in enumerate(_cycles.displacements(fields, section, nodes, tol=tol))]
     histogram: dict[int, int] = {}
     best_index, best_phi = None, None

@@ -51,10 +51,12 @@ class PolyVectorField:
         compiles each component into one Horner expression
         (poly2._horner_source) with its coefficients as literals, cut into
         statements only every 64 nesting levels, whose values are
-        bit-identical to eval_poly's; Bernstein fields on one box share
-        their basis rows between the two components. The lockstep driver
-        builds none of these: it evaluates each field through its group's
-        body (lane_evaluators), which is compiled once per set of monomials.
+        bit-identical to eval_poly's. A Bernstein field on one box builds
+        each component's basis rows on floats (poly2._basis_row_scalar); any
+        other field evaluates each component through eval_poly. The lockstep
+        driver builds none of these: it evaluates each field through its
+        group's body (lane_evaluators), which is compiled once per set of
+        monomials.
         """
         return self._evaluator
 
@@ -76,13 +78,8 @@ class PolyVectorField:
             def rhs(x, y):
                 u = (x - ax) / wx
                 v = (y - ay) / wy
-                bu = _basis_row_scalar(mx, u)
-                bv = _basis_row_scalar(nx, v)
-                if (mq, nq) == (mx, nx):
-                    bu2, bv2 = bu, bv
-                else:
-                    bu2 = _basis_row_scalar(mq, u)
-                    bv2 = _basis_row_scalar(nq, v)
+                bu, bv = _basis_row_scalar(mx, u), _basis_row_scalar(nx, v)
+                bu2, bv2 = _basis_row_scalar(mq, u), _basis_row_scalar(nq, v)
                 return float(bu @ gp @ bv), float(bu2 @ gq @ bv2)
 
             return rhs
@@ -161,9 +158,9 @@ def perp(X: PolyVectorField) -> PolyVectorField:
 def rotate_family(X: PolyVectorField, lam: float, eps: float = 1.0) -> PolyVectorField:
     """Rotated family (P - lam*eps*Q, Q + lam*eps*P).
 
-    eps fixes the neighborhood radius and lam in (-1, 1) is the path
-    parameter; only the product lam*eps enters the dynamics. Keeping them
-    separate avoids double-scaling mistakes in sweeps.
+    eps scales the rotation and lam in (-1, 1) is the path parameter; only
+    the product lam*eps enters the dynamics. Keeping them separate avoids
+    double-scaling mistakes in sweeps.
     """
     mu = lam * eps
     return PolyVectorField(

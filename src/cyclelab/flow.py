@@ -26,9 +26,10 @@ pays from about 48 lanes and hands fewer to the scalar driver.
 exactly: the dense output on a step is a degree-7 polynomial in time, so
 its normal coordinate against the section line is one too, and its sign
 changes in the step, bracketed from its Bernstein coefficients, are the
-crossings. Every way an orbit can fail derives from OrbitFailure. Stiff
-integrators are not needed here: polynomial fields near attracting cycles at
-our perturbation sizes are non-stiff.
+crossings. Every way an orbit can fail derives from OrbitFailure: the step
+budget or floor (StepUnderflow), the safety box (Divergence) and no crossing
+by t_max (NoCrossing). Stiff integrators are not needed here: polynomial
+fields near attracting cycles at our perturbation sizes are non-stiff.
 """
 from __future__ import annotations
 
@@ -135,10 +136,6 @@ class Divergence(OrbitFailure):
 
 class NoCrossing(OrbitFailure):
     """No section crossing found within t_max."""
-
-
-class LeftNeighborhood(OrbitFailure):
-    """Orbit exited the configured neighborhood before returning."""
 
 
 @dataclass
@@ -722,25 +719,18 @@ def _step_crossing(step, f, geometry, direction_sign, t_offset):
     return None
 
 
-def _first_crossing(f, steps, section, direction_sign, t_max, t_offset, neighborhood_radius):
+def _first_crossing(f, steps, section, direction_sign, t_max, t_offset):
     """next_section_crossing's (t_star, point), searched over the given steps
     of an orbit of the field whose RHS is f."""
     geometry = _geometry(section)
-    bx, by = geometry[:2]
     for step in steps:
-        if (neighborhood_radius is not None
-                and math.hypot(step.y[0] - bx, step.y[1] - by) > neighborhood_radius):
-            raise LeftNeighborhood(
-                f"orbit left the radius-{neighborhood_radius:g} neighborhood at t={step.t:.6g}"
-            )
         hit = _step_crossing(step, f, geometry, direction_sign, t_offset)
         if hit is not None:
             return hit
     raise NoCrossing(f"no crossing in (0, {t_max}]")
 
 
-def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset,
-                    neighborhood_radius=None):
+def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset):
     """next_section_crossing's (t_star, point), plus the orbit up to the crossing step."""
     kept = []
 
@@ -749,8 +739,7 @@ def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset,
             kept.append(step)
             yield step
 
-    t_star, p = _first_crossing(X.rhs(), kept_steps(), section, direction_sign, t_max, t_offset,
-                                neighborhood_radius)
+    t_star, p = _first_crossing(X.rhs(), kept_steps(), section, direction_sign, t_max, t_offset)
     return t_star, p, _orbit(x0, kept)
 
 
@@ -762,7 +751,6 @@ def next_section_crossing(
     t_max: float = 200.0,
     tol: float = DEFAULT_TOL,
     t_offset: float = 0.0,
-    neighborhood_radius: float | None = None,
 ):
     """First crossing of the section segment with the requested sign.
 
@@ -773,11 +761,10 @@ def next_section_crossing(
     the exact root of the step's dense interpolant on the section line.
 
     Returns (t_star, point). Raises ValueError unless t_max > 0, tol > 0 and
-    x0 is finite, and an OrbitFailure: NoCrossing, Divergence, StepUnderflow or
-    LeftNeighborhood.
+    x0 is finite, and an OrbitFailure: NoCrossing, Divergence or StepUnderflow.
     """
     return _first_crossing(X.rhs(), _steps(X, x0, t_max, tol), section, direction_sign, t_max,
-                           t_offset, neighborhood_radius)
+                           t_offset)
 
 
 def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEFAULT_TOL,
@@ -820,7 +807,7 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
         f = rhs[field_of[i]]
         try:
             found[r, k] = _first_crossing(f, _resume(f, *state, t_max, tol), section, sign,
-                                          t_max, t_offset, None)
+                                          t_max, t_offset)
         except OrbitFailure as exc:
             found[r, k] = exc
             cut[r] = min(cut[r], k)

@@ -183,7 +183,7 @@ def build_numeric_F(X: PolyVectorField, cycle: cy.LimitCycle,
     box_half = 1.5 * rad.max()
     box = (-box_half, box_half, -box_half, box_half)
     derivs = {k: (lambda x, y, k=k: jet(x, y)[k]) for k in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
-    return SampledField(value=lambda x, y: jet(x, y)[(0, 0)], box=box, r_max=2, derivs=derivs)
+    return SampledField(value=lambda x, y: jet(x, y)[(0, 0)], box=box, derivs=derivs)
 
 
 def surrogate_lambda(lam_ref: float, F_ref, F_hat, cycle: cy.LimitCycle) -> float:
@@ -244,7 +244,6 @@ class ExperimentConfig:
     section_base: tuple[float, float] | None = None
     section_half_length: float = 0.55
     lam: float = 0.02
-    eps: float = 0.1
     lambda0: float = 0.1
     r: int = 1
     eps_target: float = 0.4
@@ -276,8 +275,6 @@ class ExperimentConfig:
             raise ValueError(f"pipeline must be one of {_PIPELINES}")
         if not (0.0 < self.lam <= 0.1):
             raise ValueError("lambda must lie in (0, 0.1]")
-        if not (0.0 < self.eps <= 0.1):
-            raise ValueError("eps must lie in (0, 0.1]")
         if self.r not in (1, 2, 3):
             raise ValueError("r must be one of {1, 2, 3}")
         for key in ("q2_degree", "fit_degree"):
@@ -466,10 +463,11 @@ def _find_census(config, X, with_multiplicity=True):
 
 def _run_find(config, X, out_dir):
     section, census = _find_census(config, X)
-    payload = {"census": _census_payload(census, config.integrator_tol)}
+    tol = config.integrator_tol
+    payload = {"census": _census_payload(census, tol)}
     checks = {
-        "cycles_converged": all(abs(cy.displacement(X, section, c.xi_star,
-                                                    tol=config.integrator_tol)) < 1e-10
+        # the census stops each root once |d| < tol (cycles.find_cycles)
+        "cycles_converged": all(abs(cy.displacement(X, section, c.xi_star, tol=tol)) < tol
                                 for c in census),
         "polylines_closed": all(c.closure_error() < 1e-8 for c in census),
     }
@@ -598,7 +596,7 @@ def _run_rotate(config, X, out_dir):
     sweeps = []
     checks = {}
     for mu in config.lambda_eps_values:
-        Y = rotate_family(X, mu / config.eps, config.eps)
+        Y = rotate_family(X, mu)
         census = cy.find_cycles(Y, section, config.xi_range, config.n_seeds,
                                 tol=config.integrator_tol)
         entry = {"lambda_eps": mu, "census": _census_payload(census, config.integrator_tol)}

@@ -8,7 +8,9 @@ no cancellation), so it remains valid slightly outside the box as well.
 
 Conversion from Bernstein to monomial is exponentially ill-conditioned, so
 the library has none: every consumer works basis-natively (evaluation,
-differentiation, sums and products stay in the Bernstein basis).
+differentiation, sums and products stay in the Bernstein basis). Bernstein
+arithmetic runs on one box: operands on two different boxes raise
+ValueError.
 """
 from __future__ import annotations
 
@@ -411,9 +413,14 @@ def _product_bernstein(p: Poly2, q: Poly2) -> Poly2:
 
 
 def to_bernstein(p: Poly2, box, degrees: tuple[int, int] | None = None) -> Poly2:
-    """Represent a monomial-form polynomial exactly in Bernstein form on box."""
+    """Represent a monomial-form polynomial exactly in Bernstein form on box.
+
+    A Bernstein-form p is returned as it is on its own box; on another box it
+    raises ValueError.
+    """
     if p.basis == "bernstein":
-        return p if p.box == tuple(box) else reparametrize_box(p, box)
+        _same_box(p.box, box)
+        return p
     ax, bx, ay, by = _check_box(box)
     C = p._dense
     dx, dy = C.shape[0] - 1, C.shape[1] - 1
@@ -448,18 +455,23 @@ def _comb(n, k):
     return float(comb(n, k))
 
 
+def _same_box(box, other) -> None:
+    if box != tuple(other):
+        raise ValueError(f"Bernstein operands on two boxes: {box!r} and {tuple(other)!r}")
+
+
 def _in_one_bernstein_box(p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
-    """p and q in the Bernstein basis over one box (p's, where p has one).
+    """p and q in the Bernstein basis over the box of the Bernstein operand.
 
     Mixed-basis operands meet in the Bernstein basis, the stable conversion
-    direction, which keeps high-degree Bernstein operands usable.
+    direction, which keeps high-degree Bernstein operands usable. Two
+    Bernstein operands on different boxes raise ValueError.
     """
     if p.basis == "monomial":
         p = to_bernstein(p, q.box)
     if q.basis == "monomial":
         q = to_bernstein(q, p.box)
-    if p.box != q.box:
-        q = reparametrize_box(q, p.box)
+    _same_box(p.box, q.box)
     return p, q
 
 
@@ -492,48 +504,6 @@ def scale(p: Poly2, c: float) -> Poly2:
     if p.basis == "monomial":
         return Poly2.monomial({k: v * c for k, v in p.coeffs.items()})
     return Poly2.bernstein(p.grid * c, p.box)
-
-
-def _decasteljau_split(c: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """de Casteljau triangle at t; returns (left, right) control nets.
-
-    Valid for t outside [0, 1] too (affine blossoming extends the segment).
-    """
-    m = c.shape[0] - 1
-    levels = [c.copy()]
-    tri = c.copy()
-    for _ in range(m):
-        tri = (1.0 - t) * tri[:-1] + t * tri[1:]
-        levels.append(tri.copy())
-    left = np.stack([levels[i][0] for i in range(m + 1)])
-    right = np.stack([levels[m - i][i] for i in range(m + 1)])
-    return left, right
-
-
-def _restrict_1d(c: np.ndarray, t0: float, t1: float) -> np.ndarray:
-    """Reexpress a [0,1] Bernstein segment over [t0, t1]."""
-    if t0 == 1.0:
-        raise DegenerateBox("cannot reparametrize across a zero-width map")
-    _, right = _decasteljau_split(c, t0)
-    s = (t1 - t0) / (1.0 - t0)
-    left, _ = _decasteljau_split(right, s)
-    return left
-
-
-def reparametrize_box(p: Poly2, new_box) -> Poly2:
-    """Reexpress a Bernstein-form polynomial over a different box.
-
-    The polynomial is unchanged as a function; only the basis box moves.
-    """
-    if p.basis != "bernstein":
-        raise ValueError("reparametrize_box needs a bernstein-form polynomial")
-    nax, nbx, nay, nby = _check_box(new_box)
-    ax, bx, ay, by = p.box
-    t0x, t1x = (nax - ax) / (bx - ax), (nbx - ax) / (bx - ax)
-    t0y, t1y = (nay - ay) / (by - ay), (nby - ay) / (by - ay)
-    g = _restrict_1d(p.grid, t0x, t1x)
-    g = _restrict_1d(g.T, t0y, t1y).T
-    return Poly2.bernstein(g, (nax, nbx, nay, nby))
 
 
 # ------------------------------------------------------------------ parsing

@@ -36,7 +36,7 @@ def default_section_base(name: str):
 def _paraboloid(box):
     return SampledField(
         value=lambda x, y: 1.0 - np.asarray(x, float) ** 2 - np.asarray(y, float) ** 2,
-        box=box, r_max=2,
+        box=box,
         derivs={
             (1, 0): lambda x, y: -2.0 * np.asarray(x, float) + 0.0 * np.asarray(y, float),
             (0, 1): lambda x, y: -2.0 * np.asarray(y, float) + 0.0 * np.asarray(x, float),
@@ -53,7 +53,7 @@ def _gauss(box):
         return np.exp(-(x * x + y * y) / 2.0)
 
     return SampledField(
-        value=g, box=box, r_max=2,
+        value=g, box=box,
         derivs={
             (1, 0): lambda x, y: -np.asarray(x, float) * g(x, y),
             (0, 1): lambda x, y: -np.asarray(y, float) * g(x, y),
@@ -69,7 +69,7 @@ def _wave(box):
         return np.sin(np.asarray(x, float)) * np.exp(np.asarray(y, float) / 2.0)
 
     return SampledField(
-        value=f, box=box, r_max=2,
+        value=f, box=box,
         derivs={
             (1, 0): lambda x, y: np.cos(np.asarray(x, float)) * np.exp(np.asarray(y, float) / 2.0),
             (0, 1): lambda x, y: 0.5 * f(x, y),

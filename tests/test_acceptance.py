@@ -142,7 +142,7 @@ def test_criterion_6_perko_derivative(ck, section):
 def test_criterion_7_bernstein_frozen_values():
     xsq = SampledField(
         value=lambda x, y: np.asarray(x, float) ** 2 + 0.0 * np.asarray(y, float),
-        box=(0, 1, 0, 1), r_max=0,
+        box=(0, 1, 0, 1),
     )
     dev = bernstein_fit(xsq, 10, 2)(0.5, 0.5) - 0.25
     assert dev == pytest.approx(0.025, abs=1e-12)

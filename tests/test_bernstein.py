@@ -18,7 +18,7 @@ def xsq():
     # f(x, y) = x^2 on the unit box, tensored with a constant
     return bn.SampledField(
         value=lambda x, y: np.asarray(x, float) ** 2 + 0.0 * np.asarray(y, float),
-        box=(0, 1, 0, 1), r_max=2,
+        box=(0, 1, 0, 1),
         derivs={
             (1, 0): lambda x, y: 2.0 * np.asarray(x, float) + 0.0 * np.asarray(y, float),
             (0, 1): lambda x, y: 0.0 * np.asarray(x, float) * np.asarray(y, float),
@@ -31,7 +31,7 @@ def xsq():
 
 def test_fit_constant_is_constant():
     f = bn.SampledField(value=lambda x, y: np.ones(np.broadcast(x, y).shape),
-                        box=(0, 1, 0, 1), r_max=0)
+                        box=(0, 1, 0, 1))
     b = bn.bernstein_fit(f, 7, 3)
     pts = np.linspace(0, 1, 9)
     assert np.max(np.abs(b(pts, pts[::-1]) - 1.0)) < 1e-14
@@ -40,7 +40,7 @@ def test_fit_constant_is_constant():
 def test_fit_reproduces_linear():
     f = bn.SampledField(
         value=lambda x, y: np.asarray(x, float) + 0.0 * np.asarray(y, float),
-        box=(0, 1, 0, 1), r_max=1,
+        box=(0, 1, 0, 1),
         derivs={(1, 0): lambda x, y: np.ones(np.broadcast(x, y).shape),
                 (0, 1): lambda x, y: np.zeros(np.broadcast(x, y).shape)},
     )
@@ -85,7 +85,7 @@ def test_corner_interpolation(paraboloid):
 def test_min_degree_linear_returns_one():
     f = bn.SampledField(
         value=lambda x, y: np.asarray(x, float) + 0.0 * np.asarray(y, float),
-        box=(0, 1, 0, 1), r_max=1,
+        box=(0, 1, 0, 1),
         derivs={(1, 0): lambda x, y: np.ones(np.broadcast(x, y).shape),
                 (0, 1): lambda x, y: np.zeros(np.broadcast(x, y).shape)},
     )
@@ -123,13 +123,41 @@ def test_min_degree_cap_exceeded(paraboloid):
 
 
 def test_insufficient_derivatives():
-    f = bn.SampledField(value=lambda x, y: np.asarray(x, float), box=(0, 1, 0, 1),
-                        r_max=0)
+    f = bn.SampledField(value=lambda x, y: np.asarray(x, float), box=(0, 1, 0, 1))
     b = bn.bernstein_fit(f, 4, 4)
     with pytest.raises(bn.InsufficientDerivatives):
         bn.cr_error(f, b, r=2)
     with pytest.raises(bn.InsufficientDerivatives):
         bn.min_degree_for_tolerance(f, (0, 1, 0, 1), 2, 0.1)
+
+
+def test_missing_derivative_raises(paraboloid):
+    # a derivative the field does not supply is an error, not a difference
+    linear = bn.SampledField(
+        value=lambda x, y: np.asarray(x, float) + 0.0 * np.asarray(y, float),
+        box=(0, 1, 0, 1),
+        derivs={(1, 0): lambda x, y: np.ones(np.broadcast(x, y).shape)},
+    )
+    assert linear.derivative(0, 0, 0.5, 0.5) == 0.5
+    assert linear.derivative(1, 0, 0.5, 0.5) == 1.0
+    for i, j in [(0, 1), (2, 0), (1, 1)]:
+        with pytest.raises(bn.InsufficientDerivatives):
+            linear.derivative(i, j, 0.5, 0.5)
+    with pytest.raises(bn.InsufficientDerivatives):
+        paraboloid.derivative(3, 0, 0.5, 0.5)
+
+
+def test_r_max_is_the_order_supplied_in_full(paraboloid, xsq):
+    def supplying(*keys):
+        return bn.SampledField(value=paraboloid.value, box=paraboloid.box,
+                               derivs={k: paraboloid.derivs[k] for k in keys})
+
+    assert supplying().r_max == 0
+    assert supplying((1, 0)).r_max == 0  # one first derivative is not order 1
+    assert supplying((1, 0), (0, 1)).r_max == 1
+    assert paraboloid.r_max == 2 and xsq.r_max == 2
+    with pytest.raises(AttributeError):
+        paraboloid.r_max = 3
 
 
 def test_grid_density_floor(paraboloid):
@@ -141,7 +169,7 @@ def test_grid_density_floor(paraboloid):
 def test_derivative_consistency_check(paraboloid):
     assert oracles.check_consistency(paraboloid) < 1e-4
     broken = bn.SampledField(
-        value=paraboloid.value, box=paraboloid.box, r_max=1,
+        value=paraboloid.value, box=paraboloid.box,
         derivs={(1, 0): lambda x, y: 0.0 * np.asarray(x, float)},
     )
     with pytest.raises(bn.InsufficientDerivatives):

@@ -132,14 +132,6 @@ def test_double_crossing_within_one_step():
     assert abs(np.dot(p - sec.base, sec.normal)) < 1e-12
 
 
-def test_left_neighborhood():
-    X = PolyVectorField(parse_poly("x - y"), parse_poly("x + y"))  # unstable focus
-    with pytest.raises(flow.LeftNeighborhood) as exc:
-        flow.next_section_crossing(X, (1.05, 0.0), SEC, +1, t_max=50.0,
-                                   neighborhood_radius=1.0)
-    assert isinstance(exc.value, flow.OrbitFailure)
-
-
 def test_orbit_csv(tmp_path):
     orb = flow.integrate(ROT, (1.0, 0.0), 1.0, tol=1e-8)
     path = tmp_path / "orbit.csv"

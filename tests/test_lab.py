@@ -109,8 +109,9 @@ def test_config_validation():
         lab.ExperimentConfig.from_dict({"pipeline": "warp"})
     with pytest.raises(ValueError):
         lab.ExperimentConfig.from_dict({"pipeline": "find", "lambda": 0.2})
-    with pytest.raises(ValueError):
-        lab.ExperimentConfig.from_dict({"pipeline": "find", "eps": 0.0})
+    # only the product lambda_eps enters the rotated field: eps is no key
+    with pytest.raises(ValueError, match="unknown config key 'eps'"):
+        lab.ExperimentConfig.from_dict({"pipeline": "rotate-theorem2", "eps": 0.1})
     with pytest.raises(ValueError):
         lab.ExperimentConfig.from_dict({"pipeline": "find", "r": 4})
     with pytest.raises(ValueError):
@@ -147,6 +148,20 @@ def test_find_pipeline_and_idempotence(tmp_path):
     assert again[0].xi_star == pytest.approx(xi, abs=1e-10)
     assert (tmp_path / "report.txt").exists()
     assert (tmp_path / "portrait.svg").exists()
+
+
+@pytest.mark.parametrize("raw", [
+    {"system": "CK(1)", "integrator_tol": 1e-8},
+    {"system": "CK(3)", "integrator_tol": 1e-8, "xi_range": [-0.29, 0.31]},
+    {"system": "CK(3)", "integrator_tol": 1e-11},
+])
+def test_find_convergence_check_is_at_the_integrator_tol(raw):
+    # the census stops each root where |d| < integrator_tol, so a looser
+    # tolerance passes the check and a tighter one must meet it
+    rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({"pipeline": "find", **raw}))
+    assert rep.payload["census"]["count"] == 1
+    assert rep.checks["cycles_converged"] is True
+    assert rep.all_passed
 
 
 def test_report_payload_deterministic():

@@ -148,32 +148,25 @@ def test_bernstein_derivative_basis_native():
     assert np.max(np.abs(dx(xs, 0.3 * xs) - (-2 * xs))) < 1e-10
 
 
-def test_reparametrize_box():
-    one = p2.to_bernstein(Poly2.constant(1.0), (0, 1, 0, 1))
-    moved = p2.reparametrize_box(one, (-2, 2, -2, 2))
-    assert np.max(np.abs(moved(np.linspace(-2, 2, 9), 0.0) - 1.0)) < 1e-14
-
-    # linear u on [0,1]^2 equals (x+2)/4 on [-2,2]^2
-    u = p2.to_bernstein(Poly2.variable("x"), (0, 1, 0, 1))
-    wide = p2.reparametrize_box(u, (-2, 2, -2, 2))
-    xs = np.linspace(-2, 2, 11)
-    assert np.max(np.abs(wide(xs, 0.0) - xs)) < 1e-13
-
-    rng = np.random.default_rng(5)
-    grid = rng.standard_normal((4, 4))
-    b = Poly2.bernstein(grid, (0, 1, 0, 1))
-    nb = p2.reparametrize_box(b, (0.2, 0.7, -0.1, 0.4))
-    X = rng.uniform(0.2, 0.7, 100)
-    Y = rng.uniform(-0.1, 0.4, 100)
-    assert np.max(np.abs(nb(X, Y) - b(X, Y))) < 1e-12
-
-
 def test_degenerate_box_rejected():
     with pytest.raises(p2.DegenerateBox):
         Poly2.bernstein(np.ones((2, 2)), (1.0, 1.0, 0.0, 1.0))
-    b = Poly2.bernstein(np.ones((2, 2)), (0, 1, 0, 1))
-    with pytest.raises(p2.DegenerateBox):
-        p2.reparametrize_box(b, (0.5, 0.5, 0, 1))
+
+
+def test_bernstein_operands_on_two_boxes_rejected():
+    a = Poly2.bernstein(np.ones((2, 2)), (0, 1, 0, 1))
+    b = Poly2.bernstein(np.ones((3, 2)), (-2, 2, -2, 2))
+    for op in (p2.add, p2.mul):
+        with pytest.raises(ValueError, match="two boxes"):
+            op(a, b)
+        with pytest.raises(ValueError, match="two boxes"):
+            op(b, a)
+    with pytest.raises(ValueError, match="two boxes"):
+        p2.to_bernstein(a, (-2, 2, -2, 2))
+    # one box, or a monomial operand, still meets in the Bernstein basis
+    assert p2.to_bernstein(a, (0, 1, 0, 1)) is a
+    assert p2.add(a, Poly2.variable("x")).box == a.box
+    assert p2.mul(Poly2.constant(2.0), b).box == b.box
 
 
 @pytest.mark.parametrize("text,expect", [
