@@ -200,10 +200,6 @@ class VerificationReport:
     orbits_total: int
     orbits_contained: int
 
-    @property
-    def all_ok(self) -> bool:
-        return self.inward_ok and self.singularity_free and self.invariance_ok
-
 
 def _resample_closed(poly: np.ndarray, n: int) -> np.ndarray:
     seg = np.diff(poly, axis=0)

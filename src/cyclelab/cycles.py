@@ -164,15 +164,17 @@ def displacements(fields, section, xis, tol=DEFAULT_CYCLE_TOL) -> list[list]:
     displacement(X, section, xi, tol) collects them, bit for bit, until its
     first OrbitFailure; a row that meets one ends with it. All orbits run at
     once, in lockstep (flow.next_section_crossings), and no field compiles
-    its own rhs(): each is evaluated through its group's body
-    (field.lane_evaluators)."""
+    its own rhs(): each is evaluated through its group's evaluators
+    (field.lane_evaluators), which both the crossing signs and the lockstep
+    driver use, so the fields are grouped once."""
+    groups = lane_evaluators(fields)
     signs = [0] * len(fields)
-    for members, select in lane_evaluators(fields):
+    for members, select in groups:
         for k, m in enumerate(members):
             signs[m] = crossing_sign(fields[m], section, None if select is None else select(k))
     rows = [[(X, section.point_at(xi), sign) for xi in xis] for X, sign in zip(fields, signs)]
     crossings = flow.next_section_crossings(rows, section, t_max=DEFAULT_T_MAX, tol=tol,
-                                            t_offset=_T_OFFSET)
+                                            t_offset=_T_OFFSET, _groups=(fields, groups))
     return [[hit if isinstance(hit, flow.OrbitFailure) else section.xi_of(hit[1]) - xi
              for xi, hit in zip(xis, row)] for row in crossings]
 

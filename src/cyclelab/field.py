@@ -55,8 +55,9 @@ class PolyVectorField:
         each component's basis rows on floats (poly2._basis_row_scalar); any
         other field evaluates each component through eval_poly. The lockstep
         driver builds none of these: it evaluates each field through its
-        group's body (lane_evaluators), which is compiled once per set of
-        monomials.
+        group's evaluators (lane_evaluators), a body compiled once per set of
+        monomials on floats and polyval2d's loops on lane arrays, both with
+        this function's bits.
         """
         return self._evaluator
 
@@ -99,14 +100,15 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
     pairs, members indexing fields.
 
     Fields whose components are nonzero monomial polynomials with the same
-    nonzero monomials form one group. Its select(lanes), lanes an index
-    array, is the right-hand side (x, y) -> (P, Q) on arrays whose k-th
-    entries belong to the field members[lanes[k]]; select(k), k an int, is
-    the right-hand side of the field members[k] on floats. Both run one body
-    per set of monomials, rhs()'s with coefficient names for the literals
-    (poly2._horner_source), compiled once per process, so every value has
-    the bits of that field's rhs(). The other fields form one group whose
-    select is None.
+    nonzero monomials form one group. Its select(k), k an int, is the
+    right-hand side (x, y) -> (P, Q) of the field members[k] on floats: one
+    body per set of monomials, rhs()'s with coefficient names for the
+    literals (poly2._horner_source), compiled once per process. Its
+    select(lanes), lanes an index array, is the right-hand side on arrays
+    whose k-th entries belong to the field members[lanes[k]]: polyval2d's
+    loops on the group's coefficients gathered for the lanes (_lane_plan,
+    _lane_rhs). Every value, on floats as on arrays, has the bits of that
+    field's rhs(). The other fields form one group whose select is None.
     """
     groups: dict = {}
     for i, X in enumerate(fields):
@@ -119,11 +121,16 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
         if key is None:
             out.append((members, None))
             continue
-        coeffs = np.array([[fields[m].P.coeffs[e] for e in key[0]]
-                           + [fields[m].Q.coeffs[e] for e in key[1]] for m in members]).T
+        plan = _lane_plan(key)
+        components = [(fields[m].P.coeffs, fields[m].Q.coeffs) for m in members]
+        # one row per coefficient cell, one column per member
+        coeffs = np.array([[pq[c].get((i, j), 0.0) for pq in components]
+                           for c, i, j in plan.cells])
 
-        def select(lanes, c=coeffs, make=_lane_body(key)):
-            return make(*(c[:, lanes].tolist() if isinstance(lanes, int) else c[:, lanes]))
+        def select(lanes, c=coeffs, plan=plan, make=_lane_body(key)):
+            if isinstance(lanes, int):
+                return make(*c[plan.support, lanes].tolist())
+            return _lane_rhs(c.take(lanes, axis=1), plan)
 
         out.append((members, select))
     return out
@@ -132,7 +139,7 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
 @lru_cache(maxsize=64)
 def _lane_body(key):
     """The compiled factory (coefficients) -> rhs of the monomial fields with
-    the nonzero monomials key = (P's, Q's); see lane_evaluators."""
+    the nonzero monomials key = (P's, Q's), on floats; see lane_evaluators."""
     P, Q = (Poly2.monomial(dict.fromkeys(k, 1.0)) for k in key)
     names = [f"cp{i}_{j}" for i, j in key[0]] + [f"cq{i}_{j}" for i, j in key[1]]
     body = _horner_source(P, "p", "cp") + _horner_source(Q, "q", "cq") + ["return p, q"]
@@ -143,6 +150,105 @@ def _lane_body(key):
          f"    def rhs(x, y, {', '.join(f'{n}={n}' for n in names)}):\n"
          + "".join(f"        {line}\n" for line in body) + "    return rhs\n", namespace)
     return namespace["lanes"]
+
+
+@dataclass(frozen=True)
+class _LanePlan:
+    """polyval2d's loops for the monomial fields with the nonzero monomials
+    of one lane_evaluators key, as slices of one (slots, lanes) array.
+
+    A slot holds one column of one component: its terms with one power of
+    y, for every power up to that component's degree in y, so a column
+    without terms is a slot of zeros. A column's top is its highest power of
+    x. The slots run by top, highest first, then by power of y, then P
+    before Q, so the columns that have started by any power of x are the
+    first slots.
+
+    cells: (c, i, j) for the coefficient of x^i y^j in component c (0 for P,
+        1 for Q), one row of cells per power i of x from the highest down,
+        each row one cell per column started by then, in slot order;
+    support: the cells of the key's monomials, P's then Q's, in key order;
+    x_rows: per power of x, highest first, (columns started before it,
+        columns started by it, offset of its row of cells);
+    y_rows: per power of y below the highest, highest first, the
+        (accumulators, columns) slice pairs of its Horner step;
+    values: the slots that end with P's and Q's values.
+    """
+
+    cells: tuple
+    support: np.ndarray
+    slots: int
+    x_rows: tuple
+    y_rows: tuple
+    values: tuple
+
+
+@lru_cache(maxsize=64)
+def _lane_plan(key) -> _LanePlan:
+    """The _LanePlan of the monomial fields with the nonzero monomials
+    key = (P's, Q's)."""
+    tops = [{}, {}]  # per component: power of y -> top
+    for c, monomials in enumerate(key):
+        for i, j in monomials:
+            tops[c][j] = max(tops[c].get(j, -1), i)
+    dy = [max(top) for top in tops]
+    order = sorted(((tops[c].get(j, -1), j, c) for c in (0, 1) for j in range(dy[c] + 1)),
+                   key=lambda t: (-t[0], t[1], t[2]))
+    slot = {(c, j): s for s, (_, j, c) in enumerate(order)}
+    cells, x_rows = [], []
+    for i in range(order[0][0], -1, -1):
+        before = sum(top > i for top, _, _ in order)
+        now = sum(top >= i for top, _, _ in order)
+        x_rows.append((before, now, len(cells)))
+        cells += [(c, i, j) for _, j, c in order[:now]]
+    # each component's Horner in y accumulates in the slot of its top column,
+    # and both run in one slice where their slots lie side by side
+    acc = [slot[0, dy[0]], slot[1, dy[1]]]
+    y_rows = []
+    for j in range(max(dy) - 1, -1, -1):
+        running = [c for c in (0, 1) if dy[c] > j]
+        if running == [0, 1] and acc[1] == acc[0] + 1 and slot[1, j] == slot[0, j] + 1:
+            y_rows.append(((slice(acc[0], acc[0] + 2), slice(slot[0, j], slot[0, j] + 2)),))
+        else:
+            y_rows.append(tuple((slice(acc[c], acc[c] + 1), slice(slot[c, j], slot[c, j] + 1))
+                                for c in running))
+    index = {cell: n for n, cell in enumerate(cells)}
+    support = np.array([index[c, i, j] for c, monomials in enumerate(key) for i, j in monomials])
+    return _LanePlan(tuple(cells), support, len(order), tuple(x_rows), tuple(y_rows), tuple(acc))
+
+
+def _lane_rhs(coeffs, plan: _LanePlan):
+    """The right-hand side on lane arrays from the coefficient cells gathered
+    for the lanes, coeffs[n, k] the n-th cell of plan for lane k.
+
+    polyval2d's loops in place: Horner in x over all started columns at
+    once, then in y over both components at once, each column started at its
+    own top coefficient and each component at its own top column, as rhs()
+    starts them. rhs() leaves out the additions of zero coefficients, which
+    here add 0.0 to a value that the next multiplication and nonzero
+    coefficient, or rhs()'s closing + 0.0, make equal again: they change at
+    most the sign of a zero. So every entry has rhs()'s bits at every point,
+    -0.0, infinities and NaN included.
+    """
+    V = np.empty((plan.slots, coeffs.shape[1]))  # reused by every call
+    x_rows = [(V[:before] if before else None, V[:now], coeffs[at:at + now])
+              for before, now, at in plan.x_rows]
+    y_rows = [[(V[acc], V[column]) for acc, column in row] for row in plan.y_rows]
+    p, q = plan.values
+
+    def rhs(x, y):
+        V.fill(0.0)
+        for started, columns, c in x_rows:
+            if started is not None:
+                started *= x
+            columns += c
+        for row in y_rows:
+            for acc, column in row:
+                acc *= y
+                acc += column
+        return V[p].copy(), V[q].copy()
+
+    return rhs
 
 
 def divergence(X: PolyVectorField) -> Poly2:

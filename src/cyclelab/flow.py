@@ -11,15 +11,17 @@ on plain floats in the scalar driver (_resume) and entry by entry on NumPy
 lane arrays in the lockstep driver (next_section_crossings, one lane per
 orbit), which also solves its steps for their crossings on the lane arrays
 (_lane_roots, _single_roots, _interpolant) with the scalar search's
-operations and tests in their order. The step-size control (_control) holds
-the stepper's only powers, which NumPy can round differently from Python, so
-both drivers run it on floats, the lockstep driver once per lane. Every lane
-thus has the scalar driver's bits. The scalar driver alone raises the
-stepper's failures (the step budget, the step floor and the safety box): a
-lane about to fail continues from its state on it. A lockstep attempt,
-crossing search included, costs about 1.8 ms at 16 to 96 lanes and 2.8 ms at
-312, a scalar attempt about 45 us (2-vCPU Xeon VM), so the lockstep driver
-pays from about 48 lanes and hands fewer to the scalar driver.
+operations and tests in their order. The step-size control holds the
+stepper's only powers, which NumPy can round differently from Python: the
+scalar driver runs it on floats (_control), the lockstep driver on lane
+arrays with the powers taken by Python's ** (_controls). Every lane thus has
+the scalar driver's bits. The scalar driver alone raises the stepper's
+failures (the step budget, the step floor and the safety box): a lane about
+to fail continues from its state on it. A lockstep attempt, crossing search
+included, costs about 1.1 ms at 16 to 96 lanes and 1.6 ms at 312 on
+q2-search's degree-7 fields, a scalar attempt about 40 us (2-vCPU Xeon VM,
+Python 3.11, NumPy 2.4), so the lockstep driver pays from about 38 lanes;
+it hands fewer than _LOCKSTEP_MIN_LANES to the scalar driver.
 
 ``integrate`` collects the scalar driver's steps into an Orbit.
 ``next_section_crossing`` solves each step for its section crossings
@@ -43,10 +45,10 @@ from .field import lane_evaluators
 DEFAULT_TOL = 1e-10
 _SAFETY_BOX = 1e3
 _MAX_STEPS = 2_000_000
-# below this many lanes the lockstep driver is slower than the scalar one: a
-# q2 return takes about 25 lockstep attempts of about 1.8 ms up to 96 lanes,
-# or about 20 scalar attempts of about 45 us per lane, which break even at
-# about 48 lanes; next_section_crossings hands fewer to the scalar driver
+# next_section_crossings hands fewer lanes than this to the scalar driver. On
+# q2-search's fields a call with every lane in lockstep and one with every
+# lane on the scalar driver break even at about 38 lanes (2-vCPU Xeon VM); a
+# whole q2-search run is no faster with 32 or 40 here than with 48
 _LOCKSTEP_MIN_LANES = 48
 # a return to the section takes 19-56 attempts on q2-search's fields, an
 # orbit that never returns runs to t_max in about 10^3-10^4; the lanes still
@@ -175,22 +177,6 @@ class Orbit:
         out = np.stack(_interpolant((rows[:, 4:11].T, rows[:, 11:18].T), rows[:, 2], rows[:, 3], s),
                        axis=-1)
         return out.reshape(t.shape + (2,))
-
-    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        ts = np.linspace(self.times[0], self.t_end, n)
-        return ts, self.eval(ts)
-
-    def to_csv(self, path, n: int | None = None) -> None:
-        """Dump t,x,y rows; the accepted steps by default, or n dense samples."""
-        if n is None:
-            ts, pts = self.times, self.states
-        else:
-            ts, pts = self.sample(n)
-        lines = ["t,x,y"]
-        for t, (x, y) in zip(ts, pts):
-            lines.append(f"{float(t)!r},{float(x)!r},{float(y)!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 class _Step:
@@ -358,8 +344,8 @@ def _control(h_abs, e5x, e5y, e3x, e3y, rejected):
     """SciPy's DOP853 step-size control on floats: (accepted, next |h|) after
     an attempt of size h_abs with the scaled error estimates e5 and e3.
 
-    The only powers of the stepper are here. The lockstep driver calls this
-    once per lane, as NumPy's power can round differently from Python's.
+    The only powers of the stepper are here; _controls is the same rule on
+    lane arrays.
     """
     n5 = math.sqrt(e5x * e5x + e5y * e5y) ** 2
     n3 = math.sqrt(e3x * e3x + e3y * e3y) ** 2
@@ -370,6 +356,32 @@ def _control(h_abs, e5x, e5y, e3x, e3y, rejected):
             factor = min(1, factor)
         return True, h_abs * factor
     return False, h_abs * max(_MIN_FACTOR, _SAFETY * err ** -0.125)
+
+
+def _controls(h_abs, e5x, e5y, e3x, e3y, rejected):
+    """_control on lane arrays: (accepted, next |h|), one entry per lane, each
+    with _control's bits, and ZeroDivisionError where _control raises it.
+
+    Sums, products, square roots and comparisons round in NumPy as on
+    floats. The three powers go through Python's float ** on lists, as
+    NumPy's power can round them otherwise, and min and max are taken by
+    Python's rule: min(a, b) is a unless b < a, max(a, b) a unless b > a.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n5 = np.array([v ** 2 for v in np.sqrt(e5x * e5x + e5y * e5y).tolist()])
+        n3 = np.array([v ** 2 for v in np.sqrt(e3x * e3x + e3y * e3y).tolist()])
+        zero = (n5 == 0) & (n3 == 0)
+        root = np.sqrt((n5 + 0.01 * n3) * 2)
+        if (~zero & (root == 0)).any():
+            raise ZeroDivisionError("float division by zero")
+        err = np.where(zero, 0.0, h_abs * n5 / root)
+        # at err = 0, where _control grows by _MAX_FACTOR, min(_MAX_FACTOR, inf)
+        scaled = _SAFETY * np.array([v ** -0.125 if v else math.inf for v in err.tolist()])
+    accepted = err < 1
+    grown = np.where(scaled < _MAX_FACTOR, scaled, _MAX_FACTOR)
+    grown = np.where(rejected & ~(grown < 1), 1.0, grown)
+    shrunk = np.where(scaled > _MIN_FACTOR, scaled, _MIN_FACTOR)
+    return accepted, h_abs * np.where(accepted, grown, shrunk)
 
 
 def _start(f, x0, t_bound, tol):
@@ -768,7 +780,7 @@ def next_section_crossing(
 
 
 def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEFAULT_TOL,
-                           t_offset: float = 0.0) -> list[list]:
+                           t_offset: float = 0.0, *, _groups=None) -> list[list]:
     """next_section_crossing along rows of lanes (X, x0, direction_sign), all at once.
 
     Returns per row what a loop over its lanes would collect until the first
@@ -777,24 +789,30 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     them. Lanes whose fields share their monomials (field.lane_evaluators)
     step in lockstep as NumPy arrays with one entry per lane, through the
     kernels the scalar driver runs on floats (_attempt, _dense,
-    _line_screen, _line_bernstein and _value_slope, and _control once per
-    lane); _lane_roots and _interpolant solve the steps for their crossings
-    on the arrays too. Each lane keeps its own time, step size, rejection
-    flag and step count, and leaves the arrays at its crossing, or when it
-    is about to fail: the scalar driver then continues from its state and
-    raises the failure, and the later lanes of its row are dropped. Once
+    _line_screen, _line_bernstein and _value_slope), with _controls for
+    _control; _lane_roots and _interpolant solve the steps for their
+    crossings on the arrays too. Each lane keeps its own time, step size,
+    rejection flag and step count, and leaves the arrays at its crossing, or
+    when it is about to fail: the scalar driver then continues from its
+    state and raises the failure, and the later lanes of its row are
+    dropped. Once
     fewer than _LOCKSTEP_MIN_LANES lanes run, or after
     _LOCKSTEP_MAX_ATTEMPTS attempts, the lanes left continue on the scalar
     driver, row by row. Every lane's scalar work runs on its field's
-    evaluator from lane_evaluators, so no field compiles its own rhs().
+    evaluator from lane_evaluators, so no field compiles its own rhs(). A
+    caller that has grouped the fields already hands them over as the
+    private _groups = (fields, lane_evaluators(fields)), fields holding every
+    lane's field, so they are grouped once.
     Raises ValueError unless t_max > 0, tol > 0 and every x0 is finite.
     """
+    if _groups is None:
+        fields = list({id(lane[0]): lane[0] for row in rows for lane in row}.values())
+        _groups = fields, lane_evaluators(fields)
+    fields, groups = _groups
     # lane i is row r's k-th: (r, k, X, x0, direction_sign), X being fields[field_of[i]]
     lanes = [(r, k, *lane) for r, row in enumerate(rows) for k, lane in enumerate(row)]
-    index: dict = {}
-    field_of = [index.setdefault(id(lane[2]), len(index)) for lane in lanes]
-    fields = list({id(lane[2]): lane[2] for lane in lanes}.values())
-    groups = lane_evaluators(fields)
+    index = {id(X): m for m, X in enumerate(fields)}
+    field_of = [index[id(lane[2])] for lane in lanes]
     rhs = [None] * len(fields)
     for members, select in groups:
         for k, m in enumerate(members):
@@ -864,9 +882,8 @@ def _lockstep(select, member, lanes, running, geometry, t_max, t_offset, tol, fo
             # Python's max(a, b) is a unless b > a; a = |x| is never nan
             sx = tol + np.fmax(abs(x), abs(x_new)) * tol
             sy = tol + np.fmax(abs(y), abs(y_new)) * tol
-            accepted, h_next = (np.array(v) for v in zip(*map(
-                _control, abs(h).tolist(), (e5x / sx).tolist(), (e5y / sy).tolist(),
-                (e3x / sx).tolist(), (e3y / sy).tolist(), rejected.tolist())))
+            accepted, h_next = _controls(abs(h), e5x / sx, e5y / sy, e3x / sx, e3y / sy,
+                                         rejected)
             # a step out of the safety box is taken again by the scalar driver
             ending |= accepted & ((abs(x_new) > _SAFETY_BOX) | (abs(y_new) > _SAFETY_BOX))
             stepped = accepted & ~ending

@@ -196,24 +196,9 @@ class Poly2:
         """Columns of _dense as float lists, highest powers of x and y first."""
         return [[float(c) for c in col[::-1]] for col in self._dense.T[::-1]]
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if self.basis == "monomial":
-            if tol == 0.0:
-                return not self.coeffs
-            return all(abs(c) <= tol for c in self.coeffs.values())
-        return bool(np.all(np.abs(self.grid) <= tol))
-
     # ---------------------------------------------------------------- evaluation
     def __call__(self, x, y):
         return eval_poly(self, x, y)
-
-    # equality of monomial forms is coefficient-map equality
-    def same_coeffs(self, other: "Poly2", tol: float = 0.0) -> bool:
-        a, b = self, other
-        if a.basis != "monomial" or b.basis != "monomial":
-            raise ValueError("coefficient comparison needs monomial forms")
-        keys = set(a.coeffs) | set(b.coeffs)
-        return all(abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) <= tol for k in keys)
 
     def __repr__(self):
         if self.basis == "monomial":
@@ -230,8 +215,9 @@ def eval_poly(p: Poly2, x, y):
 
     Monomial forms are NumPy's polyval2d on the dense coefficient matrix (a
     Horner scheme: each column in x, then the column values in y); float
-    inputs give an np.float64. A field's right-hand side on floats runs the
-    same scheme compiled into one expression (_horner_source).
+    inputs give an np.float64. A field's right-hand side runs the same
+    scheme compiled into one expression on floats (_horner_source) and in
+    place on lane arrays (field._lane_rhs).
     """
     if p.basis == "monomial":
         # imported on first use: numpy.polynomial imported ahead of the rest
@@ -265,8 +251,7 @@ def _horner_source(p: Poly2, out: str, names: str | None = None) -> list[str]:
     """Python statements that leave eval_poly(p, x, y) in the variable out,
     for a monomial p and float x, y. With a prefix ``names`` the nonzero
     coefficient of x^i y^j is the variable {names}{i}_{j} instead of its
-    value, so one body serves every polynomial with p's nonzero monomials,
-    float by float or entry by entry on arrays.
+    value, so one body serves every polynomial with p's nonzero monomials.
 
     polyval2d's Horner loops become one expression, operation for operation:
     each column's loop in x nests inside the loop in y over the columns. An

@@ -7,10 +7,12 @@ library under test never sees these reductions: it integrates the planar
 Cartesian fields. References of another kind sit alongside: the variational
 return-map derivative, integrated by SciPy rather than by the library's
 stepper; the closed-form jets of the windowed signed distance to the unit
-circle (the CK cycle); and four helpers the library itself does not need,
-kept as references for tests (the even-odd membership test of one polygon,
-the real zeros of the guarded displacement fit, the Bernstein-to-monomial
-conversion and the finite-difference check of supplied derivatives).
+circle (the CK cycle); and helpers the library itself does not need, kept
+as references for tests (the even-odd membership test of one polygon, the
+real zeros of the guarded displacement fit, the zero test and the
+coefficient comparison of polynomials, the verdict of an annulus
+verification, an orbit's CSV dump, the Bernstein-to-monomial conversion and
+the finite-difference check of supplied derivatives).
 """
 import math
 
@@ -184,6 +186,38 @@ def fit_roots(samples, degree, fit_degree=None):
     roots = polyroots(scaled)
     real = roots[np.abs(roots.imag) < 1e-8].real * h
     return np.sort(real[np.abs(real) <= h])
+
+
+def is_zero(p):
+    """Whether p is the zero polynomial."""
+    return not p.coeffs if p.basis == "monomial" else not np.any(p.grid)
+
+
+def same_coeffs(a, b, tol=0.0):
+    """Whether the monomial forms a and b agree coefficient by coefficient
+    within tol."""
+    if a.basis != "monomial" or b.basis != "monomial":
+        raise ValueError("coefficient comparison needs monomial forms")
+    keys = set(a.coeffs) | set(b.coeffs)
+    return all(abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) <= tol for k in keys)
+
+
+def verified(report):
+    """Whether an annulus.VerificationReport passes all three clauses."""
+    return report.inward_ok and report.singularity_free and report.invariance_ok
+
+
+def orbit_csv(orbit, path, n=None):
+    """Write an Orbit as t,x,y rows: its accepted steps, or n dense samples
+    evenly spaced in time."""
+    if n is None:
+        ts, pts = orbit.times, orbit.states
+    else:
+        ts = np.linspace(orbit.times[0], orbit.t_end, n)
+        pts = orbit.eval(ts)
+    lines = ["t,x,y"] + [f"{float(t)!r},{float(x)!r},{float(y)!r}" for t, (x, y) in zip(ts, pts)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 MONOMIAL_CONVERSION_CAP = 30

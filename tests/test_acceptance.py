@@ -191,12 +191,12 @@ def test_criterion_9_annulus(ck, ck_cycles):
     ann = an.build_trapping_annulus(ck[3], ck_cycles[3], 0.1, -0.35, 0.35)
     rep_x = an.verify_annulus(ck[3], ann, n_samples=256, invariance_orbits=32,
                               horizon_periods=20.0)
-    assert rep_x.all_ok and rep_x.min_flux_margin > 0
+    assert oracles.verified(rep_x) and rep_x.min_flux_margin > 0
     assert rep_x.orbits_contained == rep_x.orbits_total == 32
     perturbed = gradient_collapse_family(ck[3], S, 0.02)
     rep_y = an.verify_annulus(perturbed, ann, n_samples=256, invariance_orbits=32,
                               horizon_periods=20.0)
-    assert rep_y.all_ok and rep_y.min_flux_margin > 0
+    assert oracles.verified(rep_y) and rep_y.min_flux_margin > 0
     _ok(9, f"margins X {rep_x.min_flux_margin:.4f} / perturbed "
            f"{rep_y.min_flux_margin:.4f}, 32+32 orbits contained over 20T")
 

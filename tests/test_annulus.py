@@ -93,7 +93,7 @@ def test_not_stable_rejected(ck, section):
 def test_verify_all_clauses(ck, ck3_annulus):
     rep = an.verify_annulus(ck[3], ck3_annulus, n_samples=256,
                             invariance_orbits=8, horizon_periods=5.0)
-    assert rep.all_ok
+    assert oracles.verified(rep)
     assert rep.min_flux_margin > 0
     assert rep.min_field_magnitude > 0.1
     assert rep.orbits_contained == rep.orbits_total == 8
@@ -103,7 +103,7 @@ def test_verify_perturbed_field(ck, ck3_annulus):
     Y = gradient_collapse_family(ck[3], S, 0.02)
     rep = an.verify_annulus(Y, ck3_annulus, n_samples=256,
                             invariance_orbits=8, horizon_periods=5.0)
-    assert rep.all_ok and rep.min_flux_margin > 0
+    assert oracles.verified(rep) and rep.min_flux_margin > 0
 
 
 def test_strong_rotation_reported_not_crashed(ck, ck3_annulus):
@@ -142,7 +142,7 @@ def test_clockwise_annulus(clockwise_annulus):
     assert ann.lambda0_s1 < 0 < ann.lambda0_s2
     rep = an.verify_annulus(CLOCKWISE, ann, n_samples=256, invariance_orbits=8,
                             horizon_periods=5.0)
-    assert rep.all_ok and rep.min_flux_margin > 0
+    assert oracles.verified(rep) and rep.min_flux_margin > 0
 
 
 def _probe_min_flux_margin(Y, annulus, n_samples):

@@ -225,17 +225,27 @@ def test_perturb_coeffs_draws_one_jitter_per_monomial(ck, seed):
 
 @pytest.mark.parametrize("max_attempts", [flow._LOCKSTEP_MAX_ATTEMPTS, 4])
 def test_lockstep_displacements_build_no_field_rhs(ck, section, monkeypatch, max_attempts):
-    """A lockstep displacements call evaluates each field through its group's
-    body, also where its lanes continue on the scalar driver (after 4
-    attempts), so no field builds its own rhs(); next_section_crossing
-    still does."""
+    """A lockstep displacements call groups its fields once and evaluates
+    each field through its group's evaluators, also where its lanes continue
+    on the scalar driver (after 4 attempts), so no field builds its own
+    rhs(); next_section_crossing still does."""
     from cyclelab import cycles as cy
+    from cyclelab import field as fd
 
     monkeypatch.setattr(flow, "_LOCKSTEP_MAX_ATTEMPTS", max_attempts)
+    grouped = []
+
+    def counted(fields):
+        grouped.append(len(fields))
+        return fd.lane_evaluators(fields)
+
+    monkeypatch.setattr(cy, "lane_evaluators", counted)
+    monkeypatch.setattr(flow, "lane_evaluators", counted)
     fields = [dc._perturb_coeffs(ck[3], np.random.default_rng([7, i]), 1e-3) for i in range(4)]
     nodes = dc._nodes(3, 0.025)
     assert len(fields) * len(nodes) >= flow._LOCKSTEP_MIN_LANES
     rows = cy.displacements(fields, section, nodes)
+    assert grouped == [len(fields)]
     assert not any("_evaluator" in X.__dict__ for X in fields)
     assert rows == [[cy.displacement(X, section, xi) for xi in nodes] for X in fields]
     assert all("_evaluator" in X.__dict__ for X in fields)

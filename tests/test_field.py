@@ -9,9 +9,9 @@ from cyclelab.poly2 import Poly2, parse_poly
 
 
 def test_divergence_examples():
-    assert fd.divergence(fd.PolyVectorField(parse_poly("x"), parse_poly("y"))) \
-        .same_coeffs(parse_poly("2"))
-    assert fd.divergence(fd.PolyVectorField(parse_poly("-y"), parse_poly("x"))).is_zero()
+    assert oracles.same_coeffs(fd.divergence(fd.PolyVectorField(parse_poly("x"), parse_poly("y"))),
+                               parse_poly("2"))
+    assert oracles.is_zero(fd.divergence(fd.PolyVectorField(parse_poly("-y"), parse_poly("x"))))
 
 
 def test_divergence_ck3_closed_form(ck):
@@ -20,7 +20,7 @@ def test_divergence_ck3_closed_form(ck):
         p2.scale(p2.mul(s, p2.mul(s, s)), 2.0),
         p2.scale(p2.mul(p2.mul(s, s), parse_poly("x^2 + y^2")), -6.0),
     )
-    assert fd.divergence(ck[3]).same_coeffs(want, 1e-12)
+    assert oracles.same_coeffs(fd.divergence(ck[3]), want, 1e-12)
     # vanishes identically on the unit circle
     th = np.linspace(0, 2 * np.pi, 17)
     div = fd.divergence(ck[3])
@@ -29,12 +29,12 @@ def test_divergence_ck3_closed_form(ck):
 
 def test_perp(ck):
     one_zero = fd.PolyVectorField(parse_poly("1"), Poly2.zero())
-    assert fd.perp(one_zero).P.is_zero()
-    assert fd.perp(one_zero).Q.same_coeffs(parse_poly("1"))
+    assert oracles.is_zero(fd.perp(one_zero).P)
+    assert oracles.same_coeffs(fd.perp(one_zero).Q, parse_poly("1"))
     # quarter turn squared is -identity, coefficient-wise
     pp = fd.perp(fd.perp(ck[2]))
-    assert pp.P.same_coeffs(p2.scale(ck[2].P, -1.0), 0.0)
-    assert pp.Q.same_coeffs(p2.scale(ck[2].Q, -1.0), 0.0)
+    assert oracles.same_coeffs(pp.P, p2.scale(ck[2].P, -1.0), 0.0)
+    assert oracles.same_coeffs(pp.Q, p2.scale(ck[2].Q, -1.0), 0.0)
     # CK(1): (-Q, P)(1, 0) = (-1, 0)
     px, py = fd.perp(ck[1])(1.0, 0.0)
     assert (px, py) == (pytest.approx(-1.0), pytest.approx(0.0))
@@ -43,12 +43,12 @@ def test_perp(ck):
 def test_rotate_family_identity_and_linearity(ck):
     X = ck[2]
     same = fd.rotate_family(X, 0.0, 0.37)
-    assert same.P.same_coeffs(X.P, 0.0) and same.Q.same_coeffs(X.Q, 0.0)
+    assert oracles.same_coeffs(same.P, X.P, 0.0) and oracles.same_coeffs(same.Q, X.Q, 0.0)
     lam, eps = 0.03, 0.21
     rot = fd.rotate_family(X, lam, eps)
     manual_p = p2.add(X.P, p2.scale(fd.perp(X).P, lam * eps))
     manual_q = p2.add(X.Q, p2.scale(fd.perp(X).Q, lam * eps))
-    assert rot.P.same_coeffs(manual_p, 0.0) and rot.Q.same_coeffs(manual_q, 0.0)
+    assert oracles.same_coeffs(rot.P, manual_p, 0.0) and oracles.same_coeffs(rot.Q, manual_q, 0.0)
 
 
 def test_rotate_family_polar_law(ck):
@@ -67,10 +67,10 @@ def test_rotate_family_polar_law(ck):
 
 def test_gradient_collapse_family(ck):
     s = parse_poly("1 - x^2 - y^2")
-    assert fd.gradient_collapse_family(ck[3], s, 0.0).P.same_coeffs(ck[3].P, 0.0)
+    assert oracles.same_coeffs(fd.gradient_collapse_family(ck[3], s, 0.0).P, ck[3].P, 0.0)
     const = Poly2.constant(4.2)
     same = fd.gradient_collapse_family(ck[3], const, 0.7)
-    assert same.P.same_coeffs(ck[3].P, 0.0) and same.Q.same_coeffs(ck[3].Q, 0.0)
+    assert oracles.same_coeffs(same.P, ck[3].P, 0.0) and oracles.same_coeffs(same.Q, ck[3].Q, 0.0)
     # polar law r s (s^2 - 2 lam)
     lam = 0.02
     pert = fd.gradient_collapse_family(ck[3], s, lam)
@@ -93,7 +93,7 @@ def test_divergence_decomposition_identity(ck):
     lap = p2.add(p2.derivative(Rx, "x"), p2.derivative(Ry, "y"))
     extra = p2.add(p2.add(p2.mul(Rx, Rx), p2.mul(Ry, Ry)), p2.mul(R, lap))
     want = p2.add(fd.divergence(ck[3]), p2.scale(extra, lam))
-    assert fd.divergence(fam).same_coeffs(want, 1e-12)
+    assert oracles.same_coeffs(fd.divergence(fam), want, 1e-12)
 
 
 def test_rotation_preserves_singularities(ck):
@@ -138,10 +138,10 @@ def test_cr_distance_pseudometric(rng):
 
 
 def test_registry_and_literals(ck):
-    assert fd.parse_field("CK(3)").P.same_coeffs(ck[3].P, 0.0)
+    assert oracles.same_coeffs(fd.parse_field("CK(3)").P, ck[3].P, 0.0)
     vdp = fd.parse_field("vanderpol(1.0)")
-    assert vdp.P.same_coeffs(parse_poly("y"), 0.0)
-    assert vdp.Q.same_coeffs(parse_poly("-x + y - x^2*y"), 0.0)
+    assert oracles.same_coeffs(vdp.P, parse_poly("y"), 0.0)
+    assert oracles.same_coeffs(vdp.Q, parse_poly("-x + y - x^2*y"), 0.0)
     lit = fd.parse_field({"p": "-y", "q": "x"})
     assert lit.degree == 1
     with pytest.raises(ValueError):
@@ -207,3 +207,53 @@ def test_compiled_rhs_is_eval_poly_bit_for_bit(X, points):
         if select is not None:
             assert [v.hex() for v in select(0)(x, y)] == ref
             assert [float(v[k]).hex() for v in lanes] == ref
+
+
+# a group of lane_evaluators: fields with the same nonzero monomials, each
+# with coefficients of its own; sparse supports leave interior zeros
+_support = st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9))
+                   .filter(lambda ij: ij[0] + ij[1] <= 9), min_size=1, max_size=10)
+_nonzero = st.floats(-1e3, 1e3, allow_nan=False).filter(bool)
+
+
+@st.composite
+def _lane_group(draw):
+    support = draw(st.tuples(_support, _support))
+    return [fd.PolyVectorField(*(Poly2.monomial({e: draw(_nonzero) for e in sorted(s)})
+                                 for s in support))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+_lane_point = st.one_of(_point, st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_lane_group(), min_size=1, max_size=3).map(lambda gs: sum(gs, [])),
+       st.lists(st.tuples(st.integers(0, 99), _lane_point, _lane_point), min_size=1, max_size=9))
+@example([_DENSE_30], [(0, 0.7, -0.4), (0, -1.2, 0.9), (0, np.inf, 0.3), (0, -0.0, np.nan)])
+@example([fd.ck_system(120)], [(0, 0.6, 0.3), (0, -0.9, 0.5), (0, 1.05, -np.inf), (0, 0.0, 1.0)])
+# one column's top below the others' and a Q without the highest power of y
+@example([fd.PolyVectorField(parse_poly("x^3 + 2*x*y - y^4"), parse_poly("x^2 - 3*y")),
+          fd.PolyVectorField(parse_poly("-x^3 + 5*x*y + y^4"), parse_poly("7*x^2 - y")),
+          fd.ck_system(3)],
+         [(1, np.inf, 2.0), (0, -0.0, -0.0), (2, 0.5, -np.inf), (1, 0.0, 3.0), (0, 1.5, 0.0)])
+def test_lane_rhs_is_rhs_bit_for_bit(fields, picks):
+    """The lane right-hand side of every group, on lanes in any order and
+    repeated, gives each lane's field's rhs() bits at every point, -0.0,
+    infinities and NaN included."""
+    lanes = [(k % len(fields), x, y) for k, x, y in picks]
+    for members, select in fd.lane_evaluators(fields):
+        if select is None:
+            continue
+        position = {m: k for k, m in enumerate(members)}
+        mine = [(position[i], x, y) for i, x, y in lanes if i in position]
+        if not mine:
+            continue
+        at, xs, ys = (np.array(v) for v in zip(*mine))
+        with np.errstate(all="ignore"):
+            got = select(at)(xs, ys)
+        for k, (pos, x, y) in enumerate(mine):
+            # float.hex tells -0.0 from 0.0
+            ref = [v.hex() for v in fields[members[pos]].rhs()(x, y)]
+            assert [float(v[k]).hex() for v in got] == ref
+            assert [v.hex() for v in select(pos)(x, y)] == ref

@@ -1,3 +1,4 @@
+import math
 import signal
 import sys
 from contextlib import contextmanager
@@ -9,6 +10,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from cyclelab import flow
 from cyclelab.cycles import Section
 from cyclelab.field import PolyVectorField, ck_system, vanderpol
@@ -135,7 +137,7 @@ def test_double_crossing_within_one_step():
 def test_orbit_csv(tmp_path):
     orb = flow.integrate(ROT, (1.0, 0.0), 1.0, tol=1e-8)
     path = tmp_path / "orbit.csv"
-    orb.to_csv(path, n=11)
+    oracles.orbit_csv(orb, path, n=11)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,x,y"
     assert len(lines) == 12
@@ -604,3 +606,52 @@ def test_lockstep_rejects_bad_arguments(ck):
             flow.next_section_crossings(rows, SEC, **kw)
     assert flow.next_section_crossings([], SEC) == []
     assert flow.next_section_crossings([[]], SEC) == [[]]
+
+
+def _control_reference(rows):
+    """_control on each row, or the type of the first error it raises."""
+    try:
+        return [(accepted, h.hex()) for accepted, h in (flow._control(*row) for row in rows)]
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _straddle(h, e3):
+    """Scaled errors (e5x, e5y, e3x, e3y) whose combined error norm at step h
+    lies at, just below or just above 1: with e3 = 0 it is h |e5| / sqrt(2)."""
+    e5 = math.sqrt(2.0) / h
+    return [(h, v, 0.0, e3, 0.0) for v in (e5, math.nextafter(e5, 0.0),
+                                            math.nextafter(e5, math.inf),
+                                            e5 * (1 - 1e-9), e5 * (1 + 1e-9))]
+
+
+_magnitude = st.one_of(st.just(0.0), st.floats(-330.0, 300.0).map(lambda e: 10.0 ** e))
+_error = st.one_of(st.builds(lambda m, s: m * s, _magnitude, st.sampled_from([-1.0, 1.0])),
+                   st.sampled_from([np.inf, -np.inf, np.nan, 5e-324, 1e-160, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_magnitude, st.just(np.nan)), _error, _error, _error, _error,
+                          st.booleans()), min_size=1, max_size=12))
+@example([row + (rejected,) for h in (1e-3, 0.37, 2.0) for e3 in (0.0, 1e-3)
+          for row in _straddle(h, e3) for rejected in (False, True)])
+@example([(0.1, 0.0, 0.0, 0.0, 0.0, False), (0.1, 0.0, 0.0, 0.0, 0.0, True),
+          (0.0, 1.0, 1.0, 1.0, 1.0, False), (0.1, 1e-160, 0.0, 3e-161, 0.0, False),
+          (0.1, 1e-170, 1e-170, 0.0, 0.0, True), (0.1, np.inf, 0.0, 0.0, 0.0, False),
+          (0.1, np.inf, 1.0, np.inf, 0.0, True), (0.1, np.nan, 0.0, 0.0, 0.0, False),
+          (0.1, 0.0, 0.0, np.nan, 0.0, True), (0.1, 1e200, 0.0, 0.0, 0.0, False),
+          (np.inf, 1e-3, 0.0, 0.0, 0.0, False), (0.1, 0.0, 0.0, 1e300, 1e300, False)])
+# n5 = 0 and 0.01 * n3 underflows to 0: _control divides by zero
+@example([(0.1, 1.0, 0.0, 0.0, 0.0, False), (0.1, 0.0, 0.0, 2e-162, 0.0, False)])
+def test_lane_control_is_control(rows):
+    """The step-size control on lane arrays gives _control's outcome on every
+    lane, bit for bit, and raises where _control raises."""
+    ref = _control_reference(rows)
+    h, e5x, e5y, e3x, e3y = (np.array(v, dtype=float) for v in list(zip(*rows))[:5])
+    rejected = np.array([row[5] for row in rows])
+    if isinstance(ref, type):
+        with pytest.raises(ref):
+            flow._controls(h, e5x, e5y, e3x, e3y, rejected)
+        return
+    accepted, h_next = flow._controls(h, e5x, e5y, e3x, e3y, rejected)
+    assert [(bool(a), v.hex()) for a, v in zip(accepted.tolist(), h_next.tolist())] == ref
