@@ -403,57 +403,137 @@ def _brentq(f, xa, xb, fa, fb, ftol=0.0):
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
+# census roots this close in xi are one cycle; the lower one is kept
+_MERGE_XI = 1e-8
+
+
+def _bracket_root(X, section, tol, seeds, val, a):
+    """The census root of seed bracket a, [seeds[a], seeds[a + 1]], as
+    (xi, root_d_calls), or None. val(i) is d at seeds[i], None where the
+    return map is undefined. The root is seeds[a] where d is exactly 0 (the
+    last seed is a bracket of its own), else the _brentq root of a sign
+    change; a bracket with an undefined end, or whose solve meets an orbit
+    failure, has none."""
+    da = val(a)
+    if a == len(seeds) - 1:
+        return (seeds[a], None) if da == 0.0 else None
+    if da is None or (db := val(a + 1)) is None:
+        return None
+    if da == 0.0:
+        return seeds[a], None
+    if np.sign(da) * np.sign(db) < 0:
+        try:
+            return _brentq(lambda xi: displacement(X, section, xi, tol),
+                           seeds[a], seeds[a + 1], da, db, ftol=tol)
+        except flow.OrbitFailure:
+            return None
+    return None
+
+
+def _merges(kept_xi: float, xi: float) -> bool:
+    """Whether root xi, at or above the last kept root kept_xi, merges into it."""
+    return xi - kept_xi <= _MERGE_XI
+
+
+def _census_cycle(X, section, root, tol) -> LimitCycle:
+    cyc = build_cycle(X, section, root[0], tol)
+    cyc.root_d_calls = root[1]
+    return cyc
+
+
 def find_cycles(X, section, xi_range, n_seeds: int = 25,
                 tol=DEFAULT_CYCLE_TOL) -> list[LimitCycle]:
-    """Census of section fixed points: bracket sign changes of d, root each
-    bracket by Brent's method, merge roots within 1e-8. The root solve is
-    _brentq, a port of SciPy's brentq (Brent 1973), with ftol = tol: it stops
-    at 1e-12 in xi or at the first point whose |d| is below the integrator
-    tolerance, whichever comes first. Below tol the sign of d is integrator
-    error, so a simple root moves by at most tol / |d'(xi*)|, and the solve
-    of a multiple root, where d is flat, stops inside that noise band instead
-    of pinning noise to 1e-12.
+    """Census of section fixed points, ascending in xi: d at n_seeds seeds
+    spread evenly over xi_range, first, in ascending order; then each seed
+    bracket's root (_bracket_root) in bracket order; then roots within 1e-8
+    of the last kept one merge into it. The root solve is _brentq, a port of
+    SciPy's brentq (Brent 1973), with ftol = tol: it stops at 1e-12 in xi or
+    at the first point whose |d| is below the integrator tolerance,
+    whichever comes first. Below tol the sign of d is integrator error, so a
+    simple root moves by at most tol / |d'(xi*)|, and the solve of a
+    multiple root, where d is flat, stops inside that noise band instead of
+    pinning noise to 1e-12.
 
     Seeds where the return map is undefined are skipped, and so is a bracket
     whose root solve meets an orbit failure; an empty census is a valid
     result. Each cycle records in root_d_calls how many d(xi) calls its root
     solve took beyond the bracket ends (None for a root that is a seed).
     """
-    lo, hi = float(xi_range[0]), float(xi_range[1])
-    seeds = np.linspace(lo, hi, n_seeds)
+    seeds = np.linspace(float(xi_range[0]), float(xi_range[1]), n_seeds)
+    return [_census_cycle(X, section, r, tol) for r in _census_roots(X, section, seeds, tol)]
+
+
+def _census_roots(X, section, seeds, tol) -> list[tuple]:
+    """find_cycles' merged roots, (xi, root_d_calls), ascending in xi."""
     vals = []
     for xi in seeds:
         try:
             vals.append(displacement(X, section, xi, tol))
         except flow.OrbitFailure:
             vals.append(None)
-    roots = []
-    for a in range(n_seeds - 1):
-        xa, xb, da, db = seeds[a], seeds[a + 1], vals[a], vals[a + 1]
-        if da is None or db is None:
-            continue
-        if da == 0.0:
-            roots.append((xa, None))
-            continue
-        if np.sign(da) * np.sign(db) < 0:
-            try:
-                roots.append(_brentq(lambda xi: displacement(X, section, xi, tol),
-                                     xa, xb, da, db, ftol=tol))
-            except flow.OrbitFailure:
-                continue
-    if vals[-1] == 0.0:
-        roots.append((seeds[-1], None))
+    roots = [r for a in range(len(seeds))
+             if (r := _bracket_root(X, section, tol, seeds, vals.__getitem__, a))]
     roots.sort(key=lambda r: r[0])
     merged = []
     for r in roots:
-        if not merged or r[0] - merged[-1][0] > 1e-8:
+        if not merged or not _merges(merged[-1][0], r[0]):
             merged.append(r)
-    census = []
-    for xi, calls in merged:
-        cyc = build_cycle(X, section, xi, tol)
-        cyc.root_d_calls = calls
-        census.append(cyc)
-    return census
+    return merged
+
+
+def nearest_cycle(X, section, xi_range, n_seeds: int = 25,
+                  tol=DEFAULT_CYCLE_TOL) -> LimitCycle:
+    """The cycle of find_cycles(X, section, xi_range, n_seeds, tol) nearest
+    xi = 0, the first in ascending xi on a tie, bit for bit and with its
+    root_d_calls, from fewer d(xi) calls. ValueError when the census is
+    empty.
+
+    Seeds are evaluated when a bracket needs them, and brackets are visited
+    in order of their distance from 0, until the next cannot hold a root
+    nearer than the best kept one. Whether a root is kept depends on the
+    bracket below only: with the seeds more than _MERGE_XI apart, roots two
+    brackets apart are too, so the last kept root below a root of bracket a
+    is the root of bracket a - 1, when that one is kept, or lies more than
+    _MERGE_XI below. Going down a chain of roots each within _MERGE_XI of the
+    one below, the lowest is kept and every second one above it. A root more
+    than _MERGE_XI above its bracket's lower seed ends the chain without
+    bracket a - 1. Finer seeds take the whole census's roots. Only the
+    nearest cycle is built.
+    """
+    seeds = np.linspace(float(xi_range[0]), float(xi_range[1]), n_seeds)
+    if n_seeds < 2 or not np.diff(seeds).min() > _MERGE_XI:
+        found = _census_roots(X, section, seeds, tol)
+    else:
+        @cache
+        def val(i):
+            try:
+                return displacement(X, section, seeds[i], tol)
+            except flow.OrbitFailure:
+                return None
+
+        @cache
+        def root(a):
+            return _bracket_root(X, section, tol, seeds, val, a) if a >= 0 else None
+
+        def kept(a):
+            b = a
+            while (root(b) and _merges(seeds[b], root(b)[0]) and root(b - 1)
+                   and _merges(root(b - 1)[0], root(b)[0])):
+                b -= 1
+            return root(a) is not None and (a - b) % 2 == 0
+
+        # distance from 0 of each bracket; the last seed's is the seed itself
+        dist = np.abs(np.clip(0.0, seeds, np.append(seeds[1:], seeds[-1])))
+        found, near = [], math.inf
+        for a in np.argsort(dist, kind="stable"):
+            if dist[a] > near:
+                break
+            if kept(a):
+                found.append(root(a))
+                near = min(near, abs(root(a)[0]))
+    if not found:
+        raise ValueError("no cycle found in the configured xi range")
+    return _census_cycle(X, section, min(found, key=lambda r: (abs(r[0]), r[0])), tol)
 
 
 def _scaled_fit(u, values, degree: int):

@@ -277,7 +277,7 @@ class ExperimentConfig:
             raise ValueError("lambda must lie in (0, 0.1]")
         if self.r not in (1, 2, 3):
             raise ValueError("r must be one of {1, 2, 3}")
-        for key in ("q2_degree", "fit_degree"):
+        for key in ("q2_degree", "fit_degree", "n_seeds"):
             if not getattr(self, key) >= 2:
                 raise ValueError(f"{key} must be >= 2")
         for v in self.lambda_eps_values:
@@ -481,19 +481,21 @@ def _run_find(config, X, out_dir):
 
 
 def _run_split(config, X, out_dir):
+    F_ref = exact_vanishing_poly(config.system)
+    if not config.surrogate and F_ref is None:
+        raise ValueError("no exact vanishing polynomial known; use surrogate: true")
     section = _section_for(config, X)
-    seed_cycle = _nearest_cycle(config, X, section)
+    # the cycle nearest xi = 0 (registry systems sit at xi = 0)
+    seed_cycle = cy.nearest_cycle(X, section, config.xi_range, config.n_seeds,
+                                  tol=config.integrator_tol)
     seed_cycle.multiplicity = cy.multiplicity(X, seed_cycle, tol=config.integrator_tol)
 
     payload: dict = {}
     checks: dict = {}
-    F_ref = exact_vanishing_poly(config.system)
     lam_used = config.lam
     degree = None
     distance_log = []
     if not config.surrogate:
-        if F_ref is None:
-            raise ValueError("no exact vanishing polynomial known; use surrogate: true")
         R = F_ref
         payload["mode"] = "exact"
     else:
@@ -736,15 +738,6 @@ def _run_q2(config, X, out_dir):
 
 
 # ------------------------------------------------------------------ helpers
-def _nearest_cycle(config, X, section) -> cy.LimitCycle:
-    """The census cycle nearest xi = 0 (registry systems sit at xi = 0)."""
-    census = cy.find_cycles(X, section, config.xi_range, config.n_seeds,
-                            tol=config.integrator_tol)
-    if not census:
-        raise ValueError("no cycle found in the configured xi range")
-    return min(census, key=lambda c: abs(c.xi_star))
-
-
 def _census_csv_writer(census):
     def write(path):
         lines = ["xi_star,radius,period,exponent,stability"]

@@ -1,4 +1,5 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cyclelab import cycles as cy
 from cyclelab import flow
 from cyclelab.bernstein import SampledField, bernstein_fit
 from cyclelab.field import (
-    PolyVectorField, ck_system, gradient_collapse_family, perp, rotate_family,
+    PolyVectorField, ck_system, gradient_collapse_family, perp, rotate_family, vanderpol,
 )
 from cyclelab.poly2 import parse_poly, scale
 
@@ -227,6 +228,214 @@ def test_find_cycles_empty_for_contracted_rotation(ck, section):
     fam = rotate_family(ck[2], -0.1, 0.1)  # lam*eps = -0.01: r' > 0 everywhere
     cens = cy.find_cycles(fam, section, (-0.3, 0.3), 15)
     assert cens == []
+
+
+def _nearest_of_census(X, section, xi_range, n_seeds, tol):
+    """What nearest_cycle must return: the census cycle nearest xi = 0, the
+    first in ascending xi on a tie."""
+    census = cy.find_cycles(X, section, xi_range, n_seeds, tol)
+    if not census:
+        raise ValueError("no cycle found in the configured xi range")
+    return min(census, key=lambda c: abs(c.xi_star))
+
+
+def _both_nearest(X, section, xi_range, n_seeds, tol):
+    """(result, d(xi) calls) of the census reference, then of nearest_cycle;
+    a result is the cycle or the ValueError message."""
+    out = []
+    for search in (_nearest_of_census, cy.nearest_cycle):
+        calls = []
+        real = cy.displacement
+
+        def d(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cy, "displacement", d)
+            try:
+                got = search(X, section, xi_range, n_seeds, tol)
+            except ValueError as exc:
+                got = str(exc)
+        out.append((got, len(calls)))
+    return out
+
+
+def _assert_same_cycle(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b == "no cycle found in the configured xi range"
+        return
+    assert a.xi_star.hex() == b.xi_star.hex()
+    assert a.root_d_calls == b.root_d_calls
+    assert a.period.hex() == b.period.hex()
+    assert a.exponent.hex() == b.exponent.hex()
+    assert a.points.tobytes() == b.points.tobytes()
+
+
+@cache
+def _nearest_system(name):
+    """(field, section) of each system the nearest-cycle property runs on."""
+    if name == "vanderpol(1.0)":
+        X = vanderpol(1.0)
+        return X, cy.section_for_field(X, (2.0, 0.0))
+    if name == "CK(3) collapse":
+        X = gradient_collapse_family(ck_system(3), S, 0.02)
+    else:
+        X = ck_system(int(name[3]))
+    return X, cy.section_for_field(ck_system(1), (1.0, 0.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["CK(1)", "CK(2)", "CK(3)", "CK(5)", "vanderpol(1.0)",
+                        "CK(3) collapse"]),
+       st.floats(-0.4, 0.2), st.floats(0.05, 0.6), st.integers(2, 25),
+       st.sampled_from([1e-10, 1e-11]))
+def test_nearest_cycle_is_the_census_cycle_nearest_zero(name, lo, width, n_seeds, tol):
+    """The same cycle, bit for bit, with the same root_d_calls, on windows
+    with and without the cycle (CK(2)'s outer seeds escape), from no more
+    d(xi) calls than the census."""
+    X, section = _nearest_system(name)
+    (want, census_calls), (got, calls) = _both_nearest(X, section, (lo, lo + width),
+                                                        n_seeds, tol)
+    _assert_same_cycle(got, want)
+    assert calls <= census_calls
+
+
+@pytest.mark.parametrize("system,xi_range,calls", [
+    ("CK(3)", (-0.3, 0.3), (25, 3)),
+    ("CK(3)", (-0.29, 0.31), (41, 18)),
+    ("CK(5)", (-0.29, 0.31), (30, 7)),
+    ("vanderpol(1.0)", (-0.3, 0.3), (27, 5)),
+])
+def test_nearest_cycle_calls(system, xi_range, calls):
+    X, section = _nearest_system(system)
+    (want, census_calls), (got, nearest_calls) = _both_nearest(X, section, xi_range, 25,
+                                                               1e-10)
+    _assert_same_cycle(got, want)
+    assert (census_calls, nearest_calls) == calls
+
+
+def _synthetic_nearest(monkeypatch, roots, xi_range, n_seeds, fail=(), sign=1.0):
+    """The census reference and nearest_cycle, as _both_nearest gives them,
+    on d(xi) = sign * prod(xi - r over roots), which raises NoCrossing
+    strictly inside each fail interval. build_cycle is stubbed."""
+    def d(X, section, xi, tol=None):
+        if any(a < xi < b for a, b in fail):
+            raise flow.NoCrossing("injected")
+        return sign * math.prod(xi - r for r in roots)
+
+    def stub(X, section, xi, tol=None):
+        return cy.LimitCycle(section=section, xi_star=float(xi), period=0.0,
+                             points=np.zeros((1, 2)), exponent=0.0)
+
+    monkeypatch.setattr(cy, "displacement", d)
+    monkeypatch.setattr(cy, "build_cycle", stub)
+    (want, census_calls), (got, calls) = _both_nearest(None, None, xi_range, n_seeds, 0.0)
+    _assert_same_cycle(got, want)
+    assert calls <= census_calls
+    return got
+
+
+def test_nearest_cycle_tie_takes_the_lower_root(monkeypatch):
+    # seeds -1, -0.5, 0, 0.5, 1: exact zeros at both +-0.5
+    got = _synthetic_nearest(monkeypatch, [-0.5, 0.5], (-1.0, 1.0), 5)
+    assert got.xi_star == -0.5 and got.root_d_calls is None
+    # Brent returns the seeds +-0.5 from the brackets [0, 0.5], at distance
+    # 0, and [-1, -0.5], at distance 0.5: the tie needs the farther bracket
+    got = _synthetic_nearest(monkeypatch, [-0.5 - 1e-13, 0.5 - 1e-13], (-1.0, 1.0), 5)
+    assert got.xi_star == -0.5 and got.root_d_calls == 1
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_nearest_cycle_merge_across_a_seed_keeps_the_lower_root(monkeypatch, sign):
+    # -0.5 - 4e-9 and -0.5 + 3e-9 merge into the lower, farther root, whose
+    # bracket lies outward of the nearer one's
+    got = _synthetic_nearest(monkeypatch, [-0.5 - 4e-9, -0.5 + 3e-9], (-1.0, 1.0), 5,
+                             sign=sign)
+    assert abs(got.xi_star - (-0.5 - 4e-9)) < 1e-11
+    # seeds 1.5e-8 apart, a root in each of three brackets, each within 1e-8
+    # of the one below: the middle one merges into the lowest, so the top
+    # one, the nearest, stays
+    lo = -0.1
+    h = 1.5e-8
+    roots = [lo + h - 2e-9, lo + h + 7e-9, lo + 2 * h + 1e-9]
+    got = _synthetic_nearest(monkeypatch, roots, (lo, lo + 4 * h), 5, sign=sign)
+    assert abs(got.xi_star - roots[2]) < 1e-12
+
+
+@pytest.mark.parametrize("spacing", [2e-9, 1e-8])
+def test_nearest_cycle_chains_at_fine_seed_spacing(monkeypatch, spacing):
+    lo = -2e-8
+    roots = [lo + k * spacing + 1e-10 for k in range(1, 8)]
+    _synthetic_nearest(monkeypatch, roots, (lo, lo + 9 * spacing), 10)
+
+
+def test_nearest_cycle_zero_at_seeds(monkeypatch):
+    # a zero at the last seed is a root of its own
+    got = _synthetic_nearest(monkeypatch, [1.0, 2.0], (0.5, 1.0), 3)
+    assert got.xi_star == 1.0 and got.root_d_calls is None
+    # a zero at a seed whose upper neighbour fails is no root
+    got = _synthetic_nearest(monkeypatch, [0.25, 0.9], (0.0, 1.0), 5,
+                             fail=[(0.49, 0.51)])
+    assert abs(got.xi_star - 0.9) < 1e-11
+    # a zero at the seed xi = 0 and Brent roots beside it
+    got = _synthetic_nearest(monkeypatch, [-0.1, 0.0, 0.1], (-1.0, 1.0), 5)
+    assert got.xi_star == 0.0
+
+
+def test_nearest_cycle_drops_a_bracket_whose_solve_fails(monkeypatch):
+    got = _synthetic_nearest(monkeypatch, [0.1, -0.3], (-1.0, 1.0), 5,
+                             fail=[(0.05, 0.15)])
+    assert abs(got.xi_star - (-0.3)) < 1e-11
+
+
+def test_nearest_cycle_empty_census_raises(monkeypatch):
+    got = _synthetic_nearest(monkeypatch, [], (-1.0, 1.0), 5)
+    assert got == "no cycle found in the configured xi range"
+    got = _synthetic_nearest(monkeypatch, [0.5], (-1.0, 1.0), 5, fail=[(0.4, 0.6)])
+    assert got == "no cycle found in the configured xi range"
+
+
+_OFFSETS = st.sampled_from([0.0, 1e-9, -1e-9, 4e-9, -4e-9, 6e-9, -6e-9, 1.2e-8, -1.2e-8])
+
+
+@st.composite
+def _synthetic_cases(draw):
+    """(roots, xi_range, n_seeds, fail intervals, sign): roots at or within
+    a few merge distances of seeds or anywhere in a bracket, optionally
+    mirrored for ties at +-a; windows symmetric with exact seeds, arbitrary,
+    or with seed spacing at or below the merge distance."""
+    kind = draw(st.sampled_from(["symmetric", "arbitrary", "fine"]))
+    if kind == "symmetric":
+        lo, hi, n = -1.0, 1.0, draw(st.sampled_from([3, 5, 9]))
+    else:
+        n = draw(st.integers(2, 12))
+        lo = draw(st.floats(-1.0, 0.9))
+        step = draw(st.sampled_from([5e-9, 1e-8, 1.5e-8]) if kind == "fine"
+                    else st.floats(1e-3, 0.2))
+        hi = lo + (n - 1) * step
+    seeds = np.linspace(lo, hi, n)
+    h = (hi - lo) / (n - 1)
+    offset = _OFFSETS | st.floats(0.0, 1.0).map(lambda t: t * h)
+    roots = [float(seeds[i]) + off for i, off in
+             draw(st.lists(st.tuples(st.integers(0, n - 1), offset), max_size=5))]
+    if draw(st.booleans()):
+        roots += [-r for r in roots]
+    roots = sorted(set(roots))  # simple roots: Brent may not converge at a multiple one
+    fail = []
+    for i, inside in draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                                   max_size=2)):
+        s = float(seeds[i])
+        fail.append((s + 0.2 * h, s + 0.8 * h) if inside else (s - 0.1 * h, s + 0.1 * h))
+    return roots, (lo, hi), n, fail, draw(st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_synthetic_cases())
+def test_nearest_cycle_matches_the_census_on_synthetic_displacements(case):
+    roots, xi_range, n, fail, sign = case
+    with pytest.MonkeyPatch.context() as mp:
+        _synthetic_nearest(mp, roots, xi_range, n, fail, sign)
 
 
 def test_cycle_invariants(ck, section):

@@ -119,6 +119,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         lab.ExperimentConfig.from_dict({"pipeline": "rotate-theorem2",
                                         "lambda_eps_values": [0.0, 0.01]})
+    # a census needs a bracket; with fewer seeds find would pass on an empty census
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match="n_seeds must be >= 2"):
+            lab.ExperimentConfig.from_dict({"pipeline": "find", "n_seeds": n})
     cfg = lab.ExperimentConfig.from_dict({"pipeline": "find", "lambda": 0.05})
     assert cfg.lam == 0.05
 
@@ -267,6 +271,41 @@ def test_split_pipeline_integrates_no_annulus_orbit(monkeypatch):
     block = rep.payload["annulus"]
     assert sorted(block) == ["min_flux_margin", "perturbed_inward_ok", "xi_z1", "xi_z2"]
     assert block["perturbed_inward_ok"] == (block["min_flux_margin"] > 0.0)
+
+
+def test_split_d_call_budget(monkeypatch):
+    """The default split finds its seed cycle, the exact one at the seed
+    xi = 0, from 3 d(xi) calls (seeds -0.025, 0 and 0.025), and runs on 61."""
+    calls = []
+    at_fit = []
+    real_d, real_fit = cy.displacement, cy.multiplicity
+
+    def d(*args, **kwargs):
+        calls.append(args[2])
+        return real_d(*args, **kwargs)
+
+    def fit(*args, **kwargs):
+        at_fit.append(len(calls))
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(cy, "displacement", d)
+    monkeypatch.setattr(cy, "multiplicity", fit)
+    rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({"pipeline": "split-theorem1"}))
+    assert rep.all_passed
+    assert at_fit == [3]
+    assert sorted(calls[:3]) == sorted(np.linspace(-0.3, 0.3, 25)[11:14])
+    assert len(calls) == 61
+
+
+def test_split_without_a_vanishing_polynomial_fails_before_any_orbit(monkeypatch):
+    def d(*args, **kwargs):
+        raise AssertionError("displacement reached")
+
+    monkeypatch.setattr(cy, "displacement", d)
+    with pytest.raises(ValueError, match="no exact vanishing polynomial known"):
+        lab.run_pipeline(lab.ExperimentConfig.from_dict({
+            "pipeline": "split-theorem1", "system": "vanderpol(1.0)",
+        }))
 
 
 def test_split_payload_spells_numpy_bools_as_bools():
