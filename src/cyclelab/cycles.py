@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable, Sequence
@@ -37,6 +39,9 @@ _T_OFFSET = 1e-6
 _CYCLE_SAMPLES = 1024
 # a cycle quadrature doubles its panels up to this many
 _MAX_PANELS = 512
+# while a census runs (_census_returns): the returns of its d(xi) calls that
+# can be roots, |d| < tol, as xi -> (period, orbit up to the return)
+_returns: ContextVar[dict | None] = ContextVar("census_returns", default=None)
 
 
 class QuadratureNotConverged(Exception):
@@ -146,12 +151,19 @@ def crossing_sign(X: PolyVectorField, section: Section, rhs=None) -> int:
 
 
 def return_map(X, section, xi, tol=DEFAULT_CYCLE_TOL) -> float:
-    """First-return coordinate pi(xi) on the section."""
-    _, p = flow.next_section_crossing(
-        X, section.point_at(xi), section, crossing_sign(X, section),
-        t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET,
+    """First-return coordinate pi(xi) on the section. While a census runs, a
+    return with |pi(xi) - xi| < tol is kept for the cycle it may become."""
+    x0 = section.point_at(xi)
+    returns = _returns.get()
+    kept = None if returns is None else []
+    t_star, p = flow.next_section_crossing(
+        X, x0, section, crossing_sign(X, section),
+        t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET, _kept=kept,
     )
-    return section.xi_of(p)
+    pi = section.xi_of(p)
+    if kept is not None and abs(pi - xi) < tol:
+        returns[xi] = t_star, flow._orbit(x0, kept)
+    return pi
 
 
 def displacement(X, section, xi, tol=DEFAULT_CYCLE_TOL) -> float:
@@ -226,12 +238,12 @@ class LimitCycle:
     def closure_error(self) -> float:
         return float(np.linalg.norm(self.points[0] - self.points[-1]))
 
-    def displacement_samples_csv(self, path, X, window=0.05, n=33):
+    def displacement_samples_csv(self, path, X, window=0.05, n=33, tol=DEFAULT_CYCLE_TOL):
         xis = self.xi_star + np.linspace(-window, window, n)
         lines = ["xi,displacement"]
         for xi in xis:
             try:
-                d = displacement(X, self.section, xi)
+                d = displacement(X, self.section, xi, tol)
             except flow.OrbitFailure:
                 continue
             lines.append(f"{float(xi)!r},{float(d)!r}")
@@ -244,6 +256,11 @@ def build_cycle(X, section, xi_star, tol=DEFAULT_CYCLE_TOL) -> LimitCycle:
         X, section.point_at(xi_star), section, crossing_sign(X, section),
         t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET,
     )
+    return _cycle(X, section, xi_star, period, orbit)
+
+
+def _cycle(X, section, xi_star, period, orbit) -> LimitCycle:
+    """The cycle through xi_star from its orbit up to the return at period."""
     cyc = LimitCycle(
         section=section, xi_star=float(xi_star), period=period,
         points=orbit.eval(np.linspace(0.0, period, _CYCLE_SAMPLES)), exponent=0.0, _orbit=orbit,
@@ -435,9 +452,27 @@ def _merges(kept_xi: float, xi: float) -> bool:
     return xi - kept_xi <= _MERGE_XI
 
 
-def _census_cycle(X, section, root, tol) -> LimitCycle:
-    cyc = build_cycle(X, section, root[0], tol)
-    cyc.root_d_calls = root[1]
+@contextmanager
+def _census_returns():
+    """The returns that return_map keeps while the block runs, as a dict
+    xi -> (period, orbit); keyed by xi alone, as one census runs on one
+    field, section and tol."""
+    returns = {}
+    token = _returns.set(returns)
+    try:
+        yield returns
+    finally:
+        _returns.reset(token)
+
+
+def _census_cycle(X, section, root, tol, returns) -> LimitCycle:
+    """The cycle of a census root (xi, root_d_calls): built from the return
+    of the root's own d(xi) call when the census kept it, else integrated
+    by build_cycle, with the same bits either way."""
+    xi, calls = root
+    kept = returns.get(xi)
+    cyc = build_cycle(X, section, xi, tol) if kept is None else _cycle(X, section, xi, *kept)
+    cyc.root_d_calls = calls
     return cyc
 
 
@@ -458,9 +493,13 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25,
     whose root solve meets an orbit failure; an empty census is a valid
     result. Each cycle records in root_d_calls how many d(xi) calls its root
     solve took beyond the bracket ends (None for a root that is a seed).
+    Each cycle is built from the return its root's d(xi) call integrated
+    (_census_cycle).
     """
     seeds = np.linspace(float(xi_range[0]), float(xi_range[1]), n_seeds)
-    return [_census_cycle(X, section, r, tol) for r in _census_roots(X, section, seeds, tol)]
+    with _census_returns() as returns:
+        roots = _census_roots(X, section, seeds, tol)
+    return [_census_cycle(X, section, r, tol, returns) for r in roots]
 
 
 def _census_roots(X, section, seeds, tol) -> list[tuple]:
@@ -498,10 +537,20 @@ def nearest_cycle(X, section, xi_range, n_seeds: int = 25,
     one below, the lowest is kept and every second one above it. A root more
     than _MERGE_XI above its bracket's lower seed ends the chain without
     bracket a - 1. Finer seeds take the whole census's roots. Only the
-    nearest cycle is built.
+    nearest cycle is built, from its root's return as in find_cycles.
     """
     seeds = np.linspace(float(xi_range[0]), float(xi_range[1]), n_seeds)
-    if n_seeds < 2 or not np.diff(seeds).min() > _MERGE_XI:
+    with _census_returns() as returns:
+        found = _nearest_roots(X, section, seeds, tol)
+    if not found:
+        raise ValueError("no cycle found in the configured xi range")
+    return _census_cycle(X, section, min(found, key=lambda r: (abs(r[0]), r[0])), tol,
+                          returns)
+
+
+def _nearest_roots(X, section, seeds, tol) -> list[tuple]:
+    """The census roots (xi, root_d_calls) that nearest_cycle picks from."""
+    if len(seeds) < 2 or not np.diff(seeds).min() > _MERGE_XI:
         found = _census_roots(X, section, seeds, tol)
     else:
         @cache
@@ -531,9 +580,7 @@ def nearest_cycle(X, section, xi_range, n_seeds: int = 25,
             if kept(a):
                 found.append(root(a))
                 near = min(near, abs(root(a)[0]))
-    if not found:
-        raise ValueError("no cycle found in the configured xi range")
-    return _census_cycle(X, section, min(found, key=lambda r: (abs(r[0]), r[0])), tol)
+    return found
 
 
 def _scaled_fit(u, values, degree: int):

@@ -5,8 +5,9 @@ degree-7 dense output (Hairer-Norsett-Wanner, Solving ODEs I, II.10), with
 the step control of SciPy's DOP853 solver and fed by the field's compiled
 evaluator; no SciPy stepper runs here. Two drivers run one tableau code: the
 stages and error estimates of an attempt (_attempt), the dense output
-(_dense), the crossing screen (_line_screen, _line_bernstein) and the
-de Casteljau step of the root search (_value_slope) are written once and run
+(_dense), the two crossing screens (_line_screen, _off_segment), the
+Bernstein coefficients (_line_bernstein) and the de Casteljau step of the
+root search (_value_slope) are written once and run
 on plain floats in the scalar driver (_resume) and entry by entry on NumPy
 lane arrays in the lockstep driver (next_section_crossings, one lane per
 orbit), which also solves its steps for their crossings on the lane arrays
@@ -23,14 +24,17 @@ q2-search's degree-7 fields, a scalar attempt about 40 us (2-vCPU Xeon VM,
 Python 3.11, NumPy 2.4), so the lockstep driver pays from about 38 lanes;
 it hands fewer than _LOCKSTEP_MIN_LANES to the scalar driver.
 
-``integrate`` collects the scalar driver's steps into an Orbit.
-``next_section_crossing`` solves each step for its section crossings
-exactly: the dense output on a step is a degree-7 polynomial in time, so
-its normal coordinate against the section line is one too, and its sign
-changes in the step, bracketed from its Bernstein coefficients, are the
-crossings. Every way an orbit can fail derives from OrbitFailure: the step
-budget or floor (StepUnderflow), the safety box (Divergence) and no crossing
-by t_max (NoCrossing). Stiff integrators are not needed here: polynomial
+``integrate`` collects the scalar driver's steps into an Orbit, whose eval
+builds and keeps each step's row of dense output coefficients when a time
+first falls in it. ``next_section_crossing`` solves each step for its
+section crossings exactly: the dense output on a step is a degree-7
+polynomial in time, so its normal coordinate against the section line is
+one too, and its sign changes in the step, bracketed from its Bernstein
+coefficients, are the crossings. Steps that cannot cross the line, or can
+cross it only off the segment, are screened out before any root is solved.
+Every way an orbit can fail derives from OrbitFailure: the step budget or
+floor (StepUnderflow), the safety box (Divergence) and no crossing by t_max
+(NoCrossing). Stiff integrators are not needed here: polynomial
 fields near attracting cycles at our perturbation sizes are non-stiff.
 """
 from __future__ import annotations
@@ -151,6 +155,9 @@ class Orbit:
     times: np.ndarray
     states: np.ndarray  # (n, 2)
     _segments: list = field(default_factory=list, repr=False)
+    # row i: step i's t_old, h, x_old, y_old, F0x..F6x, F0y..F6y, NaN until
+    # an eval first needs it
+    _rows: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def t_end(self) -> float:
@@ -162,17 +169,20 @@ class Orbit:
         One NumPy Horner over all times, with the operations of _Step.at in
         its order, so every value has _Step.at's bits. Each time falls in
         the step that ends at or after it (clamped to the first and the
-        last), and only those steps build their dense output.
+        last). A step's row of coefficients, and its dense output, is built
+        on the first eval that needs it and kept with the orbit.
         """
         t = np.asarray(t, dtype=float)
         ts = t.ravel()
         idx = np.clip(np.searchsorted(self.times[1:], ts, side="left"), 0,
                       len(self._segments) - 1)
-        used, where = np.unique(idx, return_inverse=True)
-        steps = [self._segments[i] for i in used.tolist()]
-        # one row per time: t_old, h, x_old, y_old, F0x..F6x, F0y..F6y
-        rows = np.array([(step.t_old, step.h, *step.y_old, *step.F[0], *step.F[1])
-                         for step in steps], dtype=float).reshape(-1, 18)[where]
+        if self._rows is None:
+            self._rows = np.full((len(self._segments), 18), np.nan)
+        new = list(set(idx[np.isnan(self._rows[idx, 1])].tolist()))
+        if new:
+            self._rows[new] = [(step.t_old, step.h, *step.y_old, *step.F[0], *step.F[1])
+                               for step in map(self._segments.__getitem__, new)]
+        rows = self._rows[idx]
         s = (ts - rows[:, 0]) / rows[:, 1]
         out = np.stack(_interpolant((rows[:, 4:11].T, rows[:, 11:18].T), rows[:, 2], rows[:, 3], s),
                        axis=-1)
@@ -506,7 +516,32 @@ def _line_screen(y_old, y_new, F, bx, by, nx, ny):
     return g0, g1, (c0, c1, c2, c3, c4, c5, c6), ruled_out
 
 
-def _line_roots(step, bx, by, nx, ny):
+def _off_segment(y_old, F, bx, by, tx, ty, half):
+    """Whether no point of the step from y_old with dense output coefficients
+    F, at any s in [0, 1], can pass _step_crossing's segment test
+    |(p - b) . t| <= half; on floats and, entry by entry, on lane arrays.
+
+    With t a unit vector, the tangent coordinate of the interpolant is
+    u0 + sum_i d_i s^a (1 - s)^b (see _line_roots), u0 = t . (y_old - b),
+    d_i = t . F_i, so its modulus is at least |u0| - sum_i |d_i| for any s
+    and 1 - s, rounded or not, in [0, 1]. Rounding in the interpolant
+    (_Step.at, _interpolant), the test and this bound stays below a hundred
+    units of 2^-53 times 1 + half + |bx| + |by| + |x_old - bx| + |y_old - by|
+    + sum_i (|F_ix| + |F_iy|): the margin is 2^-40 times that. NaN or inf
+    rules nothing out.
+    """
+    x, y = y_old
+    ex, ey = x - bx, y - by
+    # added left to right, as sum() does not on floats from Python 3.12 on
+    spread = size = 0.0
+    for u, v in zip(*F):
+        spread = spread + abs(tx * u + ty * v)
+        size = size + abs(u) + abs(v)
+    margin = 2.0 ** -40 * (1 + half + abs(bx) + abs(by) + abs(ex) + abs(ey) + size)
+    return abs(ex * tx + ey * ty) - spread > half + margin
+
+
+def _line_roots(step, bx, by, nx, ny, segment=None):
     """Ascending s in [0, 1] where the step's interpolant crosses the section line.
 
     With s = (t - t_old) / h the normal coordinate of the interpolant is
@@ -520,9 +555,15 @@ def _line_roots(step, bx, by, nx, ny):
     a <= j <= 7 - b, are the ones written out below. The end values g0 and
     g1 are taken from the step's end points themselves, so a step and the
     next one agree on the sign where they meet.
+
+    With segment = (tx, ty, half), a step that passes this screen has no
+    roots either when _off_segment says none of its points can lie on the
+    segment, as at the line's far crossing on the other side of a cycle.
     """
     g0, g1, c, ruled_out = _line_screen(step.y_old, step.y, step.F, bx, by, nx, ny)
-    return [] if ruled_out else _bernstein_roots(_line_bernstein(g0, g1, c))
+    if ruled_out or segment is not None and _off_segment(step.y_old, step.F, bx, by, *segment):
+        return []
+    return _bernstein_roots(_line_bernstein(g0, g1, c))
 
 
 def _line_bernstein(g0, g1, c):
@@ -719,9 +760,10 @@ def _geometry(section):
 
 def _step_crossing(step, f, geometry, direction_sign, t_offset):
     """The step's first crossing that next_section_crossing counts, as
-    (t_star, point), or None."""
+    (t_star, point), or None, which a step that meets the section line only
+    off the segment (_off_segment) gives before any root is solved."""
     bx, by, nx, ny, tx, ty, half = geometry
-    for s in _line_roots(step, bx, by, nx, ny):
+    for s in _line_roots(step, bx, by, nx, ny, (tx, ty, half)):
         t_star = step.t_old + s * step.h
         px, py = step.at(s)
         if t_star > t_offset and abs((px - bx) * tx + (py - by) * ty) <= half:
@@ -742,16 +784,18 @@ def _first_crossing(f, steps, section, direction_sign, t_max, t_offset):
     raise NoCrossing(f"no crossing in (0, {t_max}]")
 
 
+def _keep(steps, kept):
+    """The steps, each appended to the list kept as it is taken."""
+    for step in steps:
+        kept.append(step)
+        yield step
+
+
 def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset):
     """next_section_crossing's (t_star, point), plus the orbit up to the crossing step."""
     kept = []
-
-    def kept_steps():
-        for step in _steps(X, x0, t_max, tol):
-            kept.append(step)
-            yield step
-
-    t_star, p = _first_crossing(X.rhs(), kept_steps(), section, direction_sign, t_max, t_offset)
+    t_star, p = _first_crossing(X.rhs(), _keep(_steps(X, x0, t_max, tol), kept), section,
+                                direction_sign, t_max, t_offset)
     return t_star, p, _orbit(x0, kept)
 
 
@@ -763,6 +807,7 @@ def next_section_crossing(
     t_max: float = 200.0,
     tol: float = DEFAULT_TOL,
     t_offset: float = 0.0,
+    _kept: list | None = None,
 ):
     """First crossing of the section segment with the requested sign.
 
@@ -774,9 +819,13 @@ def next_section_crossing(
 
     Returns (t_star, point). Raises ValueError unless t_max > 0, tol > 0 and
     x0 is finite, and an OrbitFailure: NoCrossing, Divergence or StepUnderflow.
+    A caller that wants the orbit (see _crossing_orbit) hands over the
+    private list _kept, which the steps are appended to up to the crossing
+    step.
     """
-    return _first_crossing(X.rhs(), _steps(X, x0, t_max, tol), section, direction_sign, t_max,
-                           t_offset)
+    steps = _steps(X, x0, t_max, tol)
+    return _first_crossing(X.rhs(), steps if _kept is None else _keep(steps, _kept), section,
+                           direction_sign, t_max, t_offset)
 
 
 def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEFAULT_TOL,
@@ -789,9 +838,9 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     them. Lanes whose fields share their monomials (field.lane_evaluators)
     step in lockstep as NumPy arrays with one entry per lane, through the
     kernels the scalar driver runs on floats (_attempt, _dense,
-    _line_screen, _line_bernstein and _value_slope), with _controls for
-    _control; _lane_roots and _interpolant solve the steps for their
-    crossings on the arrays too. Each lane keeps its own time, step size,
+    _line_screen, _off_segment, _line_bernstein and _value_slope), with
+    _controls for _control; _lane_roots and _interpolant solve the steps
+    for their crossings on the arrays too. Each lane keeps its own time, step size,
     rejection flag and step count, and leaves the arrays at its crossing, or
     when it is about to fail: the scalar driver then continues from its
     state and raises the failure, and the later lanes of its row are
@@ -891,10 +940,13 @@ def _lockstep(select, member, lanes, running, geometry, t_max, t_offset, tol, fo
             if stepped.any():
                 F = _dense(f, h, (x, y), (x_new, y_new), K)
                 g0, g1, c, ruled_out = _line_screen((x, y), (x_new, y_new), F, bx, by, nx, ny)
-                # _step_crossing on every lane that might cross: its roots in
-                # ascending order until one lies on the segment after
-                # t_offset with the requested direction
+                # _step_crossing on every lane that might cross the segment:
+                # its roots in ascending order until one lies on the segment
+                # after t_offset with the requested direction
                 searched = np.flatnonzero(stepped & ~ruled_out)
+                searched = searched[~_off_segment((x[searched], y[searched]),
+                                                  [[v[searched] for v in Fk] for Fk in F],
+                                                  bx, by, tx, ty, half)]
                 b = np.array(_line_bernstein(g0[searched], g1[searched],
                                              [ci[searched] for ci in c]))
                 for cols, s in _lane_roots(b):

@@ -474,7 +474,7 @@ def _run_find(config, X, out_dir):
     artifacts = {}
     if census:
         artifacts["displacement.csv"] = (
-            lambda path, c0=census[0]: c0.displacement_samples_csv(path, X)
+            lambda path, c0=census[0]: c0.displacement_samples_csv(path, X, tol=tol)
         )
     artifacts["portrait.svg"] = _portrait_writer(X, census, section, None)
     return payload, checks, artifacts

@@ -676,6 +676,57 @@ def test_build_cycle_integrates_the_cycle_once(ck, section, monkeypatch):
     assert cyc.period == pytest.approx(2 * np.pi, abs=1e-8)
 
 
+@pytest.mark.parametrize("name, xi_range, tol", [
+    ("CK(1)", (-0.5, 0.5), 1e-10),
+    ("CK(3)", (-0.3, 0.3), 1e-10),
+    ("CK(3)", (-0.29, 0.31), 1e-10),
+    ("CK(5)", (-0.29, 0.31), 1e-10),
+    ("CK(3) collapse", (-0.3, 0.3), 1e-10),
+    ("CK(3) collapse", (-0.3, 0.3), 1e-11),
+    ("vanderpol(1.0)", (-0.3, 0.3), 1e-10),
+])
+def test_census_cycles_are_built_from_their_roots_returns(name, xi_range, tol, monkeypatch):
+    """find_cycles and nearest_cycle build each cycle from the return its
+    root's d(xi) call integrated, when the census kept it: the same period,
+    exponent and points, bit for bit, as build_cycle integrates. Nothing
+    is kept once the census is over."""
+    X, section = _nearest_system(name)
+    built = []
+    real = cy.build_cycle
+
+    def counted(*args, **kwargs):
+        built.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cy, "build_cycle", counted)
+    census = cy.find_cycles(X, section, xi_range, 25, tol)
+    nearest = cy.nearest_cycle(X, section, xi_range, 25, tol)
+    assert cy._returns.get() is None
+    monkeypatch.undo()
+    # at least one of the len(census) + 1 cycles is built from a kept return
+    assert len(built) <= len(census)
+    for cyc in census + [nearest]:
+        # only a root whose own d(xi) call left |d| >= tol is integrated again
+        d = cy.displacement(X, section, cyc.xi_star, tol)
+        assert (cyc.xi_star in built) == (abs(d) >= tol)
+        ref = cy.build_cycle(X, section, cyc.xi_star, tol)
+        assert cyc.period.hex() == ref.period.hex()
+        assert cyc.exponent.hex() == ref.exponent.hex()
+        assert cyc.points.tobytes() == ref.points.tobytes()
+        assert np.array_equal(cyc._orbit.times, ref._orbit.times)
+
+
+def test_census_returns_are_forgotten_on_failure(monkeypatch):
+    def d(X, section, xi, tol=None):
+        raise flow.NoCrossing("injected")
+
+    monkeypatch.setattr(cy, "displacement", d)
+    with pytest.raises(ValueError):
+        cy.nearest_cycle(None, None, (-1.0, 1.0), 5, 0.0)
+    assert cy.find_cycles(None, None, (-1.0, 1.0), 5, 0.0) == []
+    assert cy._returns.get() is None
+
+
 def test_quadrature_that_never_converges_is_named(ck, ck_cycles):
     # sign(x - 0.3) jumps where the unit circle meets x = 0.3, off every panel
     # edge, so each doubling only halves the error and no two levels agree

@@ -1,3 +1,4 @@
+import functools
 import math
 import signal
 import sys
@@ -362,6 +363,148 @@ def test_line_roots_match_generic_formula(ck):
     assert min(seen.values()) > 0, seen
 
 
+@functools.cache
+def _screen_steps(name):
+    """The steps, dense output built, of about two revolutions of a real
+    orbit of each field the off-segment screen is tested on."""
+    from cyclelab.discriminant import _perturb_coeffs
+    from cyclelab.field import gradient_collapse_family
+
+    if name == "vanderpol(1.0)":
+        X, x0, t_end = vanderpol(1.0), (2.0, 0.0), 14.0
+    elif name.startswith("q2"):
+        X = _perturb_coeffs(ck_system(3), np.random.default_rng(int(name[3:])), 1e-3)
+        x0, t_end = (0.9, 0.0), 13.0
+    elif name == "CK(3) collapse":
+        X = gradient_collapse_family(ck_system(3), parse_poly("1 - x^2 - y^2"), 0.02)
+        x0, t_end = (0.9, 0.0), 13.0
+    else:
+        X, x0, t_end = ck_system(int(name[3])), (0.9, 0.0), 13.0
+    steps = flow.integrate(X, x0, t_end)._segments
+    for step in steps:
+        step.F  # built on first use
+    return steps
+
+
+def _segment_test(px, py, bx, by, tx, ty, half):
+    """_step_crossing's segment test of a point, as _lockstep also takes it."""
+    return abs((px - bx) * tx + (py - by) * ty) <= half
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["CK(1)", "CK(2)", "CK(3)", "CK(4)", "CK(5)", "CK(3) collapse",
+                        "q2 1", "q2 2", "vanderpol(1.0)"]),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2 * np.pi),
+       st.floats(-3.0, 3.0), st.booleans(),
+       st.one_of(st.floats(0.0, 4.0),
+                 st.sampled_from(["at", "below", "above", "below 1e-12", "above 1e-12"])))
+def test_off_segment_screen_skips_no_crossing(name, where, s0, angle, tau, flat, half):
+    """A line through a point of a real orbit's step, with the segment's
+    middle tau from that point along the line, and half-lengths at random
+    or just below or above the tangent coordinate of the step's first
+    crossing; with flat, the step's dense output loses its part along the
+    line, so that the screen's bound is tight up to rounding. A step the
+    screen rules out holds no root, nor any point of 33 others in [0, 1],
+    that passes _step_crossing's segment test, by _Step.at or by
+    _interpolant, and the lane kernel decides as the float kernel does."""
+    steps = _screen_steps(name)
+    step = steps[min(int(where * len(steps)), len(steps) - 1)]
+    tx, ty = math.cos(angle), math.sin(angle)
+    nx, ny = -ty, tx
+    if flat:
+        F = tuple(zip(*((u - (tx * u + ty * v) * tx, v - (tx * u + ty * v) * ty)
+                        for u, v in zip(*step.F))))
+        (x, y), (f0x, f0y) = step.y_old, (F[0][0], F[1][0])
+        step = flow._Step(step.t_old, step.t, step.y_old, (x + f0x, y + f0y), None, None)
+        step._F = F
+    px, py = step.at(s0)
+    bx, by = px - tau * tx, py - tau * ty
+    roots = flow._line_roots(step, bx, by, nx, ny)
+    if isinstance(half, str):
+        if not roots:
+            return
+        qx, qy = step.at(roots[0])
+        at = abs((qx - bx) * tx + (qy - by) * ty)
+        half = {"at": at, "below": math.nextafter(at, 0.0), "above": math.nextafter(at, math.inf),
+                "below 1e-12": at - 1e-12, "above 1e-12": at + 1e-12}[half]
+    off = flow._off_segment(step.y_old, step.F, bx, by, tx, ty, half)
+    lane = flow._off_segment((np.array([step.y_old[0]]), np.array([step.y_old[1]])),
+                             [[np.array([v]) for v in Fk] for Fk in step.F], bx, by, tx, ty, half)
+    assert lane.tolist() == [off]
+    if not off:
+        return
+    s = np.array(roots + np.linspace(0.0, 1.0, 33).tolist())
+    lx, ly = flow._interpolant([[np.full(s.size, v) for v in Fk] for Fk in step.F],
+                               np.full(s.size, step.y_old[0]), np.full(s.size, step.y_old[1]), s)
+    assert not _segment_test(lx, ly, bx, by, tx, ty, half).any()
+    for u in s.tolist():
+        assert not _segment_test(*step.at(u), bx, by, tx, ty, half)
+
+
+_screen_value = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-3, 1e-3),
+                          st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300,
+                                           5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_screen_value, _screen_value, st.lists(_screen_value, min_size=14,
+                                                                 max_size=14)),
+                min_size=1, max_size=12),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2 * np.pi),
+       st.floats(0.0, 3.0))
+def test_off_segment_lanes_decide_as_floats(lanes, bx, by, angle, half):
+    """Column for column the lane kernel makes the float kernel's decision,
+    and NaN or inf in a step never rules it out. _lockstep runs the lane
+    kernel with overflow and invalid operations silenced, as here."""
+    tx, ty = math.cos(angle), math.sin(angle)
+    want = [flow._off_segment((x, y), (F[:7], F[7:]), bx, by, tx, ty, half) for x, y, F in lanes]
+    x, y, F = (np.array(v) for v in zip(*lanes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = flow._off_segment((x, y), (list(F.T[:7]), list(F.T[7:])), bx, by, tx, ty, half)
+    assert got.tolist() == want
+    assert not any(off for (u, v, G), off in zip(lanes, want)
+                   if not all(map(math.isfinite, [u, v, *G])))
+
+
+@pytest.mark.parametrize("end, hit", [(0.55 - 1e-15, True), (0.55, True), (0.55 + 1e-15, False),
+                                      (-0.55 + 1e-15, True), (-0.55 - 1e-15, False)])
+def test_crossing_at_the_segment_end(end, hit):
+    """A hand-built step along y = s - 1/2 at x = end, its crossing of the
+    line y = 0 within 1e-15 of the segment end x = 0.55: the screen keeps
+    the step, and the crossing counts when it lies on the segment."""
+    step = flow._Step(0.0, 1.0, (end, -0.5), (end, 0.5), None, None)
+    step._F = ((0.0,) * 7, (1.0,) + (0.0,) * 6)
+    geometry = (0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.55)
+    assert not flow._off_segment(step.y_old, step.F, 0.0, 0.0, 1.0, 0.0, 0.55)
+    got = flow._step_crossing(step, lambda x, y: (0.0, 1.0), geometry, +1, 0.0)
+    if hit:
+        assert (got[0], got[1].tolist()) == (0.5, [end, 0.0])
+    else:
+        assert got is None
+
+
+def test_far_crossing_is_never_solved(ck, monkeypatch):
+    """A return of CK(3) to the section through (1, 0) meets the section
+    line twice, near (1, 0) and near (-1, 0); only the crossings near the
+    segment are solved."""
+    kept = []
+    args = (ck[3], SEC.point_at(0.1), SEC, +1, 10.0, 1e-10, 1e-6)
+    flow.next_section_crossing(*args, _kept=kept)
+    line = [(s, step.at(s)[0]) for step in kept for s in flow._line_roots(step, 1.0, 0.0, 0.0, 1.0)]
+    assert sum(x < 0 for _, x in line) == 1
+    solved = []
+    roots = flow._bernstein_roots
+
+    def counted(b):
+        found = roots(b)
+        solved.extend(found)
+        return found
+
+    monkeypatch.setattr(flow, "_bernstein_roots", counted)
+    flow.next_section_crossing(*args)
+    assert solved == [s for s, x in line if x > 0]
+
+
 def _bernstein_product(p, q):
     """Bernstein coefficients on [0, 1] of the product of two polynomials given
     by theirs; an end coefficient is the product of the factors' end values."""
@@ -393,17 +536,27 @@ def _factors(simple, touch, pair, far):
     return bern, power
 
 
-def _polished_root(r, power):
-    """A real root of the power form, by Newton's method from r with every
-    value and slope computed exactly. np.roots' companion eigenvalues can be
-    2e-9 off where three roots 0.05 apart flank a lifted touch."""
-    c = [Fraction(v) for v in power]
-    for _ in range(4):
+def _polished_root(r, bern):
+    """A real root of the polynomial with Bernstein coefficients bern on
+    [0, 1], by Newton's method from r to a fixed point, with every value and
+    slope computed exactly from bern's exact power form. np.roots'
+    companion eigenvalues can be 2e-9 off where three roots 0.05 apart flank
+    a lifted touch, and the float power form of the same product rounds
+    apart from bern: where four roots 0.05 apart end at s = 1 its roots lie
+    2e-9 from bern's."""
+    n = len(bern) - 1
+    c = [Fraction(0)] * (n + 1)
+    for j, v in enumerate(bern):
+        for k in range(n - j + 1):
+            c[j + k] += Fraction(v) * comb(n, j) * comb(n - j, k) * (-1) ** k
+    for _ in range(60):
         s = Fraction(r)
         slope = sum(i * v * s ** (i - 1) for i, v in enumerate(c) if i)
         if slope == 0:
             break
-        r = float(s - sum(v * s ** i for i, v in enumerate(c)) / slope)
+        r, last = float(s - sum(v * s ** i for i, v in enumerate(c)) / slope), r
+        if r == last:
+            break
     return r
 
 
@@ -421,6 +574,7 @@ def _polished_root(r, power):
 @example([4, 12], 0.0, (), False, (0.5, 0.3), 3.5, 1.0, 1.0)      # two roots in one step
 @example([10], 0.5, (), True, (0.5, 0.3), 3.5, 1.0, -1.0)         # a touch alone
 @example([4, 10, 16], 0.3, (0.0, 1.0), True, (0.5, 0.3), 3.5, 1.0, 1.0)
+@example([19, 16, 17, 18], 0.0, (1.0,), True, (0.0, 1.0), -2.5, 1.0, -1.0)
 def test_bernstein_roots_match_np_roots(interior, jitter, ends, touch, pair, far, size, sign):
     """Sign changes of degree-7 polynomials on [0, 1] against np.roots.
 
@@ -438,10 +592,11 @@ def test_bernstein_roots_match_np_roots(interior, jitter, ends, touch, pair, far
         lift = 1e-10 * np.sign(P.polyval(touch_at + 0.004, power))
         bern = [v + lift * j * (7 - j) / 42 for j, v in enumerate(bern)]
         power = power + lift * np.array([0.0, 1.0, -1.0, 0, 0, 0, 0, 0])
-    got = flow._bernstein_roots([sign * size * v for v in bern])
+    b = [sign * size * v for v in bern]
+    got = flow._bernstein_roots(b)
 
     ref = np.roots(sign * size * power[::-1])
-    ref = [_polished_root(r, power) for r in ref.real[np.abs(ref.imag) < 1e-7]]
+    ref = [_polished_root(r, b) for r in ref.real[np.abs(ref.imag) < 1e-7]]
     ref = sorted(r for r in ref if -1e-9 < r < 1 + 1e-9)
     if touch_at is not None:
         assert all(abs(s - touch_at) > 1e-5 for s in got)

@@ -168,6 +168,21 @@ def test_find_convergence_check_is_at_the_integrator_tol(raw):
     assert rep.all_passed
 
 
+def test_find_displacement_csv_is_at_the_integrator_tol(tmp_path):
+    # the side file samples d(xi) at the tolerance the census ran at
+    tol = 1e-8
+    cfg = lab.ExperimentConfig.from_dict({"pipeline": "find", "system": "CK(1)",
+                                          "integrator_tol": tol})
+    lab.run_pipeline(cfg, out_dir=tmp_path)
+    X = ck_system(1)
+    section = cy.section_for_field(X, (1.0, 0.0))
+    lines = (tmp_path / "displacement.csv").read_text().strip().splitlines()
+    assert lines[0] == "xi,displacement" and len(lines) == 34
+    for line in lines[1:]:
+        xi, d = map(float, line.split(","))
+        assert d.hex() == cy.displacement(X, section, xi, tol=tol).hex()
+
+
 def test_report_payload_deterministic():
     cfg = lab.ExperimentConfig.from_dict({
         "pipeline": "q2-search", "system": "CK(3)", "q2_samples": 3, "seed": 11,
@@ -271,6 +286,23 @@ def test_split_pipeline_integrates_no_annulus_orbit(monkeypatch):
     block = rep.payload["annulus"]
     assert sorted(block) == ["min_flux_margin", "perturbed_inward_ok", "xi_z1", "xi_z2"]
     assert block["perturbed_inward_ok"] == (block["min_flux_margin"] > 0.0)
+
+
+def test_split_integrates_only_the_annulus_arcs(monkeypatch):
+    """Every cycle of the default split, the seed cycle and the three of the
+    perturbed census, is built from the return its root's d(xi) call
+    integrated; the only orbits integrated again are the annulus arcs."""
+    callers = []
+    real = flow._crossing_orbit
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_crossing_orbit", counted)
+    rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({"pipeline": "split-theorem1"}))
+    assert rep.all_passed
+    assert callers == ["_arc", "_arc"]
 
 
 def test_split_d_call_budget(monkeypatch):
