@@ -153,7 +153,7 @@ def build_trapping_annulus(
     """
     if not (xi1 < 0.0 < xi2):
         raise ValueError("need xi1 < 0 < xi2")
-    if cycle.stability == "unstable" and (cycle.multiplicity is None or cycle.multiplicity.d == 1):
+    if cycle.stability == "unstable":
         raise NotStable(f"cycle exponent {cycle.exponent:.3g} > 0")
     section = cycle.section
     orient = _orientation(cycle.points)

@@ -72,11 +72,14 @@ class Section:
 
     base sits on or near the cycle, direction is the unit tangent of the
     segment pointing to the exterior component, half_length bounds |xi|.
+    geometry holds them as the floats the integrator reads, (bx, by, nx,
+    ny, tx, ty, half_length), with (nx, ny) the normal.
     """
 
     base: np.ndarray
     direction: np.ndarray
     half_length: float
+    geometry: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.base, dtype=float)
@@ -90,6 +93,8 @@ class Section:
         object.__setattr__(self, "base", b)
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "half_length", float(self.half_length))
+        (bx, by), (tx, ty) = b.tolist(), d.tolist()
+        object.__setattr__(self, "geometry", (bx, by, -ty, tx, tx, ty, self.half_length))
 
     @property
     def normal(self) -> np.ndarray:
@@ -143,7 +148,7 @@ def orientation_sign(X: PolyVectorField, point) -> int:
 def crossing_sign(X: PolyVectorField, section: Section, rhs=None) -> int:
     """The sign of the flow across the section at its base, from X.rhs() or
     the given evaluator of X."""
-    p, q = (X.rhs() if rhs is None else rhs)(float(section.base[0]), float(section.base[1]))
+    p, q = (X.rhs() if rhs is None else rhs)(*section.geometry[:2])
     s = np.dot([p, q], section.normal)
     if s == 0:
         raise ValueError("flow tangent to the section at its base")
@@ -153,7 +158,8 @@ def crossing_sign(X: PolyVectorField, section: Section, rhs=None) -> int:
 def return_map(X, section, xi, tol=DEFAULT_CYCLE_TOL) -> float:
     """First-return coordinate pi(xi) on the section. While a census runs, a
     return with |pi(xi) - xi| < tol is kept for the cycle it may become."""
-    x0 = section.point_at(xi)
+    bx, by, _, _, tx, ty, _ = section.geometry
+    x0 = (bx + xi * tx, by + xi * ty)  # point_at(xi)'s bits
     returns = _returns.get()
     kept = None if returns is None else []
     t_star, p = flow.next_section_crossing(
@@ -184,7 +190,9 @@ def displacements(fields, section, xis, tol=DEFAULT_CYCLE_TOL) -> list[list]:
     for members, select in groups:
         for k, m in enumerate(members):
             signs[m] = crossing_sign(fields[m], section, None if select is None else select(k))
-    rows = [[(X, section.point_at(xi), sign) for xi in xis] for X, sign in zip(fields, signs)]
+    bx, by, _, _, tx, ty, _ = section.geometry
+    rows = [[(X, (bx + xi * tx, by + xi * ty), sign) for xi in xis]
+            for X, sign in zip(fields, signs)]
     crossings = flow.next_section_crossings(rows, section, t_max=DEFAULT_T_MAX, tol=tol,
                                             t_offset=_T_OFFSET, _groups=(fields, groups))
     return [[hit if isinstance(hit, flow.OrbitFailure) else section.xi_of(hit[1]) - xi
@@ -229,6 +237,11 @@ class LimitCycle:
 
     @property
     def stability(self) -> str:
+        """The sign of the exponent beyond +-1e-9, but "non-hyperbolic" for
+        a multiple cycle (multiplicity d > 1): there the exponent's sign
+        only tells on which side of the exact cycle the root lies."""
+        if self.multiplicity is not None and self.multiplicity.d > 1:
+            return "non-hyperbolic"
         if self.exponent < -1e-9:
             return "stable"
         if self.exponent > 1e-9:

@@ -111,10 +111,15 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
     field's rhs(). The other fields form one group whose select is None.
     """
     groups: dict = {}
+    keys: dict = {}  # the monomials of P and Q in their own order -> sorted
     for i, X in enumerate(fields):
         P, Q = X.P, X.Q
-        key = ((tuple(sorted(P.coeffs)), tuple(sorted(Q.coeffs)))
-               if P.basis == Q.basis == "monomial" and P.coeffs and Q.coeffs else None)
+        key = None
+        if P.basis == Q.basis == "monomial" and P.coeffs and Q.coeffs:
+            order = tuple(P.coeffs), tuple(Q.coeffs)
+            if order not in keys:
+                keys[order] = tuple(sorted(order[0])), tuple(sorted(order[1]))
+            key = keys[order]
         groups.setdefault(key, []).append(i)
     out = []
     for key, members in groups.items():
@@ -122,10 +127,13 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
             out.append((members, None))
             continue
         plan = _lane_plan(key)
-        components = [(fields[m].P.coeffs, fields[m].Q.coeffs) for m in members]
-        # one row per coefficient cell, one column per member
-        coeffs = np.array([[pq[c].get((i, j), 0.0) for pq in components]
-                           for c, i, j in plan.cells])
+        # one row per coefficient cell, one column per member; the rows of
+        # the key's monomials are plan.support, the others hold 0.0
+        coeffs = np.zeros((len(plan.cells), len(members)))
+        ps = [fields[m].P.coeffs for m in members]
+        qs = [fields[m].Q.coeffs for m in members]
+        coeffs[plan.support] = ([[p[e] for p in ps] for e in key[0]]
+                                + [[q[e] for q in qs] for e in key[1]])
 
         def select(lanes, c=coeffs, plan=plan, make=_lane_body(key)):
             if isinstance(lanes, int):

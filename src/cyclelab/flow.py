@@ -5,24 +5,26 @@ degree-7 dense output (Hairer-Norsett-Wanner, Solving ODEs I, II.10), with
 the step control of SciPy's DOP853 solver and fed by the field's compiled
 evaluator; no SciPy stepper runs here. Two drivers run one tableau code: the
 stages and error estimates of an attempt (_attempt), the dense output
-(_dense), the two crossing screens (_line_screen, _off_segment), the
-Bernstein coefficients (_line_bernstein) and the de Casteljau step of the
-root search (_value_slope) are written once and run
-on plain floats in the scalar driver (_resume) and entry by entry on NumPy
-lane arrays in the lockstep driver (next_section_crossings, one lane per
-orbit), which also solves its steps for their crossings on the lane arrays
-(_lane_roots, _single_roots, _interpolant) with the scalar search's
-operations and tests in their order. The step-size control holds the
-stepper's only powers, which NumPy can round differently from Python: the
-scalar driver runs it on floats (_control), the lockstep driver on lane
-arrays with the powers taken by Python's ** (_controls). Every lane thus has
-the scalar driver's bits. The scalar driver alone raises the stepper's
-failures (the step budget, the step floor and the safety box): a lane about
-to fail continues from its state on it. A lockstep attempt, crossing search
-included, costs about 1.1 ms at 16 to 96 lanes and 1.6 ms at 312 on
-q2-search's degree-7 fields, a scalar attempt about 40 us (2-vCPU Xeon VM,
-Python 3.11, NumPy 2.4), so the lockstep driver pays from about 38 lanes;
-it hands fewer than _LOCKSTEP_MIN_LANES to the scalar driver.
+(_dense), the interpolant (_interpolant), the two crossing screens
+(_line_screen, _off_segment), the Bernstein coefficients (_line_bernstein)
+and the de Casteljau step of the root search (_value_slope) are written once
+and run on plain floats in the scalar driver (_advance, one loop over the
+steps of one orbit) and entry by entry on NumPy lane arrays in the lockstep
+driver (next_section_crossings, one lane per orbit), which also solves its
+steps for their crossings on the lane arrays (_lane_roots, _single_roots)
+with the scalar search's operations and tests in their order. The initial
+step and the step-size control hold the stepper's only powers, which NumPy
+can round differently from Python: the scalar driver runs them on floats
+(_initial_step, _control), the lockstep driver on lane arrays with the
+powers taken by Python's ** (_initial_steps, _controls). Every lane thus has
+the scalar driver's bits, from its start on. The scalar driver alone raises
+the stepper's failures (the step budget, the step floor and the safety
+box): a lane about to fail continues from its state on it. A lockstep
+attempt, crossing search and lane starts included, costs about 0.85 to
+1.0 ms at 13 to 104 lanes and 1.4 ms at 312 on q2-search's degree-7 fields,
+a scalar attempt about 34 us (2-vCPU Xeon VM, Python 3.11, NumPy 2.4), so
+the lockstep driver pays from about 28 lanes; it hands fewer than
+_LOCKSTEP_MIN_LANES to the scalar driver.
 
 ``integrate`` collects the scalar driver's steps into an Orbit, whose eval
 builds and keeps each step's row of dense output coefficients when a time
@@ -51,8 +53,9 @@ _SAFETY_BOX = 1e3
 _MAX_STEPS = 2_000_000
 # next_section_crossings hands fewer lanes than this to the scalar driver. On
 # q2-search's fields a call with every lane in lockstep and one with every
-# lane on the scalar driver break even at about 38 lanes (2-vCPU Xeon VM); a
-# whole q2-search run is no faster with 32 or 40 here than with 48
+# lane on the scalar driver break even between 26 and 39 lanes, at about 28
+# (2-vCPU Xeon VM); a whole q2-search run was no faster with 32 or 40 here
+# than with 48
 _LOCKSTEP_MIN_LANES = 48
 # a return to the section takes 19-56 attempts on q2-search's fields, an
 # orbit that never returns runs to t_max in about 10^3-10^4; the lanes still
@@ -166,8 +169,8 @@ class Orbit:
     def eval(self, t):
         """Dense-output evaluation at scalar or array t, shaped t's shape + (2,).
 
-        One NumPy Horner over all times, with the operations of _Step.at in
-        its order, so every value has _Step.at's bits. Each time falls in
+        _interpolant on arrays over all times, so every value has the bits
+        of _interpolant on its step's floats. Each time falls in
         the step that ends at or after it (clamped to the first and the
         last). A step's row of coefficients, and its dense output, is built
         on the first eval that needs it and kept with the orbit.
@@ -195,15 +198,15 @@ class _Step:
     K holds the stage derivatives the dense output needs, (k1x, k1y,
     k6x, k6y, ..., k13x, k13y), and f the right-hand side. The dense
     output's coefficients F = ((F0x, ..., F6x), (F0y, ..., F6y)) cost three
-    more RHS calls and are built on first use.
+    more RHS calls and are built on first use, unless given.
     """
 
     __slots__ = ("t_old", "t", "h", "y_old", "y", "K", "f", "_F")
 
-    def __init__(self, t_old, t, y_old, y, K, f):
+    def __init__(self, t_old, t, y_old, y, K, f, F=None):
         self.t_old, self.t, self.h = t_old, t, t - t_old
         self.y_old, self.y, self.K, self.f = y_old, y, K, f
-        self._F = None
+        self._F = F
 
     @property
     def F(self):
@@ -211,21 +214,11 @@ class _Step:
             self._F = _dense(self.f, self.h, self.y_old, self.y, self.K)
         return self._F
 
-    def at(self, s):
-        """The interpolant at s = (t - t_old) / h, as (x, y):
-        y_old + s (F0 + (1 - s) (F1 + s (F2 + (1 - s) (F3 + ...))))."""
-        (f0x, f1x, f2x, f3x, f4x, f5x, f6x), (f0y, f1y, f2y, f3y, f4y, f5y, f6y) = self.F
-        x, y = self.y_old
-        r = 1 - s
-        return ((((((((f6x * s + f5x) * r + f4x) * s + f3x) * r + f2x) * s + f1x) * r + f0x) * s
-                 + x),
-                (((((((f6y * s + f5y) * r + f4y) * s + f3y) * r + f2y) * s + f1y) * r + f0y) * s
-                 + y))
-
 
 def _interpolant(F, x, y, s):
-    """_Step.at on lane arrays: the interpolant with dense output
-    coefficients F from (x, y) at s, one entry per lane, as (x, y)."""
+    """The interpolant with dense output coefficients F from (x, y) at
+    s = (t - t_old) / h, as (x, y): y_old + s (F0 + (1 - s) (F1 + s (F2 +
+    (1 - s) (F3 + ...)))); on floats and, entry by entry, on lane arrays."""
     r = 1 - s
     return tuple(((((((((f6 * s + f5) * r + f4) * s + f3) * r + f2) * s + f1) * r + f0) * s) + v)
                  for (f0, f1, f2, f3, f4, f5, f6), v in zip(F, (x, y)))
@@ -408,54 +401,6 @@ def _start(f, x0, t_bound, tol):
     return 0.0, x, y, k1x, k1y, _initial_step(f, x, y, k1x, k1y, t_bound, tol), False, 0
 
 
-def _resume(f, t, x, y, k1x, k1y, h_abs, rejected, taken, t_bound, tol):
-    """Accepted Dormand-Prince 8(5,3) steps on to t_bound from a stepper state
-    (see _start), as _Steps; k1 = f(x, y), h_abs is the next step size to
-    try, rejected says whether the step from t was rejected before, and
-    taken counts the accepted steps so far.
-
-    The step control is SciPy's DOP853 solver's, operation for operation:
-    its initial step for error order 7, the factor 0.9 * err^(-1/8) clamped
-    to [0.2, 10], no growth right after a rejection, a floor of 10 ulp of t
-    and the combined error norm |h| |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)),
-    e5 and e3 being the fifth- and third-order error estimates scaled by
-    tol * (1 + max |y|) componentwise. Ends when t_bound is reached; raises
-    StepUnderflow when the step falls below that floor or is NaN or the step
-    budget runs out and Divergence when a step ends outside the safety box.
-    """
-    while True:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        if not rejected:
-            if taken == _MAX_STEPS:
-                raise StepUnderflow("step budget exhausted")
-            if t >= t_bound:
-                return
-            h_abs = max(h_abs, min_step)
-        if not h_abs >= min_step:  # a NaN step fails too
-            raise StepUnderflow(f"step size fell below 10 ulp at t={t:.6g}")
-        t_new = min(t + h_abs, t_bound)
-        h = t_new - t
-        x_new, y_new, K, e5x, e5y, e3x, e3y = _attempt(f, x, y, k1x, k1y, h)
-        sx = tol + max(abs(x), abs(x_new)) * tol
-        sy = tol + max(abs(y), abs(y_new)) * tol
-        accepted, h_abs = _control(abs(h), e5x / sx, e5y / sy, e3x / sx, e3y / sy, rejected)
-        rejected = not accepted
-        if rejected:
-            continue
-        step = _Step(t, t_new, (x, y), (x_new, y_new), K, f)
-        t, x, y, k1x, k1y = t_new, x_new, y_new, K[-2], K[-1]
-        taken += 1
-        if abs(x) > _SAFETY_BOX or abs(y) > _SAFETY_BOX:
-            raise Divergence(t, np.array([x, y]), _SAFETY_BOX)
-        yield step
-
-
-def _steps(X, x0, t_bound, tol):
-    """Accepted steps from x0 over [0, t_bound], as _Steps (see _resume)."""
-    f = X.rhs()
-    yield from _resume(f, *_start(f, x0, t_bound, tol), t_bound, tol)
-
-
 def _initial_step(f, x, y, fx, fy, t_bound, tol):
     """SciPy's select_initial_step (Hairer-Norsett-Wanner II.4) for error order 7."""
     sx, sy = tol + abs(x) * tol, tol + abs(y) * tol
@@ -472,8 +417,90 @@ def _initial_step(f, x, y, fx, fy, t_bound, tol):
     return min(100 * h0, h1, t_bound)
 
 
-def _rms(u, v):
-    return math.sqrt(u * u + v * v) / 2 ** 0.5
+def _initial_steps(f, x, y, fx, fy, t_bound, tol):
+    """_initial_step on lane arrays, f the RHS on them: one step per lane,
+    each with _initial_step's bits, and ZeroDivisionError where
+    _initial_step raises it. As in _controls, the power goes through
+    Python's float ** and min and max follow Python's rule."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sx, sy = tol + abs(x) * tol, tol + abs(y) * tol
+        d0 = _rms(x / sx, y / sy, np.sqrt)
+        d1 = _rms(fx / sx, fy / sy, np.sqrt)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.where(t_bound < h0, t_bound, h0)
+        gx, gy = f(x + h0 * fx, y + h0 * fy)
+        d2 = _rms((gx - fx) / sx, (gy - fy) / sy, np.sqrt) / h0
+        tiny = (d1 <= 1e-15) & (d2 <= 1e-15)
+        top = np.where(d2 > d1, d2, d1)
+        if (h0 == 0).any() or (~tiny & (top == 0)).any():
+            raise ZeroDivisionError("float division by zero")
+        small = h0 * 1e-3
+        h1 = np.where(tiny, np.where(small > 1e-6, small, 1e-6),
+                      [v ** (1 / 8) for v in (0.01 / top).tolist()])
+    h = 100 * h0
+    h = np.where(h1 < h, h1, h)
+    return np.where(t_bound < h, t_bound, h)
+
+
+def _rms(u, v, sqrt=math.sqrt):
+    return sqrt(u * u + v * v) / 2 ** 0.5
+
+
+def _advance(f, t, x, y, k1x, k1y, h_abs, rejected, taken, t_bound, tol, kept=None,
+             search=None):
+    """Accepted Dormand-Prince 8(5,3) steps on to t_bound from a stepper state
+    (see _start): k1 = f(x, y), h_abs is the next step size to try, rejected
+    says whether the step from t was rejected before, and taken counts the
+    accepted steps so far. Each accepted step goes into the list kept, if
+    one is given, as a _Step.
+
+    Without search, returns None at t_bound. With search = (geometry,
+    direction_sign, t_offset), each accepted step's dense output is built
+    and the step searched for a crossing (_step_crossing); the first one
+    ends the run as (t_star, point), its step the last one kept, and
+    reaching t_bound without one raises NoCrossing.
+
+    The step control is SciPy's DOP853 solver's, operation for operation:
+    its initial step for error order 7, the factor 0.9 * err^(-1/8) clamped
+    to [0.2, 10], no growth right after a rejection, a floor of 10 ulp of t
+    and the combined error norm |h| |e5|^2 / sqrt(2 (|e5|^2 + 0.01 |e3|^2)),
+    e5 and e3 being the fifth- and third-order error estimates scaled by
+    tol * (1 + max |y|) componentwise. Raises StepUnderflow when the step
+    falls below that floor or is NaN or the step budget runs out and
+    Divergence when a step ends outside the safety box.
+    """
+    while True:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if not rejected:
+            if taken == _MAX_STEPS:
+                raise StepUnderflow("step budget exhausted")
+            if t >= t_bound:
+                if search is None:
+                    return None
+                raise NoCrossing(f"no crossing in (0, {t_bound}]")
+            h_abs = max(h_abs, min_step)
+        if not h_abs >= min_step:  # a NaN step fails too
+            raise StepUnderflow(f"step size fell below 10 ulp at t={t:.6g}")
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+        x_new, y_new, K, e5x, e5y, e3x, e3y = _attempt(f, x, y, k1x, k1y, h)
+        sx = tol + max(abs(x), abs(x_new)) * tol
+        sy = tol + max(abs(y), abs(y_new)) * tol
+        accepted, h_abs = _control(abs(h), e5x / sx, e5y / sy, e3x / sx, e3y / sy, rejected)
+        rejected = not accepted
+        if rejected:
+            continue
+        if abs(x_new) > _SAFETY_BOX or abs(y_new) > _SAFETY_BOX:
+            raise Divergence(t_new, np.array([x_new, y_new]), _SAFETY_BOX)
+        F = None if search is None else _dense(f, h, (x, y), (x_new, y_new), K)
+        if kept is not None:
+            kept.append(_Step(t, t_new, (x, y), (x_new, y_new), K, f, F))
+        if F is not None:
+            hit = _step_crossing(t, h, (x, y), (x_new, y_new), F, f, *search)
+            if hit is not None:
+                return hit
+        t, x, y, k1x, k1y = t_new, x_new, y_new, K[-2], K[-1]
+        taken += 1
 
 
 def _orbit(x0, steps) -> Orbit:
@@ -491,7 +518,10 @@ def integrate(X, x0, t_end: float, tol: float = DEFAULT_TOL) -> Orbit:
     when the orbit leaves the safety box and StepUnderflow when the stepper
     gives up.
     """
-    return _orbit(x0, list(_steps(X, x0, t_end, tol)))
+    f = X.rhs()
+    steps = []
+    _advance(f, *_start(f, x0, t_end, tol), t_end, tol, steps)
+    return _orbit(x0, steps)
 
 
 def _line_screen(y_old, y_new, F, bx, by, nx, ny):
@@ -525,7 +555,7 @@ def _off_segment(y_old, F, bx, by, tx, ty, half):
     u0 + sum_i d_i s^a (1 - s)^b (see _line_roots), u0 = t . (y_old - b),
     d_i = t . F_i, so its modulus is at least |u0| - sum_i |d_i| for any s
     and 1 - s, rounded or not, in [0, 1]. Rounding in the interpolant
-    (_Step.at, _interpolant), the test and this bound stays below a hundred
+    (_interpolant), the test and this bound stays below a hundred
     units of 2^-53 times 1 + half + |bx| + |by| + |x_old - bx| + |y_old - by|
     + sum_i (|F_ix| + |F_iy|): the margin is 2^-40 times that. NaN or inf
     rules nothing out.
@@ -541,8 +571,9 @@ def _off_segment(y_old, F, bx, by, tx, ty, half):
     return abs(ex * tx + ey * ty) - spread > half + margin
 
 
-def _line_roots(step, bx, by, nx, ny, segment=None):
-    """Ascending s in [0, 1] where the step's interpolant crosses the section line.
+def _line_roots(y_old, y_new, F, bx, by, nx, ny, segment=None):
+    """Ascending s in [0, 1] where the interpolant of the step from y_old to
+    y_new with dense output coefficients F crosses the section line.
 
     With s = (t - t_old) / h the normal coordinate of the interpolant is
     g(s) = g0 + sum_i c_i s^a (1 - s)^b, c_i = n . F_i, a degree-7 polynomial;
@@ -560,8 +591,8 @@ def _line_roots(step, bx, by, nx, ny, segment=None):
     roots either when _off_segment says none of its points can lie on the
     segment, as at the line's far crossing on the other side of a cycle.
     """
-    g0, g1, c, ruled_out = _line_screen(step.y_old, step.y, step.F, bx, by, nx, ny)
-    if ruled_out or segment is not None and _off_segment(step.y_old, step.F, bx, by, *segment):
+    g0, g1, c, ruled_out = _line_screen(y_old, y_new, F, bx, by, nx, ny)
+    if ruled_out or segment is not None and _off_segment(y_old, F, bx, by, *segment):
         return []
     return _bernstein_roots(_line_bernstein(g0, g1, c))
 
@@ -639,14 +670,23 @@ def _halves(b):
 
 
 def _value_slope(b, u):
-    """The polynomial with Bernstein coefficients b on [0, 1] and its
-    derivative at u, by de Casteljau's algorithm; on floats and, with b's
-    rows and u lane arrays, entry by entry."""
-    v, w = 1 - u, b
-    while len(w) > 2:
-        w = [p * v + q * u for p, q in zip(w, w[1:])]
-    p, q = w
-    return p * v + q * u, (len(b) - 1) * (q - p)
+    """The polynomial with the eight Bernstein coefficients b on [0, 1] and
+    its derivative at u, by de Casteljau's algorithm written out for degree
+    7, the degree of every crossing polynomial; on floats and, with b's rows
+    and u lane arrays, entry by entry."""
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    v = 1 - u
+    b0, b1, b2, b3, b4, b5, b6 = (b0 * v + b1 * u, b1 * v + b2 * u, b2 * v + b3 * u,
+                                  b3 * v + b4 * u, b4 * v + b5 * u, b5 * v + b6 * u,
+                                  b6 * v + b7 * u)
+    b0, b1, b2, b3, b4, b5 = (b0 * v + b1 * u, b1 * v + b2 * u, b2 * v + b3 * u,
+                              b3 * v + b4 * u, b4 * v + b5 * u, b5 * v + b6 * u)
+    b0, b1, b2, b3, b4 = (b0 * v + b1 * u, b1 * v + b2 * u, b2 * v + b3 * u,
+                          b3 * v + b4 * u, b4 * v + b5 * u)
+    b0, b1, b2, b3 = b0 * v + b1 * u, b1 * v + b2 * u, b2 * v + b3 * u, b3 * v + b4 * u
+    b0, b1, b2 = b0 * v + b1 * u, b1 * v + b2 * u, b2 * v + b3 * u
+    b0, b1 = b0 * v + b1 * u, b1 * v + b2 * u
+    return b0 * v + b1 * u, 7 * (b1 - b0)
 
 
 def _single_root(b):
@@ -752,20 +792,16 @@ def _lane_roots(b):
     return [(cols[rank == k], s[rank == k]) for k in range(rank.max(initial=-1) + 1)]
 
 
-def _geometry(section):
-    """The section as floats: (bx, by, nx, ny, tx, ty, half_length)."""
-    return (*(float(v) for v in section.base), *(float(v) for v in section.normal),
-            *(float(v) for v in section.direction), float(section.half_length))
-
-
-def _step_crossing(step, f, geometry, direction_sign, t_offset):
-    """The step's first crossing that next_section_crossing counts, as
+def _step_crossing(t_old, h, y_old, y_new, F, f, geometry, direction_sign, t_offset):
+    """The first crossing that next_section_crossing counts in the step of
+    size h from (t_old, y_old) to y_new with dense output coefficients F, as
     (t_star, point), or None, which a step that meets the section line only
     off the segment (_off_segment) gives before any root is solved."""
     bx, by, nx, ny, tx, ty, half = geometry
-    for s in _line_roots(step, bx, by, nx, ny, (tx, ty, half)):
-        t_star = step.t_old + s * step.h
-        px, py = step.at(s)
+    x, y = y_old
+    for s in _line_roots(y_old, y_new, F, bx, by, nx, ny, (tx, ty, half)):
+        t_star = t_old + s * h
+        px, py = _interpolant(F, x, y, s)
         if t_star > t_offset and abs((px - bx) * tx + (py - by) * ty) <= half:
             u, v = f(px, py)
             if np.sign(u * nx + v * ny) == np.sign(direction_sign):
@@ -773,30 +809,13 @@ def _step_crossing(step, f, geometry, direction_sign, t_offset):
     return None
 
 
-def _first_crossing(f, steps, section, direction_sign, t_max, t_offset):
-    """next_section_crossing's (t_star, point), searched over the given steps
-    of an orbit of the field whose RHS is f."""
-    geometry = _geometry(section)
-    for step in steps:
-        hit = _step_crossing(step, f, geometry, direction_sign, t_offset)
-        if hit is not None:
-            return hit
-    raise NoCrossing(f"no crossing in (0, {t_max}]")
-
-
-def _keep(steps, kept):
-    """The steps, each appended to the list kept as it is taken."""
-    for step in steps:
-        kept.append(step)
-        yield step
-
-
 def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset):
     """next_section_crossing's (t_star, point), plus the orbit up to the crossing step."""
-    kept = []
-    t_star, p = _first_crossing(X.rhs(), _keep(_steps(X, x0, t_max, tol), kept), section,
-                                direction_sign, t_max, t_offset)
-    return t_star, p, _orbit(x0, kept)
+    f = X.rhs()
+    steps = []
+    t_star, p = _advance(f, *_start(f, x0, t_max, tol), t_max, tol, steps,
+                         (section.geometry, direction_sign, t_offset))
+    return t_star, p, _orbit(x0, steps)
 
 
 def next_section_crossing(
@@ -811,11 +830,12 @@ def next_section_crossing(
 ):
     """First crossing of the section segment with the requested sign.
 
-    ``section`` needs attributes base (2-vector), direction (unit tangent of
-    the segment), half_length and normal (unit normal). A crossing counts
-    when the orbit meets the segment with sign(velocity . normal) equal to
-    direction_sign, at a time strictly greater than t_offset. The hit time is
-    the exact root of the step's dense interpolant on the section line.
+    ``section`` needs the attribute geometry, the segment as the floats
+    (bx, by, nx, ny, tx, ty, half): its middle b, unit normal n, unit
+    tangent t and half-length (cycles.Section). A crossing counts when the
+    orbit meets the segment with sign(velocity . n) equal to direction_sign,
+    at a time strictly greater than t_offset. The hit time is the exact root
+    of the step's dense interpolant on the section line.
 
     Returns (t_star, point). Raises ValueError unless t_max > 0, tol > 0 and
     x0 is finite, and an OrbitFailure: NoCrossing, Divergence or StepUnderflow.
@@ -823,9 +843,9 @@ def next_section_crossing(
     private list _kept, which the steps are appended to up to the crossing
     step.
     """
-    steps = _steps(X, x0, t_max, tol)
-    return _first_crossing(X.rhs(), steps if _kept is None else _keep(steps, _kept), section,
-                           direction_sign, t_max, t_offset)
+    f = X.rhs()
+    return _advance(f, *_start(f, x0, t_max, tol), t_max, tol, _kept,
+                    (section.geometry, direction_sign, t_offset))
 
 
 def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEFAULT_TOL,
@@ -836,18 +856,17 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     OrbitFailure: each lane's (t_star, point) in order, ending with that
     failure if one occurs, all bit for bit as next_section_crossing gives
     them. Lanes whose fields share their monomials (field.lane_evaluators)
-    step in lockstep as NumPy arrays with one entry per lane, through the
-    kernels the scalar driver runs on floats (_attempt, _dense,
-    _line_screen, _off_segment, _line_bernstein and _value_slope), with
-    _controls for _control; _lane_roots and _interpolant solve the steps
-    for their crossings on the arrays too. Each lane keeps its own time, step size,
-    rejection flag and step count, and leaves the arrays at its crossing, or
-    when it is about to fail: the scalar driver then continues from its
-    state and raises the failure, and the later lanes of its row are
-    dropped. Once
-    fewer than _LOCKSTEP_MIN_LANES lanes run, or after
-    _LOCKSTEP_MAX_ATTEMPTS attempts, the lanes left continue on the scalar
-    driver, row by row. Every lane's scalar work runs on its field's
+    start and step in lockstep as NumPy arrays with one entry per lane,
+    through the kernels the scalar driver runs on floats (_attempt, _dense,
+    _interpolant, _line_screen, _off_segment, _line_bernstein and
+    _value_slope), with _initial_steps for _initial_step and _controls for
+    _control; _lane_roots solves the steps for their crossings on the
+    arrays too. Each lane keeps its own time, step size, rejection flag and
+    step count, and leaves the arrays at its crossing, or when it is about
+    to fail: the scalar driver then continues from its state and raises the
+    failure, and the later lanes of its row are dropped. Once fewer than
+    _LOCKSTEP_MIN_LANES lanes run, or after _LOCKSTEP_MAX_ATTEMPTS
+    attempts, the lanes left continue on the scalar driver, row by row. Every lane's scalar work runs on its field's
     evaluator from lane_evaluators, so no field compiles its own rhs(). A
     caller that has grouped the fields already hands them over as the
     private _groups = (fields, lane_evaluators(fields)), fields holding every
@@ -871,10 +890,9 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
 
     def finish(i, state):
         r, k, _, _, sign = lanes[i]
-        f = rhs[field_of[i]]
         try:
-            found[r, k] = _first_crossing(f, _resume(f, *state, t_max, tol), section, sign,
-                                          t_max, t_offset)
+            found[r, k] = _advance(rhs[field_of[i]], *state, t_max, tol, None,
+                                   (section.geometry, sign, t_offset))
         except OrbitFailure as exc:
             found[r, k] = exc
             cut[r] = min(cut[r], k)
@@ -882,10 +900,11 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     for members, select in groups:
         member = dict(zip(members, range(len(members))))
         group = [i for i, m in enumerate(field_of) if m in member]
-        running = [(i, _start(rhs[field_of[i]], lanes[i][3], t_max, tol)) for i in group]
-        if select is not None and len(running) >= _LOCKSTEP_MIN_LANES:
-            running = _lockstep(select, [member[field_of[i]] for i in group], lanes, running,
-                                _geometry(section), t_max, t_offset, tol, found, cut, finish)
+        if select is not None and len(group) >= _LOCKSTEP_MIN_LANES:
+            running = _lockstep(select, [member[field_of[i]] for i in group], lanes, group,
+                                section.geometry, t_max, t_offset, tol, found, cut, finish)
+        else:
+            running = [(i, _start(rhs[field_of[i]], lanes[i][3], t_max, tol)) for i in group]
         for i, state in sorted(running):
             r, k = lanes[i][:2]
             if k < cut[r]:
@@ -894,23 +913,30 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
             for r, row in enumerate(rows)]
 
 
-def _lockstep(select, member, lanes, running, geometry, t_max, t_offset, tol, found, cut,
-              finish):
+def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, found, cut, finish):
     """Steps one group of next_section_crossings' lanes together.
 
-    running lists (lane index, stepper state) in lane order, member each
-    lane's position in the group and select gives the group's RHS on lane
-    arrays. Crossings go into found by (row, position), and a lane about to
-    fail goes to finish with its state. Returns the lanes left running,
-    with their states.
+    group lists the lanes' indices in lane order, member each lane's
+    position in the group, and select gives the group's RHS on lane arrays
+    and, by position, on floats. The lanes start on the arrays with _start's
+    bits (_initial_steps), or raise the error that _start raises first in
+    lane order. Crossings go into found by (row, position), and a lane
+    about to fail goes to finish with its stepper state. Returns the lanes
+    left running, with their states.
     """
     bx, by, nx, ny, tx, ty, half = geometry
-    ids = np.array([i for i, _ in running])
-    row, col = (np.array([lanes[i][k] for i in ids]) for k in (0, 1))
-    direction = np.array([np.sign(lanes[i][4]) for i in ids], dtype=float)
+    ids = np.array(group)
+    row, col = (np.array([lanes[i][k] for i in group]) for k in (0, 1))
+    direction = np.array([np.sign(lanes[i][4]) for i in group], dtype=float)
     member = np.array(member)
-    t, x, y, k1x, k1y, h_abs, rejected, taken = map(np.array, zip(*(s for _, s in running)))
+    x, y = (np.array([float(lanes[i][3][k]) for i in group]) for k in (0, 1))
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not (t_max > 0 and tol > 0 and finite.all()):
+        # the scalar starts in lane order raise by the first bad lane
+        for j in range(int((~finite).argmax()) + 1):
+            _start(select(int(member[j])), lanes[group[j]][3], t_max, tol)
     f = select(member)
+    t, rejected, taken = np.zeros(ids.size), np.zeros(ids.size, dtype=bool), np.zeros_like(ids)
 
     def state(j):
         return (int(ids[j]), (float(t[j]), float(x[j]), float(y[j]), float(k1x[j]), float(k1y[j]),
@@ -918,6 +944,8 @@ def _lockstep(select, member, lanes, running, geometry, t_max, t_offset, tol, fo
 
     # overflow in an attempt that will be rejected stays silent, as on floats
     with np.errstate(over="ignore", invalid="ignore"):
+        k1x, k1y = f(x, y)
+        h_abs = _initial_steps(f, x, y, k1x, k1y, t_max, tol)
         for _ in range(_LOCKSTEP_MAX_ATTEMPTS):
             if ids.size < _LOCKSTEP_MIN_LANES:
                 break

@@ -36,6 +36,19 @@ def test_section_construction_and_transversality(ck):
         sec_bad.check_transversal(ck[1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2 * math.pi),
+       st.floats(-1.0, 1.0))
+def test_section_geometry_has_point_at_bits(bx, by, angle, xi):
+    sec = cy.Section(base=(bx, by), direction=(math.cos(angle), math.sin(angle)),
+                     half_length=0.5)
+    gx, gy, nx, ny, tx, ty, half = sec.geometry
+    assert np.array([gx + xi * tx, gy + xi * ty]).tobytes() == sec.point_at(xi).tobytes()
+    assert np.array([nx, ny]).tobytes() == sec.normal.tobytes()
+    assert np.array([gx, gy, tx, ty, half]).tobytes() == np.array(
+        [*sec.base, *sec.direction, sec.half_length]).tobytes()
+
+
 def test_return_map_examples(ck, section):
     assert cy.return_map(ck[1], section, 0.0) == pytest.approx(0.0, abs=1e-10)
     pi_neg = cy.return_map(ck[1], section, -0.5)

@@ -257,3 +257,19 @@ def test_lane_rhs_is_rhs_bit_for_bit(fields, picks):
             ref = [v.hex() for v in fields[members[pos]].rhs()(x, y)]
             assert [float(v[k]).hex() for v in got] == ref
             assert [v.hex() for v in select(pos)(x, y)] == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_lane_group(), min_size=1, max_size=3).map(lambda gs: sum(gs, [])))
+@example([fd.ck_system(3), fd.PolyVectorField(parse_poly("x^3 + 2*x*y - y^4"),
+                                              parse_poly("x^2 - 3*y"))])
+def test_lane_coefficient_matrix_is_filled_cell_by_cell(fields):
+    """A group's coefficient matrix holds, per cell of its plan and member,
+    that member's coefficient or 0.0, by bytes."""
+    for members, select in fd.lane_evaluators(fields):
+        if select is None:
+            continue
+        coeffs, plan = select.__defaults__[:2]
+        components = [(fields[m].P.coeffs, fields[m].Q.coeffs) for m in members]
+        ref = np.array([[pq[c].get((i, j), 0.0) for pq in components] for c, i, j in plan.cells])
+        assert coeffs.shape == ref.shape and coeffs.tobytes() == ref.tobytes()

@@ -264,15 +264,21 @@ def test_stepper_matches_scipy_reference(ck, name, tol):
     assert counted.calls == ref.nfev
 
 
+def _at(step, s):
+    """The step's interpolant at s on floats."""
+    return flow._interpolant(step.F, *step.y_old, s)
+
+
 def _eval_by_steps(orbit, t):
-    """Orbit.eval's reference: each time through its own step's _Step.at."""
+    """Orbit.eval's reference: each time through its own step's interpolant,
+    on floats."""
     ts = np.asarray(t, dtype=float).ravel()
     idx = np.clip(np.searchsorted(orbit.times[1:], ts, side="left"), 0,
                   len(orbit._segments) - 1)
     out = np.empty((ts.size, 2))
     for k, (i, tk) in enumerate(zip(idx.tolist(), ts.tolist())):
         step = orbit._segments[i]
-        out[k] = step.at((tk - step.t_old) / step.h)
+        out[k] = _at(step, (tk - step.t_old) / step.h)
     return out.reshape(np.shape(t) + (2,))
 
 
@@ -297,6 +303,90 @@ def test_orbit_eval_builds_only_the_steps_it_needs(ck):
     orb.eval(step.t_old + step.h * np.array([0.1, 0.5, 1.0]))
     # the dense output costs 3 RHS calls per step it is built for
     assert [k for k, s in enumerate(orb._segments) if s._F is not None] == [i]
+
+
+def _reference_steps(f, x0, t_bound, tol):
+    """Each accepted step as (t_old, t, y_old, y, K), one attempt after the
+    other through _attempt and _control, with the step rules of SciPy's
+    DOP853 solver written out; for orbits that do not fail."""
+    t, x, y, k1x, k1y, h_abs, rejected, _ = flow._start(f, x0, t_bound, tol)
+    while rejected or t < t_bound:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if not rejected:
+            h_abs = max(h_abs, min_step)
+        t_new = min(t + h_abs, t_bound)
+        x_new, y_new, K, e5x, e5y, e3x, e3y = flow._attempt(f, x, y, k1x, k1y, t_new - t)
+        sx = tol + max(abs(x), abs(x_new)) * tol
+        sy = tol + max(abs(y), abs(y_new)) * tol
+        accepted, h_abs = flow._control(abs(t_new - t), e5x / sx, e5y / sy, e3x / sx,
+                                        e3y / sy, rejected)
+        rejected = not accepted
+        if accepted:
+            yield t, t_new, (x, y), (x_new, y_new), K
+            t, x, y, k1x, k1y = t_new, x_new, y_new, K[-2], K[-1]
+
+
+def _reference_crossing(f, x0, section, sign, t_max, tol, t_offset):
+    """(t_star, point, steps up to its own) of next_section_crossing, step by
+    step: each step's dense output, its roots on the segment (_line_roots)
+    in ascending order, and each root tested as next_section_crossing says."""
+    bx, by, nx, ny, tx, ty, half = section.geometry
+    steps = []
+    for t_old, t, y_old, y, K in _reference_steps(f, x0, t_max, tol):
+        F = flow._dense(f, t - t_old, y_old, y, K)
+        steps.append((t_old, t, y_old, y, K, F))
+        for s in flow._line_roots(y_old, y, F, bx, by, nx, ny, (tx, ty, half)):
+            t_star = t_old + s * (t - t_old)
+            px, py = flow._interpolant(F, *y_old, s)
+            if t_star > t_offset and abs((px - bx) * tx + (py - by) * ty) <= half:
+                u, v = f(px, py)
+                if np.sign(u * nx + v * ny) == sign:
+                    return t_star, (px, py), steps
+    raise flow.NoCrossing
+
+
+def _bytes(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", ["CK(3)", "q2"])
+def test_scalar_loop_matches_step_by_step_reference(ck, name):
+    """integrate's steps, next_section_crossing's crossings and
+    _crossing_orbit's orbit, by bytes, against the step-by-step reference."""
+    from cyclelab.discriminant import _perturb_coeffs
+
+    X = ck[3] if name == "CK(3)" else _perturb_coeffs(ck[3], np.random.default_rng(5), 1e-3)
+    f = X.rhs()
+    ref = list(_reference_steps(f, (0.8, 0.1), 12.0, 1e-10))
+    orb = flow.integrate(X, (0.8, 0.1), 12.0)
+    assert orb.times.tobytes() == _bytes(0.0, *(r[1] for r in ref))
+    assert orb.states.tobytes() == _bytes((0.8, 0.1), *(r[3] for r in ref))
+    assert [(s.t_old, s.y_old, s.K) for s in orb._segments] == [(r[0], r[2], r[4]) for r in ref]
+    for xi in (-0.3, 0.0, 0.25):
+        x0 = SEC.point_at(xi)
+        t_star, p, steps = _reference_crossing(f, x0, SEC, +1, 30.0, 1e-10, 1e-6)
+        got = flow.next_section_crossing(X, x0, SEC, +1, 30.0, 1e-10, 1e-6)
+        assert (got[0].hex(), got[1].tobytes()) == (t_star.hex(), _bytes(*p))
+        t_orbit, p_orbit, orbit = flow._crossing_orbit(X, x0, SEC, +1, 30.0, 1e-10, 1e-6)
+        assert (t_orbit.hex(), p_orbit.tobytes()) == (t_star.hex(), _bytes(*p))
+        assert orbit.times.tobytes() == _bytes(0.0, *(r[1] for r in steps))
+        assert orbit.states.tobytes() == _bytes(x0, *(r[3] for r in steps))
+        assert [s.F for s in orbit._segments] == [r[5] for r in steps]
+
+
+@pytest.mark.parametrize("xi, rhs_calls, dense_builds", [(-0.2, 304, 20), (0.1, 289, 19)])
+def test_return_work_counts(ck, monkeypatch, xi, rhs_calls, dense_builds):
+    """d(xi) of CK(3) on the split pipeline's section at tol 1e-10: RHS
+    calls, the crossing sign's included, and dense output builds."""
+    from cyclelab import cycles as cy
+
+    section = cy.section_for_field(ck[3], (1.0, 0.0), 0.55)
+    counted = _CountedField(ck[3])
+    dense = flow._dense
+    built = []
+    monkeypatch.setattr(flow, "_dense", lambda *args: built.append(1) or dense(*args))
+    cy.displacement(counted, section, xi, 1e-10)
+    assert (counted.calls, len(built)) == (rhs_calls, dense_builds)
 
 
 # The generic form of flow._line_roots: F_i multiplies s^a (1 - s)^b,
@@ -358,7 +448,7 @@ def test_line_roots_match_generic_formula(ck):
         bx, by, nx, ny = float(bx), float(by), float(nx), float(ny)
         for step in orb._segments:
             ruled_out, ref = _line_roots_generic(step, bx, by, nx, ny)
-            assert flow._line_roots(step, bx, by, nx, ny) == ref
+            assert flow._line_roots(step.y_old, step.y, step.F, bx, by, nx, ny) == ref
             seen["ruled out" if ruled_out else len(ref)] += 1
     assert min(seen.values()) > 0, seen
 
@@ -405,8 +495,8 @@ def test_off_segment_screen_skips_no_crossing(name, where, s0, angle, tau, flat,
     crossing; with flat, the step's dense output loses its part along the
     line, so that the screen's bound is tight up to rounding. A step the
     screen rules out holds no root, nor any point of 33 others in [0, 1],
-    that passes _step_crossing's segment test, by _Step.at or by
-    _interpolant, and the lane kernel decides as the float kernel does."""
+    that passes _step_crossing's segment test, by _interpolant on floats or
+    on lane arrays, and the lane kernel decides as the float kernel does."""
     steps = _screen_steps(name)
     step = steps[min(int(where * len(steps)), len(steps) - 1)]
     tx, ty = math.cos(angle), math.sin(angle)
@@ -417,13 +507,13 @@ def test_off_segment_screen_skips_no_crossing(name, where, s0, angle, tau, flat,
         (x, y), (f0x, f0y) = step.y_old, (F[0][0], F[1][0])
         step = flow._Step(step.t_old, step.t, step.y_old, (x + f0x, y + f0y), None, None)
         step._F = F
-    px, py = step.at(s0)
+    px, py = _at(step, s0)
     bx, by = px - tau * tx, py - tau * ty
-    roots = flow._line_roots(step, bx, by, nx, ny)
+    roots = flow._line_roots(step.y_old, step.y, step.F, bx, by, nx, ny)
     if isinstance(half, str):
         if not roots:
             return
-        qx, qy = step.at(roots[0])
+        qx, qy = _at(step, roots[0])
         at = abs((qx - bx) * tx + (qy - by) * ty)
         half = {"at": at, "below": math.nextafter(at, 0.0), "above": math.nextafter(at, math.inf),
                 "below 1e-12": at - 1e-12, "above 1e-12": at + 1e-12}[half]
@@ -438,7 +528,7 @@ def test_off_segment_screen_skips_no_crossing(name, where, s0, angle, tau, flat,
                                np.full(s.size, step.y_old[0]), np.full(s.size, step.y_old[1]), s)
     assert not _segment_test(lx, ly, bx, by, tx, ty, half).any()
     for u in s.tolist():
-        assert not _segment_test(*step.at(u), bx, by, tx, ty, half)
+        assert not _segment_test(*_at(step, u), bx, by, tx, ty, half)
 
 
 _screen_value = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-3, 1e-3),
@@ -476,7 +566,8 @@ def test_crossing_at_the_segment_end(end, hit):
     step._F = ((0.0,) * 7, (1.0,) + (0.0,) * 6)
     geometry = (0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.55)
     assert not flow._off_segment(step.y_old, step.F, 0.0, 0.0, 1.0, 0.0, 0.55)
-    got = flow._step_crossing(step, lambda x, y: (0.0, 1.0), geometry, +1, 0.0)
+    got = flow._step_crossing(step.t_old, step.h, step.y_old, step.y, step.F,
+                              lambda x, y: (0.0, 1.0), geometry, +1, 0.0)
     if hit:
         assert (got[0], got[1].tolist()) == (0.5, [end, 0.0])
     else:
@@ -490,7 +581,8 @@ def test_far_crossing_is_never_solved(ck, monkeypatch):
     kept = []
     args = (ck[3], SEC.point_at(0.1), SEC, +1, 10.0, 1e-10, 1e-6)
     flow.next_section_crossing(*args, _kept=kept)
-    line = [(s, step.at(s)[0]) for step in kept for s in flow._line_roots(step, 1.0, 0.0, 0.0, 1.0)]
+    line = [(s, _at(step, s)[0]) for step in kept
+            for s in flow._line_roots(step.y_old, step.y, step.F, 1.0, 0.0, 0.0, 1.0)]
     assert sum(x < 0 for _, x in line) == 1
     solved = []
     roots = flow._bernstein_roots
@@ -761,6 +853,101 @@ def test_lockstep_rejects_bad_arguments(ck):
             flow.next_section_crossings(rows, SEC, **kw)
     assert flow.next_section_crossings([], SEC) == []
     assert flow.next_section_crossings([[]], SEC) == [[]]
+
+
+@pytest.mark.parametrize("min_lanes", [1, flow._LOCKSTEP_MIN_LANES])
+def test_lane_starts_raise_the_first_bad_lanes_error(ck, monkeypatch, min_lanes):
+    """Lanes that start on arrays raise what the scalar starts raise first
+    in lane order."""
+    monkeypatch.setattr(flow, "_LOCKSTEP_MIN_LANES", min_lanes)
+    good = SEC.point_at(0.1)
+    rows = [[(ck[3], good, +1), (ck[3], (np.nan, 0.0), +1)], [(ck[3], (0.0, np.inf), +1)]]
+    with pytest.raises(ValueError, match=r"^the start point \(nan, 0\.0\) must be finite$"):
+        flow.next_section_crossings(rows, SEC, **_LOCKSTEP_KW)
+    rows = [[(ck[3], good, +1)] * 3]
+    for kw, message in ((dict(t_max=0.0), "the time bound"), (dict(tol=0.0), "tol")):
+        with pytest.raises(ValueError, match=f"^{message} must be > 0$"):
+            flow.next_section_crossings(rows, SEC, **{**_LOCKSTEP_KW, **kw})
+
+
+def _initial_step_reference(lanes, t_bound, tol):
+    """_initial_step on each lane (x, y, fx, fy, a, b, c, d), whose RHS is
+    (a x + b, c y + d), or the type of the first error it raises."""
+    try:
+        return [flow._initial_step(lambda u, v, a=a, b=b, c=c, d=d: (a * u + b, c * v + d),
+                                   x, y, fx, fy, t_bound, tol).hex()
+                for x, y, fx, fy, a, b, c, d in lanes]
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+_start_value = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-12, 1e-12),
+                         st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[_start_value] * 8), min_size=1, max_size=12),
+       st.sampled_from([1e-9, 1e-4, 0.5, 200.0, 1e300]),
+       st.sampled_from([1e-12, 1e-10, 1e-6, 1.0]))
+# d0 and d1 below 1e-5, d1 and d2 at most 1e-15; then the step above t_bound
+@example([(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0, 1.0, -1.0, 2.0, -1.0),
+          (0.7, -0.2, 0.3, -0.4, 1.0, 0.0, 1.0, 0.0), (1e-300, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+          (0.7, -0.2, np.nan, 0.4, 1.0, 0.0, 1.0, 0.0),
+          (0.7, -0.2, 0.3, 0.4, 1.0, np.inf, 1.0, 0.0)], 200.0, 1e-10)
+@example([(0.7, -0.2, 0.3, -0.4, 1.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)],
+         1e-9, 1e-10)
+# d1 = inf gives h0 = 0; d1 = 0 with d2 NaN divides 0.01 by max(d1, d2) = 0
+@example([(0.7, -0.2, 0.3, -0.4, 1.0, 0.0, 1.0, 0.0), (0.7, -0.2, np.inf, 0.0, 1.0, 0.0, 1.0, 0.0)],
+         200.0, 1e-10)
+@example([(0.7, -0.2, 0.0, 0.0, 1.0, np.nan, 1.0, 0.0)], 200.0, 1e-10)
+def test_lane_initial_steps_are_initial_step(lanes, t_bound, tol):
+    """The initial step on lane arrays gives _initial_step's bits on every
+    lane and raises where _initial_step raises, with no RuntimeWarning."""
+    ref = _initial_step_reference(lanes, t_bound, tol)
+    x, y, fx, fy, a, b, c, d = (np.array(v, dtype=float) for v in zip(*lanes))
+
+    def f(u, v):
+        return a * u + b, c * v + d
+
+    if isinstance(ref, type):
+        with pytest.raises(ref):
+            flow._initial_steps(f, x, y, fx, fy, t_bound, tol)
+        return
+    got = flow._initial_steps(f, x, y, fx, fy, t_bound, tol)
+    assert [v.hex() for v in got.tolist()] == ref
+
+
+def _value_slope_generic(b, u):
+    """de Casteljau's algorithm for any degree, as a loop."""
+    v, w = 1 - u, b
+    while len(w) > 2:
+        w = [p * v + q * u for p, q in zip(w, w[1:])]
+    p, q = w
+    return p * v + q * u, (len(b) - 1) * (q - p)
+
+
+_casteljau_value = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-300, 1e-300),
+                             st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                                              -5e-324, 1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(_casteljau_value, min_size=8, max_size=8),
+                          st.one_of(st.floats(0.0, 1.0), _casteljau_value)),
+                min_size=1, max_size=12))
+@example([([1.0, 2.0, -3.0, 0.5, 0.0, -0.0, 7.0, -1.0], 0.3),
+          ([0.0] * 8, -0.0), ([-0.0] * 8, 0.5), ([np.inf, -np.inf] * 4, 0.5),
+          ([np.nan] + [1.0] * 7, 0.25), ([5e-324] * 8, 1.0), ([1.0] * 8, 5e-324)])
+def test_value_slope_is_de_casteljau_on_floats_and_lanes(rows):
+    """The written-out degree-7 de Casteljau step against the generic loop,
+    on floats and on lane arrays, bit for bit."""
+    ref = [[v.hex() for v in _value_slope_generic(b, u)] for b, u in rows]
+    assert [[v.hex() for v in flow._value_slope(b, u)] for b, u in rows] == ref
+    b = np.array([b for b, _ in rows]).T
+    u = np.array([u for _, u in rows])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, slope = flow._value_slope(b, u)
+    assert [[g.hex(), s.hex()] for g, s in zip(value.tolist(), slope.tolist())] == ref
 
 
 def _control_reference(rows):

@@ -168,6 +168,17 @@ def test_find_convergence_check_is_at_the_integrator_tol(raw):
     assert rep.all_passed
 
 
+@pytest.mark.parametrize("system", ["CK(3)", "CK(5)"])
+def test_find_labels_a_multiple_cycle_non_hyperbolic(system):
+    # off the seed grid the census root lies in the multiple cycle's noise
+    # band, where the exponent's sign tells nothing about the cycle
+    rep = lab.run_pipeline(lab.ExperimentConfig.from_dict(
+        {"pipeline": "find", "system": system, "xi_range": [-0.29, 0.31]}))
+    (cycle,) = rep.payload["census"]["cycles"]
+    assert cycle["multiplicity"] > 1 and abs(cycle["xi_star"]) > 1e-4
+    assert cycle["stability"] == "non-hyperbolic"
+
+
 def test_find_displacement_csv_is_at_the_integrator_tol(tmp_path):
     # the side file samples d(xi) at the tolerance the census ran at
     tol = 1e-8
