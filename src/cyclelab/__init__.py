@@ -30,8 +30,7 @@ from .annulus import Annulus, build_trapping_annulus, verify_annulus    # noqa: 
 # the discriminant *function* lives one level down (cyclelab.discriminant is
 # the submodule): from cyclelab.discriminant import discriminant
 from .discriminant import (                                             # noqa: F401,E402
-    MonicPoly, real_root_census, root_count_congruence, has_repeated_root,
-    fit_displacement_poly, phi, q2_search,
+    MonicPoly, real_root_census, root_count_congruence, fit_displacement_poly, q2_search,
 )
 from .lab import (                                                      # noqa: F401,E402
     ExperimentConfig, Report, build_numeric_F, run_pipeline,

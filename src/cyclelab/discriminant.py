@@ -15,7 +15,11 @@ state the odd-degree congruence rules for the unsigned resultant instead;
 with the present convention the admissible counts for odd d are r = d (mod 4)
 when Delta > 0 and r = d - 2 (mod 4) when Delta < 0 (witness: x^3 - x has
 Delta = 4 and three real roots). The sign law here is validated against the
-Sturm census on large random sweeps.
+Sturm census on large random sweeps. The census (Sturm's theorem; Basu,
+Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 2) runs on plain
+floats: its remainders take NumPy polydiv's operations in its order, so
+they have its bits, NaN and inf included, without its cost per call on a
+handful of coefficients, and its signs follow np.sign's rules.
 
 The monic degree-d polynomial fitted to displacement samples plays the role
 of the cycle-structure factor of the displacement map: dividing the
@@ -24,10 +28,10 @@ smooth unit, and its roots track the section fixed points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyroots
 
 from . import cycles as _cycles
 from . import flow as _flow
@@ -109,31 +113,67 @@ def discriminant(p: MonicPoly) -> float:
     return sign * res
 
 
-def _sturm_chain(p: MonicPoly) -> list[np.ndarray]:
-    """Euclidean remainder chain; remainders normalized to unit max coefficient
-    (positive scaling preserves sign counts)."""
-    chain = [p.full_coeffs()]
-    dp = p.derivative_coeffs()
-    if np.max(np.abs(dp)) > 0:
-        chain.append(dp / np.max(np.abs(dp)))
+def _max_abs(c) -> float:
+    """np.max(np.abs(c)) of floats: NaN when c holds a NaN."""
+    return max(map(abs, c)) if all(v == v for v in c) else math.nan
+
+
+def _trim(c: list) -> list:
+    """c without its trailing zeros, but at least its first entry
+    (numpy.polynomial.polyutils.trimseq)."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _remainder(a: list, b: list) -> list:
+    """The remainder of a by b, ascending coefficients, with the operations
+    of numpy.polynomial.polynomial.polydiv in its order, on floats."""
+    a, b = _trim(a), _trim(b)
+    n = len(b) - 1
+    if len(a) <= n:
+        return a
+    if n == 0:
+        return [a[0] * 0]
+    lead = b[-1]
+    b = [v / lead for v in b[:-1]]
+    for i in range(len(a) - n - 1, -1, -1):
+        q = a[i + n]
+        for k in range(n):
+            a[i + k] = a[i + k] - b[k] * q
+    return _trim(a[:n])
+
+
+def _sturm_chain(p: MonicPoly) -> list[list[float]]:
+    """Euclidean remainder chain as lists of floats, ascending; remainders,
+    NumPy polydiv's bit for bit (_remainder), normalized to unit max
+    coefficient (positive scaling preserves sign counts)."""
+    c = [*p.coeffs, 1.0]
+    dp = [v * k for k, v in enumerate(c) if k]
+    m = _max_abs(dp)  # at least p's degree: p' leads with it
+    chain = [c, [v / m for v in dp]]
     eps = 1e-13
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
-        scale = max(np.max(np.abs(a)), 1.0)
-        _, rem = np.polynomial.polynomial.polydiv(a, b)
+        scale = max(_max_abs(a), 1.0)
+        rem = _remainder(a, b)
         # trim numerically-zero leading coefficients
         while len(rem) > 1 and abs(rem[-1]) < eps * scale:
             rem = rem[:-1]
         if len(rem) == 1 and abs(rem[0]) < eps * scale:
             break  # nonconstant gcd: p has a repeated root
-        m = np.max(np.abs(rem))
-        chain.append(-rem / m)
+        m = _max_abs(rem)
+        # rem is all zeros only when scale is NaN, and 0/0 is NaN in NumPy
+        chain.append([-v / m for v in rem] if m else [math.nan] * len(rem))
     return chain
 
 
 def _sign_variations(values) -> int:
-    signs = [s for s in np.sign(values) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+    """Sign changes along values by np.sign's rules: zeros skipped, and a
+    NaN kept as a sign that changes against neither neighbour."""
+    signs = [v for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a < 0 < b or b < 0 < a)
 
 
 def real_root_census(p: MonicPoly) -> int:
@@ -146,25 +186,6 @@ def real_root_census(p: MonicPoly) -> int:
     at_pinf = [c[-1] for c in chain]
     at_minf = [c[-1] * (-1.0) ** (len(c) - 1) for c in chain]
     return _sign_variations(at_minf) - _sign_variations(at_pinf)
-
-
-def has_repeated_root(p: MonicPoly, tol: float = 1e-10) -> bool:
-    """Nonconstant gcd(p, p'), probed at the critical points.
-
-    p shares a root with p' exactly when p vanishes at some zero of p', so
-    the flag is min over critical points c of |p(c)| relative to the local
-    coefficient scale. This is numerically much better conditioned than
-    thresholding the Euclidean remainder cascade (a float-rounded double
-    root splits into simple roots ~ sqrt(eps) apart, which still registers
-    here: |p(c)| ~ separation^2).
-    """
-    crit = polyroots(p.derivative_coeffs())
-    crit = crit[np.abs(crit.imag) < 1e-8].real
-    if crit.size == 0:
-        return False
-    scale = float(np.max(np.abs(p.full_coeffs())))
-    local = scale * (1.0 + np.abs(crit)) ** p.degree
-    return bool(np.any(np.abs(p(crit)) < tol * local))
 
 
 def root_count_congruence(d: int, delta_sign: int) -> tuple[int, ...]:
@@ -261,13 +282,6 @@ def displacement_samples(X, section, d: int, window: float, center: float = 0.0,
             if not skip_failures:
                 raise
     return out
-
-
-def phi(X, section, d: int, window: float = 0.025, center: float = 0.0,
-        tol=_flow.DEFAULT_TOL) -> float:
-    """Discriminant of the monic degree-d displacement fit near the cycle."""
-    samples = displacement_samples(X, section, d, window, center, tol=tol)
-    return discriminant(fit_displacement_poly(samples, d))
 
 
 @dataclass

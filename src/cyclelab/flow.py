@@ -12,7 +12,8 @@ and run on plain floats in the scalar driver (_advance, one loop over the
 steps of one orbit) and entry by entry on NumPy lane arrays in the lockstep
 driver (next_section_crossings, one lane per orbit), which also solves its
 steps for their crossings on the lane arrays (_lane_roots, _single_roots)
-with the scalar search's operations and tests in their order. The initial
+with the scalar search's operations and tests in their order; an attempt
+runs the search only when the screens leave it a lane to search. The initial
 step and the step-size control hold the stepper's only powers, which NumPy
 can round differently from Python: the scalar driver runs them on floats
 (_initial_step, _control), the lockstep driver on lane arrays with the
@@ -20,10 +21,10 @@ powers taken by Python's ** (_initial_steps, _controls). Every lane thus has
 the scalar driver's bits, from its start on. The scalar driver alone raises
 the stepper's failures (the step budget, the step floor and the safety
 box): a lane about to fail continues from its state on it. A lockstep
-attempt, crossing search and lane starts included, costs about 0.85 to
-1.0 ms at 13 to 104 lanes and 1.4 ms at 312 on q2-search's degree-7 fields,
-a scalar attempt about 34 us (2-vCPU Xeon VM, Python 3.11, NumPy 2.4), so
-the lockstep driver pays from about 28 lanes; it hands fewer than
+attempt, crossing search and lane starts included, costs about 0.9 to
+1.0 ms at 13 to 104 lanes and 1.3 ms at 312 on q2-search's degree-7 fields,
+a scalar attempt about 35 us (2-vCPU Xeon VM, Python 3.11, NumPy 2.4), so
+the lockstep driver pays from about 27 to 31 lanes; it hands fewer than
 _LOCKSTEP_MIN_LANES to the scalar driver.
 
 ``integrate`` collects the scalar driver's steps into an Orbit, whose eval
@@ -53,9 +54,9 @@ _SAFETY_BOX = 1e3
 _MAX_STEPS = 2_000_000
 # next_section_crossings hands fewer lanes than this to the scalar driver. On
 # q2-search's fields a call with every lane in lockstep and one with every
-# lane on the scalar driver break even between 26 and 39 lanes, at about 28
-# (2-vCPU Xeon VM); a whole q2-search run was no faster with 32 or 40 here
-# than with 48
+# lane on the scalar driver break even between 26 and 39 lanes, at about 27
+# to 31 (2-vCPU Xeon VM); a whole q2-search run was no faster with 24, 32,
+# 40 or 64 here than with 48
 _LOCKSTEP_MIN_LANES = 48
 # a return to the section takes 19-56 attempts on q2-search's fields, an
 # orbit that never returns runs to t_max in about 10^3-10^4; the lanes still
@@ -920,9 +921,11 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
     position in the group, and select gives the group's RHS on lane arrays
     and, by position, on floats. The lanes start on the arrays with _start's
     bits (_initial_steps), or raise the error that _start raises first in
-    lane order. Crossings go into found by (row, position), and a lane
-    about to fail goes to finish with its stepper state. Returns the lanes
-    left running, with their states.
+    lane order. An attempt searches its steps for crossings only when the
+    line and segment screens leave it a lane to search, and evaluates the
+    crossing signs only of roots that lie on the segment. Crossings go into
+    found by (row, position), and a lane about to fail goes to finish with
+    its stepper state. Returns the lanes left running, with their states.
     """
     bx, by, nx, ny, tx, ty, half = geometry
     ids = np.array(group)
@@ -947,8 +950,6 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
         k1x, k1y = f(x, y)
         h_abs = _initial_steps(f, x, y, k1x, k1y, t_max, tol)
         for _ in range(_LOCKSTEP_MAX_ATTEMPTS):
-            if ids.size < _LOCKSTEP_MIN_LANES:
-                break
             fresh = ~rejected
             min_step = 10 * (np.nextafter(t, np.inf) - t)
             h_try = np.where(fresh & (min_step > h_abs), min_step, h_abs)
@@ -972,12 +973,15 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
                 # its roots in ascending order until one lies on the segment
                 # after t_offset with the requested direction
                 searched = np.flatnonzero(stepped & ~ruled_out)
-                searched = searched[~_off_segment((x[searched], y[searched]),
-                                                  [[v[searched] for v in Fk] for Fk in F],
-                                                  bx, by, tx, ty, half)]
-                b = np.array(_line_bernstein(g0[searched], g1[searched],
-                                             [ci[searched] for ci in c]))
-                for cols, s in _lane_roots(b):
+                if searched.size:
+                    searched = searched[~_off_segment((x[searched], y[searched]),
+                                                      [[v[searched] for v in Fk] for Fk in F],
+                                                      bx, by, tx, ty, half)]
+                roots = []
+                if searched.size:
+                    roots = _lane_roots(np.array(_line_bernstein(g0[searched], g1[searched],
+                                                                 [ci[searched] for ci in c])))
+                for cols, s in roots:
                     lane = searched[cols]
                     unhit = ~done[lane]
                     lane, s = lane[unhit], s[unhit]
@@ -985,6 +989,8 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
                     px, py = _interpolant([[v[lane] for v in Fk] for Fk in F], x[lane], y[lane], s)
                     near = (t_star > t_offset) & (abs((px - bx) * tx + (py - by) * ty) <= half)
                     lane, t_star, px, py = lane[near], t_star[near], px[near], py[near]
+                    if not lane.size:
+                        continue
                     u, v = select(member[lane])(px, py)
                     hit = np.sign(u * nx + v * ny) == direction[lane]
                     for j, t_hit, p_x, p_y in zip(lane[hit].tolist(), t_star[hit].tolist(),
@@ -1005,5 +1011,7 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
                 t, x, y, k1x, k1y, h_abs, rejected, taken, ids, row, col, direction, member = (
                     v[keep] for v in (t, x, y, k1x, k1y, h_abs, rejected, taken, ids, row, col,
                                       direction, member))
+                if ids.size < _LOCKSTEP_MIN_LANES:
+                    break
                 f = select(member)
     return [state(j) for j in range(ids.size)]

@@ -16,6 +16,7 @@ excluded from the reproducibility contract.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -285,6 +286,12 @@ class ExperimentConfig:
                 raise ValueError("lambda_eps sweep values must have 0 < |v| <= 0.1")
         if not (self.xi_range[0] < self.xi_range[1]):
             raise ValueError("bad xi_range")
+        if not (0.0 < self.window < math.inf):
+            raise ValueError("window must be finite and > 0")
+        if not (0.0 <= self.q2_radius < math.inf):
+            raise ValueError("q2_radius must be finite and >= 0")
+        if not self.q2_samples >= 0:
+            raise ValueError("q2_samples must be >= 0")
         return self
 
     @staticmethod

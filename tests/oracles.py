@@ -9,7 +9,9 @@ return-map derivative, integrated by SciPy rather than by the library's
 stepper; the closed-form jets of the windowed signed distance to the unit
 circle (the CK cycle); and helpers the library itself does not need, kept
 as references for tests (the even-odd membership test of one polygon, the
-real zeros of the guarded displacement fit, the zero test and the
+real zeros of the guarded displacement fit, its discriminant phi, the
+repeated-root probe at the critical points, the Sturm chain and count with
+NumPy's polydiv and np.sign, the zero test and the
 coefficient comparison of polynomials, the verdict of an annulus
 verification, an orbit's CSV dump, the Bernstein-to-monomial conversion and
 the finite-difference check of supplied derivatives).
@@ -17,12 +19,14 @@ the finite-difference check of supplied derivatives).
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.polynomial import polyroots
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from cyclelab import annulus as an
 from cyclelab import discriminant as dc
+from cyclelab import flow
 from cyclelab.bernstein import InsufficientDerivatives
 from cyclelab.poly2 import Poly2
 
@@ -86,6 +90,19 @@ def collapse_ck3_radial(lam):
 def collapse_ck3_radii(lam):
     """The three cycle radii of the perturbed CK(3): s in {0, +/-sqrt(2 lam)}."""
     return collapse_radii(3, lam)
+
+
+def unfolding_radii(k, c):
+    """Cycle radii, ascending, of CK(k) + (-c x, -c y) = CK(k) + (c/2) grad s,
+    s = 1 - x^2 - y^2, whose polar form is r' = r(s^k - c), theta' = 1.
+
+    The cycles are the real roots s of s^k = c with s < 1: for odd k the one
+    root sign(c) |c|^(1/k) whatever the sign of c, for even k the two roots
+    +/-c^(1/k) when c > 0 and none when c < 0.
+    """
+    a = abs(c) ** (1.0 / k)
+    roots = (math.copysign(a, c),) if k % 2 else (a, -a) if c > 0 else ()
+    return tuple(math.sqrt(1 - s) for s in roots)
 
 
 def rotated_ck2_radii(mu):
@@ -186,6 +203,65 @@ def fit_roots(samples, degree, fit_degree=None):
     roots = polyroots(scaled)
     real = roots[np.abs(roots.imag) < 1e-8].real * h
     return np.sort(real[np.abs(real) <= h])
+
+
+def phi(X, section, d, window=0.025, center=0.0, tol=flow.DEFAULT_TOL):
+    """Discriminant of the monic degree-d displacement fit near the cycle."""
+    samples = dc.displacement_samples(X, section, d, window, center, tol=tol)
+    return dc.discriminant(dc.fit_displacement_poly(samples, d))
+
+
+def has_repeated_root(p, tol=1e-10):
+    """Nonconstant gcd(p, p'), probed at the critical points.
+
+    p shares a root with p' exactly when p vanishes at some zero of p', so
+    the flag is min over critical points c of |p(c)| relative to the local
+    coefficient scale. This is numerically much better conditioned than
+    thresholding the Euclidean remainder cascade (a float-rounded double
+    root splits into simple roots ~ sqrt(eps) apart, which still registers
+    here: |p(c)| ~ separation^2).
+    """
+    crit = polyroots(p.derivative_coeffs())
+    crit = crit[np.abs(crit.imag) < 1e-8].real
+    if crit.size == 0:
+        return False
+    scale = float(np.max(np.abs(p.full_coeffs())))
+    local = scale * (1.0 + np.abs(crit)) ** p.degree
+    return bool(np.any(np.abs(p(crit)) < tol * local))
+
+
+def sturm_chain(p):
+    """The Sturm chain of the monic p as arrays, its remainders taken by
+    NumPy's polydiv: discriminant._sturm_chain's trims and eps cut."""
+    chain = [p.full_coeffs()]
+    dp = p.derivative_coeffs()
+    if np.max(np.abs(dp)) > 0:
+        chain.append(dp / np.max(np.abs(dp)))
+    eps = 1e-13
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        scale = max(np.max(np.abs(a)), 1.0)
+        _, rem = npoly.polydiv(a, b)
+        while len(rem) > 1 and abs(rem[-1]) < eps * scale:
+            rem = rem[:-1]
+        if len(rem) == 1 and abs(rem[0]) < eps * scale:
+            break
+        m = np.max(np.abs(rem))
+        chain.append(-rem / m)
+    return chain
+
+
+def real_root_census(p):
+    """The Sturm count of p's distinct real roots on sturm_chain, with the
+    signs at -inf and +inf taken by np.sign."""
+    def variations(values):
+        signs = [s for s in np.sign(values) if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+    chain = sturm_chain(p)
+    at_pinf = [c[-1] for c in chain]
+    at_minf = [c[-1] * (-1.0) ** (len(c) - 1) for c in chain]
+    return variations(at_minf) - variations(at_pinf)
 
 
 def is_zero(p):

@@ -172,7 +172,7 @@ def test_criterion_8_discriminant_ground_truth():
                 continue  # boundary stratum excluded: law needs squarefree
             r = dc.real_root_census(p)
             assert int(np.sign(delta)) == (-1) ** ((d - r) // 2), (d, p.coeffs)
-            assert not dc.has_repeated_root(p)
+            assert not oracles.has_repeated_root(p)
             count += 1
             checked += 1
         # constructed repeated roots sit below the threshold
@@ -182,7 +182,7 @@ def test_criterion_8_discriminant_ground_truth():
             q = dc.MonicPoly(tuple(c[:-1]))
             scl = max(1.0, float(np.max(np.abs(q.full_coeffs()))))
             assert abs(dc.discriminant(q)) < 1e-9 * scl
-            assert dc.has_repeated_root(q)
+            assert oracles.has_repeated_root(q)
     _ok(8, f"{checked} squarefree samples, 100% sign-law agreement, repeated "
            f"roots at threshold")
 

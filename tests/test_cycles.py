@@ -13,7 +13,7 @@ from cyclelab.bernstein import SampledField, bernstein_fit
 from cyclelab.field import (
     PolyVectorField, ck_system, gradient_collapse_family, perp, rotate_family, vanderpol,
 )
-from cyclelab.poly2 import parse_poly, scale
+from cyclelab.poly2 import Poly2, add, parse_poly, scale
 
 S = parse_poly("1 - x^2 - y^2")
 
@@ -640,6 +640,30 @@ def test_collapse_census_ck4(section):
     for c, t in zip(cens, oracles.collapse_radii(4, lam)):
         assert abs(c.mean_radius - t) < 1e-6
     assert [c.stability for c in cens] == ["stable", "unstable"]
+
+
+@pytest.mark.parametrize("c", [1e-3, -1e-3, 1e-4, -1e-4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_unfolding_parity(section, k, c):
+    """The paper's parity statement on CK(k) + (-c x, -c y), polar form
+    r' = r(s^k - c), s = 1 - r^2: a cycle of odd multiplicity k continues
+    as exactly one cycle, stable, whichever the sign of c; one of even
+    multiplicity splits in two, stable inside unstable, for c > 0 and
+    vanishes for c < 0. Each exponent is 2 pi times the radial law's slope,
+    -4 pi r^2 k s^(k-1)."""
+    X = ck_system(k)
+    Y = PolyVectorField(add(X.P, scale(Poly2.variable("x"), -c)),
+                        add(X.Q, scale(Poly2.variable("y"), -c)))
+    census = cy.find_cycles(Y, section, (-0.3, 0.3), 25, tol=1e-10)
+    radii = oracles.unfolding_radii(k, c)
+    assert len(radii) == (1 if k % 2 else 2 if c > 0 else 0)
+    assert len(census) == len(radii)
+    assert [cycle.stability for cycle in census] == ["stable", "unstable"][:len(radii)]
+    for cycle, r in zip(census, radii):
+        assert np.hypot(*section.point_at(cycle.xi_star)) == pytest.approx(r, abs=1e-7)
+        exponent = -4 * math.pi * r * r * k * (1 - r * r) ** (k - 1)
+        # about 50 times the radius error at k = 5, c = 1e-4, where s = 0.16
+        assert cycle.exponent == pytest.approx(exponent, rel=1e-5)
 
 
 _SAME_SEED_INTERVAL = (

