@@ -10,13 +10,15 @@ Multiplicity is estimated by a least-squares polynomial fit of displacement
 samples at Chebyshev nodes in a symmetric window, not by repeated finite
 differences: displacement evaluations carry integrator noise near 1e-10 and
 high-order differences would amplify it beyond usability at order >= 3.
+
+find_cycles and nearest_cycle ask one lazy census (_Census) with one merge
+rule. The census keeps the returns of its own d(xi) calls, and builds the
+cycles of its roots from them.
 """
 from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable, Sequence
@@ -39,9 +41,6 @@ _T_OFFSET = 1e-6
 _CYCLE_SAMPLES = 1024
 # a cycle quadrature doubles its panels up to this many
 _MAX_PANELS = 512
-# while a census runs (_census_returns): the returns of its d(xi) calls that
-# can be roots, |d| < tol, as xi -> (period, orbit up to the return)
-_returns: ContextVar[dict | None] = ContextVar("census_returns", default=None)
 
 
 class QuadratureNotConverged(Exception):
@@ -71,9 +70,9 @@ class Section:
     """Transversal segment with signed coordinate xi (xi < 0 interior).
 
     base sits on or near the cycle, direction is the unit tangent of the
-    segment pointing to the exterior component, half_length bounds |xi|.
-    geometry holds them as the floats the integrator reads, (bx, by, nx,
-    ny, tx, ty, half_length), with (nx, ny) the normal.
+    segment pointing to the exterior component, half_length (finite, > 0)
+    bounds |xi|. geometry holds them as the floats the integrator reads,
+    (bx, by, nx, ny, tx, ty, half_length), with (nx, ny) the normal.
     """
 
     base: np.ndarray
@@ -87,6 +86,8 @@ class Section:
         n = np.linalg.norm(d)
         if n == 0:
             raise ValueError("zero direction")
+        if not 0.0 < self.half_length < math.inf:
+            raise ValueError(f"half_length must be finite and > 0, got {self.half_length}")
         d = d / n
         b.setflags(write=False)
         d.setflags(write=False)
@@ -155,26 +156,26 @@ def crossing_sign(X: PolyVectorField, section: Section, rhs=None) -> int:
     return 1 if s > 0 else -1
 
 
-def return_map(X, section, xi, tol=DEFAULT_CYCLE_TOL) -> float:
-    """First-return coordinate pi(xi) on the section. While a census runs, a
-    return with |pi(xi) - xi| < tol is kept for the cycle it may become."""
+def return_map(X, section, xi, tol=DEFAULT_CYCLE_TOL, _returns=None) -> float:
+    """First-return coordinate pi(xi) on the section. A census passes its
+    own store of returns as _returns: a return with |pi(xi) - xi| < tol is
+    kept there, as xi -> (period, orbit), for the cycle it may become."""
     bx, by, _, _, tx, ty, _ = section.geometry
     x0 = (bx + xi * tx, by + xi * ty)  # point_at(xi)'s bits
-    returns = _returns.get()
-    kept = None if returns is None else []
+    kept = None if _returns is None else []
     t_star, p = flow.next_section_crossing(
         X, x0, section, crossing_sign(X, section),
         t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET, _kept=kept,
     )
     pi = section.xi_of(p)
     if kept is not None and abs(pi - xi) < tol:
-        returns[xi] = t_star, flow._orbit(x0, kept)
+        _returns[xi] = t_star, flow._orbit(x0, kept)
     return pi
 
 
-def displacement(X, section, xi, tol=DEFAULT_CYCLE_TOL) -> float:
+def displacement(X, section, xi, tol=DEFAULT_CYCLE_TOL, _returns=None) -> float:
     """d(xi) = pi(xi) - xi; zeros are periodic orbits."""
-    return return_map(X, section, xi, tol) - xi
+    return return_map(X, section, xi, tol, _returns) - xi
 
 
 def displacements(fields, section, xis, tol=DEFAULT_CYCLE_TOL) -> list[list]:
@@ -226,9 +227,6 @@ class LimitCycle:
     points: np.ndarray
     exponent: float
     multiplicity: MultiplicityEstimate | None = None
-    # census d(xi) calls inside the root's bracket; 0 when the root solve
-    # returned a bracket end, None for a seed where d is exactly 0
-    root_d_calls: int | None = None
     _orbit: flow.Orbit | None = field(default=None, repr=False)
 
     @property
@@ -379,25 +377,24 @@ _BRENT_MAXITER = 100
 
 def _brentq(f, xa, xb, fa, fb, ftol=0.0):
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), given
-    fa = f(xa) and fb = f(xb), and the number of f calls it made.
+    fa = f(xa) and fb = f(xb).
 
-    A port of SciPy's C brentq, operation for operation, so root and call
-    count equal those of scipy.optimize.brentq(f, xa, xb, xtol=1e-12,
-    full_output=True) bit for bit, less the two calls SciPy spends on the
-    bracket ends. With ftol > 0 it also stops once the bracket end it would
-    return (the one with the smaller |f|) has |f| < ftol: that is the first
-    point, ends first, whose |f| is below ftol. ftol = 0 never stops early,
-    so the bits stay SciPy's. Raises ValueError when fa and fb have the same
-    sign or f returns NaN, and RuntimeError after _BRENT_MAXITER iterations.
+    A port of SciPy's C brentq, operation for operation, so the root and
+    the f calls equal those of scipy.optimize.brentq(f, xa, xb, xtol=1e-12)
+    bit for bit, less the two calls SciPy spends on the bracket ends. With
+    ftol > 0 it also stops once the bracket end it would return (the one
+    with the smaller |f|) has |f| < ftol: that is the first point, ends
+    first, whose |f| is below ftol. ftol = 0 never stops early, so the bits
+    stay SciPy's. Raises ValueError when fa and fb have the same sign or f
+    returns NaN, and RuntimeError after _BRENT_MAXITER iterations.
     """
     xpre, xcur = float(xa), float(xb)
     fpre, fcur = float(fa), float(fb)
     xblk = fblk = spre = scur = 0.0
-    calls = 0
     if fpre == 0:
-        return xpre, calls
+        return xpre
     if fcur == 0:
-        return xcur, calls
+        return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(_BRENT_MAXITER):
@@ -410,7 +407,7 @@ def _brentq(f, xa, xb, fa, fb, ftol=0.0):
         delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta or abs(fcur) < ftol:
-            return xcur, calls
+            return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -427,7 +424,6 @@ def _brentq(f, xa, xb, fa, fb, ftol=0.0):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = float(f(xcur))
-        calls += 1
         if math.isnan(fcur):
             raise ValueError(f"the function value at x={xcur:.6g} is NaN")
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
@@ -437,64 +433,79 @@ def _brentq(f, xa, xb, fa, fb, ftol=0.0):
 _MERGE_XI = 1e-8
 
 
-def _bracket_root(X, section, tol, seeds, val, a):
-    """The census root of seed bracket a, [seeds[a], seeds[a + 1]], as
-    (xi, root_d_calls), or None. val(i) is d at seeds[i], None where the
-    return map is undefined. The root is seeds[a] where d is exactly 0 (the
-    last seed is a bracket of its own), else the _brentq root of a sign
-    change; a bracket with an undefined end, or whose solve meets an orbit
-    failure, has none."""
-    da = val(a)
-    if a == len(seeds) - 1:
-        return (seeds[a], None) if da == 0.0 else None
-    if da is None or (db := val(a + 1)) is None:
-        return None
-    if da == 0.0:
-        return seeds[a], None
-    if np.sign(da) * np.sign(db) < 0:
+class _Census:
+    """The seed census of find_cycles and nearest_cycle: d at n_seeds seeds
+    spread evenly over xi_range, each bracket's root and whether it is kept,
+    each computed once, when first asked. Bracket a is [seeds[a],
+    seeds[a + 1]]; the last seed is a bracket of its own. returns is the
+    census's own store of the returns its d(xi) calls keep (return_map).
+    ValueError unless xi_range is finite and ascending."""
+
+    def __init__(self, X, section, xi_range, n_seeds, tol):
+        lo, hi = float(xi_range[0]), float(xi_range[1])
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"xi_range must be finite and ascending, got {(lo, hi)}")
+        self.X, self.section, self.tol = X, section, tol
+        self.seeds = np.linspace(lo, hi, n_seeds)
+        self.returns = {}
+        self.d = partial(displacement, X, section, tol=tol, _returns=self.returns)
+        self.seed_d, self.root, self.kept = cache(self._seed_d), cache(self._root), cache(self._kept)
+
+    def _seed_d(self, i):
+        """d at seeds[i], None where the return map is undefined."""
         try:
-            return _brentq(lambda xi: displacement(X, section, xi, tol),
-                           seeds[a], seeds[a + 1], da, db, ftol=tol)
+            return self.d(self.seeds[i])
         except flow.OrbitFailure:
             return None
-    return None
 
+    def _root(self, a):
+        """Bracket a's root, or None: seeds[a] where d is exactly 0, else the
+        _brentq root (ftol = tol) of a sign change. A bracket with an
+        undefined end, or whose solve meets an orbit failure, has none."""
+        da = self.seed_d(a)
+        if a == len(self.seeds) - 1:
+            return self.seeds[a] if da == 0.0 else None
+        if da is None or (db := self.seed_d(a + 1)) is None:
+            return None
+        if da == 0.0:
+            return self.seeds[a]
+        if np.sign(da) * np.sign(db) < 0:
+            try:
+                return _brentq(self.d, self.seeds[a], self.seeds[a + 1], da, db, ftol=self.tol)
+            except flow.OrbitFailure:
+                return None
+        return None
 
-def _merges(kept_xi: float, xi: float) -> bool:
-    """Whether root xi, at or above the last kept root kept_xi, merges into it."""
-    return xi - kept_xi <= _MERGE_XI
+    def _kept(self, a):
+        """Bracket a's root if the census keeps it, else None, by the one
+        merge rule: a root is kept unless a kept root of a lower bracket lies
+        at most _MERGE_XI below it. A lower bracket is asked only while its
+        upper seed lies that close below the root."""
+        xi = self.root(a)
+        b = a - 1
+        while xi is not None and b >= 0 and xi - self.seeds[b + 1] <= _MERGE_XI:
+            below = self.root(b)
+            if below is not None and xi - below <= _MERGE_XI and self.kept(b) is not None:
+                return None
+            b -= 1
+        return xi
 
-
-@contextmanager
-def _census_returns():
-    """The returns that return_map keeps while the block runs, as a dict
-    xi -> (period, orbit); keyed by xi alone, as one census runs on one
-    field, section and tol."""
-    returns = {}
-    token = _returns.set(returns)
-    try:
-        yield returns
-    finally:
-        _returns.reset(token)
-
-
-def _census_cycle(X, section, root, tol, returns) -> LimitCycle:
-    """The cycle of a census root (xi, root_d_calls): built from the return
-    of the root's own d(xi) call when the census kept it, else integrated
-    by build_cycle, with the same bits either way."""
-    xi, calls = root
-    kept = returns.get(xi)
-    cyc = build_cycle(X, section, xi, tol) if kept is None else _cycle(X, section, xi, *kept)
-    cyc.root_d_calls = calls
-    return cyc
+    def cycle(self, xi) -> LimitCycle:
+        """The cycle of root xi: built from the return of its own d(xi) call
+        when the census kept it, else integrated by build_cycle, with the
+        same bits either way."""
+        kept = self.returns.get(xi)
+        if kept is None:
+            return build_cycle(self.X, self.section, xi, self.tol)
+        return _cycle(self.X, self.section, xi, *kept)
 
 
 def find_cycles(X, section, xi_range, n_seeds: int = 25,
                 tol=DEFAULT_CYCLE_TOL) -> list[LimitCycle]:
     """Census of section fixed points, ascending in xi: d at n_seeds seeds
     spread evenly over xi_range, first, in ascending order; then each seed
-    bracket's root (_bracket_root) in bracket order; then roots within 1e-8
-    of the last kept one merge into it. The root solve is _brentq, a port of
+    bracket's root in bracket order, kept unless a kept root lies within
+    1e-8 below it (_Census.kept). The root solve is _brentq, a port of
     SciPy's brentq (Brent 1973), with ftol = tol: it stops at 1e-12 in xi or
     at the first point whose |d| is below the integrator tolerance,
     whichever comes first. Below tol the sign of d is integrator error, so a
@@ -504,96 +515,42 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25,
 
     Seeds where the return map is undefined are skipped, and so is a bracket
     whose root solve meets an orbit failure; an empty census is a valid
-    result. Each cycle records in root_d_calls how many d(xi) calls its root
-    solve took beyond the bracket ends (None for a root that is a seed).
-    Each cycle is built from the return its root's d(xi) call integrated
-    (_census_cycle).
+    result. Each cycle is built from the return its root's d(xi) call
+    integrated, which the census keeps in its own store. ValueError unless
+    xi_range is finite and ascending.
     """
-    seeds = np.linspace(float(xi_range[0]), float(xi_range[1]), n_seeds)
-    with _census_returns() as returns:
-        roots = _census_roots(X, section, seeds, tol)
-    return [_census_cycle(X, section, r, tol, returns) for r in roots]
-
-
-def _census_roots(X, section, seeds, tol) -> list[tuple]:
-    """find_cycles' merged roots, (xi, root_d_calls), ascending in xi."""
-    vals = []
-    for xi in seeds:
-        try:
-            vals.append(displacement(X, section, xi, tol))
-        except flow.OrbitFailure:
-            vals.append(None)
-    roots = [r for a in range(len(seeds))
-             if (r := _bracket_root(X, section, tol, seeds, vals.__getitem__, a))]
-    roots.sort(key=lambda r: r[0])
-    merged = []
-    for r in roots:
-        if not merged or not _merges(merged[-1][0], r[0]):
-            merged.append(r)
-    return merged
+    census = _Census(X, section, xi_range, n_seeds, tol)
+    for i in range(n_seeds):
+        census.seed_d(i)
+    return [census.cycle(xi) for a in range(n_seeds) if (xi := census.kept(a)) is not None]
 
 
 def nearest_cycle(X, section, xi_range, n_seeds: int = 25,
                   tol=DEFAULT_CYCLE_TOL) -> LimitCycle:
     """The cycle of find_cycles(X, section, xi_range, n_seeds, tol) nearest
-    xi = 0, the first in ascending xi on a tie, bit for bit and with its
-    root_d_calls, from fewer d(xi) calls. ValueError when the census is
-    empty.
+    xi = 0, the first in ascending xi on a tie, bit for bit, from fewer
+    d(xi) calls. ValueError when the census is empty, or unless xi_range is
+    finite and ascending.
 
-    Seeds are evaluated when a bracket needs them, and brackets are visited
+    The same census rule as find_cycles, asked lazily: brackets are visited
     in order of their distance from 0, until the next cannot hold a root
-    nearer than the best kept one. Whether a root is kept depends on the
-    bracket below only: with the seeds more than _MERGE_XI apart, roots two
-    brackets apart are too, so the last kept root below a root of bracket a
-    is the root of bracket a - 1, when that one is kept, or lies more than
-    _MERGE_XI below. Going down a chain of roots each within _MERGE_XI of the
-    one below, the lowest is kept and every second one above it. A root more
-    than _MERGE_XI above its bracket's lower seed ends the chain without
-    bracket a - 1. Finer seeds take the whole census's roots. Only the
-    nearest cycle is built, from its root's return as in find_cycles.
+    nearer than the best kept one, and a seed is evaluated only when a
+    bracket needs it. Only the nearest cycle is built, from its root's
+    return as in find_cycles.
     """
-    seeds = np.linspace(float(xi_range[0]), float(xi_range[1]), n_seeds)
-    with _census_returns() as returns:
-        found = _nearest_roots(X, section, seeds, tol)
-    if not found:
+    census = _Census(X, section, xi_range, n_seeds, tol)
+    seeds = census.seeds
+    # distance from 0 of each bracket; the last seed's is the seed itself
+    dist = np.abs(np.clip(0.0, seeds, np.append(seeds[1:], seeds[-1:])))
+    best = (math.inf, None)  # (|xi|, xi) of the nearest kept root
+    for a in np.argsort(dist, kind="stable").tolist():
+        if dist[a] > best[0]:
+            break
+        if (xi := census.kept(a)) is not None:
+            best = min(best, (abs(xi), xi))
+    if best[1] is None:
         raise ValueError("no cycle found in the configured xi range")
-    return _census_cycle(X, section, min(found, key=lambda r: (abs(r[0]), r[0])), tol,
-                          returns)
-
-
-def _nearest_roots(X, section, seeds, tol) -> list[tuple]:
-    """The census roots (xi, root_d_calls) that nearest_cycle picks from."""
-    if len(seeds) < 2 or not np.diff(seeds).min() > _MERGE_XI:
-        found = _census_roots(X, section, seeds, tol)
-    else:
-        @cache
-        def val(i):
-            try:
-                return displacement(X, section, seeds[i], tol)
-            except flow.OrbitFailure:
-                return None
-
-        @cache
-        def root(a):
-            return _bracket_root(X, section, tol, seeds, val, a) if a >= 0 else None
-
-        def kept(a):
-            b = a
-            while (root(b) and _merges(seeds[b], root(b)[0]) and root(b - 1)
-                   and _merges(root(b - 1)[0], root(b)[0])):
-                b -= 1
-            return root(a) is not None and (a - b) % 2 == 0
-
-        # distance from 0 of each bracket; the last seed's is the seed itself
-        dist = np.abs(np.clip(0.0, seeds, np.append(seeds[1:], seeds[-1])))
-        found, near = [], math.inf
-        for a in np.argsort(dist, kind="stable"):
-            if dist[a] > near:
-                break
-            if kept(a):
-                found.append(root(a))
-                near = min(near, abs(root(a)[0]))
-    return found
+    return census.cycle(best[1])
 
 
 def _scaled_fit(u, values, degree: int):
@@ -733,8 +690,6 @@ class SplittingReport:
 
 
 def _alternating(census: Sequence[LimitCycle]) -> bool:
-    if len(census) < 2:
-        return True
     signs = [np.sign(c.exponent) for c in census]
     return all(signs[i] * signs[i + 1] < 0 for i in range(len(signs) - 1))
 

@@ -278,20 +278,22 @@ class ExperimentConfig:
             raise ValueError("lambda must lie in (0, 0.1]")
         if self.r not in (1, 2, 3):
             raise ValueError("r must be one of {1, 2, 3}")
-        for key in ("q2_degree", "fit_degree", "n_seeds"):
-            if not getattr(self, key) >= 2:
-                raise ValueError(f"{key} must be >= 2")
+        for key, least in (("q2_degree", 2), ("fit_degree", 2), ("n_seeds", 2),
+                           ("q2_samples", 0), ("invariance_orbits", 0), ("verify_samples", 1)):
+            if not getattr(self, key) >= least:
+                raise ValueError(f"{key} must be >= {least}")
         for v in self.lambda_eps_values:
             if not (0.0 < abs(v) <= 0.1):
                 raise ValueError("lambda_eps sweep values must have 0 < |v| <= 0.1")
-        if not (self.xi_range[0] < self.xi_range[1]):
-            raise ValueError("bad xi_range")
-        if not (0.0 < self.window < math.inf):
-            raise ValueError("window must be finite and > 0")
+        if not (-math.inf < self.xi_range[0] < self.xi_range[1] < math.inf):
+            raise ValueError("xi_range must be finite with lo < hi")
+        if not (-math.inf < self.annulus_xi[0] < 0.0 < self.annulus_xi[1] < math.inf):
+            raise ValueError("annulus_xi must be finite with lo < 0 < hi")
+        for key in ("window", "section_half_length", "horizon_periods"):
+            if not (0.0 < getattr(self, key) < math.inf):
+                raise ValueError(f"{key} must be finite and > 0")
         if not (0.0 <= self.q2_radius < math.inf):
             raise ValueError("q2_radius must be finite and >= 0")
-        if not self.q2_samples >= 0:
-            raise ValueError("q2_samples must be >= 0")
         return self
 
     @staticmethod

@@ -13,8 +13,9 @@ real zeros of the guarded displacement fit, its discriminant phi, the
 repeated-root probe at the critical points, the Sturm chain and count with
 NumPy's polydiv and np.sign, the zero test and the
 coefficient comparison of polynomials, the verdict of an annulus
-verification, an orbit's CSV dump, the Bernstein-to-monomial conversion and
-the finite-difference check of supplied derivatives).
+verification, an orbit's CSV dump, the Bernstein-to-monomial conversion,
+the finite-difference check of supplied derivatives and the cycle census's
+sort-and-sweep root rule).
 """
 import math
 
@@ -25,6 +26,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from cyclelab import annulus as an
+from cyclelab import cycles
 from cyclelab import discriminant as dc
 from cyclelab import flow
 from cyclelab.bernstein import InsufficientDerivatives
@@ -363,3 +365,36 @@ def check_consistency(f, rng=None, n_points=20, tol=1e-4):
             f"supplied derivatives disagree with finite differences by {worst:.2e}"
         )
     return worst
+
+
+def census_roots(d, seeds, tol):
+    """The roots of a cycle census over seeds, ascending, by the rule the
+    census had as one eager loop: d(xi) at every seed first, in ascending
+    order (None where d raises flow.OrbitFailure); each bracket
+    [seeds[a], seeds[a + 1]] has the root seeds[a] where d is exactly 0
+    (the last seed is a bracket of its own), else the cycles._brentq root,
+    with ftol = tol, of a sign change, and none when an end is None or the
+    solve raises flow.OrbitFailure; the roots are stable-sorted and each
+    root within 1e-8 of the last kept one merges into it."""
+    vals = []
+    for xi in seeds:
+        try:
+            vals.append(d(xi))
+        except flow.OrbitFailure:
+            vals.append(None)
+    roots = []
+    for a, da in enumerate(vals):
+        db = vals[a + 1] if a + 1 < len(vals) else None
+        if da == 0.0 and (a + 1 == len(vals) or db is not None):
+            roots.append(seeds[a])
+        elif da is not None and db is not None and np.sign(da) * np.sign(db) < 0:
+            try:
+                roots.append(cycles._brentq(d, seeds[a], seeds[a + 1], da, db, ftol=tol))
+            except flow.OrbitFailure:
+                pass
+    roots.sort()
+    kept = []
+    for r in roots:
+        if not kept or r - kept[-1] > 1e-8:
+            kept.append(r)
+    return kept

@@ -36,6 +36,16 @@ def test_section_construction_and_transversality(ck):
         sec_bad.check_transversal(ck[1])
 
 
+@pytest.mark.parametrize("half", [0.0, -0.55, math.nan, math.inf])
+def test_section_rejects_a_half_length_that_is_not_finite_and_positive(ck, half):
+    """With no segment every orbit ran to t_max and every d(xi) call failed,
+    so a census came back empty and reports passed saying nothing."""
+    with pytest.raises(ValueError, match="half_length"):
+        cy.Section(base=(1.0, 0.0), direction=(1.0, 0.0), half_length=half)
+    with pytest.raises(ValueError, match="half_length"):
+        cy.section_for_field(ck[1], (1.0, 0.0), half)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2 * math.pi),
        st.floats(-1.0, 1.0))
@@ -114,12 +124,15 @@ def test_find_cycles_brent_calls_per_root(ck, section, monkeypatch):
     assert np.array_equal(calls[:25], seeds)
     solves = np.array(calls[25:])
     assert len(cens) == 3
+    in_brackets = 0
     for c, t in zip(cens, oracles.collapse_ck3_radii(lam)):
         assert abs(c.mean_radius - t) < 1e-8
         k = np.searchsorted(seeds, c.xi_star) - 1
         in_bracket = int(np.sum((seeds[k] < solves) & (solves < seeds[k + 1])))
-        assert in_bracket == c.root_d_calls <= 10
-    assert len(solves) == sum(c.root_d_calls for c in cens)
+        assert in_bracket <= 10
+        in_brackets += in_bracket
+    # every call beyond the seeds is a root's solve, inside its bracket
+    assert len(solves) == in_brackets
 
 
 def _scipy_brentq(f, a, b, **kwargs):
@@ -131,8 +144,14 @@ def _scipy_brentq(f, a, b, **kwargs):
 
 def _port_brentq(f, a, b):
     # the port takes the end values; SciPy counts the two calls they cost
-    root, calls = cy._brentq(f, a, b, f(a), f(b))
-    return root.hex(), calls + 2
+    calls = [a, b]
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    root = cy._brentq(counted, a, b, f(a), f(b))
+    return root.hex(), len(calls)
 
 
 _BRENT_CASES = {
@@ -192,12 +211,13 @@ def test_brentq_ftol_stops_at_the_first_point_below_it(a, b, ftol):
         seen.append(x)
         return f(x)
 
-    root, calls = cy._brentq(counted, a, b, f(a), f(b), ftol=ftol)
+    root = cy._brentq(counted, a, b, f(a), f(b), ftol=ftol)
     near_end = min((a, b), key=lambda x: abs(f(x)))
     assert root == next(x for x in [near_end] + seen if abs(f(x)) < ftol)
-    assert calls == len(seen)
-    _, full_calls = cy._brentq(f, a, b, f(a), f(b))
-    assert calls < full_calls
+    calls = len(seen)
+    seen.clear()
+    cy._brentq(counted, a, b, f(a), f(b))
+    assert calls < len(seen)
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-11])
@@ -213,14 +233,15 @@ def test_find_cycles_multiple_root_stops_in_the_noise_band(section, k, tol):
     assert abs(cy.displacement(X, section, cens[0].xi_star, tol)) < tol
 
 
-def test_find_cycles_ck3_root_is_the_seed_at_zero(ck, section):
+def test_find_cycles_ck3_root_is_the_seed_at_zero(ck, section, monkeypatch):
     """|d| at the seed xi = 0 is below tol, so Brent returns that bracket end
     without a call, and the cycle is the exact, non-hyperbolic one."""
     assert np.linspace(-0.3, 0.3, 25)[12] == 0.0
+    calls = _counting_displacement(monkeypatch)
     cens = cy.find_cycles(ck[3], section, (-0.3, 0.3), 25, tol=1e-10)
     assert len(cens) == 1
     assert cens[0].xi_star == 0.0
-    assert cens[0].root_d_calls == 0
+    assert len(calls) == 25
     assert cens[0].stability == "non-hyperbolic"
 
 
@@ -253,8 +274,8 @@ def _nearest_of_census(X, section, xi_range, n_seeds, tol):
 
 
 def _both_nearest(X, section, xi_range, n_seeds, tol):
-    """(result, d(xi) calls) of the census reference, then of nearest_cycle;
-    a result is the cycle or the ValueError message."""
+    """(result, d(xi) arguments) of the census reference, then of
+    nearest_cycle; a result is the cycle or the ValueError message."""
     out = []
     for search in (_nearest_of_census, cy.nearest_cycle):
         calls = []
@@ -270,7 +291,7 @@ def _both_nearest(X, section, xi_range, n_seeds, tol):
                 got = search(X, section, xi_range, n_seeds, tol)
             except ValueError as exc:
                 got = str(exc)
-        out.append((got, len(calls)))
+        out.append((got, calls))
     return out
 
 
@@ -279,7 +300,6 @@ def _assert_same_cycle(a, b):
         assert a == b == "no cycle found in the configured xi range"
         return
     assert a.xi_star.hex() == b.xi_star.hex()
-    assert a.root_d_calls == b.root_d_calls
     assert a.period.hex() == b.period.hex()
     assert a.exponent.hex() == b.exponent.hex()
     assert a.points.tobytes() == b.points.tobytes()
@@ -304,14 +324,13 @@ def _nearest_system(name):
        st.floats(-0.4, 0.2), st.floats(0.05, 0.6), st.integers(2, 25),
        st.sampled_from([1e-10, 1e-11]))
 def test_nearest_cycle_is_the_census_cycle_nearest_zero(name, lo, width, n_seeds, tol):
-    """The same cycle, bit for bit, with the same root_d_calls, on windows
-    with and without the cycle (CK(2)'s outer seeds escape), from no more
-    d(xi) calls than the census."""
+    """The same cycle, bit for bit, on windows with and without the cycle
+    (CK(2)'s outer seeds escape), from no more d(xi) calls than the census."""
     X, section = _nearest_system(name)
     (want, census_calls), (got, calls) = _both_nearest(X, section, (lo, lo + width),
                                                         n_seeds, tol)
     _assert_same_cycle(got, want)
-    assert calls <= census_calls
+    assert len(calls) <= len(census_calls)
 
 
 @pytest.mark.parametrize("system,xi_range,calls", [
@@ -325,46 +344,55 @@ def test_nearest_cycle_calls(system, xi_range, calls):
     (want, census_calls), (got, nearest_calls) = _both_nearest(X, section, xi_range, 25,
                                                                1e-10)
     _assert_same_cycle(got, want)
-    assert (census_calls, nearest_calls) == calls
+    assert (len(census_calls), len(nearest_calls)) == calls
 
 
-def _synthetic_nearest(monkeypatch, roots, xi_range, n_seeds, fail=(), sign=1.0):
-    """The census reference and nearest_cycle, as _both_nearest gives them,
-    on d(xi) = sign * prod(xi - r over roots), which raises NoCrossing
-    strictly inside each fail interval. build_cycle is stubbed."""
-    def d(X, section, xi, tol=None):
+def _synthetic_d(roots, fail=(), sign=1.0):
+    """A stand-in for displacement: d(xi) = sign * prod(xi - r over roots),
+    which raises NoCrossing strictly inside each fail interval."""
+    def d(X, section, xi, tol=None, **kwargs):
         if any(a < xi < b for a, b in fail):
             raise flow.NoCrossing("injected")
         return sign * math.prod(xi - r for r in roots)
 
-    def stub(X, section, xi, tol=None):
-        return cy.LimitCycle(section=section, xi_star=float(xi), period=0.0,
-                             points=np.zeros((1, 2)), exponent=0.0)
+    return d
 
-    monkeypatch.setattr(cy, "displacement", d)
-    monkeypatch.setattr(cy, "build_cycle", stub)
+
+def _stub_cycle(X, section, xi, tol=None):
+    """A stand-in for build_cycle that integrates nothing."""
+    return cy.LimitCycle(section=section, xi_star=float(xi), period=0.0,
+                         points=np.zeros((1, 2)), exponent=0.0)
+
+
+def _synthetic_nearest(monkeypatch, roots, xi_range, n_seeds, fail=(), sign=1.0):
+    """nearest_cycle's result and d(xi) arguments on _synthetic_d(roots,
+    fail, sign), checked against the census reference of _both_nearest.
+    build_cycle is stubbed."""
+    monkeypatch.setattr(cy, "displacement", _synthetic_d(roots, fail, sign))
+    monkeypatch.setattr(cy, "build_cycle", _stub_cycle)
     (want, census_calls), (got, calls) = _both_nearest(None, None, xi_range, n_seeds, 0.0)
     _assert_same_cycle(got, want)
-    assert calls <= census_calls
-    return got
+    assert len(calls) <= len(census_calls)
+    return got, calls
 
 
 def test_nearest_cycle_tie_takes_the_lower_root(monkeypatch):
-    # seeds -1, -0.5, 0, 0.5, 1: exact zeros at both +-0.5
-    got = _synthetic_nearest(monkeypatch, [-0.5, 0.5], (-1.0, 1.0), 5)
-    assert got.xi_star == -0.5 and got.root_d_calls is None
+    # seeds -1, -0.5, 0, 0.5, 1: exact zeros at both +-0.5, and no root solve
+    got, calls = _synthetic_nearest(monkeypatch, [-0.5, 0.5], (-1.0, 1.0), 5)
+    assert got.xi_star == -0.5 and set(calls) <= {-1.0, -0.5, 0.0, 0.5, 1.0}
     # Brent returns the seeds +-0.5 from the brackets [0, 0.5], at distance
-    # 0, and [-1, -0.5], at distance 0.5: the tie needs the farther bracket
-    got = _synthetic_nearest(monkeypatch, [-0.5 - 1e-13, 0.5 - 1e-13], (-1.0, 1.0), 5)
-    assert got.xi_star == -0.5 and got.root_d_calls == 1
+    # 0, and [-1, -0.5], at distance 0.5, after one call in the latter: the
+    # tie needs the farther bracket
+    got, calls = _synthetic_nearest(monkeypatch, [-0.5 - 1e-13, 0.5 - 1e-13], (-1.0, 1.0), 5)
+    assert got.xi_star == -0.5 and sum(-1.0 < xi < -0.5 for xi in calls) == 1
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_nearest_cycle_merge_across_a_seed_keeps_the_lower_root(monkeypatch, sign):
     # -0.5 - 4e-9 and -0.5 + 3e-9 merge into the lower, farther root, whose
     # bracket lies outward of the nearer one's
-    got = _synthetic_nearest(monkeypatch, [-0.5 - 4e-9, -0.5 + 3e-9], (-1.0, 1.0), 5,
-                             sign=sign)
+    got, _ = _synthetic_nearest(monkeypatch, [-0.5 - 4e-9, -0.5 + 3e-9], (-1.0, 1.0), 5,
+                                sign=sign)
     assert abs(got.xi_star - (-0.5 - 4e-9)) < 1e-11
     # seeds 1.5e-8 apart, a root in each of three brackets, each within 1e-8
     # of the one below: the middle one merges into the lowest, so the top
@@ -372,7 +400,7 @@ def test_nearest_cycle_merge_across_a_seed_keeps_the_lower_root(monkeypatch, sig
     lo = -0.1
     h = 1.5e-8
     roots = [lo + h - 2e-9, lo + h + 7e-9, lo + 2 * h + 1e-9]
-    got = _synthetic_nearest(monkeypatch, roots, (lo, lo + 4 * h), 5, sign=sign)
+    got, _ = _synthetic_nearest(monkeypatch, roots, (lo, lo + 4 * h), 5, sign=sign)
     assert abs(got.xi_star - roots[2]) < 1e-12
 
 
@@ -384,28 +412,28 @@ def test_nearest_cycle_chains_at_fine_seed_spacing(monkeypatch, spacing):
 
 
 def test_nearest_cycle_zero_at_seeds(monkeypatch):
-    # a zero at the last seed is a root of its own
-    got = _synthetic_nearest(monkeypatch, [1.0, 2.0], (0.5, 1.0), 3)
-    assert got.xi_star == 1.0 and got.root_d_calls is None
+    # a zero at the last seed is a root of its own, found with no root solve
+    got, calls = _synthetic_nearest(monkeypatch, [1.0, 2.0], (0.5, 1.0), 3)
+    assert got.xi_star == 1.0 and set(calls) <= {0.5, 0.75, 1.0}
     # a zero at a seed whose upper neighbour fails is no root
-    got = _synthetic_nearest(monkeypatch, [0.25, 0.9], (0.0, 1.0), 5,
-                             fail=[(0.49, 0.51)])
+    got, _ = _synthetic_nearest(monkeypatch, [0.25, 0.9], (0.0, 1.0), 5,
+                                fail=[(0.49, 0.51)])
     assert abs(got.xi_star - 0.9) < 1e-11
     # a zero at the seed xi = 0 and Brent roots beside it
-    got = _synthetic_nearest(monkeypatch, [-0.1, 0.0, 0.1], (-1.0, 1.0), 5)
+    got, _ = _synthetic_nearest(monkeypatch, [-0.1, 0.0, 0.1], (-1.0, 1.0), 5)
     assert got.xi_star == 0.0
 
 
 def test_nearest_cycle_drops_a_bracket_whose_solve_fails(monkeypatch):
-    got = _synthetic_nearest(monkeypatch, [0.1, -0.3], (-1.0, 1.0), 5,
-                             fail=[(0.05, 0.15)])
+    got, _ = _synthetic_nearest(monkeypatch, [0.1, -0.3], (-1.0, 1.0), 5,
+                                fail=[(0.05, 0.15)])
     assert abs(got.xi_star - (-0.3)) < 1e-11
 
 
 def test_nearest_cycle_empty_census_raises(monkeypatch):
-    got = _synthetic_nearest(monkeypatch, [], (-1.0, 1.0), 5)
+    got, _ = _synthetic_nearest(monkeypatch, [], (-1.0, 1.0), 5)
     assert got == "no cycle found in the configured xi range"
-    got = _synthetic_nearest(monkeypatch, [0.5], (-1.0, 1.0), 5, fail=[(0.4, 0.6)])
+    got, _ = _synthetic_nearest(monkeypatch, [0.5], (-1.0, 1.0), 5, fail=[(0.4, 0.6)])
     assert got == "no cycle found in the configured xi range"
 
 
@@ -449,6 +477,55 @@ def test_nearest_cycle_matches_the_census_on_synthetic_displacements(case):
     roots, xi_range, n, fail, sign = case
     with pytest.MonkeyPatch.context() as mp:
         _synthetic_nearest(mp, roots, xi_range, n, fail, sign)
+
+
+def _nearest_hex(roots):
+    """The root nearest xi = 0, the lower on a tie, as float.hex; None for none."""
+    return float(min(roots, key=lambda r: (abs(r), r))).hex() if roots else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_synthetic_cases())
+def test_census_matches_the_reference_census(case):
+    """find_cycles' roots and nearest_cycle's root, by float.hex, are those
+    of oracles.census_roots, the census rule as one eager sort-and-sweep."""
+    roots, xi_range, n, fail, sign = case
+    d = _synthetic_d(roots, fail, sign)
+    want = oracles.census_roots(lambda xi: d(None, None, xi), np.linspace(*xi_range, n), 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cy, "displacement", d)
+        mp.setattr(cy, "build_cycle", _stub_cycle)
+        census = cy.find_cycles(None, None, xi_range, n, 0.0)
+        try:
+            nearest = cy.nearest_cycle(None, None, xi_range, n, 0.0).xi_star.hex()
+        except ValueError:
+            nearest = None
+    assert [c.xi_star.hex() for c in census] == [float(r).hex() for r in want]
+    assert nearest == _nearest_hex(want)
+
+
+@pytest.mark.parametrize("name, xi_range", [
+    ("CK(3)", (-0.29, 0.31)), ("CK(5)", (-0.29, 0.31)), ("CK(3) collapse", (-0.3, 0.3)),
+    ("vanderpol(1.0)", (-0.3, 0.3)),
+])
+def test_census_matches_the_reference_census_on_fields(name, xi_range):
+    X, section = _nearest_system(name)
+    seeds = np.linspace(*xi_range, 25)
+    want = oracles.census_roots(lambda xi: cy.displacement(X, section, xi, 1e-10), seeds, 1e-10)
+    census = cy.find_cycles(X, section, xi_range, 25, 1e-10)
+    assert [c.xi_star.hex() for c in census] == [float(r).hex() for r in want]
+    assert cy.nearest_cycle(X, section, xi_range, 25, 1e-10).xi_star.hex() == _nearest_hex(want)
+
+
+@pytest.mark.parametrize("census", [cy.find_cycles, cy.nearest_cycle])
+@pytest.mark.parametrize("xi_range", [(0.3, -0.3), (0.3, 0.3), (-math.inf, 0.3),
+                                      (-0.3, math.nan), (-0.3, math.inf)])
+def test_census_rejects_a_window_that_is_not_finite_and_ascending(census, xi_range,
+                                                                   monkeypatch):
+    calls = _counting_displacement(monkeypatch)
+    with pytest.raises(ValueError, match="xi_range"):
+        census(None, None, xi_range, 5, 0.0)
+    assert calls == []
 
 
 def test_cycle_invariants(ck, section):
@@ -725,8 +802,7 @@ def test_build_cycle_integrates_the_cycle_once(ck, section, monkeypatch):
 def test_census_cycles_are_built_from_their_roots_returns(name, xi_range, tol, monkeypatch):
     """find_cycles and nearest_cycle build each cycle from the return its
     root's d(xi) call integrated, when the census kept it: the same period,
-    exponent and points, bit for bit, as build_cycle integrates. Nothing
-    is kept once the census is over."""
+    exponent and points, bit for bit, as build_cycle integrates."""
     X, section = _nearest_system(name)
     built = []
     real = cy.build_cycle
@@ -738,7 +814,6 @@ def test_census_cycles_are_built_from_their_roots_returns(name, xi_range, tol, m
     monkeypatch.setattr(cy, "build_cycle", counted)
     census = cy.find_cycles(X, section, xi_range, 25, tol)
     nearest = cy.nearest_cycle(X, section, xi_range, 25, tol)
-    assert cy._returns.get() is None
     monkeypatch.undo()
     # at least one of the len(census) + 1 cycles is built from a kept return
     assert len(built) <= len(census)
@@ -753,15 +828,33 @@ def test_census_cycles_are_built_from_their_roots_returns(name, xi_range, tol, m
         assert np.array_equal(cyc._orbit.times, ref._orbit.times)
 
 
-def test_census_returns_are_forgotten_on_failure(monkeypatch):
-    def d(X, section, xi, tol=None):
-        raise flow.NoCrossing("injected")
+def test_census_returns_are_forgotten_on_failure(ck, section, monkeypatch):
+    """No census state outlives its call, also one that raises. A census of
+    CK(1) that raises once its root's return is kept leaves nothing that the
+    next census, of CK(3), reads: CK(3)'s cycle at the same xi = 0 is built
+    from its own orbit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cy, "displacement", _synthetic_d([], fail=[(-2.0, 2.0)]))
+        with pytest.raises(ValueError):
+            cy.nearest_cycle(None, None, (-1.0, 1.0), 5, 0.0)
+        assert cy.find_cycles(None, None, (-1.0, 1.0), 5, 0.0) == []
 
-    monkeypatch.setattr(cy, "displacement", d)
-    with pytest.raises(ValueError):
-        cy.nearest_cycle(None, None, (-1.0, 1.0), 5, 0.0)
-    assert cy.find_cycles(None, None, (-1.0, 1.0), 5, 0.0) == []
-    assert cy._returns.get() is None
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    ref = cy.build_cycle(ck[3], section, 0.0, 1e-10)
+    assert not np.array_equal(cy.build_cycle(ck[1], section, 0.0, 1e-10)._orbit.times,
+                              ref._orbit.times)
+    for census in (cy.find_cycles, cy.nearest_cycle):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cy, "characteristic_exponent", fail)
+            with pytest.raises(RuntimeError, match="injected"):
+                census(ck[1], section, (-0.3, 0.3), 25, 1e-10)
+        got = census(ck[3], section, (-0.3, 0.3), 25, 1e-10)
+        got = got[0] if isinstance(got, list) else got
+        assert got.xi_star == 0.0
+        assert np.array_equal(got._orbit.times, ref._orbit.times)
+        assert got.points.tobytes() == ref.points.tobytes()
 
 
 def test_quadrature_that_never_converges_is_named(ck, ck_cycles):

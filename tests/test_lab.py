@@ -140,15 +140,33 @@ _BAD_SAMPLING = [
     ({"window": float("nan")}, "window"), ({"window": float("inf")}, "window"),
     ({"q2_radius": -0.001}, "q2_radius"), ({"q2_radius": float("nan")}, "q2_radius"),
     ({"q2_radius": float("inf")}, "q2_radius"), ({"q2_samples": -1}, "q2_samples"),
+    ({"section_half_length": 0}, "section_half_length"),
+    ({"section_half_length": -0.55}, "section_half_length"),
+    ({"section_half_length": float("nan")}, "section_half_length"),
+    ({"section_half_length": float("inf")}, "section_half_length"),
+    ({"xi_range": [-float("inf"), 0.3]}, "xi_range"),
+    ({"xi_range": [-0.3, float("nan")]}, "xi_range"),
+    ({"xi_range": [0.3, -0.3]}, "xi_range"),
+    ({"verify_samples": 0}, "verify_samples"), ({"invariance_orbits": -1}, "invariance_orbits"),
+    ({"horizon_periods": 0}, "horizon_periods"),
+    ({"horizon_periods": float("nan")}, "horizon_periods"),
+    ({"horizon_periods": float("inf")}, "horizon_periods"),
+    ({"annulus_xi": [-float("inf"), 0.35]}, "annulus_xi"),
+    ({"annulus_xi": [0.1, 0.35]}, "annulus_xi"), ({"annulus_xi": [-0.35, 0.0]}, "annulus_xi"),
+    ({"annulus_xi": [-0.35, float("nan")]}, "annulus_xi"),
 ]
 
 
 @pytest.mark.parametrize("raw, key", _BAD_SAMPLING)
 def test_config_rejects_bad_sampling(raw, key):
-    """window must be finite and > 0, q2_radius finite and >= 0, q2_samples
-    >= 0; once a zero window failed only after every orbit, a negative one
-    and a negative sample count passed, and a negative radius failed in
-    NumPy's sampler."""
+    """window, section_half_length and horizon_periods must be finite and
+    > 0, q2_radius finite and >= 0, q2_samples and invariance_orbits >= 0,
+    verify_samples >= 1, xi_range finite with lo < hi and annulus_xi finite
+    with lo < 0 < hi. Once a zero window failed only after every orbit, a
+    negative one and a negative sample count passed, and a negative radius
+    failed in NumPy's sampler; a section half-length not > 0 passed with
+    every orbit dropped, an infinite xi_range end failed in NumPy's
+    linspace, and the annulus keys failed only after the census."""
     for pipeline in ("q2-search", "rotate-theorem2"):
         with pytest.raises(ValueError, match=key):
             lab.ExperimentConfig.from_dict({"pipeline": pipeline, **raw})
@@ -158,12 +176,23 @@ def test_config_accepts_the_sampling_bounds():
     cfg = lab.ExperimentConfig.from_dict({"pipeline": "q2-search", "window": 1e-6,
                                           "q2_radius": 0.0, "q2_samples": 0})
     assert (cfg.window, cfg.q2_radius, cfg.q2_samples) == (1e-6, 0.0, 0)
+    cfg = lab.ExperimentConfig.from_dict({"pipeline": "annulus", "verify_samples": 1,
+                                          "invariance_orbits": 0, "horizon_periods": 1e-6,
+                                          "section_half_length": 1e-6})
+    assert (cfg.verify_samples, cfg.invariance_orbits) == (1, 0)
 
 
 @pytest.mark.parametrize("command, raw, key", [
     ("q2", {"window": 0}, "window"), ("rotate", {"window": 0}, "window"),
     ("rotate", {"window": -0.025}, "window"), ("q2", {"q2_samples": -1}, "q2_samples"),
     ("q2", {"q2_radius": -0.001}, "q2_radius"),
+    ("find", {"section_half_length": 0}, "section_half_length"),
+    ("q2", {"section_half_length": -0.55}, "section_half_length"),
+    ("rotate", {"section_half_length": float("nan")}, "section_half_length"),
+    ("split", {"section_half_length": 0}, "section_half_length"),
+    ("find", {"xi_range": [-float("inf"), 0.3]}, "xi_range"),
+    ("annulus", {"verify_samples": 0}, "verify_samples"),
+    ("annulus", {"horizon_periods": 0}, "horizon_periods"),
 ])
 def test_cli_rejects_bad_sampling_before_any_orbit(tmp_path, monkeypatch, capsys, command, raw,
                                                    key):
