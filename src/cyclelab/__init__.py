@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 from .poly2 import Poly2, parse_poly                                    # noqa: F401,E402
 from .field import (                                                    # noqa: F401,E402
-    PolyVectorField, ck_system, vanderpol, parse_field,
-    divergence, perp, rotate_family, gradient_collapse_family, cr_distance,
+    PolyVectorField, CollapseField, ck_system, vanderpol, parse_field,
+    divergence, rotate_family, gradient_collapse_family, cr_distance,
 )
 from .bernstein import (                                                # noqa: F401,E402
     SampledField, bernstein_fit, cr_error, min_degree_for_tolerance,

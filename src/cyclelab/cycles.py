@@ -27,8 +27,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import flow
-from .field import (PolyVectorField, divergence, gradient_collapse_family, lane_evaluators,
-                    scale)
+from .field import (CollapseField, PolyVectorField, collapse_integrands, divergence,
+                    gradient_collapse_family, lane_evaluators, scale)
 from .poly2 import Poly2, derivative
 
 DEFAULT_T_MAX = 400.0
@@ -332,8 +332,9 @@ def _quad_over_cycle(cycle: LimitCycle, integrand: Callable, tol: float = 1e-10)
     return _until_levels_agree(level, tol)
 
 
-def characteristic_exponent(X: PolyVectorField, cycle: LimitCycle, tol: float = 1e-10) -> float:
-    """integral over one period of div X along the cycle."""
+def characteristic_exponent(X: PolyVectorField | CollapseField, cycle: LimitCycle,
+                            tol: float = 1e-10) -> float:
+    """integral over one period of div X along the cycle (field.divergence)."""
     div = divergence(X)
     return _quad_over_cycle(cycle, lambda x, y: div(x, y), tol)
 
@@ -363,10 +364,10 @@ def divergence_integral_terms(X: PolyVectorField, R: Poly2, lam: float,
     all along the given (perturbed-family) cycle. Their sum equals the
     characteristic exponent of the perturbed field on that cycle.
     """
-    Rxx, Ryy = derivative(R, "x", 2), derivative(R, "y", 2)
+    grad_square, r_laplacian = collapse_integrands(R)
     i_base = characteristic_exponent(X, cycle)
-    i_grad = lam * gradient_square_integral(R, cycle)
-    i_lap = lam * _quad_over_cycle(cycle, lambda x, y: R(x, y) * (Rxx(x, y) + Ryy(x, y)))
+    i_grad = lam * _quad_over_cycle(cycle, grad_square)
+    i_lap = lam * _quad_over_cycle(cycle, r_laplacian)
     return i_base, i_grad, i_lap
 
 
@@ -686,7 +687,7 @@ class SplittingReport:
     success: bool
     time_reversed: bool
     messages: list[str]
-    perturbed: PolyVectorField
+    perturbed: PolyVectorField | CollapseField
 
 
 def _alternating(census: Sequence[LimitCycle]) -> bool:
@@ -707,10 +708,11 @@ def theorem1_splitting(
 
     R is a polynomial vanishing on the cycle, exactly or approximately (a
     Bernstein fit of a sampled vanishing function serves as well). The
-    perturbed field X + lam * R grad R has its cycle census over xi_range
-    reported; success means at least three cycles with alternating
-    stability, with the continued middle cycle turned hyperbolic unstable
-    (positive exponent).
+    perturbed field X + lam * R grad R (field.gradient_collapse_family: a
+    PolyVectorField for a monomial R, a CollapseField for a Bernstein R)
+    has its cycle census over xi_range reported; success means at least
+    three cycles with alternating stability, with the continued middle cycle
+    turned hyperbolic unstable (positive exponent).
     """
     if not isinstance(R, Poly2):
         raise TypeError(f"R must be a Poly2, got {type(R).__name__}")

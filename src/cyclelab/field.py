@@ -1,6 +1,6 @@
 """Planar polynomial vector fields and their perturbation families.
 
-A field is a pair (P, Q) of bivariate polynomials. The two structured
+A PolyVectorField is a pair (P, Q) of monomial polynomials. The two structured
 perturbations studied here are the rotated family
 
     (P - lam*eps*Q, Q + lam*eps*P)
@@ -12,7 +12,10 @@ gradient-collapse family
 
 which adds lam/2 times the gradient of R^2; when R vanishes on a periodic
 orbit the orbit survives and its characteristic exponent picks up
-lam * integral(|grad R|^2).
+lam * integral(|grad R|^2). A monomial R is multiplied out into a
+PolyVectorField. A Bernstein R (a high-degree fit of a sampled vanishing
+function) gives a CollapseField, which evaluates R, R_x and R_y and combines
+their values, so no product of Bernstein polynomials is ever formed.
 
 The Whitney-style distance used throughout is the sampled max over a compact
 box of all partial-derivative differences up to a given order, with the
@@ -37,6 +40,10 @@ class PolyVectorField:
     P: Poly2
     Q: Poly2
 
+    def __post_init__(self):
+        if "bernstein" in (self.P.basis, self.Q.basis):
+            raise ValueError("PolyVectorField takes monomial components, not the bernstein basis")
+
     @property
     def degree(self) -> float:
         return max(self.P.degree, self.Q.degree)
@@ -47,13 +54,10 @@ class PolyVectorField:
     def rhs(self):
         """The field as one function (x, y) -> (P(x, y), Q(x, y)) on floats.
 
-        Built on the first call and kept with the field. A monomial field
-        compiles each component into one Horner expression
-        (poly2._horner_source) with its coefficients as literals, cut into
-        statements only every 64 nesting levels, whose values are
-        bit-identical to eval_poly's. A Bernstein field on one box builds
-        each component's basis rows on floats (poly2._basis_row_scalar); any
-        other field evaluates each component through eval_poly. The lockstep
+        Built on the first call and kept with the field: each component
+        compiled into one Horner expression (poly2._horner_source) with its
+        coefficients as literals, cut into statements only every 64 nesting
+        levels, whose values are bit-identical to eval_poly's. The lockstep
         driver builds none of these: it evaluates each field through its
         group's evaluators (lane_evaluators), a body compiled once per set of
         monomials on floats and polyval2d's loops on lane arrays, both with
@@ -63,28 +67,10 @@ class PolyVectorField:
 
     @cached_property
     def _evaluator(self):
-        P, Q = self.P, self.Q
-        if P.basis == Q.basis == "monomial":
-            body = _horner_source(P, "p") + _horner_source(Q, "q") + ["return p, q"]
-            namespace = {"inf": math.inf, "nan": math.nan}
-            exec("def rhs(x, y):\n" + "".join(f"    {line}\n" for line in body), namespace)
-            return namespace["rhs"]
-        if P.basis == Q.basis == "bernstein" and P.box == Q.box:
-            ax, bx, ay, by = P.box
-            wx, wy = bx - ax, by - ay
-            gp, gq = P.grid, Q.grid
-            mx, nx = gp.shape[0] - 1, gp.shape[1] - 1
-            mq, nq = gq.shape[0] - 1, gq.shape[1] - 1
-
-            def rhs(x, y):
-                u = (x - ax) / wx
-                v = (y - ay) / wy
-                bu, bv = _basis_row_scalar(mx, u), _basis_row_scalar(nx, v)
-                bu2, bv2 = _basis_row_scalar(mq, u), _basis_row_scalar(nq, v)
-                return float(bu @ gp @ bv), float(bu2 @ gq @ bv2)
-
-            return rhs
-        return lambda x, y: (P(x, y), Q(x, y))
+        body = _horner_source(self.P, "p") + _horner_source(self.Q, "q") + ["return p, q"]
+        namespace = {"inf": math.inf, "nan": math.nan}
+        exec("def rhs(x, y):\n" + "".join(f"    {line}\n" for line in body), namespace)
+        return namespace["rhs"]
 
     def jacobian(self) -> tuple[Poly2, Poly2, Poly2, Poly2]:
         return (
@@ -95,12 +81,60 @@ class PolyVectorField:
         )
 
 
+@dataclass(frozen=True)
+class CollapseField:
+    """X + lam*R*grad R for a Bernstein R: P + lam*(R*R_x), Q + lam*(R*R_y)
+    from the values of R, R_x and R_y, never multiplied out. It has values
+    (__call__), a float rhs() and a divergence (divergence()); no jacobian
+    and no negation, as only the unperturbed X is differentiated or reversed.
+    """
+
+    X: PolyVectorField
+    R: Poly2
+    lam: float
+
+    @cached_property
+    def _gradient(self) -> tuple[Poly2, Poly2]:
+        return derivative(self.R, "x"), derivative(self.R, "y")
+
+    def __call__(self, x, y):
+        Rx, Ry = self._gradient
+        p, q = self.X(x, y)
+        r = self.R(x, y)
+        return p + self.lam * (r * Rx(x, y)), q + self.lam * (r * Ry(x, y))
+
+    def rhs(self):
+        """X.rhs() plus lam*(R*R_x, R*R_y) on floats, each of R, R_x and R_y a
+        row @ grid @ row product (poly2._basis_row_scalar); built once."""
+        return self._evaluator
+
+    @cached_property
+    def _evaluator(self):
+        f, lam = self.X.rhs(), self.lam
+        G, Gx, Gy = self.R.grid, *(d.grid for d in self._gradient)
+        (m, n), mx, ny = self.R.bernstein_degrees, Gx.shape[0] - 1, Gy.shape[1] - 1
+        ax, bx, ay, by = self.R.box
+        wx, wy = bx - ax, by - ay
+
+        def rhs(x, y):
+            p, q = f(x, y)
+            u = (x - ax) / wx
+            v = (y - ay) / wy
+            bu, bv = _basis_row_scalar(m, u), _basis_row_scalar(n, v)
+            r = float(bu @ G @ bv)
+            rx = float(_basis_row_scalar(mx, u) @ Gx @ bv)
+            ry = float(bu @ Gy @ _basis_row_scalar(ny, v))
+            return p + lam * (r * rx), q + lam * (r * ry)
+
+        return rhs
+
+
 def lane_evaluators(fields) -> list[tuple[list[int], object]]:
     """The fields in groups that can be evaluated together: (members, select)
     pairs, members indexing fields.
 
-    Fields whose components are nonzero monomial polynomials with the same
-    nonzero monomials form one group. Its select(k), k an int, is the
+    PolyVectorFields whose components are nonzero and have the same nonzero
+    monomials form one group. Its select(k), k an int, is the
     right-hand side (x, y) -> (P, Q) of the field members[k] on floats: one
     body per set of monomials, rhs()'s with coefficient names for the
     literals (poly2._horner_source), compiled once per process. Its
@@ -108,15 +142,15 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
     whose k-th entries belong to the field members[lanes[k]]: polyval2d's
     loops on the group's coefficients gathered for the lanes (_lane_plan,
     _lane_rhs). Every value, on floats as on arrays, has the bits of that
-    field's rhs(). The other fields form one group whose select is None.
+    field's rhs(). The other fields (a CollapseField, or a field with a zero
+    component) form one group whose select is None.
     """
     groups: dict = {}
     keys: dict = {}  # the monomials of P and Q in their own order -> sorted
     for i, X in enumerate(fields):
-        P, Q = X.P, X.Q
         key = None
-        if P.basis == Q.basis == "monomial" and P.coeffs and Q.coeffs:
-            order = tuple(P.coeffs), tuple(Q.coeffs)
+        if isinstance(X, PolyVectorField) and X.P.coeffs and X.Q.coeffs:
+            order = tuple(X.P.coeffs), tuple(X.Q.coeffs)
             if order not in keys:
                 keys[order] = tuple(sorted(order[0])), tuple(sorted(order[1]))
             key = keys[order]
@@ -259,14 +293,30 @@ def _lane_rhs(coeffs, plan: _LanePlan):
     return rhs
 
 
-def divergence(X: PolyVectorField) -> Poly2:
-    """dP/dx + dQ/dy, exact."""
+def divergence(X):
+    """dP/dx + dQ/dy: exact, as a Poly2, for a PolyVectorField; for a
+    CollapseField the function (x, y) -> div X + lam*(|grad R|^2 + R*lap R),
+    its two collapse terms from collapse_integrands."""
+    if isinstance(X, CollapseField):
+        base = divergence(X.X)
+        grad_square, r_laplacian = collapse_integrands(X.R)
+        lam = X.lam
+        return lambda x, y: base(x, y) + lam * (grad_square(x, y) + r_laplacian(x, y))
     return add(derivative(X.P, "x"), derivative(X.Q, "y"))
 
 
-def perp(X: PolyVectorField) -> PolyVectorField:
-    """Quarter-turn of the field: (-Q, P)."""
-    return PolyVectorField(scale(X.Q, -1.0), X.P)
+def collapse_integrands(R: Poly2):
+    """(x, y) -> |grad R|^2 and (x, y) -> R*(Rxx + Ryy), whose sum is the
+    divergence of R*grad R: CollapseField's divergence and
+    cycles.divergence_integral_terms both take them from here."""
+    Rx, Ry = derivative(R, "x"), derivative(R, "y")
+    Rxx, Ryy = derivative(R, "x", 2), derivative(R, "y", 2)
+
+    def grad_square(x, y):
+        gx, gy = Rx(x, y), Ry(x, y)
+        return gx * gx + gy * gy
+
+    return grad_square, lambda x, y: R(x, y) * (Rxx(x, y) + Ryy(x, y))
 
 
 def rotate_family(X: PolyVectorField, lam: float, eps: float = 1.0) -> PolyVectorField:
@@ -283,8 +333,12 @@ def rotate_family(X: PolyVectorField, lam: float, eps: float = 1.0) -> PolyVecto
     )
 
 
-def gradient_collapse_family(X: PolyVectorField, R: Poly2, lam: float) -> PolyVectorField:
-    """Family (P + lam*R*Rx, Q + lam*R*Ry); R may be monomial or Bernstein."""
+def gradient_collapse_family(X: PolyVectorField, R: Poly2, lam: float):
+    """Family (P + lam*R*Rx, Q + lam*R*Ry). A monomial R is expanded into a
+    PolyVectorField; a Bernstein R gives a CollapseField, which evaluates R
+    and its gradient and never multiplies them out."""
+    if R.basis == "bernstein":
+        return CollapseField(X, R, lam)
     Rx = derivative(R, "x")
     Ry = derivative(R, "y")
     return PolyVectorField(

@@ -279,7 +279,8 @@ class ExperimentConfig:
         if self.r not in (1, 2, 3):
             raise ValueError("r must be one of {1, 2, 3}")
         for key, least in (("q2_degree", 2), ("fit_degree", 2), ("n_seeds", 2),
-                           ("q2_samples", 0), ("invariance_orbits", 0), ("verify_samples", 1)):
+                           ("q2_samples", 0), ("invariance_orbits", 0), ("verify_samples", 1),
+                           ("degree_cap", 1)):
             if not getattr(self, key) >= least:
                 raise ValueError(f"{key} must be >= {least}")
         for v in self.lambda_eps_values:
@@ -289,9 +290,14 @@ class ExperimentConfig:
             raise ValueError("xi_range must be finite with lo < hi")
         if not (-math.inf < self.annulus_xi[0] < 0.0 < self.annulus_xi[1] < math.inf):
             raise ValueError("annulus_xi must be finite with lo < 0 < hi")
-        for key in ("window", "section_half_length", "horizon_periods"):
+        for key in ("window", "section_half_length", "horizon_periods", "window_width",
+                    "eps_target"):
             if not (0.0 < getattr(self, key) < math.inf):
                 raise ValueError(f"{key} must be finite and > 0")
+        base = self.section_base
+        if base is not None and not (len(base) == 2 and all(-math.inf < v < math.inf
+                                                             for v in base)):
+            raise ValueError("section_base must be null or two finite numbers")
         if not (0.0 <= self.q2_radius < math.inf):
             raise ValueError("q2_radius must be finite and >= 0")
         return self

@@ -6,11 +6,13 @@ is a dense (m+1, n+1) coefficient grid over an axis-aligned box; evaluation
 uses the numerically stable one-dimensional basis recurrence (multiplicative,
 no cancellation), so it remains valid slightly outside the box as well.
 
-Conversion from Bernstein to monomial is exponentially ill-conditioned, so
-the library has none: every consumer works basis-natively (evaluation,
-differentiation, sums and products stay in the Bernstein basis). Bernstein
-arithmetic runs on one box: operands on two different boxes raise
-ValueError.
+The Bernstein form is for evaluation and differentiation only (the
+derivative stays in the Bernstein basis). The library converts in neither
+direction: Bernstein to monomial is exponentially ill-conditioned, and no
+pipeline needs the other way. Sums, products and scaling (add, mul, scale)
+take monomial operands and raise ValueError for a Bernstein one; a field
+built on a Bernstein polynomial evaluates its pieces and combines their
+values (field.CollapseField).
 """
 from __future__ import annotations
 
@@ -102,16 +104,6 @@ def bernstein_basis_row(m: int, u) -> np.ndarray:
     np.multiply(((m - i) / (i + 1.0))[:, None], a / b, out=C[1:])
     np.multiply.accumulate(C, axis=0, out=C)
     return np.where(flip, C[::-1], C).T
-
-
-def _binom_log(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0..n via cumulative sums (exact-ish for n <= few 1000)."""
-    k = np.arange(1, n + 1)
-    steps = np.log((n - k + 1.0) / k)
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
-    return out
 
 
 @dataclass(frozen=True)
@@ -321,174 +313,43 @@ def derivative(p: Poly2, axis: str, order: int = 1) -> Poly2:
                     nxt[(i, j - 1)] = nxt.get((i, j - 1), 0.0) + c * j
             coeffs = nxt
         return Poly2.monomial(coeffs)
-    ax, bx, ay, by = p.box
-    g = np.array(p.grid)
+    k = "xy".index(axis)
+    width = p.box[2 * k + 1] - p.box[2 * k]
+    g = p.grid
     for _ in range(order):
-        if axis == "x":
-            m = g.shape[0] - 1
-            if m == 0:
-                g = np.zeros((1, g.shape[1]))
-            else:
-                g = m * np.diff(g, axis=0) / (bx - ax)
-        else:
-            n = g.shape[1] - 1
-            if n == 0:
-                g = np.zeros((g.shape[0], 1))
-            else:
-                g = n * np.diff(g, axis=1) / (by - ay)
+        m = g.shape[k] - 1
+        # degree 0 along the axis: the derivative is 0, on a grid of g's shape
+        g = m * np.diff(g, axis=k) / width if m else np.zeros_like(g)
     return Poly2.bernstein(g, p.box)
 
 
-def _elevate_1d(c: np.ndarray, r: int, axis: int) -> np.ndarray:
-    """Raise the Bernstein degree along one axis by r (exact, stable)."""
-    if r == 0:
-        return c
-    if axis == 1:
-        return _elevate_1d(c.T, r, 0).T
-    m = c.shape[0] - 1
-    M = m + r
-    logm = _binom_log(m)
-    logr = _binom_log(r)
-    logM = _binom_log(M)
-    out = np.zeros((M + 1, c.shape[1]))
-    for k in range(M + 1):
-        j0, j1 = max(0, k - r), min(m, k)
-        j = np.arange(j0, j1 + 1)
-        w = np.exp(logm[j] + logr[k - j] - logM[k])
-        out[k] = w @ c[j]
-    return out
-
-
-def _elevate_to(p: Poly2, m: int, n: int) -> Poly2:
-    pm, pn = p.bernstein_degrees
-    if pm > m or pn > n:
-        raise ValueError("cannot lower bernstein degree by elevation")
-    g = _elevate_1d(p.grid, m - pm, 0)
-    g = _elevate_1d(g, n - pn, 1)
-    return Poly2.bernstein(g, p.box)
-
-
-def _convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full 2-d convolution as a sum of row-by-row 1-d direct convolutions."""
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-    for i, row in enumerate(a):
-        for k, other in enumerate(b):
-            out[i + k] += np.convolve(row, other)
-    return out
-
-
-def _product_bernstein(p: Poly2, q: Poly2) -> Poly2:
-    """Exact Bernstein-basis product via binomially weighted direct convolution.
-
-    Each output coefficient is a convex combination of input products
-    (Vandermonde identity), so the per-entry relative error is O(m^2 eps);
-    FFT convolution is avoided because the weight dynamic range would mix
-    scales across entries. p and q share one box.
-    """
-    m1, n1 = p.bernstein_degrees
-    m2, n2 = q.bernstein_degrees
-    wlogs = {}
-    for d in {m1, n1, m2, n2, m1 + m2, n1 + n2}:
-        wlogs[d] = _binom_log(d)
-    wa = np.exp(wlogs[m1][:, None] + wlogs[n1][None, :])
-    wb = np.exp(wlogs[m2][:, None] + wlogs[n2][None, :])
-    cw = _convolve_direct(p.grid * wa, q.grid * wb)
-    wc = np.exp(wlogs[m1 + m2][:, None] + wlogs[n1 + n2][None, :])
-    return Poly2.bernstein(cw / wc, p.box)
-
-
-def to_bernstein(p: Poly2, box, degrees: tuple[int, int] | None = None) -> Poly2:
-    """Represent a monomial-form polynomial exactly in Bernstein form on box.
-
-    A Bernstein-form p is returned as it is on its own box; on another box it
-    raises ValueError.
-    """
-    if p.basis == "bernstein":
-        _same_box(p.box, box)
-        return p
-    ax, bx, ay, by = _check_box(box)
-    C = p._dense
-    dx, dy = C.shape[0] - 1, C.shape[1] - 1
-    if degrees is not None:
-        dx, dy = max(dx, degrees[0]), max(dy, degrees[1])
-        Cp = np.zeros((dx + 1, dy + 1))
-        Cp[: C.shape[0], : C.shape[1]] = C
-        C = Cp
-
-    def axis_matrix(d, a, w):
-        # x^j -> coefficients in u where x = a + w u, then power -> bernstein
-        S = np.zeros((d + 1, d + 1))
-        for j in range(d + 1):
-            for k in range(j + 1):
-                S[k, j] = _comb(j, k) * a ** (j - k) * w**k
-        T = np.zeros((d + 1, d + 1))
-        logd = _binom_log(d)
-        for jj in range(d + 1):
-            for k in range(jj + 1):
-                T[jj, k] = np.exp(_binom_log(jj)[k] - logd[k]) if k <= jj else 0.0
-        return T @ S
-
-    Mx = axis_matrix(dx, ax, bx - ax)
-    My = axis_matrix(dy, ay, by - ay)
-    grid = Mx @ C @ My.T
-    return Poly2.bernstein(grid, (ax, bx, ay, by))
-
-
-def _comb(n, k):
-    from math import comb
-
-    return float(comb(n, k))
-
-
-def _same_box(box, other) -> None:
-    if box != tuple(other):
-        raise ValueError(f"Bernstein operands on two boxes: {box!r} and {tuple(other)!r}")
-
-
-def _in_one_bernstein_box(p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
-    """p and q in the Bernstein basis over the box of the Bernstein operand.
-
-    Mixed-basis operands meet in the Bernstein basis, the stable conversion
-    direction, which keeps high-degree Bernstein operands usable. Two
-    Bernstein operands on different boxes raise ValueError.
-    """
-    if p.basis == "monomial":
-        p = to_bernstein(p, q.box)
-    if q.basis == "monomial":
-        q = to_bernstein(q, p.box)
-    _same_box(p.box, q.box)
-    return p, q
+def _monomial(op: str, *operands: Poly2) -> None:
+    for p in operands:
+        if p.basis != "monomial":
+            raise ValueError(f"{op} takes monomial operands, got the {p.basis} basis")
 
 
 def add(p: Poly2, q: Poly2) -> Poly2:
-    if p.basis == q.basis == "monomial":
-        out = dict(p.coeffs)
-        for k, v in q.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return Poly2.monomial(out)
-    p, q = _in_one_bernstein_box(p, q)
-    m = max(p.bernstein_degrees[0], q.bernstein_degrees[0])
-    n = max(p.bernstein_degrees[1], q.bernstein_degrees[1])
-    return Poly2.bernstein(
-        _elevate_to(p, m, n).grid + _elevate_to(q, m, n).grid, p.box
-    )
+    _monomial("add", p, q)
+    out = dict(p.coeffs)
+    for k, v in q.coeffs.items():
+        out[k] = out.get(k, 0.0) + v
+    return Poly2.monomial(out)
 
 
 def mul(p: Poly2, q: Poly2) -> Poly2:
-    if p.basis == q.basis == "monomial":
-        out = {}
-        for (i1, j1), c1 in p.coeffs.items():
-            for (i2, j2), c2 in q.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0.0) + c1 * c2
-        return Poly2.monomial(out)
-    return _product_bernstein(*_in_one_bernstein_box(p, q))
+    _monomial("mul", p, q)
+    out = {}
+    for (i1, j1), c1 in p.coeffs.items():
+        for (i2, j2), c2 in q.coeffs.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0.0) + c1 * c2
+    return Poly2.monomial(out)
 
 
 def scale(p: Poly2, c: float) -> Poly2:
-    if p.basis == "monomial":
-        return Poly2.monomial({k: v * c for k, v in p.coeffs.items()})
-    return Poly2.bernstein(p.grid * c, p.box)
+    _monomial("scale", p)
+    return Poly2.monomial({k: v * c for k, v in p.coeffs.items()})
 
 
 # ------------------------------------------------------------------ parsing

@@ -13,8 +13,9 @@ real zeros of the guarded displacement fit, its discriminant phi, the
 repeated-root probe at the critical points, the Sturm chain and count with
 NumPy's polydiv and np.sign, the zero test and the
 coefficient comparison of polynomials, the verdict of an annulus
-verification, an orbit's CSV dump, the Bernstein-to-monomial conversion,
-the finite-difference check of supplied derivatives and the cycle census's
+verification, an orbit's CSV dump, the quarter-turn of a field, the
+conversions between the monomial and Bernstein bases, the finite-difference
+check of supplied derivatives and the cycle census's
 sort-and-sweep root rule).
 """
 import math
@@ -30,7 +31,8 @@ from cyclelab import cycles
 from cyclelab import discriminant as dc
 from cyclelab import flow
 from cyclelab.bernstein import InsufficientDerivatives
-from cyclelab.poly2 import Poly2
+from cyclelab.field import PolyVectorField
+from cyclelab.poly2 import Poly2, scale
 
 
 def polar_return(radial, angular=None, r0=1.0, span=2 * np.pi, tol=1e-13):
@@ -333,6 +335,38 @@ def to_monomial(p):
     C = axis_matrix(m, ax, bx - ax) @ p.grid @ axis_matrix(n, ay, by - ay).T
     return Poly2.monomial({(i, j): C[i, j] for i in range(C.shape[0])
                            for j in range(C.shape[1]) if C[i, j] != 0.0})
+
+
+def to_bernstein(p, box, degrees=None):
+    """The monomial polynomial p exactly in Bernstein form on box, of degree
+    at least degrees = (m, n) when given."""
+    ax, bx, ay, by = (float(v) for v in box)
+    C = p._dense
+    dx, dy = C.shape[0] - 1, C.shape[1] - 1
+    if degrees is not None:
+        dx, dy = max(dx, degrees[0]), max(dy, degrees[1])
+        C = np.pad(C, ((0, dx + 1 - C.shape[0]), (0, dy + 1 - C.shape[1])))
+
+    def axis_matrix(d, a, w):
+        # x^j -> power in u where x = a + w u, then u^k -> Bernstein:
+        # the i-th coefficient of u^k is C(i, k) / C(d, k)
+        S = np.zeros((d + 1, d + 1))
+        for j in range(d + 1):
+            for k in range(j + 1):
+                S[k, j] = math.comb(j, k) * a ** (j - k) * w**k
+        T = np.zeros((d + 1, d + 1))
+        for i in range(d + 1):
+            for k in range(i + 1):
+                T[i, k] = math.comb(i, k) / math.comb(d, k)
+        return T @ S
+
+    grid = axis_matrix(dx, ax, bx - ax) @ C @ axis_matrix(dy, ay, by - ay).T
+    return Poly2.bernstein(grid, (ax, bx, ay, by))
+
+
+def perp(X):
+    """Quarter-turn of the field: (-Q, P)."""
+    return PolyVectorField(scale(X.Q, -1.0), X.P)
 
 
 def check_consistency(f, rng=None, n_points=20, tol=1e-4):

@@ -17,8 +17,8 @@ from cyclelab import annulus as an
 from cyclelab import cycles as cy
 from cyclelab import lab
 from cyclelab.bernstein import SampledField, bernstein_fit, cr_error
-from cyclelab.field import (PolyVectorField, gradient_collapse_family, perp,
-                            rotate_family)
+from cyclelab import field, poly2
+from cyclelab.field import PolyVectorField, gradient_collapse_family, rotate_family
 from cyclelab.poly2 import parse_poly, scale
 from cyclelab.registry import canonical_function
 
@@ -79,13 +79,49 @@ def test_criterion_3_divergence_decomposition(ck, split_census):
            f"{abs(ib + ig + il - independent):.2e}")
 
 
-def test_criterion_4_theorem1_surrogate_split():
+def test_criterion_4_theorem1_surrogate_split(monkeypatch):
     cfg = lab.ExperimentConfig.from_dict({
         "pipeline": "split-theorem1", "system": "CK(3)", "lambda": 0.02,
         "surrogate": True, "eps_target": 0.4, "window_width": 0.95,
         "degree_cap": 256, "r": 1, "xi_range": [-0.2, 0.2], "n_seeds": 21,
     })
+    # the perturbed field evaluates the degree-170 fit's own jets: while the
+    # split runs its census and the annulus flux, no basis row above the
+    # fit's degree (the degree search and the Whitney log, outside them,
+    # reach the cap, 256), and no product of a Bernstein operand anywhere
+    row_degrees = {"other": set(), "perturbed": set()}
+    phase, bernstein_products = ["other"], []
+
+    def counted(row):
+        def counted_row(m, u):
+            row_degrees[phase[0]].add(m)
+            return row(m, u)
+        return counted_row
+
+    def perturbed(stage):
+        def run(*args, **kwargs):
+            phase[0] = "perturbed"
+            try:
+                return stage(*args, **kwargs)
+            finally:
+                phase[0] = "other"
+        return run
+
+    def counted_mul(p, q, mul=poly2.mul):
+        if "bernstein" in (p.basis, q.basis):
+            bernstein_products.append((p, q))
+        return mul(p, q)
+
+    monkeypatch.setattr(poly2, "bernstein_basis_row", counted(poly2.bernstein_basis_row))
+    for module in (poly2, field):
+        monkeypatch.setattr(module, "_basis_row_scalar", counted(poly2._basis_row_scalar))
+        monkeypatch.setattr(module, "mul", counted_mul)
+    monkeypatch.setattr(cy, "theorem1_splitting", perturbed(cy.theorem1_splitting))
+    monkeypatch.setattr(an, "flux_margin", perturbed(an.flux_margin))
     rep = lab.run_pipeline(cfg)
+    assert rep.payload["degree"] == [170, 170]
+    assert max(row_degrees["perturbed"]) == 170 and max(row_degrees["other"]) == 256
+    assert bernstein_products == []
     census = rep.payload["census"]
     assert census["count"] == 3
     radii = [c["radius"] for c in census["cycles"]]
@@ -123,12 +159,12 @@ def test_criterion_6_perko_derivative(ck, section):
     # along their cycle; CK(1) has div = -2 there and no such closed form)
     for k in (2, 3):
         cyc = cy.build_cycle(ck[k], section, 0.0)
-        pp = perp(ck[k])
+        pp = oracles.perp(ck[k])
         direction = PolyVectorField(scale(pp.P, eps), scale(pp.Q, eps))
         val = cy.perko_derivative(ck[k], direction, cyc)
         assert val == pytest.approx(2 * np.pi * eps, abs=1e-8)
     cyc2 = cy.build_cycle(ck[2], section, 0.0)
-    pp2 = perp(ck[2])
+    pp2 = oracles.perp(ck[2])
     pk = cy.perko_derivative(ck[2], PolyVectorField(scale(pp2.P, eps), scale(pp2.Q, eps)),
                              cyc2)
     ratios = []

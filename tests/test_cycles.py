@@ -11,7 +11,7 @@ from cyclelab import cycles as cy
 from cyclelab import flow
 from cyclelab.bernstein import SampledField, bernstein_fit
 from cyclelab.field import (
-    PolyVectorField, ck_system, gradient_collapse_family, perp, rotate_family, vanderpol,
+    CollapseField, PolyVectorField, ck_system, gradient_collapse_family, rotate_family, vanderpol,
 )
 from cyclelab.poly2 import Poly2, add, parse_poly, scale
 
@@ -19,7 +19,7 @@ S = parse_poly("1 - x^2 - y^2")
 
 
 def eps_perp(X, eps):
-    pp = perp(X)
+    pp = oracles.perp(X)
     return PolyVectorField(scale(pp.P, eps), scale(pp.Q, eps))
 
 
@@ -517,6 +517,23 @@ def test_census_matches_the_reference_census_on_fields(name, xi_range):
     assert cy.nearest_cycle(X, section, xi_range, 25, 1e-10).xi_star.hex() == _nearest_hex(want)
 
 
+def test_census_merge_boundary_is_inclusive(monkeypatch):
+    """Two roots exactly _MERGE_XI apart are one cycle, the lower: with d = 0
+    everywhere on (0, 1e-8) and two seeds, both seeds are roots, and the
+    census keeps only the first, as oracles.census_roots does."""
+    monkeypatch.setattr(cy, "displacement", lambda X, section, xi, tol=None, **kwargs: 0.0)
+    monkeypatch.setattr(cy, "build_cycle", _stub_cycle)
+    xi_range = (0.0, 1e-8)
+    assert xi_range[1] - xi_range[0] == cy._MERGE_XI
+    census = cy._Census(None, None, xi_range, 2, 0.0)
+    assert [census.kept(a) for a in range(2)] == [0.0, None]
+    want = oracles.census_roots(lambda xi: 0.0, np.linspace(*xi_range, 2), 0.0)
+    assert want == [0.0]
+    assert ([c.xi_star.hex() for c in cy.find_cycles(None, None, xi_range, 2, 0.0)]
+            == [float(r).hex() for r in want])
+    assert cy.nearest_cycle(None, None, xi_range, 2, 0.0).xi_star.hex() == _nearest_hex(want)
+
+
 @pytest.mark.parametrize("census", [cy.find_cycles, cy.nearest_cycle])
 @pytest.mark.parametrize("xi_range", [(0.3, -0.3), (0.3, 0.3), (-math.inf, 0.3),
                                       (-0.3, math.nan), (-0.3, math.inf)])
@@ -893,14 +910,31 @@ def _per_panel_quad(cycle, integrand, tol=1e-10, log=None):
     raise AssertionError("the reference quadrature did not converge")
 
 
+def test_collapse_field_census_meets_the_exact_split_oracles(ck, section):
+    """CK(3) + 0.02 R grad R with R the Bernstein form of S, a CollapseField,
+    meets criterion 2's closed-form oracles: three cycles at the polar radii,
+    alternating in stability, the middle exponent 8 pi lam."""
+    lam = 0.02
+    Y = gradient_collapse_family(ck[3], oracles.to_bernstein(S, (-1.5, 1.5, -1.5, 1.5)), lam)
+    assert isinstance(Y, CollapseField)
+    census = cy.find_cycles(Y, section, (-0.3, 0.3), 25)
+    assert len(census) == 3
+    for c, target in zip(census, oracles.collapse_ck3_radii(lam)):
+        assert c.mean_radius == pytest.approx(target, abs=1e-5)
+    signs = [np.sign(c.exponent) for c in census]
+    assert all(a * b < 0 for a, b in zip(signs, signs[1:]))
+    assert census[1].exponent == pytest.approx(8 * np.pi * lam, rel=0.01)
+
+
 @pytest.fixture(scope="module")
 def bernstein_collapse_cycle():
-    # a degree-24 Bernstein fit of S, so the family, its divergence and the
-    # I_grad, I_lap integrands all stay in the Bernstein basis
+    # a degree-24 Bernstein fit of S, so the family is a CollapseField, and
+    # its divergence and the I_grad, I_lap integrands evaluate R's
+    # Bernstein jets
     R = bernstein_fit(SampledField(value=lambda x, y: 1 - x * x - y * y,
                                    box=(-1.5, 1.5, -1.5, 1.5)), 24, 24)
     fam = gradient_collapse_family(ck_system(3), R, 0.02)
-    assert fam.P.basis == "bernstein"
+    assert isinstance(fam, CollapseField)
     section = cy.section_for_field(ck_system(1), (1.0, 0.0))
     (cyc,) = cy.find_cycles(fam, section, (-0.3, 0.3), 7)
     return R, fam, cyc

@@ -7,6 +7,9 @@ from cyclelab import field as fd
 from cyclelab import poly2 as p2
 from cyclelab.poly2 import Poly2, parse_poly
 
+S = parse_poly("1 - x^2 - y^2")
+BOX = (-1.5, 1.5, -1.5, 1.5)
+
 
 def test_divergence_examples():
     assert oracles.same_coeffs(fd.divergence(fd.PolyVectorField(parse_poly("x"), parse_poly("y"))),
@@ -29,14 +32,14 @@ def test_divergence_ck3_closed_form(ck):
 
 def test_perp(ck):
     one_zero = fd.PolyVectorField(parse_poly("1"), Poly2.zero())
-    assert oracles.is_zero(fd.perp(one_zero).P)
-    assert oracles.same_coeffs(fd.perp(one_zero).Q, parse_poly("1"))
+    assert oracles.is_zero(oracles.perp(one_zero).P)
+    assert oracles.same_coeffs(oracles.perp(one_zero).Q, parse_poly("1"))
     # quarter turn squared is -identity, coefficient-wise
-    pp = fd.perp(fd.perp(ck[2]))
+    pp = oracles.perp(oracles.perp(ck[2]))
     assert oracles.same_coeffs(pp.P, p2.scale(ck[2].P, -1.0), 0.0)
     assert oracles.same_coeffs(pp.Q, p2.scale(ck[2].Q, -1.0), 0.0)
     # CK(1): (-Q, P)(1, 0) = (-1, 0)
-    px, py = fd.perp(ck[1])(1.0, 0.0)
+    px, py = oracles.perp(ck[1])(1.0, 0.0)
     assert (px, py) == (pytest.approx(-1.0), pytest.approx(0.0))
 
 
@@ -46,8 +49,8 @@ def test_rotate_family_identity_and_linearity(ck):
     assert oracles.same_coeffs(same.P, X.P, 0.0) and oracles.same_coeffs(same.Q, X.Q, 0.0)
     lam, eps = 0.03, 0.21
     rot = fd.rotate_family(X, lam, eps)
-    manual_p = p2.add(X.P, p2.scale(fd.perp(X).P, lam * eps))
-    manual_q = p2.add(X.Q, p2.scale(fd.perp(X).Q, lam * eps))
+    manual_p = p2.add(X.P, p2.scale(oracles.perp(X).P, lam * eps))
+    manual_q = p2.add(X.Q, p2.scale(oracles.perp(X).Q, lam * eps))
     assert oracles.same_coeffs(rot.P, manual_p, 0.0) and oracles.same_coeffs(rot.Q, manual_q, 0.0)
 
 
@@ -96,6 +99,50 @@ def test_divergence_decomposition_identity(ck):
     assert oracles.same_coeffs(fd.divergence(fam), want, 1e-12)
 
 
+def _close(got, want, rel=1e-12):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
+
+
+def test_collapse_field_matches_the_expanded_family(ck):
+    """A Bernstein R gives a CollapseField whose values (on arrays and on
+    scalars), float rhs() and divergence agree with the monomial family of
+    the same polynomial, multiplied out, within 1e-12 relative."""
+    lam = 0.02
+    R = oracles.to_bernstein(S, BOX)
+    Y = fd.gradient_collapse_family(ck[3], R, lam)
+    ref = fd.gradient_collapse_family(ck[3], S, lam)
+    assert isinstance(Y, fd.CollapseField) and isinstance(ref, fd.PolyVectorField)
+    rng = np.random.default_rng(24)
+    x, y = rng.uniform(-1.1, 1.1, 500), rng.uniform(-1.1, 1.1, 500)
+    for got, want in zip(Y(x, y), ref(x, y)):
+        assert _close(got, want)
+    rhs, ref_rhs = Y.rhs(), ref.rhs()
+    assert Y.rhs() is rhs  # built once per field
+    div, ref_div = fd.divergence(Y), fd.divergence(ref)
+    assert _close(div(x, y), ref_div(x, y))
+    for xk, yk in zip(x[:100].tolist(), y[:100].tolist()):
+        assert _close(Y(xk, yk), ref(xk, yk))
+        assert _close(rhs(xk, yk), ref_rhs(xk, yk))
+        assert all(type(v) is float for v in rhs(xk, yk))
+        assert _close(div(xk, yk), ref_div(xk, yk))
+
+
+def test_collapse_field_is_its_own_lane_group(ck):
+    """lane_evaluators puts a CollapseField in the group whose select is None."""
+    Y = fd.gradient_collapse_family(ck[3], oracles.to_bernstein(S, BOX), 0.02)
+    groups = fd.lane_evaluators([ck[1], Y, ck[3]])
+    assert sorted((members, select is None) for members, select in groups) == [
+        ([0], False), ([1], True), ([2], False)]
+
+
+def test_poly_vector_field_is_monomial():
+    b = oracles.to_bernstein(S, BOX)
+    for P, Q in ((b, S), (S, b), (b, b)):
+        with pytest.raises(ValueError, match="bernstein basis"):
+            fd.PolyVectorField(P, Q)
+
+
 def test_rotation_preserves_singularities(ck):
     rot = fd.rotate_family(ck[2], 0.05, 0.1)
     assert rot.P(0.0, 0.0) == 0.0 and rot.Q(0.0, 0.0) == 0.0
@@ -116,7 +163,7 @@ def test_cr_distance_examples(ck):
     rot = fd.rotate_family(ck[2], lam, eps)
     d = fd.cr_distance(ck[2], rot, box, r=1)
     perp_functional = fd.cr_distance(
-        fd.PolyVectorField(Poly2.zero(), Poly2.zero()), fd.perp(ck[2]), box, r=1
+        fd.PolyVectorField(Poly2.zero(), Poly2.zero()), oracles.perp(ck[2]), box, r=1
     )
     assert d == pytest.approx(lam * eps * perp_functional, rel=1e-12)
 

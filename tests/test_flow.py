@@ -743,15 +743,16 @@ def test_lane_roots_match_bernstein_roots(rows):
 
 
 def _lockstep_fields(ck):
-    """Fields for the lockstep tests: six monomial supports and a Bernstein
-    field, with orbits that cross, never cross (NoCrossing), leave the
-    safety box (Divergence) and blow up in finite time (StepUnderflow, with
-    overflow inside the lane arrays). The orbits of the seventh field are the
+    """Fields for the lockstep tests: six monomial supports and a
+    CollapseField of a Bernstein R, which lane_evaluators leaves out of every
+    lane group (its select is None), with orbits that cross, never cross
+    (NoCrossing), leave the safety box (Divergence) and blow up in finite
+    time (StepUnderflow, with overflow inside the lane arrays). The orbits of the seventh field are the
     graphs y = (x - 0.5)(x - 1.1)(x - 1.3)(x - 1.5) + const, so a step can
     meet the section line three times, which leaves as many sign changes
     among its Bernstein coefficients, and cross it upward twice."""
     from cyclelab.discriminant import _perturb_coeffs
-    from cyclelab.poly2 import to_bernstein
+    from cyclelab.field import gradient_collapse_family
 
     rng = np.random.default_rng(3)
     repelling3 = PolyVectorField(parse_poly("-y - x + x^3 + x*y^2"),
@@ -763,7 +764,8 @@ def _lockstep_fields(ck):
             _perturb_coeffs(ck[1], rng, 0.05), _perturb_coeffs(ck[1], rng, 0.3),
             PolyVectorField(parse_poly("1"), parse_poly("4*x^3 - 13.2*x^2 + 13.96*x - 4.66")),
             _perturb_coeffs(ck[3], rng, 1e-3), _perturb_coeffs(ck[3], rng, 0.3),
-            PolyVectorField(to_bernstein(ck[1].P, box), to_bernstein(ck[1].Q, box))]
+            gradient_collapse_family(ck[1], oracles.to_bernstein(parse_poly("1 - x^2 - y^2"), box),
+                                     0.02)]
 
 
 def _crossing_or_failure(X, x0, sign, **kw):

@@ -154,6 +154,17 @@ _BAD_SAMPLING = [
     ({"annulus_xi": [-float("inf"), 0.35]}, "annulus_xi"),
     ({"annulus_xi": [0.1, 0.35]}, "annulus_xi"), ({"annulus_xi": [-0.35, 0.0]}, "annulus_xi"),
     ({"annulus_xi": [-0.35, float("nan")]}, "annulus_xi"),
+    ({"window_width": -0.5}, "window_width"), ({"window_width": 0}, "window_width"),
+    ({"window_width": float("nan")}, "window_width"),
+    ({"window_width": float("inf")}, "window_width"),
+    ({"eps_target": 0}, "eps_target"), ({"eps_target": -0.4}, "eps_target"),
+    ({"eps_target": float("nan")}, "eps_target"), ({"eps_target": float("inf")}, "eps_target"),
+    ({"degree_cap": 0}, "degree_cap"), ({"degree_cap": -256}, "degree_cap"),
+    ({"section_base": [float("nan"), 0.0]}, "section_base"),
+    ({"section_base": [float("inf"), 0.0]}, "section_base"),
+    ({"section_base": [1.0, -float("inf")]}, "section_base"),
+    ({"section_base": [1.0]}, "section_base"),
+    ({"section_base": [1.0, 0.0, 2.0]}, "section_base"),
 ]
 
 
@@ -162,11 +173,15 @@ def test_config_rejects_bad_sampling(raw, key):
     """window, section_half_length and horizon_periods must be finite and
     > 0, q2_radius finite and >= 0, q2_samples and invariance_orbits >= 0,
     verify_samples >= 1, xi_range finite with lo < hi and annulus_xi finite
-    with lo < 0 < hi. Once a zero window failed only after every orbit, a
-    negative one and a negative sample count passed, and a negative radius
-    failed in NumPy's sampler; a section half-length not > 0 passed with
-    every orbit dropped, an infinite xi_range end failed in NumPy's
-    linspace, and the annulus keys failed only after the census."""
+    with lo < 0 < hi; the surrogate's window_width and eps_target finite and
+    > 0 and degree_cap >= 1; section_base null or two finite numbers. Once a
+    zero window failed only after every orbit, a negative one and a negative
+    sample count passed, and a negative radius failed in NumPy's sampler; a
+    section half-length not > 0 passed with every orbit dropped, an infinite
+    xi_range end failed in NumPy's linspace, and the annulus keys failed
+    only after the census. A negative window_width ran the whole surrogate
+    split, a NaN eps_target probed every degree up to the cap, and a
+    one-number section_base failed with IndexError."""
     for pipeline in ("q2-search", "rotate-theorem2"):
         with pytest.raises(ValueError, match=key):
             lab.ExperimentConfig.from_dict({"pipeline": pipeline, **raw})
@@ -180,6 +195,11 @@ def test_config_accepts_the_sampling_bounds():
                                           "invariance_orbits": 0, "horizon_periods": 1e-6,
                                           "section_half_length": 1e-6})
     assert (cfg.verify_samples, cfg.invariance_orbits) == (1, 0)
+    cfg = lab.ExperimentConfig.from_dict({"pipeline": "split-theorem1", "surrogate": True,
+                                          "window_width": 1e-6, "eps_target": 1e-6,
+                                          "degree_cap": 1, "section_base": [1.0, 0.0]})
+    assert (cfg.window_width, cfg.eps_target, cfg.degree_cap) == (1e-6, 1e-6, 1)
+    assert cfg.section_base == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("command, raw, key", [
@@ -193,6 +213,14 @@ def test_config_accepts_the_sampling_bounds():
     ("find", {"xi_range": [-float("inf"), 0.3]}, "xi_range"),
     ("annulus", {"verify_samples": 0}, "verify_samples"),
     ("annulus", {"horizon_periods": 0}, "horizon_periods"),
+    ("split", {"surrogate": True, "window_width": -0.5}, "window_width"),
+    ("split", {"surrogate": True, "window_width": float("nan")}, "window_width"),
+    ("split", {"surrogate": True, "eps_target": float("nan")}, "eps_target"),
+    ("split", {"surrogate": True, "eps_target": 0}, "eps_target"),
+    ("split", {"surrogate": True, "degree_cap": 0}, "degree_cap"),
+    ("find", {"section_base": [float("nan"), 0.0]}, "section_base"),
+    ("find", {"section_base": [1.0]}, "section_base"),
+    ("split", {"section_base": [float("inf"), 0.0]}, "section_base"),
 ])
 def test_cli_rejects_bad_sampling_before_any_orbit(tmp_path, monkeypatch, capsys, command, raw,
                                                    key):
@@ -513,14 +541,13 @@ _NO_SCIPY = """
 import math, sys
 import cyclelab, cyclelab.cli
 from cyclelab import cycles, lab
-from cyclelab.field import PolyVectorField, ck_system, gradient_collapse_family, perp
+from cyclelab.field import PolyVectorField, ck_system, gradient_collapse_family
 from cyclelab.poly2 import parse_poly, scale
 X = gradient_collapse_family(ck_system(3), parse_poly("1 - x^2 - y^2"), 0.02)
 section = cycles.section_for_field(ck_system(1), (1.0, 0.0))
 assert len(cycles.find_cycles(X, section, (-0.3, 0.3), 25)) == 3
 ck2 = ck_system(2)
-pp = perp(ck2)
-eps_perp = PolyVectorField(scale(pp.P, 0.1), scale(pp.Q, 0.1))
+eps_perp = PolyVectorField(scale(ck2.Q, -0.1), scale(ck2.P, 0.1))  # 0.1 (-Q, P)
 perko = cycles.perko_derivative(ck2, eps_perp, cycles.build_cycle(ck2, section, 0.0))
 assert abs(perko - 2 * math.pi * 0.1) < 1e-8
 cfg = lab.ExperimentConfig.from_dict({"pipeline": "split-theorem1", "system": "CK(3)"})
