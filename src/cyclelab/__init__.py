@@ -1,12 +1,12 @@
 """cyclelab: a numerical laboratory for limit-cycle splitting in planar
 polynomial vector fields.
 
-Core building blocks: bivariate polynomials in monomial and Bernstein bases
-(poly2), Bernstein approximation with derivative control (bernstein), vector
-fields and perturbation families (field), adaptive integration with section
-events (flow), return/displacement-map analysis (cycles), trapping annuli
-(annulus), discriminant and root-census machinery (discriminant), and the
-experiment harness (lab, cli).
+Core building blocks: bivariate monomial polynomials (poly2), tensor
+Bernstein polynomials and Bernstein approximation with derivative control
+(bernstein), vector fields and perturbation families (field), adaptive
+integration with section events (flow), return/displacement-map analysis
+(cycles), trapping annuli (annulus), discriminant and root-census machinery
+(discriminant), and the experiment harness (lab, cli).
 """
 
 __version__ = "0.1.0"
@@ -17,7 +17,7 @@ from .field import (                                                    # noqa: 
     divergence, rotate_family, gradient_collapse_family, cr_distance,
 )
 from .bernstein import (                                                # noqa: F401,E402
-    SampledField, bernstein_fit, cr_error, min_degree_for_tolerance,
+    BernsteinPoly, SampledField, bernstein_fit, cr_error, min_degree_for_tolerance,
 )
 from .flow import Orbit, integrate, next_section_crossing               # noqa: F401,E402
 from .cycles import (                                                   # noqa: F401,E402

@@ -5,6 +5,11 @@ and measures how fast it converges, together with all partial derivatives up
 to a requested order, on a sampling grid. The degree search realizes the
 "for every tolerance there is a degree" quantifier as a doubling-then-bisection
 search along the diagonal m = n.
+
+A BernsteinPoly, the fit, is for evaluation and differentiation only (its
+derivative stays in the Bernstein basis; conversion to the monomial basis is
+exponentially ill-conditioned). Evaluation uses the multiplicative basis
+recurrence, free of cancellation, so it stays valid slightly outside the box.
 """
 from __future__ import annotations
 
@@ -13,10 +18,146 @@ from typing import Callable
 
 import numpy as np
 
-from .poly2 import Poly2, derivative
+from .poly2 import _axis_index
 
 # grid density is odd by default so symmetric boxes sample their center exactly
 DEFAULT_GRID_DENSITY = 101
+
+
+class DegenerateBox(Exception):
+    """Box with a >= b or c >= d."""
+
+
+def _check_box(box) -> tuple[float, float, float, float]:
+    ax, bx, ay, by = (float(v) for v in box)
+    if not (ax < bx and ay < by):
+        raise DegenerateBox(f"degenerate box {box!r}")
+    return ax, bx, ay, by
+
+
+def _power(b, m: int):
+    """b**m by repeated squaring, for a float or elementwise for an array.
+
+    Both take the same multiplications, so a float and an array entry round
+    alike; NumPy's vectorised power and Python's ** can differ in the last
+    bit.
+    """
+    out = 1.0
+    while m:
+        if m & 1:
+            out = out * b
+        m >>= 1
+        if m:
+            b = b * b
+    return out
+
+
+def _basis_row_scalar(m: int, u: float) -> np.ndarray:
+    """Scalar fast path of bernstein_basis_row, for one float u.
+
+    The running product b^m * f_0 * f_1 * ... is one sequential cumprod over
+    [b^m, f_0, ..., f_{m-1}], so every entry is rounded exactly as in the
+    one-at-a-time recurrence. b is the larger of u and 1-u in magnitude, so it
+    is at least 1/2 for finite u and never zero.
+    """
+    v = 1.0 - u
+    flip = abs(u) > abs(v)
+    a, b = (v, u) if flip else (u, v)
+    i = np.arange(m, dtype=float)
+    out = np.empty(m + 1)
+    out[0] = _power(b, m)
+    out[1:] = (m - i) / (i + 1.0) * (a / b)
+    np.multiply.accumulate(out, out=out)
+    return out[::-1].copy() if flip else out
+
+
+def bernstein_basis_row(m: int, u) -> np.ndarray:
+    """Values of the m+1 degree-m Bernstein basis functions at points u.
+
+    Computed by the direction-switched multiplicative recurrence
+    b_{i+1} = b_i * ((m-i)/(i+1)) * (u/(1-u)); every value is a product of
+    exact ratios, so there is no cancellation and the relative error stays
+    at O(m * eps) for any real u (including outside [0, 1]). Each row has
+    the bits of _basis_row_scalar at its point, which serves a single point.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.size == 1:
+        return _basis_row_scalar(m, float(u[0]))[None, :]
+    v = 1.0 - u
+    flip = np.abs(u) > np.abs(v)
+    a, b = np.where(flip, v, u), np.where(flip, u, v)
+    i = np.arange(m, dtype=float)
+    # one column per point: the running products walk contiguous rows
+    C = np.empty((m + 1, u.size))
+    C[0] = _power(b, m)
+    np.multiply(((m - i) / (i + 1.0))[:, None], a / b, out=C[1:])
+    np.multiply.accumulate(C, axis=0, out=C)
+    return np.where(flip, C[::-1], C).T
+
+
+@dataclass(frozen=True)
+class BernsteinPoly:
+    """Immutable tensor-product Bernstein polynomial: grid[i, j] is the
+    coefficient of the i-th degree-m basis function in x times the j-th
+    degree-n one in y, both on box = (ax, bx, ay, by)."""
+
+    grid: np.ndarray
+    box: tuple[float, float, float, float]
+
+    def __post_init__(self):
+        g = np.array(self.grid, dtype=float)
+        if g.ndim != 2:
+            raise ValueError("bernstein grid must be 2-d")
+        g.setflags(write=False)
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "box", _check_box(self.box))
+
+    def __call__(self, x, y):
+        """Values at (x, y), scalars or broadcasting arrays; a float for
+        scalar input."""
+        ax, bx, ay, by = self.box
+        u = (np.asarray(x, dtype=float) - ax) / (bx - ax)
+        v = (np.asarray(y, dtype=float) - ay) / (by - ay)
+        shape = np.broadcast_shapes(u.shape, v.shape)
+        u = np.broadcast_to(u, shape).ravel()
+        v = np.broadcast_to(v, shape).ravel()
+        m, n = (k - 1 for k in self.grid.shape)
+        Bu = bernstein_basis_row(m, u)
+        Bv = bernstein_basis_row(n, v)
+        vals = np.sum((Bu @ self.grid) * Bv, axis=1)
+        if shape == ():
+            return float(vals[0])
+        return vals.reshape(shape)
+
+    def derivative(self, axis: str, order: int = 1) -> "BernsteinPoly":
+        """Exact partial derivative along 'x' or 'y', differentiated
+        basis-natively (degree drops by one per order, no conversion)."""
+        k = _axis_index(axis, order)
+        width = self.box[2 * k + 1] - self.box[2 * k]
+        g = self.grid
+        for _ in range(order):
+            m = g.shape[k] - 1
+            # degree 0 along the axis: the derivative is 0, on a grid of g's shape
+            g = m * np.diff(g, axis=k) / width if m else np.zeros_like(g)
+        return BernsteinPoly(g, self.box)
+
+    def float_jet(self):
+        """The function (x, y) -> (R, R_x, R_y) on floats, R this polynomial:
+        each value one row @ grid @ row product of basis rows
+        (_basis_row_scalar), the gradient's on the derivative grids."""
+        G, Gx, Gy = self.grid, self.derivative("x").grid, self.derivative("y").grid
+        (m, n), mx, ny = (k - 1 for k in G.shape), Gx.shape[0] - 1, Gy.shape[1] - 1
+        ax, bx, ay, by = self.box
+        wx, wy = bx - ax, by - ay
+
+        def jet(x, y):
+            u = (x - ax) / wx
+            v = (y - ay) / wy
+            bu, bv = _basis_row_scalar(m, u), _basis_row_scalar(n, v)
+            return (float(bu @ G @ bv), float(_basis_row_scalar(mx, u) @ Gx @ bv),
+                    float(bu @ Gy @ _basis_row_scalar(ny, v)))
+
+        return jet
 
 
 class InsufficientDerivatives(Exception):
@@ -61,7 +202,7 @@ class SampledField:
         raise InsufficientDerivatives(f"derivative {(i, j)} is not supplied")
 
 
-def bernstein_fit(f: SampledField, m: int, n: int, box=None) -> Poly2:
+def bernstein_fit(f: SampledField, m: int, n: int, box=None) -> BernsteinPoly:
     """Bernstein polynomial of degree (m, n) for f on box.
 
     The coefficient grid is exactly f sampled at the affine images of the
@@ -77,7 +218,7 @@ def bernstein_fit(f: SampledField, m: int, n: int, box=None) -> Poly2:
     ys = ay + (by - ay) * np.arange(n + 1) / n
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     grid = np.asarray(f.value(X, Y), dtype=float)
-    return Poly2.bernstein(grid, box)
+    return BernsteinPoly(grid, box)
 
 
 def mesh(box, density: int):
@@ -91,28 +232,28 @@ def jets(f, r: int, X, Y) -> dict[tuple[int, int], np.ndarray]:
     """Every partial derivative d^(i+j) f / dx^i dy^j with i + j <= r at (X, Y).
 
     Keys run by total order, then by i: (0, 0), (0, 1), (1, 0), (0, 2), ...
-    A Poly2 takes each derivative once, from the one before it (x first,
-    then y), which gives the same polynomials as nested ``derivative`` calls;
-    a SampledField answers through its own ``derivative(i, j, X, Y)``.
+    A SampledField answers through its own ``derivative(i, j, X, Y)``; a
+    Poly2 or BernsteinPoly takes each derivative once, from the one before it
+    (x first, then y), which gives the same polynomials as nested calls.
     """
     keys = [(i, t - i) for t in range(r + 1) for i in range(t + 1)]
-    if not isinstance(f, Poly2):
+    if isinstance(f, SampledField):
         return {(i, j): np.asarray(f.derivative(i, j, X, Y), dtype=float) for i, j in keys}
     polys = {(0, 0): f}
     for i, j in keys[1:]:
-        polys[(i, j)] = (derivative(polys[(i, j - 1)], "y") if j
-                         else derivative(polys[(i - 1, 0)], "x"))
+        polys[(i, j)] = (polys[(i, j - 1)].derivative("y") if j
+                         else polys[(i - 1, 0)].derivative("x"))
     return {k: p(X, Y) for k, p in polys.items()}
 
 
-def _jet_errors(b: Poly2, r: int, X, Y, target) -> dict[tuple[int, int], float]:
+def _jet_errors(b: BernsteinPoly, r: int, X, Y, target) -> dict[tuple[int, int], float]:
     """max |d^k b - target[k]| over the grid for every |k| <= r."""
     return {k: float(np.max(np.abs(v - target[k]))) for k, v in jets(b, r, X, Y).items()}
 
 
 def cr_error(
     f: SampledField,
-    b: Poly2,
+    b: BernsteinPoly,
     box=None,
     r: int = 0,
     grid_density: int = DEFAULT_GRID_DENSITY,

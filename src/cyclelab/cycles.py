@@ -29,7 +29,8 @@ from numpy.polynomial.legendre import leggauss
 from . import flow
 from .field import (CollapseField, PolyVectorField, collapse_integrands, divergence,
                     gradient_collapse_family, lane_evaluators, scale)
-from .poly2 import Poly2, derivative
+from .bernstein import BernsteinPoly, SampledField
+from .poly2 import Poly2
 
 DEFAULT_T_MAX = 400.0
 # the tolerance of direct calls that give none, one decade below the flow
@@ -340,13 +341,13 @@ def characteristic_exponent(X: PolyVectorField | CollapseField, cycle: LimitCycl
 
 
 def gradient_square_integral(F, cycle: LimitCycle) -> float:
-    """integral over one period of |grad F|^2 along the cycle, F a Poly2 or
-    a bernstein.SampledField. Only the two first derivatives are evaluated,
-    never F itself."""
-    if isinstance(F, Poly2):
-        Fx, Fy = derivative(F, "x"), derivative(F, "y")
-    else:
+    """integral over one period of |grad F|^2 along the cycle, F a Poly2, a
+    BernsteinPoly or a SampledField. Only the two first derivatives are
+    evaluated, never F itself."""
+    if isinstance(F, SampledField):
         Fx, Fy = partial(F.derivative, 1, 0), partial(F.derivative, 0, 1)
+    else:
+        Fx, Fy = F.derivative("x"), F.derivative("y")
 
     def integrand(x, y):
         gx, gy = Fx(x, y), Fy(x, y)
@@ -355,7 +356,7 @@ def gradient_square_integral(F, cycle: LimitCycle) -> float:
     return _quad_over_cycle(cycle, integrand)
 
 
-def divergence_integral_terms(X: PolyVectorField, R: Poly2, lam: float,
+def divergence_integral_terms(X: PolyVectorField, R: Poly2 | BernsteinPoly, lam: float,
                               cycle: LimitCycle) -> tuple[float, float, float]:
     """The three divergence integrals of the gradient-collapse family.
 
@@ -698,7 +699,7 @@ def _alternating(census: Sequence[LimitCycle]) -> bool:
 def theorem1_splitting(
     X: PolyVectorField,
     cycle: LimitCycle,
-    R: Poly2,
+    R: Poly2 | BernsteinPoly,
     lam: float,
     xi_range=(-0.3, 0.3),
     n_seeds: int = 25,
@@ -706,16 +707,16 @@ def theorem1_splitting(
 ) -> SplittingReport:
     """Split an odd-degree non-hyperbolic cycle with a gradient-collapse family.
 
-    R is a polynomial vanishing on the cycle, exactly or approximately (a
-    Bernstein fit of a sampled vanishing function serves as well). The
-    perturbed field X + lam * R grad R (field.gradient_collapse_family: a
-    PolyVectorField for a monomial R, a CollapseField for a Bernstein R)
+    R is a polynomial vanishing on the cycle, exactly or approximately: a
+    monomial Poly2, or a BernsteinPoly fit of a sampled vanishing function.
+    The perturbed field X + lam * R grad R (field.gradient_collapse_family:
+    a PolyVectorField for a Poly2, a CollapseField for a BernsteinPoly)
     has its cycle census over xi_range reported; success means at least
     three cycles with alternating stability, with the continued middle cycle
     turned hyperbolic unstable (positive exponent).
     """
-    if not isinstance(R, Poly2):
-        raise TypeError(f"R must be a Poly2, got {type(R).__name__}")
+    if not isinstance(R, (Poly2, BernsteinPoly)):
+        raise TypeError(f"R must be a Poly2 or a BernsteinPoly, got {type(R).__name__}")
     messages: list[str] = []
     est = cycle.multiplicity or multiplicity(X, cycle)
     if est.d < 3 or est.d % 2 == 0:

@@ -12,10 +12,12 @@ gradient-collapse family
 
 which adds lam/2 times the gradient of R^2; when R vanishes on a periodic
 orbit the orbit survives and its characteristic exponent picks up
-lam * integral(|grad R|^2). A monomial R is multiplied out into a
-PolyVectorField. A Bernstein R (a high-degree fit of a sampled vanishing
-function) gives a CollapseField, which evaluates R, R_x and R_y and combines
-their values, so no product of Bernstein polynomials is ever formed.
+lam * integral(|grad R|^2). A monomial R (a poly2.Poly2) is multiplied
+out into a PolyVectorField. A Bernstein R (a bernstein.BernsteinPoly, the
+high-degree fit of a sampled vanishing function) gives a CollapseField,
+which evaluates R, R_x and R_y and combines their values, so no product of
+Bernstein polynomials is ever formed. Both kinds of R are differentiated
+through their own derivative method.
 
 The Whitney-style distance used throughout is the sampled max over a compact
 box of all partial-derivative differences up to a given order, with the
@@ -30,9 +32,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bernstein import jets, mesh
-from .poly2 import (Poly2, _basis_row_scalar, _horner_source, add, derivative, mul,
-                    parse_poly, scale)
+from .bernstein import BernsteinPoly, jets, mesh
+from .poly2 import Poly2, _horner_source, add, mul, parse_poly, scale
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class PolyVectorField:
     Q: Poly2
 
     def __post_init__(self):
-        if "bernstein" in (self.P.basis, self.Q.basis):
-            raise ValueError("PolyVectorField takes monomial components, not the bernstein basis")
+        if not (isinstance(self.P, Poly2) and isinstance(self.Q, Poly2)):
+            raise TypeError("PolyVectorField takes two Poly2 (monomial) components")
 
     @property
     def degree(self) -> float:
@@ -74,10 +75,10 @@ class PolyVectorField:
 
     def jacobian(self) -> tuple[Poly2, Poly2, Poly2, Poly2]:
         return (
-            derivative(self.P, "x"),
-            derivative(self.P, "y"),
-            derivative(self.Q, "x"),
-            derivative(self.Q, "y"),
+            self.P.derivative("x"),
+            self.P.derivative("y"),
+            self.Q.derivative("x"),
+            self.Q.derivative("y"),
         )
 
 
@@ -90,12 +91,12 @@ class CollapseField:
     """
 
     X: PolyVectorField
-    R: Poly2
+    R: BernsteinPoly
     lam: float
 
     @cached_property
-    def _gradient(self) -> tuple[Poly2, Poly2]:
-        return derivative(self.R, "x"), derivative(self.R, "y")
+    def _gradient(self) -> tuple[BernsteinPoly, BernsteinPoly]:
+        return self.R.derivative("x"), self.R.derivative("y")
 
     def __call__(self, x, y):
         Rx, Ry = self._gradient
@@ -104,26 +105,17 @@ class CollapseField:
         return p + self.lam * (r * Rx(x, y)), q + self.lam * (r * Ry(x, y))
 
     def rhs(self):
-        """X.rhs() plus lam*(R*R_x, R*R_y) on floats, each of R, R_x and R_y a
-        row @ grid @ row product (poly2._basis_row_scalar); built once."""
+        """X.rhs() plus lam*(R*R_x, R*R_y) on floats, R, R_x and R_y from
+        R.float_jet(); built once."""
         return self._evaluator
 
     @cached_property
     def _evaluator(self):
-        f, lam = self.X.rhs(), self.lam
-        G, Gx, Gy = self.R.grid, *(d.grid for d in self._gradient)
-        (m, n), mx, ny = self.R.bernstein_degrees, Gx.shape[0] - 1, Gy.shape[1] - 1
-        ax, bx, ay, by = self.R.box
-        wx, wy = bx - ax, by - ay
+        f, jet, lam = self.X.rhs(), self.R.float_jet(), self.lam
 
         def rhs(x, y):
             p, q = f(x, y)
-            u = (x - ax) / wx
-            v = (y - ay) / wy
-            bu, bv = _basis_row_scalar(m, u), _basis_row_scalar(n, v)
-            r = float(bu @ G @ bv)
-            rx = float(_basis_row_scalar(mx, u) @ Gx @ bv)
-            ry = float(bu @ Gy @ _basis_row_scalar(ny, v))
+            r, rx, ry = jet(x, y)
             return p + lam * (r * rx), q + lam * (r * ry)
 
         return rhs
@@ -302,15 +294,15 @@ def divergence(X):
         grad_square, r_laplacian = collapse_integrands(X.R)
         lam = X.lam
         return lambda x, y: base(x, y) + lam * (grad_square(x, y) + r_laplacian(x, y))
-    return add(derivative(X.P, "x"), derivative(X.Q, "y"))
+    return add(X.P.derivative("x"), X.Q.derivative("y"))
 
 
-def collapse_integrands(R: Poly2):
+def collapse_integrands(R: Poly2 | BernsteinPoly):
     """(x, y) -> |grad R|^2 and (x, y) -> R*(Rxx + Ryy), whose sum is the
     divergence of R*grad R: CollapseField's divergence and
     cycles.divergence_integral_terms both take them from here."""
-    Rx, Ry = derivative(R, "x"), derivative(R, "y")
-    Rxx, Ryy = derivative(R, "x", 2), derivative(R, "y", 2)
+    Rx, Ry = R.derivative("x"), R.derivative("y")
+    Rxx, Ryy = R.derivative("x", 2), R.derivative("y", 2)
 
     def grad_square(x, y):
         gx, gy = Rx(x, y), Ry(x, y)
@@ -333,14 +325,14 @@ def rotate_family(X: PolyVectorField, lam: float, eps: float = 1.0) -> PolyVecto
     )
 
 
-def gradient_collapse_family(X: PolyVectorField, R: Poly2, lam: float):
+def gradient_collapse_family(X: PolyVectorField, R: Poly2 | BernsteinPoly, lam: float):
     """Family (P + lam*R*Rx, Q + lam*R*Ry). A monomial R is expanded into a
-    PolyVectorField; a Bernstein R gives a CollapseField, which evaluates R
-    and its gradient and never multiplies them out."""
-    if R.basis == "bernstein":
+    PolyVectorField; a BernsteinPoly R gives a CollapseField, which evaluates
+    R and its gradient and never multiplies them out."""
+    if isinstance(R, BernsteinPoly):
         return CollapseField(X, R, lam)
-    Rx = derivative(R, "x")
-    Ry = derivative(R, "y")
+    Rx = R.derivative("x")
+    Ry = R.derivative("y")
     return PolyVectorField(
         add(X.P, scale(mul(R, Rx), lam)),
         add(X.Q, scale(mul(R, Ry), lam)),

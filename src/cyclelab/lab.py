@@ -5,7 +5,7 @@ The surrogate is the windowed signed distance to the cycle: zero on the
 cycle, unit gradient there, and cut off by a C^2 polynomial window before
 the distance function loses smoothness at the cut locus. When a splitting
 experiment carries a reference vanishing polynomial (the registry systems
-do), the surrogate run can rescale its perturbation size so that both
+do), the surrogate run rescales its perturbation size so that both
 families produce the same leading-order instability on the cycle -- the two
 choices of vanishing function differ by a smooth positive factor, and the
 equal gradient-square integral is what makes their censuses comparable.
@@ -250,7 +250,6 @@ class ExperimentConfig:
     eps_target: float = 0.4
     surrogate: bool = False
     window_width: float = 0.95
-    strength_calibration: bool = True
     degree_cap: int = 256
     xi_range: tuple[float, float] = (-0.3, 0.3)
     n_seeds: int = 25
@@ -268,7 +267,6 @@ class ExperimentConfig:
     verify_samples: int = 256
     invariance_orbits: int = 32
     horizon_periods: float = 20.0
-    also_perturbed: bool = True
     seed: int = 0
 
     def validate(self):
@@ -283,6 +281,8 @@ class ExperimentConfig:
                            ("degree_cap", 1)):
             if not getattr(self, key) >= least:
                 raise ValueError(f"{key} must be >= {least}")
+        if not self.lambda_eps_values:
+            raise ValueError("lambda_eps_values must not be empty")
         for v in self.lambda_eps_values:
             if not (0.0 < abs(v) <= 0.1):
                 raise ValueError("lambda_eps sweep values must have 0 < |v| <= 0.1")
@@ -300,6 +300,11 @@ class ExperimentConfig:
             raise ValueError("section_base must be null or two finite numbers")
         if not (0.0 <= self.q2_radius < math.inf):
             raise ValueError("q2_radius must be finite and >= 0")
+        if not (self.bern_degrees and min(self.bern_degrees) >= 1):
+            raise ValueError("bern_degrees must be nonempty with every degree >= 1")
+        # 0 is the annulus's plain-return fallback
+        if not math.isfinite(self.lambda0):
+            raise ValueError("lambda0 must be finite")
         return self
 
     @staticmethod
@@ -515,7 +520,7 @@ def _run_split(config, X, out_dir):
         payload["mode"] = "exact"
     else:
         F_hat = build_numeric_F(X, seed_cycle, config.window_width)
-        if config.strength_calibration and F_ref is not None:
+        if F_ref is not None:
             lam_used = surrogate_lambda(config.lam, F_ref, F_hat, seed_cycle)
             payload["lambda_calibration_ratio"] = lam_used / config.lam
         # R is the lowest-degree Bernstein fit whose order-(r+1) errors on
@@ -709,22 +714,21 @@ def _run_annulus(config, X, out_dir):
         "singularity_free": rep.singularity_free,
         "invariant": rep.invariance_ok,
     }
-    if config.also_perturbed:
-        F = exact_vanishing_poly(config.system)
-        if F is not None:
-            Y = gradient_collapse_family(X, F, config.lam)
-            rep2 = an.verify_annulus(Y, ann, config.verify_samples,
-                                     config.invariance_orbits,
-                                     config.horizon_periods,
-                                     tol=config.integrator_tol)
-            payload["perturbed_verification"] = {
-                "inward_ok": rep2.inward_ok,
-                "min_flux_margin": rep2.min_flux_margin,
-                "invariance_ok": rep2.invariance_ok,
-                "orbits_contained": rep2.orbits_contained,
-            }
-            checks["perturbed_inward"] = rep2.inward_ok
-            checks["perturbed_invariant"] = rep2.invariance_ok
+    F = exact_vanishing_poly(config.system)
+    if F is not None:
+        Y = gradient_collapse_family(X, F, config.lam)
+        rep2 = an.verify_annulus(Y, ann, config.verify_samples,
+                                 config.invariance_orbits,
+                                 config.horizon_periods,
+                                 tol=config.integrator_tol)
+        payload["perturbed_verification"] = {
+            "inward_ok": rep2.inward_ok,
+            "min_flux_margin": rep2.min_flux_margin,
+            "invariance_ok": rep2.invariance_ok,
+            "orbits_contained": rep2.orbits_contained,
+        }
+        checks["perturbed_inward"] = rep2.inward_ok
+        checks["perturbed_invariant"] = rep2.invariance_ok
     artifacts = {
         "annulus.csv": lambda path, a=ann: a.to_csv(path),
         "portrait.svg": _portrait_writer(X, census, section, ann),

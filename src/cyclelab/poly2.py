@@ -1,18 +1,6 @@
-"""Bivariate real polynomials in monomial and Bernstein tensor-product bases.
-
-The monomial form is a sparse exponent map {(i, j): coef}, evaluated by
-NumPy's polyval2d on its dense coefficient matrix. The Bernstein form
-is a dense (m+1, n+1) coefficient grid over an axis-aligned box; evaluation
-uses the numerically stable one-dimensional basis recurrence (multiplicative,
-no cancellation), so it remains valid slightly outside the box as well.
-
-The Bernstein form is for evaluation and differentiation only (the
-derivative stays in the Bernstein basis). The library converts in neither
-direction: Bernstein to monomial is exponentially ill-conditioned, and no
-pipeline needs the other way. Sums, products and scaling (add, mul, scale)
-take monomial operands and raise ValueError for a Bernstein one; a field
-built on a Bernstein polynomial evaluates its pieces and combines their
-values (field.CollapseField).
+"""Bivariate real polynomials in monomial form: a Poly2 is a sparse exponent
+map {(i, j): coef}, evaluated by NumPy's polyval2d on its dense coefficient
+matrix. Fitted polynomials in the Bernstein basis are bernstein.BernsteinPoly.
 """
 from __future__ import annotations
 
@@ -26,10 +14,6 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
-class DegenerateBox(Exception):
-    """Box with a >= b or c >= d."""
-
-
 def _clean(coeffs: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
     out = {}
     for (i, j), c in coeffs.items():
@@ -39,99 +23,19 @@ def _clean(coeffs: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], flo
     return out
 
 
-def _check_box(box) -> tuple[float, float, float, float]:
-    ax, bx, ay, by = (float(v) for v in box)
-    if not (ax < bx and ay < by):
-        raise DegenerateBox(f"degenerate box {box!r}")
-    return ax, bx, ay, by
-
-
-def _power(b, m: int):
-    """b**m by repeated squaring, for a float or elementwise for an array.
-
-    Both take the same multiplications, so a float and an array entry round
-    alike; NumPy's vectorised power and Python's ** can differ in the last
-    bit.
-    """
-    out = 1.0
-    while m:
-        if m & 1:
-            out = out * b
-        m >>= 1
-        if m:
-            b = b * b
-    return out
-
-
-def _basis_row_scalar(m: int, u: float) -> np.ndarray:
-    """Scalar fast path of bernstein_basis_row, for one float u.
-
-    The running product b^m * f_0 * f_1 * ... is one sequential cumprod over
-    [b^m, f_0, ..., f_{m-1}], so every entry is rounded exactly as in the
-    one-at-a-time recurrence. b is the larger of u and 1-u in magnitude, so it
-    is at least 1/2 for finite u and never zero.
-    """
-    v = 1.0 - u
-    flip = abs(u) > abs(v)
-    a, b = (v, u) if flip else (u, v)
-    i = np.arange(m, dtype=float)
-    out = np.empty(m + 1)
-    out[0] = _power(b, m)
-    out[1:] = (m - i) / (i + 1.0) * (a / b)
-    np.multiply.accumulate(out, out=out)
-    return out[::-1].copy() if flip else out
-
-
-def bernstein_basis_row(m: int, u) -> np.ndarray:
-    """Values of the m+1 degree-m Bernstein basis functions at points u.
-
-    Computed by the direction-switched multiplicative recurrence
-    b_{i+1} = b_i * ((m-i)/(i+1)) * (u/(1-u)); every value is a product of
-    exact ratios, so there is no cancellation and the relative error stays
-    at O(m * eps) for any real u (including outside [0, 1]). Each row has
-    the bits of _basis_row_scalar at its point, which serves a single point.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.size == 1:
-        return _basis_row_scalar(m, float(u[0]))[None, :]
-    v = 1.0 - u
-    flip = np.abs(u) > np.abs(v)
-    a, b = np.where(flip, v, u), np.where(flip, u, v)
-    i = np.arange(m, dtype=float)
-    # one column per point: the running products walk contiguous rows
-    C = np.empty((m + 1, u.size))
-    C[0] = _power(b, m)
-    np.multiply(((m - i) / (i + 1.0))[:, None], a / b, out=C[1:])
-    np.multiply.accumulate(C, axis=0, out=C)
-    return np.where(flip, C[::-1], C).T
-
-
 @dataclass(frozen=True)
 class Poly2:
-    """Immutable bivariate polynomial, monomial or Bernstein form."""
+    """Immutable bivariate polynomial in monomial form."""
 
-    basis: str  # "monomial" | "bernstein"
-    coeffs: dict[tuple[int, int], float] | None = None
-    grid: np.ndarray | None = None
-    box: tuple[float, float, float, float] | None = None
+    coeffs: dict[tuple[int, int], float]
 
     def __post_init__(self):
-        if self.basis == "monomial":
-            object.__setattr__(self, "coeffs", _clean(self.coeffs or {}))
-        elif self.basis == "bernstein":
-            g = np.array(self.grid, dtype=float)
-            if g.ndim != 2:
-                raise ValueError("bernstein grid must be 2-d")
-            g.setflags(write=False)
-            object.__setattr__(self, "grid", g)
-            object.__setattr__(self, "box", _check_box(self.box))
-        else:
-            raise ValueError(f"unknown basis {self.basis!r}")
+        object.__setattr__(self, "coeffs", _clean(self.coeffs))
 
     # ---------------------------------------------------------------- constructors
     @staticmethod
     def monomial(coeffs: Mapping[tuple[int, int], float]) -> "Poly2":
-        return Poly2(basis="monomial", coeffs=dict(coeffs))
+        return Poly2(coeffs)
 
     @staticmethod
     def constant(c: float) -> "Poly2":
@@ -149,26 +53,13 @@ class Poly2:
             return Poly2.monomial({(0, 1): 1.0})
         raise ValueError(name)
 
-    @staticmethod
-    def bernstein(grid, box) -> "Poly2":
-        return Poly2(basis="bernstein", grid=np.asarray(grid, dtype=float), box=tuple(box))
-
     # ---------------------------------------------------------------- properties
     @property
     def degree(self) -> float:
-        """Total degree; -inf for the zero polynomial (monomial form)."""
-        if self.basis == "monomial":
-            if not self.coeffs:
-                return NEG_INF
-            return float(max(i + j for i, j in self.coeffs))
-        m, n = self.grid.shape
-        return float(m + n - 2)
-
-    @property
-    def bernstein_degrees(self) -> tuple[int, int]:
-        if self.basis != "bernstein":
-            raise ValueError("not in bernstein form")
-        return self.grid.shape[0] - 1, self.grid.shape[1] - 1
+        """Total degree; -inf for the zero polynomial."""
+        if not self.coeffs:
+            return NEG_INF
+        return float(max(i + j for i, j in self.coeffs))
 
     @cached_property
     def _dense(self) -> np.ndarray:
@@ -193,45 +84,42 @@ class Poly2:
         return eval_poly(self, x, y)
 
     def __repr__(self):
-        if self.basis == "monomial":
-            if not self.coeffs:
-                return "Poly2<0>"
-            terms = [f"{c:+g}*x^{i}*y^{j}" for (i, j), c in sorted(self.coeffs.items())]
-            return "Poly2<" + " ".join(terms) + ">"
-        m, n = self.bernstein_degrees
-        return f"Poly2<bernstein ({m},{n}) on {self.box}>"
+        if not self.coeffs:
+            return "Poly2<0>"
+        terms = [f"{c:+g}*x^{i}*y^{j}" for (i, j), c in sorted(self.coeffs.items())]
+        return "Poly2<" + " ".join(terms) + ">"
+
+    def derivative(self, axis: str, order: int = 1) -> "Poly2":
+        """Exact partial derivative along 'x' or 'y'."""
+        _axis_index(axis, order)
+        coeffs = self.coeffs
+        for _ in range(order):
+            nxt: dict[tuple[int, int], float] = {}
+            for (i, j), c in coeffs.items():
+                if axis == "x" and i > 0:
+                    nxt[(i - 1, j)] = nxt.get((i - 1, j), 0.0) + c * i
+                elif axis == "y" and j > 0:
+                    nxt[(i, j - 1)] = nxt.get((i, j - 1), 0.0) + c * j
+            coeffs = nxt
+        return Poly2.monomial(coeffs)
 
 
 def eval_poly(p: Poly2, x, y):
     """Evaluate p at (x, y); accepts scalars or broadcasting arrays.
 
-    Monomial forms are NumPy's polyval2d on the dense coefficient matrix (a
-    Horner scheme: each column in x, then the column values in y); float
-    inputs give an np.float64. A field's right-hand side runs the same
-    scheme compiled into one expression on floats (_horner_source) and in
-    place on lane arrays (field._lane_rhs).
+    NumPy's polyval2d on the dense coefficient matrix (a Horner scheme: each
+    column in x, then the column values in y); float inputs give an
+    np.float64. A field's right-hand side runs the same scheme compiled into
+    one expression on floats (_horner_source) and in place on lane arrays
+    (field._lane_rhs).
     """
-    if p.basis == "monomial":
-        # imported on first use: numpy.polynomial imported ahead of the rest
-        # of the package raises the peak resident memory by about 0.45 MB
-        # (NumPy 2.4, Python 3.11, Linux)
-        from numpy.polynomial.polynomial import polyval2d
+    # imported on first use: numpy.polynomial imported ahead of the rest
+    # of the package raises the peak resident memory by about 0.45 MB
+    # (NumPy 2.4, Python 3.11, Linux)
+    from numpy.polynomial.polynomial import polyval2d
 
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return polyval2d(x, y, p._dense)
-    ax, bx, ay, by = p.box
-    u = (np.asarray(x, dtype=float) - ax) / (bx - ax)
-    v = (np.asarray(y, dtype=float) - ay) / (by - ay)
-    shape = np.broadcast_shapes(u.shape, v.shape)
-    u = np.broadcast_to(u, shape).ravel()
-    v = np.broadcast_to(v, shape).ravel()
-    m, n = p.bernstein_degrees
-    Bu = bernstein_basis_row(m, u)
-    Bv = bernstein_basis_row(n, v)
-    vals = np.sum((Bu @ p.grid) * Bv, axis=1)
-    if shape == ():
-        return float(vals[0])
-    return vals.reshape(shape)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return polyval2d(x, y, p._dense)
 
 
 # Python rejects an expression nested more than 200 parentheses deep, so a
@@ -290,47 +178,16 @@ def _horner_source(p: Poly2, out: str, names: str | None = None) -> list[str]:
     return lines + [f"{out} = {value[0] if value else 0.0}"]
 
 
-def derivative(p: Poly2, axis: str, order: int = 1) -> Poly2:
-    """Exact partial derivative along 'x' or 'y'.
-
-    Bernstein inputs are differentiated basis-natively (degree drops by one
-    per order, no conversion), so no degree cap applies.
-    """
+def _axis_index(axis: str, order: int) -> int:
+    """The index of 'x' (0) or 'y' (1), for a partial derivative of an order >= 0."""
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order == 0:
-        return p
-    if p.basis == "monomial":
-        coeffs = p.coeffs
-        for _ in range(order):
-            nxt: dict[tuple[int, int], float] = {}
-            for (i, j), c in coeffs.items():
-                if axis == "x" and i > 0:
-                    nxt[(i - 1, j)] = nxt.get((i - 1, j), 0.0) + c * i
-                elif axis == "y" and j > 0:
-                    nxt[(i, j - 1)] = nxt.get((i, j - 1), 0.0) + c * j
-            coeffs = nxt
-        return Poly2.monomial(coeffs)
-    k = "xy".index(axis)
-    width = p.box[2 * k + 1] - p.box[2 * k]
-    g = p.grid
-    for _ in range(order):
-        m = g.shape[k] - 1
-        # degree 0 along the axis: the derivative is 0, on a grid of g's shape
-        g = m * np.diff(g, axis=k) / width if m else np.zeros_like(g)
-    return Poly2.bernstein(g, p.box)
-
-
-def _monomial(op: str, *operands: Poly2) -> None:
-    for p in operands:
-        if p.basis != "monomial":
-            raise ValueError(f"{op} takes monomial operands, got the {p.basis} basis")
+    return "xy".index(axis)
 
 
 def add(p: Poly2, q: Poly2) -> Poly2:
-    _monomial("add", p, q)
     out = dict(p.coeffs)
     for k, v in q.coeffs.items():
         out[k] = out.get(k, 0.0) + v
@@ -338,7 +195,6 @@ def add(p: Poly2, q: Poly2) -> Poly2:
 
 
 def mul(p: Poly2, q: Poly2) -> Poly2:
-    _monomial("mul", p, q)
     out = {}
     for (i1, j1), c1 in p.coeffs.items():
         for (i2, j2), c2 in q.coeffs.items():
@@ -348,7 +204,6 @@ def mul(p: Poly2, q: Poly2) -> Poly2:
 
 
 def scale(p: Poly2, c: float) -> Poly2:
-    _monomial("scale", p)
     return Poly2.monomial({k: v * c for k, v in p.coeffs.items()})
 
 

@@ -30,7 +30,7 @@ from cyclelab import annulus as an
 from cyclelab import cycles
 from cyclelab import discriminant as dc
 from cyclelab import flow
-from cyclelab.bernstein import InsufficientDerivatives
+from cyclelab.bernstein import BernsteinPoly, InsufficientDerivatives
 from cyclelab.field import PolyVectorField
 from cyclelab.poly2 import Poly2, scale
 
@@ -269,15 +269,13 @@ def real_root_census(p):
 
 
 def is_zero(p):
-    """Whether p is the zero polynomial."""
-    return not p.coeffs if p.basis == "monomial" else not np.any(p.grid)
+    """Whether the monomial polynomial p is zero."""
+    return not p.coeffs
 
 
 def same_coeffs(a, b, tol=0.0):
     """Whether the monomial forms a and b agree coefficient by coefficient
     within tol."""
-    if a.basis != "monomial" or b.basis != "monomial":
-        raise ValueError("coefficient comparison needs monomial forms")
     keys = set(a.coeffs) | set(b.coeffs)
     return all(abs(a.coeffs.get(k, 0.0) - b.coeffs.get(k, 0.0)) <= tol for k in keys)
 
@@ -308,11 +306,9 @@ class ConversionOverflow(Exception):
 
 
 def to_monomial(p):
-    """p in monomial form; capped at total degree 30 for Bernstein input,
-    as the conversion is exponentially ill-conditioned."""
-    if p.basis == "monomial":
-        return p
-    m, n = p.bernstein_degrees
+    """The BernsteinPoly p in monomial form; capped at total degree 30, as the
+    conversion is exponentially ill-conditioned."""
+    m, n = p.grid.shape[0] - 1, p.grid.shape[1] - 1
     if m + n > MONOMIAL_CONVERSION_CAP:
         raise ConversionOverflow(
             f"bernstein ({m},{n}) exceeds the total-degree cap "
@@ -338,7 +334,7 @@ def to_monomial(p):
 
 
 def to_bernstein(p, box, degrees=None):
-    """The monomial polynomial p exactly in Bernstein form on box, of degree
+    """The monomial polynomial p exactly as a BernsteinPoly on box, of degree
     at least degrees = (m, n) when given."""
     ax, bx, ay, by = (float(v) for v in box)
     C = p._dense
@@ -361,7 +357,7 @@ def to_bernstein(p, box, degrees=None):
         return T @ S
 
     grid = axis_matrix(dx, ax, bx - ax) @ C @ axis_matrix(dy, ay, by - ay).T
-    return Poly2.bernstein(grid, (ax, bx, ay, by))
+    return BernsteinPoly(grid, (ax, bx, ay, by))
 
 
 def perp(X):

@@ -17,7 +17,7 @@ from cyclelab import annulus as an
 from cyclelab import cycles as cy
 from cyclelab import lab
 from cyclelab.bernstein import SampledField, bernstein_fit, cr_error
-from cyclelab import field, poly2
+from cyclelab import bernstein, field, poly2
 from cyclelab.field import PolyVectorField, gradient_collapse_family, rotate_family
 from cyclelab.poly2 import parse_poly, scale
 from cyclelab.registry import canonical_function
@@ -88,7 +88,7 @@ def test_criterion_4_theorem1_surrogate_split(monkeypatch):
     # the perturbed field evaluates the degree-170 fit's own jets: while the
     # split runs its census and the annulus flux, no basis row above the
     # fit's degree (the degree search and the Whitney log, outside them,
-    # reach the cap, 256), and no product of a Bernstein operand anywhere
+    # reach the cap, 256), and no product of anything but a Poly2 anywhere
     row_degrees = {"other": set(), "perturbed": set()}
     phase, bernstein_products = ["other"], []
 
@@ -108,13 +108,13 @@ def test_criterion_4_theorem1_surrogate_split(monkeypatch):
         return run
 
     def counted_mul(p, q, mul=poly2.mul):
-        if "bernstein" in (p.basis, q.basis):
+        if not (isinstance(p, poly2.Poly2) and isinstance(q, poly2.Poly2)):
             bernstein_products.append((p, q))
         return mul(p, q)
 
-    monkeypatch.setattr(poly2, "bernstein_basis_row", counted(poly2.bernstein_basis_row))
+    monkeypatch.setattr(bernstein, "bernstein_basis_row", counted(bernstein.bernstein_basis_row))
+    monkeypatch.setattr(bernstein, "_basis_row_scalar", counted(bernstein._basis_row_scalar))
     for module in (poly2, field):
-        monkeypatch.setattr(module, "_basis_row_scalar", counted(poly2._basis_row_scalar))
         monkeypatch.setattr(module, "mul", counted_mul)
     monkeypatch.setattr(cy, "theorem1_splitting", perturbed(cy.theorem1_splitting))
     monkeypatch.setattr(an, "flux_margin", perturbed(an.flux_margin))

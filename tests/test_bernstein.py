@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cyclelab import bernstein as bn
-from cyclelab.poly2 import Poly2, derivative
+from cyclelab.poly2 import Poly2, parse_poly
 from cyclelab.registry import CANONICAL_FUNCTIONS, canonical_function
 
 
@@ -27,6 +27,26 @@ def xsq():
             (0, 2): lambda x, y: 0.0 * np.asarray(x, float) * np.asarray(y, float),
         },
     )
+
+
+def test_bernstein_partition_of_unity():
+    for m in (5, 40, 160):
+        B = bn.bernstein_basis_row(m, np.linspace(0.0, 1.0, 13))
+        assert np.max(np.abs(B.sum(axis=1) - 1.0)) < 1e-12
+
+
+def test_bernstein_derivative_basis_native():
+    s = parse_poly("1 - x^2 - y^2")
+    b = oracles.to_bernstein(s, (-2, 2, -2, 2), degrees=(40, 40))
+    dx = b.derivative("x")
+    assert isinstance(dx, bn.BernsteinPoly)
+    xs = np.linspace(-1.9, 1.9, 50)
+    assert np.max(np.abs(dx(xs, 0.3 * xs) - (-2 * xs))) < 1e-10
+
+
+def test_degenerate_box_rejected():
+    with pytest.raises(bn.DegenerateBox):
+        bn.BernsteinPoly(np.ones((2, 2)), (1.0, 1.0, 0.0, 1.0))
 
 
 def test_fit_constant_is_constant():
@@ -214,7 +234,7 @@ def _polys(draw):
     grid = draw(st.lists(_coef, min_size=(m + 1) * (n + 1), max_size=(m + 1) * (n + 1)))
     ax, ay = draw(st.floats(-2, 1)), draw(st.floats(-2, 1))
     wx, wy = draw(st.floats(0.25, 3)), draw(st.floats(0.25, 3))
-    return Poly2.bernstein(np.reshape(grid, (m + 1, n + 1)), (ax, ax + wx, ay, ay + wy))
+    return bn.BernsteinPoly(np.reshape(grid, (m + 1, n + 1)), (ax, ax + wx, ay, ay + wy))
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,7 +244,7 @@ def test_jets_match_nested_derivatives_bit_for_bit(p, r):
     got = bn.jets(p, r, X, Y)
     assert list(got) == JET_KEYS[: (r + 1) * (r + 2) // 2]
     for (i, j), values in got.items():
-        assert np.array_equal(values, derivative(derivative(p, "x", i), "y", j)(X, Y))
+        assert np.array_equal(values, p.derivative("x", i).derivative("y", j)(X, Y))
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_FUNCTIONS))

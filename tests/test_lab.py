@@ -165,6 +165,11 @@ _BAD_SAMPLING = [
     ({"section_base": [1.0, -float("inf")]}, "section_base"),
     ({"section_base": [1.0]}, "section_base"),
     ({"section_base": [1.0, 0.0, 2.0]}, "section_base"),
+    ({"lambda_eps_values": []}, "lambda_eps_values"),
+    ({"bern_degrees": []}, "bern_degrees"), ({"bern_degrees": [10, 0]}, "bern_degrees"),
+    ({"bern_degrees": [-1]}, "bern_degrees"),
+    ({"lambda0": float("nan")}, "lambda0"), ({"lambda0": float("inf")}, "lambda0"),
+    ({"lambda0": -float("inf")}, "lambda0"),
 ]
 
 
@@ -181,7 +186,11 @@ def test_config_rejects_bad_sampling(raw, key):
     xi_range end failed in NumPy's linspace, and the annulus keys failed
     only after the census. A negative window_width ran the whole surrogate
     split, a NaN eps_target probed every degree up to the cap, and a
-    one-number section_base failed with IndexError."""
+    one-number section_base failed with IndexError. An empty lambda_eps_values
+    ran no sweep and passed, an empty bern_degrees failed with IndexError,
+    and a NaN lambda0 dropped the split's annulus check: lambda_eps_values
+    and bern_degrees must be nonempty, each degree >= 1, and lambda0
+    finite."""
     for pipeline in ("q2-search", "rotate-theorem2"):
         with pytest.raises(ValueError, match=key):
             lab.ExperimentConfig.from_dict({"pipeline": pipeline, **raw})
@@ -200,6 +209,10 @@ def test_config_accepts_the_sampling_bounds():
                                           "degree_cap": 1, "section_base": [1.0, 0.0]})
     assert (cfg.window_width, cfg.eps_target, cfg.degree_cap) == (1e-6, 1e-6, 1)
     assert cfg.section_base == (1.0, 0.0)
+    # lambda0 = 0 is the annulus's documented plain-return fallback
+    cfg = lab.ExperimentConfig.from_dict({"pipeline": "bernstein-study", "lambda0": 0.0,
+                                          "bern_degrees": [1], "lambda_eps_values": [0.1]})
+    assert (cfg.lambda0, cfg.bern_degrees, cfg.lambda_eps_values) == (0.0, (1,), (0.1,))
 
 
 @pytest.mark.parametrize("command, raw, key", [
@@ -221,6 +234,9 @@ def test_config_accepts_the_sampling_bounds():
     ("find", {"section_base": [float("nan"), 0.0]}, "section_base"),
     ("find", {"section_base": [1.0]}, "section_base"),
     ("split", {"section_base": [float("inf"), 0.0]}, "section_base"),
+    ("rotate", {"lambda_eps_values": []}, "lambda_eps_values"),
+    ("split", {"lambda0": float("nan")}, "lambda0"),
+    ("bernstein", {"bern_degrees": []}, "bern_degrees"),
 ])
 def test_cli_rejects_bad_sampling_before_any_orbit(tmp_path, monkeypatch, capsys, command, raw,
                                                    key):

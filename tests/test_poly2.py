@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from cyclelab import bernstein as bn
 from cyclelab import poly2 as p2
 from cyclelab.poly2 import Poly2, parse_poly
 
@@ -29,10 +30,10 @@ def test_monomial_form_drops_zero_coefficients():
 
 
 def test_derivative_examples():
-    assert oracles.same_coeffs(p2.derivative(parse_poly("x^2*y"), "x"), parse_poly("2*x*y"))
-    d2 = p2.derivative(parse_poly("1 - x^2 - y^2"), "x", 2)
+    assert oracles.same_coeffs(parse_poly("x^2*y").derivative("x"), parse_poly("2*x*y"))
+    d2 = parse_poly("1 - x^2 - y^2").derivative("x", 2)
     assert oracles.same_coeffs(d2, parse_poly("-2"))
-    assert oracles.is_zero(p2.derivative(Poly2.zero(), "y"))
+    assert oracles.is_zero(Poly2.zero().derivative("y"))
 
 
 def test_derivative_commutes_exactly():
@@ -40,8 +41,8 @@ def test_derivative_commutes_exactly():
     for _ in range(20):
         coeffs = {(i, j): rng.standard_normal() for i in range(4) for j in range(4)}
         p = Poly2.monomial(coeffs)
-        a = p2.derivative(p2.derivative(p, "x"), "y")
-        b = p2.derivative(p2.derivative(p, "y"), "x")
+        a = p.derivative("x").derivative("y")
+        b = p.derivative("y").derivative("x")
         assert oracles.same_coeffs(a, b, 0.0)
 
 
@@ -85,20 +86,14 @@ def test_mul_is_pointwise_product(ca, cb, x, y):
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
-def test_bernstein_partition_of_unity():
-    for m in (5, 40, 160):
-        B = p2.bernstein_basis_row(m, np.linspace(0.0, 1.0, 13))
-        assert np.max(np.abs(B.sum(axis=1) - 1.0)) < 1e-12
-
-
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 170, 340])
 def test_basis_rows_match_scalar_recurrence(m):
     # the array path is the scalar recurrence row by row, to the last bit
     rng = np.random.default_rng(m)
     u = np.concatenate([rng.uniform(0.0, 1.0, 300), rng.uniform(-1.0, 2.0, 300),
                         [0.0, 0.5, 1.0, 1e-300]])
-    rows = np.array([p2._basis_row_scalar(m, x) for x in u.tolist()])
-    assert np.array_equal(p2.bernstein_basis_row(m, u), rows)
+    rows = np.array([bn._basis_row_scalar(m, x) for x in u.tolist()])
+    assert np.array_equal(bn.bernstein_basis_row(m, u), rows)
 
 
 def test_two_forms_agree_on_box():
@@ -124,33 +119,6 @@ def test_bernstein_roundtrip_and_cap():
     # cap boundary: total degree 30 converts, 31 does not
     ok = oracles.to_bernstein(s, (-1.5, 1.5, -1.5, 1.5), degrees=(15, 15))
     oracles.to_monomial(ok)
-
-
-def test_bernstein_derivative_basis_native():
-    s = parse_poly("1 - x^2 - y^2")
-    b = oracles.to_bernstein(s, (-2, 2, -2, 2), degrees=(40, 40))
-    dx = p2.derivative(b, "x")
-    assert dx.basis == "bernstein"
-    xs = np.linspace(-1.9, 1.9, 50)
-    assert np.max(np.abs(dx(xs, 0.3 * xs) - (-2 * xs))) < 1e-10
-
-
-def test_degenerate_box_rejected():
-    with pytest.raises(p2.DegenerateBox):
-        Poly2.bernstein(np.ones((2, 2)), (1.0, 1.0, 0.0, 1.0))
-
-
-def test_arithmetic_rejects_bernstein_operands():
-    """add, mul and scale take monomial operands only; a Bernstein one, on
-    either side, raises ValueError naming the basis."""
-    b = Poly2.bernstein(np.ones((3, 2)), (-2, 2, -2, 2))
-    x = Poly2.variable("x")
-    for op in (p2.add, p2.mul):
-        for pair in ((b, x), (x, b), (b, b)):
-            with pytest.raises(ValueError, match="bernstein basis"):
-                op(*pair)
-    with pytest.raises(ValueError, match="bernstein basis"):
-        p2.scale(b, 2.0)
 
 
 @pytest.mark.parametrize("text,expect", [
