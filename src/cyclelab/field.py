@@ -130,12 +130,14 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
     right-hand side (x, y) -> (P, Q) of the field members[k] on floats: one
     body per set of monomials, rhs()'s with coefficient names for the
     literals (poly2._horner_source), compiled once per process. Its
-    select(lanes), lanes an index array, is the right-hand side on arrays
-    whose k-th entries belong to the field members[lanes[k]]: polyval2d's
-    loops on the group's coefficients gathered for the lanes (_lane_plan,
-    _lane_rhs). Every value, on floats as on arrays, has the bits of that
-    field's rhs(). The other fields (a CollapseField, or a field with a zero
-    component) form one group whose select is None.
+    select(lanes), lanes an index array, is the right-hand side
+    (x, y[, out]) -> (P, Q) as one (2, lanes) array, written into out when
+    given, on arrays whose k-th entries belong to the field
+    members[lanes[k]]: polyval2d's loops on the group's coefficients
+    gathered for the lanes (_lane_plan, _lane_rhs). Every value, on floats
+    as on arrays, has the bits of that field's rhs(). The other fields (a
+    CollapseField, or a field with a zero component) form one group whose
+    select is None.
     """
     groups: dict = {}
     keys: dict = {}  # the monomials of P and Q in their own order -> sorted
@@ -264,23 +266,33 @@ def _lane_rhs(coeffs, plan: _LanePlan):
     most the sign of a zero. So every entry has rhs()'s bits at every point,
     -0.0, infinities and NaN included.
     """
-    V = np.empty((plan.slots, coeffs.shape[1]))  # reused by every call
-    x_rows = [(V[:before] if before else None, V[:now], coeffs[at:at + now])
+    lanes = coeffs.shape[1]
+    # V, and x and y copied into as many rows as one product needs, are
+    # reused by every call: a product of same-shape arrays costs about half
+    # of one that broadcasts a lane row over the rows (312 lanes)
+    V = np.empty((plan.slots, lanes))
+    X = np.empty((max(before for before, _, _ in plan.x_rows), lanes))
+    Y = np.empty((2, lanes))
+    x_rows = [(V[:before] if before else None, X[:before], V[:now], coeffs[at:at + now])
               for before, now, at in plan.x_rows]
-    y_rows = [[(V[acc], V[column]) for acc, column in row] for row in plan.y_rows]
-    p, q = plan.values
+    y_rows = [[(V[acc], Y[:acc.stop - acc.start], V[column]) for acc, column in row]
+              for row in plan.y_rows]
 
-    def rhs(x, y):
+    def rhs(x, y, out=None):
+        """(P, Q) at the lanes' points as a (2, lanes) array, written into
+        out when one is given."""
         V.fill(0.0)
-        for started, columns, c in x_rows:
+        X[...] = x
+        Y[...] = y
+        for started, xs, columns, c in x_rows:
             if started is not None:
-                started *= x
+                started *= xs
             columns += c
         for row in y_rows:
-            for acc, column in row:
-                acc *= y
+            for acc, ys, column in row:
+                acc *= ys
                 acc += column
-        return V[p].copy(), V[q].copy()
+        return V.take(plan.values, axis=0, out=out)
 
     return rhs
 

@@ -3,29 +3,35 @@
 The integrator is the adaptive Dormand-Prince 8(5,3) method with its
 degree-7 dense output (Hairer-Norsett-Wanner, Solving ODEs I, II.10), with
 the step control of SciPy's DOP853 solver and fed by the field's compiled
-evaluator; no SciPy stepper runs here. Two drivers run one tableau code: the
-stages and error estimates of an attempt (_attempt), the dense output
-(_dense), the interpolant (_interpolant), the two crossing screens
-(_line_screen, _off_segment), the Bernstein coefficients (_line_bernstein)
-and the de Casteljau step of the root search (_value_slope) are written once
-and run on plain floats in the scalar driver (_advance, one loop over the
-steps of one orbit) and entry by entry on NumPy lane arrays in the lockstep
-driver (next_section_crossings, one lane per orbit), which also solves its
-steps for their crossings on the lane arrays (_lane_roots, _single_roots)
-with the scalar search's operations and tests in their order; an attempt
-runs the search only when the screens leave it a lane to search. The initial
-step and the step-size control hold the stepper's only powers, which NumPy
-can round differently from Python: the scalar driver runs them on floats
-(_initial_step, _control), the lockstep driver on lane arrays with the
-powers taken by Python's ** (_initial_steps, _controls). Every lane thus has
-the scalar driver's bits, from its start on. The scalar driver alone raises
-the stepper's failures (the step budget, the step floor and the safety
-box): a lane about to fail continues from its state on it. A lockstep
-attempt, crossing search and lane starts included, costs about 0.9 to
-1.0 ms at 13 to 104 lanes and 1.3 ms at 312 on q2-search's degree-7 fields,
-a scalar attempt about 35 us (2-vCPU Xeon VM, Python 3.11, NumPy 2.4), so
-the lockstep driver pays from about 27 to 31 lanes; it hands fewer than
-_LOCKSTEP_MIN_LANES to the scalar driver.
+evaluator; no SciPy stepper runs here. Two drivers run it: the scalar
+driver (_advance, one loop over the steps of one orbit) on plain floats and
+the lockstep driver (next_section_crossings, one lane per orbit) on NumPy
+lane arrays. They share the crossing kernels: the interpolant
+(_interpolant), the two crossing screens (_line_screen, _off_segment), the
+Bernstein coefficients (_line_bernstein) and the de Casteljau step of the
+root search (_value_slope) are written once and run on floats and, entry by
+entry, on lane arrays; the lockstep driver also solves its steps for their
+crossings on the lane arrays (_lane_roots, _single_roots) with the scalar
+search's operations and tests in their order, and an attempt runs the search
+only when the screens leave it a lane to search. The rest comes in pairs
+with the same bits, one kernel on floats and one on lane arrays: the stages
+and error estimates of an attempt (_attempt, _lane_attempt), the dense
+output (_dense, _lane_dense), the initial step (_initial_step,
+_initial_steps) and the step-size control (_control, _controls). The lane
+tableau kernels keep an attempt's stage derivatives in one (16, 2, lanes)
+stack, which the lane RHS writes into, and form each weighted sum of stages
+as one reduction over the nonzero columns of its tableau row, added in the
+float kernel's order (_lane_sum). The initial step and the step-size
+control hold the stepper's only powers, which NumPy can round differently
+from Python; their lane kernels take them by Python's **. Every lane thus
+has the scalar driver's bits, from its start on. The scalar driver alone
+raises the stepper's failures (the step budget, the step floor and the
+safety box): a lane about to fail continues from its state on it. On
+q2-search's degree-7 fields a lockstep attempt, crossing search and lane
+starts included, costs about 0.6, 0.85 and 2.0 ms at 13, 104 and 312
+lanes, and a scalar attempt 40 to 60 us, so the lockstep driver pays from
+about 19 to 20 lanes (2-vCPU Xeon VM, Python 3.11, NumPy 2.4). It hands
+fewer than _LOCKSTEP_MIN_LANES lanes to the scalar driver.
 
 ``integrate`` collects the scalar driver's steps into an Orbit, whose eval
 builds and keeps each step's row of dense output coefficients when a time
@@ -54,9 +60,10 @@ _SAFETY_BOX = 1e3
 _MAX_STEPS = 2_000_000
 # next_section_crossings hands fewer lanes than this to the scalar driver. On
 # q2-search's fields a call with every lane in lockstep and one with every
-# lane on the scalar driver break even between 26 and 39 lanes, at about 27
-# to 31 (2-vCPU Xeon VM); a whole q2-search run was no faster with 24, 32,
-# 40 or 64 here than with 48
+# lane on the scalar driver break even at about 19 to 20 lanes (2-vCPU Xeon
+# VM). A whole q2-search run was no faster with 24, 32, 40 or 64 here than
+# with 48, when the break-even lay at 27 to 31 lanes; it has not been scanned
+# again since
 _LOCKSTEP_MIN_LANES = 48
 # a return to the section takes 19-56 attempts on q2-search's fields, an
 # orbit that never returns runs to t_max in about 10^3-10^4; the lanes still
@@ -89,12 +96,19 @@ _A = (
      27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
      0.6433927460157636),
 )
+# the stages each row of _A weighs, k_j as column j - 1 (stage 4 weighs k_1
+# and k_3, so its columns are 0 and 2)
+_A_COLUMNS = ((0,), (0, 1), (0, 2), (0, 2, 3), (0, 3, 4), (0, 3, 4, 5), (0, 3, 4, 5, 6),
+              (0, 3, 4, 5, 6, 7), (0, 3, 4, 5, 6, 7, 8), (0, 3, 4, 5, 6, 7, 8, 9),
+              (0, 3, 4, 5, 6, 7, 8, 9, 10))
 _B = (0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
       0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
 _E5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
        -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
 _E3 = (-0.18980075407240762, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
        -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082)
+# the stages that _B, _E5 and _E3 weigh: k_1, k_6, ..., k_12
+_B_COLUMNS = (0, 5, 6, 7, 8, 9, 10, 11)
 # the three extra stages k_14..k_16 of the dense output and the rows of D,
 # which give its coefficients F_3..F_6 = h * sum_j d_ij k_j
 _A_DENSE = (
@@ -106,6 +120,9 @@ _A_DENSE = (
     (-0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
      0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
 )
+# the stages each row of _A_DENSE weighs
+_A_DENSE_COLUMNS = ((0, 6, 7, 8, 9, 10, 11, 12), (0, 5, 6, 7, 10, 11, 12, 13),
+                    (0, 5, 6, 7, 8, 12, 13, 14))
 _D = (
     (-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
      2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
@@ -120,6 +137,8 @@ _D = (
      93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
      -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
 )
+# the stages that every row of _D weighs: k_1, k_6, ..., k_16
+_D_COLUMNS = (0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 # a dip below the section whose two crossings lie closer than this in s
@@ -226,9 +245,9 @@ def _interpolant(F, x, y, s):
 
 
 def _dense(f, h, y_old, y_new, K):
-    """SciPy's DOP853 dense output, operation for operation: _Step.F of the
-    step of size h from y_old to y_new with stage derivatives K. The same
-    operations run on floats and, entry by entry, on lane arrays."""
+    """SciPy's DOP853 dense output, operation for operation, on floats: _Step.F
+    of the step of size h from y_old to y_new with stage derivatives K.
+    _lane_dense is the same on lane arrays."""
     (a14_1, a14_7, a14_8, a14_9, a14_10, a14_11, a14_12, a14_13), \
         (a15_1, a15_6, a15_7, a15_8, a15_11, a15_12, a15_13, a15_14), \
         (a16_1, a16_6, a16_7, a16_8, a16_9, a16_13, a16_14, a16_15) = _A_DENSE
@@ -284,8 +303,7 @@ def _attempt(f, x, y, k1x, k1y, h):
     """One Dormand-Prince 8(5,3) step of size h from (x, y), k1 = f(x, y):
     (x_new, y_new, K, e5x, e5y, e3x, e3y), with K the stage derivatives
     _Step keeps and e5, e3 the fifth- and third-order error estimates before
-    scaling. The same operations run on floats and, entry by entry, on lane
-    arrays."""
+    scaling; on floats. _lane_attempt is the same on lane arrays."""
     (a2_1,), (a3_1, a3_2), (a4_1, a4_3), (a5_1, a5_3, a5_4), (a6_1, a6_4, a6_5), \
         (a7_1, a7_4, a7_5, a7_6), (a8_1, a8_4, a8_5, a8_6, a8_7), \
         (a9_1, a9_4, a9_5, a9_6, a9_7, a9_8), (a10_1, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9), \
@@ -342,6 +360,57 @@ def _attempt(f, x, y, k1x, k1y, h):
             + g12 * k12x,
             g1 * k1y + g6 * k6y + g7 * k7y + g8 * k8y + g9 * k9y + g10 * k10y + g11 * k11y
             + g12 * k12y)
+
+
+# the rows of _A and _A_DENSE, of _B, _E5 and _E3 together and of _D together
+# as (columns, weights) for _lane_sum
+_LANE_A = [(np.array(c), np.array(a)[:, None, None]) for a, c in zip(_A, _A_COLUMNS)]
+_LANE_A_DENSE = [(np.array(c), np.array(a)[:, None, None])
+                 for a, c in zip(_A_DENSE, _A_DENSE_COLUMNS)]
+_LANE_B = np.array(_B_COLUMNS), np.array((_B, _E5, _E3))[:, :, None, None]
+_LANE_D = np.array(_D_COLUMNS), np.array(_D)[:, :, None, None]
+
+
+def _lane_sum(K, columns, weights):
+    """The weighted sum of the stage derivatives K[columns] for every lane
+    and component, one per row of weights, added as _attempt and _dense add
+    it on floats: the products left to right. NumPy reduces over the
+    columns in their order; its default start +0.0 would turn a sum of -0.0
+    products into +0.0, the start -0.0 leaves every sum as on floats."""
+    return np.add.reduce(weights * K[columns], axis=-3, initial=-0.0)
+
+
+def _lane_attempt(f, z, k1, h):
+    """_attempt on lane arrays, with _attempt's bits in every entry: z and
+    k1 are (2, lanes) arrays of the points and of f there, h the step of
+    each lane and f(x, y, out) the RHS, which writes (P, Q) into out.
+    Returns (z_new, K, e5, e3), K the (16, 2, lanes) stack of stage
+    derivatives, k_j in K[j - 1], with k_1..k_13 filled for _lane_dense."""
+    K = np.empty((16,) + z.shape)
+    K[0] = k1
+    for i, (columns, weights) in enumerate(_LANE_A, 1):
+        u = z + _lane_sum(K, columns, weights) * h
+        f(u[0], u[1], K[i])
+    step, e5, e3 = _lane_sum(K, *_LANE_B)
+    z_new = z + h * step
+    f(z_new[0], z_new[1], K[12])
+    return z_new, K, e5, e3
+
+
+def _lane_dense(f, h, z, z_new, K):
+    """_dense on lane arrays for _lane_attempt's step from z to z_new, with
+    _dense's bits in every entry: fills K's slots of k_14..k_16 and returns
+    the dense output coefficients as a (2, 7, lanes) array, F[c, i] being
+    F_i of component c."""
+    for i, (columns, weights) in enumerate(_LANE_A_DENSE, 13):
+        u = z + _lane_sum(K, columns, weights) * h
+        f(u[0], u[1], K[i])
+    F = np.empty((7,) + z.shape)
+    d = np.subtract(z_new, z, out=F[0])
+    np.subtract(h * K[0], d, out=F[1])
+    np.subtract(2 * d, h * (K[12] + K[0]), out=F[2])
+    np.multiply(h, _lane_sum(K, *_LANE_D), out=F[3:])
+    return F.swapaxes(0, 1)
 
 
 def _control(h_abs, e5x, e5y, e3x, e3y, rejected):
@@ -858,16 +927,18 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     failure if one occurs, all bit for bit as next_section_crossing gives
     them. Lanes whose fields share their monomials (field.lane_evaluators)
     start and step in lockstep as NumPy arrays with one entry per lane,
-    through the kernels the scalar driver runs on floats (_attempt, _dense,
-    _interpolant, _line_screen, _off_segment, _line_bernstein and
-    _value_slope), with _initial_steps for _initial_step and _controls for
-    _control; _lane_roots solves the steps for their crossings on the
-    arrays too. Each lane keeps its own time, step size, rejection flag and
-    step count, and leaves the arrays at its crossing, or when it is about
-    to fail: the scalar driver then continues from its state and raises the
-    failure, and the later lanes of its row are dropped. Once fewer than
-    _LOCKSTEP_MIN_LANES lanes run, or after _LOCKSTEP_MAX_ATTEMPTS
-    attempts, the lanes left continue on the scalar driver, row by row. Every lane's scalar work runs on its field's
+    through the crossing kernels the scalar driver runs on floats
+    (_interpolant, _line_screen, _off_segment, _line_bernstein and
+    _value_slope) and the lane kernels paired with its others: _lane_attempt
+    for _attempt, _lane_dense for _dense, _initial_steps for _initial_step
+    and _controls for _control; _lane_roots solves the steps for their
+    crossings on the arrays too. Each lane keeps its own time, step size,
+    rejection flag and step count, and leaves the arrays at its crossing, or
+    when it is about to fail: the scalar driver then continues from its
+    state and raises the failure, and the later lanes of its row are
+    dropped. Once fewer than _LOCKSTEP_MIN_LANES lanes run, or after
+    _LOCKSTEP_MAX_ATTEMPTS attempts, the lanes left continue on the scalar
+    driver, row by row. Every lane's scalar work runs on its field's
     evaluator from lane_evaluators, so no field compiles its own rhs(). A
     caller that has grouped the fields already hands them over as the
     private _groups = (fields, lane_evaluators(fields)), fields holding every
@@ -932,8 +1003,9 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
     row, col = (np.array([lanes[i][k] for i in group]) for k in (0, 1))
     direction = np.array([np.sign(lanes[i][4]) for i in group], dtype=float)
     member = np.array(member)
-    x, y = (np.array([float(lanes[i][3][k]) for i in group]) for k in (0, 1))
-    finite = np.isfinite(x) & np.isfinite(y)
+    # the lanes' points (x, y) as the rows of z, and f there as k1's
+    z = np.array([[float(lanes[i][3][k]) for i in group] for k in (0, 1)])
+    finite = np.isfinite(z).all(0)
     if not (t_max > 0 and tol > 0 and finite.all()):
         # the scalar starts in lane order raise by the first bad lane
         for j in range(int((~finite).argmax()) + 1):
@@ -942,13 +1014,13 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
     t, rejected, taken = np.zeros(ids.size), np.zeros(ids.size, dtype=bool), np.zeros_like(ids)
 
     def state(j):
-        return (int(ids[j]), (float(t[j]), float(x[j]), float(y[j]), float(k1x[j]), float(k1y[j]),
-                              float(h_abs[j]), bool(rejected[j]), int(taken[j])))
+        return (int(ids[j]), (float(t[j]), float(z[0, j]), float(z[1, j]), float(k1[0, j]),
+                              float(k1[1, j]), float(h_abs[j]), bool(rejected[j]), int(taken[j])))
 
     # overflow in an attempt that will be rejected stays silent, as on floats
     with np.errstate(over="ignore", invalid="ignore"):
-        k1x, k1y = f(x, y)
-        h_abs = _initial_steps(f, x, y, k1x, k1y, t_max, tol)
+        k1 = f(z[0], z[1])
+        h_abs = _initial_steps(f, z[0], z[1], k1[0], k1[1], t_max, tol)
         for _ in range(_LOCKSTEP_MAX_ATTEMPTS):
             fresh = ~rejected
             min_step = 10 * (np.nextafter(t, np.inf) - t)
@@ -956,26 +1028,23 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
             ending = (fresh & ((taken == _MAX_STEPS) | (t >= t_max))) | ~(h_try >= min_step)
             t_new = np.minimum(t + h_try, t_max)
             h = t_new - t
-            x_new, y_new, K, e5x, e5y, e3x, e3y = _attempt(f, x, y, k1x, k1y, h)
+            z_new, K, e5, e3 = _lane_attempt(f, z, k1, h)
             # Python's max(a, b) is a unless b > a; a = |x| is never nan
-            sx = tol + np.fmax(abs(x), abs(x_new)) * tol
-            sy = tol + np.fmax(abs(y), abs(y_new)) * tol
-            accepted, h_next = _controls(abs(h), e5x / sx, e5y / sy, e3x / sx, e3y / sy,
-                                         rejected)
+            scale = tol + np.fmax(abs(z), abs(z_new)) * tol
+            accepted, h_next = _controls(abs(h), *(e5 / scale), *(e3 / scale), rejected)
             # a step out of the safety box is taken again by the scalar driver
-            ending |= accepted & ((abs(x_new) > _SAFETY_BOX) | (abs(y_new) > _SAFETY_BOX))
+            ending |= accepted & (abs(z_new) > _SAFETY_BOX).any(0)
             stepped = accepted & ~ending
             done = ending.copy()
             if stepped.any():
-                F = _dense(f, h, (x, y), (x_new, y_new), K)
-                g0, g1, c, ruled_out = _line_screen((x, y), (x_new, y_new), F, bx, by, nx, ny)
+                F = _lane_dense(f, h, z, z_new, K)
+                g0, g1, c, ruled_out = _line_screen(z, z_new, F, bx, by, nx, ny)
                 # _step_crossing on every lane that might cross the segment:
                 # its roots in ascending order until one lies on the segment
                 # after t_offset with the requested direction
                 searched = np.flatnonzero(stepped & ~ruled_out)
                 if searched.size:
-                    searched = searched[~_off_segment((x[searched], y[searched]),
-                                                      [[v[searched] for v in Fk] for Fk in F],
+                    searched = searched[~_off_segment(z[:, searched], F[:, :, searched],
                                                       bx, by, tx, ty, half)]
                 roots = []
                 if searched.size:
@@ -986,7 +1055,7 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
                     unhit = ~done[lane]
                     lane, s = lane[unhit], s[unhit]
                     t_star = t[lane] + s * h[lane]
-                    px, py = _interpolant([[v[lane] for v in Fk] for Fk in F], x[lane], y[lane], s)
+                    px, py = _interpolant(F[:, :, lane], z[0, lane], z[1, lane], s)
                     near = (t_star > t_offset) & (abs((px - bx) * tx + (py - by) * ty) <= half)
                     lane, t_star, px, py = lane[near], t_star[near], px[near], py[near]
                     if not lane.size:
@@ -1002,15 +1071,15 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
             if ending.any():
                 # a row ends at its first failure
                 done |= col > np.array(cut)[row]
-            t, x, y = (np.where(stepped, t_new, t), np.where(stepped, x_new, x),
-                       np.where(stepped, y_new, y))
-            k1x, k1y = np.where(stepped, K[-2], k1x), np.where(stepped, K[-1], k1y)
+            t, z, k1 = (np.where(stepped, t_new, t), np.where(stepped, z_new, z),
+                        np.where(stepped, K[12], k1))
             h_abs, rejected, taken = h_next, ~accepted, taken + stepped
             if done.any():
                 keep = ~done
-                t, x, y, k1x, k1y, h_abs, rejected, taken, ids, row, col, direction, member = (
-                    v[keep] for v in (t, x, y, k1x, k1y, h_abs, rejected, taken, ids, row, col,
-                                      direction, member))
+                z, k1 = z[:, keep], k1[:, keep]
+                t, h_abs, rejected, taken, ids, row, col, direction, member = (
+                    v[keep] for v in (t, h_abs, rejected, taken, ids, row, col, direction,
+                                      member))
                 if ids.size < _LOCKSTEP_MIN_LANES:
                     break
                 f = select(member)

@@ -234,6 +234,9 @@ def _collapse_term_grids(Rvals: dict, lam: float):
 # ------------------------------------------------------------------ config
 _PIPELINES = ("find", "split-theorem1", "rotate-theorem2", "bernstein-study",
               "annulus", "q2-search")
+# the least integrator_tol: SciPy's floor for the rtol of its DOP853 step
+# control, which flow's stepper follows
+_TOL_FLOOR = 100 * 2.0 ** -52
 
 
 @dataclass
@@ -305,6 +308,9 @@ class ExperimentConfig:
         # 0 is the annulus's plain-return fallback
         if not math.isfinite(self.lambda0):
             raise ValueError("lambda0 must be finite")
+        if not (_TOL_FLOOR <= self.integrator_tol < math.inf):
+            raise ValueError(f"integrator_tol must be finite and >= 100 * 2^-52 "
+                             f"= {_TOL_FLOOR:.3g}")
         return self
 
     @staticmethod

@@ -287,7 +287,9 @@ _lane_point = st.one_of(_point, st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.
 def test_lane_rhs_is_rhs_bit_for_bit(fields, picks):
     """The lane right-hand side of every group, on lanes in any order and
     repeated, gives each lane's field's rhs() bits at every point, -0.0,
-    infinities and NaN included."""
+    infinities and NaN included, as a pair of arrays and written into a
+    (2, lanes) slot; a second call, at other points, leaves both as they
+    were."""
     lanes = [(k % len(fields), x, y) for k, x, y in picks]
     for members, select in fd.lane_evaluators(fields):
         if select is None:
@@ -297,12 +299,18 @@ def test_lane_rhs_is_rhs_bit_for_bit(fields, picks):
         if not mine:
             continue
         at, xs, ys = (np.array(v) for v in zip(*mine))
+        rhs = select(at)
+        slot = np.empty((2, xs.size))
         with np.errstate(all="ignore"):
-            got = select(at)(xs, ys)
+            got = rhs(xs, ys)
+            assert rhs(xs, ys, slot) is slot
+            rhs(ys + 1.5, xs, np.empty((2, xs.size)))
+            rhs(ys + 1.5, xs)
         for k, (pos, x, y) in enumerate(mine):
             # float.hex tells -0.0 from 0.0
             ref = [v.hex() for v in fields[members[pos]].rhs()(x, y)]
             assert [float(v[k]).hex() for v in got] == ref
+            assert [float(v).hex() for v in slot[:, k]] == ref
             assert [v.hex() for v in select(pos)(x, y)] == ref
 
 

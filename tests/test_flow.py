@@ -1047,3 +1047,77 @@ def test_lane_control_is_control(rows):
         return
     accepted, h_next = flow._controls(h, e5x, e5y, e3x, e3y, rejected)
     assert [(bool(a), v.hex()) for a, v in zip(accepted.tolist(), h_next.tolist())] == ref
+
+
+def _tableau_lanes():
+    """Lanes (x, y, k1x, k1y, h) for the lane tableau test: generic values,
+    whose every stage sum tells the tableau's columns apart, and lanes with
+    -0.0, infinities and NaN in the state, k and h. The first lane's points,
+    k and stage sums are all -0.0 under _LINEAR: -0.0 + (-0.0) is -0.0, where
+    a sum started at +0.0 would give +0.0."""
+    rng = np.random.default_rng(26)
+    generic = [tuple(row) for row in np.column_stack([rng.uniform(-2.0, 2.0, (40, 4)),
+                                                      rng.uniform(1e-3, 0.2, 40)]).tolist()]
+    special = [(-0.0, -0.0, -0.0, -0.0, 0.1), (-0.0, 0.5, 0.25, -0.0, 0.1),
+               (0.3, -0.4, 0.2, 0.7, -0.0), (0.3, -0.4, 0.2, 0.7, 0.0),
+               (np.inf, 0.2, 0.1, 0.3, 0.05), (0.2, -np.inf, 0.1, 0.3, 0.05),
+               (np.nan, 0.2, 0.1, 0.3, 0.05), (0.3, 0.2, np.inf, -0.5, 0.05),
+               (0.3, 0.2, 0.1, -np.inf, 0.05), (0.3, 0.2, 0.1, np.nan, 0.05),
+               (0.3, 0.2, 0.1, 0.4, np.inf), (0.3, 0.2, 0.1, 0.4, np.nan),
+               (1e300, -1e300, 1e300, 1e300, 10.0), (5e-324, -5e-324, 5e-324, -0.0, 0.1)]
+    return special + generic
+
+
+def _linear(x, y):
+    """A linear field whose values at -0.0 are -0.0."""
+    return 0.75 * x + 0.5 * y, 0.25 * x + 1.25 * y
+
+
+def _linear_lanes(x, y, out):
+    out[0], out[1] = _linear(x, y)
+    return out
+
+
+def _tableau_fields():
+    """(float RHS per lane, lane RHS) pairs: _linear, and two degree-7 fields
+    of one lane group (field.lane_evaluators), lanes alternating between them."""
+    from cyclelab.discriminant import _perturb_coeffs
+    from cyclelab.field import lane_evaluators
+
+    fields = [_perturb_coeffs(ck_system(3), np.random.default_rng(k), 0.3) for k in (5, 6)]
+    (_, select), = lane_evaluators(fields)
+    n = len(_tableau_lanes())
+    return [([_linear] * n, _linear_lanes),
+            ([select(k % 2) for k in range(n)], select(np.arange(n) % 2))]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_lane_tableau_is_attempt_and_dense_bit_for_bit(which):
+    """_lane_attempt and _lane_dense give every lane the bits of _attempt and
+    _dense on that lane's floats: the step, all 16 stage derivatives, the
+    error estimates e5 and e3 and the dense output coefficients, -0.0,
+    infinities and NaN included. The values are generic, so a wrong column
+    list beside _A, _B, _A_DENSE or _D changes them."""
+    lanes = _tableau_lanes()
+    floats, lane_rhs = _tableau_fields()[which]
+    want = []
+    for f, (x, y, k1x, k1y, h) in zip(floats, lanes):
+        stages = [(k1x, k1y)]
+
+        def kept(u, v, f=f, stages=stages):
+            stages.append(f(u, v))
+            return stages[-1]
+
+        x_new, y_new, K, e5x, e5y, e3x, e3y = flow._attempt(kept, x, y, k1x, k1y, h)
+        F = flow._dense(kept, h, (x, y), (x_new, y_new), K)
+        assert len(stages) == 16
+        want.append([x_new, y_new, *sum(stages, ()), e5x, e5y, e3x, e3y, *F[0], *F[1]])
+    x, y, k1x, k1y, h = (np.array(v) for v in zip(*lanes))
+    z = np.array([x, y])
+    with np.errstate(all="ignore"):
+        z_new, K, e5, e3 = flow._lane_attempt(lane_rhs, z, np.array([k1x, k1y]), h)
+        F = flow._lane_dense(lane_rhs, h, z, z_new, K)
+    assert K.shape == (16, 2, len(lanes)) and F.shape == (2, 7, len(lanes))
+    got = np.concatenate([z_new, K.reshape(32, -1), e5, e3, F[0], F[1]]).T
+    assert [[v.hex() for v in row] for row in got.tolist()] == \
+        [[v.hex() for v in row] for row in want]

@@ -170,6 +170,10 @@ _BAD_SAMPLING = [
     ({"bern_degrees": [-1]}, "bern_degrees"),
     ({"lambda0": float("nan")}, "lambda0"), ({"lambda0": float("inf")}, "lambda0"),
     ({"lambda0": -float("inf")}, "lambda0"),
+    ({"integrator_tol": 0}, "integrator_tol"), ({"integrator_tol": -1e-10}, "integrator_tol"),
+    ({"integrator_tol": float("nan")}, "integrator_tol"),
+    ({"integrator_tol": float("inf")}, "integrator_tol"),
+    ({"integrator_tol": 1e-30}, "integrator_tol"),
 ]
 
 
@@ -190,7 +194,9 @@ def test_config_rejects_bad_sampling(raw, key):
     ran no sweep and passed, an empty bern_degrees failed with IndexError,
     and a NaN lambda0 dropped the split's annulus check: lambda_eps_values
     and bern_degrees must be nonempty, each degree >= 1, and lambda0
-    finite."""
+    finite. An infinite integrator_tol passed find on an empty census, and
+    one of 1e-30 ran find for minutes: integrator_tol must be finite and at
+    least SciPy's rtol floor 100 * 2^-52."""
     for pipeline in ("q2-search", "rotate-theorem2"):
         with pytest.raises(ValueError, match=key):
             lab.ExperimentConfig.from_dict({"pipeline": pipeline, **raw})
@@ -213,6 +219,8 @@ def test_config_accepts_the_sampling_bounds():
     cfg = lab.ExperimentConfig.from_dict({"pipeline": "bernstein-study", "lambda0": 0.0,
                                           "bern_degrees": [1], "lambda_eps_values": [0.1]})
     assert (cfg.lambda0, cfg.bern_degrees, cfg.lambda_eps_values) == (0.0, (1,), (0.1,))
+    cfg = lab.ExperimentConfig.from_dict({"pipeline": "find", "integrator_tol": 100 * 2.0 ** -52})
+    assert cfg.integrator_tol == 100 * 2.0 ** -52
 
 
 @pytest.mark.parametrize("command, raw, key", [
@@ -237,6 +245,7 @@ def test_config_accepts_the_sampling_bounds():
     ("rotate", {"lambda_eps_values": []}, "lambda_eps_values"),
     ("split", {"lambda0": float("nan")}, "lambda0"),
     ("bernstein", {"bern_degrees": []}, "bern_degrees"),
+    ("find", {"integrator_tol": 1e-30}, "integrator_tol"),
 ])
 def test_cli_rejects_bad_sampling_before_any_orbit(tmp_path, monkeypatch, capsys, command, raw,
                                                    key):
