@@ -40,22 +40,6 @@ DEFAULT_CYCLE_TOL = 1e-11
 _T_OFFSET = 1e-6
 # LimitCycle.points: samples of the cycle's orbit at equal time steps
 _CYCLE_SAMPLES = 1024
-# a cycle quadrature doubles its panels up to this many
-_MAX_PANELS = 512
-
-
-class QuadratureNotConverged(Exception):
-    """No two successive panel levels of a cycle quadrature agreed to tol.
-
-    levels holds the last two level values, panels the panel count of the
-    last one.
-    """
-
-    def __init__(self, levels, panels):
-        super().__init__(f"quadrature levels never agreed to tol by {panels} panels: "
-                         f"last two levels {levels}")
-        self.levels = levels
-        self.panels = panels
 
 
 class Inconclusive(Exception):
@@ -293,51 +277,44 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
-def _until_levels_agree(level: Callable[[int], float], tol: float) -> float:
-    """level(panels) at 8, 16, 32, ... panels, until two successive levels
-    agree to tol (relative, for values above 1); that last level is the
-    result. QuadratureNotConverged when none have by _MAX_PANELS."""
-    levels = []
-    panels = 8
-    while panels <= _MAX_PANELS:
-        levels.append(level(panels))
-        if len(levels) > 1 and abs(levels[-1] - levels[-2]) < tol * max(1.0, abs(levels[-1])):
-            return levels[-1]
-        panels *= 2
-    raise QuadratureNotConverged(tuple(levels[-2:]), panels // 2)
+def _step_rule(cycle: LimitCycle) -> tuple[np.ndarray, np.ndarray]:
+    """The node times of every cycle quadrature, (steps, 10), and each step's
+    half width: the 10-point Gauss-Legendre rule on each accepted step of
+    the cycle's orbit that starts before the period, the step that crosses
+    it cut at the period. The orbit is one degree-7 polynomial per step
+    (flow.Orbit), so the rule lays no node across a step's seam."""
+    nodes, _ = _gauss_rule()
+    times = cycle._orbit.times
+    edges = np.append(times[:np.searchsorted(times, cycle.period)], cycle.period)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return half * nodes + 0.5 * (lo + hi), half[:, 0]
 
 
-def _quad_over_cycle(cycle: LimitCycle, integrand: Callable, tol: float = 1e-10) -> float:
-    """Panelwise 10-point Gauss-Legendre of integrand(x, y) along the cycle's
-    orbit, doubling the panels until two levels agree to tol.
+def _quad_over_cycle(cycle: LimitCycle, integrand: Callable) -> float:
+    """integral over one period of integrand(x, y) along the cycle's orbit,
+    by the 10-point Gauss-Legendre rule on each of its steps (_step_rule).
 
-    integrand is called once per level, on the (panels, 10) node arrays, and
-    each panel's weighted row sum is added up in panel order. That gives the
-    bits of one call per panel: tests/test_cycles.py keeps that form as the
+    integrand is called once, on the (steps, 10) node arrays, and each
+    step's weighted row sum is added up in step order. That gives the bits
+    of one call per step: tests/test_cycles.py keeps that form as the
     reference and checks both bit for bit, on monomial and on Bernstein
-    integrands. QuadratureNotConverged when no two levels agree by 512
-    panels.
+    integrands. The rule's error is far below the orbit's own, which the
+    integrator tolerance sets.
     """
-    nodes, wts = _gauss_rule()
-
-    def level(panels):
-        edges = np.linspace(0.0, cycle.period, panels + 1)
-        lo, hi = edges[:-1, None], edges[1:, None]
-        pts = cycle._orbit.eval(0.5 * (hi - lo) * nodes + 0.5 * (lo + hi))
-        rows = np.sum(wts * integrand(pts[..., 0], pts[..., 1]), axis=1)
-        total = 0.0
-        for term in 0.5 * (edges[1:] - edges[:-1]) * rows:
-            total += term
-        return total
-
-    return _until_levels_agree(level, tol)
+    t, half = _step_rule(cycle)
+    pts = cycle._orbit.eval(t)
+    rows = np.sum(_gauss_rule()[1] * integrand(pts[..., 0], pts[..., 1]), axis=1)
+    total = 0.0
+    for term in half * rows:
+        total += term
+    return total
 
 
-def characteristic_exponent(X: PolyVectorField | CollapseField, cycle: LimitCycle,
-                            tol: float = 1e-10) -> float:
-    """integral over one period of div X along the cycle (field.divergence)."""
-    div = divergence(X)
-    return _quad_over_cycle(cycle, lambda x, y: div(x, y), tol)
+def characteristic_exponent(X: PolyVectorField | CollapseField, cycle: LimitCycle) -> float:
+    """integral over one period of div X along the cycle (field.divergence),
+    by _quad_over_cycle."""
+    return _quad_over_cycle(cycle, divergence(X))
 
 
 def gradient_square_integral(F, cycle: LimitCycle) -> float:
@@ -643,38 +620,34 @@ def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0
     )
 
 
-def perko_derivative(X: PolyVectorField, dX_dlam: PolyVectorField,
-                     cycle: LimitCycle, tol: float = 1e-12) -> float:
+def perko_derivative(X: PolyVectorField, dX_dlam: PolyVectorField, cycle: LimitCycle) -> float:
     """Displacement-map lambda-derivative integral along the cycle.
 
-    integral over [0, T] of exp(-A(t)) * (X ^ dX/dlam) at gamma(t), with
+    M = integral over [0, T] of exp(-A(t)) * (X ^ dX/dlam) at gamma(t), with
     A(t) = integral_0^t div X (Perko, Differential Equations and Dynamical
-    Systems, 3rd ed., 4.5); the overall nonzero constant of the underlying
-    identity is taken as 1, so only signs and ratios of this quantity are
-    meaningful. Panelwise Gauss-Legendre on the cycle's orbit, doubling the
-    panels as _quad_over_cycle does until two levels agree to tol (else
-    QuadratureNotConverged). A at a node is the earlier panels' integrals
-    plus a Gauss rule from the panel start to the node.
+    Systems, 3rd ed., 4.5). On the cycle through p0 = section.point_at(xi*),
+    with K = cycle.exponent = A(T) and u the section's direction,
+
+        d/dlam d(xi*; lam) at lam = 0  =  exp(K) * M / (X(p0) ^ u),
+
+    for either orientation of u. The 10-point Gauss-Legendre rule on each
+    step of the cycle's orbit (_step_rule); A at a node is the earlier
+    steps' integrals plus a 10-point rule from the step start to the node.
     """
     div = divergence(X)
     nodes, wts = _gauss_rule()
     unit = 0.5 * (1.0 + nodes)  # the Gauss nodes on [0, 1]
-
-    def level(panels):
-        edges = np.linspace(0.0, cycle.period, panels + 1)
-        lo, width = edges[:-1, None], np.diff(edges)
-        t = lo + width[:, None] * unit                   # (panels, 10)
-        sub = lo[..., None] + (t - lo)[..., None] * unit  # (panels, 10, 10) on [lo, t]
-        pts = cycle._orbit.eval(np.concatenate([t.ravel(), sub.ravel()]))
-        (x, y), (xs, ys) = pts[:t.size].T, pts[t.size:].T
-        panel_div = 0.5 * width * (div(x, y).reshape(t.shape) @ wts)
-        A = ((np.cumsum(panel_div) - panel_div)[:, None]
-             + 0.5 * (t - lo) * (div(xs, ys).reshape(sub.shape) @ wts))
-        (p, q), (dp, dq) = X(x, y), dX_dlam(x, y)
-        wedge = (p * dq - q * dp).reshape(t.shape)
-        return float(np.sum(0.5 * width * ((np.exp(-A) * wedge) @ wts)))
-
-    return _until_levels_agree(level, tol)
+    t, half = _step_rule(cycle)                       # (steps, 10)
+    lo = cycle._orbit.times[:len(half), None]
+    sub = lo[..., None] + (t - lo)[..., None] * unit  # (steps, 10, 10) on [lo, t]
+    pts = cycle._orbit.eval(np.concatenate([t.ravel(), sub.ravel()]))
+    (x, y), (xs, ys) = pts[:t.size].T, pts[t.size:].T
+    step_div = half * (div(x, y).reshape(t.shape) @ wts)
+    A = ((np.cumsum(step_div) - step_div)[:, None]
+         + 0.5 * (t - lo) * (div(xs, ys).reshape(sub.shape) @ wts))
+    (p, q), (dp, dq) = X(x, y), dX_dlam(x, y)
+    wedge = (p * dq - q * dp).reshape(t.shape)
+    return float(np.sum(half * ((np.exp(-A) * wedge) @ wts)))
 
 
 @dataclass

@@ -237,6 +237,16 @@ _PIPELINES = ("find", "split-theorem1", "rotate-theorem2", "bernstein-study",
 # the least integrator_tol: SciPy's floor for the rtol of its DOP853 step
 # control, which flow's stepper follows
 _TOL_FLOOR = 100 * 2.0 ** -52
+_INT_KEYS = ("n_seeds", "q2_samples", "q2_degree", "fit_degree", "degree_cap", "verify_samples",
+             "invariance_orbits", "seed", "r")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
 
 
 @dataclass
@@ -275,6 +285,23 @@ class ExperimentConfig:
     def validate(self):
         if self.pipeline not in _PIPELINES:
             raise ValueError(f"pipeline must be one of {_PIPELINES}")
+        # types first, so no bound below meets a value of the wrong kind (a
+        # JSON bool is no integer, and no number)
+        for key in _INT_KEYS:
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer")
+        if not isinstance(self.surrogate, bool):
+            raise ValueError("surrogate must be true or false")
+        if not (isinstance(self.bern_degrees, tuple) and all(map(_is_int, self.bern_degrees))):
+            raise ValueError("bern_degrees must be a list of integers")
+        if not (isinstance(self.lambda_eps_values, tuple)
+                and all(map(_is_number, self.lambda_eps_values))):
+            raise ValueError("lambda_eps_values must be a list of numbers")
+        for key in ("xi_range", "annulus_xi", "section_base"):
+            v = getattr(self, key)
+            if (v is not None or key != "section_base") and not (
+                    isinstance(v, tuple) and len(v) == 2 and all(map(_is_number, v))):
+                raise ValueError(f"{key} must be two numbers")
         if not (0.0 < self.lam <= 0.1):
             raise ValueError("lambda must lie in (0, 0.1]")
         if self.r not in (1, 2, 3):
@@ -298,8 +325,7 @@ class ExperimentConfig:
             if not (0.0 < getattr(self, key) < math.inf):
                 raise ValueError(f"{key} must be finite and > 0")
         base = self.section_base
-        if base is not None and not (len(base) == 2 and all(-math.inf < v < math.inf
-                                                             for v in base)):
+        if base is not None and not all(map(math.isfinite, base)):
             raise ValueError("section_base must be null or two finite numbers")
         if not (0.0 <= self.q2_radius < math.inf):
             raise ValueError("q2_radius must be finite and >= 0")

@@ -96,6 +96,17 @@ def collapse_ck3_radii(lam):
     return collapse_radii(3, lam)
 
 
+def collapse_ck3_exponents(lam):
+    """The exponents of the three cycles of collapse_ck3_radii, in that order.
+
+    On a circle r' = f(r) = r s (s^2 - 2 lam) vanishes and theta' = 1, so
+    the exponent is 2 pi f'(r) = -4 pi r^2 (3 s^2 - 2 lam): 8 pi lam on
+    s = 0 and -16 pi lam (1 -/+ sqrt(2 lam)) on s = +/-sqrt(2 lam).
+    """
+    s = math.sqrt(2 * lam)
+    return (-16 * math.pi * lam * (1 - s), 8 * math.pi * lam, -16 * math.pi * lam * (1 + s))
+
+
 def unfolding_radii(k, c):
     """Cycle radii, ascending, of CK(k) + (-c x, -c y) = CK(k) + (c/2) grad s,
     s = 1 - x^2 - y^2, whose polar form is r' = r(s^k - c), theta' = 1.

@@ -11,7 +11,8 @@ from cyclelab import cycles as cy
 from cyclelab import flow
 from cyclelab.bernstein import SampledField, bernstein_fit
 from cyclelab.field import (
-    CollapseField, PolyVectorField, ck_system, gradient_collapse_family, rotate_family, vanderpol,
+    CollapseField, PolyVectorField, ck_system, collapse_integrands, divergence,
+    gradient_collapse_family, rotate_family, vanderpol,
 )
 from cyclelab.poly2 import Poly2, add, parse_poly, scale
 
@@ -661,6 +662,23 @@ def test_perko_ratio_constant_over_lambda(ck, section):
     assert all(abs(r / base - 1.0) < 0.01 for r in ratios)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("orientation", [1.0, -1.0])
+def test_perko_derivative_gives_the_displacement_slope(section, k, orientation):
+    """d/dlam d(xi*; lam) = exp(K) * M / (X(p0) ^ u) for the rotated family,
+    M = perko_derivative, K the cycle's exponent, u the section direction:
+    the constant and the sign of the identity, on either orientation of u."""
+    X, eps, lam = ck_system(k), 0.1, 1e-5
+    sec = cy.Section(section.base, orientation * section.direction, section.half_length)
+    cyc = cy.build_cycle(X, sec, 0.0, 1e-12)
+    p, q = X(*sec.point_at(cyc.xi_star))
+    u = sec.direction
+    slope = math.exp(cyc.exponent) * cy.perko_derivative(X, eps_perp(X, eps), cyc) / (
+        p * u[1] - q * u[0])
+    d = cy.displacement(rotate_family(X, lam, eps), sec, cyc.xi_star, 1e-12)
+    assert d / lam == pytest.approx(slope, rel=1e-4)
+
+
 def test_multiplier_identity(ck, section):
     # exp(exponent) equals the variational return-map derivative
     c1 = cy.build_cycle(ck[1], section, 0.0)
@@ -874,40 +892,45 @@ def test_census_returns_are_forgotten_on_failure(ck, section, monkeypatch):
         assert got.points.tobytes() == ref.points.tobytes()
 
 
-def test_quadrature_that_never_converges_is_named(ck, ck_cycles):
-    # sign(x - 0.3) jumps where the unit circle meets x = 0.3, off every panel
-    # edge, so each doubling only halves the error and no two levels agree
-    with pytest.raises(cy.QuadratureNotConverged) as info:
-        cy._quad_over_cycle(ck_cycles[1], lambda x, y: np.sign(x - 0.3))
-    previous, last = info.value.levels
-    assert info.value.panels == 512
-    assert 0.0 < abs(last - previous) < 0.1
-    # the exact value is the arc length with x > 0.3 less the rest
-    assert last == pytest.approx(4 * math.acos(0.3) - 2 * math.pi, abs=0.02)
-    with pytest.raises(cy.QuadratureNotConverged):
-        cy.perko_derivative(ck[1], eps_perp(ck[1], 0.1), ck_cycles[1], tol=0.0)
-
-
-def _per_panel_quad(cycle, integrand, tol=1e-10, log=None):
-    """The cycle quadrature with one integrand call per panel: the reference
-    for _quad_over_cycle, whose levels must have these bits. log collects
-    each level's panel count."""
+def _per_panel_quad(cycle, integrand):
+    """The cycle quadrature of panel doubling: the 10-point Gauss-Legendre
+    rule on 8, 16, 32, ... equal panels of [0, period], one integrand call
+    per panel, until two levels agree to 1e-12. An independent reference for
+    _quad_over_cycle's per-step rule. At 1e-10 it would stop at 16 panels,
+    1.3e-11 off on the outer cycle of the CK(3) + 0.02 s grad s census, where
+    the per-step rule is within 1e-15 of 1024 panels."""
     nodes, wts = leggauss(10)
     prev, panels = None, 8
     while panels <= 512:
-        if log is not None:
-            log.append(panels)
         total = 0.0
         edges = np.linspace(0.0, cycle.period, panels + 1)
         lo, hi = edges[:-1, None], edges[1:, None]
         level = cycle._orbit.eval(0.5 * (hi - lo) * nodes + 0.5 * (lo + hi))
         for a, b, pts in zip(edges[:-1], edges[1:], level):
             total += 0.5 * (b - a) * float(np.sum(wts * integrand(pts[:, 0], pts[:, 1])))
-        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
+        if prev is not None and abs(total - prev) < 1e-12 * max(1.0, abs(total)):
             return total
         prev = total
         panels *= 2
     raise AssertionError("the reference quadrature did not converge")
+
+
+def _cycle_steps(cycle):
+    """(t_old, t_end) of each step of the cycle's orbit that starts before
+    the period, the last one cut at the period."""
+    times = [t for t in cycle._orbit.times.tolist() if t < cycle.period]
+    return list(zip(times, times[1:] + [cycle.period]))
+
+
+def _per_step_quad(cycle, integrand):
+    """The cycle quadrature with one integrand call per orbit step: the
+    reference for _quad_over_cycle, which must have these bits."""
+    nodes, wts = leggauss(10)
+    total = 0.0
+    for a, b in _cycle_steps(cycle):
+        pts = cycle._orbit.eval(0.5 * (b - a) * nodes + 0.5 * (a + b))
+        total += 0.5 * (b - a) * float(np.sum(wts * integrand(pts[:, 0], pts[:, 1])))
+    return total
 
 
 def test_collapse_field_census_meets_the_exact_split_oracles(ck, section):
@@ -941,8 +964,8 @@ def bernstein_collapse_cycle():
 
 
 @pytest.mark.parametrize("basis", ["monomial", "bernstein"])
-def test_quadrature_levels_match_the_per_panel_form(basis, ck, ck_cycles,
-                                                    bernstein_collapse_cycle, monkeypatch):
+def test_quadrature_matches_the_per_step_form(basis, ck, ck_cycles, bernstein_collapse_cycle,
+                                              monkeypatch):
     if basis == "monomial":
         R, F, cyc = S, ck[3], ck_cycles[3]
     else:
@@ -953,20 +976,41 @@ def test_quadrature_levels_match_the_per_panel_form(basis, ck, ck_cycles,
                                          *cy.divergence_integral_terms(ck[3], R, 0.02, cyc))]
 
     batched = cy._quad_over_cycle
-    shapes, panels = [], []
+    shapes = []
 
-    def counted(cycle, integrand, tol=1e-10):
+    def counted(cycle, integrand):
         def f(x, y):
             shapes.append(np.shape(x))
             return integrand(x, y)
-        return batched(cycle, f, tol)
+        return batched(cycle, f)
 
     monkeypatch.setattr(cy, "_quad_over_cycle", counted)
     got = quantities()
-    monkeypatch.setattr(cy, "_quad_over_cycle",
-                        lambda cycle, integrand, tol=1e-10: _per_panel_quad(cycle, integrand,
-                                                                            tol, panels))
+    monkeypatch.setattr(cy, "_quad_over_cycle", _per_step_quad)
     assert got == quantities()
-    # one integrand call per level, on all of its nodes
-    assert shapes == [(n, 10) for n in panels]
-    assert len(shapes) >= 4 * 2  # four quadratures of two levels or more
+    # one integrand call per quadrature, on the nodes of all of its steps
+    assert shapes == [(len(_cycle_steps(cyc)), 10)] * 4
+
+
+def test_quadrature_agrees_with_panel_doubling(ck, section, bernstein_collapse_cycle):
+    """The per-step rule and the panel doubling it replaced agree to 1e-11
+    on the exponent of CK(1)-CK(5), of the CK(3) + 0.02 s grad s census and
+    of the Bernstein collapse field's cycle, and on |grad S|^2 there."""
+    cases = [(ck_system(k), cy.build_cycle(ck_system(k), section, 0.0)) for k in (1, 2, 3, 5)]
+    fam = gradient_collapse_family(ck[3], S, 0.02)
+    cases += [(fam, c) for c in cy.find_cycles(fam, section, (-0.3, 0.3), 25)]
+    cases.append(bernstein_collapse_cycle[1:])
+    assert len(cases) == 8
+    grad_square = collapse_integrands(S)[0]
+    for X, cyc in cases:
+        assert cy.characteristic_exponent(X, cyc) == pytest.approx(
+            _per_panel_quad(cyc, divergence(X)), rel=0.0, abs=1e-11)
+        assert cy._quad_over_cycle(cyc, grad_square) == pytest.approx(
+            _per_panel_quad(cyc, grad_square), rel=0.0, abs=1e-11)
+
+
+def test_split_census_exponents_meet_the_closed_form(ck, section):
+    lam = 0.02
+    census = cy.find_cycles(gradient_collapse_family(ck[3], S, lam), section, (-0.3, 0.3), 25)
+    got = [c.exponent for c in census]
+    assert got == pytest.approx(oracles.collapse_ck3_exponents(lam), rel=0.0, abs=1e-8)

@@ -174,6 +174,19 @@ _BAD_SAMPLING = [
     ({"integrator_tol": float("nan")}, "integrator_tol"),
     ({"integrator_tol": float("inf")}, "integrator_tol"),
     ({"integrator_tol": 1e-30}, "integrator_tol"),
+    ({"n_seeds": 2.5}, "n_seeds"), ({"q2_samples": 2.5}, "q2_samples"),
+    ({"q2_samples": True}, "q2_samples"), ({"q2_degree": 3.5}, "q2_degree"),
+    ({"fit_degree": 2.0}, "fit_degree"), ({"degree_cap": 256.0}, "degree_cap"),
+    ({"degree_cap": True}, "degree_cap"), ({"verify_samples": True}, "verify_samples"),
+    ({"invariance_orbits": 2.5}, "invariance_orbits"), ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"), ({"r": True}, "r"), ({"r": 1.0}, "r"),
+    ({"bern_degrees": [10.5, 20]}, "bern_degrees"), ({"bern_degrees": [True]}, "bern_degrees"),
+    ({"surrogate": "false"}, "surrogate"), ({"surrogate": 1}, "surrogate"),
+    ({"xi_range": [0.1]}, "xi_range"), ({"xi_range": ["-0.3", 0.3]}, "xi_range"),
+    ({"annulus_xi": [-0.3]}, "annulus_xi"), ({"annulus_xi": [-0.35, 0.35, 1.0]}, "annulus_xi"),
+    ({"section_base": [True, 0.0]}, "section_base"),
+    ({"section_base": ["1.0", 0.0]}, "section_base"),
+    ({"lambda_eps_values": ["0.01"]}, "lambda_eps_values"),
 ]
 
 
@@ -196,7 +209,12 @@ def test_config_rejects_bad_sampling(raw, key):
     and bern_degrees must be nonempty, each degree >= 1, and lambda0
     finite. An infinite integrator_tol passed find on an empty census, and
     one of 1e-30 ran find for minutes: integrator_tol must be finite and at
-    least SciPy's rtol floor 100 * 2^-52."""
+    least SciPy's rtol floor 100 * 2^-52. An integer key must be an int and
+    no bool, surrogate a bool, xi_range, annulus_xi and section_base two
+    numbers and every lambda_eps_values entry a number: a string surrogate
+    "false" ran the surrogate split, a degree 10.5 was fitted, a float
+    n_seeds failed with a TypeError that named no key, a one-number xi_range
+    with IndexError, and r = true was taken as 1."""
     for pipeline in ("q2-search", "rotate-theorem2"):
         with pytest.raises(ValueError, match=key):
             lab.ExperimentConfig.from_dict({"pipeline": pipeline, **raw})
@@ -221,6 +239,13 @@ def test_config_accepts_the_sampling_bounds():
     assert (cfg.lambda0, cfg.bern_degrees, cfg.lambda_eps_values) == (0.0, (1,), (0.1,))
     cfg = lab.ExperimentConfig.from_dict({"pipeline": "find", "integrator_tol": 100 * 2.0 ** -52})
     assert cfg.integrator_tol == 100 * 2.0 ** -52
+    # integers where numbers are asked, and every pipeline's defaults
+    cfg = lab.ExperimentConfig.from_dict({"pipeline": "annulus", "xi_range": [-1, 1],
+                                          "annulus_xi": [-1, 1], "section_base": [1, 0],
+                                          "lambda_eps_values": [0.1, -0.1]})
+    assert (cfg.xi_range, cfg.annulus_xi, cfg.section_base) == ((-1, 1), (-1, 1), (1, 0))
+    for pipeline in lab._PIPELINES:
+        assert lab.ExperimentConfig.from_dict({"pipeline": pipeline}).pipeline == pipeline
 
 
 @pytest.mark.parametrize("command, raw, key", [
@@ -246,6 +271,11 @@ def test_config_accepts_the_sampling_bounds():
     ("split", {"lambda0": float("nan")}, "lambda0"),
     ("bernstein", {"bern_degrees": []}, "bern_degrees"),
     ("find", {"integrator_tol": 1e-30}, "integrator_tol"),
+    ("split", {"surrogate": "false"}, "surrogate"),
+    ("bernstein", {"bern_degrees": [10.5, 20]}, "bern_degrees"),
+    ("find", {"n_seeds": 2.5}, "n_seeds"), ("q2", {"q2_samples": 2.5}, "q2_samples"),
+    ("q2", {"seed": 1.5}, "seed"), ("find", {"xi_range": [0.1]}, "xi_range"),
+    ("annulus", {"annulus_xi": [-0.3]}, "annulus_xi"), ("find", {"r": True}, "r"),
 ])
 def test_cli_rejects_bad_sampling_before_any_orbit(tmp_path, monkeypatch, capsys, command, raw,
                                                    key):
