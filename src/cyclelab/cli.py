@@ -44,19 +44,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    raw = {}
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    raw["pipeline"] = _SUBCOMMANDS[args.command]
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.system is not None:
-        raw["system"] = args.system
     try:
+        raw = {}
+        if args.config:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        # from_dict names a config that is no JSON object
+        if isinstance(raw, dict):
+            raw["pipeline"] = _SUBCOMMANDS[args.command]
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            if args.system is not None:
+                raw["system"] = args.system
         config = ExperimentConfig.from_dict(raw)
         report = run_pipeline(config, out_dir=args.out)
-    except Exception as exc:  # hard error: bad config, lost cycle, ...
+    except Exception as exc:  # hard error: unreadable or bad config, lost cycle, ...
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(report.to_text())

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -40,7 +40,9 @@ from .bernstein import (
     jets, mesh, min_degree_for_tolerance,
 )
 from .field import PolyVectorField, gradient_collapse_family, parse_field, rotate_family
-from .registry import default_section_base, exact_vanishing_poly, canonical_function
+from .registry import (
+    CANONICAL_FUNCTIONS, canonical_function, default_section_base, exact_vanishing_poly,
+)
 
 
 class WindowTooWide(Exception):
@@ -237,8 +239,6 @@ _PIPELINES = ("find", "split-theorem1", "rotate-theorem2", "bernstein-study",
 # the least integrator_tol: SciPy's floor for the rtol of its DOP853 step
 # control, which flow's stepper follows
 _TOL_FLOOR = 100 * 2.0 ** -52
-_INT_KEYS = ("n_seeds", "q2_samples", "q2_degree", "fit_degree", "degree_cap", "verify_samples",
-             "invariance_orbits", "seed", "r")
 
 
 def _is_int(v) -> bool:
@@ -249,120 +249,119 @@ def _is_number(v) -> bool:
     return _is_int(v) or isinstance(v, float)
 
 
+def _is_system(v) -> bool:
+    return isinstance(v, str) or (isinstance(v, dict) and set(v) == {"p", "q"}
+                                  and all(isinstance(s, str) for s in v.values()))
+
+
+def _tuple_of(each, n=None):
+    """The test for a tuple of n values (any number for None) that pass each."""
+    return lambda v: isinstance(v, tuple) and n in (None, len(v)) and all(map(each, v))
+
+
+def _interval(v) -> bool:
+    return -math.inf < v[0] < v[1] < math.inf
+
+
+# a kind is a type test and its noun; a bound, a test of a value of that kind
+# and the words that state it
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_PAIR = (_tuple_of(_is_number, 2), "two numbers")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be finite and > 0")
+
+
+def _one_of(names):
+    return (lambda v: isinstance(v, str) and v in names, f"one of {names}")
+
+
+def _at_least(least):
+    return (lambda v: v >= least, f"must be >= {least}")
+
+
+def _key(default, kind, bound=(None, None), key=None):
+    """A field with its default and rule; key is its name in a config if not its own."""
+    return field(default=default, metadata={"rule": (*kind, *bound), "key": key})
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; see the README for the grammar."""
 
-    pipeline: str
-    system: object = "CK(3)"
-    section_base: tuple[float, float] | None = None
-    section_half_length: float = 0.55
-    lam: float = 0.02
-    lambda0: float = 0.1
-    r: int = 1
-    eps_target: float = 0.4
-    surrogate: bool = False
-    window_width: float = 0.95
-    degree_cap: int = 256
-    xi_range: tuple[float, float] = (-0.3, 0.3)
-    n_seeds: int = 25
-    annulus_xi: tuple[float, float] = (-0.35, 0.35)
-    lambda_eps_values: tuple[float, ...] = (-0.01, 0.01)
-    fit_degree: int = 2
-    bern_function: str = "paraboloid"
-    bern_box: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
-    bern_degrees: tuple[int, ...] = (10, 20, 40, 80, 160)
-    q2_radius: float = 1e-3
-    q2_samples: int = 24
-    q2_degree: int = 3
-    window: float = 0.025
-    integrator_tol: float = flow.DEFAULT_TOL
-    verify_samples: int = 256
-    invariance_orbits: int = 32
-    horizon_periods: float = 20.0
-    seed: int = 0
+    pipeline: str = _key(MISSING, _one_of(_PIPELINES))
+    system: object = _key("CK(3)", (_is_system, 'a string or a {"p", "q"} object'))
+    section_base: tuple[float, float] | None = _key(
+        None, (lambda v: v is None or _PAIR[0](v), "null or two numbers"),
+        (lambda v: v is None or all(map(math.isfinite, v)), "must be null or two finite numbers"))
+    section_half_length: float = _key(0.55, _NUMBER, _POSITIVE)
+    lam: float = _key(0.02, _NUMBER, (lambda v: 0.0 < v <= 0.1, "must lie in (0, 0.1]"),
+                      key="lambda")
+    # 0 is the annulus's plain-return fallback
+    lambda0: float = _key(0.1, _NUMBER, (math.isfinite, "must be finite"))
+    r: int = _key(1, _INT, (lambda v: v in (1, 2, 3), "must be one of {1, 2, 3}"))
+    eps_target: float = _key(0.4, _NUMBER, _POSITIVE)
+    surrogate: bool = _key(False, (lambda v: isinstance(v, bool), "true or false"))
+    window_width: float = _key(0.95, _NUMBER, _POSITIVE)
+    degree_cap: int = _key(256, _INT, _at_least(1))
+    xi_range: tuple[float, float] = _key((-0.3, 0.3), _PAIR,
+                                         (_interval, "must be finite with lo < hi"))
+    n_seeds: int = _key(25, _INT, _at_least(2))
+    annulus_xi: tuple[float, float] = _key((-0.35, 0.35), _PAIR, (
+        lambda v: -math.inf < v[0] < 0.0 < v[1] < math.inf, "must be finite with lo < 0 < hi"))
+    lambda_eps_values: tuple[float, ...] = _key(
+        (-0.01, 0.01), (_tuple_of(_is_number), "a list of numbers"),
+        (lambda v: v and all(0.0 < abs(x) <= 0.1 for x in v),
+         "must be nonempty with 0 < |v| <= 0.1 for each value v"))
+    fit_degree: int = _key(2, _INT, _at_least(2))
+    bern_function: str = _key("paraboloid", _one_of(tuple(CANONICAL_FUNCTIONS)))
+    bern_box: tuple[float, float, float, float] = _key(
+        (-2.0, 2.0, -2.0, 2.0), (_tuple_of(_is_number, 4), "four numbers"),
+        (lambda v: _interval(v[:2]) and _interval(v[2:]),
+         "must be finite with ax < bx and ay < by"))
+    bern_degrees: tuple[int, ...] = _key(
+        (10, 20, 40, 80, 160), (_tuple_of(_is_int), "a list of integers"),
+        (lambda v: v and min(v) >= 1, "must be nonempty with every degree >= 1"))
+    q2_radius: float = _key(1e-3, _NUMBER, (lambda v: 0.0 <= v < math.inf,
+                                            "must be finite and >= 0"))
+    q2_samples: int = _key(24, _INT, _at_least(0))
+    q2_degree: int = _key(3, _INT, _at_least(2))
+    window: float = _key(0.025, _NUMBER, _POSITIVE)
+    integrator_tol: float = _key(flow.DEFAULT_TOL, _NUMBER, (
+        lambda v: _TOL_FLOOR <= v < math.inf,
+        f"must be finite and >= 100 * 2^-52 = {_TOL_FLOOR:.3g}"))
+    verify_samples: int = _key(256, _INT, _at_least(1))
+    invariance_orbits: int = _key(32, _INT, _at_least(0))
+    horizon_periods: float = _key(20.0, _NUMBER, _POSITIVE)
+    seed: int = _key(0, _INT, _at_least(0))
 
     def validate(self):
-        if self.pipeline not in _PIPELINES:
-            raise ValueError(f"pipeline must be one of {_PIPELINES}")
-        # types first, so no bound below meets a value of the wrong kind (a
-        # JSON bool is no integer, and no number)
-        for key in _INT_KEYS:
-            if not _is_int(getattr(self, key)):
-                raise ValueError(f"{key} must be an integer")
-        if not isinstance(self.surrogate, bool):
-            raise ValueError("surrogate must be true or false")
-        if not (isinstance(self.bern_degrees, tuple) and all(map(_is_int, self.bern_degrees))):
-            raise ValueError("bern_degrees must be a list of integers")
-        if not (isinstance(self.lambda_eps_values, tuple)
-                and all(map(_is_number, self.lambda_eps_values))):
-            raise ValueError("lambda_eps_values must be a list of numbers")
-        for key in ("xi_range", "annulus_xi", "section_base"):
-            v = getattr(self, key)
-            if (v is not None or key != "section_base") and not (
-                    isinstance(v, tuple) and len(v) == 2 and all(map(_is_number, v))):
-                raise ValueError(f"{key} must be two numbers")
-        if not (0.0 < self.lam <= 0.1):
-            raise ValueError("lambda must lie in (0, 0.1]")
-        if self.r not in (1, 2, 3):
-            raise ValueError("r must be one of {1, 2, 3}")
-        for key, least in (("q2_degree", 2), ("fit_degree", 2), ("n_seeds", 2),
-                           ("q2_samples", 0), ("invariance_orbits", 0), ("verify_samples", 1),
-                           ("degree_cap", 1)):
-            if not getattr(self, key) >= least:
-                raise ValueError(f"{key} must be >= {least}")
-        if not self.lambda_eps_values:
-            raise ValueError("lambda_eps_values must not be empty")
-        for v in self.lambda_eps_values:
-            if not (0.0 < abs(v) <= 0.1):
-                raise ValueError("lambda_eps sweep values must have 0 < |v| <= 0.1")
-        if not (-math.inf < self.xi_range[0] < self.xi_range[1] < math.inf):
-            raise ValueError("xi_range must be finite with lo < hi")
-        if not (-math.inf < self.annulus_xi[0] < 0.0 < self.annulus_xi[1] < math.inf):
-            raise ValueError("annulus_xi must be finite with lo < 0 < hi")
-        for key in ("window", "section_half_length", "horizon_periods", "window_width",
-                    "eps_target"):
-            if not (0.0 < getattr(self, key) < math.inf):
-                raise ValueError(f"{key} must be finite and > 0")
-        base = self.section_base
-        if base is not None and not all(map(math.isfinite, base)):
-            raise ValueError("section_base must be null or two finite numbers")
-        if not (0.0 <= self.q2_radius < math.inf):
-            raise ValueError("q2_radius must be finite and >= 0")
-        if not (self.bern_degrees and min(self.bern_degrees) >= 1):
-            raise ValueError("bern_degrees must be nonempty with every degree >= 1")
-        # 0 is the annulus's plain-return fallback
-        if not math.isfinite(self.lambda0):
-            raise ValueError("lambda0 must be finite")
-        if not (_TOL_FLOOR <= self.integrator_tol < math.inf):
-            raise ValueError(f"integrator_tol must be finite and >= 100 * 2^-52 "
-                             f"= {_TOL_FLOOR:.3g}")
+        # each value's kind before its bound, so no bound meets a value of the
+        # wrong kind (a JSON bool is no integer, and no number)
+        for f in fields(self):
+            is_kind, noun, in_bound, words = f.metadata["rule"]
+            v, key = getattr(self, f.name), f.metadata["key"] or f.name
+            if not is_kind(v):
+                raise ValueError(f"{key} must be {noun}")
+            if in_bound is not None and not in_bound(v):
+                raise ValueError(f"{key} {words}")
         return self
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
-        aliases = {"lambda": "lam"}
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(raw).__name__}")
+        names = {k: f.name for f in fields(ExperimentConfig)
+                 for k in (f.name, f.metadata["key"]) if k}
         kwargs = {}
         for k, v in raw.items():
-            key = aliases.get(k, k.replace("-", "_"))
-            if key not in known:
+            key = names.get(k.replace("-", "_"))
+            if key is None:
                 raise ValueError(f"unknown config key {k!r}")
-            if isinstance(v, list):
-                v = tuple(v)
-            kwargs[key] = v
+            kwargs[key] = tuple(v) if isinstance(v, list) else v
         return ExperimentConfig(**kwargs).validate()
 
     def echo(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            if isinstance(v, tuple):
-                v = list(v)
-            if isinstance(v, PolyVectorField):
-                v = repr(v.P) + " ; " + repr(v.Q)
-            out[name] = v
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 # ------------------------------------------------------------------ report
@@ -794,7 +793,7 @@ def _census_csv_writer(census):
         lines = ["xi_star,radius,period,exponent,stability"]
         for c in census:
             lines.append(
-                f"{c.xi_star!r},{c.mean_radius!r},{c.period!r},{c.exponent!r},{c.stability}"
+                f"{c.xi_star!r},{c.mean_radius!r},{c.period!r},{float(c.exponent)!r},{c.stability}"
             )
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -813,7 +812,7 @@ def _sweep_csv_writer(sweeps):
             for c in cycles:
                 lines.append(
                     f"{mu!r},{entry['census']['count']},{c['xi_star']!r},"
-                    f"{c['radius']!r},{c['exponent']!r}"
+                    f"{c['radius']!r},{float(c['exponent'])!r}"
                 )
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

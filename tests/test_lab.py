@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +189,15 @@ _BAD_SAMPLING = [
     ({"section_base": [True, 0.0]}, "section_base"),
     ({"section_base": ["1.0", 0.0]}, "section_base"),
     ({"lambda_eps_values": ["0.01"]}, "lambda_eps_values"),
+    ({"lambda_eps_values": [0.0, 0.01]}, "lambda_eps_values"),
+    ({"lambda": "0.02"}, "lambda"), ({"lambda0": "1"}, "lambda0"),
+    ({"horizon_periods": "2"}, "horizon_periods"),
+    ({"window": True}, "window"), ({"integrator_tol": True}, "integrator_tol"),
+    ({"q2_radius": True}, "q2_radius"), ({"section_half_length": True}, "section_half_length"),
+    ({"bern_box": [1, 2, 3]}, "bern_box"), ({"bern_box": [0, 0, 0, 1]}, "bern_box"),
+    ({"bern_box": [-2.0, 2.0, float("nan"), 2.0]}, "bern_box"),
+    ({"bern_function": "nope"}, "bern_function"), ({"seed": -1}, "seed"),
+    ({"system": 5}, "system"),
 ]
 
 
@@ -218,6 +229,29 @@ def test_config_rejects_bad_sampling(raw, key):
     for pipeline in ("q2-search", "rotate-theorem2"):
         with pytest.raises(ValueError, match=key):
             lab.ExperimentConfig.from_dict({"pipeline": pipeline, **raw})
+
+
+def test_config_errors_start_with_the_key():
+    # the key as it is written in a config: lambda, not the field name lam
+    for raw, key in _BAD_SAMPLING:
+        with pytest.raises(ValueError) as err:
+            lab.ExperimentConfig.from_dict({"pipeline": "find", **raw})
+        assert str(err.value).startswith(f"{key} "), (raw, str(err.value))
+
+
+def test_every_config_key_is_declared_with_its_rule():
+    for f in dataclasses.fields(lab.ExperimentConfig):
+        assert "rule" in f.metadata, f.name
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config grammar", 1)[1].split("```", 2)[1]
+    listed = json.loads(re.sub(r"//.*", "", block))
+    defaults = lab.ExperimentConfig(pipeline="find").echo()
+    del defaults["pipeline"]
+    defaults["lambda"] = defaults.pop("lam")
+    assert listed == defaults
 
 
 def test_config_accepts_the_sampling_bounds():
@@ -276,6 +310,7 @@ def test_config_accepts_the_sampling_bounds():
     ("find", {"n_seeds": 2.5}, "n_seeds"), ("q2", {"q2_samples": 2.5}, "q2_samples"),
     ("q2", {"seed": 1.5}, "seed"), ("find", {"xi_range": [0.1]}, "xi_range"),
     ("annulus", {"annulus_xi": [-0.3]}, "annulus_xi"), ("find", {"r": True}, "r"),
+    ("q2", {"window": True}, "window"), ("bernstein", {"bern_box": [1, 2, 3]}, "bern_box"),
 ])
 def test_cli_rejects_bad_sampling_before_any_orbit(tmp_path, monkeypatch, capsys, command, raw,
                                                    key):
@@ -294,6 +329,33 @@ def test_cli_rejects_bad_sampling_before_any_orbit(tmp_path, monkeypatch, capsys
     assert cli.main([command, "--config", str(cfg)]) == 1
     assert integrated == []
     assert f"error: ValueError: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[1, 2]", "ValueError"), ('{"window": ', "JSONDecodeError"), (None, "FileNotFoundError"),
+], ids=["list", "malformed", "missing"])
+def test_cli_reports_a_bad_config_file_in_one_line(tmp_path, capsys, text, error):
+    from cyclelab import cli
+
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert cli.main(["find", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1, err
+
+
+def test_side_file_cells_are_numbers_or_labels(tmp_path):
+    # a NumPy scalar once reached the exponent column as np.float64(...)
+    for pipeline, name in (("rotate-theorem2", "census.csv"), ("split-theorem1", "census.csv"),
+                           ("find", "displacement.csv")):
+        lab.run_pipeline(lab.ExperimentConfig.from_dict({"pipeline": pipeline}),
+                         out_dir=tmp_path / pipeline)
+        rows = (tmp_path / pipeline / name).read_text().splitlines()[1:]
+        assert rows, pipeline
+        for cell in ",".join(rows).split(","):
+            if cell not in ("stable", "unstable", "non-hyperbolic"):
+                float(cell)
 
 
 def test_find_pipeline_and_idempotence(tmp_path):
