@@ -11,9 +11,12 @@ samples at Chebyshev nodes in a symmetric window, not by repeated finite
 differences: displacement evaluations carry integrator noise near 1e-10 and
 high-order differences would amplify it beyond usability at order >= 3.
 
-find_cycles and nearest_cycle ask one lazy census (_Census) with one merge
-rule. The census keeps the returns of its own d(xi) calls, and builds the
-cycles of its roots from them.
+find_cycles, nearest_cycle and theorem1_splitting ask one lazy census
+(_Census) with one merge rule. The census keeps the returns of its own d(xi)
+calls, and builds the cycles of its roots from them. theorem1_splitting owns
+the multiplicity of the cycle it splits: it runs the fit's first window and
+the perturbed census's seeds as one wave of orbits, in lockstep where their
+fields allow (flow.next_section_crossings), and stores the fit on the cycle.
 """
 from __future__ import annotations
 
@@ -141,20 +144,33 @@ def crossing_sign(X: PolyVectorField, section: Section, rhs=None) -> int:
     return 1 if s > 0 else -1
 
 
+def _start_point(section, xi) -> tuple[float, float]:
+    """section.point_at(xi)'s bits as the two floats the orbit of d(xi) starts from."""
+    bx, by, _, _, tx, ty, _ = section.geometry
+    return bx + xi * tx, by + xi * ty
+
+
 def return_map(X, section, xi, tol=DEFAULT_CYCLE_TOL, _returns=None) -> float:
     """First-return coordinate pi(xi) on the section. A census passes its
     own store of returns as _returns: a return with |pi(xi) - xi| < tol is
-    kept there, as xi -> (period, orbit), for the cycle it may become."""
-    bx, by, _, _, tx, ty, _ = section.geometry
-    x0 = (bx + xi * tx, by + xi * ty)  # point_at(xi)'s bits
+    kept there, as xi -> (period, the orbit's steps), for the cycle it may
+    become."""
     kept = None if _returns is None else []
-    t_star, p = flow.next_section_crossing(
-        X, x0, section, crossing_sign(X, section),
+    hit = flow.next_section_crossing(
+        X, _start_point(section, xi), section, crossing_sign(X, section),
         t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET, _kept=kept,
     )
+    return _returned(section, xi, hit, kept, tol, _returns)
+
+
+def _returned(section, xi, hit, kept, tol, returns) -> float:
+    """pi(xi) from the first return hit = (t_star, point) of the orbit from
+    xi, whose steps up to it are in kept, if given; a return with
+    |pi(xi) - xi| < tol then goes into returns (see return_map)."""
+    t_star, p = hit
     pi = section.xi_of(p)
     if kept is not None and abs(pi - xi) < tol:
-        _returns[xi] = t_star, flow._orbit(x0, kept)
+        returns[xi] = t_star, kept
     return pi
 
 
@@ -167,22 +183,35 @@ def displacements(fields, section, xis, tol=DEFAULT_CYCLE_TOL) -> list[list]:
     """d(xi) of every field at the xis, one row per field, as a loop calling
     displacement(X, section, xi, tol) collects them, bit for bit, until its
     first OrbitFailure; a row that meets one ends with it. All orbits run at
-    once, in lockstep (flow.next_section_crossings), and no field compiles
-    its own rhs(): each is evaluated through its group's evaluators
+    once, in lockstep (_crossings)."""
+    rows = _crossings([[(X, xi) for xi in xis] for X in fields], section, tol)
+    return [_displacement_row(section, xis, row) for row in rows]
+
+
+def _crossings(rows, section, tol) -> list[list]:
+    """flow.next_section_crossings of rows of lanes (X, xi[, kept]), each the
+    orbit of d(xi) on X: from _start_point(section, xi), with X's
+    crossing_sign, at d(xi)'s time bound and offset. No field compiles its
+    own rhs(): each is evaluated through its group's evaluators
     (field.lane_evaluators), which both the crossing signs and the lockstep
     driver use, so the fields are grouped once."""
+    fields = list({id(lane[0]): lane[0] for row in rows for lane in row}.values())
     groups = lane_evaluators(fields)
-    signs = [0] * len(fields)
+    signs = {}
     for members, select in groups:
         for k, m in enumerate(members):
-            signs[m] = crossing_sign(fields[m], section, None if select is None else select(k))
-    bx, by, _, _, tx, ty, _ = section.geometry
-    rows = [[(X, (bx + xi * tx, by + xi * ty), sign) for xi in xis]
-            for X, sign in zip(fields, signs)]
-    crossings = flow.next_section_crossings(rows, section, t_max=DEFAULT_T_MAX, tol=tol,
-                                            t_offset=_T_OFFSET, _groups=(fields, groups))
-    return [[hit if isinstance(hit, flow.OrbitFailure) else section.xi_of(hit[1]) - xi
-             for xi, hit in zip(xis, row)] for row in crossings]
+            signs[id(fields[m])] = crossing_sign(fields[m], section,
+                                                 None if select is None else select(k))
+    rows = [[(X, _start_point(section, xi), signs[id(X)], *kept) for X, xi, *kept in row]
+            for row in rows]
+    return flow.next_section_crossings(rows, section, t_max=DEFAULT_T_MAX, tol=tol,
+                                       t_offset=_T_OFFSET, _groups=(fields, groups))
+
+
+def _displacement_row(section, xis, hits) -> list:
+    """d(xi) from the crossings of the orbits from the xis, failures kept."""
+    return [hit if isinstance(hit, flow.OrbitFailure) else section.xi_of(hit[1]) - xi
+            for xi, hit in zip(xis, hits)]
 
 
 @dataclass
@@ -413,12 +442,13 @@ _MERGE_XI = 1e-8
 
 
 class _Census:
-    """The seed census of find_cycles and nearest_cycle: d at n_seeds seeds
-    spread evenly over xi_range, each bracket's root and whether it is kept,
-    each computed once, when first asked. Bracket a is [seeds[a],
-    seeds[a + 1]]; the last seed is a bracket of its own. returns is the
-    census's own store of the returns its d(xi) calls keep (return_map).
-    ValueError unless xi_range is finite and ascending."""
+    """The seed census of find_cycles, nearest_cycle and theorem1_splitting:
+    d at n_seeds seeds spread evenly over xi_range, each bracket's root and
+    whether it is kept, each computed once, when first asked or, for the
+    seeds, in a wave. Bracket a is [seeds[a], seeds[a + 1]]; the last seed
+    is a bracket of its own. returns is the census's own store of the
+    returns its d(xi) calls keep (return_map). ValueError unless xi_range is
+    finite and ascending."""
 
     def __init__(self, X, section, xi_range, n_seeds, tol):
         lo, hi = float(xi_range[0]), float(xi_range[1])
@@ -428,14 +458,30 @@ class _Census:
         self.seeds = np.linspace(lo, hi, n_seeds)
         self.returns = {}
         self.d = partial(displacement, X, section, tol=tol, _returns=self.returns)
-        self.seed_d, self.root, self.kept = cache(self._seed_d), cache(self._root), cache(self._kept)
+        self.seed_ds = {}  # i -> d at seeds[i], None where the return map is undefined
+        self.root, self.kept = cache(self._root), cache(self._kept)
 
-    def _seed_d(self, i):
+    def seed_d(self, i):
         """d at seeds[i], None where the return map is undefined."""
-        try:
-            return self.d(self.seeds[i])
-        except flow.OrbitFailure:
-            return None
+        if i not in self.seed_ds:
+            try:
+                self.seed_ds[i] = self.d(self.seeds[i])
+            except flow.OrbitFailure:
+                self.seed_ds[i] = None
+        return self.seed_ds[i]
+
+    def wave(self, rows) -> list[list]:
+        """d at every seed, as seed_d gives it, from one _crossings call that
+        runs the given rows of lanes (X, xi) after one row per seed; returns
+        the crossings of those rows. Each seed's orbit keeps its steps, which
+        become _Steps only when cycle builds a root's cycle from them."""
+        kept = [[] for _ in self.seeds]
+        hits = _crossings([[(self.X, xi, steps)] for xi, steps in zip(self.seeds, kept)] + rows,
+                          self.section, self.tol)
+        for i, (xi, steps, (hit,)) in enumerate(zip(self.seeds, kept, hits)):
+            self.seed_ds[i] = None if isinstance(hit, flow.OrbitFailure) else (
+                _returned(self.section, xi, hit, steps, self.tol, self.returns) - xi)
+        return hits[len(self.seeds):]
 
     def _root(self, a):
         """Bracket a's root, or None: seeds[a] where d is exactly 0, else the
@@ -473,10 +519,18 @@ class _Census:
         """The cycle of root xi: built from the return of its own d(xi) call
         when the census kept it, else integrated by build_cycle, with the
         same bits either way."""
-        kept = self.returns.get(xi)
-        if kept is None:
+        if xi not in self.returns:
             return build_cycle(self.X, self.section, xi, self.tol)
-        return _cycle(self.X, self.section, xi, *kept)
+        period, steps = self.returns[xi]
+        return _cycle(self.X, self.section, xi, period,
+                      flow._orbit(_start_point(self.section, xi), steps))
+
+    def cycles(self) -> list[LimitCycle]:
+        """find_cycles' census: every seed first, then each kept root's cycle."""
+        for i in range(len(self.seeds)):
+            self.seed_d(i)
+        return [self.cycle(xi) for a in range(len(self.seeds))
+                if (xi := self.kept(a)) is not None]
 
 
 def find_cycles(X, section, xi_range, n_seeds: int = 25,
@@ -498,10 +552,7 @@ def find_cycles(X, section, xi_range, n_seeds: int = 25,
     integrated, which the census keeps in its own store. ValueError unless
     xi_range is finite and ascending.
     """
-    census = _Census(X, section, xi_range, n_seeds, tol)
-    for i in range(n_seeds):
-        census.seed_d(i)
-    return [census.cycle(xi) for a in range(n_seeds) if (xi := census.kept(a)) is not None]
+    return _Census(X, section, xi_range, n_seeds, tol).cycles()
 
 
 def nearest_cycle(X, section, xi_range, n_seeds: int = 25,
@@ -552,7 +603,8 @@ def _chebyshev_nodes(center: float, half_width: float, n: int) -> np.ndarray:
 
 
 def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0.05,
-                 tol=flow.DEFAULT_TOL, _allow_reversal: bool = True) -> MultiplicityEstimate:
+                 tol=flow.DEFAULT_TOL, _allow_reversal: bool = True,
+                 _first_window=None) -> MultiplicityEstimate:
     """Order of the first significant displacement derivative at the cycle.
 
     Fits displacement samples at 4*d_max+1 Chebyshev nodes in [xi*-h, xi*+h]
@@ -565,6 +617,10 @@ def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0
     |d| ~ h, so the factor must be > 1) or while sampling escapes outright.
     If the forward samples never settle, the field is integrated in reverse
     time instead; multiplicity is invariant under time reversal.
+
+    A caller that runs the first window's orbits with others of its own
+    (theorem1_splitting) hands over _first_window(nodes): d at the nodes,
+    raising the first OrbitFailure as the loop over them would.
     """
     if d_max > 6:
         raise ValueError("d_max must be <= 6")
@@ -580,10 +636,11 @@ def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0
     h_cur = h
     last_est = None
     last_exc = None
-    for _ in range(10):
+    for attempt in range(10):
         nodes = _chebyshev_nodes(xi0, h_cur, n_nodes)
         try:
-            d_vals = np.array([displacement(X, section, xi, tol=tol) for xi in nodes])
+            d_vals = np.array(_first_window(nodes) if attempt == 0 and _first_window else
+                              [displacement(X, section, xi, tol=tol) for xi in nodes])
         except flow.OrbitFailure as exc:
             last_exc = exc
             h_cur *= 0.5
@@ -687,26 +744,45 @@ def theorem1_splitting(
     has its cycle census over xi_range reported; success means at least
     three cycles with alternating stability, with the continued middle cycle
     turned hyperbolic unstable (positive exponent).
+
+    The cycle's multiplicity (multiplicity at tol) is stored on it, unless
+    it has one. Its first window on X and the census's seeds on X + lam *
+    R grad R run as one wave (_Census.wave), all orbits at once; later
+    windows, the Brent roots and the census of a time-reversed field run
+    as they would alone, and so does the census of a cycle whose
+    multiplicity was given.
     """
     if not isinstance(R, (Poly2, BernsteinPoly)):
         raise TypeError(f"R must be a Poly2 or a BernsteinPoly, got {type(R).__name__}")
     messages: list[str] = []
-    est = cycle.multiplicity or multiplicity(X, cycle)
+    X_pert = gradient_collapse_family(X, R, lam)
+    pert_census = _Census(X_pert, cycle.section, xi_range, n_seeds, tol)
+    if cycle.multiplicity is None:
+        def first_window(nodes):
+            # one row, which ends at its first failure as the loop over the nodes does
+            hits, = pert_census.wave([[(X, xi) for xi in nodes]])
+            row = _displacement_row(cycle.section, nodes, hits)
+            if isinstance(row[-1], flow.OrbitFailure):
+                raise row[-1]
+            return row
+
+        cycle.multiplicity = multiplicity(X, cycle, tol=tol, _first_window=first_window)
+    est = cycle.multiplicity
     if est.d < 3 or est.d % 2 == 0:
         raise ValueError(
             f"splitting needs a non-hyperbolic cycle of odd degree >= 3, got d={est.d}"
         )
     time_reversed = False
-    X_work, cycle_work = X, cycle
+    cycle_work = cycle
     if est.scaled_coefficients[est.d] > 0:
         # unstable cycle: reverse time so the construction sees a stable one
         X_work = _reversed(X)
         cycle_work = build_cycle(X_work, cycle.section, cycle.xi_star, tol)
         time_reversed = True
         messages.append("time reversed: input cycle was unstable")
-
-    X_pert = gradient_collapse_family(X_work, R, lam)
-    census = find_cycles(X_pert, cycle_work.section, xi_range, n_seeds, tol)
+        X_pert = gradient_collapse_family(X_work, R, lam)
+        pert_census = _Census(X_pert, cycle_work.section, xi_range, n_seeds, tol)
+    census = pert_census.cycles()
 
     middle_index = None
     middle_exponent = None

@@ -29,9 +29,13 @@ raises the stepper's failures (the step budget, the step floor and the
 safety box): a lane about to fail continues from its state on it. On
 q2-search's degree-7 fields a lockstep attempt, crossing search and lane
 starts included, costs about 0.6, 0.85 and 2.0 ms at 13, 104 and 312
-lanes, and a scalar attempt 40 to 60 us, so the lockstep driver pays from
-about 19 to 20 lanes (2-vCPU Xeon VM, Python 3.11, NumPy 2.4). It hands
-fewer than _LOCKSTEP_MIN_LANES lanes to the scalar driver.
+lanes, and a scalar attempt 40 to 60 us, so per attempt the lockstep
+driver pays from about 19 to 20 lanes (2-vCPU Xeon VM, Python 3.11, NumPy
+2.4); a whole call pays later, as lanes that return apart leave the arrays
+at different attempts. It hands fewer than _LOCKSTEP_MIN_LANES lanes to the
+scalar driver. A lane keeps its steps on request, as next_section_crossing
+does with _kept: the lockstep driver records them, and the list it starts
+goes on to the scalar driver with the lane.
 
 ``integrate`` collects the scalar driver's steps into an Orbit, whose eval
 builds and keeps each step's row of dense output coefficients when a time
@@ -58,12 +62,14 @@ from .field import lane_evaluators
 DEFAULT_TOL = 1e-10
 _SAFETY_BOX = 1e3
 _MAX_STEPS = 2_000_000
-# next_section_crossings hands fewer lanes than this to the scalar driver. On
-# q2-search's fields a call with every lane in lockstep and one with every
-# lane on the scalar driver break even at about 19 to 20 lanes (2-vCPU Xeon
-# VM). A whole q2-search run was no faster with 24, 32, 40 or 64 here than
-# with 48, when the break-even lay at 27 to 31 lanes; it has not been scanned
-# again since
+# next_section_crossings hands fewer lanes than this to the scalar driver.
+# All in lockstep, 25 CK(3) lanes that return together (the multiplicity
+# window) take 9.9 ms against 10.4 on the scalar driver, and 25 that return
+# apart (the split's census seeds) 17.2 against 11.3. The split's 50-lane
+# wave takes 12.7, 12.5, 12.5, 12.6 and 13.5 ms here at 48, 40, 32, 24 and 12,
+# 18.9 at 1 and 23.5 all scalar; a q2-search run 29.4-31.7, 28.7-30.3 and
+# 28.6-31.1 ms at 48, 32 and 24 and 30.4 at 1. No value from 24 to 48 wins
+# beyond noise (medians of 9-21 interleaved runs, 2-vCPU Xeon VM)
 _LOCKSTEP_MIN_LANES = 48
 # a return to the section takes 19-56 attempts on q2-search's fields, an
 # orbit that never returns runs to t_max in about 10^3-10^4; the lanes still
@@ -235,6 +241,31 @@ class _Step:
         return self._F
 
 
+class _Trail:
+    """The steps one lane of next_section_crossings took in lockstep, left in
+    its group's records until steps() first builds them into _Steps.
+
+    records holds one (39, lanes) array per attempt, a column per lane that
+    keeps its steps and stepped in it: the lane's index, t_old, t, x_old,
+    y_old, x, y, the 18 entries of _Step.K and the 14 of _Step.F. select(k)
+    is the lane's RHS on floats, as lane_evaluators gives it.
+    """
+
+    __slots__ = ("records", "lane", "select", "k")
+
+    def __init__(self, records, lane, select, k):
+        self.records, self.lane, self.select, self.k = records, lane, select, k
+
+    def steps(self) -> list:
+        if not self.records:
+            return []
+        rows = np.concatenate(self.records, axis=1)
+        f = self.select(self.k)
+        return [_Step(t_old, t, (x_old, y_old), (x, y), tuple(r[:18]), f,
+                      (tuple(r[18:25]), tuple(r[25:])))
+                for t_old, t, x_old, y_old, x, y, *r in rows[1:, rows[0] == self.lane].T.tolist()]
+
+
 def _interpolant(F, x, y, s):
     """The interpolant with dense output coefficients F from (x, y) at
     s = (t - t_old) / h, as (x, y): y_old + s (F0 + (1 - s) (F1 + s (F2 +
@@ -369,6 +400,8 @@ _LANE_A_DENSE = [(np.array(c), np.array(a)[:, None, None])
                  for a, c in zip(_A_DENSE, _A_DENSE_COLUMNS)]
 _LANE_B = np.array(_B_COLUMNS), np.array((_B, _E5, _E3))[:, :, None, None]
 _LANE_D = np.array(_D_COLUMNS), np.array(_D)[:, :, None, None]
+# the stages a _Step keeps in K: k_1, k_6, ..., k_13
+_STEP_K = np.array(_B_COLUMNS + (12,))
 
 
 def _lane_sum(K, columns, weights):
@@ -574,6 +607,10 @@ def _advance(f, t, x, y, k1x, k1y, h_abs, rejected, taken, t_bound, tol, kept=No
 
 
 def _orbit(x0, steps) -> Orbit:
+    """The orbit from x0 along the kept steps: _Steps, after the _Trail of a
+    lane's lockstep steps in a list that next_section_crossings kept."""
+    if steps and isinstance(steps[0], _Trail):
+        steps = steps[0].steps() + steps[1:]
     return Orbit(
         times=np.array([0.0] + [step.t for step in steps]),
         states=np.array([(float(x0[0]), float(x0[1]))] + [step.y for step in steps]),
@@ -920,7 +957,7 @@ def next_section_crossing(
 
 def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEFAULT_TOL,
                            t_offset: float = 0.0, *, _groups=None) -> list[list]:
-    """next_section_crossing along rows of lanes (X, x0, direction_sign), all at once.
+    """next_section_crossing along rows of lanes (X, x0, direction_sign[, kept]), all at once.
 
     Returns per row what a loop over its lanes would collect until the first
     OrbitFailure: each lane's (t_star, point) in order, ending with that
@@ -942,15 +979,21 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     evaluator from lane_evaluators, so no field compiles its own rhs(). A
     caller that has grouped the fields already hands them over as the
     private _groups = (fields, lane_evaluators(fields)), fields holding every
-    lane's field, so they are grouped once.
+    lane's field, so they are grouped once. A lane that asks for its steps
+    hands over the private list kept, as next_section_crossing's _kept:
+    the steps it takes in lockstep go in first, as one _Trail that _orbit
+    builds into _Steps only when it makes the lane's orbit, and the scalar
+    driver appends its own after them.
     Raises ValueError unless t_max > 0, tol > 0 and every x0 is finite.
     """
     if _groups is None:
         fields = list({id(lane[0]): lane[0] for row in rows for lane in row}.values())
         _groups = fields, lane_evaluators(fields)
     fields, groups = _groups
-    # lane i is row r's k-th: (r, k, X, x0, direction_sign), X being fields[field_of[i]]
-    lanes = [(r, k, *lane) for r, row in enumerate(rows) for k, lane in enumerate(row)]
+    # lane i is row r's k-th: (r, k, X, x0, direction_sign, kept), X being
+    # fields[field_of[i]] and kept the lane's list of steps or None
+    lanes = [(r, k, *lane[:3], lane[3] if len(lane) > 3 else None)
+             for r, row in enumerate(rows) for k, lane in enumerate(row)]
     index = {id(X): m for m, X in enumerate(fields)}
     field_of = [index[id(lane[2])] for lane in lanes]
     rhs = [None] * len(fields)
@@ -961,9 +1004,9 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     cut = [len(row) for row in rows]  # the first failing position of each row so far
 
     def finish(i, state):
-        r, k, _, _, sign = lanes[i]
+        r, k, _, _, sign, kept = lanes[i]
         try:
-            found[r, k] = _advance(rhs[field_of[i]], *state, t_max, tol, None,
+            found[r, k] = _advance(rhs[field_of[i]], *state, t_max, tol, kept,
                                    (section.geometry, sign, t_offset))
         except OrbitFailure as exc:
             found[r, k] = exc
@@ -996,12 +1039,20 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
     line and segment screens leave it a lane to search, and evaluates the
     crossing signs only of roots that lie on the segment. Crossings go into
     found by (row, position), and a lane about to fail goes to finish with
-    its stepper state. Returns the lanes left running, with their states.
+    its stepper state. A lane that keeps its steps gets its _Trail, and each
+    attempt's accepted steps of those lanes go into the trail's records.
+    Returns the lanes left running, with their states.
     """
     bx, by, nx, ny, tx, ty, half = geometry
     ids = np.array(group)
     row, col = (np.array([lanes[i][k] for i in group]) for k in (0, 1))
     direction = np.array([np.sign(lanes[i][4]) for i in group], dtype=float)
+    # the steps of the lanes that keep theirs, one record per attempt (_Trail)
+    keeps = np.array([lanes[i][5] is not None for i in group])
+    records = []
+    for i, m in zip(group, member):
+        if lanes[i][5] is not None:
+            lanes[i][5].append(_Trail(records, i, select, m))
     member = np.array(member)
     # the lanes' points (x, y) as the rows of z, and f there as k1's
     z = np.array([[float(lanes[i][3][k]) for i in group] for k in (0, 1)])
@@ -1038,6 +1089,11 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
             done = ending.copy()
             if stepped.any():
                 F = _lane_dense(f, h, z, z_new, K)
+                held = np.flatnonzero(stepped & keeps)
+                if held.size:
+                    records.append(np.concatenate((
+                        np.stack((ids[held], t[held], t_new[held])), z[:, held], z_new[:, held],
+                        K[_STEP_K][:, :, held].reshape(18, -1), F[:, :, held].reshape(14, -1))))
                 g0, g1, c, ruled_out = _line_screen(z, z_new, F, bx, by, nx, ny)
                 # _step_crossing on every lane that might cross the segment:
                 # its roots in ascending order until one lies on the segment
@@ -1077,9 +1133,9 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
             if done.any():
                 keep = ~done
                 z, k1 = z[:, keep], k1[:, keep]
-                t, h_abs, rejected, taken, ids, row, col, direction, member = (
+                t, h_abs, rejected, taken, ids, row, col, direction, member, keeps = (
                     v[keep] for v in (t, h_abs, rejected, taken, ids, row, col, direction,
-                                      member))
+                                      member, keeps))
                 if ids.size < _LOCKSTEP_MIN_LANES:
                     break
                 f = select(member)

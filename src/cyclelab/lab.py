@@ -474,7 +474,10 @@ def run_pipeline(config: ExperimentConfig, out_dir=None) -> Report:
     """Dispatch an experiment; every module error surfaces in the report."""
     config.validate()
     t0 = time.perf_counter()
-    X = parse_field(config.system)
+    try:
+        X = parse_field(config.system)
+    except ValueError as exc:
+        raise ValueError(f"system {config.system!r} is no field: {exc}") from exc
     runner = {
         "find": _run_find,
         "split-theorem1": _run_split,
@@ -539,7 +542,6 @@ def _run_split(config, X, out_dir):
     # the cycle nearest xi = 0 (registry systems sit at xi = 0)
     seed_cycle = cy.nearest_cycle(X, section, config.xi_range, config.n_seeds,
                                   tol=config.integrator_tol)
-    seed_cycle.multiplicity = cy.multiplicity(X, seed_cycle, tol=config.integrator_tol)
 
     payload: dict = {}
     checks: dict = {}

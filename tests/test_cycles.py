@@ -806,6 +806,75 @@ def test_stability_alternation_in_splitting(ck, section):
     assert all(a * b < 0 for a, b in zip(signs, signs[1:]))
 
 
+def test_theorem1_splitting_runs_every_orbit_at_its_tol(ck, section, monkeypatch):
+    """The split's multiplicity fit runs at the split's tol, as its census
+    does: every orbit, on the scalar driver (_advance) or started in
+    lockstep (_initial_steps), runs at 1e-9."""
+    cyc = cy.build_cycle(ck[3], section, 0.0, 1e-9)
+    tols = []
+    for name, at in (("_advance", 10), ("_initial_steps", 6)):
+        def spy(*args, kernel=getattr(flow, name), at=at):
+            tols.append(args[at])
+            return kernel(*args)
+
+        monkeypatch.setattr(flow, name, spy)
+    rep = cy.theorem1_splitting(ck[3], cyc, S, 0.02, tol=1e-9)
+    assert tols and set(tols) == {1e-9}
+    assert rep.success and cyc.multiplicity.d == 3
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("case", ["CK(3)", "CK(5)", "hyperbolic", "time-reversed"])
+def test_theorem1_wave_matches_the_scalar_path(ck, section, monkeypatch, case):
+    """theorem1_splitting runs the multiplicity's first window on X and the
+    census's seeds on X + lam * s grad s as one lockstep wave of 50 lanes.
+    Its report, and the multiplicity it stores on the cycle, have the bits
+    of the scalar path, where the cycle's multiplicity is given and the
+    census runs alone. Of the wave's kept seed steps only the middle cycle's
+    at xi = 0 are built into _Steps, when its cycle is built."""
+    if case == "time-reversed":
+        X = PolyVectorField(scale(ck[3].P, -1.0), scale(ck[3].Q, -1.0))
+        sec = cy.section_for_field(X, (1.0, 0.0))
+    else:
+        X, sec = {"CK(3)": ck[3], "CK(5)": ck_system(5), "hyperbolic": ck[1]}[case], section
+    waved, given = cy.build_cycle(X, sec, 0.0), cy.build_cycle(X, sec, 0.0)
+    given.multiplicity = cy.multiplicity(X, given)
+
+    def split(cycle):
+        try:
+            return cy.theorem1_splitting(X, cycle, S, 0.02)
+        except ValueError as exc:
+            return str(exc)
+
+    ref = split(given)
+    lanes, built = [], []
+    lockstep, steps = flow._lockstep, flow._Trail.steps
+
+    def counted_lockstep(select, member, *args):
+        lanes.append(len(member))
+        return lockstep(select, member, *args)
+
+    def counted_steps(trail):
+        built.append(trail.lane)
+        return steps(trail)
+
+    monkeypatch.setattr(flow, "_lockstep", counted_lockstep)
+    monkeypatch.setattr(flow._Trail, "steps", counted_steps)
+    rep = split(waved)
+    if case == "hyperbolic":
+        assert rep == ref and rep.startswith("splitting needs")
+    else:
+        assert rep.success and rep.time_reversed == (case == "time-reversed")
+        assert ([_hex((c.xi_star, c.period, c.exponent)) for c in rep.census]
+                == [_hex((c.xi_star, c.period, c.exponent)) for c in ref.census])
+    assert _hex(waved.multiplicity.coefficients) == _hex(given.multiplicity.coefficients)
+    assert lanes == [50]
+    assert len(built) == (case in ("CK(3)", "CK(5)"))
+
+
 def test_displacement_csv(tmp_path, ck, ck_cycles):
     path = tmp_path / "d.csv"
     ck_cycles[1].displacement_samples_csv(path, ck[1], window=0.02, n=5)

@@ -829,6 +829,47 @@ def test_lockstep_matches_next_section_crossing(scalar_lanes, monkeypatch, min_l
     assert searched_one_by_one or min_lanes > 6
 
 
+@pytest.mark.parametrize("min_lanes, max_attempts, ended", [
+    # every lane in lockstep to its end; the collapse field's lanes belong to
+    # no group and run on the scalar driver throughout
+    (1, 10 ** 6, {"lockstep", "scalar"}),
+    # the lanes that do not cross in 13 attempts continue on the scalar driver
+    (1, 13, {"lockstep", "handed over", "scalar"}),
+    # the 60 lanes fall in groups too small for lockstep
+    (flow._LOCKSTEP_MIN_LANES, flow._LOCKSTEP_MAX_ATTEMPTS, {"scalar"}),
+])
+def test_lockstep_keeps_the_steps_of_lanes_that_ask(scalar_lanes, monkeypatch, min_lanes,
+                                                     max_attempts, ended):
+    """A lane that hands over a list keeps the orbit that
+    next_section_crossing(_kept=...) keeps, float for float: its times, its
+    states and its eval at every step's Gauss nodes, whether it ends in
+    lockstep or on the scalar driver after the hand-over."""
+    monkeypatch.setattr(flow, "_LOCKSTEP_MIN_LANES", min_lanes)
+    monkeypatch.setattr(flow, "_LOCKSTEP_MAX_ATTEMPTS", max_attempts)
+    lanes, refs = scalar_lanes
+    kept = [[] for _ in lanes]
+    got = flow.next_section_crossings([[(*lane, steps)] for lane, steps in zip(lanes, kept)],
+                                      SEC, **_LOCKSTEP_KW)
+    nodes = np.polynomial.legendre.leggauss(10)[0]
+    seen = set()
+    for lane, steps, (hit,), ref in zip(lanes, kept, got, refs):
+        assert _same(hit, ref), (hit, ref)
+        if isinstance(ref, flow.OrbitFailure):
+            continue
+        X, x0, sign = lane
+        ref_steps = []
+        flow.next_section_crossing(X, x0, SEC, sign, _kept=ref_steps, **_LOCKSTEP_KW)
+        trail = bool(steps) and isinstance(steps[0], flow._Trail)
+        seen.add("scalar" if not trail else "lockstep" if len(steps) == 1 else "handed over")
+        orbit, ref_orbit = flow._orbit(x0, steps), flow._orbit(x0, ref_steps)
+        assert orbit.times.tobytes() == ref_orbit.times.tobytes()
+        assert orbit.states.tobytes() == ref_orbit.states.tobytes()
+        lo, hi = ref_orbit.times[:-1, None], ref_orbit.times[1:, None]
+        t = 0.5 * (hi - lo) * nodes + 0.5 * (lo + hi)
+        assert orbit.eval(t).tobytes() == ref_orbit.eval(t).tobytes()
+    assert seen == ended
+
+
 def test_lockstep_attempts_search_only_lanes_left_to_search(ck, section, monkeypatch):
     """q2-search's displacements at seed 1, 24 fields x 13 nodes in one
     group, take 21 lockstep attempts, and 6 of them have lanes left to

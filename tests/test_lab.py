@@ -331,6 +331,23 @@ def test_cli_rejects_bad_sampling_before_any_orbit(tmp_path, monkeypatch, capsys
     assert f"error: ValueError: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("system", ["CK(0)", "vanderpol(nan)", {"p": "x^^2", "q": "y"}],
+                         ids=["CK(0)", "vanderpol(nan)", "bad-term"])
+def test_cli_names_the_system_key_when_the_field_is_rejected(tmp_path, monkeypatch, capsys,
+                                                            system):
+    from cyclelab import cli
+
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("an orbit was integrated")
+
+    monkeypatch.setattr(flow, "_advance", no_orbit)
+    monkeypatch.setattr(flow, "next_section_crossings", no_orbit)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"system": system}))
+    assert cli.main(["find", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: system ")
+
+
 @pytest.mark.parametrize("text, error", [
     ("[1, 2]", "ValueError"), ('{"window": ', "JSONDecodeError"), (None, "FileNotFoundError"),
 ], ids=["list", "malformed", "missing"])
@@ -541,26 +558,29 @@ def test_split_integrates_only_the_annulus_arcs(monkeypatch):
 
 def test_split_d_call_budget(monkeypatch):
     """The default split finds its seed cycle, the exact one at the seed
-    xi = 0, from 3 d(xi) calls (seeds -0.025, 0 and 0.025), and runs on 61."""
+    xi = 0, from 3 d(xi) calls (seeds -0.025, 0 and 0.025), and runs on 61
+    orbits, counted on both drivers: d(xi) calls and the lanes handed to the
+    lockstep driver. The 50-lane wave, the multiplicity's first window and
+    the perturbed census's seeds, follows the 3 seeds."""
     calls = []
-    at_fit = []
-    real_d, real_fit = cy.displacement, cy.multiplicity
+    waves = []
+    real_d, real_wave = cy.displacement, flow.next_section_crossings
 
     def d(*args, **kwargs):
         calls.append(args[2])
         return real_d(*args, **kwargs)
 
-    def fit(*args, **kwargs):
-        at_fit.append(len(calls))
-        return real_fit(*args, **kwargs)
+    def wave(rows, *args, **kwargs):
+        waves.append((len(calls), sum(map(len, rows))))
+        return real_wave(rows, *args, **kwargs)
 
     monkeypatch.setattr(cy, "displacement", d)
-    monkeypatch.setattr(cy, "multiplicity", fit)
+    monkeypatch.setattr(flow, "next_section_crossings", wave)
     rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({"pipeline": "split-theorem1"}))
     assert rep.all_passed
-    assert at_fit == [3]
+    assert waves == [(3, 50)]
     assert sorted(calls[:3]) == sorted(np.linspace(-0.3, 0.3, 25)[11:14])
-    assert len(calls) == 61
+    assert len(calls) + sum(lanes for _, lanes in waves) == 61
 
 
 def test_split_without_a_vanishing_polynomial_fails_before_any_orbit(monkeypatch):
