@@ -459,7 +459,7 @@ class _Census:
         self.returns = {}
         self.d = partial(displacement, X, section, tol=tol, _returns=self.returns)
         self.seed_ds = {}  # i -> d at seeds[i], None where the return map is undefined
-        self.root, self.kept = cache(self._root), cache(self._kept)
+        self.roots, self.kept_roots = {}, {}  # a -> root(a), a -> kept(a)
 
     def seed_d(self, i):
         """d at seeds[i], None where the return map is undefined."""
@@ -483,10 +483,15 @@ class _Census:
                 _returned(self.section, xi, hit, steps, self.tol, self.returns) - xi)
         return hits[len(self.seeds):]
 
-    def _root(self, a):
+    def root(self, a):
         """Bracket a's root, or None: seeds[a] where d is exactly 0, else the
         _brentq root (ftol = tol) of a sign change. A bracket with an
         undefined end, or whose solve meets an orbit failure, has none."""
+        if a not in self.roots:
+            self.roots[a] = self._root(a)
+        return self.roots[a]
+
+    def _root(self, a):
         da = self.seed_d(a)
         if a == len(self.seeds) - 1:
             return self.seeds[a] if da == 0.0 else None
@@ -501,11 +506,16 @@ class _Census:
                 return None
         return None
 
-    def _kept(self, a):
+    def kept(self, a):
         """Bracket a's root if the census keeps it, else None, by the one
         merge rule: a root is kept unless a kept root of a lower bracket lies
         at most _MERGE_XI below it. A lower bracket is asked only while its
         upper seed lies that close below the root."""
+        if a not in self.kept_roots:
+            self.kept_roots[a] = self._kept(a)
+        return self.kept_roots[a]
+
+    def _kept(self, a):
         xi = self.root(a)
         b = a - 1
         while xi is not None and b >= 0 and xi - self.seeds[b + 1] <= _MERGE_XI:
@@ -773,21 +783,19 @@ def theorem1_splitting(
             f"splitting needs a non-hyperbolic cycle of odd degree >= 3, got d={est.d}"
         )
     time_reversed = False
-    cycle_work = cycle
     if est.scaled_coefficients[est.d] > 0:
-        # unstable cycle: reverse time so the construction sees a stable one
-        X_work = _reversed(X)
-        cycle_work = build_cycle(X_work, cycle.section, cycle.xi_star, tol)
+        # unstable cycle: reverse time so the construction sees a stable one;
+        # the cycle is the reversed field's too, on the same section
         time_reversed = True
         messages.append("time reversed: input cycle was unstable")
-        X_pert = gradient_collapse_family(X_work, R, lam)
-        pert_census = _Census(X_pert, cycle_work.section, xi_range, n_seeds, tol)
+        X_pert = gradient_collapse_family(_reversed(X), R, lam)
+        pert_census = _Census(X_pert, cycle.section, xi_range, n_seeds, tol)
     census = pert_census.cycles()
 
     middle_index = None
     middle_exponent = None
     if census:
-        dists = [abs(c.xi_star - cycle_work.xi_star) for c in census]
+        dists = [abs(c.xi_star - cycle.xi_star) for c in census]
         middle_index = int(np.argmin(dists))
         span = xi_range[1] - xi_range[0]
         if dists[middle_index] > 0.5 * span:

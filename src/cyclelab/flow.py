@@ -13,29 +13,32 @@ root search (_value_slope) are written once and run on floats and, entry by
 entry, on lane arrays; the lockstep driver also solves its steps for their
 crossings on the lane arrays (_lane_roots, _single_roots) with the scalar
 search's operations and tests in their order, and an attempt runs the search
-only when the screens leave it a lane to search. The rest comes in pairs
-with the same bits, one kernel on floats and one on lane arrays: the stages
-and error estimates of an attempt (_attempt, _lane_attempt), the dense
-output (_dense, _lane_dense), the initial step (_initial_step,
-_initial_steps) and the step-size control (_control, _controls). The lane
-tableau kernels keep an attempt's stage derivatives in one (16, 2, lanes)
-stack, which the lane RHS writes into, and form each weighted sum of stages
-as one reduction over the nonzero columns of its tableau row, added in the
-float kernel's order (_lane_sum). The initial step and the step-size
-control hold the stepper's only powers, which NumPy can round differently
-from Python; their lane kernels take them by Python's **. Every lane thus
-has the scalar driver's bits, from its start on. The scalar driver alone
-raises the stepper's failures (the step budget, the step floor and the
-safety box): a lane about to fail continues from its state on it. On
-q2-search's degree-7 fields a lockstep attempt, crossing search and lane
-starts included, costs about 0.6, 0.85 and 2.0 ms at 13, 104 and 312
-lanes, and a scalar attempt 40 to 60 us, so per attempt the lockstep
-driver pays from about 19 to 20 lanes (2-vCPU Xeon VM, Python 3.11, NumPy
-2.4); a whole call pays later, as lanes that return apart leave the arrays
-at different attempts. It hands fewer than _LOCKSTEP_MIN_LANES lanes to the
-scalar driver. A lane keeps its steps on request, as next_section_crossing
-does with _kept: the lockstep driver records them, and the list it starts
-goes on to the scalar driver with the lane.
+only when the screens leave it a lane to search. The tableau is written
+once, as its rows and their column lists (_A ... _D_COLUMNS), and both
+drivers read it. The float kernels of an attempt's stages and error
+estimates (_attempt) and of the dense output (_dense) are compiled from the
+rows at import, each weighted sum of stages one expression with the weights
+as literals. The lane kernels (_lane_attempt, _lane_dense) keep an attempt's
+stage derivatives in one (16, 2, lanes) stack, which the lane RHS writes
+into, and form each weighted sum as one reduction over its row's columns,
+added in the float kernel's order (_lane_sum). Only the initial step
+(_initial_step, _initial_steps) and the step-size control (_control,
+_controls) still come in pairs with the same bits, one kernel on floats and
+one on lane arrays. They hold the stepper's only powers, which NumPy can
+round differently from Python; their lane kernels take them by Python's
+**. Every lane thus has the scalar driver's bits, from its start on. The
+scalar driver alone raises the stepper's failures (the step budget, the
+step floor and the safety box): a lane about to fail continues from its
+state on it. On q2-search's degree-7 fields a lockstep attempt, crossing
+search and lane starts included, costs about 0.6, 0.85 and 2.0 ms at 13,
+104 and 312 lanes, and a scalar attempt 40 to 60 us, so per attempt the
+lockstep driver pays from about 19 to 20 lanes (2-vCPU Xeon VM, Python
+3.11, NumPy 2.4); a whole call pays later, as lanes that return apart
+leave the arrays at different attempts. It hands fewer than
+_LOCKSTEP_MIN_LANES lanes to the scalar driver. A lane keeps its steps on
+request, as next_section_crossing does with _kept: the lockstep driver
+records them, and the list it starts goes on to the scalar driver with the
+lane.
 
 ``integrate`` collects the scalar driver's steps into an Orbit, whose eval
 builds and keeps each step's row of dense output coefficients when a time
@@ -79,9 +82,9 @@ _LOCKSTEP_MAX_ATTEMPTS = 128
 
 # The Dormand-Prince 8(5,3) tableau as in SciPy's DOP853 solver
 # (scipy/integrate/_ivp/dop853_coefficients.py), nonzero entries only, in
-# column order; the code below names them after their stage and column.
-# Stage i of a step is f(y + h * sum_j a_ij k_j); the step ends at
-# y + h * sum_j b_j k_j and k_13 is f there; _E5 and _E3 (e_j and g_j below)
+# column order, with the stages each row weighs; both drivers' kernels are
+# built from these tables. Stage i of a step is f(y + h * sum_j a_ij k_j);
+# the step ends at y + h * sum_j b_j k_j and k_13 is f there; _E5 and _E3
 # weigh the stages for the fifth- and third-order error estimates.
 _A = (
     (0.05260015195876773,),
@@ -275,122 +278,59 @@ def _interpolant(F, x, y, s):
                  for (f0, f1, f2, f3, f4, f5, f6), v in zip(F, (x, y)))
 
 
-def _dense(f, h, y_old, y_new, K):
-    """SciPy's DOP853 dense output, operation for operation, on floats: _Step.F
-    of the step of size h from y_old to y_new with stage derivatives K.
-    _lane_dense is the same on lane arrays."""
-    (a14_1, a14_7, a14_8, a14_9, a14_10, a14_11, a14_12, a14_13), \
-        (a15_1, a15_6, a15_7, a15_8, a15_11, a15_12, a15_13, a15_14), \
-        (a16_1, a16_6, a16_7, a16_8, a16_9, a16_13, a16_14, a16_15) = _A_DENSE
-    (d3_1, d3_6, d3_7, d3_8, d3_9, d3_10, d3_11, d3_12, d3_13, d3_14, d3_15, d3_16), \
-        (d4_1, d4_6, d4_7, d4_8, d4_9, d4_10, d4_11, d4_12, d4_13, d4_14, d4_15, d4_16), \
-        (d5_1, d5_6, d5_7, d5_8, d5_9, d5_10, d5_11, d5_12, d5_13, d5_14, d5_15, d5_16), \
-        (d6_1, d6_6, d6_7, d6_8, d6_9, d6_10, d6_11, d6_12, d6_13, d6_14, d6_15, d6_16) = _D
-    (k1x, k1y, k6x, k6y, k7x, k7y, k8x, k8y, k9x, k9y, k10x, k10y, k11x, k11y,
-     k12x, k12y, k13x, k13y) = K
-    (x, y), (x_new, y_new) = y_old, y_new
-    k14x, k14y = f(x + (a14_1 * k1x + a14_7 * k7x + a14_8 * k8x + a14_9 * k9x
-                        + a14_10 * k10x + a14_11 * k11x + a14_12 * k12x + a14_13 * k13x) * h,
-                   y + (a14_1 * k1y + a14_7 * k7y + a14_8 * k8y + a14_9 * k9y
-                        + a14_10 * k10y + a14_11 * k11y + a14_12 * k12y + a14_13 * k13y) * h)
-    k15x, k15y = f(x + (a15_1 * k1x + a15_6 * k6x + a15_7 * k7x + a15_8 * k8x
-                        + a15_11 * k11x + a15_12 * k12x + a15_13 * k13x + a15_14 * k14x) * h,
-                   y + (a15_1 * k1y + a15_6 * k6y + a15_7 * k7y + a15_8 * k8y
-                        + a15_11 * k11y + a15_12 * k12y + a15_13 * k13y + a15_14 * k14y) * h)
-    k16x, k16y = f(x + (a16_1 * k1x + a16_6 * k6x + a16_7 * k7x + a16_8 * k8x + a16_9 * k9x
-                        + a16_13 * k13x + a16_14 * k14x + a16_15 * k15x) * h,
-                   y + (a16_1 * k1y + a16_6 * k6y + a16_7 * k7y + a16_8 * k8y + a16_9 * k9y
-                        + a16_13 * k13y + a16_14 * k14y + a16_15 * k15y) * h)
-    f3x = h * (d3_1 * k1x + d3_6 * k6x + d3_7 * k7x + d3_8 * k8x + d3_9 * k9x + d3_10 * k10x
-               + d3_11 * k11x + d3_12 * k12x + d3_13 * k13x + d3_14 * k14x + d3_15 * k15x
-               + d3_16 * k16x)
-    f3y = h * (d3_1 * k1y + d3_6 * k6y + d3_7 * k7y + d3_8 * k8y + d3_9 * k9y + d3_10 * k10y
-               + d3_11 * k11y + d3_12 * k12y + d3_13 * k13y + d3_14 * k14y + d3_15 * k15y
-               + d3_16 * k16y)
-    f4x = h * (d4_1 * k1x + d4_6 * k6x + d4_7 * k7x + d4_8 * k8x + d4_9 * k9x + d4_10 * k10x
-               + d4_11 * k11x + d4_12 * k12x + d4_13 * k13x + d4_14 * k14x + d4_15 * k15x
-               + d4_16 * k16x)
-    f4y = h * (d4_1 * k1y + d4_6 * k6y + d4_7 * k7y + d4_8 * k8y + d4_9 * k9y + d4_10 * k10y
-               + d4_11 * k11y + d4_12 * k12y + d4_13 * k13y + d4_14 * k14y + d4_15 * k15y
-               + d4_16 * k16y)
-    f5x = h * (d5_1 * k1x + d5_6 * k6x + d5_7 * k7x + d5_8 * k8x + d5_9 * k9x + d5_10 * k10x
-               + d5_11 * k11x + d5_12 * k12x + d5_13 * k13x + d5_14 * k14x + d5_15 * k15x
-               + d5_16 * k16x)
-    f5y = h * (d5_1 * k1y + d5_6 * k6y + d5_7 * k7y + d5_8 * k8y + d5_9 * k9y + d5_10 * k10y
-               + d5_11 * k11y + d5_12 * k12y + d5_13 * k13y + d5_14 * k14y + d5_15 * k15y
-               + d5_16 * k16y)
-    f6x = h * (d6_1 * k1x + d6_6 * k6x + d6_7 * k7x + d6_8 * k8x + d6_9 * k9x + d6_10 * k10x
-               + d6_11 * k11x + d6_12 * k12x + d6_13 * k13x + d6_14 * k14x + d6_15 * k15x
-               + d6_16 * k16x)
-    f6y = h * (d6_1 * k1y + d6_6 * k6y + d6_7 * k7y + d6_8 * k8y + d6_9 * k9y + d6_10 * k10y
-               + d6_11 * k11y + d6_12 * k12y + d6_13 * k13y + d6_14 * k14y + d6_15 * k15y
-               + d6_16 * k16y)
-    dx, dy = x_new - x, y_new - y
-    return ((dx, h * k1x - dx, 2 * dx - h * (k13x + k1x), f3x, f4x, f5x, f6x),
-            (dy, h * k1y - dy, 2 * dy - h * (k13y + k1y), f3y, f4y, f5y, f6y))
+def _sum_source(weights, columns, c):
+    """The source of one tableau row's weighted sum of stage derivatives in
+    component c ('x' or 'y'): the weights as literals, the products added
+    left to right, as _lane_sum adds them."""
+    return " + ".join(f"{w!r} * k{j + 1}{c}" for w, j in zip(weights, columns))
 
 
-def _attempt(f, x, y, k1x, k1y, h):
+def _stage_source(first, rows, columns):
+    """The source of the stages k_first, k_first+1, ... that the tableau rows
+    give, each f(x + (sum) * h, y + (sum) * h)."""
+    return [f"k{i}x, k{i}y = f(" + ", ".join(f"{v} + ({_sum_source(a, c, v)}) * h" for v in "xy")
+            + ")" for i, (a, c) in enumerate(zip(rows, columns), first)]
+
+
+def _kernel(name, params, doc, body):
+    """The function ``def name(params):`` with the source lines body and the
+    docstring doc, compiled once at import, as a field's RHS is compiled
+    from poly2._horner_source."""
+    namespace = {"__name__": __name__}
+    exec(f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body), namespace)
+    namespace[name].__doc__ = doc
+    return namespace[name]
+
+
+# the stages a _Step keeps in K: k_1, k_6, ..., k_13, as k1x, k1y, ..., k13y
+_STEP_K = np.array(_B_COLUMNS + (12,))
+_K_NAMES = ", ".join(f"k{j + 1}{c}" for j in _STEP_K.tolist() for c in "xy")
+
+_attempt = _kernel(
+    "_attempt", "f, x, y, k1x, k1y, h",
     """One Dormand-Prince 8(5,3) step of size h from (x, y), k1 = f(x, y):
     (x_new, y_new, K, e5x, e5y, e3x, e3y), with K the stage derivatives
     _Step keeps and e5, e3 the fifth- and third-order error estimates before
-    scaling; on floats. _lane_attempt is the same on lane arrays."""
-    (a2_1,), (a3_1, a3_2), (a4_1, a4_3), (a5_1, a5_3, a5_4), (a6_1, a6_4, a6_5), \
-        (a7_1, a7_4, a7_5, a7_6), (a8_1, a8_4, a8_5, a8_6, a8_7), \
-        (a9_1, a9_4, a9_5, a9_6, a9_7, a9_8), (a10_1, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9), \
-        (a11_1, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10), \
-        (a12_1, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11) = _A
-    b1, b6, b7, b8, b9, b10, b11, b12 = _B
-    e1, e6, e7, e8, e9, e10, e11, e12 = _E5
-    g1, g6, g7, g8, g9, g10, g11, g12 = _E3
-    k2x, k2y = f(x + (a2_1 * k1x) * h,
-                 y + (a2_1 * k1y) * h)
-    k3x, k3y = f(x + (a3_1 * k1x + a3_2 * k2x) * h,
-                 y + (a3_1 * k1y + a3_2 * k2y) * h)
-    k4x, k4y = f(x + (a4_1 * k1x + a4_3 * k3x) * h,
-                 y + (a4_1 * k1y + a4_3 * k3y) * h)
-    k5x, k5y = f(x + (a5_1 * k1x + a5_3 * k3x + a5_4 * k4x) * h,
-                 y + (a5_1 * k1y + a5_3 * k3y + a5_4 * k4y) * h)
-    k6x, k6y = f(x + (a6_1 * k1x + a6_4 * k4x + a6_5 * k5x) * h,
-                 y + (a6_1 * k1y + a6_4 * k4y + a6_5 * k5y) * h)
-    k7x, k7y = f(x + (a7_1 * k1x + a7_4 * k4x + a7_5 * k5x + a7_6 * k6x) * h,
-                 y + (a7_1 * k1y + a7_4 * k4y + a7_5 * k5y + a7_6 * k6y) * h)
-    k8x, k8y = f(x + (a8_1 * k1x + a8_4 * k4x + a8_5 * k5x + a8_6 * k6x + a8_7 * k7x) * h,
-                 y + (a8_1 * k1y + a8_4 * k4y + a8_5 * k5y + a8_6 * k6y + a8_7 * k7y) * h)
-    k9x, k9y = f(x + (a9_1 * k1x + a9_4 * k4x + a9_5 * k5x + a9_6 * k6x + a9_7 * k7x
-                      + a9_8 * k8x) * h,
-                 y + (a9_1 * k1y + a9_4 * k4y + a9_5 * k5y + a9_6 * k6y + a9_7 * k7y
-                      + a9_8 * k8y) * h)
-    k10x, k10y = f(x + (a10_1 * k1x + a10_4 * k4x + a10_5 * k5x + a10_6 * k6x
-                        + a10_7 * k7x + a10_8 * k8x + a10_9 * k9x) * h,
-                   y + (a10_1 * k1y + a10_4 * k4y + a10_5 * k5y + a10_6 * k6y
-                        + a10_7 * k7y + a10_8 * k8y + a10_9 * k9y) * h)
-    k11x, k11y = f(x + (a11_1 * k1x + a11_4 * k4x + a11_5 * k5x + a11_6 * k6x
-                        + a11_7 * k7x + a11_8 * k8x + a11_9 * k9x + a11_10 * k10x) * h,
-                   y + (a11_1 * k1y + a11_4 * k4y + a11_5 * k5y + a11_6 * k6y
-                        + a11_7 * k7y + a11_8 * k8y + a11_9 * k9y + a11_10 * k10y) * h)
-    k12x, k12y = f(x + (a12_1 * k1x + a12_4 * k4x + a12_5 * k5x + a12_6 * k6x
-                        + a12_7 * k7x + a12_8 * k8x + a12_9 * k9x + a12_10 * k10x
-                        + a12_11 * k11x) * h,
-                   y + (a12_1 * k1y + a12_4 * k4y + a12_5 * k5y + a12_6 * k6y
-                        + a12_7 * k7y + a12_8 * k8y + a12_9 * k9y + a12_10 * k10y
-                        + a12_11 * k11y) * h)
-    x_new = x + h * (b1 * k1x + b6 * k6x + b7 * k7x + b8 * k8x + b9 * k9x + b10 * k10x
-                     + b11 * k11x + b12 * k12x)
-    y_new = y + h * (b1 * k1y + b6 * k6y + b7 * k7y + b8 * k8y + b9 * k9y + b10 * k10y
-                     + b11 * k11y + b12 * k12y)
-    k13x, k13y = f(x_new, y_new)
-    return (x_new, y_new,
-            (k1x, k1y, k6x, k6y, k7x, k7y, k8x, k8y, k9x, k9y, k10x, k10y, k11x, k11y,
-             k12x, k12y, k13x, k13y),
-            e1 * k1x + e6 * k6x + e7 * k7x + e8 * k8x + e9 * k9x + e10 * k10x + e11 * k11x
-            + e12 * k12x,
-            e1 * k1y + e6 * k6y + e7 * k7y + e8 * k8y + e9 * k9y + e10 * k10y + e11 * k11y
-            + e12 * k12y,
-            g1 * k1x + g6 * k6x + g7 * k7x + g8 * k8x + g9 * k9x + g10 * k10x + g11 * k11x
-            + g12 * k12x,
-            g1 * k1y + g6 * k6y + g7 * k7y + g8 * k8y + g9 * k9y + g10 * k10y + g11 * k11y
-            + g12 * k12y)
+    scaling; on floats, compiled from the tableau rows. _lane_attempt is the
+    same on lane arrays.""",
+    _stage_source(2, _A, _A_COLUMNS)
+    + [f"{v}_new = {v} + h * ({_sum_source(_B, _B_COLUMNS, v)})" for v in "xy"]
+    + ["k13x, k13y = f(x_new, y_new)",
+       f"return (x_new, y_new, ({_K_NAMES}), "
+       + ", ".join(_sum_source(e, _B_COLUMNS, v) for e in (_E5, _E3) for v in "xy") + ")"])
+
+_dense = _kernel(
+    "_dense", "f, h, y_old, y_new, K",
+    """SciPy's DOP853 dense output, operation for operation, on floats: _Step.F
+    of the step of size h from y_old to y_new with stage derivatives K,
+    compiled from the tableau rows. _lane_dense is the same on lane arrays.""",
+    [f"{_K_NAMES} = K", "(x, y), (x_new, y_new) = y_old, y_new"]
+    + _stage_source(14, _A_DENSE, _A_DENSE_COLUMNS)
+    + ["dx, dy = x_new - x, y_new - y",
+       "return (" + ", ".join(
+           f"(d{v}, h * k1{v} - d{v}, 2 * d{v} - h * (k13{v} + k1{v}), "
+           + ", ".join(f"h * ({_sum_source(d, _D_COLUMNS, v)})" for d in _D) + ")"
+           for v in "xy") + ")"])
 
 
 # the rows of _A and _A_DENSE, of _B, _E5 and _E3 together and of _D together
@@ -400,8 +340,6 @@ _LANE_A_DENSE = [(np.array(c), np.array(a)[:, None, None])
                  for a, c in zip(_A_DENSE, _A_DENSE_COLUMNS)]
 _LANE_B = np.array(_B_COLUMNS), np.array((_B, _E5, _E3))[:, :, None, None]
 _LANE_D = np.array(_D_COLUMNS), np.array(_D)[:, :, None, None]
-# the stages a _Step keeps in K: k_1, k_6, ..., k_13
-_STEP_K = np.array(_B_COLUMNS + (12,))
 
 
 def _lane_sum(K, columns, weights):

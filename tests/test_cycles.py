@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from functools import cache
 
 import numpy as np
@@ -518,6 +520,23 @@ def test_census_matches_the_reference_census_on_fields(name, xi_range):
     assert cy.nearest_cycle(X, section, xi_range, 25, 1e-10).xi_star.hex() == _nearest_hex(want)
 
 
+def test_census_is_freed_without_the_cycle_collector(ck, section):
+    """A census is in no reference cycle: once its cycles() has run, it is
+    freed, and its stored returns with it, as soon as its last reference
+    goes, with the cyclic garbage collector off."""
+    census = cy._Census(ck[3], section, (-0.3, 0.3), 25, cy.DEFAULT_CYCLE_TOL)
+    assert census.cycles()
+    freed = weakref.ref(census)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del census
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_census_merge_boundary_is_inclusive(monkeypatch):
     """Two roots exactly _MERGE_XI apart are one cycle, the lower: with d = 0
     everywhere on (0, 1e-8) and two seeds, both seeds are roots, and the
@@ -821,6 +840,25 @@ def test_theorem1_splitting_runs_every_orbit_at_its_tol(ck, section, monkeypatch
     rep = cy.theorem1_splitting(ck[3], cyc, S, 0.02, tol=1e-9)
     assert tols and set(tols) == {1e-9}
     assert rep.success and cyc.multiplicity.d == 3
+
+
+def test_time_reversed_split_builds_no_cycle(ck, monkeypatch):
+    """An unstable cycle's split reverses time and takes the census of the
+    reversed field on the input cycle's section and xi*: it integrates no
+    cycle of its own, neither by build_cycle nor by its orbit
+    (flow._crossing_orbit)."""
+    X = PolyVectorField(scale(ck[3].P, -1.0), scale(ck[3].Q, -1.0))
+    cyc = cy.build_cycle(X, cy.section_for_field(X, (1.0, 0.0)), 0.0)
+    calls = []
+    for module, name in ((cy, "build_cycle"), (flow, "_crossing_orbit")):
+        def spy(*args, kernel=getattr(module, name), name=name, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    rep = cy.theorem1_splitting(X, cyc, S, 0.02)
+    assert rep.time_reversed and rep.success
+    assert calls == []
 
 
 def _hex(values):

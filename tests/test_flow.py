@@ -1090,6 +1090,26 @@ def test_lane_control_is_control(rows):
     assert [(bool(a), v.hex()) for a, v in zip(accepted.tolist(), h_next.tolist())] == ref
 
 
+def test_tableau_is_scipys_dop853():
+    """The tableau rows and their column lists are the nonzero entries of
+    SciPy's DOP853 tableau, weight for weight: A's rows 1-11 (_A), A_EXTRA
+    (_A_DENSE), B, E5 and E3 (_B, _E5, _E3 over _B_COLUMNS) and D (_D). The
+    float and the lane kernels are both built from these tables, so this is
+    the one check of the tables themselves."""
+    from scipy.integrate import DOP853
+
+    def nonzero(row):
+        columns = tuple(np.flatnonzero(row).tolist())
+        return columns, [float(row[j]).hex() for j in columns]
+
+    ours = list(zip(flow._A_COLUMNS + flow._A_DENSE_COLUMNS, flow._A + flow._A_DENSE))
+    ours += [(flow._B_COLUMNS, row) for row in (flow._B, flow._E5, flow._E3)]
+    ours += [(flow._D_COLUMNS, row) for row in flow._D]
+    theirs = [*DOP853.A[1:], *DOP853.A_EXTRA, DOP853.B, DOP853.E5, DOP853.E3, *DOP853.D]
+    assert [(columns, [w.hex() for w in row]) for columns, row in ours] == \
+        [nonzero(row) for row in theirs]
+
+
 def _tableau_lanes():
     """Lanes (x, y, k1x, k1y, h) for the lane tableau test: generic values,
     whose every stage sum tells the tableau's columns apart, and lanes with
