@@ -191,7 +191,7 @@ def displacements(fields, section, xis, tol=DEFAULT_CYCLE_TOL) -> list[list]:
 def _crossings(rows, section, tol) -> list[list]:
     """flow.next_section_crossings of rows of lanes (X, xi[, kept]), each the
     orbit of d(xi) on X: from _start_point(section, xi), with X's
-    crossing_sign, at d(xi)'s time bound and offset. No field compiles its
+    crossing_sign, at d(xi)'s time bound and offset. No field builds its
     own rhs(): each is evaluated through its group's evaluators
     (field.lane_evaluators), which both the crossing signs and the lockstep
     driver use, so the fields are grouped once."""

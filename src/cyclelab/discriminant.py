@@ -319,12 +319,11 @@ def _perturb_coeffs(X, rng, radius):
 
     def jitter(p):
         deg = int(max(p.degree, 0))
-        out = dict(p.coeffs)
         monomials = [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
-        # one draw of n values gives what n draws of one value give, in order
-        for e, v in zip(monomials, rng.uniform(-radius, radius, size=len(monomials)).tolist()):
-            out[e] = out.get(e, 0.0) + v
-        return Poly2.monomial(out)
+        # one draw of n values gives what n draws of one value give, in order;
+        # the monomials come sorted, so sorting them for the field's key is cheap
+        draws = rng.uniform(-radius, radius, size=len(monomials)).tolist()
+        return Poly2.monomial({e: p.coeffs.get(e, 0.0) + v for e, v in zip(monomials, draws)})
 
     return PolyVectorField(jitter(X.P), jitter(X.Q))
 

@@ -25,7 +25,6 @@ Euclidean norm on vector values.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -33,7 +32,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bernstein import BernsteinPoly, jets, mesh
-from .poly2 import Poly2, _horner_source, add, mul, parse_poly, scale
+from .poly2 import Poly2, _compiled, add, mul, parse_poly, scale
 
 
 @dataclass(frozen=True)
@@ -55,23 +54,24 @@ class PolyVectorField:
     def rhs(self):
         """The field as one function (x, y) -> (P(x, y), Q(x, y)) on floats.
 
-        Built on the first call and kept with the field: each component
-        compiled into one Horner expression (poly2._horner_source) with its
-        coefficients as literals, cut into statements only every 64 nesting
-        levels, whose values are bit-identical to eval_poly's. The lockstep
-        driver builds none of these: it evaluates each field through its
-        group's evaluators (lane_evaluators), a body compiled once per set of
-        monomials on floats and polyval2d's loops on lane arrays, both with
-        this function's bits.
+        Built on the first call and kept with the field: the body compiled
+        once per process for the field's nonzero monomials
+        (poly2._compiled), bound to its coefficients, with P's and Q's bits.
+        Fields with the same monomials share one body, and the lockstep
+        driver binds that body for its lanes' fields itself
+        (lane_evaluators), so it builds none of these.
         """
         return self._evaluator
 
     @cached_property
+    def _key(self):
+        """The nonzero monomials of P and of Q, each sorted: the key of the
+        body that rhs() binds and of the field's lane_evaluators group."""
+        return self.P._terms[0], self.Q._terms[0]
+
+    @cached_property
     def _evaluator(self):
-        body = _horner_source(self.P, "p") + _horner_source(self.Q, "q") + ["return p, q"]
-        namespace = {"inf": math.inf, "nan": math.nan}
-        exec("def rhs(x, y):\n" + "".join(f"    {line}\n" for line in body), namespace)
-        return namespace["rhs"]
+        return _compiled(self._key)(*self.P._terms[1], *self.Q._terms[1])
 
     def jacobian(self) -> tuple[Poly2, Poly2, Poly2, Poly2]:
         return (
@@ -126,28 +126,21 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
     pairs, members indexing fields.
 
     PolyVectorFields whose components are nonzero and have the same nonzero
-    monomials form one group. Its select(k), k an int, is the
-    right-hand side (x, y) -> (P, Q) of the field members[k] on floats: one
-    body per set of monomials, rhs()'s with coefficient names for the
-    literals (poly2._horner_source), compiled once per process. Its
-    select(lanes), lanes an index array, is the right-hand side
-    (x, y[, out]) -> (P, Q) as one (2, lanes) array, written into out when
-    given, on arrays whose k-th entries belong to the field
-    members[lanes[k]]: polyval2d's loops on the group's coefficients
+    monomials (the same _key) form one group. Its select(k), k an int, is
+    the right-hand side (x, y) -> (P, Q) of the field members[k] on floats:
+    the group's body (poly2._compiled) bound to that field's coefficients,
+    as its rhs() binds it. Its select(lanes), lanes an index array, is the
+    right-hand side (x, y[, out]) -> (P, Q) as one (2, lanes) array, written
+    into out when given, on arrays whose k-th entries belong to the field
+    members[lanes[k]]: the dense Horner loops on the group's coefficients
     gathered for the lanes (_lane_plan, _lane_rhs). Every value, on floats
     as on arrays, has the bits of that field's rhs(). The other fields (a
     CollapseField, or a field with a zero component) form one group whose
     select is None.
     """
     groups: dict = {}
-    keys: dict = {}  # the monomials of P and Q in their own order -> sorted
     for i, X in enumerate(fields):
-        key = None
-        if isinstance(X, PolyVectorField) and X.P.coeffs and X.Q.coeffs:
-            order = tuple(X.P.coeffs), tuple(X.Q.coeffs)
-            if order not in keys:
-                keys[order] = tuple(sorted(order[0])), tuple(sorted(order[1]))
-            key = keys[order]
+        key = X._key if isinstance(X, PolyVectorField) and all(X._key) else None
         groups.setdefault(key, []).append(i)
     out = []
     for key, members in groups.items():
@@ -157,40 +150,22 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
         plan = _lane_plan(key)
         # one row per coefficient cell, one column per member; the rows of
         # the key's monomials are plan.support, the others hold 0.0
+        rows = [fields[m].P._terms[1] + fields[m].Q._terms[1] for m in members]
         coeffs = np.zeros((len(plan.cells), len(members)))
-        ps = [fields[m].P.coeffs for m in members]
-        qs = [fields[m].Q.coeffs for m in members]
-        coeffs[plan.support] = ([[p[e] for p in ps] for e in key[0]]
-                                + [[q[e] for q in qs] for e in key[1]])
+        coeffs[plan.support] = np.array(rows).T
 
-        def select(lanes, c=coeffs, plan=plan, make=_lane_body(key)):
+        def select(lanes, c=coeffs, plan=plan, rows=rows, make=_compiled(key)):
             if isinstance(lanes, int):
-                return make(*c[plan.support, lanes].tolist())
+                return make(*rows[lanes])
             return _lane_rhs(c.take(lanes, axis=1), plan)
 
         out.append((members, select))
     return out
 
 
-@lru_cache(maxsize=64)
-def _lane_body(key):
-    """The compiled factory (coefficients) -> rhs of the monomial fields with
-    the nonzero monomials key = (P's, Q's), on floats; see lane_evaluators."""
-    P, Q = (Poly2.monomial(dict.fromkeys(k, 1.0)) for k in key)
-    names = [f"cp{i}_{j}" for i, j in key[0]] + [f"cq{i}_{j}" for i, j in key[1]]
-    body = _horner_source(P, "p", "cp") + _horner_source(Q, "q", "cq") + ["return p, q"]
-    namespace: dict = {}
-    # coefficients bound as defaults are read as locals: a call costs about 5%
-    # more than with rhs()'s literals, where closure cells would cost 14%
-    exec(f"def lanes({', '.join(names)}):\n"
-         f"    def rhs(x, y, {', '.join(f'{n}={n}' for n in names)}):\n"
-         + "".join(f"        {line}\n" for line in body) + "    return rhs\n", namespace)
-    return namespace["lanes"]
-
-
 @dataclass(frozen=True)
 class _LanePlan:
-    """polyval2d's loops for the monomial fields with the nonzero monomials
+    """The dense Horner loops for the monomial fields with the nonzero monomials
     of one lane_evaluators key, as slices of one (slots, lanes) array.
 
     A slot holds one column of one component: its terms with one power of
@@ -257,7 +232,7 @@ def _lane_rhs(coeffs, plan: _LanePlan):
     """The right-hand side on lane arrays from the coefficient cells gathered
     for the lanes, coeffs[n, k] the n-th cell of plan for lane k.
 
-    polyval2d's loops in place: Horner in x over all started columns at
+    The dense Horner loops in place: Horner in x over all started columns at
     once, then in y over both components at once, each column started at its
     own top coefficient and each component at its own top column, as rhs()
     starts them. rhs() leaves out the additions of zero coefficients, which

@@ -294,8 +294,8 @@ def _stage_source(first, rows, columns):
 
 def _kernel(name, params, doc, body):
     """The function ``def name(params):`` with the source lines body and the
-    docstring doc, compiled once at import, as a field's RHS is compiled
-    from poly2._horner_source."""
+    docstring doc, compiled once at import, as a polynomial's body is
+    compiled from poly2._horner_source."""
     namespace = {"__name__": __name__}
     exec(f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body), namespace)
     namespace[name].__doc__ = doc
@@ -914,7 +914,7 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     dropped. Once fewer than _LOCKSTEP_MIN_LANES lanes run, or after
     _LOCKSTEP_MAX_ATTEMPTS attempts, the lanes left continue on the scalar
     driver, row by row. Every lane's scalar work runs on its field's
-    evaluator from lane_evaluators, so no field compiles its own rhs(). A
+    evaluator from lane_evaluators, so no field builds its own rhs(). A
     caller that has grouped the fields already hands them over as the
     private _groups = (fields, lane_evaluators(fields)), fields holding every
     lane's field, so they are grouped once. A lane that asks for its steps

@@ -11,7 +11,8 @@ circle (the CK cycle); and helpers the library itself does not need, kept
 as references for tests (the even-odd membership test of one polygon, the
 real zeros of the guarded displacement fit, its discriminant phi, the
 repeated-root probe at the critical points, the Sturm chain and count with
-NumPy's polydiv and np.sign, the zero test and the
+NumPy's polydiv and np.sign, polynomial values by NumPy's polyval2d (the
+reference of the compiled Horner bodies), the zero test and the
 coefficient comparison of polynomials, the verdict of an annulus
 verification, an orbit's CSV dump, the quarter-turn of a field, the
 conversions between the monomial and Bernstein bases, the finite-difference
@@ -279,6 +280,24 @@ def real_root_census(p):
     return variations(at_minf) - variations(at_pinf)
 
 
+def dense(p):
+    """The dense (degx+1, degy+1) coefficient matrix of the Poly2 p."""
+    if not p.coeffs:
+        return np.zeros((1, 1))
+    C = np.zeros((max(i for i, _ in p.coeffs) + 1, max(j for _, j in p.coeffs) + 1))
+    for (i, j), c in p.coeffs.items():
+        C[i, j] = c
+    return C
+
+
+def eval_poly(p, x, y):
+    """p(x, y) by NumPy's polyval2d on dense(p), for scalars or broadcasting
+    arrays: the reference whose bits Poly2 values and a field's rhs() keep
+    at every finite point."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return npoly.polyval2d(x, y, dense(p))
+
+
 def is_zero(p):
     """Whether the monomial polynomial p is zero."""
     return not p.coeffs
@@ -348,7 +367,7 @@ def to_bernstein(p, box, degrees=None):
     """The monomial polynomial p exactly as a BernsteinPoly on box, of degree
     at least degrees = (m, n) when given."""
     ax, bx, ay, by = (float(v) for v in box)
-    C = p._dense
+    C = dense(p)
     dx, dy = C.shape[0] - 1, C.shape[1] - 1
     if degrees is not None:
         dx, dy = max(dx, degrees[0]), max(dy, degrees[1])

@@ -1,9 +1,12 @@
+import builtins
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from cyclelab import field as fd
+from cyclelab import lab, registry
 from cyclelab import poly2 as p2
 from cyclelab.poly2 import Poly2, parse_poly
 
@@ -249,11 +252,71 @@ def test_compiled_rhs_is_eval_poly_bit_for_bit(X, points):
         lanes = select(np.zeros(len(points), dtype=int))(xs, ys)
     for k, (x, y) in enumerate(points):
         # float.hex tells -0.0 from 0.0
-        ref = [X.P(x, y).hex(), X.Q(x, y).hex()]
+        ref = [oracles.eval_poly(X.P, x, y).hex(), oracles.eval_poly(X.Q, x, y).hex()]
         assert [v.hex() for v in rhs(x, y)] == ref
         if select is not None:
             assert [v.hex() for v in select(0)(x, y)] == ref
             assert [float(v[k]).hex() for v in lanes] == ref
+
+
+def test_one_body_per_monomial_set():
+    """CK(3) and its gradient-collapse family share their nonzero monomials,
+    so their rhs() bind one compiled body; so do a Poly2 and its multiple."""
+    X = fd.ck_system(3)
+    family = fd.gradient_collapse_family(X, registry.exact_vanishing_poly("CK(3)"), 0.02)
+    assert X._key == family._key
+    assert X.rhs().__code__ is family.rhs().__code__
+    assert X.rhs() is not family.rhs()
+    # the same monomials in another order
+    turned = fd.PolyVectorField(Poly2.monomial(dict(reversed(X.P.coeffs.items()))), X.Q)
+    assert turned.rhs().__code__ is X.rhs().__code__
+    assert [v.hex() for v in turned.rhs()(0.3, -0.7)] == [v.hex() for v in X.rhs()(0.3, -0.7)]
+    assert S._horner.__code__ is p2.scale(S, -3.0)._horner.__code__
+
+
+def test_warm_split_compiles_nothing(monkeypatch):
+    """A second run of the split pipeline in one process finds every body it
+    evaluates compiled (poly2._compiled): no exec call."""
+    config = lab.ExperimentConfig.from_dict({"pipeline": "split-theorem1", "system": "CK(3)"})
+    lab.run_pipeline(config)
+    calls = []
+    real = builtins.exec
+    monkeypatch.setattr(builtins, "exec", lambda *args: calls.append(1) or real(*args))
+    lab.run_pipeline(config)
+    assert calls == []
+
+
+# finite points, the zeros of both signs among them, as floats or arrays
+_value_point = st.one_of(_point, st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+_value_polys = st.one_of(_monomial, st.just(Poly2.zero()),
+                         st.floats(-1e3, 1e3, allow_nan=False).map(Poly2.constant))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_value_polys, st.lists(st.tuples(_value_point, _value_point), min_size=1, max_size=6),
+       st.sampled_from(["floats", "arrays", "mixed", "grid"]))
+@example(_DENSE_30.P, [(0.7, -0.4), (-0.0, -0.0), (1e-3, -1.5)], "arrays")
+@example(Poly2.constant(-2.5), [(0.5, -0.0)], "mixed")
+@example(Poly2.zero(), [(-1.0, -0.0), (0.0, 2.0)], "grid")
+@example(parse_poly("x^2 - y"), [(-0.0, 0.0), (0.0, -0.0)], "floats")
+def test_poly_values_are_polyval2d_bit_for_bit(p, points, shape):
+    """Poly2 values against NumPy's polyval2d (oracles.eval_poly): the same
+    bits, type and shape on floats (np.float64), on arrays, on a float with
+    an array, and on a broadcast grid, for constant and zero p too."""
+    xs, ys = (np.array(v) for v in zip(*points))
+    if shape == "floats":
+        args = [(float(x), float(y)) for x, y in points]
+    elif shape == "arrays":
+        args = [(xs, ys), (xs.reshape(-1, 1), ys.reshape(-1, 1)), (np.asarray(xs[0]), ys[0])]
+    elif shape == "mixed":
+        args = [(float(xs[0]), ys), (xs, float(ys[0]))]
+    else:
+        args = [(xs[:, None], ys[None, :])]
+    for x, y in args:
+        got, want = p(x, y), oracles.eval_poly(p, x, y)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert [float(v).hex() for v in np.ravel(got)] == [float(v).hex() for v in np.ravel(want)]
 
 
 # a group of lane_evaluators: fields with the same nonzero monomials, each
