@@ -166,14 +166,21 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
 @dataclass(frozen=True)
 class _LanePlan:
     """The dense Horner loops for the monomial fields with the nonzero monomials
-    of one lane_evaluators key, as slices of one (slots, lanes) array.
+    of one lane_evaluators key, as slices of (slots, lanes) arrays.
 
     A slot holds one column of one component: its terms with one power of
     y, for every power up to that component's degree in y, so a column
     without terms is a slot of zeros. A column's top is its highest power of
-    x. The slots run by top, highest first, then by power of y, then P
-    before Q, so the columns that have started by any power of x are the
-    first slots.
+    x. In the x-phase the slots run by top, highest first, then by power of
+    y, then P before Q, so the columns that have started by any power of x
+    are the first slots. The y-phase steps P and Q in one slice pair per
+    power of y where both have one: it runs on the x-phase's slots where
+    their order already puts each power's P and Q columns side by side, as
+    for a full field, and otherwise on the slots taken once into the order
+    (P's top, Q's top, then the higher component's other columns down to
+    the lower one's degree in y, then P's and Q's columns in pairs by
+    power of y, highest first), so the component with the higher degree in
+    y takes its extra steps alone first.
 
     cells: (c, i, j) for the coefficient of x^i y^j in component c (0 for P,
         1 for Q), one row of cells per power i of x from the highest down,
@@ -181,15 +188,18 @@ class _LanePlan:
     support: the cells of the key's monomials, P's then Q's, in key order;
     x_rows: per power of x, highest first, (columns started before it,
         columns started by it, offset of its row of cells);
+    reorder: the x-phase's slot of each y-phase slot, or None where the
+        y-phase runs on the x-phase's slots;
     y_rows: per power of y below the highest, highest first, the
         (accumulators, columns) slice pairs of its Horner step;
-    values: the slots that end with P's and Q's values.
+    values: the y-phase slots that end with P's and Q's values.
     """
 
     cells: tuple
     support: np.ndarray
     slots: int
     x_rows: tuple
+    reorder: np.ndarray | None
     y_rows: tuple
     values: tuple
 
@@ -214,6 +224,16 @@ def _lane_plan(key) -> _LanePlan:
         cells += [(c, i, j) for _, j, c in order[:now]]
     # each component's Horner in y accumulates in the slot of its top column,
     # and both run in one slice where their slots lie side by side
+    # where the x-phase's order leaves a pair apart, the y-phase runs on the
+    # slots taken once into pairs (see _LanePlan)
+    low, high = min(dy), dy.index(max(dy))
+    reorder = None
+    if low and (slot[1, dy[1]] != slot[0, dy[0]] + 1
+                or any(slot[1, j] != slot[0, j] + 1 for j in range(low))):
+        paired = ([(0, dy[0]), (1, dy[1])] + [(high, j) for j in range(dy[high] - 1, low - 1, -1)]
+                  + [(c, j) for j in range(low - 1, -1, -1) for c in (0, 1)])
+        reorder = np.array([slot[c, j] for c, j in paired])
+        slot = {cj: s for s, cj in enumerate(paired)}
     acc = [slot[0, dy[0]], slot[1, dy[1]]]
     y_rows = []
     for j in range(max(dy) - 1, -1, -1):
@@ -225,7 +245,8 @@ def _lane_plan(key) -> _LanePlan:
                                 for c in running))
     index = {cell: n for n, cell in enumerate(cells)}
     support = np.array([index[c, i, j] for c, monomials in enumerate(key) for i, j in monomials])
-    return _LanePlan(tuple(cells), support, len(order), tuple(x_rows), tuple(y_rows), tuple(acc))
+    return _LanePlan(tuple(cells), support, len(order), tuple(x_rows), reorder, tuple(y_rows),
+                     tuple(acc))
 
 
 def _lane_rhs(coeffs, plan: _LanePlan):
@@ -233,25 +254,37 @@ def _lane_rhs(coeffs, plan: _LanePlan):
     for the lanes, coeffs[n, k] the n-th cell of plan for lane k.
 
     The dense Horner loops in place: Horner in x over all started columns at
-    once, then in y over both components at once, each column started at its
-    own top coefficient and each component at its own top column, as rhs()
-    starts them. rhs() leaves out the additions of zero coefficients, which
-    here add 0.0 to a value that the next multiplication and nonzero
-    coefficient, or rhs()'s closing + 0.0, make equal again: they change at
-    most the sign of a zero. So every entry has rhs()'s bits at every point,
-    -0.0, infinities and NaN included.
+    once, then, after the plan's one reorder of the slots if it has one, in
+    y over both components at once, one slice pair per power of y that both
+    have, each column started at its own top coefficient and each component
+    at its own top column, as rhs() starts them. rhs() leaves out the
+    additions of zero coefficients, which here add 0.0 to a value that the
+    next multiplication and nonzero coefficient, or rhs()'s closing + 0.0,
+    make equal again: they change at most the sign of a zero. So every entry
+    has rhs()'s bits at every point, -0.0, infinities and NaN included.
+    When the last step in y is one pair, it adds into the result itself.
+    On CK(3)'s key a call makes 33 NumPy operations, 14 of them in its 7
+    steps in y, and takes about 12.3 us at 50 lanes; on the x-phase's slots
+    it made 45, 26 of them in 13 steps, in about 15.5-16 us (2-vCPU Xeon VM,
+    NumPy 2.4).
     """
     lanes = coeffs.shape[1]
     # V, and x and y copied into as many rows as one product needs, are
     # reused by every call: a product of same-shape arrays costs about half
     # of one that broadcasts a lane row over the rows (312 lanes)
     V = np.empty((plan.slots, lanes))
+    W = V if plan.reorder is None else np.empty_like(V)
     X = np.empty((max(before for before, _, _ in plan.x_rows), lanes))
     Y = np.empty((2, lanes))
     x_rows = [(V[:before] if before else None, X[:before], V[:now], coeffs[at:at + now])
               for before, now, at in plan.x_rows]
-    y_rows = [[(V[acc], Y[:acc.stop - acc.start], V[column]) for acc, column in row]
+    y_rows = [[(W[acc], Y[:acc.stop - acc.start], W[column]) for acc, column in row]
               for row in plan.y_rows]
+    reorder, last = plan.reorder, None
+    if y_rows and len(y_rows[-1]) == 1 and len(y_rows[-1][0][0]) == 2:
+        # the last step in y is one pair, whose accumulators are the value
+        # slots: it adds into the result in place of a copy after it
+        *y_rows, (last,) = y_rows
 
     def rhs(x, y, out=None):
         """(P, Q) at the lanes' points as a (2, lanes) array, written into
@@ -263,11 +296,17 @@ def _lane_rhs(coeffs, plan: _LanePlan):
             if started is not None:
                 started *= xs
             columns += c
+        if reorder is not None:
+            V.take(reorder, axis=0, out=W)
         for row in y_rows:
             for acc, ys, column in row:
                 acc *= ys
                 acc += column
-        return V.take(plan.values, axis=0, out=out)
+        if last is None:
+            return W.take(plan.values, axis=0, out=out)
+        acc, ys, column = last
+        acc *= ys
+        return np.add(acc, column, out=out)
 
     return rhs
 

@@ -30,15 +30,16 @@ round differently from Python; their lane kernels take them by Python's
 scalar driver alone raises the stepper's failures (the step budget, the
 step floor and the safety box): a lane about to fail continues from its
 state on it. On q2-search's degree-7 fields a lockstep attempt, crossing
-search and lane starts included, costs about 0.6, 0.85 and 2.0 ms at 13,
-104 and 312 lanes, and a scalar attempt 40 to 60 us, so per attempt the
-lockstep driver pays from about 19 to 20 lanes (2-vCPU Xeon VM, Python
-3.11, NumPy 2.4); a whole call pays later, as lanes that return apart
-leave the arrays at different attempts. It hands fewer than
-_LOCKSTEP_MIN_LANES lanes to the scalar driver. A lane keeps its steps on
-request, as next_section_crossing does with _kept: the lockstep driver
-records them, and the list it starts goes on to the scalar driver with the
-lane.
+search and lane starts included, costs about 0.41, 0.58 and 0.88 ms at 13,
+104 and 312 lanes (the call's time over its attempts, every lane in
+lockstep), and a scalar attempt about 30 us, so per attempt the lockstep
+driver pays from about 14 lanes (2-vCPU Xeon VM, Python 3.11, NumPy 2.4);
+a whole call pays later, as lanes that return apart leave the arrays at
+different attempts. It hands fewer than _LOCKSTEP_MIN_LANES lanes to the
+scalar driver. A lane keeps its steps on request, as next_section_crossing
+does with _kept: the lockstep driver keeps the arrays of the attempts in
+which such a lane stepped, steps() gathers the lane's columns from them,
+and the list it starts goes on to the scalar driver with the lane.
 
 ``integrate`` collects the scalar driver's steps into an Orbit, whose eval
 builds and keeps each step's row of dense output coefficients when a time
@@ -69,10 +70,12 @@ _MAX_STEPS = 2_000_000
 # All in lockstep, 25 CK(3) lanes that return together (the multiplicity
 # window) take 9.9 ms against 10.4 on the scalar driver, and 25 that return
 # apart (the split's census seeds) 17.2 against 11.3. The split's 50-lane
-# wave takes 12.7, 12.5, 12.5, 12.6 and 13.5 ms here at 48, 40, 32, 24 and 12,
-# 18.9 at 1 and 23.5 all scalar; a q2-search run 29.4-31.7, 28.7-30.3 and
-# 28.6-31.1 ms at 48, 32 and 24 and 30.4 at 1. No value from 24 to 48 wins
-# beyond noise (medians of 9-21 interleaved runs, 2-vCPU Xeon VM)
+# wave takes 10.4-10.7 ms at each of 48, 40, 32 and 24, 15.4-15.5 at 1 and
+# 21.3-21.4 all scalar; a q2-search run 29.1-29.4 ms at 48 and 27.9-28.4 at
+# 40, 32, 24 and 1 (medians of two series of 21 interleaved runs, quartiles
+# within about 0.3 ms of them on the wave and 0.8 on q2, 2-vCPU Xeon VM).
+# No value wins on both: the wave is flat from 24 to 48, and q2's gain
+# below 48, about 1 ms, is barely above its quartiles
 _LOCKSTEP_MIN_LANES = 48
 # a return to the section takes 19-56 attempts on q2-search's fields, an
 # orbit that never returns runs to t_max in about 10^3-10^4; the lanes still
@@ -248,10 +251,13 @@ class _Trail:
     """The steps one lane of next_section_crossings took in lockstep, left in
     its group's records until steps() first builds them into _Steps.
 
-    records holds one (39, lanes) array per attempt, a column per lane that
-    keeps its steps and stepped in it: the lane's index, t_old, t, x_old,
-    y_old, x, y, the 18 entries of _Step.K and the 14 of _Step.F. select(k)
-    is the lane's RHS on floats, as lane_evaluators gives it.
+    records holds, per attempt in which a lane that keeps its steps stepped,
+    the arrays the attempt made, as it made them: (held, ids, t_old, t, z_old,
+    z, K, F), held the positions of those lanes in the attempt's arrays, ids
+    the lane index at each position, K the (16, 2, lanes) stage stack and F
+    the (2, 7, lanes) dense output. Nothing writes to them after their
+    attempt, so steps() gathers a lane's columns from them when it first
+    runs. select(k) is the lane's RHS on floats, as lane_evaluators gives it.
     """
 
     __slots__ = ("records", "lane", "select", "k")
@@ -260,13 +266,16 @@ class _Trail:
         self.records, self.lane, self.select, self.k = records, lane, select, k
 
     def steps(self) -> list:
-        if not self.records:
-            return []
-        rows = np.concatenate(self.records, axis=1)
         f = self.select(self.k)
-        return [_Step(t_old, t, (x_old, y_old), (x, y), tuple(r[:18]), f,
-                      (tuple(r[18:25]), tuple(r[25:])))
-                for t_old, t, x_old, y_old, x, y, *r in rows[1:, rows[0] == self.lane].T.tolist()]
+        steps = []
+        for held, ids, t_old, t, z_old, z, K, F in self.records:
+            j = held[ids[held] == self.lane]
+            if j.size:
+                j = int(j[0])
+                steps.append(_Step(float(t_old[j]), float(t[j]), tuple(z_old[:, j].tolist()),
+                                   tuple(z[:, j].tolist()), tuple(K[_STEP_K, :, j].ravel().tolist()),
+                                   f, tuple(map(tuple, F[:, :, j].tolist()))))
+        return steps
 
 
 def _interpolant(F, x, y, s):
@@ -343,12 +352,13 @@ _LANE_D = np.array(_D_COLUMNS), np.array(_D)[:, :, None, None]
 
 
 def _lane_sum(K, columns, weights):
-    """The weighted sum of the stage derivatives K[columns] for every lane
+    """The weighted sum of the stage derivatives K[columns] (gathered by
+    take, which costs less than fancy indexing) for every lane
     and component, one per row of weights, added as _attempt and _dense add
     it on floats: the products left to right. NumPy reduces over the
     columns in their order; its default start +0.0 would turn a sum of -0.0
     products into +0.0, the start -0.0 leaves every sum as on floats."""
-    return np.add.reduce(weights * K[columns], axis=-3, initial=-0.0)
+    return np.add.reduce(weights * K.take(columns, axis=0), axis=-3, initial=-0.0)
 
 
 def _lane_attempt(f, z, k1, h):
@@ -410,6 +420,10 @@ def _controls(h_abs, e5x, e5y, e3x, e3y, rejected):
     floats. The three powers go through Python's float ** on lists, as
     NumPy's power can round them otherwise, and min and max are taken by
     Python's rule: min(a, b) is a unless b < a, max(a, b) a unless b > a.
+    Neither power can be vectorized: Python's v ** 2 differs from v * v for
+    about 1,650 of 2e6 random doubles, and NumPy's power(v, -0.125) from
+    Python's v ** -0.125 for 85,000 to 106,000 of them (uniform and
+    log-normal draws, NumPy 2.4, glibc).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n5 = np.array([v ** 2 for v in np.sqrt(e5x * e5x + e5y * e5y).tolist()])
@@ -978,7 +992,8 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
     crossing signs only of roots that lie on the segment. Crossings go into
     found by (row, position), and a lane about to fail goes to finish with
     its stepper state. A lane that keeps its steps gets its _Trail, and each
-    attempt's accepted steps of those lanes go into the trail's records.
+    attempt in which one of those lanes stepped keeps its arrays in the
+    trails' records, which _Trail.steps() gathers from.
     Returns the lanes left running, with their states.
     """
     bx, by, nx, ny, tx, ty, half = geometry
@@ -1029,9 +1044,7 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
                 F = _lane_dense(f, h, z, z_new, K)
                 held = np.flatnonzero(stepped & keeps)
                 if held.size:
-                    records.append(np.concatenate((
-                        np.stack((ids[held], t[held], t_new[held])), z[:, held], z_new[:, held],
-                        K[_STEP_K][:, :, held].reshape(18, -1), F[:, :, held].reshape(14, -1))))
+                    records.append((held, ids, t, t_new, z, z_new, K, F))
                 g0, g1, c, ruled_out = _line_screen(z, z_new, F, bx, by, nx, ny)
                 # _step_crossing on every lane that might cross the segment:
                 # its roots in ascending order until one lies on the segment

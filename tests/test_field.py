@@ -334,7 +334,8 @@ def _lane_group(draw):
             for _ in range(draw(st.integers(1, 3)))]
 
 
-_lane_point = st.one_of(_point, st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200]))
+_SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)
+_lane_point = st.one_of(_point, st.sampled_from(_SPECIAL + (1e200,)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -347,6 +348,12 @@ _lane_point = st.one_of(_point, st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.
           fd.PolyVectorField(parse_poly("-x^3 + 5*x*y + y^4"), parse_poly("7*x^2 - y")),
           fd.ck_system(3)],
          [(1, np.inf, 2.0), (0, -0.0, -0.0), (2, 0.5, -np.inf), (1, 0.0, 3.0), (0, 1.5, 0.0)])
+# the split's wave: CK(3) and CK(3) + 0.02 R grad R in one group, whose plan
+# reorders its slots for the y-phase, at every pair of signed zeros,
+# infinities and NaN
+@example([fd.ck_system(3), fd.gradient_collapse_family(fd.ck_system(3), S, 0.02)],
+         [(k, x, y) for k, (x, y) in enumerate(
+             (x, y) for x in _SPECIAL for y in _SPECIAL)])
 def test_lane_rhs_is_rhs_bit_for_bit(fields, picks):
     """The lane right-hand side of every group, on lanes in any order and
     repeated, gives each lane's field's rhs() bits at every point, -0.0,
@@ -375,6 +382,23 @@ def test_lane_rhs_is_rhs_bit_for_bit(fields, picks):
             assert [float(v[k]).hex() for v in got] == ref
             assert [float(v).hex() for v in slot[:, k]] == ref
             assert [v.hex() for v in select(pos)(x, y)] == ref
+
+
+def test_paired_y_phase_of_the_ck3_plan():
+    """CK(3)'s plan reorders its slots once after the x-phase, so its
+    y-phase takes 7 slice steps: Q's y^7 step alone, then P and Q together
+    for each lower power of y, where the x-phase's order would take 13. A
+    full degree-7 field's x-phase order pairs P and Q already, so its plan
+    reorders nothing and steps them together from the start."""
+    plan = fd._lane_plan(fd.ck_system(3)._key)
+    assert plan.reorder is not None
+    assert sorted(plan.reorder.tolist()) == list(range(plan.slots))
+    assert [len(row) for row in plan.y_rows] == [1] * 7
+    assert [[acc.stop - acc.start for acc, _ in row] for row in plan.y_rows] == [[1]] + [[2]] * 6
+    full = Poly2.monomial({(i, j): 1.0 for i in range(8) for j in range(8 - i)})
+    plan = fd._lane_plan(fd.PolyVectorField(full, full)._key)
+    assert plan.reorder is None
+    assert [[acc.stop - acc.start for acc, _ in row] for row in plan.y_rows] == [[2]] * 7
 
 
 @settings(max_examples=150, deadline=None)

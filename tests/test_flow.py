@@ -870,6 +870,38 @@ def test_lockstep_keeps_the_steps_of_lanes_that_ask(scalar_lanes, monkeypatch, m
     assert seen == ended
 
 
+def test_kept_trail_survives_another_call(ck, monkeypatch):
+    """A lane's _Trail holds its group's attempt arrays as they were made
+    and gathers the lane's steps only in steps(), so a second call on the
+    same fields and groups, from other points, leaves the first call's steps
+    byte for byte as they were."""
+    from cyclelab.field import gradient_collapse_family, lane_evaluators
+
+    monkeypatch.setattr(flow, "_LOCKSTEP_MIN_LANES", 1)
+    fields = [ck[3], gradient_collapse_family(ck[3], parse_poly("1 - x^2 - y^2"), 0.02)]
+    groups = fields, lane_evaluators(fields)
+
+    def call(xis):
+        kept = [[] for _ in fields for _ in xis]
+        lanes = [(X, SEC.point_at(xi), 1) for X in fields for xi in xis]
+        got = flow.next_section_crossings([[(*lane, steps)] for lane, steps in zip(lanes, kept)],
+                                          SEC, **_LOCKSTEP_KW, _groups=groups)
+        assert all(isinstance(hit, tuple) for (hit,) in got)
+        assert all(len(steps) == 1 and isinstance(steps[0], flow._Trail) for steps in kept)
+        return [steps[0] for steps in kept]
+
+    def data(trail):
+        steps = trail.steps()
+        assert steps
+        return np.array([(s.t_old, s.t, *s.y_old, *s.y, *s.K, *s.F[0], *s.F[1])
+                         for s in steps]).tobytes()
+
+    trails = call((-0.3, -0.1, 0.2))
+    before = [data(trail) for trail in trails]
+    call((-0.2, 0.1, 0.25))
+    assert [data(trail) for trail in trails] == before
+
+
 def test_lockstep_attempts_search_only_lanes_left_to_search(ck, section, monkeypatch):
     """q2-search's displacements at seed 1, 24 fields x 13 nodes in one
     group, take 21 lockstep attempts, and 6 of them have lanes left to
