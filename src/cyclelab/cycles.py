@@ -209,8 +209,13 @@ def _crossings(rows, section, tol) -> list[list]:
 
 
 def _displacement_row(section, xis, hits) -> list:
-    """d(xi) from the crossings of the orbits from the xis, failures kept."""
-    return [hit if isinstance(hit, flow.OrbitFailure) else section.xi_of(hit[1]) - xi
+    """d(xi) from the crossings of the orbits from the xis, failures kept.
+    The returns' coordinates come from one np.vecdot, whose loop is the dot
+    that xi_of's np.dot runs, so each has xi_of's bits (np.matmul and
+    np.einsum can round them otherwise)."""
+    points = [hit[1] for hit in hits if not isinstance(hit, flow.OrbitFailure)]
+    pis = iter(np.vecdot(np.reshape(points, (-1, 2)) - section.base, section.direction).tolist())
+    return [hit if isinstance(hit, flow.OrbitFailure) else next(pis) - xi
             for xi, hit in zip(xis, hits)]
 
 

@@ -24,22 +24,25 @@ into, and form each weighted sum as one reduction over its row's columns,
 added in the float kernel's order (_lane_sum). Only the initial step
 (_initial_step, _initial_steps) and the step-size control (_control,
 _controls) still come in pairs with the same bits, one kernel on floats and
-one on lane arrays. They hold the stepper's only powers, which NumPy can
-round differently from Python; their lane kernels take them by Python's
-**. Every lane thus has the scalar driver's bits, from its start on. The
-scalar driver alone raises the stepper's failures (the step budget, the
-step floor and the safety box): a lane about to fail continues from its
-state on it. On q2-search's degree-7 fields a lockstep attempt, crossing
-search and lane starts included, costs about 0.41, 0.58 and 0.88 ms at 13,
-104 and 312 lanes (the call's time over its attempts, every lane in
-lockstep), and a scalar attempt about 30 us, so per attempt the lockstep
-driver pays from about 14 lanes (2-vCPU Xeon VM, Python 3.11, NumPy 2.4);
-a whole call pays later, as lanes that return apart leave the arrays at
-different attempts. It hands fewer than _LOCKSTEP_MIN_LANES lanes to the
-scalar driver. A lane keeps its steps on request, as next_section_crossing
-does with _kept: the lockstep driver keeps the arrays of the attempts in
-which such a lane stepped, steps() gathers the lane's columns from them,
-and the list it starts goes on to the scalar driver with the lane.
+one on lane arrays. They hold the stepper's only powers, which NumPy's
+power can round differently from Python's **; their lane kernels take them
+by np.float_power, which calls libm's pow as Python's ** does, one call
+per power on all lanes. Every lane thus has the scalar driver's bits, from
+its start on. The scalar driver alone raises the stepper's failures (the
+step budget, the step floor and the safety box): a lane about to fail
+continues from its state on it. On q2-search's degree-7 fields a lockstep
+attempt, crossing search and lane starts included, costs about 0.48, 0.69
+and 1.07 ms at 13, 104 and 312 lanes (the call's time over its attempts,
+every lane in lockstep, median of 31 calls; 0.50, 0.72 and 1.15 ms with
+the powers taken by Python's ** lane by lane), and a scalar attempt about
+35 us, so per attempt the lockstep driver pays from about 14 lanes (2-vCPU
+Xeon VM, Python 3.11, NumPy 2.4); a whole call pays later, as lanes that
+return apart leave the arrays at different attempts. It hands fewer than
+_LOCKSTEP_MIN_LANES lanes to the scalar driver. A lane keeps its steps on
+request, as next_section_crossing does with _kept: the lockstep driver
+keeps the arrays of the attempts in which such a lane stepped, steps()
+gathers the lane's columns from them, and the list it starts goes on to
+the scalar driver with the lane.
 
 ``integrate`` collects the scalar driver's steps into an Orbit, whose eval
 builds and keeps each step's row of dense output coefficients when a time
@@ -67,16 +70,19 @@ DEFAULT_TOL = 1e-10
 _SAFETY_BOX = 1e3
 _MAX_STEPS = 2_000_000
 # next_section_crossings hands fewer lanes than this to the scalar driver.
-# All in lockstep, 25 CK(3) lanes that return together (the multiplicity
-# window) take 9.9 ms against 10.4 on the scalar driver, and 25 that return
-# apart (the split's census seeds) 17.2 against 11.3. The split's 50-lane
-# wave takes 10.4-10.7 ms at each of 48, 40, 32 and 24, 15.4-15.5 at 1 and
-# 21.3-21.4 all scalar; a q2-search run 29.1-29.4 ms at 48 and 27.9-28.4 at
-# 40, 32, 24 and 1 (medians of two series of 21 interleaved runs, quartiles
-# within about 0.3 ms of them on the wave and 0.8 on q2, 2-vCPU Xeon VM).
-# No value wins on both: the wave is flat from 24 to 48, and q2's gain
-# below 48, about 1 ms, is barely above its quartiles
-_LOCKSTEP_MIN_LANES = 48
+# q2-search's 312 lanes run 19 attempts at 312 lanes, 1 at 202, 1 at 68 and
+# 1 at 45, and its last 20 lanes finish in 20 scalar attempts; at 48 the 45
+# lanes took 65 scalar attempts, and at 16 or below the 20 lanes run one
+# more lockstep attempt. The split's 50-lane wave drops straight to 14
+# lanes. Re-scan, ms, median and fastest of 101 interleaved runs in one
+# process (2-vCPU Xeon VM whose neighbours spread the runs to quartiles
+# about 17 ms apart on q2 and 8 on the wave):
+#   lanes           48          32          24          16          12
+#   q2-search  42.8 / 28.0 41.8 / 27.3 41.4 / 27.0 40.8 / 26.9 41.5 / 27.0
+#   wave       17.8 / 11.0 17.7 / 10.9 17.6 / 11.0 17.8 / 11.0 18.4 / 11.5
+# q2 gains about 1 ms below 48, the wave loses at 12, where its 14 lanes
+# stay in lockstep; 24 lies between
+_LOCKSTEP_MIN_LANES = 24
 # a return to the section takes 19-56 attempts on q2-search's fields, an
 # orbit that never returns runs to t_max in about 10^3-10^4; the lanes still
 # running after this many continue on the scalar driver, which stops each
@@ -417,24 +423,26 @@ def _controls(h_abs, e5x, e5y, e3x, e3y, rejected):
     with _control's bits, and ZeroDivisionError where _control raises it.
 
     Sums, products, square roots and comparisons round in NumPy as on
-    floats. The three powers go through Python's float ** on lists, as
-    NumPy's power can round them otherwise, and min and max are taken by
-    Python's rule: min(a, b) is a unless b < a, max(a, b) a unless b > a.
-    Neither power can be vectorized: Python's v ** 2 differs from v * v for
-    about 1,650 of 2e6 random doubles, and NumPy's power(v, -0.125) from
-    Python's v ** -0.125 for 85,000 to 106,000 of them (uniform and
-    log-normal draws, NumPy 2.4, glibc).
+    floats, and min and max are taken by Python's rule: min(a, b) is a
+    unless b < a, max(a, b) a unless b > a. The three powers go through
+    np.float_power, which calls libm's pow as Python's float ** does: it
+    gives Python's v ** 2 and v ** -0.125 on all of 3e6 random doubles,
+    where NumPy's power differs on 2,162 and 164,940 of them and v * v
+    differs from v ** 2 too (uniform, log-normal and random-bit draws,
+    NumPy 2.4, glibc). Python raises only where float_power would not: at 0 ** -0.125,
+    which err = 0 skips, and where v ** 2 overflows, which cannot happen, as
+    v = sqrt(finite) squares below the largest double.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n5 = np.array([v ** 2 for v in np.sqrt(e5x * e5x + e5y * e5y).tolist()])
-        n3 = np.array([v ** 2 for v in np.sqrt(e3x * e3x + e3y * e3y).tolist()])
+        n5 = np.float_power(np.sqrt(e5x * e5x + e5y * e5y), 2)
+        n3 = np.float_power(np.sqrt(e3x * e3x + e3y * e3y), 2)
         zero = (n5 == 0) & (n3 == 0)
         root = np.sqrt((n5 + 0.01 * n3) * 2)
         if (~zero & (root == 0)).any():
             raise ZeroDivisionError("float division by zero")
         err = np.where(zero, 0.0, h_abs * n5 / root)
         # at err = 0, where _control grows by _MAX_FACTOR, min(_MAX_FACTOR, inf)
-        scaled = _SAFETY * np.array([v ** -0.125 if v else math.inf for v in err.tolist()])
+        scaled = _SAFETY * np.where(err == 0, math.inf, np.float_power(err, -0.125))
     accepted = err < 1
     grown = np.where(scaled < _MAX_FACTOR, scaled, _MAX_FACTOR)
     grown = np.where(rejected & ~(grown < 1), 1.0, grown)
@@ -476,7 +484,8 @@ def _initial_steps(f, x, y, fx, fy, t_bound, tol):
     """_initial_step on lane arrays, f the RHS on them: one step per lane,
     each with _initial_step's bits, and ZeroDivisionError where
     _initial_step raises it. As in _controls, the power goes through
-    Python's float ** and min and max follow Python's rule."""
+    np.float_power, which gives Python's float ** bits on the lanes, and min
+    and max follow Python's rule."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sx, sy = tol + abs(x) * tol, tol + abs(y) * tol
         d0 = _rms(x / sx, y / sy, np.sqrt)
@@ -491,7 +500,7 @@ def _initial_steps(f, x, y, fx, fy, t_bound, tol):
             raise ZeroDivisionError("float division by zero")
         small = h0 * 1e-3
         h1 = np.where(tiny, np.where(small > 1e-6, small, 1e-6),
-                      [v ** (1 / 8) for v in (0.01 / top).tolist()])
+                      np.float_power(0.01 / top, 1 / 8))
     h = 100 * h0
     h = np.where(h1 < h, h1, h)
     return np.where(t_bound < h, t_bound, h)
@@ -999,7 +1008,7 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
     bx, by, nx, ny, tx, ty, half = geometry
     ids = np.array(group)
     row, col = (np.array([lanes[i][k] for i in group]) for k in (0, 1))
-    direction = np.array([np.sign(lanes[i][4]) for i in group], dtype=float)
+    direction = np.sign(np.array([lanes[i][4] for i in group], dtype=float))
     # the steps of the lanes that keep theirs, one record per attempt (_Trail)
     keeps = np.array([lanes[i][5] is not None for i in group])
     records = []

@@ -5,7 +5,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 import oracles
@@ -101,6 +101,33 @@ def test_find_cycles_split_ck3(ck, section):
     for c, t in zip(cens, targets):
         assert c.mean_radius == pytest.approx(t, abs=1e-6)
     assert [c.stability for c in cens] == ["stable", "unstable", "stable"]
+
+
+_return_coordinate = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-300, 1e-300),
+                               st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2 * math.pi),
+       st.lists(st.tuples(st.floats(-1.0, 1.0), _return_coordinate, _return_coordinate),
+                max_size=40),
+       st.booleans())
+@example(0.0, 0.0, 0.0, [], True)
+@example(1.0, 0.0, 0.3, [(0.1, 1.0, 0.0), (-0.2, -0.0, 5e-324)], False)
+def test_displacement_row_is_xi_of_bit_for_bit(bx, by, angle, returns, fails):
+    """A row's d(xi) values are xi_of(point) - xi of its returns, bit for bit,
+    and a row that ends in an OrbitFailure keeps it there."""
+    sec = cy.Section(base=(bx, by), direction=(math.cos(angle), math.sin(angle)),
+                     half_length=0.5)
+    xis = [xi for xi, _, _ in returns] + [0.25, 0.5]
+    hits = [(1.0, np.array([px, py])) for _, px, py in returns]
+    failure = flow.NoCrossing("no return")
+    if fails:
+        hits.append(failure)
+    row = cy._displacement_row(sec, xis, hits)
+    ref = [sec.xi_of(p) - xi for xi, (_, p) in zip(xis, hits[:len(returns)])]
+    assert [v.hex() for v in row[:len(returns)]] == [v.hex() for v in ref]
+    assert row[len(returns):] == ([failure] if fails else [])
 
 
 def _counting_displacement(monkeypatch, fail_inside=None):

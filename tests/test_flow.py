@@ -904,7 +904,7 @@ def test_kept_trail_survives_another_call(ck, monkeypatch):
 
 def test_lockstep_attempts_search_only_lanes_left_to_search(ck, section, monkeypatch):
     """q2-search's displacements at seed 1, 24 fields x 13 nodes in one
-    group, take 21 lockstep attempts, and 6 of them have lanes left to
+    group, take 22 lockstep attempts, and 7 of them have lanes left to
     search after the screens: the departures from the section and the
     returns. No search kernel runs on zero lanes, and no crossing-sign
     evaluator is built for zero lanes."""
@@ -943,8 +943,8 @@ def test_lockstep_attempts_search_only_lanes_left_to_search(ck, section, monkeyp
     monkeypatch.setattr(cy, "lane_evaluators", lane_evaluators)
     fields = [dc._perturb_coeffs(ck[3], np.random.default_rng([1, i]), 1e-3) for i in range(24)]
     cy.displacements(fields, section, dc._nodes(3, 0.025), tol=flow.DEFAULT_TOL)
-    assert len(calls["_controls"]) == 21
-    assert len(calls["_lane_roots"]) == 6
+    assert len(calls["_controls"]) == 22
+    assert len(calls["_lane_roots"]) == 7
     assert calls["_line_bernstein"] == calls["_lane_roots"]
     assert min(calls["_off_segment"] + calls["_lane_roots"]) > 0
     assert len(evaluated) > 1 and min(evaluated) > 0
@@ -1006,6 +1006,11 @@ def _initial_step_reference(lanes, t_bound, tol):
 
 _start_value = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-12, 1e-12),
                          st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]))
+_rng = np.random.default_rng(34)
+# 4,000 random lanes, each of which takes the power of _initial_step: about
+# one in twenty would round otherwise under NumPy's power
+_many_starts = np.concatenate([_rng.normal(size=(4000, 4)) * 10.0 ** _rng.uniform(-3, 3, (4000, 1)),
+                               _rng.normal(size=(4000, 4))], axis=1).tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -1023,6 +1028,7 @@ _start_value = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-12, 1e-12),
 @example([(0.7, -0.2, 0.3, -0.4, 1.0, 0.0, 1.0, 0.0), (0.7, -0.2, np.inf, 0.0, 1.0, 0.0, 1.0, 0.0)],
          200.0, 1e-10)
 @example([(0.7, -0.2, 0.0, 0.0, 1.0, np.nan, 1.0, 0.0)], 200.0, 1e-10)
+@example(_many_starts, 200.0, 1e-10)
 def test_lane_initial_steps_are_initial_step(lanes, t_bound, tol):
     """The initial step on lane arrays gives _initial_step's bits on every
     lane and raises where _initial_step raises, with no RuntimeWarning."""
@@ -1071,6 +1077,47 @@ def test_value_slope_is_de_casteljau_on_floats_and_lanes(rows):
     with np.errstate(over="ignore", invalid="ignore"):
         value, slope = flow._value_slope(b, u)
     assert [[g.hex(), s.hex()] for g, s in zip(value.tolist(), slope.tolist())] == ref
+
+
+def _python_power(v, e):
+    """Python's float v ** e, or None where Python raises or gives a complex."""
+    try:
+        p = v ** e
+    except ArithmeticError:
+        return None
+    return p if isinstance(p, float) else None
+
+
+# the exponents of the stepper's powers: _control's ** 2 and ** -0.125 and
+# _initial_step's ** (1 / 8)
+_EXPONENTS = (2, -0.125, 1 / 8)
+
+
+_power_special = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.0, -1.0,
+                  1.3407807929942596e154, 1.3407807929942597e154, 1.7976931348623157e308,
+                  np.inf, -np.inf, np.nan)
+# 60,000 doubles: random bit patterns, mostly far from 1, and uniform and
+# log-normal draws near the errors and steps the stepper meets
+_many_doubles = np.concatenate([_rng.integers(0, 2 ** 63 - 1, 20_000, dtype=np.int64).view(float),
+                                _rng.uniform(0.0, 10.0, 20_000),
+                                _rng.lognormal(0.0, 20.0, 20_000)]).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(0.0, 1e-300), st.floats(0.0, 10.0),
+                          st.sampled_from(_power_special)), min_size=1, max_size=40))
+@example(list(_power_special))
+@example(_many_doubles)
+def test_lane_powers_are_python_powers(values):
+    """np.float_power, by which _controls and _initial_steps take the
+    stepper's powers on lanes, gives Python's float ** bit for bit for each
+    exponent they use, wherever Python gives a float: on random doubles,
+    subnormals, +-0, +-inf and NaN."""
+    for e in _EXPONENTS:
+        pairs = [(v, p) for v in values if (p := _python_power(v, e)) is not None]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            got = np.float_power(np.array([v for v, _ in pairs], dtype=float), e)
+        assert [g.hex() for g in got.tolist()] == [p.hex() for _, p in pairs], e
 
 
 def _control_reference(rows):
