@@ -182,7 +182,7 @@ def test_nan_step_underflows():
         flow.integrate(ck_system(3), (1e200, 0.0), 1.0)
 
 
-@pytest.mark.parametrize("min_lanes", [1, flow._LOCKSTEP_MIN_LANES])
+@pytest.mark.parametrize("min_lanes", [1, 48, flow._LOCKSTEP_MIN_LANES])
 def test_lockstep_nan_step_underflows(monkeypatch, min_lanes):
     monkeypatch.setattr(flow, "_LOCKSTEP_MIN_LANES", min_lanes)
     X = ck_system(3)
@@ -798,6 +798,8 @@ def scalar_lanes(ck):
     # every lane continues on the scalar driver after 13 attempts, three of
     # them right after a rejected attempt
     (1, 13),
+    # a threshold above the default, and the default
+    (48, flow._LOCKSTEP_MAX_ATTEMPTS),
     (flow._LOCKSTEP_MIN_LANES, flow._LOCKSTEP_MAX_ATTEMPTS),
 ])
 def test_lockstep_matches_next_section_crossing(scalar_lanes, monkeypatch, min_lanes,
@@ -835,7 +837,9 @@ def test_lockstep_matches_next_section_crossing(scalar_lanes, monkeypatch, min_l
     (1, 10 ** 6, {"lockstep", "scalar"}),
     # the lanes that do not cross in 13 attempts continue on the scalar driver
     (1, 13, {"lockstep", "handed over", "scalar"}),
-    # the 60 lanes fall in groups too small for lockstep
+    # the 60 lanes fall in groups too small for lockstep, above the default
+    # threshold and at it
+    (48, flow._LOCKSTEP_MAX_ATTEMPTS, {"scalar"}),
     (flow._LOCKSTEP_MIN_LANES, flow._LOCKSTEP_MAX_ATTEMPTS, {"scalar"}),
 ])
 def test_lockstep_keeps_the_steps_of_lanes_that_ask(scalar_lanes, monkeypatch, min_lanes,
@@ -950,7 +954,7 @@ def test_lockstep_attempts_search_only_lanes_left_to_search(ck, section, monkeyp
     assert len(evaluated) > 1 and min(evaluated) > 0
 
 
-@pytest.mark.parametrize("min_lanes", [1, flow._LOCKSTEP_MIN_LANES])
+@pytest.mark.parametrize("min_lanes", [1, 48, flow._LOCKSTEP_MIN_LANES])
 def test_lockstep_rows_end_at_their_first_failure(ck, monkeypatch, min_lanes):
     """A row collects what a loop over its lanes collects before its first
     failure, which ends it."""
@@ -978,7 +982,7 @@ def test_lockstep_rejects_bad_arguments(ck):
     assert flow.next_section_crossings([[]], SEC) == [[]]
 
 
-@pytest.mark.parametrize("min_lanes", [1, flow._LOCKSTEP_MIN_LANES])
+@pytest.mark.parametrize("min_lanes", [1, 48, flow._LOCKSTEP_MIN_LANES])
 def test_lane_starts_raise_the_first_bad_lanes_error(ck, monkeypatch, min_lanes):
     """Lanes that start on arrays raise what the scalar starts raise first
     in lane order."""
