@@ -134,14 +134,20 @@ def orientation_sign(X: PolyVectorField, point) -> int:
     return 1 if w >= 0 else -1
 
 
-def crossing_sign(X: PolyVectorField, section: Section, rhs=None) -> int:
-    """The sign of the flow across the section at its base, from X.rhs() or
-    the given evaluator of X."""
-    p, q = (X.rhs() if rhs is None else rhs)(*section.geometry[:2])
-    s = np.dot([p, q], section.normal)
-    if s == 0:
+def crossing_sign(X: PolyVectorField, section: Section) -> int:
+    """The sign of the flow across the section at its base, from X.rhs()."""
+    sign, = _signs_across(np.array([X.rhs()(*section.geometry[:2])]), section)
+    return sign
+
+
+def _signs_across(flows, section) -> list[int]:
+    """The signs, +1 or -1, of the flow vectors, the rows of the (n, 2)
+    array flows, across the section, from one np.vecdot with its normal:
+    its loop is np.dot's on each row. Raises ValueError on a zero."""
+    s = np.vecdot(flows, section.normal).tolist()
+    if 0.0 in s:
         raise ValueError("flow tangent to the section at its base")
-    return 1 if s > 0 else -1
+    return [1 if v > 0 else -1 for v in s]
 
 
 def _start_point(section, xi) -> tuple[float, float]:
@@ -185,38 +191,55 @@ def displacements(fields, section, xis, tol=DEFAULT_CYCLE_TOL) -> list[list]:
     first OrbitFailure; a row that meets one ends with it. All orbits run at
     once, in lockstep (_crossings)."""
     rows = _crossings([[(X, xi) for xi in xis] for X in fields], section, tol)
-    return [_displacement_row(section, xis, row) for row in rows]
+    return _displacement_rows(section, xis, rows)
 
 
 def _crossings(rows, section, tol) -> list[list]:
     """flow.next_section_crossings of rows of lanes (X, xi[, kept]), each the
     orbit of d(xi) on X: from _start_point(section, xi), with X's
     crossing_sign, at d(xi)'s time bound and offset. No field builds its
-    own rhs(): each is evaluated through its group's evaluators
-    (field.lane_evaluators), which both the crossing signs and the lockstep
-    driver use, so the fields are grouped once."""
+    own rhs(), and the fields are grouped once (field.lane_evaluators):
+    each group of fields that share their monomials takes its crossing
+    signs from one call of its lane RHS at the section base, with
+    crossing_sign's bits, and the lockstep driver binds a field's RHS on
+    floats only for lanes that go on to the scalar driver."""
     fields = list({id(lane[0]): lane[0] for row in rows for lane in row}.values())
     groups = lane_evaluators(fields)
-    signs = {}
-    for members, select in groups:
-        for k, m in enumerate(members):
-            signs[id(fields[m])] = crossing_sign(fields[m], section,
-                                                 None if select is None else select(k))
+    signs = dict(zip(map(id, fields), _crossing_signs(fields, groups, section)))
     rows = [[(X, _start_point(section, xi), signs[id(X)], *kept) for X, xi, *kept in row]
             for row in rows]
     return flow.next_section_crossings(rows, section, t_max=DEFAULT_T_MAX, tol=tol,
                                        t_offset=_T_OFFSET, _groups=(fields, groups))
 
 
-def _displacement_row(section, xis, hits) -> list:
-    """d(xi) from the crossings of the orbits from the xis, failures kept.
-    The returns' coordinates come from one np.vecdot, whose loop is the dot
-    that xi_of's np.dot runs, so each has xi_of's bits (np.matmul and
-    np.einsum can round them otherwise)."""
-    points = [hit[1] for hit in hits if not isinstance(hit, flow.OrbitFailure)]
+def _crossing_signs(fields, groups, section) -> list[int]:
+    """crossing_sign of each of the fields, bit for bit, errors included,
+    grouped as groups = lane_evaluators(fields): a group's signs come from
+    one call of its lane RHS at the section base, whose values have its
+    fields' rhs() bits; a field of no group is signed by its own rhs()."""
+    signs = [0] * len(fields)
+    bx, by = section.geometry[:2]
+    for members, select in groups:
+        n = len(members)
+        if select is None:
+            values = [crossing_sign(fields[m], section) for m in members]
+        else:
+            flows = select(np.arange(n))(np.full(n, bx), np.full(n, by))
+            values = _signs_across(np.ascontiguousarray(flows.T), section)
+        for m, sign in zip(members, values):
+            signs[m] = sign
+    return signs
+
+
+def _displacement_rows(section, xis, rows) -> list[list]:
+    """d(xi) from the crossings of each row's orbits from the xis, failures
+    kept. The returns' coordinates, of every row, come from one np.vecdot,
+    whose loop is the dot that xi_of's np.dot runs, so each has xi_of's bits
+    (np.matmul and np.einsum can round them otherwise)."""
+    points = [hit[1] for row in rows for hit in row if not isinstance(hit, flow.OrbitFailure)]
     pis = iter(np.vecdot(np.reshape(points, (-1, 2)) - section.base, section.direction).tolist())
-    return [hit if isinstance(hit, flow.OrbitFailure) else next(pis) - xi
-            for xi, hit in zip(xis, hits)]
+    return [[hit if isinstance(hit, flow.OrbitFailure) else next(pis) - xi
+             for xi, hit in zip(xis, row)] for row in rows]
 
 
 @dataclass
@@ -598,10 +621,10 @@ def nearest_cycle(X, section, xi_range, n_seeds: int = 25,
     return census.cycle(best[1])
 
 
-def _scaled_fit(u, values, degree: int):
+def _scaled_fit(V, values):
     """Least-squares coefficients of values ~ sum_k c_k u^k, k <= degree, and
-    the RMS residual of that fit."""
-    V = np.vander(u, degree + 1, increasing=True)
+    the RMS residual of that fit, from V = np.vander(u, degree + 1,
+    increasing=True), which fits of rows at the same nodes share."""
     scaled, *_ = np.linalg.lstsq(V, values, rcond=None)
     return scaled, float(np.sqrt(np.mean((V @ scaled - values) ** 2)))
 
@@ -663,7 +686,8 @@ def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0
         if np.max(np.abs(d_vals)) > 2.0 * h_cur:
             h_cur *= 0.5
             continue
-        scaled, residual = _scaled_fit((nodes - xi0) / h_cur, d_vals, d_max)
+        scaled, residual = _scaled_fit(
+            np.vander((nodes - xi0) / h_cur, d_max + 1, increasing=True), d_vals)
         coefficients = scaled / h_cur ** np.arange(d_max + 1)
         thr = max(floor_abs, resid_factor * residual)
         est = MultiplicityEstimate(
@@ -775,8 +799,8 @@ def theorem1_splitting(
     if cycle.multiplicity is None:
         def first_window(nodes):
             # one row, which ends at its first failure as the loop over the nodes does
-            hits, = pert_census.wave([[(X, xi) for xi in nodes]])
-            row = _displacement_row(cycle.section, nodes, hits)
+            row, = _displacement_rows(cycle.section, nodes,
+                                      pert_census.wave([[(X, xi) for xi in nodes]]))
             if isinstance(row[-1], flow.OrbitFailure):
                 raise row[-1]
             return row

@@ -25,16 +25,26 @@ The monic degree-d polynomial fitted to displacement samples plays the role
 of the cycle-structure factor of the displacement map: dividing the
 least-squares fit by its leading coefficient removes the strictly positive
 smooth unit, and its roots track the section fixed points.
+
+The q2 search does its per-field work in passes over all fields at once,
+each with the bits of the one-field path: every field's jitter is drawn in
+one call and added to X's coefficients as one array, every field's orbits
+run as one lockstep call (cycles.displacements), and every returned row is
+fitted with one scale and one Vandermonde matrix (_monic_fits, the fit of
+fit_displacement_poly).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import cycles as _cycles
 from . import flow as _flow
+from .field import PolyVectorField
+from .poly2 import Poly2
 
 
 class DegreeTooSmall(Exception):
@@ -210,24 +220,41 @@ def root_count_congruence(d: int, delta_sign: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _guarded_fit(samples, degree: int, fit_degree: int | None):
-    """Scaled least-squares fit of displacement samples (xi, d(xi)) in xi/h,
-    h = max |xi|, of degree fit_degree (default degree + 3, at least degree,
-    at most one less than the sample count): (coefficients, residual, h)."""
-    pts = np.asarray(list(samples), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("samples must be (xi, value) pairs")
-    if pts.shape[0] < 4 * degree + 1:
+def _guarded_fits(xi, rows, degree: int, fit_degree: int | None):
+    """Scaled least-squares fits of rows of displacement values at the
+    sample points xi, in xi/h, h = max |xi|, of degree fit_degree (default
+    degree + 3, at least degree, at most one less than the sample count):
+    h and each row's (coefficients, residual). The rows share their
+    points, so one h and one Vandermonde matrix serve them all."""
+    if len(xi) < 4 * degree + 1:
         raise ValueError(f"need at least {4 * degree + 1} samples for degree {degree}")
     if fit_degree is None:
         fit_degree = degree + 3
-    fit_degree = min(max(fit_degree, degree), pts.shape[0] - 1)
-    xi, dv = pts[:, 0], pts[:, 1]
+    fit_degree = min(max(fit_degree, degree), len(xi) - 1)
     h = float(np.max(np.abs(xi)))
     if h == 0:
         raise ValueError("degenerate sample window")
-    scaled, residual = _cycles._scaled_fit(xi / h, dv, fit_degree)
-    return scaled, residual, h
+    V = np.vander(xi / h, fit_degree + 1, increasing=True)
+    return h, [_cycles._scaled_fit(V, values) for values in rows]
+
+
+def _monic_fits(xi, rows, degree: int, fit_degree: int | None = None) -> list:
+    """fit_displacement_poly of each row of displacement values at the
+    sample points xi: its MonicPoly, or the LeadingCoefficientVanishes it
+    would raise."""
+    h, fits = _guarded_fits(xi, rows, degree, fit_degree)
+    powers = h ** np.arange(degree + 1)
+    out = []
+    for scaled, residual in fits:
+        lead_scaled = scaled[degree]
+        if abs(lead_scaled) <= 1e3 * residual or lead_scaled == 0.0:
+            out.append(LeadingCoefficientVanishes(
+                f"degree-{degree} coefficient {lead_scaled:.3g} below 1e3 * residual "
+                f"{residual:.3g}"))
+            continue
+        coef = scaled[: degree + 1] / powers
+        out.append(MonicPoly(tuple((coef / coef[degree])[:degree])))
+    return out
 
 
 def fit_displacement_poly(samples, degree: int, fit_degree: int | None = None) -> MonicPoly:
@@ -243,17 +270,15 @@ def fit_displacement_poly(samples, degree: int, fit_degree: int | None = None) -
     of the samples. The degree-d coefficient must exceed 1e3 times the fit
     residual, else LeadingCoefficientVanishes (window too small, or the
     assumed degree is wrong and the multiplicity estimate should be redone).
+    The fit is _monic_fits', which q2_search runs on all its rows at once.
     """
-    scaled, residual, h = _guarded_fit(samples, degree, fit_degree)
-    lead_scaled = scaled[degree]
-    if abs(lead_scaled) <= 1e3 * residual or lead_scaled == 0.0:
-        raise LeadingCoefficientVanishes(
-            f"degree-{degree} coefficient {lead_scaled:.3g} below 1e3 * residual "
-            f"{residual:.3g}"
-        )
-    coef = scaled[: degree + 1] / h ** np.arange(degree + 1)
-    monic = coef / coef[degree]
-    return MonicPoly(tuple(monic[:degree]))
+    pts = np.asarray(list(samples), dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("samples must be (xi, value) pairs")
+    fit, = _monic_fits(pts[:, 0], [pts[:, 1]], degree, fit_degree)
+    if isinstance(fit, LeadingCoefficientVanishes):
+        raise fit
+    return fit
 
 
 def _nodes(d: int, window: float, center: float = 0.0, n: int | None = None,
@@ -313,31 +338,29 @@ class Q2Report:
             fh.write("\n".join(lines) + "\n")
 
 
+@lru_cache(maxsize=16)
+def _triangle(degree: int) -> tuple:
+    """The monomials x^i y^j with i + j <= degree, sorted."""
+    return tuple((i, j) for i in range(degree + 1) for j in range(degree + 1 - i))
+
+
 def _perturb_coeffs(X, rng, radius):
-    from .field import PolyVectorField
-    from .poly2 import Poly2
-
-    def jitter(p):
-        deg = int(max(p.degree, 0))
-        monomials = [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
-        # one draw of n values gives what n draws of one value give, in order;
-        # the monomials come sorted, so sorting them for the field's key is cheap
-        draws = rng.uniform(-radius, radius, size=len(monomials)).tolist()
-        return Poly2.monomial({e: p.coeffs.get(e, 0.0) + v for e, v in zip(monomials, draws)})
-
-    return PolyVectorField(jitter(X.P), jitter(X.Q))
-
-
-def _q2_sample(index, nodes, row, d) -> Q2Sample:
-    """One q2_search sample from its row of cycles.displacements, which ends
-    with the failure displacement_samples would raise, if any."""
-    if row and isinstance(row[-1], _flow.OrbitFailure):
-        return Q2Sample(index, None, None, error=type(row[-1]).__name__)
-    try:
-        fit = fit_displacement_poly(list(zip(nodes, row)), d)
-    except LeadingCoefficientVanishes as exc:
-        return Q2Sample(index, None, None, error=type(exc).__name__)
-    return Q2Sample(index, discriminant(fit), real_root_census(fit))
+    """X with each coefficient of x^i y^j, i + j up to its component's
+    degree, moved by a uniform draw in [-radius, radius]: P's monomials,
+    then Q's, each in sorted order, take the draws in turn. One draw of n
+    values gives what n draws of one value give, in order, so both
+    components' draws come from one call and are added to X's coefficients
+    on the two triangles as one array. A coefficient that ends at exactly
+    0.0 is dropped, as Poly2 drops it (at radius 0 every monomial X lacks),
+    so the fields keep X's monomials."""
+    triangles = [_triangle(int(max(p.degree, 0))) for p in (X.P, X.Q)]
+    coefficients = [p.coeffs.get(e, 0.0) for p, monomials in zip((X.P, X.Q), triangles)
+                    for e in monomials]
+    moved = (np.array(coefficients)
+             + rng.uniform(-radius, radius, size=len(coefficients))).tolist()
+    n = len(triangles[0])
+    return PolyVectorField(Poly2._from_sorted(triangles[0], moved[:n]),
+                           Poly2._from_sorted(triangles[1], moved[n:]))
 
 
 def q2_search(X, section, d: int, radius: float, n_samples: int, seed: int,
@@ -348,16 +371,35 @@ def q2_search(X, section, d: int, radius: float, n_samples: int, seed: int,
     Draws n_samples fields whose monomial coefficients (all exponent pairs up
     to the component degree, both components) are jittered uniformly within
     the given radius -- closeness in the coefficients topology -- computes the
-    degree-d fit discriminant for each (the displacement orbits of all fields
-    run together, see cycles.displacements), and reports the minimum together
+    degree-d fit discriminant for each, and reports the minimum together
     with the histogram of distinct-real-root counts. Deterministic under seed;
     per-sample failures are recorded by their class name and skipped.
+
+    Each field's jitter is drawn once, in one call of its own generator,
+    and added as one array (_perturb_coeffs). The displacement orbits of all
+    fields run together (cycles.displacements): each group of fields that
+    share their monomials is signed once at the section base, and a field's
+    RHS on floats is bound only for lanes that leave the lockstep driver.
+    All returned rows are fitted at once: the rows share their nodes, so one
+    scale and one Vandermonde matrix serve them (_monic_fits). Every sample
+    has the bits of fit_displacement_poly on that field's
+    displacement_samples.
     """
     fields = [_perturb_coeffs(X, np.random.default_rng([seed, i]), radius)
               for i in range(n_samples)]
     nodes = _nodes(d, window)
-    samples = [_q2_sample(i, nodes, row, d)
-               for i, row in enumerate(_cycles.displacements(fields, section, nodes, tol=tol))]
+    rows = _cycles.displacements(fields, section, nodes, tol=tol)
+    # a row ends with the failure displacement_samples would raise, if any;
+    # where no row returned, nothing is fitted and so nothing checks the nodes
+    returned = [row for row in rows if not isinstance(row[-1], _flow.OrbitFailure)]
+    fits = iter(_monic_fits(nodes, returned, d) if returned else ())
+    samples = []
+    for i, row in enumerate(rows):
+        fit = row[-1] if isinstance(row[-1], _flow.OrbitFailure) else next(fits)
+        if isinstance(fit, Exception):
+            samples.append(Q2Sample(i, None, None, error=type(fit).__name__))
+        else:
+            samples.append(Q2Sample(i, discriminant(fit), real_root_census(fit)))
     histogram: dict[int, int] = {}
     best_index, best_phi = None, None
     for s in samples:

@@ -937,7 +937,10 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     dropped. Once fewer than _LOCKSTEP_MIN_LANES lanes run, or after
     _LOCKSTEP_MAX_ATTEMPTS attempts, the lanes left continue on the scalar
     driver, row by row. Every lane's scalar work runs on its field's
-    evaluator from lane_evaluators, so no field builds its own rhs(). A
+    evaluator from lane_evaluators, so no field builds its own rhs(), and
+    a field's evaluator on floats is bound only when the first of its lanes
+    goes on to the scalar driver, once per field: a call whose lanes all
+    return in lockstep binds none. A
     caller that has grouped the fields already hands them over as the
     private _groups = (fields, lane_evaluators(fields)), fields holding every
     lane's field, so they are grouped once. A lane that asks for its steps
@@ -957,17 +960,22 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
              for r, row in enumerate(rows) for k, lane in enumerate(row)]
     index = {id(X): m for m, X in enumerate(fields)}
     field_of = [index[id(lane[2])] for lane in lanes]
-    rhs = [None] * len(fields)
-    for members, select in groups:
-        for k, m in enumerate(members):
-            rhs[m] = fields[m].rhs() if select is None else select(k)
+    owner = {m: (select, k) for members, select in groups for k, m in enumerate(members)}
+    bound = {}  # field index -> its RHS on floats, bound when its first lane needs it
+
+    def rhs(m):
+        if m not in bound:
+            select, k = owner[m]
+            bound[m] = fields[m].rhs() if select is None else select(k)
+        return bound[m]
+
     found: dict = {}  # (r, k) -> (t_star, point) or the failure
     cut = [len(row) for row in rows]  # the first failing position of each row so far
 
     def finish(i, state):
         r, k, _, _, sign, kept = lanes[i]
         try:
-            found[r, k] = _advance(rhs[field_of[i]], *state, t_max, tol, kept,
+            found[r, k] = _advance(rhs(field_of[i]), *state, t_max, tol, kept,
                                    (section.geometry, sign, t_offset))
         except OrbitFailure as exc:
             found[r, k] = exc
@@ -980,7 +988,7 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
             running = _lockstep(select, [member[field_of[i]] for i in group], lanes, group,
                                 section.geometry, t_max, t_offset, tol, found, cut, finish)
         else:
-            running = [(i, _start(rhs[field_of[i]], lanes[i][3], t_max, tol)) for i in group]
+            running = [(i, _start(rhs(field_of[i]), lanes[i][3], t_max, tol)) for i in group]
         for i, state in sorted(running):
             r, k = lanes[i][:2]
             if k < cut[r]:

@@ -39,6 +39,19 @@ class Poly2:
         return Poly2(coeffs)
 
     @staticmethod
+    def _from_sorted(monomials: tuple, coefficients: list) -> "Poly2":
+        """Poly2.monomial(dict(zip(monomials, coefficients))) for sorted
+        monomials (tuples of ints) and their coefficients (floats) in that
+        order, in one pass: the zeros are dropped and _terms is filled."""
+        if 0.0 in coefficients:
+            kept = [(e, c) for e, c in zip(monomials, coefficients) if c != 0.0]
+            monomials, coefficients = tuple(e for e, _ in kept), [c for _, c in kept]
+        p = object.__new__(Poly2)
+        object.__setattr__(p, "coeffs", dict(zip(monomials, coefficients)))
+        p.__dict__["_terms"] = monomials, coefficients
+        return p
+
+    @staticmethod
     def constant(c: float) -> "Poly2":
         return Poly2.monomial({(0, 0): float(c)})
 

@@ -10,8 +10,9 @@ stepper; the closed-form jets of the windowed signed distance to the unit
 circle (the CK cycle); and helpers the library itself does not need, kept
 as references for tests (the even-odd membership test of one polygon, the
 real zeros of the guarded displacement fit, its discriminant phi, the
-repeated-root probe at the critical points, the Sturm chain and count with
-NumPy's polydiv and np.sign, polynomial values by NumPy's polyval2d (the
+q2 search's jittered field built as a dict, the repeated-root probe at
+the critical points, the Sturm chain and count with NumPy's polydiv and
+np.sign, polynomial values by NumPy's polyval2d (the
 reference of the compiled Horner bodies), the zero test and the
 coefficient comparison of polynomials, the verdict of an annulus
 verification, an orbit's CSV dump, the quarter-turn of a field, the
@@ -215,10 +216,26 @@ def fit_roots(samples, degree, fit_degree=None):
     zeros of the full guarded fit do not, so cycle locations read off here
     can be checked against the census.
     """
-    scaled, _, h = dc._guarded_fit(samples, degree, fit_degree)
+    pts = np.asarray(samples, dtype=float)
+    h, [(scaled, _)] = dc._guarded_fits(pts[:, 0], [pts[:, 1]], degree, fit_degree)
     roots = polyroots(scaled)
     real = roots[np.abs(roots.imag) < 1e-8].real * h
     return np.sort(real[np.abs(real) <= h])
+
+
+def perturb_coeffs(X, rng, radius):
+    """q2_search's jittered field, built monomial by monomial as a dict: the
+    coefficient of x^i y^j, i + j up to its component's degree, plus one
+    uniform draw in [-radius, radius], P's monomials then Q's, each in
+    sorted order; Poly2.monomial drops the zeros."""
+
+    def jitter(p):
+        deg = int(max(p.degree, 0))
+        monomials = [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
+        draws = rng.uniform(-radius, radius, size=len(monomials)).tolist()
+        return Poly2.monomial({e: p.coeffs.get(e, 0.0) + v for e, v in zip(monomials, draws)})
+
+    return PolyVectorField(jitter(X.P), jitter(X.Q))
 
 
 def phi(X, section, d, window=0.025, center=0.0, tol=flow.DEFAULT_TOL):

@@ -111,23 +111,71 @@ _return_coordinate = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-300, 1e-300),
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2 * math.pi),
        st.lists(st.tuples(st.floats(-1.0, 1.0), _return_coordinate, _return_coordinate),
                 max_size=40),
-       st.booleans())
-@example(0.0, 0.0, 0.0, [], True)
-@example(1.0, 0.0, 0.3, [(0.1, 1.0, 0.0), (-0.2, -0.0, 5e-324)], False)
-def test_displacement_row_is_xi_of_bit_for_bit(bx, by, angle, returns, fails):
-    """A row's d(xi) values are xi_of(point) - xi of its returns, bit for bit,
-    and a row that ends in an OrbitFailure keeps it there."""
+       st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=6))
+@example(0.0, 0.0, 0.0, [], [(0, True)])
+@example(1.0, 0.0, 0.3, [(0.1, 1.0, 0.0), (-0.2, -0.0, 5e-324)], [(2, False)])
+@example(1.0, 0.0, 0.3, [(0.1, 1.0, 0.0), (-0.2, -0.0, 5e-324), (0.3, -1e300, 2.0)],
+         [(3, False), (0, True), (1, True), (3, True), (2, False)])
+def test_displacement_row_is_xi_of_bit_for_bit(bx, by, angle, returns, rows):
+    """Rows taken in one call: each row's d(xi) values are xi_of(point) - xi
+    of its returns, bit for bit, and a row that ends in an OrbitFailure
+    keeps it there. The rows share their xis; row k returns at the points
+    of the returns turned by k places, up to its length, and then fails or
+    not."""
     sec = cy.Section(base=(bx, by), direction=(math.cos(angle), math.sin(angle)),
                      half_length=0.5)
     xis = [xi for xi, _, _ in returns] + [0.25, 0.5]
-    hits = [(1.0, np.array([px, py])) for _, px, py in returns]
+    points = [np.array([px, py]) for _, px, py in returns]
     failure = flow.NoCrossing("no return")
-    if fails:
-        hits.append(failure)
-    row = cy._displacement_row(sec, xis, hits)
-    ref = [sec.xi_of(p) - xi for xi, (_, p) in zip(xis, hits[:len(returns)])]
-    assert [v.hex() for v in row[:len(returns)]] == [v.hex() for v in ref]
-    assert row[len(returns):] == ([failure] if fails else [])
+    hits = [[(1.0, p) for p in (points[k:] + points[:k])[:n]] + ([failure] if fails else [])
+            for k, (n, fails) in enumerate(rows)]
+    got = cy._displacement_rows(sec, xis, hits)
+    assert len(got) == len(hits)
+    for row, row_hits in zip(got, hits):
+        returned = [hit for hit in row_hits if hit is not failure]
+        ref = [sec.xi_of(p) - xi for xi, (_, p) in zip(xis, returned)]
+        assert [v.hex() for v in row[:len(returned)]] == [v.hex() for v in ref]
+        assert row[len(returned):] == row_hits[len(returned):]
+
+
+def _flat_sign(X, sec):
+    """crossing_sign as one float dot: the sign of np.dot([P, Q], normal)
+    at the section base, a ValueError where it is 0."""
+    s = np.dot(list(X.rhs()(*sec.base.tolist())), sec.normal)
+    if s == 0:
+        raise ValueError("flow tangent to the section at its base")
+    return 1 if s > 0 else -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.0, 2 * math.pi),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 99),
+                          st.sampled_from([0.0, 1e-3, 0.3, 3.0])), min_size=1, max_size=8))
+# CK(1) is tangent to the segment through (0, 1) along x, and so is the lone
+# field with y = 1
+@example(0.0, 1.0, 0.0, [(1, 0, 0.0), (3, 5, 0.3), (1, 0, 1e-3)])
+@example(0.3, 1.0, 0.0, [(3, 5, 1e-3), (0, 0, 0.0)])
+@example(1.0, 0.0, 0.3, [(3, 5, 1e-3), (0, 0, 0.0), (3, 6, 1e-3), (2, 1, 0.3)])
+def test_group_crossing_signs_are_crossing_sign(bx, by, angle, picks):
+    """The crossing signs of fields taken a lane group at a time are each
+    field's own, or raise where its own raise: jittered CK(k) fields share a
+    group, and a field with a zero component has none and is signed
+    alone."""
+    sec = cy.Section(base=(bx, by), direction=(math.cos(angle), math.sin(angle)),
+                     half_length=0.5)
+    lone = PolyVectorField(parse_poly("1 - y"), Poly2.zero())
+    fields = [lone if k == 0 else oracles.perturb_coeffs(ck_system(k), np.random.default_rng(seed),
+                                                         radius)
+              for k, seed, radius in picks]
+    groups = cy.lane_evaluators(fields)
+    try:
+        want = [_flat_sign(X, sec) for X in fields]
+    except ValueError:
+        with pytest.raises(ValueError, match="tangent"):
+            cy._crossing_signs(fields, groups, sec)
+        return
+    assert cy._crossing_signs(fields, groups, sec) == want
+    assert [cy.crossing_sign(X, sec) for X in fields] == want
 
 
 def _counting_displacement(monkeypatch, fail_inside=None):

@@ -223,11 +223,12 @@ def test_q2_csv(tmp_path, ck, section):
 
 
 def _q2_scalar(X, section, d, radius, n_samples, seed, window):
-    """q2_search's samples one field at a time, each through
-    displacement_samples on the scalar driver."""
+    """q2_search's samples one field at a time, each field built as a dict
+    (oracles.perturb_coeffs) and sampled through displacement_samples on
+    the scalar driver."""
     out = []
     for i in range(n_samples):
-        Y = dc._perturb_coeffs(X, np.random.default_rng([seed, i]), radius)
+        Y = oracles.perturb_coeffs(X, np.random.default_rng([seed, i]), radius)
         try:
             fit = dc.fit_displacement_poly(dc.displacement_samples(Y, section, d, window), d)
         except (flow.OrbitFailure, dc.LeadingCoefficientVanishes) as exc:
@@ -237,12 +238,13 @@ def _q2_scalar(X, section, d, radius, n_samples, seed, window):
     return out
 
 
-@pytest.mark.parametrize("radius, n_samples, seed", [(0.3, 8, 3), (1e-3, 5, 1)])
+@pytest.mark.parametrize("radius, n_samples, seed", [(0.3, 8, 3), (1e-3, 5, 1), (0.0, 3, 1)])
 def test_q2_batched_matches_per_field_scalar_path(tmp_path, ck, section, radius, n_samples,
                                                   seed):
     """Sample for sample: the discriminant's bits, the root census and the
     failure's name. At radius 0.3 five fields never return to the section
-    and two fits lose their leading coefficient."""
+    and two fits lose their leading coefficient; at radius 0 every field is
+    X, with X's monomials."""
     rep = dc.q2_search(ck[3], section, 3, radius, n_samples, seed=seed, window=0.025)
     got = [(s.index, s.phi, s.n_real_roots, s.error) for s in rep.samples]
     assert got == _q2_scalar(ck[3], section, 3, radius, n_samples, seed, 0.025)
@@ -257,7 +259,10 @@ def test_q2_batched_matches_per_field_scalar_path(tmp_path, ck, section, radius,
 @pytest.mark.parametrize("seed", [[3, 5], [1, 0]])
 def test_perturb_coeffs_draws_one_jitter_per_monomial(ck, seed):
     """The jitters drawn at once are those of one draw per monomial, in the
-    order of the monomials."""
+    order of the monomials, and the field is the one built as a dict
+    (oracles.perturb_coeffs): the same coefficients, and _terms as Poly2
+    sorts them. At radius 0 each monomial that CK(3) lacks gets 0.0 and is
+    dropped, so the field keeps CK(3)'s monomials."""
     rng = np.random.default_rng(seed)
     Y = dc._perturb_coeffs(ck[3], np.random.default_rng(seed), 0.3)
     for p, q in ((ck[3].P, Y.P), (ck[3].Q, Y.Q)):
@@ -266,31 +271,72 @@ def test_perturb_coeffs_draws_one_jitter_per_monomial(ck, seed):
             for j in range(8 - i):
                 ref[(i, j)] = ref.get((i, j), 0.0) + rng.uniform(-0.3, 0.3)
         assert q.coeffs == ref
+    for radius in (0.3, 1e-3, 0.0):
+        Y = dc._perturb_coeffs(ck[3], np.random.default_rng(seed), radius)
+        Z = oracles.perturb_coeffs(ck[3], np.random.default_rng(seed), radius)
+        for q, r in ((Y.P, Z.P), (Y.Q, Z.Q)):
+            assert list(q.coeffs.items()) == list(r.coeffs.items())
+            assert q._terms == (tuple(sorted(r.coeffs)), [r.coeffs[e] for e in sorted(r.coeffs)])
+        if radius == 0.0:
+            assert Y == ck[3] and Y._key == ck[3]._key
 
 
-@pytest.mark.parametrize("max_attempts", [flow._LOCKSTEP_MAX_ATTEMPTS, 4])
-def test_lockstep_displacements_build_no_field_rhs(ck, section, monkeypatch, max_attempts):
+@pytest.mark.parametrize("max_attempts, min_lanes", [
+    pytest.param(flow._LOCKSTEP_MAX_ATTEMPTS, flow._LOCKSTEP_MIN_LANES,
+                 id=str(flow._LOCKSTEP_MAX_ATTEMPTS)),
+    pytest.param(4, flow._LOCKSTEP_MIN_LANES, id="4"),
+    pytest.param(flow._LOCKSTEP_MAX_ATTEMPTS, 1, id="every-lane-in-lockstep"),
+])
+def test_lockstep_displacements_build_no_field_rhs(ck, section, monkeypatch, max_attempts,
+                                                   min_lanes):
     """A lockstep displacements call groups its fields once and evaluates
     each field through its group's evaluators, also where its lanes continue
-    on the scalar driver (after 4 attempts), so no field builds its own
-    rhs(); next_section_crossing still does."""
+    on the scalar driver (after 4 attempts, or below min_lanes lanes), so
+    no field builds its own rhs(); next_section_crossing still does. A
+    field's RHS on floats (select(k)) is bound once, and only for a field
+    one of whose lanes runs on the scalar driver: none when every lane
+    returns in lockstep, one per field after 4 attempts."""
     from cyclelab import cycles as cy
     from cyclelab import field as fd
 
     monkeypatch.setattr(flow, "_LOCKSTEP_MAX_ATTEMPTS", max_attempts)
-    grouped = []
+    monkeypatch.setattr(flow, "_LOCKSTEP_MIN_LANES", min_lanes)
+    grouped, bound, scalar = [], {}, set()
+
+    def counting(members, select):
+        def counted_select(lanes):
+            f = select(lanes)
+            if isinstance(lanes, int):
+                bound.setdefault(members[lanes], []).append(f)
+            return f
+
+        return counted_select
 
     def counted(fields):
         grouped.append(len(fields))
-        return fd.lane_evaluators(fields)
+        return [(members, counting(members, select))
+                for members, select in fd.lane_evaluators(fields)]
+
+    advance = flow._advance
+
+    def advanced(f, *args):
+        scalar.add(f)
+        return advance(f, *args)
 
     monkeypatch.setattr(cy, "lane_evaluators", counted)
     monkeypatch.setattr(flow, "lane_evaluators", counted)
+    monkeypatch.setattr(flow, "_advance", advanced)
     fields = [dc._perturb_coeffs(ck[3], np.random.default_rng([7, i]), 1e-3) for i in range(4)]
     nodes = dc._nodes(3, 0.025)
     assert len(fields) * len(nodes) >= flow._LOCKSTEP_MIN_LANES
     rows = cy.displacements(fields, section, nodes)
     assert grouped == [len(fields)]
+    assert all(len(fs) == 1 for fs in bound.values())
+    assert scalar == {fs[0] for fs in bound.values()}
+    if min_lanes == 1:
+        assert bound == {}
+    if max_attempts == 4:
+        assert sorted(bound) == list(range(len(fields)))
     assert not any("_evaluator" in X.__dict__ for X in fields)
     assert rows == [[cy.displacement(X, section, xi) for xi in nodes] for X in fields]
     assert all("_evaluator" in X.__dict__ for X in fields)

@@ -29,6 +29,25 @@ def test_monomial_form_drops_zero_coefficients():
     assert (2, 2) not in p.coeffs
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), unique=True, max_size=20),
+       st.data())
+def test_from_sorted_is_the_monomial_form(monomials, data):
+    """Poly2._from_sorted on sorted monomials is Poly2.monomial of the same
+    map: the same coefficients in the same order, zeros of either sign
+    dropped and NaN kept, and _terms as the sort gives them."""
+    monomials = tuple(sorted(monomials))
+    values = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0])),
+                                min_size=len(monomials), max_size=len(monomials)))
+    p = Poly2._from_sorted(monomials, values)
+    ref = Poly2.monomial(dict(zip(monomials, values)))
+    assert [(e, c.hex()) for e, c in p.coeffs.items()] == \
+        [(e, c.hex()) for e, c in ref.coeffs.items()]
+    assert [(e, c.hex()) for e, c in zip(*p._terms)] == \
+        [(e, c.hex()) for e, c in zip(*ref._terms)]
+    assert isinstance(p._terms[0], tuple)
+
+
 def test_derivative_examples():
     assert oracles.same_coeffs(parse_poly("x^2*y").derivative("x"), parse_poly("2*x*y"))
     d2 = parse_poly("1 - x^2 - y^2").derivative("x", 2)
