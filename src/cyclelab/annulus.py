@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
-from .cycles import _T_OFFSET, DEFAULT_T_MAX, LimitCycle, Section, crossing_sign
+from .cycles import LimitCycle, Section, _return_orbit
 from .field import PolyVectorField, rotate_family
 
 
@@ -110,13 +110,8 @@ def _orientation(points: np.ndarray) -> int:
 
 
 def _arc(Z, section, xi_from, tol, n_samples):
-    p0 = section.point_at(xi_from)
-    sign = crossing_sign(Z, section)
-    t_ret, p_ret, orbit = flow._crossing_orbit(
-        Z, p0, section, sign, t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET
-    )
-    ts = np.linspace(0.0, t_ret, n_samples)
-    pts = orbit.eval(ts)
+    t_ret, p_ret, orbit = _return_orbit(Z, section, xi_from, tol)
+    pts = orbit.eval(np.linspace(0.0, t_ret, n_samples))
     pts[-1] = p_ret
     return pts, section.xi_of(p_ret)
 

@@ -156,17 +156,31 @@ def _start_point(section, xi) -> tuple[float, float]:
     return bx + xi * tx, by + xi * ty
 
 
+def _return(X, section, xi, tol, kept=None):
+    """The first return (t_star, point) of the orbit of d(xi) on X: from
+    _start_point(section, xi), with X's crossing_sign, at DEFAULT_T_MAX and
+    _T_OFFSET (flow.next_section_crossing). Its steps up to the return go
+    into the list kept, if given."""
+    return flow.next_section_crossing(
+        X, _start_point(section, xi), section, crossing_sign(X, section),
+        t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET, _kept=kept,
+    )
+
+
+def _return_orbit(X, section, xi, tol):
+    """_return's (t_star, point), plus the orbit up to the return step."""
+    steps = []
+    t_star, p = _return(X, section, xi, tol, steps)
+    return t_star, p, flow._orbit(_start_point(section, xi), steps)
+
+
 def return_map(X, section, xi, tol=DEFAULT_CYCLE_TOL, _returns=None) -> float:
     """First-return coordinate pi(xi) on the section. A census passes its
     own store of returns as _returns: a return with |pi(xi) - xi| < tol is
     kept there, as xi -> (period, the orbit's steps), for the cycle it may
     become."""
     kept = None if _returns is None else []
-    hit = flow.next_section_crossing(
-        X, _start_point(section, xi), section, crossing_sign(X, section),
-        t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET, _kept=kept,
-    )
-    return _returned(section, xi, hit, kept, tol, _returns)
+    return _returned(section, xi, _return(X, section, xi, tol, kept), kept, tol, _returns)
 
 
 def _returned(section, xi, hit, kept, tol, returns) -> float:
@@ -196,13 +210,11 @@ def displacements(fields, section, xis, tol=DEFAULT_CYCLE_TOL) -> list[list]:
 
 def _crossings(rows, section, tol) -> list[list]:
     """flow.next_section_crossings of rows of lanes (X, xi[, kept]), each the
-    orbit of d(xi) on X: from _start_point(section, xi), with X's
-    crossing_sign, at d(xi)'s time bound and offset. No field builds its
-    own rhs(), and the fields are grouped once (field.lane_evaluators):
-    each group of fields that share their monomials takes its crossing
-    signs from one call of its lane RHS at the section base, with
-    crossing_sign's bits, and the lockstep driver binds a field's RHS on
-    floats only for lanes that go on to the scalar driver."""
+    orbit of d(xi) on X, as _return starts it, in lockstep. The fields are
+    grouped once (field.lane_evaluators): each group of fields that share
+    their monomials takes its crossing signs from one call of its lane RHS
+    at the section base, with crossing_sign's bits, so a field binds its
+    own rhs() only when one of its lanes goes on to the scalar driver."""
     fields = list({id(lane[0]): lane[0] for row in rows for lane in row}.values())
     groups = lane_evaluators(fields)
     signs = dict(zip(map(id, fields), _crossing_signs(fields, groups, section)))
@@ -247,9 +259,7 @@ class MultiplicityEstimate:
     d: int
     coefficients: np.ndarray           # c_j ~ d^(j)(0)/j!
     scaled_coefficients: np.ndarray    # c_j * h^j, the fit's native output
-    residual: float
     h: float
-    d_max: int
 
     def table(self):
         return [
@@ -292,23 +302,23 @@ class LimitCycle:
         return float(np.linalg.norm(self.points[0] - self.points[-1]))
 
     def displacement_samples_csv(self, path, X, window=0.05, n=33, tol=DEFAULT_CYCLE_TOL):
+        """d at n nodes over xi_star +- window, one row per node; error is
+        the class name of the node's orbit failure, with an empty
+        displacement, and empty on success."""
         xis = self.xi_star + np.linspace(-window, window, n)
-        lines = ["xi,displacement"]
+        lines = ["xi,displacement,error"]
         for xi in xis:
             try:
-                d = displacement(X, self.section, xi, tol)
-            except flow.OrbitFailure:
-                continue
-            lines.append(f"{float(xi)!r},{float(d)!r}")
+                cells = f"{float(displacement(X, self.section, xi, tol))!r},"
+            except flow.OrbitFailure as exc:
+                cells = f",{type(exc).__name__}"
+            lines.append(f"{float(xi)!r},{cells}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
 
 def build_cycle(X, section, xi_star, tol=DEFAULT_CYCLE_TOL) -> LimitCycle:
-    period, _, orbit = flow._crossing_orbit(
-        X, section.point_at(xi_star), section, crossing_sign(X, section),
-        t_max=DEFAULT_T_MAX, tol=tol, t_offset=_T_OFFSET,
-    )
+    period, _, orbit = _return_orbit(X, section, xi_star, tol)
     return _cycle(X, section, xi_star, period, orbit)
 
 
@@ -690,10 +700,8 @@ def multiplicity(X, cycle_or_section, xi_star=None, d_max: int = 6, h: float = 0
             np.vander((nodes - xi0) / h_cur, d_max + 1, increasing=True), d_vals)
         coefficients = scaled / h_cur ** np.arange(d_max + 1)
         thr = max(floor_abs, resid_factor * residual)
-        est = MultiplicityEstimate(
-            d=0, coefficients=coefficients, scaled_coefficients=scaled,
-            residual=residual, h=h_cur, d_max=d_max,
-        )
+        est = MultiplicityEstimate(d=0, coefficients=coefficients,
+                                   scaled_coefficients=scaled, h=h_cur)
         for j in range(1, d_max + 1):
             if abs(scaled[j]) > thr:
                 est.d = j

@@ -81,20 +81,9 @@ class MonicPoly:
         """Ascending coefficients including the leading 1."""
         return np.array(list(self.coeffs) + [1.0])
 
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.full_coeffs())
-
     def derivative_coeffs(self) -> np.ndarray:
         c = self.full_coeffs()
         return c[1:] * np.arange(1, len(c))
-
-    def __repr__(self):
-        d = self.degree
-        terms = [f"x^{d}"] + [
-            f"{a:+g}*x^{j}" for j, a in sorted(enumerate(self.coeffs), reverse=True)
-            if a != 0.0
-        ]
-        return "MonicPoly<" + " ".join(terms) + ">"
 
 
 def _sylvester(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -378,8 +367,9 @@ def q2_search(X, section, d: int, radius: float, n_samples: int, seed: int,
     Each field's jitter is drawn once, in one call of its own generator,
     and added as one array (_perturb_coeffs). The displacement orbits of all
     fields run together (cycles.displacements): each group of fields that
-    share their monomials is signed once at the section base, and a field's
-    RHS on floats is bound only for lanes that leave the lockstep driver.
+    share their monomials is signed once at the section base, and a field
+    binds its own rhs() only when one of its lanes leaves the lockstep
+    driver.
     All returned rows are fitted at once: the rows share their nodes, so one
     scale and one Vandermonde matrix serve them (_monic_fits). Every sample
     has the bits of fit_displacement_poly on that field's

@@ -54,12 +54,12 @@ class PolyVectorField:
     def rhs(self):
         """The field as one function (x, y) -> (P(x, y), Q(x, y)) on floats.
 
-        Built on the first call and kept with the field: the body compiled
-        once per process for the field's nonzero monomials
-        (poly2._compiled), bound to its coefficients, with P's and Q's bits.
-        Fields with the same monomials share one body, and the lockstep
-        driver binds that body for its lanes' fields itself
-        (lane_evaluators), so it builds none of these.
+        Bound on the first call and kept with the field (_evaluator, a
+        cached_property): the body compiled once per process for the field's
+        nonzero monomials (poly2._compiled), bound to its coefficients, with
+        P's and Q's bits. Fields with the same monomials share one body.
+        Both drivers run this on floats, so a field whose lanes all return
+        in lockstep binds none.
         """
         return self._evaluator
 
@@ -126,17 +126,14 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
     pairs, members indexing fields.
 
     PolyVectorFields whose components are nonzero and have the same nonzero
-    monomials (the same _key) form one group. Its select(k), k an int, is
-    the right-hand side (x, y) -> (P, Q) of the field members[k] on floats:
-    the group's body (poly2._compiled) bound to that field's coefficients,
-    as its rhs() binds it. Its select(lanes), lanes an index array, is the
-    right-hand side (x, y[, out]) -> (P, Q) as one (2, lanes) array, written
-    into out when given, on arrays whose k-th entries belong to the field
-    members[lanes[k]]: the dense Horner loops on the group's coefficients
-    gathered for the lanes (_lane_plan, _lane_rhs). Every value, on floats
-    as on arrays, has the bits of that field's rhs(). The other fields (a
-    CollapseField, or a field with a zero component) form one group whose
-    select is None.
+    monomials (the same _key) form one group. Its select(lanes), lanes an
+    index array, is the right-hand side (x, y[, out]) -> (P, Q) as one
+    (2, lanes) array, written into out when given, on arrays whose k-th
+    entries belong to the field members[lanes[k]]: the dense Horner loops
+    on the group's coefficients gathered for the lanes (_lane_plan,
+    _lane_rhs). Every entry has the bits of that field's rhs(), which is
+    the field's RHS on floats. The other fields (a CollapseField, or a field
+    with a zero component) form one group whose select is None.
     """
     groups: dict = {}
     for i, X in enumerate(fields):
@@ -150,13 +147,11 @@ def lane_evaluators(fields) -> list[tuple[list[int], object]]:
         plan = _lane_plan(key)
         # one row per coefficient cell, one column per member; the rows of
         # the key's monomials are plan.support, the others hold 0.0
-        rows = [fields[m].P._terms[1] + fields[m].Q._terms[1] for m in members]
         coeffs = np.zeros((len(plan.cells), len(members)))
-        coeffs[plan.support] = np.array(rows).T
+        coeffs[plan.support] = np.array([fields[m].P._terms[1] + fields[m].Q._terms[1]
+                                         for m in members]).T
 
-        def select(lanes, c=coeffs, plan=plan, rows=rows, make=_compiled(key)):
-            if isinstance(lanes, int):
-                return make(*rows[lanes])
+        def select(lanes, c=coeffs, plan=plan):
             return _lane_rhs(c.take(lanes, axis=1), plan)
 
         out.append((members, select))

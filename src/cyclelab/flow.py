@@ -30,32 +30,29 @@ by np.float_power, which calls libm's pow as Python's ** does, one call
 per power on all lanes. Every lane thus has the scalar driver's bits, from
 its start on. The scalar driver alone raises the stepper's failures (the
 step budget, the step floor and the safety box): a lane about to fail
-continues from its state on it. On q2-search's degree-7 fields a lockstep
-attempt, crossing search and lane starts included, costs about 0.48, 0.69
-and 1.07 ms at 13, 104 and 312 lanes (the call's time over its attempts,
-every lane in lockstep, median of 31 calls; 0.50, 0.72 and 1.15 ms with
-the powers taken by Python's ** lane by lane), and a scalar attempt about
-35 us, so per attempt the lockstep driver pays from about 14 lanes (2-vCPU
-Xeon VM, Python 3.11, NumPy 2.4); a whole call pays later, as lanes that
-return apart leave the arrays at different attempts. It hands fewer than
-_LOCKSTEP_MIN_LANES lanes to the scalar driver. A lane keeps its steps on
-request, as next_section_crossing does with _kept: the lockstep driver
-keeps the arrays of the attempts in which such a lane stepped, steps()
-gathers the lane's columns from them, and the list it starts goes on to
-the scalar driver with the lane.
+continues from its state on it. Per attempt the lockstep driver pays from
+about 14 lanes on q2-search's degree-7 fields (the measured attempt costs
+are in BENCH_32.json and BENCH_34.json); a whole call pays later, as lanes
+that return apart leave the arrays at different attempts. It hands fewer
+than _LOCKSTEP_MIN_LANES lanes to the scalar driver, where a lane runs on
+its field's own rhs(). A lane keeps its steps on request, as
+next_section_crossing does with _kept: the lockstep driver keeps the arrays
+of the attempts in which such a lane stepped, steps() gathers the lane's
+columns from them, and the list it starts goes on to the scalar driver with
+the lane.
 
-``integrate`` collects the scalar driver's steps into an Orbit, whose eval
-builds and keeps each step's row of dense output coefficients when a time
-first falls in it. ``next_section_crossing`` solves each step for its
-section crossings exactly: the dense output on a step is a degree-7
-polynomial in time, so its normal coordinate against the section line is
-one too, and its sign changes in the step, bracketed from its Bernstein
-coefficients, are the crossings. Steps that cannot cross the line, or can
-cross it only off the segment, are screened out before any root is solved.
-Every way an orbit can fail derives from OrbitFailure: the step budget or
-floor (StepUnderflow), the safety box (Divergence) and no crossing by t_max
-(NoCrossing). Stiff integrators are not needed here: polynomial
-fields near attracting cycles at our perturbation sizes are non-stiff.
+``integrate`` collects the scalar driver's steps into an Orbit, whose first
+eval builds and keeps every step's row of dense output coefficients.
+``next_section_crossing`` solves each step for its section crossings
+exactly: the dense output on a step is a degree-7 polynomial in time, so
+its normal coordinate against the section line is one too, and its sign
+changes in the step, bracketed from its Bernstein coefficients, are the
+crossings. Steps that cannot cross the line, or can cross it only off the
+segment, are screened out before any root is solved. Every way an orbit
+can fail derives from OrbitFailure: the step budget or floor
+(StepUnderflow), the safety box (Divergence) and no crossing by t_max
+(NoCrossing). Stiff integrators are not needed here: polynomial fields
+near attracting cycles at our perturbation sizes are non-stiff.
 """
 from __future__ import annotations
 
@@ -196,8 +193,8 @@ class Orbit:
     times: np.ndarray
     states: np.ndarray  # (n, 2)
     _segments: list = field(default_factory=list, repr=False)
-    # row i: step i's t_old, h, x_old, y_old, F0x..F6x, F0y..F6y, NaN until
-    # an eval first needs it
+    # row i: step i's t_old, h, x_old, y_old, F0x..F6x, F0y..F6y, built by
+    # the first eval
     _rows: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -210,19 +207,17 @@ class Orbit:
         _interpolant on arrays over all times, so every value has the bits
         of _interpolant on its step's floats. Each time falls in
         the step that ends at or after it (clamped to the first and the
-        last). A step's row of coefficients, and its dense output, is built
-        on the first eval that needs it and kept with the orbit.
+        last). The first eval builds every step's row of coefficients, and
+        its dense output, and keeps them with the orbit: every caller spans
+        the whole orbit.
         """
+        if self._rows is None:
+            self._rows = np.array([(step.t_old, step.h, *step.y_old, *step.F[0], *step.F[1])
+                                   for step in self._segments])
         t = np.asarray(t, dtype=float)
         ts = t.ravel()
         idx = np.clip(np.searchsorted(self.times[1:], ts, side="left"), 0,
                       len(self._segments) - 1)
-        if self._rows is None:
-            self._rows = np.full((len(self._segments), 18), np.nan)
-        new = list(set(idx[np.isnan(self._rows[idx, 1])].tolist()))
-        if new:
-            self._rows[new] = [(step.t_old, step.h, *step.y_old, *step.F[0], *step.F[1])
-                               for step in map(self._segments.__getitem__, new)]
         rows = self._rows[idx]
         s = (ts - rows[:, 0]) / rows[:, 1]
         out = np.stack(_interpolant((rows[:, 4:11].T, rows[:, 11:18].T), rows[:, 2], rows[:, 3], s),
@@ -263,16 +258,16 @@ class _Trail:
     the lane index at each position, K the (16, 2, lanes) stage stack and F
     the (2, 7, lanes) dense output. Nothing writes to them after their
     attempt, so steps() gathers a lane's columns from them when it first
-    runs. select(k) is the lane's RHS on floats, as lane_evaluators gives it.
+    runs. X is the lane's field, whose rhs() the _Steps get.
     """
 
-    __slots__ = ("records", "lane", "select", "k")
+    __slots__ = ("records", "lane", "X")
 
-    def __init__(self, records, lane, select, k):
-        self.records, self.lane, self.select, self.k = records, lane, select, k
+    def __init__(self, records, lane, X):
+        self.records, self.lane, self.X = records, lane, X
 
     def steps(self) -> list:
-        f = self.select(self.k)
+        f = self.X.rhs()
         steps = []
         for held, ids, t_old, t, z_old, z, K, F in self.records:
             j = held[ids[held] == self.lane]
@@ -877,15 +872,6 @@ def _step_crossing(t_old, h, y_old, y_new, F, f, geometry, direction_sign, t_off
     return None
 
 
-def _crossing_orbit(X, x0, section, direction_sign, t_max, tol, t_offset):
-    """next_section_crossing's (t_star, point), plus the orbit up to the crossing step."""
-    f = X.rhs()
-    steps = []
-    t_star, p = _advance(f, *_start(f, x0, t_max, tol), t_max, tol, steps,
-                         (section.geometry, direction_sign, t_offset))
-    return t_star, p, _orbit(x0, steps)
-
-
 def next_section_crossing(
     X,
     x0,
@@ -907,9 +893,9 @@ def next_section_crossing(
 
     Returns (t_star, point). Raises ValueError unless t_max > 0, tol > 0 and
     x0 is finite, and an OrbitFailure: NoCrossing, Divergence or StepUnderflow.
-    A caller that wants the orbit (see _crossing_orbit) hands over the
+    A caller that wants the orbit (see cycles._return_orbit) hands over the
     private list _kept, which the steps are appended to up to the crossing
-    step.
+    step; _orbit builds the orbit from them.
     """
     f = X.rhs()
     return _advance(f, *_start(f, x0, t_max, tol), t_max, tol, _kept,
@@ -936,11 +922,9 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
     state and raises the failure, and the later lanes of its row are
     dropped. Once fewer than _LOCKSTEP_MIN_LANES lanes run, or after
     _LOCKSTEP_MAX_ATTEMPTS attempts, the lanes left continue on the scalar
-    driver, row by row. Every lane's scalar work runs on its field's
-    evaluator from lane_evaluators, so no field builds its own rhs(), and
-    a field's evaluator on floats is bound only when the first of its lanes
-    goes on to the scalar driver, once per field: a call whose lanes all
-    return in lockstep binds none. A
+    driver, row by row. Every lane's scalar work runs on its field's own
+    rhs(), which the field binds when the first of its lanes needs it: a
+    field whose lanes all return in lockstep binds none. A
     caller that has grouped the fields already hands them over as the
     private _groups = (fields, lane_evaluators(fields)), fields holding every
     lane's field, so they are grouped once. A lane that asks for its steps
@@ -960,22 +944,13 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
              for r, row in enumerate(rows) for k, lane in enumerate(row)]
     index = {id(X): m for m, X in enumerate(fields)}
     field_of = [index[id(lane[2])] for lane in lanes]
-    owner = {m: (select, k) for members, select in groups for k, m in enumerate(members)}
-    bound = {}  # field index -> its RHS on floats, bound when its first lane needs it
-
-    def rhs(m):
-        if m not in bound:
-            select, k = owner[m]
-            bound[m] = fields[m].rhs() if select is None else select(k)
-        return bound[m]
-
     found: dict = {}  # (r, k) -> (t_star, point) or the failure
     cut = [len(row) for row in rows]  # the first failing position of each row so far
 
     def finish(i, state):
-        r, k, _, _, sign, kept = lanes[i]
+        r, k, X, _, sign, kept = lanes[i]
         try:
-            found[r, k] = _advance(rhs(field_of[i]), *state, t_max, tol, kept,
+            found[r, k] = _advance(X.rhs(), *state, t_max, tol, kept,
                                    (section.geometry, sign, t_offset))
         except OrbitFailure as exc:
             found[r, k] = exc
@@ -988,7 +963,7 @@ def next_section_crossings(rows, section, t_max: float = 200.0, tol: float = DEF
             running = _lockstep(select, [member[field_of[i]] for i in group], lanes, group,
                                 section.geometry, t_max, t_offset, tol, found, cut, finish)
         else:
-            running = [(i, _start(rhs(field_of[i]), lanes[i][3], t_max, tol)) for i in group]
+            running = [(i, _start(lanes[i][2].rhs(), lanes[i][3], t_max, tol)) for i in group]
         for i, state in sorted(running):
             r, k = lanes[i][:2]
             if k < cut[r]:
@@ -1001,8 +976,8 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
     """Steps one group of next_section_crossings' lanes together.
 
     group lists the lanes' indices in lane order, member each lane's
-    position in the group, and select gives the group's RHS on lane arrays
-    and, by position, on floats. The lanes start on the arrays with _start's
+    position in the group, and select gives the group's RHS on lane arrays.
+    The lanes start on the arrays with _start's
     bits (_initial_steps), or raise the error that _start raises first in
     lane order. An attempt searches its steps for crossings only when the
     line and segment screens leave it a lane to search, and evaluates the
@@ -1020,9 +995,9 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
     # the steps of the lanes that keep theirs, one record per attempt (_Trail)
     keeps = np.array([lanes[i][5] is not None for i in group])
     records = []
-    for i, m in zip(group, member):
+    for i in group:
         if lanes[i][5] is not None:
-            lanes[i][5].append(_Trail(records, i, select, m))
+            lanes[i][5].append(_Trail(records, i, lanes[i][2]))
     member = np.array(member)
     # the lanes' points (x, y) as the rows of z, and f there as k1's
     z = np.array([[float(lanes[i][3][k]) for i in group] for k in (0, 1)])
@@ -1030,7 +1005,7 @@ def _lockstep(select, member, lanes, group, geometry, t_max, t_offset, tol, foun
     if not (t_max > 0 and tol > 0 and finite.all()):
         # the scalar starts in lane order raise by the first bad lane
         for j in range(int((~finite).argmax()) + 1):
-            _start(select(int(member[j])), lanes[group[j]][3], t_max, tol)
+            _start(lanes[group[j]][2].rhs(), lanes[group[j]][3], t_max, tol)
     f = select(member)
     t, rejected, taken = np.zeros(ids.size), np.zeros(ids.size, dtype=bool), np.zeros_like(ids)
 

@@ -102,12 +102,6 @@ class Poly2:
         # a constant's body reads neither x nor y
         return value if self.degree > 0 else np.full(x.shape, value)[()]
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "Poly2<0>"
-        terms = [f"{c:+g}*x^{i}*y^{j}" for (i, j), c in sorted(self.coeffs.items())]
-        return "Poly2<" + " ".join(terms) + ">"
-
     def derivative(self, axis: str, order: int = 1) -> "Poly2":
         """Exact partial derivative along 'x' or 'y'."""
         _axis_index(axis, order)

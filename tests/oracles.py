@@ -260,7 +260,7 @@ def has_repeated_root(p, tol=1e-10):
         return False
     scale = float(np.max(np.abs(p.full_coeffs())))
     local = scale * (1.0 + np.abs(crit)) ** p.degree
-    return bool(np.any(np.abs(p(crit)) < tol * local))
+    return bool(np.any(np.abs(npoly.polyval(crit, p.full_coeffs())) < tol * local))
 
 
 def sturm_chain(p):

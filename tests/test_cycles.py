@@ -921,16 +921,16 @@ def test_time_reversed_split_builds_no_cycle(ck, monkeypatch):
     """An unstable cycle's split reverses time and takes the census of the
     reversed field on the input cycle's section and xi*: it integrates no
     cycle of its own, neither by build_cycle nor by its orbit
-    (flow._crossing_orbit)."""
+    (cycles._return_orbit)."""
     X = PolyVectorField(scale(ck[3].P, -1.0), scale(ck[3].Q, -1.0))
     cyc = cy.build_cycle(X, cy.section_for_field(X, (1.0, 0.0)), 0.0)
     calls = []
-    for module, name in ((cy, "build_cycle"), (flow, "_crossing_orbit")):
-        def spy(*args, kernel=getattr(module, name), name=name, **kwargs):
+    for name in ("build_cycle", "_return_orbit"):
+        def spy(*args, kernel=getattr(cy, name), name=name, **kwargs):
             calls.append(name)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(cy, name, spy)
     rep = cy.theorem1_splitting(X, cyc, S, 0.02)
     assert rep.time_reversed and rep.success
     assert calls == []
@@ -992,8 +992,50 @@ def test_displacement_csv(tmp_path, ck, ck_cycles):
     path = tmp_path / "d.csv"
     ck_cycles[1].displacement_samples_csv(path, ck[1], window=0.02, n=5)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "xi,displacement"
+    assert lines[0] == "xi,displacement,error"
     assert len(lines) == 6
+    assert all(line.endswith(",") for line in lines[1:])
+
+
+def test_displacement_csv_names_its_failures(tmp_path, ck, ck_cycles, monkeypatch):
+    """A node whose orbit fails is a row of its own, with an empty
+    displacement and the failure's class name in the error column, as
+    q2_census.csv writes it; the other rows are d at their nodes."""
+    cyc, displacement = ck_cycles[1], cy.displacement
+    xis = (cyc.xi_star + np.linspace(-0.02, 0.02, 5)).tolist()
+
+    def failing(X, section, xi, tol):
+        if xi == xis[1]:
+            raise flow.NoCrossing("no crossing in (0, 400.0]")
+        return displacement(X, section, xi, tol)
+
+    monkeypatch.setattr(cy, "displacement", failing)
+    path = tmp_path / "d.csv"
+    cyc.displacement_samples_csv(path, ck[1], window=0.02, n=5)
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "xi,displacement,error"
+    assert lines[2] == f"{xis[1]!r},,NoCrossing"
+    for xi, line in zip(xis, lines[1:]):
+        if xi != xis[1]:
+            d = displacement(ck[1], cyc.section, xi, cy.DEFAULT_CYCLE_TOL)
+            assert line == f"{xi!r},{d!r},"
+
+
+@pytest.mark.parametrize("name, xi", [("CK(1)", -0.2), ("CK(3)", 0.1)])
+def test_every_return_orbit_takes_one_recipe(ck, section, name, xi):
+    """return_map, build_cycle and an annulus arc start the orbit of d(xi)
+    one way (cycles._return), so they meet the section at one return: the
+    same coordinate, period and point, by float.hex."""
+    from cyclelab import annulus
+
+    X, tol = ck[int(name[3])], 1e-10
+    t_star, p = cy._return(X, section, xi, tol)
+    arc, xi_z = annulus._arc(X, section, xi, tol, 64)
+    cyc = cy.build_cycle(X, section, xi, tol)
+    assert cy.return_map(X, section, xi, tol).hex() == xi_z.hex() == section.xi_of(p).hex()
+    assert cyc.period.hex() == t_star.hex()
+    assert arc[-1].tobytes() == p.tobytes()
+    assert arc[0].tobytes() == cyc.points[0].tobytes() == section.point_at(xi).tobytes()
 
 
 def test_build_cycle_integrates_the_cycle_once(ck, section, monkeypatch):

@@ -287,35 +287,23 @@ def test_perturb_coeffs_draws_one_jitter_per_monomial(ck, seed):
     pytest.param(4, flow._LOCKSTEP_MIN_LANES, id="4"),
     pytest.param(flow._LOCKSTEP_MAX_ATTEMPTS, 1, id="every-lane-in-lockstep"),
 ])
-def test_lockstep_displacements_build_no_field_rhs(ck, section, monkeypatch, max_attempts,
-                                                   min_lanes):
-    """A lockstep displacements call groups its fields once and evaluates
-    each field through its group's evaluators, also where its lanes continue
-    on the scalar driver (after 4 attempts, or below min_lanes lanes), so
-    no field builds its own rhs(); next_section_crossing still does. A
-    field's RHS on floats (select(k)) is bound once, and only for a field
-    one of whose lanes runs on the scalar driver: none when every lane
-    returns in lockstep, one per field after 4 attempts."""
+def test_lockstep_binds_the_float_rhs_only_of_fields_handed_over(ck, section, monkeypatch,
+                                                                 max_attempts, min_lanes):
+    """A lockstep displacements call groups its fields once. A lane that
+    continues on the scalar driver (after 4 attempts, or below min_lanes
+    lanes) runs on its field's own rhs(), and after the call exactly the
+    fields with such a lane hold a bound rhs() (_evaluator): none when every
+    lane returns in lockstep, all four after 4 attempts."""
     from cyclelab import cycles as cy
     from cyclelab import field as fd
 
     monkeypatch.setattr(flow, "_LOCKSTEP_MAX_ATTEMPTS", max_attempts)
     monkeypatch.setattr(flow, "_LOCKSTEP_MIN_LANES", min_lanes)
-    grouped, bound, scalar = [], {}, set()
-
-    def counting(members, select):
-        def counted_select(lanes):
-            f = select(lanes)
-            if isinstance(lanes, int):
-                bound.setdefault(members[lanes], []).append(f)
-            return f
-
-        return counted_select
+    grouped, scalar = [], set()
 
     def counted(fields):
         grouped.append(len(fields))
-        return [(members, counting(members, select))
-                for members, select in fd.lane_evaluators(fields)]
+        return fd.lane_evaluators(fields)
 
     advance = flow._advance
 
@@ -331,12 +319,11 @@ def test_lockstep_displacements_build_no_field_rhs(ck, section, monkeypatch, max
     assert len(fields) * len(nodes) >= flow._LOCKSTEP_MIN_LANES
     rows = cy.displacements(fields, section, nodes)
     assert grouped == [len(fields)]
-    assert all(len(fs) == 1 for fs in bound.values())
-    assert scalar == {fs[0] for fs in bound.values()}
+    bound = [X.__dict__.get("_evaluator") for X in fields]
+    assert scalar == {f for f in bound if f is not None}
     if min_lanes == 1:
-        assert bound == {}
+        assert bound == [None] * len(fields)
     if max_attempts == 4:
-        assert sorted(bound) == list(range(len(fields)))
-    assert not any("_evaluator" in X.__dict__ for X in fields)
+        assert None not in bound
     assert rows == [[cy.displacement(X, section, xi) for xi in nodes] for X in fields]
     assert all("_evaluator" in X.__dict__ for X in fields)

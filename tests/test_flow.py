@@ -296,13 +296,22 @@ def test_orbit_eval_matches_step_loop(ck, name):
         assert np.array_equal(got, _eval_by_steps(orb, t))
 
 
-def test_orbit_eval_builds_only_the_steps_it_needs(ck):
+def test_orbit_eval_builds_the_dense_output_once(ck, monkeypatch):
+    """integrate builds no dense output, as an orbit that is never evaluated
+    reads only its states; the first eval builds every step's, and a second
+    eval builds none."""
     orb = flow.integrate(ck[3], (0.8, 0.1), 12.0)
-    i = len(orb._segments) // 2
-    step = orb._segments[i]
-    orb.eval(step.t_old + step.h * np.array([0.1, 0.5, 1.0]))
-    # the dense output costs 3 RHS calls per step it is built for
-    assert [k for k, s in enumerate(orb._segments) if s._F is not None] == [i]
+    assert all(step._F is None for step in orb._segments)
+    t = np.linspace(0.0, orb.t_end, 50)
+    first = orb.eval(t)
+    assert all(step._F is not None for step in orb._segments)
+    built = []
+    dense = flow._dense
+    monkeypatch.setattr(flow, "_dense", lambda *args: built.append(1) or dense(*args))
+    for step in orb._segments:
+        step._F = None
+    assert orb.eval(t).tobytes() == first.tobytes()
+    assert built == []
 
 
 def _reference_steps(f, x0, t_bound, tol):
@@ -351,8 +360,10 @@ def _bytes(*values):
 
 @pytest.mark.parametrize("name", ["CK(3)", "q2"])
 def test_scalar_loop_matches_step_by_step_reference(ck, name):
-    """integrate's steps, next_section_crossing's crossings and
-    _crossing_orbit's orbit, by bytes, against the step-by-step reference."""
+    """integrate's steps, next_section_crossing's crossings and the orbit of
+    a return (cycles._return_orbit), by bytes, against the step-by-step
+    reference."""
+    from cyclelab import cycles as cy
     from cyclelab.discriminant import _perturb_coeffs
 
     X = ck[3] if name == "CK(3)" else _perturb_coeffs(ck[3], np.random.default_rng(5), 1e-3)
@@ -367,7 +378,10 @@ def test_scalar_loop_matches_step_by_step_reference(ck, name):
         t_star, p, steps = _reference_crossing(f, x0, SEC, +1, 30.0, 1e-10, 1e-6)
         got = flow.next_section_crossing(X, x0, SEC, +1, 30.0, 1e-10, 1e-6)
         assert (got[0].hex(), got[1].tobytes()) == (t_star.hex(), _bytes(*p))
-        t_orbit, p_orbit, orbit = flow._crossing_orbit(X, x0, SEC, +1, 30.0, 1e-10, 1e-6)
+        # the return's recipe: X's crossing sign, t_max 400 and t_offset 1e-6
+        t_star, p, steps = _reference_crossing(f, x0, SEC, cy.crossing_sign(X, SEC), 400.0,
+                                               1e-10, 1e-6)
+        t_orbit, p_orbit, orbit = cy._return_orbit(X, SEC, xi, 1e-10)
         assert (t_orbit.hex(), p_orbit.tobytes()) == (t_star.hex(), _bytes(*p))
         assert orbit.times.tobytes() == _bytes(0.0, *(r[1] for r in steps))
         assert orbit.states.tobytes() == _bytes(x0, *(r[3] for r in steps))
@@ -937,8 +951,7 @@ def test_lockstep_attempts_search_only_lanes_left_to_search(ck, section, monkeyp
 
     def lane_evaluators(fields):
         def counted(lanes, select):
-            if isinstance(lanes, np.ndarray):
-                evaluated.append(lanes.size)
+            evaluated.append(lanes.size)
             return select(lanes)
 
         return [(members, select and functools.partial(counted, select=select))
@@ -1232,7 +1245,7 @@ def _tableau_fields():
     (_, select), = lane_evaluators(fields)
     n = len(_tableau_lanes())
     return [([_linear] * n, _linear_lanes),
-            ([select(k % 2) for k in range(n)], select(np.arange(n) % 2))]
+            ([fields[k % 2].rhs() for k in range(n)], select(np.arange(n) % 2))]
 
 
 @pytest.mark.parametrize("which", [0, 1])

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from cyclelab import cycles as cy
-from cyclelab import flow, lab
+from cyclelab import annulus, flow, lab
 from cyclelab.field import ck_system
 from cyclelab.portrait import render_phase_portrait
 from cyclelab.registry import exact_vanishing_poly
@@ -370,9 +370,14 @@ def test_side_file_cells_are_numbers_or_labels(tmp_path):
                          out_dir=tmp_path / pipeline)
         rows = (tmp_path / pipeline / name).read_text().splitlines()[1:]
         assert rows, pipeline
-        for cell in ",".join(rows).split(","):
-            if cell not in ("stable", "unstable", "non-hyperbolic"):
-                float(cell)
+        for row in rows:
+            cells = row.split(",")
+            if name == "displacement.csv":
+                # the error column: empty, as no orbit of the default find fails
+                assert cells.pop() == ""
+            for cell in cells:
+                if cell not in ("stable", "unstable", "non-hyperbolic"):
+                    float(cell)
 
 
 def test_find_pipeline_and_idempotence(tmp_path):
@@ -428,10 +433,11 @@ def test_find_displacement_csv_is_at_the_integrator_tol(tmp_path):
     X = ck_system(1)
     section = cy.section_for_field(X, (1.0, 0.0))
     lines = (tmp_path / "displacement.csv").read_text().strip().splitlines()
-    assert lines[0] == "xi,displacement" and len(lines) == 34
+    assert lines[0] == "xi,displacement,error" and len(lines) == 34
     for line in lines[1:]:
-        xi, d = map(float, line.split(","))
-        assert d.hex() == cy.displacement(X, section, xi, tol=tol).hex()
+        xi, d, error = line.split(",")
+        assert error == ""
+        assert float(d).hex() == cy.displacement(X, section, float(xi), tol=tol).hex()
 
 
 def test_report_payload_deterministic():
@@ -544,13 +550,14 @@ def test_split_integrates_only_the_annulus_arcs(monkeypatch):
     perturbed census, is built from the return its root's d(xi) call
     integrated; the only orbits integrated again are the annulus arcs."""
     callers = []
-    real = flow._crossing_orbit
+    real = cy._return_orbit
 
     def counted(*args, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "_crossing_orbit", counted)
+    for module in (cy, annulus):
+        monkeypatch.setattr(module, "_return_orbit", counted)
     rep = lab.run_pipeline(lab.ExperimentConfig.from_dict({"pipeline": "split-theorem1"}))
     assert rep.all_passed
     assert callers == ["_arc", "_arc"]
